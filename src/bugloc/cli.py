@@ -132,24 +132,28 @@ def _load(settings, benchmark_path):
     return benchmark
 
 
-def _artifacts_for(project, benchmark, method_ids, cache_dir, settings) -> rank.Artifacts:
+def _model_cache(benchmark, method_ids, cache_dir, settings) -> ArtifactCache | None:
+    """The cache of global models when one of the methods needs them."""
+    configs = [rank.MethodConfig.from_id(m) for m in method_ids]
+    if not any(c.needs_global_tfidf or c.needs_embeddings for c in configs):
+        return None
+    if cache_dir is None:
+        raise BugLocError(
+            f"methods {sorted(c.method_id for c in configs)} need global "
+            "models: pass --cache")
+    return ArtifactCache(cache_dir, benchmark, settings.preprocess_config(),
+                         settings.embedding_config())
+
+
+def _artifacts_for(project, cache, method_ids, settings) -> rank.Artifacts:
     """Artifacts covering the union of the given methods' model needs."""
     configs = [rank.MethodConfig.from_id(m) for m in method_ids]
-    needs_tfidf = any(c.needs_global_tfidf for c in configs)
-    needs_embeddings = any(c.needs_embeddings for c in configs)
     global_vocab = dm = dbow = None
-    if needs_tfidf or needs_embeddings:
-        if cache_dir is None:
-            raise BugLocError(
-                f"methods {sorted(c.method_id for c in configs)} need global "
-                "models: pass --cache")
-        cache = ArtifactCache(cache_dir, benchmark, settings.preprocess_config(),
-                              settings.embedding_config())
-        if needs_tfidf:
-            global_vocab = cache.global_vocabulary(project.name)
-        if needs_embeddings:
-            dm = cache.embedding_model(project.name, embedding.PV_DM)
-            dbow = cache.embedding_model(project.name, embedding.PV_DBOW)
+    if any(c.needs_global_tfidf for c in configs):
+        global_vocab = cache.global_vocabulary(project.name)
+    if any(c.needs_embeddings for c in configs):
+        dm = cache.embedding_model(project.name, embedding.PV_DM)
+        dbow = cache.embedding_model(project.name, embedding.PV_DBOW)
     return rank.Artifacts(project, global_vocab=global_vocab, dm_model=dm,
                           dbow_model=dbow, infer_epochs=settings.infer_epochs())
 
@@ -256,7 +260,8 @@ def cmd_localize(benchmark_path, project_name, bug_id, method_id, cache_dir,
     except KeyError:
         raise BugLocError(f"unknown bug id {bug_id!r} in project {project_name}")
     method = rank.MethodConfig.from_id(method_id)
-    artifacts = _artifacts_for(project, benchmark, [method_id], cache_dir, settings)
+    cache = _model_cache(benchmark, [method_id], cache_dir, settings)
+    artifacts = _artifacts_for(project, cache, [method_id], settings)
     history = rank.history_for(query, project, settings.get("history_policy"))
     ranked = rank.localize(query, project, method, artifacts, history=history)
     out = Path(out_dir)
@@ -332,6 +337,7 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
 
     rows, per_query_rows = [], []
     per_project: dict[int, dict[str, metrics.MetricsReport]] = {m: {} for m in method_ids}
+    cache = None  # one for all projects, so the corpus is hashed once
     for name in project_names:
         project = benchmark.project(name)
         if not project.has_queries:
@@ -339,7 +345,9 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
             continue
         # one Artifacts per project covering every requested method, so
         # vectorization and doc-vector inference are shared across methods
-        artifacts = _artifacts_for(project, benchmark, method_ids, cache_dir, settings)
+        if cache is None:
+            cache = _model_cache(benchmark, method_ids, cache_dir, settings)
+        artifacts = _artifacts_for(project, cache, method_ids, settings)
         for method_id in method_ids:
             report, results = _evaluate_project(project, artifacts, method_id, settings)
             per_project[method_id][name] = report

@@ -158,7 +158,8 @@ def _stem_fixpoint(term: str) -> str:
 
 
 def preprocess(text: str, origin: str = BUG_REPORT,
-               config: PreprocessConfig | None = None) -> TokenStream:
+               config: PreprocessConfig | None = None,
+               stems: dict[str, str] | None = None) -> TokenStream:
     """Run the full normalization pipeline over one document's text.
 
     Source text is first scrubbed of comments and literals. Tokens are
@@ -166,6 +167,10 @@ def preprocess(text: str, origin: str = BUG_REPORT,
     stop-word and language-keyword lists, stemmed, filtered again (a stem
     may collapse onto a reserved word, e.g. classes -> class), and finally
     length-filtered. An empty result is legal.
+
+    ``stems`` memoizes stemming across the documents of one call: pass the
+    same dict for every document of a corpus, whose distinct terms are few
+    next to its occurrences.
     """
     if origin not in (BUG_REPORT, SOURCE_FILE):
         raise ValueError(f"unknown document origin: {origin!r}")
@@ -173,27 +178,38 @@ def preprocess(text: str, origin: str = BUG_REPORT,
     if origin == SOURCE_FILE:
         text = strip_code_noise(text)
     drop = config.stopwords | config.keywords
+    if stems is None:
+        stems = {}
     tokens: list[str] = []
     for match in _WORD_RE.finditer(text):
         for part in split_identifier(match.group(0), config.split_compound_identifiers):
             if part in drop:
                 continue
-            stemmed = _stem_fixpoint(part)
+            stemmed = stems.get(part)
+            if stemmed is None:
+                stemmed = stems[part] = _stem_fixpoint(part)
             if len(stemmed) >= config.min_token_length and stemmed not in drop:
                 tokens.append(stemmed)
     return TokenStream(tokens=tuple(tokens), origin=origin)
 
 
-def preprocess_project(project, config: PreprocessConfig | None = None) -> None:
-    """Fill ``token_stream`` on every source file and bug report in place."""
+def preprocess_project(project, config: PreprocessConfig | None = None,
+                       stems: dict[str, str] | None = None) -> None:
+    """Fill ``token_stream`` on every source file and bug report in place.
+
+    Stems are memoized in ``stems`` (a fresh dict by default) for the
+    duration of the call only, so every call stems its own corpus.
+    """
     config = config or PreprocessConfig()
+    stems = {} if stems is None else stems
     for src in project.source_files:
-        src.token_stream = preprocess(src.raw_text, SOURCE_FILE, config)
+        src.token_stream = preprocess(src.raw_text, SOURCE_FILE, config, stems)
     for report in project.bug_reports:
-        report.token_stream = preprocess(report.text, BUG_REPORT, config)
+        report.token_stream = preprocess(report.text, BUG_REPORT, config, stems)
 
 
 def preprocess_benchmark(benchmark, config: PreprocessConfig | None = None) -> None:
     config = config or PreprocessConfig()
+    stems: dict[str, str] = {}
     for project in benchmark.projects:
-        preprocess_project(project, config)
+        preprocess_project(project, config, stems)

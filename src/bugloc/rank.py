@@ -16,12 +16,28 @@ average (default 0.8 direct / 0.2 indirect). The method table:
 
 Combined scoring (method 7) normalizes the TF.IDF and doc-vector maps to
 [0, 1] separately and averages them per relevancy function.
+
+Scores are numpy arrays over the project's files in path order. Per
+TF.IDF scope, :class:`Artifacts` builds two :class:`~bugloc.tfidf.Postings`
+once, over the files and (for methods that use history) over the reports,
+so one query costs one ``bincount`` against each: direct scores are the files' logistic length
+factors times ``Postings.cosines``, and the bridge is a ``bincount`` of
+``sim / |fixed(B)|`` over (report, fixed file) pairs stored in report order,
+of which an "earlier" history is a prefix. Doc-vector similarities are
+per-pair :func:`~bugloc.embedding.doc_cosine` values fed to the same
+bridge. Every operation repeats the arithmetic of the per-pair formulas
+(:func:`~bugloc.tfidf.rvsm`, :func:`~bugloc.tfidf.cosine`, a dict summed in
+history order) in the same order, so the scores are bit-identical to
+them. The dict-returning functions are views of these arrays.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from . import embedding, tfidf
 from .corpus import BugReport, Project
@@ -113,13 +129,52 @@ class RankedList:
                              f"{e.indirect_score:.10g}"])
 
 
+_TFIDF_SCOPES = {TFIDF_LOCAL: "local", TFIDF_GLOBAL: "global"}
+
+
+class _TfidfScope:
+    """A project's TF.IDF data under one vocabulary.
+
+    File postings and length factors are built up front; report vectors
+    are built as queries ask for them, and the report postings only when
+    a method ranks through history.
+    """
+
+    def __init__(self, vocab: tfidf.Vocabulary, files, reports,
+                 normalizer: tfidf.LengthNormalizer):
+        vectors = [tfidf.vectorize(f.token_stream, vocab, source_doc_id=f.id) for f in files]
+        self.vocab = vocab
+        self.files = tfidf.Postings(vectors, len(vocab))    # rows in ``files`` order
+        self.length_weights = np.array([tfidf.length_weight(v.term_count, normalizer)
+                                        for v in vectors])  # rVSM logistic factor per file
+        self._reports = reports
+        self._report_vectors: list[tfidf.TfIdfVector | None] = [None] * len(reports)
+
+    def report_vector(self, row: int) -> tfidf.TfIdfVector:
+        if self._report_vectors[row] is None:
+            report = self._reports[row]
+            self._report_vectors[row] = tfidf.vectorize(report.token_stream, self.vocab,
+                                                        source_doc_id=report.id)
+        return self._report_vectors[row]
+
+    @cached_property
+    def reports(self) -> tfidf.Postings:
+        """Postings over the project's reports, rows in report order."""
+        return tfidf.Postings([self.report_vector(i) for i in range(len(self._reports))],
+                              len(self.vocab))
+
+
 class Artifacts:
-    """Models and per-project caches a localization run draws on.
+    """Models and per-project arrays a localization run draws on.
 
     Local TF.IDF state is derived lazily from the project itself; global
     models (IDF vocabulary, paragraph-vector pair) must be supplied when a
-    method asks for them. File vectors, report vectors and inferred doc
-    vectors are computed once and reused across queries.
+    method asks for them. Per TF.IDF scope, file postings are built once
+    and serve every query; report postings and the fix pairs are built
+    only when a method ranks through history; inferred doc vectors are
+    computed once and reused. Score arrays follow ``files``, the project's
+    source files in path order, so a stable sort keeps tied files in path
+    order.
     """
 
     def __init__(self, project: Project, global_vocab: tfidf.Vocabulary | None = None,
@@ -131,15 +186,19 @@ class Artifacts:
         self.dm_model = dm_model
         self.dbow_model = dbow_model
         self.infer_epochs = infer_epochs
-        self._local_vocab: tfidf.Vocabulary | None = None
-        self._normalizer: tfidf.LengthNormalizer | None = None
-        self._file_vectors: dict[str, dict[str, tfidf.TfIdfVector]] = {}
-        self._report_vectors: dict[tuple[str, str], tfidf.TfIdfVector] = {}
-        self._file_doc_vectors: dict[str, embedding.DocVector] | None = None
-        self._report_doc_vectors: dict[str, embedding.DocVector] = {}
         for src in project.source_files:
             if src.token_stream is None:
                 raise ValueError(f"{src.id}: token stream missing; preprocess first")
+        self.files = sorted(project.source_files, key=lambda f: f.id)
+        self.file_ids = [f.id for f in self.files]
+        self._column = {fid: j for j, fid in enumerate(self.file_ids)}
+        # keyed by identity: a report of another project may share an id
+        self._row = {id(r): i for i, r in enumerate(project.bug_reports)}
+        self._local_vocab: tfidf.Vocabulary | None = None
+        self._normalizer: tfidf.LengthNormalizer | None = None
+        self._scopes: dict[str, _TfidfScope] = {}
+        self._file_doc_vectors: list[embedding.DocVector] | None = None
+        self._report_doc_vectors: dict[str, embedding.DocVector] = {}
 
     @property
     def local_vocab(self) -> tfidf.Vocabulary:
@@ -162,32 +221,29 @@ class Artifacts:
             raise ValueError("global IDF model required but not provided")
         return self.global_vocab
 
-    def file_vectors(self, scope: str) -> dict[str, tfidf.TfIdfVector]:
-        if scope not in self._file_vectors:
-            vocab = self.vocab(scope)
-            self._file_vectors[scope] = {
-                f.id: tfidf.vectorize(f.token_stream, vocab, source_doc_id=f.id)
-                for f in self.project.source_files}
-        return self._file_vectors[scope]
+    def _tfidf_scope(self, scope: str) -> _TfidfScope:
+        if scope not in self._scopes:
+            self._scopes[scope] = _TfidfScope(self.vocab(scope), self.files,
+                                              self.project.bug_reports, self.normalizer)
+        return self._scopes[scope]
 
     def report_vector(self, report: BugReport, scope: str) -> tfidf.TfIdfVector:
-        key = (report.id, scope)
-        if key not in self._report_vectors:
-            self._report_vectors[key] = tfidf.vectorize(
-                report.token_stream, self.vocab(scope), source_doc_id=report.id)
-        return self._report_vectors[key]
+        row = self._row.get(id(report))
+        if row is not None:
+            return self._tfidf_scope(scope).report_vector(row)
+        return tfidf.vectorize(report.token_stream, self.vocab(scope), source_doc_id=report.id)
 
     def _require_models(self):
         if self.dm_model is None or self.dbow_model is None:
             raise ValueError("paragraph-vector models required but not provided")
 
-    def file_doc_vectors(self) -> dict[str, embedding.DocVector]:
+    def file_doc_vectors(self) -> list[embedding.DocVector]:
         if self._file_doc_vectors is None:
             self._require_models()
-            self._file_doc_vectors = {
-                f.id: embedding.combined_vector(f.token_stream, self.dm_model,
-                                                self.dbow_model, epochs=self.infer_epochs)
-                for f in self.project.source_files}
+            self._file_doc_vectors = [
+                embedding.combined_vector(f.token_stream, self.dm_model, self.dbow_model,
+                                          epochs=self.infer_epochs)
+                for f in self.files]
         return self._file_doc_vectors
 
     def report_doc_vector(self, report: BugReport) -> embedding.DocVector:
@@ -198,63 +254,115 @@ class Artifacts:
                 epochs=self.infer_epochs)
         return self._report_doc_vectors[report.id]
 
+    def _fix_pairs(self, reports) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Position in ``reports``, file column and ``|fixed files|`` of every
+        (report, fixed file of this project) pair, in report order. The size
+        counts fixed files missing from the project too."""
+        positions, columns, sizes = [], [], []
+        for i, report in enumerate(reports):
+            for fid in report.fixed_files:
+                if fid in self._column:
+                    positions.append(i)
+                    columns.append(self._column[fid])
+                    sizes.append(len(report.fixed_files))
+        return (np.array(positions, dtype=np.intp), np.array(columns, dtype=np.intp),
+                np.array(sizes, dtype=float))
 
-def _minmax(scores: dict[str, float]) -> dict[str, float]:
+    @cached_property
+    def _project_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Columns and sizes of :meth:`_fix_pairs` over the project's
+        reports, and ``offsets`` such that report ``i``'s pairs are
+        ``offsets[i]:offsets[i + 1]``."""
+        rows, columns, sizes = self._fix_pairs(self.project.bug_reports)
+        offsets = np.concatenate(
+            ([0], np.cumsum(np.bincount(rows, minlength=len(self.project.bug_reports)))))
+        return offsets, columns, sizes
+
+    def _history_rows(self, history) -> np.ndarray | None:
+        """Project report row of each history report; None when one of
+        them is not a report of this project."""
+        rows = [self._row.get(id(r), -1) for r in history]
+        return None if -1 in rows else np.array(rows, dtype=np.intp)
+
+    def _bridge(self, history, rows: np.ndarray | None, sims: np.ndarray) -> np.ndarray:
+        """Per file, the sum over history reports B that fixed it of
+        ``sims[B] / |fixed(B)|`` (``sims`` follows ``history``), added up in
+        history order as a dict accumulation would."""
+        if rows is None:
+            positions, columns, sizes = self._fix_pairs(history)
+        else:
+            offsets, all_columns, all_sizes = self._project_pairs
+            idx, positions = tfidf.span_indices(offsets, rows)
+            columns, sizes = all_columns[idx], all_sizes[idx]
+        return np.bincount(columns, weights=sims[positions] / sizes,
+                           minlength=len(self.files))
+
+
+def _minmax(scores: np.ndarray) -> np.ndarray:
     # Constant maps (including all-zero) normalize to zero so they cannot
     # perturb the fused ranking.
-    lo, hi = min(scores.values()), max(scores.values())
+    lo, hi = scores.min(), scores.max()
     if hi == lo:
-        return {k: 0.0 for k in scores}
-    return {k: (v - lo) / (hi - lo) for k, v in scores.items()}
+        return np.zeros_like(scores)
+    return (scores - lo) / (hi - lo)
 
 
-def _tfidf_direct(query: BugReport, artifacts: Artifacts, scope: str) -> dict[str, float]:
-    bug_vec = artifacts.report_vector(query, scope)
-    norm = artifacts.normalizer
-    vectors = artifacts.file_vectors(scope)
-    return {fid: tfidf.rvsm(bug_vec, vec, norm) for fid, vec in vectors.items()}
+def _combined(lexical: np.ndarray, semantic: np.ndarray) -> np.ndarray:
+    return (_minmax(lexical) + _minmax(semantic)) / 2
 
 
-def _docvec_direct(query: BugReport, artifacts: Artifacts) -> dict[str, float]:
-    query_vec = artifacts.report_doc_vector(query)
-    return {fid: embedding.doc_cosine(query_vec, vec)
-            for fid, vec in artifacts.file_doc_vectors().items()}
+def _fuse(direct: np.ndarray, indirect: np.ndarray, w1: float, w2: float) -> np.ndarray:
+    return w1 * _minmax(direct) + w2 * _minmax(indirect)
+
+
+def _direct_scores(query: BugReport, kind: str, artifacts: Artifacts) -> np.ndarray:
+    if kind in _TFIDF_SCOPES:
+        scope = _TFIDF_SCOPES[kind]
+        data = artifacts._tfidf_scope(scope)
+        return data.length_weights * data.files.cosines(artifacts.report_vector(query, scope))
+    if kind == DOC2VEC_GLOBAL:
+        query_vec = artifacts.report_doc_vector(query)
+        return np.array([embedding.doc_cosine(query_vec, vec)
+                         for vec in artifacts.file_doc_vectors()], dtype=float)
+    if kind == COMBINED_GLOBAL:
+        return _combined(_direct_scores(query, TFIDF_GLOBAL, artifacts),
+                         _direct_scores(query, DOC2VEC_GLOBAL, artifacts))
+    raise ValueError(f"unknown direct model {kind!r}")
+
+
+def _history_sims(query: BugReport, history, rows, kind: str,
+                  artifacts: Artifacts) -> np.ndarray:
+    if kind == DOC2VEC_GLOBAL:
+        query_vec = artifacts.report_doc_vector(query)
+        return np.array([embedding.doc_cosine(query_vec, artifacts.report_doc_vector(past))
+                         if past.fixed_files else 0.0 for past in history], dtype=float)
+    if kind not in _TFIDF_SCOPES:
+        raise ValueError(f"unknown indirect model {kind!r}")
+    scope = _TFIDF_SCOPES[kind]
+    query_vec = artifacts.report_vector(query, scope)
+    if rows is None:
+        return np.array([tfidf.cosine(query_vec, artifacts.report_vector(past, scope))
+                         for past in history], dtype=float)
+    return artifacts._tfidf_scope(scope).reports.cosines(query_vec)[rows]
+
+
+def _indirect_scores(query: BugReport, history, kind: str,
+                     artifacts: Artifacts) -> np.ndarray:
+    if kind == NONE:
+        return np.zeros(len(artifacts.files))
+    if kind == COMBINED_GLOBAL:
+        return _combined(_indirect_scores(query, history, TFIDF_GLOBAL, artifacts),
+                         _indirect_scores(query, history, DOC2VEC_GLOBAL, artifacts))
+    rows = artifacts._history_rows(history)
+    return artifacts._bridge(history, rows, _history_sims(query, history, rows, kind, artifacts))
 
 
 def direct_relevancy(query: BugReport, files, model: MethodConfig,
                      artifacts: Artifacts) -> dict[str, float]:
     """Per-file direct score under the configured direct model."""
-    kind = model.direct_model
-    if kind == TFIDF_LOCAL:
-        scores = _tfidf_direct(query, artifacts, "local")
-    elif kind == TFIDF_GLOBAL:
-        scores = _tfidf_direct(query, artifacts, "global")
-    elif kind == DOC2VEC_GLOBAL:
-        scores = _docvec_direct(query, artifacts)
-    elif kind == COMBINED_GLOBAL:
-        lexical = _minmax(_tfidf_direct(query, artifacts, "global"))
-        semantic = _minmax(_docvec_direct(query, artifacts))
-        scores = {fid: (lexical[fid] + semantic[fid]) / 2 for fid in lexical}
-    else:
-        raise ValueError(f"unknown direct model {kind!r}")
+    scores = _direct_scores(query, model.direct_model, artifacts)
     wanted = {f.id for f in files}
-    return {fid: s for fid, s in scores.items() if fid in wanted}
-
-
-def _bridge(query: BugReport, history, artifacts: Artifacts,
-            sim) -> dict[str, float]:
-    scores = {f.id: 0.0 for f in artifacts.project.source_files}
-    for past in history:
-        if not past.fixed_files:
-            continue
-        similarity = sim(query, past)
-        if similarity == 0.0:
-            continue
-        share = similarity / len(past.fixed_files)
-        for fid in past.fixed_files:
-            if fid in scores:
-                scores[fid] += share
-    return scores
+    return {fid: s for fid, s in zip(artifacts.file_ids, scores.tolist()) if fid in wanted}
 
 
 def indirect_relevancy(query: BugReport, history, model: MethodConfig,
@@ -264,36 +372,8 @@ def indirect_relevancy(query: BugReport, history, model: MethodConfig,
     The caller is responsible for excluding the query itself (and, during
     evaluation, anything not strictly earlier) from ``history``.
     """
-    kind = model.indirect_model
-    if kind == NONE:
-        return {f.id: 0.0 for f in artifacts.project.source_files}
-    if kind in (TFIDF_LOCAL, TFIDF_GLOBAL):
-        scope = "local" if kind == TFIDF_LOCAL else "global"
-
-        def sim(q, past):
-            return tfidf.cosine(artifacts.report_vector(q, scope),
-                                artifacts.report_vector(past, scope))
-
-        return _bridge(query, history, artifacts, sim)
-    if kind == DOC2VEC_GLOBAL:
-        def sim(q, past):
-            return embedding.doc_cosine(artifacts.report_doc_vector(q),
-                                        artifacts.report_doc_vector(past))
-
-        return _bridge(query, history, artifacts, sim)
-    if kind == COMBINED_GLOBAL:
-        def tfidf_sim(q, past):
-            return tfidf.cosine(artifacts.report_vector(q, "global"),
-                                artifacts.report_vector(past, "global"))
-
-        def doc_sim(q, past):
-            return embedding.doc_cosine(artifacts.report_doc_vector(q),
-                                        artifacts.report_doc_vector(past))
-
-        lexical = _minmax(_bridge(query, history, artifacts, tfidf_sim))
-        semantic = _minmax(_bridge(query, history, artifacts, doc_sim))
-        return {fid: (lexical[fid] + semantic[fid]) / 2 for fid in lexical}
-    raise ValueError(f"unknown indirect model {kind!r}")
+    scores = _indirect_scores(query, history, model.indirect_model, artifacts)
+    return dict(zip(artifacts.file_ids, scores.tolist()))
 
 
 def fuse(direct: dict[str, float], indirect: dict[str, float],
@@ -301,9 +381,9 @@ def fuse(direct: dict[str, float], indirect: dict[str, float],
     """Min-max normalize both maps and combine them as w1*d + w2*i."""
     if set(direct) != set(indirect):
         raise ValueError("direct and indirect maps cover different file sets")
-    direct_n = _minmax(direct)
-    indirect_n = _minmax(indirect)
-    return {fid: w1 * direct_n[fid] + w2 * indirect_n[fid] for fid in direct_n}
+    fused = _fuse(np.array(list(direct.values()), dtype=float),
+                  np.array([indirect[fid] for fid in direct], dtype=float), w1, w2)
+    return dict(zip(direct, fused.tolist()))
 
 
 def history_for(query: BugReport, project: Project, policy: str = "earlier") -> list[BugReport]:
@@ -330,9 +410,11 @@ def localize(query: BugReport, project: Project, config: MethodConfig,
     """
     if history is None:
         history = history_for(query, project)
-    direct = direct_relevancy(query, project.source_files, config, artifacts)
-    indirect = indirect_relevancy(query, history, config, artifacts)
-    fused = fuse(direct, indirect, config.w1, config.w2)
-    entries = [RankEntry(fid, fused[fid], direct[fid], indirect[fid]) for fid in fused]
-    entries.sort(key=lambda e: (-e.final_score, e.file_id))
+    direct = _direct_scores(query, config.direct_model, artifacts)
+    indirect = _indirect_scores(query, history, config.indirect_model, artifacts)
+    final = _fuse(direct, indirect, config.w1, config.w2)
+    ids, finals, directs, indirects = (artifacts.file_ids, final.tolist(), direct.tolist(),
+                                       indirect.tolist())
+    entries = [RankEntry(ids[j], finals[j], directs[j], indirects[j])
+               for j in np.argsort(-final, kind="stable").tolist()]
     return RankedList(query_bug_id=query.id, entries=entries, method_id=config.method_id)

@@ -13,14 +13,20 @@ a bounded boost:
 
 ``N`` is min-max normalization of raw term counts over the file corpus
 being ranked.
+
+:class:`Postings` scores one query against a whole collection at once and
+reproduces :func:`cosine` for every pair bit for bit (see its docstring).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .corpus import Benchmark
 from .preprocess import TokenStream
@@ -175,15 +181,80 @@ def cosine(u: TfIdfVector, v: TfIdfVector) -> float:
         return 0.0
     if len(u.weights) > len(v.weights):
         u, v = v, u
-    shared = sorted(tid for tid in u.weights if tid in v.weights)
-    dot = sum(u.weights[tid] * v.weights[tid] for tid in shared)
+    dot = 0.0
+    # a plain loop, not sum(): from Python 3.12 on sum() compensates float
+    # rounding, and Postings.cosines must reproduce this order exactly
+    for tid in sorted(tid for tid in u.weights if tid in v.weights):
+        dot += u.weights[tid] * v.weights[tid]
     return dot / (nu * nv)
+
+
+def length_weight(term_count: int, norm: LengthNormalizer) -> float:
+    """The logistic length factor rVSM gives a file of ``term_count`` terms."""
+    return 1.0 / (1.0 + math.exp(-norm.normalize(term_count)))
 
 
 def rvsm(bug: TfIdfVector, file: TfIdfVector, norm: LengthNormalizer) -> float:
     """Length-weighted cosine score of a bug report against one file."""
-    logistic = 1.0 / (1.0 + math.exp(-norm.normalize(file.term_count)))
-    return logistic * cosine(bug, file)
+    return length_weight(file.term_count, norm) * cosine(bug, file)
+
+
+def span_indices(offsets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the spans ``offsets[i]:offsets[i + 1]`` for each ``i`` in
+    ``ids``, concatenated in the order of ``ids``, and for each position the
+    index into ``ids`` of the span it came from."""
+    starts = offsets[ids]
+    counts = offsets[ids + 1] - starts
+    owner = np.repeat(np.arange(len(ids)), counts)
+    shift = starts - (np.cumsum(counts) - counts)
+    return np.arange(len(owner)) + shift[owner], owner
+
+
+class Postings:
+    """Term-major index over a list of TF.IDF vectors (the rows).
+
+    The postings of term ``t`` are ``rows[offsets[t]:offsets[t + 1]]`` with
+    their weights in ``weights``; ``norms`` holds each row's
+    :meth:`TfIdfVector.norm`, computed once.
+
+    :meth:`cosines` gathers the query's postings in ascending term id and
+    accumulates the products with one ``np.bincount``, which adds each
+    row's products one after another from 0 in input order, without
+    compensation. That is the order and the arithmetic of :func:`cosine`'s
+    loop over shared terms (a loop because ``sum()`` compensates float
+    rounding from Python 3.12 on), so every score equals
+    ``cosine(query, row)`` bit for bit.
+    """
+
+    def __init__(self, vectors: Sequence[TfIdfVector], n_terms: int):
+        lengths = [len(v.weights) for v in vectors]
+        terms = np.fromiter(chain.from_iterable(v.weights for v in vectors),
+                            dtype=np.intp, count=sum(lengths))
+        weights = np.fromiter(chain.from_iterable(v.weights.values() for v in vectors),
+                              dtype=float, count=len(terms))
+        order = np.argsort(terms, kind="stable")
+        self.rows = np.repeat(np.arange(len(vectors)), lengths)[order]
+        self.weights = weights[order]
+        self.offsets = np.concatenate(([0], np.cumsum(np.bincount(terms, minlength=n_terms))))
+        self.norms = np.array([v.norm() for v in vectors], dtype=float)
+        self._scored = self.norms != 0.0
+
+    def __len__(self) -> int:
+        return len(self.norms)
+
+    def cosines(self, query: TfIdfVector) -> np.ndarray:
+        """``cosine(query, row)`` for every row, in row order."""
+        out = np.zeros(len(self))
+        query_norm = query.norm()
+        if query_norm == 0.0:
+            return out
+        terms = sorted(query.weights)
+        idx, owner = span_indices(self.offsets, np.array(terms, dtype=np.intp))
+        query_weights = np.array([query.weights[t] for t in terms])
+        dots = np.bincount(self.rows[idx], weights=query_weights[owner] * self.weights[idx],
+                           minlength=len(self))
+        out[self._scored] = dots[self._scored] / (query_norm * self.norms[self._scored])
+        return out
 
 
 _FORMAT_HEADER = "bugloc-idf v1"

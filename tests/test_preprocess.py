@@ -3,9 +3,11 @@ import logging
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bugloc import porter
+from bugloc.corpus import BugReport, Project, SourceFile
 from bugloc.preprocess import (BUG_REPORT, SOURCE_FILE, PreprocessConfig,
-                               TokenStream, preprocess, split_identifier,
-                               stem, strip_code_noise)
+                               TokenStream, preprocess, preprocess_project,
+                               split_identifier, stem, strip_code_noise)
 
 CONFIG = PreprocessConfig()
 
@@ -128,6 +130,25 @@ def test_deterministic():
     a = preprocess(text, SOURCE_FILE, CONFIG)
     b = preprocess(text, SOURCE_FILE, CONFIG)
     assert a.tokens == b.tokens
+
+
+def test_stems_memoized_within_one_call_only(monkeypatch):
+    calls = []
+    real_stem = porter.stem
+    monkeypatch.setattr(porter, "stem", lambda term: calls.append(term) or real_stem(term))
+    project = Project(
+        name="p",
+        source_files=[SourceFile(id="A.java", path="A.java",
+                                 raw_text="class A { int running; int running2; }")],
+        bug_reports=[BugReport(id="B-1", summary="running runner", description="",
+                               fixed_files={"A.java"})])
+    preprocess_project(project, CONFIG)
+    first = list(calls)
+    assert first.count("running") == 1
+    assert project.bug_reports[0].token_stream.tokens == ("run", "runner")
+    calls.clear()
+    preprocess_project(project, CONFIG)
+    assert calls == first
 
 
 def test_config_from_files(tmp_path):

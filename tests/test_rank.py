@@ -3,7 +3,7 @@ import random
 import pytest
 
 from bugloc import tfidf
-from bugloc.corpus import BugReport, Project, SourceFile
+from bugloc.corpus import Benchmark, BugReport, Project, SourceFile
 from bugloc.preprocess import PreprocessConfig, preprocess_project
 from bugloc.rank import (Artifacts, MethodConfig, direct_relevancy, fuse,
                          history_for, indirect_relevancy, localize)
@@ -295,3 +295,165 @@ class TestLocalize:
         assert lines[0] == "bug_id,rank,file_path,final,direct,indirect"
         assert len(lines) == 1 + len(toy_project.source_files)
         assert lines[1].startswith("B-1,1,")
+
+
+def reference_scores(query, history, config, project, vocab):
+    """Final, direct and indirect maps of a TF.IDF method from per-pair
+    rVSM and cosine calls and a dict bridge summed in history order."""
+    def vec(stream):
+        return tfidf.vectorize(stream, vocab)
+
+    norm = tfidf.LengthNormalizer.from_counts(
+        len(f.token_stream) for f in project.source_files)
+    query_vec = vec(query.token_stream)
+    direct = {f.id: tfidf.rvsm(query_vec, vec(f.token_stream), norm)
+              for f in project.source_files}
+    indirect = {f.id: 0.0 for f in project.source_files}
+    if config.indirect_model != "none":
+        for past in history:
+            if not past.fixed_files:
+                continue
+            similarity = tfidf.cosine(query_vec, vec(past.token_stream))
+            if similarity == 0.0:
+                continue
+            for fid in past.fixed_files:
+                if fid in indirect:
+                    indirect[fid] += similarity / len(past.fixed_files)
+
+    def minmax(scores):
+        lo, hi = min(scores.values()), max(scores.values())
+        if hi == lo:
+            return {k: 0.0 for k in scores}
+        return {k: (v - lo) / (hi - lo) for k, v in scores.items()}
+
+    direct_n, indirect_n = minmax(direct), minmax(indirect)
+    final = {fid: config.w1 * direct_n[fid] + config.w2 * indirect_n[fid] for fid in direct}
+    return final, direct, indirect
+
+
+def assert_matches_reference(ranked, query, history, config, project, vocab):
+    final, direct, indirect = reference_scores(query, history, config, project, vocab)
+    assert [e.file_id for e in ranked.entries] == sorted(final, key=lambda f: (-final[f], f))
+    for e in ranked.entries:
+        assert e.final_score == final[e.file_id]
+        assert e.direct_score == direct[e.file_id]
+        assert e.indirect_score == indirect[e.file_id]
+
+
+class TestMatchesPerPairReference:
+    """The postings reproduce the per-pair formulas exactly, not approximately."""
+
+    @pytest.mark.parametrize("policy", ["earlier", "all"])
+    @pytest.mark.parametrize("method_id", [1, 2, 3, 4])
+    def test_synthetic_benchmark(self, synth_benchmark, method_id, policy):
+        _, benchmark, _ = synth_benchmark
+        config = MethodConfig.from_id(method_id)
+        for project in benchmark.projects:
+            artifacts = Artifacts(project, global_vocab=tfidf.build_global_idf(
+                benchmark, project.name))
+            vocab = artifacts.vocab("local" if method_id in (1, 3) else "global")
+            for query in project.bug_reports:
+                history = history_for(query, project, policy)
+                ranked = localize(query, project, config, artifacts, history=history)
+                assert_matches_reference(ranked, query, history, config, project, vocab)
+
+    @pytest.mark.parametrize("policy", ["earlier", "all"])
+    @pytest.mark.parametrize("method_id", [1, 2, 3, 4])
+    def test_random_corpus_with_many_shared_terms(self, method_id, policy):
+        # long documents over a small vocabulary share many terms, so a
+        # change of summation order or rounding shows in the last bit
+        rng = random.Random(11)
+        words = ["".join(rng.choice("bdgklmprtvz") + rng.choice("aiou") for _ in range(3))
+                 for _ in range(60)]
+
+        def text(n):
+            return " ".join(rng.choices(words, weights=range(60, 0, -1), k=n))
+
+        projects = []
+        for name in ("p1", "p2"):
+            files = {f"F{i:02d}.java": f"class F {{ {text(rng.randint(5, 80))} }}"
+                     for i in range(30)}
+            reports = [report(f"B-{k:02d}", text(rng.randint(3, 25)),
+                              set(rng.sample(sorted(files), rng.randint(1, 5)))
+                              | ({"Gone.java"} if k % 4 == 0 else set()),
+                              f"2021-01-{k + 1:02d}")
+                       for k in range(25)]
+            projects.append(make_project(name, files, reports))
+        benchmark = Benchmark(projects)
+        config = MethodConfig.from_id(method_id)
+        for project in projects:
+            artifacts = Artifacts(project, global_vocab=tfidf.build_global_idf(
+                benchmark, project.name))
+            vocab = artifacts.vocab("local" if method_id in (1, 3) else "global")
+            for query in project.bug_reports:
+                history = history_for(query, project, policy)
+                ranked = localize(query, project, config, artifacts, history=history)
+                assert_matches_reference(ranked, query, history, config, project, vocab)
+
+    def test_multi_file_fixes_count_files_missing_from_project(self):
+        files = {"Zeppelin.java": "class Zeppelin { int zeppelin; int drift; }",
+                 "Quagmire.java": "class Quagmire { int quagmire; int drift; }",
+                 "Obelisk.java": "class Obelisk { int obelisk; }"}
+        project = make_project("multi", files, [
+            report("B-1", "zeppelin drift", {"Zeppelin.java", "Gone.java"}, "2021-01-01"),
+            report("B-2", "quagmire drift", {"Quagmire.java", "Zeppelin.java",
+                                              "Obelisk.java"}, "2021-02-01"),
+            report("B-3", "drift zeppelin quagmire", {"Quagmire.java"}, "2021-03-01"),
+        ])
+        artifacts = Artifacts(project)
+        config = MethodConfig.from_id(3)
+        for policy in ("earlier", "all"):
+            for query in project.bug_reports:
+                history = history_for(query, project, policy)
+                ranked = localize(query, project, config, artifacts, history=history)
+                assert_matches_reference(ranked, query, history, config, project,
+                                         artifacts.local_vocab)
+        ranked = localize(project.bug_reports[2], project, config, artifacts)
+        scores = {e.file_id: e.indirect_score for e in ranked.entries}
+        sim1, sim2 = (tfidf.cosine(artifacts.report_vector(project.bug_reports[2], "local"),
+                                   artifacts.report_vector(r, "local"))
+                      for r in project.bug_reports[:2])
+        assert scores["Zeppelin.java"] == sim1 / 2 + sim2 / 3
+
+    def test_query_and_history_from_outside_the_project(self, toy_project):
+        artifacts = Artifacts(toy_project)
+        query = BugReport(id="q", summary="zeppelin quagmire obelisk", description="",
+                          fixed_files=set())
+        outsider = BugReport(id="h", summary="obelisk zeppelin", description="",
+                             fixed_files={"Obelisk.java", "Elsewhere.java"})
+        for r in (query, outsider):
+            preprocess_query(r)
+        history = [toy_project.bug_reports[0], outsider, toy_project.bug_reports[1]]
+        config = MethodConfig.from_id(3)
+        ranked = localize(query, toy_project, config, artifacts, history=history)
+        assert_matches_reference(ranked, query, history, config, toy_project,
+                                 artifacts.local_vocab)
+        assert {e.file_id: e.indirect_score for e in ranked.entries}["Obelisk.java"] > 0
+
+    @pytest.mark.parametrize("method_id", [1, 3])
+    def test_identical_files_stay_exactly_tied_in_path_order(self, method_id):
+        twin = "class Twin { int kestrel; int harrier; int kestrel2; }"
+        files = {"b/Twin.java": twin, "a/Twin.java": twin, "a-b/Twin.java": twin,
+                 "Other.java": "class Other { int harrier; int osprey; }"}
+        project = make_project("twins", files, [
+            report("B-1", "kestrel harrier", {"a/Twin.java", "b/Twin.java",
+                                              "a-b/Twin.java"}, "2021-01-01"),
+            report("B-2", "kestrel osprey", {"Other.java"}, "2021-02-01")])
+        ranked = localize(project.bug_reports[1], project, MethodConfig.from_id(method_id),
+                          Artifacts(project))
+        twins = [e for e in ranked.entries if e.file_id.endswith("Twin.java")]
+        assert [e.file_id for e in twins] == ["a-b/Twin.java", "a/Twin.java", "b/Twin.java"]
+        assert len({(e.final_score, e.direct_score, e.indirect_score) for e in twins}) == 1
+        assert twins[0].direct_score > 0
+        position = ranked.file_ids.index("a-b/Twin.java")
+        assert ranked.file_ids[position:position + 3] == [e.file_id for e in twins]
+
+
+@pytest.mark.parametrize("method_id, uses_history", [(1, False), (3, True)])
+def test_report_postings_built_only_for_history_methods(toy_project, method_id,
+                                                        uses_history):
+    artifacts = Artifacts(toy_project)
+    localize(toy_project.bug_reports[2], toy_project, MethodConfig.from_id(method_id),
+             artifacts)
+    assert ("reports" in vars(artifacts._tfidf_scope("local"))) == uses_history
+    assert ("_project_pairs" in vars(artifacts)) == uses_history
