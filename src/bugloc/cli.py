@@ -114,40 +114,55 @@ class Settings:
         return None if value in (None, "") else int(value)
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """``click.echo`` to the current ``sys.stdout`` or ``sys.stderr``.
+
+    Naming the stream keeps click from caching it: click 8.4 remembers each
+    default stream it wraps in a ``WeakKeyDictionary`` whose value refers
+    back to the stream, so every redirected stream of an in-process caller
+    would stay alive.
+    """
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def fail_cleanly(fn):
     @wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except (BugLocError, ValueError, OSError) as exc:
-            click.echo(json.dumps({"error": str(exc)}), err=True)
+            _echo(json.dumps({"error": str(exc)}), err=True)
             sys.exit(1)
 
     return wrapper
 
 
-def _load(settings, benchmark_path):
+def _load(settings, benchmark_path, cache_dir=None):
+    """The benchmark with every token stream filled, and the call's artifact
+    cache (None without ``--cache``).
+
+    With a cache, the streams come from its token-stream index; on a miss
+    the benchmark is preprocessed and the index written for later calls.
+    """
     benchmark = load_benchmark(benchmark_path, strict=False)
-    preprocess_benchmark(benchmark, settings.preprocess_config())
-    return benchmark
-
-
-def _model_cache(benchmark, method_ids, cache_dir, settings) -> ArtifactCache | None:
-    """The cache of global models when one of the methods needs them."""
-    configs = [rank.MethodConfig.from_id(m) for m in method_ids]
-    if not any(c.needs_global_tfidf or c.needs_embeddings for c in configs):
-        return None
-    if cache_dir is None:
-        raise BugLocError(
-            f"methods {sorted(c.method_id for c in configs)} need global "
-            "models: pass --cache")
-    return ArtifactCache(cache_dir, benchmark, settings.preprocess_config(),
-                         settings.embedding_config())
+    config = settings.preprocess_config()
+    cache = None
+    if cache_dir is not None:
+        cache = ArtifactCache(cache_dir, benchmark, config, settings.embedding_config())
+    if cache is None or not cache.load_token_streams():
+        preprocess_benchmark(benchmark, config)
+        if cache is not None:
+            cache.save_token_streams()
+    return benchmark, cache
 
 
 def _artifacts_for(project, cache, method_ids, settings) -> rank.Artifacts:
     """Artifacts covering the union of the given methods' model needs."""
     configs = [rank.MethodConfig.from_id(m) for m in method_ids]
+    if cache is None and any(c.needs_global_tfidf or c.needs_embeddings for c in configs):
+        raise BugLocError(
+            f"methods {sorted(c.method_id for c in configs)} need global "
+            "models: pass --cache")
     global_vocab = dm = dbow = None
     if any(c.needs_global_tfidf for c in configs):
         global_vocab = cache.global_vocabulary(project.name)
@@ -214,25 +229,23 @@ def main():
 def cmd_train_global(benchmark_path, cache_dir, held_out, embeddings, **kwargs):
     """Build global IDF and paragraph-vector models per held-out project."""
     settings = _settings(kwargs)
-    benchmark = _load(settings, benchmark_path)
+    benchmark, cache = _load(settings, benchmark_path, cache_dir)
     names = list(held_out) or benchmark.project_names
     for name in names:
         benchmark.project(name)  # validate early, raises on unknown names
-    cache = ArtifactCache(cache_dir, benchmark, settings.preprocess_config(),
-                          settings.embedding_config())
     built = cache.train_all(sorted(names), with_embeddings=embeddings)
     for name, artifacts in built.items():
         for kind, path in artifacts.items():
-            click.echo(f"{name}\t{kind}\t{path}")
+            _echo(f"{name}\t{kind}\t{path}")
 
 
 def _print_top(ranked: rank.RankedList, limit: int = 10) -> None:
-    click.echo(f"top {limit} of {len(ranked.entries)} files for {ranked.query_bug_id} "
-               f"(method {ranked.method_id}):")
-    click.echo(f"{'rank':>4}  {'final':>10}  {'direct':>10}  {'indirect':>10}  file")
+    _echo(f"top {limit} of {len(ranked.entries)} files for {ranked.query_bug_id} "
+          f"(method {ranked.method_id}):")
+    _echo(f"{'rank':>4}  {'final':>10}  {'direct':>10}  {'indirect':>10}  file")
     for i, e in enumerate(ranked.entries[:limit], start=1):
-        click.echo(f"{i:>4}  {e.final_score:>10.6f}  {e.direct_score:>10.6f}  "
-                   f"{e.indirect_score:>10.6f}  {e.file_id}")
+        _echo(f"{i:>4}  {e.final_score:>10.6f}  {e.direct_score:>10.6f}  "
+              f"{e.indirect_score:>10.6f}  {e.file_id}")
 
 
 @main.command("localize")
@@ -253,14 +266,13 @@ def cmd_localize(benchmark_path, project_name, bug_id, method_id, cache_dir,
     if not 1 <= method_id <= 7:
         raise click.UsageError(f"unknown method id {method_id} (valid: 1..7)")
     settings = _settings(kwargs, history_policy=history_policy)
-    benchmark = _load(settings, benchmark_path)
+    benchmark, cache = _load(settings, benchmark_path, cache_dir)
     project = benchmark.project(project_name)
     try:
         query = project.report(bug_id)
     except KeyError:
         raise BugLocError(f"unknown bug id {bug_id!r} in project {project_name}")
     method = rank.MethodConfig.from_id(method_id)
-    cache = _model_cache(benchmark, [method_id], cache_dir, settings)
     artifacts = _artifacts_for(project, cache, [method_id], settings)
     history = rank.history_for(query, project, settings.get("history_policy"))
     ranked = rank.localize(query, project, method, artifacts, history=history)
@@ -269,7 +281,7 @@ def cmd_localize(benchmark_path, project_name, bug_id, method_id, cache_dir,
     csv_path = out / f"ranking_{project_name}_m{method_id}_{bug_id}.csv"
     ranked.write_csv(csv_path)
     _print_top(ranked)
-    click.echo(f"wrote {csv_path}")
+    _echo(f"wrote {csv_path}")
 
 
 def _evaluate_project(project, artifacts, method_id, settings):
@@ -328,7 +340,7 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
     """Run methods over the benchmark; writes metrics, per-query values and
     pairwise significance tests under --out."""
     settings = _settings(kwargs, methods=methods_raw, history_policy=history_policy)
-    benchmark = _load(settings, benchmark_path)
+    benchmark, cache = _load(settings, benchmark_path, cache_dir)
     method_ids = settings.method_ids()
     if projects_raw:
         project_names = sorted(projects_raw.replace(" ", "").split(","))
@@ -337,16 +349,13 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
 
     rows, per_query_rows = [], []
     per_project: dict[int, dict[str, metrics.MetricsReport]] = {m: {} for m in method_ids}
-    cache = None  # one for all projects, so the corpus is hashed once
     for name in project_names:
         project = benchmark.project(name)
         if not project.has_queries:
-            click.echo(f"skipping {name}: no queries", err=True)
+            _echo(f"skipping {name}: no queries", err=True)
             continue
         # one Artifacts per project covering every requested method, so
         # vectorization and doc-vector inference are shared across methods
-        if cache is None:
-            cache = _model_cache(benchmark, method_ids, cache_dir, settings)
         artifacts = _artifacts_for(project, cache, method_ids, settings)
         for method_id in method_ids:
             report, results = _evaluate_project(project, artifacts, method_id, settings)
@@ -387,8 +396,8 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
                                           "", "", str(exc)])
 
     _write_metrics_outputs(Path(out_dir), rows, per_query_rows, wilcoxon_rows)
-    click.echo(f"wrote metrics for {len(project_names)} project(s), "
-               f"methods {','.join(map(str, method_ids))} to {out_dir}")
+    _echo(f"wrote metrics for {len(project_names)} project(s), "
+          f"methods {','.join(map(str, method_ids))} to {out_dir}")
 
 
 @main.command("report")
@@ -405,12 +414,12 @@ def cmd_report(results_dir, pair):
     if not rows:
         raise BugLocError("metrics.csv is empty")
 
-    click.echo(f"{'project':<16} {'method':>6} {'MRR':>8} {'MAP':>8} "
-               f"{'top1':>5} {'top5':>5} {'top10':>5}")
+    _echo(f"{'project':<16} {'method':>6} {'MRR':>8} {'MAP':>8} "
+          f"{'top1':>5} {'top5':>5} {'top10':>5}")
     for row in rows:
-        click.echo(f"{row['project']:<16} {row['method']:>6} {float(row['mrr']):>8.4f} "
-                   f"{float(row['map']):>8.4f} {row['top1']:>5} {row['top5']:>5} "
-                   f"{row['top10']:>5}")
+        _echo(f"{row['project']:<16} {row['method']:>6} {float(row['mrr']):>8.4f} "
+              f"{float(row['map']):>8.4f} {row['top1']:>5} {row['top5']:>5} "
+              f"{row['top10']:>5}")
 
     if pair:
         try:
@@ -431,16 +440,16 @@ def cmd_report(results_dir, pair):
                                   float(by_method[method_a]["map"]))
         if not deltas_mrr:
             raise BugLocError(f"no shared projects for methods {method_a} and {method_b}")
-        click.echo(f"\nmethod {method_b} vs method {method_a} over {len(deltas_mrr)} project(s):")
-        click.echo(f"  mean MRR delta {statistics.mean(deltas_mrr):+.4f}, "
-                   f"mean MAP delta {statistics.mean(deltas_map):+.4f}")
+        _echo(f"\nmethod {method_b} vs method {method_a} over {len(deltas_mrr)} project(s):")
+        _echo(f"  mean MRR delta {statistics.mean(deltas_mrr):+.4f}, "
+              f"mean MAP delta {statistics.mean(deltas_map):+.4f}")
         wilcoxon_path = results / "wilcoxon.csv"
         if wilcoxon_path.is_file():
             with open(wilcoxon_path, newline="") as fh:
                 for row in csv.DictReader(fh):
                     if {int(row["method_a"]), int(row["method_b"])} == {method_a, method_b}:
                         value = row["p_value"] or f"n/a ({row['note']})"
-                        click.echo(f"  wilcoxon {row['metric']}: p = {value}")
+                        _echo(f"  wilcoxon {row['metric']}: p = {value}")
 
 
 if __name__ == "__main__":

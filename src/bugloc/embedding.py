@@ -390,7 +390,7 @@ def doc_cosine(u: DocVector, v: DocVector) -> float:
     return float(u.values @ v.values) / (nu * nv)
 
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2  # 2: terms and doc ids as unicode arrays, not pickled objects
 
 
 def save_model(model: EmbeddingModel, path) -> None:
@@ -398,24 +398,25 @@ def save_model(model: EmbeddingModel, path) -> None:
         path,
         version=_FORMAT_VERSION,
         mode=model.mode,
-        terms=np.array(model.terms, dtype=object),
+        terms=np.array(model.terms, dtype=str),
         counts=model.counts,
-        doc_ids=np.array(model.doc_ids, dtype=object),
+        doc_ids=np.array(model.doc_ids, dtype=str),
         W=model.W, D=model.D, U=model.U, b=model.b,
         config=json.dumps(asdict(model.config)),
     )
 
 
 def load_model(path) -> EmbeddingModel:
-    with np.load(path, allow_pickle=True) as data:
+    """Load a saved model; a file holding pickled objects raises ValueError."""
+    with np.load(path, allow_pickle=False) as data:
         if int(data["version"]) != _FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported model format version")
         config = EmbeddingConfig(**json.loads(str(data["config"])))
         return EmbeddingModel(
             mode=str(data["mode"]),
             config=config,
-            terms=list(data["terms"]),
+            terms=data["terms"].tolist(),
             counts=data["counts"],
-            doc_ids=list(data["doc_ids"]),
+            doc_ids=data["doc_ids"].tolist(),
             W=data["W"], D=data["D"], U=data["U"], b=data["b"],
         )

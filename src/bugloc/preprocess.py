@@ -23,8 +23,20 @@ logger = logging.getLogger(__name__)
 BUG_REPORT = "bug_report"
 SOURCE_FILE = "source_file"
 
+# Bump on any change to what the pipeline outputs for the same input, so
+# that cached token streams and models built from them are rebuilt.
+PIPELINE_VERSION = 1
+
 _WORD_RE = re.compile(r"[A-Za-z0-9_]+")
 _CAMEL_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z]?[a-z]+")
+# Line comment, block comment (to end of file when unterminated), then
+# double- and single-quoted literals, whose backslash escapes any character.
+_NOISE_RE = re.compile(
+    r"//[^\n]*"
+    r"|/\*.*?(?:\*/|(?P<open>\Z))"
+    r'|"(?:[^"\\]|\\(?:.|\Z))*(?:"|\Z)'
+    r"|'(?:[^'\\]|\\(?:.|\Z))*(?:'|\Z)",
+    re.S)
 
 
 def _load_wordlist(name: str) -> frozenset[str]:
@@ -79,6 +91,7 @@ class PreprocessConfig:
     def fingerprint(self) -> dict:
         """Stable summary used for artifact cache invalidation."""
         return {
+            "pipeline_version": PIPELINE_VERSION,
             "stopwords": sorted(self.stopwords),
             "keywords": sorted(self.keywords),
             "min_token_length": self.min_token_length,
@@ -95,34 +108,14 @@ def strip_code_noise(raw_source: str) -> str:
     prose-like noise on par with comments. Trailing whitespace left behind
     on each line is trimmed.
     """
-    out: list[str] = []
-    i, n = 0, len(raw_source)
-    while i < n:
-        c = raw_source[i]
-        nxt = raw_source[i + 1] if i + 1 < n else ""
-        if c == "/" and nxt == "/":
-            i += 2
-            while i < n and raw_source[i] != "\n":
-                i += 1
-        elif c == "/" and nxt == "*":
-            end = raw_source.find("*/", i + 2)
-            if end == -1:
-                logger.warning("unterminated block comment; stripping to end of file")
-                i = n
-            else:
-                i = end + 2
-        elif c == '"' or c == "'":
-            quote = c
-            i += 1
-            while i < n and raw_source[i] != quote:
-                if raw_source[i] == "\\":
-                    i += 1
-                i += 1
-            i += 1
-        else:
-            out.append(c)
-            i += 1
-    return "\n".join(line.rstrip() for line in "".join(out).split("\n"))
+    stripped = _NOISE_RE.sub(_drop_noise, raw_source)
+    return "\n".join(line.rstrip() for line in stripped.split("\n"))
+
+
+def _drop_noise(match: re.Match) -> str:
+    if match.group("open") is not None:
+        logger.warning("unterminated block comment; stripping to end of file")
+    return ""
 
 
 def split_identifier(identifier: str, keep_compound: bool = True) -> list[str]:

@@ -1,5 +1,9 @@
+import contextlib
 import csv
+import gc
+import io
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -220,3 +224,17 @@ class TestReportCommand:
     def test_missing_results_dir(self, runner, tmp_path):
         result = runner.invoke(main, ["report", "--results", str(tmp_path)])
         assert result.exit_code == 1
+
+
+def test_redirected_stdout_is_not_kept_alive(synth_benchmark, tmp_path):
+    root, _, _ = synth_benchmark
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(["localize", "--benchmark", str(root), "--project", "proj1",
+              "--bug", "BUG-proj1-001", "--method", "1", "--out", str(tmp_path / "o")],
+             standalone_mode=False)
+    assert "wrote" in buf.getvalue()
+    alive = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert alive() is None

@@ -41,6 +41,61 @@ class TestStripCodeNoise:
         assert strip_code_noise(src) == "int a;\n int b;\n"
 
 
+def reference_strip_code_noise(raw_source: str) -> str:
+    """The character-loop scanner that the single regex replaced."""
+    out: list[str] = []
+    i, n = 0, len(raw_source)
+    while i < n:
+        c = raw_source[i]
+        nxt = raw_source[i + 1] if i + 1 < n else ""
+        if c == "/" and nxt == "/":
+            i += 2
+            while i < n and raw_source[i] != "\n":
+                i += 1
+        elif c == "/" and nxt == "*":
+            end = raw_source.find("*/", i + 2)
+            i = n if end == -1 else end + 2
+        elif c == '"' or c == "'":
+            quote = c
+            i += 1
+            while i < n and raw_source[i] != quote:
+                if raw_source[i] == "\\":
+                    i += 1
+                i += 1
+            i += 1
+        else:
+            out.append(c)
+            i += 1
+    return "\n".join(line.rstrip() for line in "".join(out).split("\n"))
+
+
+@pytest.mark.parametrize("text", [
+    "", "/", "/*/", "/**/x", "a/*/b*/c", "//", "x//\ny", '"', "'", '"\\', "'\\",
+    '"a\\"b"c', "'a\\\nb'c", '"\n"x', "a /* b\n c */ d // e\n f", "x = '\"'; y",
+    '/* "unclosed */ z', '"/* not a comment */" w', "a  \t\nb \n",
+])
+def test_regex_matches_reference_on_edge_cases(text):
+    assert strip_code_noise(text) == reference_strip_code_noise(text)
+
+
+_java_ish = st.text(alphabet=st.sampled_from(list("/*\"'\\\n ab")), max_size=60)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_java_ish)
+def test_regex_matches_reference(text):
+    assert strip_code_noise(text) == reference_strip_code_noise(text)
+
+
+def test_unterminated_comment_warns_once_only_when_unterminated(caplog):
+    with caplog.at_level(logging.WARNING):
+        strip_code_noise("a /* b */ c /* d */")
+    assert not caplog.records
+    with caplog.at_level(logging.WARNING):
+        strip_code_noise("a /* b */ c /* d")
+    assert ["unterminated" in r.message for r in caplog.records] == [True]
+
+
 class TestSplitIdentifier:
     def test_camel_case(self):
         assert split_identifier("getUserName") == ["get", "user", "name", "getusername"]
