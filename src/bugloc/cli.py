@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import statistics
 import sys
 from functools import wraps
@@ -26,11 +27,16 @@ from .errors import BugLocError
 from .preprocess import PreprocessConfig, preprocess_benchmark
 
 
+# '#' at the start of a line or after whitespace starts a comment; inside a
+# value, as in a path like /data/c#/stop.txt, it is part of the value.
+_COMMENT_RE = re.compile(r"(?:^|\s)#.*")
+
+
 def read_config_file(path) -> dict[str, str]:
-    """Parse a line-oriented key=value config file; '#' starts a comment."""
+    """Parse a line-oriented key=value config file with '#' comments."""
     values: dict[str, str] = {}
     for raw in Path(path).read_text("utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT_RE.sub("", raw, count=1).strip()
         if not line:
             continue
         if "=" not in line:
@@ -41,24 +47,30 @@ def read_config_file(path) -> dict[str, str]:
 
 
 class Settings:
-    """Resolved option values: CLI flag > config file > default."""
+    """Resolved option values: CLI flag > config file > default.
 
-    _DEFAULTS = {
-        "seed": 1,
-        "methods": "3,4",
-        "history_policy": "earlier",
-        "vector_size": 100,
-        "alpha": 0.045,
-        "window": 5,
-        "min_count": 2,
-        "negative": 5,
-        "sample": 0.0,
-        "epochs": 20,
-        "infer_epochs": None,
-        "min_token_length": 2,
-        "split_compounds": True,
-        "stopwords_path": None,
-        "keywords_path": None,
+    Embedding and preprocessing options left unset take the defaults of
+    :class:`~bugloc.embedding.EmbeddingConfig` and
+    :class:`~bugloc.preprocess.PreprocessConfig`.
+    """
+
+    _DEFAULTS = {"methods": "3,4", "history_policy": "earlier"}
+    # option key -> (config field, type)
+    _EMBEDDING_OPTIONS = {
+        "vector_size": ("vector_size", int),
+        "alpha": ("alpha", float),
+        "window": ("window", int),
+        "min_count": ("min_count", int),
+        "negative": ("negative", int),
+        "sample": ("sample", float),
+        "epochs": ("epochs", int),
+        "seed": ("seed", int),
+    }
+    _PREPROCESS_OPTIONS = {
+        "stopwords_path": ("stopwords_path", str),
+        "keywords_path": ("keywords_path", str),
+        "min_token_length": ("min_token_length", int),
+        "split_compounds": ("split_compound_identifiers", bool),
     }
 
     def __init__(self, config_path, cli_values: dict):
@@ -70,11 +82,15 @@ class Settings:
         if value is None:
             value = self.file_values.get(key)
         if value is None:
-            value = self._DEFAULTS.get(key)
-            return value
+            return self._DEFAULTS.get(key)
         if cast is bool and isinstance(value, str):
             return value.lower() in ("1", "true", "yes", "on")
         return cast(value)
+
+    def _given(self, options: dict) -> dict:
+        """Config fields of the options that have a value."""
+        values = {field: self.get(key, cast) for key, (field, cast) in options.items()}
+        return {field: value for field, value in values.items() if value is not None}
 
     def method_ids(self) -> list[int]:
         raw = str(self.get("methods"))
@@ -90,28 +106,19 @@ class Settings:
         return ids
 
     def preprocess_config(self) -> PreprocessConfig:
-        return PreprocessConfig.load(
-            stopwords_path=self.get("stopwords_path"),
-            keywords_path=self.get("keywords_path"),
-            min_token_length=self.get("min_token_length", int),
-            split_compound_identifiers=self.get("split_compounds", bool),
-        )
+        return PreprocessConfig.load(**self._given(self._PREPROCESS_OPTIONS))
 
     def embedding_config(self) -> embedding.EmbeddingConfig:
-        return embedding.EmbeddingConfig(
-            vector_size=self.get("vector_size", int),
-            alpha=self.get("alpha", float),
-            window=self.get("window", int),
-            min_count=self.get("min_count", int),
-            negative=self.get("negative", int),
-            sample=self.get("sample", float),
-            epochs=self.get("epochs", int),
-            seed=self.get("seed", int),
-        )
+        return embedding.EmbeddingConfig(**self._given(self._EMBEDDING_OPTIONS))
 
     def infer_epochs(self) -> int | None:
         value = self.get("infer_epochs")
-        return None if value in (None, "") else int(value)
+        if value in (None, ""):
+            return None
+        epochs = int(value)
+        if epochs < 1:
+            raise BugLocError(f"infer_epochs must be >= 1, got {epochs}")
+        return epochs
 
 
 def _echo(message: str, err: bool = False) -> None:
@@ -159,6 +166,7 @@ def _load(settings, benchmark_path, cache_dir=None):
 def _artifacts_for(project, cache, method_ids, settings) -> rank.Artifacts:
     """Artifacts covering the union of the given methods' model needs."""
     configs = [rank.MethodConfig.from_id(m) for m in method_ids]
+    infer_epochs = settings.infer_epochs()
     if cache is None and any(c.needs_global_tfidf or c.needs_embeddings for c in configs):
         raise BugLocError(
             f"methods {sorted(c.method_id for c in configs)} need global "
@@ -170,7 +178,7 @@ def _artifacts_for(project, cache, method_ids, settings) -> rank.Artifacts:
         dm = cache.embedding_model(project.name, embedding.PV_DM)
         dbow = cache.embedding_model(project.name, embedding.PV_DBOW)
     return rank.Artifacts(project, global_vocab=global_vocab, dm_model=dm,
-                          dbow_model=dbow, infer_epochs=settings.infer_epochs())
+                          dbow_model=dbow, infer_epochs=infer_epochs)
 
 
 _common_options = [

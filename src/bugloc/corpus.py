@@ -124,12 +124,30 @@ class _FileIndex:
         for path in sorted(self.paths):
             self.by_basename.setdefault(path.rsplit("/", 1)[-1], []).append(path)
 
+    def _dotted(self, link: str) -> str | None:
+        """The path a dotted class name such as ``org.foo.Bar.java``
+        (BugLocator's ``repository.xml``) names: ``org/foo/Bar.java`` itself
+        or the one project path ending in it."""
+        stem, _, extension = link.rpartition(".")
+        if "/" in link or "." not in stem:
+            return None
+        path = stem.replace(".", "/") + "." + extension
+        if path in self.paths:
+            return path
+        matches = [p for p in self.by_basename.get(path.rsplit("/", 1)[-1], [])
+                   if p.endswith("/" + path)]
+        return matches[0] if len(matches) == 1 else None
+
     def resolve(self, bug_id: str, raw_links, strict: bool) -> set[str]:
         resolved = set()
         for link in raw_links:
             link = str(link).replace("\\", "/").lstrip("/")
             if link in self.paths:
                 resolved.add(link)
+                continue
+            dotted = self._dotted(link)
+            if dotted is not None:
+                resolved.add(dotted)
                 continue
             candidates = self.by_basename.get(link.rsplit("/", 1)[-1], [])
             if len(candidates) == 1:

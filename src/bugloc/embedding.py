@@ -51,6 +51,8 @@ class EmbeddingConfig:
             raise ValueError("negative must be >= 0")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         for value in (self.min_alpha_dm, self.min_alpha_dbow):
             if value is not None and not 0 < value <= self.alpha:
                 raise ValueError("min_alpha must be in (0, alpha]")
@@ -198,15 +200,10 @@ def _context_window(ids: np.ndarray, pos: int, window: int) -> np.ndarray:
     return np.concatenate((ids[lo:pos], ids[pos + 1:pos + window + 1]))
 
 
-def _sgd_step(model: EmbeddingModel, doc_index, target, context, lr, rng,
-              train_doc: np.ndarray | None = None, freeze_words: bool = False) -> float:
-    """One prediction step, updating parameters in place.
-
-    ``train_doc`` substitutes an external doc vector (inference); with
-    ``freeze_words`` only that vector learns.
-    """
+def _sgd_step(model: EmbeddingModel, doc_index, target, context, lr, rng) -> float:
+    """One training prediction step, updating parameters in place."""
     W, U, b = model.W, model.U, model.b
-    doc_vec = model.D[doc_index] if train_doc is None else train_doc
+    doc_vec = model.D[doc_index]
     if model.mode == PV_DBOW:
         h, n_avg = doc_vec.copy(), 1
         context = np.empty(0, dtype=np.int64)
@@ -223,21 +220,19 @@ def _sgd_step(model: EmbeddingModel, doc_index, target, context, lr, rng,
         g = _sigmoid(z) - labels
         loss = float(-_log_sigmoid(z[0]) - _log_sigmoid(-z[1:]).sum())
         gh = g @ U[rows]
-        if not freeze_words:
-            np.add.at(U, rows, -lr * np.outer(g, h))
-            np.add.at(b, rows, -lr * g)
+        np.add.at(U, rows, -lr * np.outer(g, h))
+        np.add.at(b, rows, -lr * g)
     else:
         p = softmax(U @ h + b)
         loss = -math.log(p[target])
         g = p
         g[target] -= 1.0
         gh = U.T @ g
-        if not freeze_words:
-            U -= lr * np.outer(g, h)
-            b -= lr * g
+        U -= lr * np.outer(g, h)
+        b -= lr * g
     share = gh / n_avg
     doc_vec -= lr * share
-    if model.mode == PV_DM and len(context) and not freeze_words:
+    if model.mode == PV_DM and len(context):
         np.add.at(W, context, -lr * share)
     return loss
 
@@ -341,44 +336,157 @@ def train(documents: Iterable, config: EmbeddingConfig, mode: str,
     return model
 
 
+def _hidden_gradients(model: EmbeddingModel, targets: np.ndarray, rng):
+    """For a block of inference steps × documents with target words
+    ``targets``, a function of a step ``j`` and the documents' hidden states
+    ``h`` (rows) giving each document's loss gradient with respect to its
+    hidden state, the output layer frozen.
+
+    Under negative sampling every document scores the same noise draws at a
+    step, drawn for the whole block at once; a draw equal to a document's
+    target gets zero weight, as :meth:`EmbeddingModel.sample_negatives`
+    would skip it. Stacked matrix products keep each document's arithmetic
+    independent of the other documents.
+    """
+    U, b = model.U, model.b
+    steps, docs = targets.shape
+    if model.config.negative == 0:
+        every = np.arange(docs)
+
+        def softmax_gradients(j: int, h: np.ndarray) -> np.ndarray:
+            logits = np.matmul(U, h[:, :, None])[:, :, 0] + b
+            p = np.exp(logits - logits.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            p[every, targets[j]] -= 1.0
+            return np.matmul(p[:, None, :], U)[:, 0]
+
+        return softmax_gradients
+
+    negative = model.config.negative
+    draws = np.searchsorted(model.noise_cum, rng.random((steps, negative)))[:, None, :]
+    rows = np.empty((steps, docs, negative + 1), dtype=np.intp)
+    rows[:, :, 0] = targets
+    rows[:, :, 1:] = draws
+    labels = np.zeros(rows.shape)
+    labels[:, :, 0] = 1.0
+    weights = labels.copy()
+    weights[:, :, 1:] = draws != targets[:, :, None]
+    # Negated output rows: exp(-z) comes straight from them, and the negated
+    # error ``labels - sigmoid(z)`` against them gives the gradient exactly.
+    minus_out, minus_bias = -U[rows], -b[rows]
+
+    def sampled_gradients(j: int, h: np.ndarray) -> np.ndarray:
+        exp_minus_z = np.exp(np.matmul(minus_out[j], h[:, :, None])[:, :, 0] + minus_bias[j])
+        minus_g = labels[j] - weights[j] / (1.0 + exp_minus_z)
+        return np.matmul(minus_g[:, None, :], minus_out[j])[:, 0]
+
+    return sampled_gradients
+
+
+# Inference prepares the windows and output rows of this many (step,
+# document) pairs at a time, which bounds the memory they take.
+_BLOCK_ROWS = 256
+
+
+def infer_matrix(streams: Sequence, model: EmbeddingModel, epochs: int | None = None,
+                 seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Optimize a fresh doc vector per stream against frozen model weights.
+
+    Returns the vectors as the rows of an N×d matrix, and N flags marking
+    the streams with no in-vocabulary tokens, whose rows are zero.
+
+    Every document starts from the same seeded vector (the seed defaults to
+    the training seed) and takes ``epochs`` passes of one step per token,
+    each step drawing the same noise words for every document. So all
+    documents run in lock-step, longest first: at step ``s`` each document
+    still running predicts its token ``s mod len`` from its own context
+    window, at its own learning rate ``alpha + (min_alpha - alpha) * s /
+    (epochs * len)``. A row is the same whether its stream is inferred
+    alone or in a batch.
+    """
+    epochs = model.config.epochs if epochs is None else epochs
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    ids = [model.token_ids(stream) for stream in streams]
+    lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
+    values = np.zeros((len(ids), model.vector_size))
+    oov = lengths == 0
+    order = np.argsort(-lengths, kind="stable")
+    order = order[lengths[order] > 0]
+    if len(order) == 0:
+        return values, oov
+
+    # Documents laid end to end, each after ``window`` padding slots, so a
+    # window never reaches into a neighbour; ``present`` zeroes the padding.
+    window = model.config.window
+    lengths = lengths[order]
+    starts = np.cumsum(lengths + window) - lengths
+    tokens = np.zeros(starts[-1] + lengths[-1] + window, dtype=np.int64)
+    present = np.zeros(len(tokens))
+    for start, doc in zip(starts.tolist(), order.tolist()):
+        tokens[start:start + len(ids[doc])] = ids[doc]
+        present[start:start + len(ids[doc])] = 1.0
+    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
+
+    rng = np.random.default_rng(model.config.seed if seed is None else seed)
+    d = model.vector_size
+    vectors = np.tile((rng.random(d) - 0.5) / d, (len(order), 1))
+    alpha, min_alpha = model.config.alpha, model.config.min_alpha(model.mode)
+    ends = epochs * lengths
+    step = 0
+    for n in range(len(order), 0, -1):  # documents [0, n) run until step ends[n - 1]
+        vec, stop, block = vectors[:n], int(ends[n - 1]), max(1, _BLOCK_ROWS // n)
+        for first in range(step, stop, block):
+            steps = np.arange(first, min(stop, first + block))[:, None]
+            center = starts[:n] + steps % lengths[:n]
+            # per-step factors repeated along the vector: same-shape
+            # operands keep numpy's per-step overhead low
+            lr = alpha + (min_alpha - alpha) * (steps / ends[:n])
+            lr = np.repeat(lr[:, :, None], d, axis=2)
+            gradients = _hidden_gradients(model, tokens[center], rng)
+            if model.mode == PV_DBOW:
+                for j in range(len(steps)):
+                    vec -= lr[j] * gradients(j, vec)
+                continue
+            slots = center[:, :, None] + offsets
+            mask = present[slots][:, :, :, None]
+            n_avg = np.repeat(mask.sum(axis=2) + 1, d, axis=2)
+            context = (model.W[tokens[slots]] * mask).sum(axis=2)
+            for j in range(len(steps)):
+                share = gradients(j, (vec + context[j]) / n_avg[j]) / n_avg[j]
+                vec -= lr[j] * share
+        step = stop
+    values[order] = vectors
+    return values, oov
+
+
 def infer_vector(stream, model: EmbeddingModel,
                  epochs: int | None = None, seed: int | None = None) -> DocVector:
-    """Optimize a fresh doc vector against frozen model weights.
+    """One stream's row of :func:`infer_matrix`. A stream with no
+    in-vocabulary tokens yields a zero vector flagged ``oov``."""
+    values, oov = infer_matrix([stream], model, epochs=epochs, seed=seed)
+    return DocVector(values=values[0], source_doc_id=getattr(stream, "source_doc_id", None),
+                     oov=bool(oov[0]))
 
-    Deterministic for a fixed seed (defaults to the training seed). A
-    stream with no in-vocabulary tokens yields a zero vector flagged
-    ``oov``.
-    """
-    doc_id = getattr(stream, "source_doc_id", None)
-    ids = model.token_ids(stream)
-    if len(ids) == 0:
-        return DocVector(values=np.zeros(model.vector_size), source_doc_id=doc_id, oov=True)
-    rng = np.random.default_rng(model.config.seed if seed is None else seed)
-    vec = (rng.random(model.vector_size) - 0.5) / model.vector_size
-    epochs = epochs if epochs is not None else model.config.epochs
-    alpha, min_alpha = model.config.alpha, model.config.min_alpha(model.mode)
-    total_steps = epochs * len(ids)
-    step = 0
-    for _ in range(epochs):
-        for pos in range(len(ids)):
-            lr = alpha + (min_alpha - alpha) * (step / total_steps)
-            step += 1
-            context = (_context_window(ids, pos, model.config.window)
-                       if model.mode == PV_DM else np.empty(0, dtype=np.int64))
-            _sgd_step(model, 0, ids[pos], context, lr, rng,
-                      train_doc=vec, freeze_words=True)
-    return DocVector(values=vec, source_doc_id=doc_id)
+
+def combined_matrix(streams: Sequence, model_dm: EmbeddingModel, model_dbow: EmbeddingModel,
+                    epochs: int | None = None,
+                    seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated DM and DBOW rows of :func:`infer_matrix` (dimension 2d);
+    a stream is flagged out of vocabulary when it is for both models."""
+    if model_dm.vector_size != model_dbow.vector_size:
+        raise ValueError("models have mismatched vector sizes")
+    dm, dm_oov = infer_matrix(streams, model_dm, epochs=epochs, seed=seed)
+    dbow, dbow_oov = infer_matrix(streams, model_dbow, epochs=epochs, seed=seed)
+    return np.hstack((dm, dbow)), dm_oov & dbow_oov
 
 
 def combined_vector(stream, model_dm: EmbeddingModel, model_dbow: EmbeddingModel,
                     epochs: int | None = None, seed: int | None = None) -> DocVector:
-    """Concatenated DM and DBOW inferred vectors (dimension 2d)."""
-    if model_dm.vector_size != model_dbow.vector_size:
-        raise ValueError("models have mismatched vector sizes")
-    dm = infer_vector(stream, model_dm, epochs=epochs, seed=seed)
-    dbow = infer_vector(stream, model_dbow, epochs=epochs, seed=seed)
-    return DocVector(values=np.concatenate((dm.values, dbow.values)),
-                     source_doc_id=dm.source_doc_id, oov=dm.oov and dbow.oov)
+    """One stream's row of :func:`combined_matrix`."""
+    values, oov = combined_matrix([stream], model_dm, model_dbow, epochs=epochs, seed=seed)
+    return DocVector(values=values[0], source_doc_id=getattr(stream, "source_doc_id", None),
+                     oov=bool(oov[0]))
 
 
 def doc_cosine(u: DocVector, v: DocVector) -> float:
@@ -388,6 +496,16 @@ def doc_cosine(u: DocVector, v: DocVector) -> float:
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(u.values @ v.values) / (nu * nv)
+
+
+def doc_cosines(vectors: np.ndarray, norms: np.ndarray, query: np.ndarray,
+                query_norm: float) -> np.ndarray:
+    """:func:`doc_cosine` of a query vector against every row of
+    ``vectors``, given the norms of both: 0 where either is a zero vector."""
+    if query_norm == 0.0:
+        return np.zeros(len(vectors))
+    return np.divide(vectors @ query, norms * query_norm, out=np.zeros(len(vectors)),
+                     where=norms != 0.0)
 
 
 _FORMAT_VERSION = 2  # 2: terms and doc ids as unicode arrays, not pickled objects

@@ -23,12 +23,18 @@ once, over the files and (for methods that use history) over the reports,
 so one query costs one ``bincount`` against each: direct scores are the files' logistic length
 factors times ``Postings.cosines``, and the bridge is a ``bincount`` of
 ``sim / |fixed(B)|`` over (report, fixed file) pairs stored in report order,
-of which an "earlier" history is a prefix. Doc-vector similarities are
-per-pair :func:`~bugloc.embedding.doc_cosine` values fed to the same
-bridge. Every operation repeats the arithmetic of the per-pair formulas
-(:func:`~bugloc.tfidf.rvsm`, :func:`~bugloc.tfidf.cosine`, a dict summed in
-history order) in the same order, so the scores are bit-identical to
-them. The dict-returning functions are views of these arrays.
+of which an "earlier" history is a prefix. These TF.IDF operations repeat
+the arithmetic of the per-pair formulas (:func:`~bugloc.tfidf.rvsm`,
+:func:`~bugloc.tfidf.cosine`, a dict summed in history order) in the same
+order, so the scores are bit-identical to them.
+
+Doc vectors are inferred in batches (:func:`~bugloc.embedding.combined_matrix`):
+the project's files once, and per call the reports it needs that were not
+inferred before. File and report vectors are kept as matrix rows with
+their norms, so doc-vector similarities are matrix-vector products
+(:func:`~bugloc.embedding.doc_cosines`), equal to the per-pair
+:func:`~bugloc.embedding.doc_cosine` within rounding, and feed the same
+bridge. The dict-returning functions are views of these arrays.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -171,8 +178,8 @@ class Artifacts:
     models (IDF vocabulary, paragraph-vector pair) must be supplied when a
     method asks for them. Per TF.IDF scope, file postings are built once
     and serve every query; report postings and the fix pairs are built
-    only when a method ranks through history; inferred doc vectors are
-    computed once and reused. Score arrays follow ``files``, the project's
+    only when a method ranks through history; each doc vector is inferred
+    once and reused. Score arrays follow ``files``, the project's
     source files in path order, so a stable sort keeps tied files in path
     order.
     """
@@ -197,8 +204,11 @@ class Artifacts:
         self._local_vocab: tfidf.Vocabulary | None = None
         self._normalizer: tfidf.LengthNormalizer | None = None
         self._scopes: dict[str, _TfidfScope] = {}
-        self._file_doc_vectors: list[embedding.DocVector] | None = None
-        self._report_doc_vectors: dict[str, embedding.DocVector] = {}
+        # inferred report doc vectors: rows and norms, kept by report id
+        self._report_doc_row: dict[str, int] = {}
+        width = 0 if dm_model is None else 2 * dm_model.vector_size
+        self._report_doc_vectors = np.zeros((len(project.bug_reports), width))
+        self._report_doc_norms = np.zeros(len(project.bug_reports))
 
     @property
     def local_vocab(self) -> tfidf.Vocabulary:
@@ -237,22 +247,38 @@ class Artifacts:
         if self.dm_model is None or self.dbow_model is None:
             raise ValueError("paragraph-vector models required but not provided")
 
-    def file_doc_vectors(self) -> list[embedding.DocVector]:
-        if self._file_doc_vectors is None:
-            self._require_models()
-            self._file_doc_vectors = [
-                embedding.combined_vector(f.token_stream, self.dm_model, self.dbow_model,
-                                          epochs=self.infer_epochs)
-                for f in self.files]
-        return self._file_doc_vectors
+    def _infer(self, streams) -> tuple[np.ndarray, np.ndarray]:
+        """Combined doc vectors of the streams, inferred in one batch, and
+        their norms."""
+        self._require_models()
+        vectors, _ = embedding.combined_matrix(streams, self.dm_model, self.dbow_model,
+                                               epochs=self.infer_epochs)
+        # one norm per row, computed as doc_cosine computes it
+        return vectors, np.array([np.linalg.norm(v) for v in vectors])
 
-    def report_doc_vector(self, report: BugReport) -> embedding.DocVector:
-        if report.id not in self._report_doc_vectors:
-            self._require_models()
-            self._report_doc_vectors[report.id] = embedding.combined_vector(
-                report.token_stream, self.dm_model, self.dbow_model,
-                epochs=self.infer_epochs)
-        return self._report_doc_vectors[report.id]
+    @cached_property
+    def file_doc_vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Doc vectors of ``files`` as matrix rows, and their norms."""
+        return self._infer([f.token_stream for f in self.files])
+
+    def report_doc_vectors(self, reports) -> tuple[np.ndarray, np.ndarray]:
+        """Doc vectors of the reports as matrix rows in their order, and
+        their norms. Reports not asked for before are inferred in one batch
+        and kept by id."""
+        new = list({r.id: r for r in reports if r.id not in self._report_doc_row}.values())
+        if new:
+            vectors, norms = self._infer([r.token_stream for r in new])
+            known = len(self._report_doc_row)
+            if known + len(new) > len(self._report_doc_norms):  # reports from elsewhere
+                extra = max(len(new), known)
+                self._report_doc_vectors = np.concatenate(
+                    (self._report_doc_vectors, np.zeros((extra, vectors.shape[1]))))
+                self._report_doc_norms = np.concatenate((self._report_doc_norms, np.zeros(extra)))
+            self._report_doc_vectors[known:known + len(new)] = vectors
+            self._report_doc_norms[known:known + len(new)] = norms
+            self._report_doc_row.update((r.id, known + i) for i, r in enumerate(new))
+        rows = [self._report_doc_row[r.id] for r in reports]
+        return self._report_doc_vectors[rows], self._report_doc_norms[rows]
 
     def _fix_pairs(self, reports) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Position in ``reports``, file column and ``|fixed files|`` of every
@@ -321,9 +347,8 @@ def _direct_scores(query: BugReport, kind: str, artifacts: Artifacts) -> np.ndar
         data = artifacts._tfidf_scope(scope)
         return data.length_weights * data.files.cosines(artifacts.report_vector(query, scope))
     if kind == DOC2VEC_GLOBAL:
-        query_vec = artifacts.report_doc_vector(query)
-        return np.array([embedding.doc_cosine(query_vec, vec)
-                         for vec in artifacts.file_doc_vectors()], dtype=float)
+        (query_vec,), (query_norm,) = artifacts.report_doc_vectors([query])
+        return embedding.doc_cosines(*artifacts.file_doc_vectors, query_vec, query_norm)
     if kind == COMBINED_GLOBAL:
         return _combined(_direct_scores(query, TFIDF_GLOBAL, artifacts),
                          _direct_scores(query, DOC2VEC_GLOBAL, artifacts))
@@ -333,9 +358,12 @@ def _direct_scores(query: BugReport, kind: str, artifacts: Artifacts) -> np.ndar
 def _history_sims(query: BugReport, history, rows, kind: str,
                   artifacts: Artifacts) -> np.ndarray:
     if kind == DOC2VEC_GLOBAL:
-        query_vec = artifacts.report_doc_vector(query)
-        return np.array([embedding.doc_cosine(query_vec, artifacts.report_doc_vector(past))
-                         if past.fixed_files else 0.0 for past in history], dtype=float)
+        # a report without fixes bridges to no file, so it is not inferred
+        fixing = np.array([bool(past.fixed_files) for past in history], dtype=bool)
+        vectors, norms = artifacts.report_doc_vectors([query, *compress(history, fixing)])
+        sims = np.zeros(len(history))
+        sims[fixing] = embedding.doc_cosines(vectors[1:], norms[1:], vectors[0], norms[0])
+        return sims
     if kind not in _TFIDF_SCOPES:
         raise ValueError(f"unknown indirect model {kind!r}")
     scope = _TFIDF_SCOPES[kind]

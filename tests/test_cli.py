@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from bugloc.cache import ArtifactCache
-from bugloc.cli import main, read_config_file
+from bugloc.cli import Settings, main, read_config_file
 from bugloc.embedding import EmbeddingConfig, PV_DM
 from bugloc.errors import BugLocError
 from bugloc.preprocess import PreprocessConfig
@@ -27,6 +27,27 @@ def test_read_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\nseed = 9\nmethods=1,4  # trailing\n\nalpha=0.1\n")
     assert read_config_file(path) == {"seed": "9", "methods": "1,4", "alpha": "0.1"}
+
+
+def test_read_config_file_keeps_hash_inside_value(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("stopwords_path = /data/c#/stop.txt  # the C# list\n"
+                    "  # indented comment\nmethods=1,4#5\n")
+    assert read_config_file(path) == {"stopwords_path": "/data/c#/stop.txt",
+                                      "methods": "1,4#5"}
+
+
+def test_unset_options_take_config_defaults():
+    settings = Settings(None, {})
+    assert settings.embedding_config() == EmbeddingConfig()
+    assert settings.preprocess_config() == PreprocessConfig()
+    # the settings of artifacts already in caches: their fingerprints must
+    # not move, or every cache would be rebuilt
+    before = EmbeddingConfig(vector_size=100, alpha=0.045, window=5, min_count=2,
+                             negative=5, sample=0.0, epochs=20, seed=1)
+    assert settings.embedding_config().fingerprint() == before.fingerprint()
+    assert settings.preprocess_config().fingerprint() == PreprocessConfig.load(
+        min_token_length=2, split_compound_identifiers=True).fingerprint()
 
 
 def test_read_config_file_rejects_garbage(tmp_path):
@@ -150,6 +171,19 @@ class TestLocalizeCommand:
                                       "--method", "1", "--out", str(tmp_path / "o")])
         assert result.exit_code == 1
         assert json.loads(result.output.strip().splitlines()[-1])["error"]
+
+
+@pytest.mark.parametrize("flag", [["--infer-epochs", "0"], ["--infer-epochs", "-1"],
+                                  ["--epochs", "0"]])
+def test_epochs_below_one_is_one_json_error(synth_benchmark, tmp_path, runner, flag):
+    root, _, _ = synth_benchmark
+    result = runner.invoke(main, ["evaluate", "--benchmark", str(root), "--methods", "5",
+                                  "--projects", "proj1", "--cache", str(tmp_path / "c"),
+                                  "--out", str(tmp_path / "o"), *FAST, *flag])
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert "epochs" in json.loads(lines[0])["error"]
 
 
 class TestEvaluateCommand:

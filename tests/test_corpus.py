@@ -181,6 +181,34 @@ def test_duplicate_project_names_rejected():
         Benchmark(projects=[twin, Project(name="p", source_files=[], bug_reports=[])])
 
 
+def _xml_project(tmp_path, sources, links):
+    project_dir = tmp_path / "xmlproj"
+    for rel in sources:
+        (project_dir / "sources" / rel).parent.mkdir(parents=True, exist_ok=True)
+        (project_dir / "sources" / rel).write_text(java_stub("bar"))
+    (project_dir / "bugrepo").mkdir()
+    files = "".join(f"<file>{link}</file>" for link in links)
+    (project_dir / "bugrepo" / "repository.xml").write_text(
+        f'<bugrepository><bug id="1"><buginformation><summary>bar fails</summary>'
+        f'</buginformation><fixedFiles>{files}</fixedFiles></bug></bugrepository>')
+    return project_dir
+
+
+@pytest.mark.parametrize("sources, resolved", [
+    (["org/foo/Bar.java"], "org/foo/Bar.java"),
+    (["src/main/org/foo/Bar.java", "org/other/Bar.java"], "src/main/org/foo/Bar.java"),
+])
+def test_dotted_fix_link_resolves_to_path(tmp_path, sources, resolved):
+    project = load_project(_xml_project(tmp_path, sources, ["org.foo.Bar.java"]))
+    assert project.bug_reports[0].fixed_files == {resolved}
+
+
+def test_dotted_fix_link_with_ambiguous_suffix_rejected(tmp_path):
+    sources = ["a/org/foo/Bar.java", "b/org/foo/Bar.java"]
+    with pytest.raises(CorpusError, match="unresolvable"):
+        load_project(_xml_project(tmp_path, sources, ["org.foo.Bar.java"]))
+
+
 def test_xml_adapter(tmp_path):
     project_dir = tmp_path / "xmlproj"
     src = project_dir / "sources" / "pkg"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from bugloc.embedding import (DocVector, EmbeddingConfig, PV_DBOW, PV_DM,
-                              combined_vector, doc_cosine, example_gradients,
-                              example_loss, infer_vector, load_model,
+                              combined_matrix, combined_vector, doc_cosine,
+                              doc_cosines, example_gradients, example_loss,
+                              infer_matrix, infer_vector, load_model,
                               save_model, softmax, train)
 from bugloc.errors import TrainingError
 
@@ -39,6 +40,9 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             EmbeddingConfig(vector_size=0)
+        for epochs in (0, -1):
+            with pytest.raises(ValueError, match="epochs"):
+                EmbeddingConfig(epochs=epochs)
         with pytest.raises(ValueError):
             EmbeddingConfig(window=0)
         with pytest.raises(ValueError):
@@ -216,6 +220,121 @@ class TestInference:
                 median = others[len(others) // 2]
                 wins += own_sim > median
             assert wins == 4, mode
+
+
+def reference_infer(stream, model, epochs=None, seed=None) -> np.ndarray:
+    """Per-document inference, one SGD step at a time against the frozen
+    model: the loop that the lock-step batch replaces."""
+    ids = model.token_ids(stream)
+    d = model.vector_size
+    if len(ids) == 0:
+        return np.zeros(d)
+    rng = np.random.default_rng(model.config.seed if seed is None else seed)
+    vec = (rng.random(d) - 0.5) / d
+    epochs = model.config.epochs if epochs is None else epochs
+    alpha, min_alpha = model.config.alpha, model.config.min_alpha(model.mode)
+    window, total = model.config.window, epochs * len(ids)
+    for step in range(total):
+        pos = step % len(ids)
+        lr = alpha + (min_alpha - alpha) * (step / total)
+        if model.mode == PV_DM:
+            context = list(ids[max(0, pos - window):pos]) + list(ids[pos + 1:pos + window + 1])
+            n_avg = len(context) + 1
+            h = (vec + model.W[context].sum(axis=0)) / n_avg
+        else:
+            n_avg, h = 1, vec.copy()
+        target = ids[pos]
+        if model.config.negative:
+            rows = np.concatenate(([target], model.sample_negatives(target, rng)))
+            g = 1.0 / (1.0 + np.exp(-(model.U[rows] @ h + model.b[rows])))
+            g[0] -= 1.0
+            gh = g @ model.U[rows]
+        else:
+            g = softmax(model.U @ h + model.b)
+            g[target] -= 1.0
+            gh = model.U.T @ g
+        vec -= lr * (gh / n_avg)
+    return vec
+
+
+class TestBatchedInference:
+    """The lock-step batch against the per-document reference loop."""
+
+    VOCAB = [f"w{i}" for i in range(30)]
+    # 1 token, fewer tokens than the window, long, duplicated, OOV, empty,
+    # partly OOV, and ordinary documents of mixed lengths
+    DOCS = [("w3",), ("w1", "w2"), tuple(VOCAB * 4), ("w5", "w6", "w7", "w5", "w8"),
+            ("w5", "w6", "w7", "w5", "w8"), ("nope", "missing"), (),
+            ("w9", "nope", "w10", "w11"), tuple(VOCAB[::-3]), ("w2", "w2", "w2")]
+
+    def _model(self, mode, negative):
+        rng = np.random.default_rng(4)
+        docs = [tuple(rng.choice(self.VOCAB, size=rng.integers(3, 15))) for _ in range(12)]
+        config = EmbeddingConfig(vector_size=8, alpha=0.05, window=3, min_count=1,
+                                 negative=negative, epochs=3, seed=9)
+        return train(docs + [tuple(self.VOCAB)], config, mode)
+
+    @pytest.mark.parametrize("negative", [0, 5])
+    @pytest.mark.parametrize("mode", [PV_DM, PV_DBOW])
+    def test_matches_per_document_reference(self, mode, negative):
+        model = self._model(mode, negative)
+        for kwargs in ({}, {"epochs": 2, "seed": 5}):
+            values, oov = infer_matrix(self.DOCS, model, **kwargs)
+            reference = np.array([reference_infer(d, model, **kwargs) for d in self.DOCS])
+            assert np.abs(values - reference).max() <= 1e-12
+            assert oov.tolist() == [len(model.token_ids(d)) == 0 for d in self.DOCS]
+            assert np.array_equal(values[3], values[4])  # duplicated document
+
+    @pytest.mark.parametrize("negative", [0, 5])
+    @pytest.mark.parametrize("mode", [PV_DM, PV_DBOW])
+    def test_row_same_alone_or_in_batch(self, mode, negative):
+        model = self._model(mode, negative)
+        values, _ = infer_matrix(self.DOCS, model)
+        for doc, row in zip(self.DOCS, values):
+            assert np.array_equal(infer_vector(doc, model).values, row)
+        reordered, _ = infer_matrix(self.DOCS[::-1], model)
+        assert np.array_equal(reordered[::-1], values)
+
+    @pytest.mark.parametrize("negative", [0, 5])
+    @pytest.mark.parametrize("mode", [PV_DM, PV_DBOW])
+    def test_model_unchanged(self, mode, negative):
+        model = self._model(mode, negative)
+        before = [a.copy() for a in (model.W, model.D, model.U, model.b)]
+        infer_matrix(self.DOCS, model)
+        for old, new in zip(before, (model.W, model.D, model.U, model.b)):
+            assert np.array_equal(old, new)
+
+    def test_combined_rows_concatenate_both_models(self):
+        dm, dbow = self._model(PV_DM, 5), self._model(PV_DBOW, 5)
+        values, oov = combined_matrix(self.DOCS, dm, dbow)
+        assert values.shape == (len(self.DOCS), 16)
+        assert np.array_equal(values[:, :8], infer_matrix(self.DOCS, dm)[0])
+        assert np.array_equal(values[:, 8:], infer_matrix(self.DOCS, dbow)[0])
+        assert oov.tolist() == [not dm.token_ids(d).size for d in self.DOCS]
+
+    def test_no_streams(self):
+        values, oov = infer_matrix([], self._model(PV_DM, 5))
+        assert values.shape == (0, 8) and oov.shape == (0,)
+
+    @pytest.mark.parametrize("epochs", [0, -2])
+    def test_epochs_below_one_rejected(self, epochs):
+        model = self._model(PV_DBOW, 5)
+        with pytest.raises(ValueError, match="epochs"):
+            infer_matrix(self.DOCS, model, epochs=epochs)
+        with pytest.raises(ValueError, match="epochs"):
+            infer_vector(self.DOCS[0], model, epochs=epochs)
+
+
+def test_doc_cosines_match_doc_cosine():
+    rng = np.random.default_rng(8)
+    vectors = rng.normal(size=(6, 5))
+    vectors[2] = 0.0
+    norms = np.linalg.norm(vectors, axis=1)
+    for query in (rng.normal(size=5), np.zeros(5), vectors[4]):
+        got = doc_cosines(vectors, norms, query, float(np.linalg.norm(query)))
+        want = [doc_cosine(DocVector(query), DocVector(v)) for v in vectors]
+        assert np.abs(got - want).max() <= 1e-12
+        assert got[2] == 0.0
 
 
 class TestCombined:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bugloc import tfidf
+from bugloc import embedding, tfidf
 from bugloc.corpus import Benchmark, BugReport, Project, SourceFile
 from bugloc.preprocess import PreprocessConfig, preprocess_project
 from bugloc.rank import (Artifacts, MethodConfig, direct_relevancy, fuse,
@@ -457,3 +457,78 @@ def test_report_postings_built_only_for_history_methods(toy_project, method_id,
              artifacts)
     assert ("reports" in vars(artifacts._tfidf_scope("local"))) == uses_history
     assert ("_project_pairs" in vars(artifacts)) == uses_history
+
+
+class TestDocVectorMethods:
+    """Doc-vector scores as matrix products against the per-pair
+    :func:`~bugloc.embedding.doc_cosine` formulas."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        rng = random.Random(5)
+        words = [f"{a}{b}" for a in ("kes", "har", "osp", "mer", "fal") for b in
+                 ("trel", "rier", "rey", "lin", "con")]
+        def text(low, high):
+            return " ".join(rng.choices(words, k=rng.randint(low, high)))
+
+        files = {f"F{i:02d}.java": f"class F {{ {text(4, 30)} }}" for i in range(12)}
+        files["Lone.java"] = "class Lone { int zyzzyva; }"  # out of vocabulary: zero vector
+        reports = [report(f"B-{k:02d}", text(2, 9), set(rng.sample(sorted(files), rng.randint(0, 3))),
+                          f"2021-01-{k + 1:02d}")
+                   for k in range(10)]
+        project = make_project("dv", files, reports)
+        streams = [f.token_stream for f in project.source_files]
+        streams += [r.token_stream for r in project.bug_reports]
+        config = embedding.EmbeddingConfig(vector_size=6, window=2, min_count=2, negative=3,
+                                           epochs=3, seed=2)
+        dm = embedding.train(streams, config, embedding.PV_DM)
+        dbow = embedding.train(streams, config, embedding.PV_DBOW)
+        return project, dm, dbow
+
+    def _vector(self, doc, dm, dbow):
+        return embedding.combined_vector(doc.token_stream, dm, dbow)
+
+    @pytest.mark.parametrize("policy", ["earlier", "all"])
+    def test_scores_match_per_pair_doc_cosine(self, setting, policy):
+        project, dm, dbow = setting
+        artifacts = Artifacts(project, dm_model=dm, dbow_model=dbow)
+        files = sorted(project.source_files, key=lambda f: f.id)
+        assert not self._vector(project.file("Lone.java"), dm, dbow).values.any()
+        for query in project.bug_reports:
+            history = history_for(query, project, policy)
+            direct = direct_relevancy(query, files, MethodConfig.from_id(5), artifacts)
+            indirect = indirect_relevancy(query, history, MethodConfig.from_id(6), artifacts)
+            q = self._vector(query, dm, dbow)
+            want_direct = {f.id: embedding.doc_cosine(q, self._vector(f, dm, dbow))
+                           for f in files}
+            want_indirect = dict.fromkeys(want_direct, 0.0)
+            for past in history:
+                sim = embedding.doc_cosine(q, self._vector(past, dm, dbow))
+                for fid in past.fixed_files:
+                    want_indirect[fid] += sim / len(past.fixed_files)
+            for got, want in ((direct, want_direct), (indirect, want_indirect)):
+                assert got.keys() == want.keys()
+                assert max(abs(got[f] - want[f]) for f in want) <= 1e-12
+            assert direct["Lone.java"] == 0.0
+
+    def test_infers_only_the_documents_a_call_needs(self, setting, monkeypatch):
+        project, dm, dbow = setting
+        inferred = []
+
+        def counting(streams, *args, **kwargs):
+            inferred.append(len(streams))
+            return combined_matrix(streams, *args, **kwargs)
+
+        combined_matrix = embedding.combined_matrix
+        monkeypatch.setattr(embedding, "combined_matrix", counting)
+        vocab = tfidf.build_vocabulary([f.token_stream for f in project.source_files],
+                                       scope="global")
+        artifacts = Artifacts(project, global_vocab=vocab, dm_model=dm, dbow_model=dbow)
+        query = project.bug_reports[6]
+        localize(query, project, MethodConfig.from_id(5), artifacts)
+        assert sorted(inferred) == [1, len(project.source_files)]  # the query, the files
+        localize(query, project, MethodConfig.from_id(6), artifacts)
+        fixing = sum(1 for r in project.bug_reports[:6] if r.fixed_files)
+        assert inferred[2:] == [fixing]  # the fixing history in one batch
+        localize(query, project, MethodConfig.from_id(7), artifacts)
+        assert len(inferred) == 3
