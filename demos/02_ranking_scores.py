@@ -21,7 +21,7 @@ def main():
                                   "queue", "worker", "retri", "alert"),
     }
     vocab = build_vocabulary(files.values())
-    vectors = {name: vectorize(ts, vocab, name) for name, ts in files.items()}
+    vectors = {name: vectorize(ts, vocab) for name, ts in files.items()}
     norm = LengthNormalizer.from_counts(len(ts) for ts in files.values())
 
     bug = vectorize(stream("job", "stuck", "queue"), vocab)

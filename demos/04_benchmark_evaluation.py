@@ -25,7 +25,11 @@ def evaluate(project, artifacts, method_id):
 
 
 def main():
-    workdir = Path(tempfile.mkdtemp(prefix="bugloc-demo-"))
+    with tempfile.TemporaryDirectory(prefix="bugloc-demo-") as workdir:
+        run(Path(workdir))
+
+
+def run(workdir: Path):
     print(f"writing benchmark under {workdir}")
     synth.generate_benchmark(workdir / "bench", synth.SynthSpec(seed=21))
     benchmark = load_benchmark(workdir / "bench")

@@ -38,7 +38,6 @@ class EmbeddingConfig:
     min_alpha_dbow: float | None = None  # defaults to alpha/3
     negative: int = 5
     sample: float = 0.0
-    hs: bool = False
     epochs: int = 20
     seed: int = 1
 
@@ -74,7 +73,6 @@ class DocVector:
     every token fell outside the model vocabulary (values are zero then)."""
 
     values: np.ndarray
-    source_doc_id: str | None = None
     oov: bool = False
 
 
@@ -97,64 +95,40 @@ def _tokens(document) -> tuple[str, ...]:
     return tuple(getattr(document, "tokens", document))
 
 
-def _hidden_state(W, D, mode, doc_index, context) -> tuple[np.ndarray, int]:
-    """Hidden state h and the number of vectors averaged into it."""
-    if mode == PV_DBOW:
-        return D[doc_index].copy(), 1
-    n = len(context) + 1
-    h = D[doc_index].copy()
-    for c in context:
-        h += W[c]
-    return h / n, n
+def prediction_gradients(W, D, U, b, mode, doc_index, target, context, negatives=None):
+    """Loss of one training prediction and its gradients: the kernel that
+    training applies and the gradient checks test.
 
+    The hidden state is doc vector ``D[doc_index]``, in PV-DM averaged with
+    the ``context`` word vectors (PV-DBOW ignores the context). The output
+    layer is the full softmax when ``negatives`` is None, otherwise negative
+    sampling of ``target`` against those noise-word rows.
 
-def example_loss(W, D, U, b, mode, doc_index, target, context=(), negatives=None) -> float:
-    """Loss of a single prediction; full softmax when ``negatives`` is None,
-    otherwise negative sampling against the given noise-word indices."""
-    h, _ = _hidden_state(W, D, mode, doc_index, context)
-    if negatives is None:
-        return -math.log(softmax(U @ h + b)[target])
-    rows = np.concatenate(([target], negatives)).astype(int)
-    z = U[rows] @ h + b[rows]
-    return float(-_log_sigmoid(z[0]) - _log_sigmoid(-z[1:]).sum())
-
-
-def example_gradients(W, D, U, b, mode, doc_index, target, context=(), negatives=None):
-    """Analytic gradients of :func:`example_loss` w.r.t. all parameters.
-
-    Returns ``(loss, gW, gD, gU, gb)`` as dense arrays shaped like the
-    inputs; meant for small models (tests, diagnostics).
+    Returns ``(loss, rows, g_out, g_bias, share)``: the gradients with
+    respect to ``U[rows]`` and ``b[rows]`` (``rows`` is every row under the
+    full softmax; a repeated row's gradients add up), and ``share``, the
+    gradient with respect to the doc vector and to each context word vector.
     """
-    h, n_avg = _hidden_state(W, D, mode, doc_index, context)
-    gU = np.zeros_like(U)
-    gb = np.zeros_like(b)
+    if mode == PV_DM and len(context):
+        n_avg = len(context) + 1
+        h = (D[doc_index] + W[np.asarray(context)].sum(axis=0)) / n_avg
+    else:
+        n_avg, h = 1, D[doc_index]
     if negatives is None:
-        p = softmax(U @ h + b)
-        loss = -math.log(p[target])
-        g = p.copy()
+        rows = slice(None)
+        g = softmax(U @ h + b)
+        loss = -math.log(g[target])
         g[target] -= 1.0
-        gU += np.outer(g, h)
-        gb += g
-        gh = U.T @ g
+        g_hidden = U.T @ g
     else:
-        rows = np.concatenate(([target], negatives)).astype(int)
-        z = U[rows] @ h + b[rows]
+        rows = np.concatenate(([target], negatives))
+        out = U[rows]
+        z = out @ h + b[rows]
         loss = float(-_log_sigmoid(z[0]) - _log_sigmoid(-z[1:]).sum())
-        labels = np.zeros(len(rows))
-        labels[0] = 1.0
-        g = _sigmoid(z) - labels
-        np.add.at(gU, rows, np.outer(g, h))
-        np.add.at(gb, rows, g)
-        gh = g @ U[rows]
-    gW = np.zeros_like(W)
-    gD = np.zeros_like(D)
-    if mode == PV_DBOW:
-        gD[doc_index] = gh
-    else:
-        share = gh / n_avg
-        gD[doc_index] = share
-        np.add.at(gW, list(context), share)
-    return loss, gW, gD, gU, gb
+        g = _sigmoid(z)
+        g[0] -= 1.0
+        g_hidden = g @ out
+    return loss, rows, np.outer(g, h), g, g_hidden / n_avg
 
 
 class EmbeddingModel:
@@ -202,38 +176,18 @@ def _context_window(ids: np.ndarray, pos: int, window: int) -> np.ndarray:
 
 def _sgd_step(model: EmbeddingModel, doc_index, target, context, lr, rng) -> float:
     """One training prediction step, updating parameters in place."""
-    W, U, b = model.W, model.U, model.b
-    doc_vec = model.D[doc_index]
-    if model.mode == PV_DBOW:
-        h, n_avg = doc_vec.copy(), 1
-        context = np.empty(0, dtype=np.int64)
+    negatives = model.sample_negatives(target, rng) if model.config.negative > 0 else None
+    loss, rows, g_out, g_bias, share = prediction_gradients(
+        model.W, model.D, model.U, model.b, model.mode, doc_index, target, context, negatives)
+    if negatives is None:
+        model.U -= lr * g_out
+        model.b -= lr * g_bias
     else:
-        n_avg = len(context) + 1
-        h = (doc_vec + W[context].sum(axis=0)) / n_avg if len(context) else doc_vec.copy()
-
-    if model.config.negative > 0:
-        negatives = model.sample_negatives(target, rng)
-        rows = np.concatenate(([target], negatives))
-        z = U[rows] @ h + b[rows]
-        labels = np.zeros(len(rows))
-        labels[0] = 1.0
-        g = _sigmoid(z) - labels
-        loss = float(-_log_sigmoid(z[0]) - _log_sigmoid(-z[1:]).sum())
-        gh = g @ U[rows]
-        np.add.at(U, rows, -lr * np.outer(g, h))
-        np.add.at(b, rows, -lr * g)
-    else:
-        p = softmax(U @ h + b)
-        loss = -math.log(p[target])
-        g = p
-        g[target] -= 1.0
-        gh = U.T @ g
-        U -= lr * np.outer(g, h)
-        b -= lr * g
-    share = gh / n_avg
-    doc_vec -= lr * share
+        np.add.at(model.U, rows, -lr * g_out)
+        np.add.at(model.b, rows, -lr * g_bias)
+    model.D[doc_index] -= lr * share
     if model.mode == PV_DM and len(context):
-        np.add.at(W, context, -lr * share)
+        np.add.at(model.W, context, -lr * share)
     return loss
 
 
@@ -245,8 +199,8 @@ def corpus_loss(model: EmbeddingModel, doc_token_ids: Sequence[np.ndarray]) -> f
     for doc_index, ids in enumerate(doc_token_ids):
         for pos in range(len(ids)):
             context = _context_window(ids, pos, window) if model.mode == PV_DM else ()
-            total += example_loss(model.W, model.D, model.U, model.b, model.mode,
-                                  doc_index, ids[pos], context)
+            total += prediction_gradients(model.W, model.D, model.U, model.b, model.mode,
+                                          doc_index, ids[pos], context)[0]
             count += 1
     if count == 0:
         raise TrainingError("no in-vocabulary tokens to evaluate")
@@ -267,8 +221,6 @@ def train(documents: Iterable, config: EmbeddingConfig, mode: str,
     """
     if mode not in (PV_DM, PV_DBOW):
         raise ValueError(f"unknown mode {mode!r}")
-    if config.hs:
-        raise TrainingError("hierarchical softmax training is not supported")
     docs = [_tokens(d) for d in documents]
     if len(docs) < 2:
         raise ValueError("need at least 2 documents to train")
@@ -465,8 +417,7 @@ def infer_vector(stream, model: EmbeddingModel,
     """One stream's row of :func:`infer_matrix`. A stream with no
     in-vocabulary tokens yields a zero vector flagged ``oov``."""
     values, oov = infer_matrix([stream], model, epochs=epochs, seed=seed)
-    return DocVector(values=values[0], source_doc_id=getattr(stream, "source_doc_id", None),
-                     oov=bool(oov[0]))
+    return DocVector(values=values[0], oov=bool(oov[0]))
 
 
 def combined_matrix(streams: Sequence, model_dm: EmbeddingModel, model_dbow: EmbeddingModel,
@@ -485,8 +436,7 @@ def combined_vector(stream, model_dm: EmbeddingModel, model_dbow: EmbeddingModel
                     epochs: int | None = None, seed: int | None = None) -> DocVector:
     """One stream's row of :func:`combined_matrix`."""
     values, oov = combined_matrix([stream], model_dm, model_dbow, epochs=epochs, seed=seed)
-    return DocVector(values=values[0], source_doc_id=getattr(stream, "source_doc_id", None),
-                     oov=bool(oov[0]))
+    return DocVector(values=values[0], oov=bool(oov[0]))
 
 
 def doc_cosine(u: DocVector, v: DocVector) -> float:

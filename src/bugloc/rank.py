@@ -112,13 +112,6 @@ class RankedList:
     entries: list[RankEntry]
     method_id: int
 
-    def rank_of(self, file_id: str) -> int:
-        """1-based rank; raises if the file is absent."""
-        for i, entry in enumerate(self.entries, start=1):
-            if entry.file_id == file_id:
-                return i
-        raise KeyError(file_id)
-
     @property
     def file_ids(self) -> list[str]:
         return [e.file_id for e in self.entries]
@@ -149,7 +142,7 @@ class _TfidfScope:
 
     def __init__(self, vocab: tfidf.Vocabulary, files, reports,
                  normalizer: tfidf.LengthNormalizer):
-        vectors = [tfidf.vectorize(f.token_stream, vocab, source_doc_id=f.id) for f in files]
+        vectors = [tfidf.vectorize(f.token_stream, vocab) for f in files]
         self.vocab = vocab
         self.files = tfidf.Postings(vectors, len(vocab))    # rows in ``files`` order
         self.length_weights = np.array([tfidf.length_weight(v.term_count, normalizer)
@@ -160,8 +153,7 @@ class _TfidfScope:
     def report_vector(self, row: int) -> tfidf.TfIdfVector:
         if self._report_vectors[row] is None:
             report = self._reports[row]
-            self._report_vectors[row] = tfidf.vectorize(report.token_stream, self.vocab,
-                                                        source_doc_id=report.id)
+            self._report_vectors[row] = tfidf.vectorize(report.token_stream, self.vocab)
         return self._report_vectors[row]
 
     @cached_property
@@ -241,7 +233,7 @@ class Artifacts:
         row = self._row.get(id(report))
         if row is not None:
             return self._tfidf_scope(scope).report_vector(row)
-        return tfidf.vectorize(report.token_stream, self.vocab(scope), source_doc_id=report.id)
+        return tfidf.vectorize(report.token_stream, self.vocab(scope))
 
     def _require_models(self):
         if self.dm_model is None or self.dbow_model is None:

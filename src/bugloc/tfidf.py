@@ -68,7 +68,6 @@ class TfIdfVector:
     """
 
     weights: dict[int, float]
-    source_doc_id: str | None = None
     term_count: int = 0
 
     def norm(self) -> float:
@@ -157,8 +156,7 @@ def build_global_idf(benchmark: Benchmark, held_out: str,
     )
 
 
-def vectorize(stream: TokenStream, vocab: Vocabulary,
-              source_doc_id: str | None = None) -> TfIdfVector:
+def vectorize(stream: TokenStream, vocab: Vocabulary) -> TfIdfVector:
     """TF.IDF weights for one stream; out-of-vocabulary terms are dropped."""
     counts: dict[int, int] = {}
     for term in stream.tokens:
@@ -166,8 +164,7 @@ def vectorize(stream: TokenStream, vocab: Vocabulary,
         if term_id is not None:
             counts[term_id] = counts.get(term_id, 0) + 1
     weights = {tid: (math.log(f) + 1.0) * vocab.idf(tid) for tid, f in counts.items()}
-    return TfIdfVector(weights=weights, source_doc_id=source_doc_id,
-                       term_count=len(stream.tokens))
+    return TfIdfVector(weights=weights, term_count=len(stream.tokens))
 
 
 def cosine(u: TfIdfVector, v: TfIdfVector) -> float:

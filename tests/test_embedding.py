@@ -5,9 +5,9 @@ import pytest
 
 from bugloc.embedding import (DocVector, EmbeddingConfig, PV_DBOW, PV_DM,
                               combined_matrix, combined_vector, doc_cosine,
-                              doc_cosines, example_gradients, example_loss,
-                              infer_matrix, infer_vector, load_model,
-                              save_model, softmax, train)
+                              doc_cosines, infer_matrix, infer_vector,
+                              load_model, prediction_gradients, save_model,
+                              softmax, train)
 from bugloc.errors import TrainingError
 
 TOY_DOCS = [
@@ -33,7 +33,6 @@ class TestConfig:
         assert config.min_count == 2
         assert config.negative == 5
         assert config.sample == 0.0
-        assert config.hs is False
         assert config.min_alpha(PV_DM) == pytest.approx(0.045 / 2)
         assert config.min_alpha(PV_DBOW) == pytest.approx(0.045 / 3)
 
@@ -63,37 +62,51 @@ def test_softmax_normalizes():
         assert (p >= 0).all()
 
 
-class TestGradients:
-    """Analytic gradients against central finite differences on a
-    5-word, d=4 toy model, for both modes and both output layers."""
+def finite_difference_error(W, D, U, b, **kwargs) -> float:
+    """Largest relative difference between the gradients of
+    :func:`prediction_gradients` and central finite differences of its loss,
+    over every entry of W, D, U and b.
 
-    def _params(self):
-        rng = np.random.default_rng(2)
-        V, N, d = 5, 3, 4
-        return (rng.normal(0, 0.4, (V, d)), rng.normal(0, 0.4, (N, d)),
-                rng.normal(0, 0.4, (V, d)), rng.normal(0, 0.4, V))
+    The kernel's sparse gradients are scattered into dense arrays the way
+    training applies them: ``U``/``b`` rows with repeats adding up, the share
+    to the doc row and, in PV-DM, to every context word.
+    """
+    _, rows, g_out, g_bias, share = prediction_gradients(W, D, U, b, **kwargs)
+    gW, gD, gU, gb = (np.zeros_like(a) for a in (W, D, U, b))
+    np.add.at(gU, rows, g_out)
+    np.add.at(gb, rows, g_bias)
+    gD[kwargs["doc_index"]] = share
+    if kwargs["mode"] == PV_DM:
+        np.add.at(gW, np.asarray(kwargs["context"], dtype=np.intp), share)
+    eps = 1e-6
+    worst = 0.0
+    for arr, grad in ((W, gW), (D, gD), (U, gU), (b, gb)):
+        flat, gflat = arr.ravel(), grad.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            up = prediction_gradients(W, D, U, b, **kwargs)[0]
+            flat[i] = orig - eps
+            down = prediction_gradients(W, D, U, b, **kwargs)[0]
+            flat[i] = orig
+            numeric = (up - down) / (2 * eps)
+            scale = max(abs(numeric), abs(gflat[i]), 1e-8)
+            worst = max(worst, abs(numeric - gflat[i]) / scale)
+    return worst
+
+
+class TestGradients:
+    """The training kernel's gradients against central finite differences
+    on a 5-word, d=4 toy model, for both modes and both output layers."""
 
     def _max_rel_err(self, mode, negatives):
-        W, D, U, b = self._params()
-        kwargs = dict(mode=mode, doc_index=1, target=2,
-                      context=(0, 3, 3) if mode == PV_DM else (),
-                      negatives=negatives)
-        _, gW, gD, gU, gb = example_gradients(W, D, U, b, **kwargs)
-        eps = 1e-6
-        worst = 0.0
-        for arr, grad in ((W, gW), (D, gD), (U, gU), (b, gb)):
-            flat, gflat = arr.ravel(), grad.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                up = example_loss(W, D, U, b, **kwargs)
-                flat[i] = orig - eps
-                down = example_loss(W, D, U, b, **kwargs)
-                flat[i] = orig
-                numeric = (up - down) / (2 * eps)
-                scale = max(abs(numeric), abs(gflat[i]), 1e-8)
-                worst = max(worst, abs(numeric - gflat[i]) / scale)
-        return worst
+        rng = np.random.default_rng(2)
+        V, N, d = 5, 3, 4
+        W, D, U, b = (rng.normal(0, 0.4, (V, d)), rng.normal(0, 0.4, (N, d)),
+                      rng.normal(0, 0.4, (V, d)), rng.normal(0, 0.4, V))
+        return finite_difference_error(W, D, U, b, mode=mode, doc_index=1, target=2,
+                                       context=(0, 3, 3) if mode == PV_DM else (),
+                                       negatives=negatives)
 
     @pytest.mark.parametrize("mode", [PV_DM, PV_DBOW])
     def test_softmax_loss(self, mode):
@@ -140,10 +153,6 @@ class TestTraining:
     def test_needs_two_documents(self):
         with pytest.raises(ValueError):
             train([("alpha",)], toy_config(), PV_DM)
-
-    def test_hierarchical_softmax_unsupported(self):
-        with pytest.raises(TrainingError, match="softmax"):
-            train(TOY_DOCS, toy_config(hs=True), PV_DM)
 
     def test_learning_rate_reaches_floor(self):
         config = toy_config(epochs=4)
@@ -224,37 +233,27 @@ class TestInference:
 
 def reference_infer(stream, model, epochs=None, seed=None) -> np.ndarray:
     """Per-document inference, one SGD step at a time against the frozen
-    model: the loop that the lock-step batch replaces."""
+    model: the loop that the lock-step batch replaces. Each step takes the
+    doc-vector gradient of the training kernel, run on a one-row doc matrix."""
     ids = model.token_ids(stream)
     d = model.vector_size
     if len(ids) == 0:
         return np.zeros(d)
     rng = np.random.default_rng(model.config.seed if seed is None else seed)
-    vec = (rng.random(d) - 0.5) / d
+    doc = ((rng.random(d) - 0.5) / d)[None, :]
     epochs = model.config.epochs if epochs is None else epochs
     alpha, min_alpha = model.config.alpha, model.config.min_alpha(model.mode)
     window, total = model.config.window, epochs * len(ids)
     for step in range(total):
         pos = step % len(ids)
         lr = alpha + (min_alpha - alpha) * (step / total)
-        if model.mode == PV_DM:
-            context = list(ids[max(0, pos - window):pos]) + list(ids[pos + 1:pos + window + 1])
-            n_avg = len(context) + 1
-            h = (vec + model.W[context].sum(axis=0)) / n_avg
-        else:
-            n_avg, h = 1, vec.copy()
+        context = np.concatenate((ids[max(0, pos - window):pos], ids[pos + 1:pos + window + 1]))
         target = ids[pos]
-        if model.config.negative:
-            rows = np.concatenate(([target], model.sample_negatives(target, rng)))
-            g = 1.0 / (1.0 + np.exp(-(model.U[rows] @ h + model.b[rows])))
-            g[0] -= 1.0
-            gh = g @ model.U[rows]
-        else:
-            g = softmax(model.U @ h + model.b)
-            g[target] -= 1.0
-            gh = model.U.T @ g
-        vec -= lr * (gh / n_avg)
-    return vec
+        negatives = model.sample_negatives(target, rng) if model.config.negative else None
+        share = prediction_gradients(model.W, doc, model.U, model.b, model.mode, 0,
+                                     target, context, negatives)[4]
+        doc[0] -= lr * share
+    return doc[0]
 
 
 class TestBatchedInference:

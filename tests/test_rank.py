@@ -257,7 +257,7 @@ class TestLocalize:
         artifacts = Artifacts(toy_project)
         for query in toy_project.bug_reports:
             ranked = localize(query, toy_project, MethodConfig.from_id(1), artifacts)
-            assert ranked.rank_of(next(iter(query.fixed_files))) == 1
+            assert ranked.file_ids.index(next(iter(query.fixed_files))) + 1 == 1
 
     def test_method3_equals_method1_with_empty_history(self, toy_project):
         artifacts = Artifacts(toy_project)
