@@ -20,8 +20,7 @@ from .metrics import (MetricsReport, QueryResult, average_precision,
 from .preprocess import (PreprocessConfig, TokenStream, preprocess_benchmark,
                          preprocess_project, split_identifier, stem,
                          strip_code_noise)
-from .rank import (Artifacts, MethodConfig, RankedList, direct_relevancy,
-                   fuse, indirect_relevancy, localize)
+from .rank import Artifacts, MethodConfig, RankedList, fuse, localize
 from .tfidf import (LengthNormalizer, TfIdfVector, Vocabulary,
                     build_global_idf, build_vocabulary, cosine, rvsm,
                     vectorize)
@@ -35,10 +34,9 @@ __all__ = [
     "Project", "QueryResult", "RankedList", "SourceFile", "TfIdfVector",
     "TokenStream", "TrainingError", "Vocabulary", "average_precision",
     "build_global_idf", "build_vocabulary", "combined_vector",
-    "compute_metrics", "cosine", "direct_relevancy", "fuse", "indirect_relevancy",
-    "infer_vector", "load_benchmark", "load_project", "localize",
-    "mean_average_precision", "mrr", "preprocess_benchmark",
-    "preprocess_project", "reciprocal_rank", "rvsm", "split_identifier",
-    "stem", "strip_code_noise", "top_n", "train", "validate_and_filter",
-    "vectorize",
+    "compute_metrics", "cosine", "fuse", "infer_vector", "load_benchmark",
+    "load_project", "localize", "mean_average_precision", "mrr",
+    "preprocess_benchmark", "preprocess_project", "reciprocal_rank", "rvsm",
+    "split_identifier", "stem", "strip_code_noise", "top_n", "train",
+    "validate_and_filter", "vectorize",
 ]

@@ -237,6 +237,12 @@ def load_project(root_path, strict: bool = True) -> Project:
         reports = _load_xml_reports(xml_path, index, strict)
     else:
         raise CorpusError(f"{root}: no bugs/ directory or bugrepo/repository.xml")
+    # results and history are keyed by bug id, so one id must be one report
+    seen = set()
+    for report in reports:
+        if report.id in seen:
+            raise CorpusError(f"{root.name}: duplicate bug id {report.id!r}")
+        seen.add(report.id)
 
     reports.sort(key=_report_sort_key)
     return Project(name=root.name, source_files=source_files, bug_reports=reports)

@@ -17,10 +17,13 @@ average (default 0.8 direct / 0.2 indirect). The method table:
 Combined scoring (method 7) normalizes the TF.IDF and doc-vector maps to
 [0, 1] separately and averages them per relevancy function.
 
-Scores are numpy arrays over the project's files in path order. Per
-TF.IDF scope, :class:`Artifacts` builds two :class:`~bugloc.tfidf.Postings`
-once, over the files and (for methods that use history) over the reports,
-so one query costs one ``bincount`` against each: direct scores are the files' logistic length
+Scores are numpy arrays over the project's files in path order, and
+reports are addressed as rows of ``project.bug_reports``: a query or a
+history report must be one of the project's own report objects. Per
+TF.IDF scope, :class:`Artifacts` vectorizes the files and the reports
+once and builds the files' :class:`~bugloc.tfidf.Postings` (and, for
+methods that use history, the reports'), so one query costs one
+``bincount`` against each: direct scores are the files' logistic length
 factors times ``Postings.cosines``, and the bridge is a ``bincount`` of
 ``sim / |fixed(B)|`` over (report, fixed file) pairs stored in report order,
 of which an "earlier" history is a prefix. These TF.IDF operations repeat
@@ -28,13 +31,13 @@ the arithmetic of the per-pair formulas (:func:`~bugloc.tfidf.rvsm`,
 :func:`~bugloc.tfidf.cosine`, a dict summed in history order) in the same
 order, so the scores are bit-identical to them.
 
-Doc vectors are inferred in batches (:func:`~bugloc.embedding.combined_matrix`):
-the project's files once, and per call the reports it needs that were not
-inferred before. File and report vectors are kept as matrix rows with
-their norms, so doc-vector similarities are matrix-vector products
+Doc vectors are inferred in two batches
+(:func:`~bugloc.embedding.combined_matrix`): all of the project's files and
+all of its reports, each once. They are kept as matrix rows with their
+norms, so doc-vector similarities are matrix-vector products
 (:func:`~bugloc.embedding.doc_cosines`), equal to the per-pair
 :func:`~bugloc.embedding.doc_cosine` within rounding, and feed the same
-bridge. The dict-returning functions are views of these arrays.
+bridge.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 
 import numpy as np
 
@@ -135,9 +137,8 @@ _TFIDF_SCOPES = {TFIDF_LOCAL: "local", TFIDF_GLOBAL: "global"}
 class _TfidfScope:
     """A project's TF.IDF data under one vocabulary.
 
-    File postings and length factors are built up front; report vectors
-    are built as queries ask for them, and the report postings only when
-    a method ranks through history.
+    File postings, length factors and report vectors are built up front;
+    the report postings only when a method ranks through history.
     """
 
     def __init__(self, vocab: tfidf.Vocabulary, files, reports,
@@ -147,20 +148,12 @@ class _TfidfScope:
         self.files = tfidf.Postings(vectors, len(vocab))    # rows in ``files`` order
         self.length_weights = np.array([tfidf.length_weight(v.term_count, normalizer)
                                         for v in vectors])  # rVSM logistic factor per file
-        self._reports = reports
-        self._report_vectors: list[tfidf.TfIdfVector | None] = [None] * len(reports)
-
-    def report_vector(self, row: int) -> tfidf.TfIdfVector:
-        if self._report_vectors[row] is None:
-            report = self._reports[row]
-            self._report_vectors[row] = tfidf.vectorize(report.token_stream, self.vocab)
-        return self._report_vectors[row]
+        self.report_vectors = [tfidf.vectorize(r.token_stream, vocab) for r in reports]
 
     @cached_property
     def reports(self) -> tfidf.Postings:
         """Postings over the project's reports, rows in report order."""
-        return tfidf.Postings([self.report_vector(i) for i in range(len(self._reports))],
-                              len(self.vocab))
+        return tfidf.Postings(self.report_vectors, len(self.vocab))
 
 
 class Artifacts:
@@ -168,12 +161,13 @@ class Artifacts:
 
     Local TF.IDF state is derived lazily from the project itself; global
     models (IDF vocabulary, paragraph-vector pair) must be supplied when a
-    method asks for them. Per TF.IDF scope, file postings are built once
-    and serve every query; report postings and the fix pairs are built
-    only when a method ranks through history; each doc vector is inferred
-    once and reused. Score arrays follow ``files``, the project's
-    source files in path order, so a stable sort keeps tied files in path
-    order.
+    method asks for them. Per TF.IDF scope, file postings and report
+    vectors are built once and serve every query; report postings and the
+    fix pairs are built only when a method ranks through history; the doc
+    vectors of the files and of the reports are each inferred once, in one
+    batch. Score arrays follow ``files``, the project's source files in
+    path order, so a stable sort keeps tied files in path order; reports
+    are rows of ``project.bug_reports``.
     """
 
     def __init__(self, project: Project, global_vocab: tfidf.Vocabulary | None = None,
@@ -185,22 +179,17 @@ class Artifacts:
         self.dm_model = dm_model
         self.dbow_model = dbow_model
         self.infer_epochs = infer_epochs
-        for src in project.source_files:
-            if src.token_stream is None:
-                raise ValueError(f"{src.id}: token stream missing; preprocess first")
+        for doc in (*project.source_files, *project.bug_reports):
+            if doc.token_stream is None:
+                raise ValueError(f"{doc.id}: token stream missing; preprocess first")
         self.files = sorted(project.source_files, key=lambda f: f.id)
         self.file_ids = [f.id for f in self.files]
         self._column = {fid: j for j, fid in enumerate(self.file_ids)}
-        # keyed by identity: a report of another project may share an id
+        # keyed by identity: only the project's own report objects have a row
         self._row = {id(r): i for i, r in enumerate(project.bug_reports)}
         self._local_vocab: tfidf.Vocabulary | None = None
         self._normalizer: tfidf.LengthNormalizer | None = None
         self._scopes: dict[str, _TfidfScope] = {}
-        # inferred report doc vectors: rows and norms, kept by report id
-        self._report_doc_row: dict[str, int] = {}
-        width = 0 if dm_model is None else 2 * dm_model.vector_size
-        self._report_doc_vectors = np.zeros((len(project.bug_reports), width))
-        self._report_doc_norms = np.zeros(len(project.bug_reports))
 
     @property
     def local_vocab(self) -> tfidf.Vocabulary:
@@ -229,11 +218,16 @@ class Artifacts:
                                               self.project.bug_reports, self.normalizer)
         return self._scopes[scope]
 
-    def report_vector(self, report: BugReport, scope: str) -> tfidf.TfIdfVector:
-        row = self._row.get(id(report))
-        if row is not None:
-            return self._tfidf_scope(scope).report_vector(row)
-        return tfidf.vectorize(report.token_stream, self.vocab(scope))
+    def rows(self, reports) -> np.ndarray:
+        """Row of each report in ``project.bug_reports``; a report that is
+        not one of the project's own objects raises ``ValueError``."""
+        try:  # runs for every history of every query, so kept to C-level loops
+            return np.fromiter(map(self._row.__getitem__, map(id, reports)), dtype=np.intp,
+                               count=len(reports))
+        except KeyError:
+            stranger = next(r for r in reports if id(r) not in self._row)
+            raise ValueError(f"report {stranger.id!r} is not a report of project "
+                             f"{self.project.name}") from None
 
     def _require_models(self):
         if self.dm_model is None or self.dbow_model is None:
@@ -253,66 +247,35 @@ class Artifacts:
         """Doc vectors of ``files`` as matrix rows, and their norms."""
         return self._infer([f.token_stream for f in self.files])
 
-    def report_doc_vectors(self, reports) -> tuple[np.ndarray, np.ndarray]:
-        """Doc vectors of the reports as matrix rows in their order, and
-        their norms. Reports not asked for before are inferred in one batch
-        and kept by id."""
-        new = list({r.id: r for r in reports if r.id not in self._report_doc_row}.values())
-        if new:
-            vectors, norms = self._infer([r.token_stream for r in new])
-            known = len(self._report_doc_row)
-            if known + len(new) > len(self._report_doc_norms):  # reports from elsewhere
-                extra = max(len(new), known)
-                self._report_doc_vectors = np.concatenate(
-                    (self._report_doc_vectors, np.zeros((extra, vectors.shape[1]))))
-                self._report_doc_norms = np.concatenate((self._report_doc_norms, np.zeros(extra)))
-            self._report_doc_vectors[known:known + len(new)] = vectors
-            self._report_doc_norms[known:known + len(new)] = norms
-            self._report_doc_row.update((r.id, known + i) for i, r in enumerate(new))
-        rows = [self._report_doc_row[r.id] for r in reports]
-        return self._report_doc_vectors[rows], self._report_doc_norms[rows]
-
-    def _fix_pairs(self, reports) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Position in ``reports``, file column and ``|fixed files|`` of every
-        (report, fixed file of this project) pair, in report order. The size
-        counts fixed files missing from the project too."""
-        positions, columns, sizes = [], [], []
-        for i, report in enumerate(reports):
-            for fid in report.fixed_files:
-                if fid in self._column:
-                    positions.append(i)
-                    columns.append(self._column[fid])
-                    sizes.append(len(report.fixed_files))
-        return (np.array(positions, dtype=np.intp), np.array(columns, dtype=np.intp),
-                np.array(sizes, dtype=float))
+    @cached_property
+    def report_doc_vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Doc vectors of the project's reports as matrix rows in report
+        order, and their norms."""
+        return self._infer([r.token_stream for r in self.project.bug_reports])
 
     @cached_property
     def _project_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Columns and sizes of :meth:`_fix_pairs` over the project's
-        reports, and ``offsets`` such that report ``i``'s pairs are
-        ``offsets[i]:offsets[i + 1]``."""
-        rows, columns, sizes = self._fix_pairs(self.project.bug_reports)
-        offsets = np.concatenate(
-            ([0], np.cumsum(np.bincount(rows, minlength=len(self.project.bug_reports)))))
-        return offsets, columns, sizes
+        """File column and ``|fixed files|`` of every (report, fixed file of
+        this project) pair, in report order, and ``offsets`` such that
+        report ``i``'s pairs are ``offsets[i]:offsets[i + 1]``. The size
+        counts fixed files missing from the project too."""
+        counts, columns, sizes = [], [], []
+        for report in self.project.bug_reports:
+            fixed = [self._column[fid] for fid in report.fixed_files if fid in self._column]
+            counts.append(len(fixed))
+            columns += fixed
+            sizes += [len(report.fixed_files)] * len(fixed)
+        return (np.concatenate(([0], np.cumsum(counts, dtype=np.intp))),
+                np.array(columns, dtype=np.intp), np.array(sizes, dtype=float))
 
-    def _history_rows(self, history) -> np.ndarray | None:
-        """Project report row of each history report; None when one of
-        them is not a report of this project."""
-        rows = [self._row.get(id(r), -1) for r in history]
-        return None if -1 in rows else np.array(rows, dtype=np.intp)
-
-    def _bridge(self, history, rows: np.ndarray | None, sims: np.ndarray) -> np.ndarray:
-        """Per file, the sum over history reports B that fixed it of
-        ``sims[B] / |fixed(B)|`` (``sims`` follows ``history``), added up in
-        history order as a dict accumulation would."""
-        if rows is None:
-            positions, columns, sizes = self._fix_pairs(history)
-        else:
-            offsets, all_columns, all_sizes = self._project_pairs
-            idx, positions = tfidf.span_indices(offsets, rows)
-            columns, sizes = all_columns[idx], all_sizes[idx]
-        return np.bincount(columns, weights=sims[positions] / sizes,
+    def _bridge(self, rows: np.ndarray, sims: np.ndarray) -> np.ndarray:
+        """Per file, the sum over the history reports B (project rows
+        ``rows``) that fixed it of ``sims[B] / |fixed(B)|`` (``sims``
+        follows ``rows``), added up in history order as a dict accumulation
+        would."""
+        offsets, columns, sizes = self._project_pairs
+        idx, positions = tfidf.span_indices(offsets, rows)
+        return np.bincount(columns[idx], weights=sims[positions] / sizes[idx],
                            minlength=len(self.files))
 
 
@@ -329,81 +292,48 @@ def _combined(lexical: np.ndarray, semantic: np.ndarray) -> np.ndarray:
     return (_minmax(lexical) + _minmax(semantic)) / 2
 
 
-def _fuse(direct: np.ndarray, indirect: np.ndarray, w1: float, w2: float) -> np.ndarray:
+def fuse(direct: np.ndarray, indirect: np.ndarray, w1: float, w2: float) -> np.ndarray:
+    """Min-max normalize both score arrays and combine them as w1*d + w2*i."""
     return w1 * _minmax(direct) + w2 * _minmax(indirect)
 
 
-def _direct_scores(query: BugReport, kind: str, artifacts: Artifacts) -> np.ndarray:
+def _direct_scores(row: int, kind: str, artifacts: Artifacts) -> np.ndarray:
+    """Direct scores of the project's report ``row`` against every file."""
     if kind in _TFIDF_SCOPES:
-        scope = _TFIDF_SCOPES[kind]
-        data = artifacts._tfidf_scope(scope)
-        return data.length_weights * data.files.cosines(artifacts.report_vector(query, scope))
+        data = artifacts._tfidf_scope(_TFIDF_SCOPES[kind])
+        return data.length_weights * data.files.cosines(data.report_vectors[row])
     if kind == DOC2VEC_GLOBAL:
-        (query_vec,), (query_norm,) = artifacts.report_doc_vectors([query])
-        return embedding.doc_cosines(*artifacts.file_doc_vectors, query_vec, query_norm)
+        files = artifacts.file_doc_vectors
+        vectors, norms = artifacts.report_doc_vectors
+        return embedding.doc_cosines(*files, vectors[row], norms[row])
     if kind == COMBINED_GLOBAL:
-        return _combined(_direct_scores(query, TFIDF_GLOBAL, artifacts),
-                         _direct_scores(query, DOC2VEC_GLOBAL, artifacts))
+        return _combined(_direct_scores(row, TFIDF_GLOBAL, artifacts),
+                         _direct_scores(row, DOC2VEC_GLOBAL, artifacts))
     raise ValueError(f"unknown direct model {kind!r}")
 
 
-def _history_sims(query: BugReport, history, rows, kind: str,
+def _history_sims(row: int, history: np.ndarray, kind: str,
                   artifacts: Artifacts) -> np.ndarray:
+    """Similarity of report ``row`` to each report row in ``history``."""
     if kind == DOC2VEC_GLOBAL:
-        # a report without fixes bridges to no file, so it is not inferred
-        fixing = np.array([bool(past.fixed_files) for past in history], dtype=bool)
-        vectors, norms = artifacts.report_doc_vectors([query, *compress(history, fixing)])
-        sims = np.zeros(len(history))
-        sims[fixing] = embedding.doc_cosines(vectors[1:], norms[1:], vectors[0], norms[0])
-        return sims
+        vectors, norms = artifacts.report_doc_vectors
+        return embedding.doc_cosines(vectors[history], norms[history], vectors[row], norms[row])
     if kind not in _TFIDF_SCOPES:
         raise ValueError(f"unknown indirect model {kind!r}")
-    scope = _TFIDF_SCOPES[kind]
-    query_vec = artifacts.report_vector(query, scope)
-    if rows is None:
-        return np.array([tfidf.cosine(query_vec, artifacts.report_vector(past, scope))
-                         for past in history], dtype=float)
-    return artifacts._tfidf_scope(scope).reports.cosines(query_vec)[rows]
+    data = artifacts._tfidf_scope(_TFIDF_SCOPES[kind])
+    return data.reports.cosines(data.report_vectors[row])[history]
 
 
-def _indirect_scores(query: BugReport, history, kind: str,
+def _indirect_scores(row: int, history: np.ndarray, kind: str,
                      artifacts: Artifacts) -> np.ndarray:
+    """History-bridged scores of report ``row``; ``history`` holds the
+    report rows it may draw on, and an empty one yields all zeros."""
     if kind == NONE:
         return np.zeros(len(artifacts.files))
     if kind == COMBINED_GLOBAL:
-        return _combined(_indirect_scores(query, history, TFIDF_GLOBAL, artifacts),
-                         _indirect_scores(query, history, DOC2VEC_GLOBAL, artifacts))
-    rows = artifacts._history_rows(history)
-    return artifacts._bridge(history, rows, _history_sims(query, history, rows, kind, artifacts))
-
-
-def direct_relevancy(query: BugReport, files, model: MethodConfig,
-                     artifacts: Artifacts) -> dict[str, float]:
-    """Per-file direct score under the configured direct model."""
-    scores = _direct_scores(query, model.direct_model, artifacts)
-    wanted = {f.id for f in files}
-    return {fid: s for fid, s in zip(artifacts.file_ids, scores.tolist()) if fid in wanted}
-
-
-def indirect_relevancy(query: BugReport, history, model: MethodConfig,
-                       artifacts: Artifacts) -> dict[str, float]:
-    """History-bridged score; an empty history yields an all-zero map.
-
-    The caller is responsible for excluding the query itself (and, during
-    evaluation, anything not strictly earlier) from ``history``.
-    """
-    scores = _indirect_scores(query, history, model.indirect_model, artifacts)
-    return dict(zip(artifacts.file_ids, scores.tolist()))
-
-
-def fuse(direct: dict[str, float], indirect: dict[str, float],
-         w1: float, w2: float) -> dict[str, float]:
-    """Min-max normalize both maps and combine them as w1*d + w2*i."""
-    if set(direct) != set(indirect):
-        raise ValueError("direct and indirect maps cover different file sets")
-    fused = _fuse(np.array(list(direct.values()), dtype=float),
-                  np.array([indirect[fid] for fid in direct], dtype=float), w1, w2)
-    return dict(zip(direct, fused.tolist()))
+        return _combined(_indirect_scores(row, history, TFIDF_GLOBAL, artifacts),
+                         _indirect_scores(row, history, DOC2VEC_GLOBAL, artifacts))
+    return artifacts._bridge(history, _history_sims(row, history, kind, artifacts))
 
 
 def history_for(query: BugReport, project: Project, policy: str = "earlier") -> list[BugReport]:
@@ -426,13 +356,19 @@ def localize(query: BugReport, project: Project, config: MethodConfig,
     """Rank every source file of the project for one query.
 
     ``history`` defaults to the reports strictly earlier than the query.
-    Ties in the fused score break by file path so output order is total.
+    The query and the history must be reports of ``artifacts.project``
+    (``ValueError`` otherwise); the caller is responsible for excluding the
+    query itself (and, during evaluation, anything not strictly earlier)
+    from ``history``. Ties in the fused score break by file path so output
+    order is total.
     """
     if history is None:
         history = history_for(query, project)
-    direct = _direct_scores(query, config.direct_model, artifacts)
-    indirect = _indirect_scores(query, history, config.indirect_model, artifacts)
-    final = _fuse(direct, indirect, config.w1, config.w2)
+    (row,) = artifacts.rows([query])
+    rows = artifacts.rows(history)
+    direct = _direct_scores(row, config.direct_model, artifacts)
+    indirect = _indirect_scores(row, rows, config.indirect_model, artifacts)
+    final = fuse(direct, indirect, config.w1, config.w2)
     ids, finals, directs, indirects = (artifacts.file_ids, final.tolist(), direct.tolist(),
                                        indirect.tolist())
     entries = [RankEntry(ids[j], finals[j], directs[j], indirects[j])

@@ -192,23 +192,22 @@ def test_criterion_7_fusion_invariants():
         rng = random.Random(4242)
         for _ in range(100):
             ids = [f"f{i}" for i in range(rng.randint(2, 12))]
-            direct = {f: rng.uniform(0, 3) for f in ids}
-            indirect = {f: rng.uniform(0, 3) for f in ids}
+            direct = np.array([rng.uniform(0, 3) for _ in ids])
+            indirect = np.array([rng.uniform(0, 3) for _ in ids])
+
+            def ranking(scores):
+                return sorted(range(len(ids)), key=lambda j: (-scores[j], ids[j]))
 
             fused = rank.fuse(direct, indirect, 1.0, 0.0)
-            assert sorted(ids, key=lambda f: (-fused[f], f)) == \
-                sorted(ids, key=lambda f: (-direct[f], f))
+            assert ranking(fused) == ranking(direct)
 
             c = rng.uniform(1e-3, 1e3)
             base = rank.fuse(direct, indirect, 0.8, 0.2)
-            scaled_direct = rank.fuse({f: c * v for f, v in direct.items()},
-                                      indirect, 0.8, 0.2)
-            scaled_indirect = rank.fuse(direct,
-                                        {f: c * v for f, v in indirect.items()},
-                                        0.8, 0.2)
-            order = sorted(ids, key=lambda f: (-base[f], f))
-            assert sorted(ids, key=lambda f: (-scaled_direct[f], f)) == order
-            assert sorted(ids, key=lambda f: (-scaled_indirect[f], f)) == order
+            scaled_direct = rank.fuse(c * direct, indirect, 0.8, 0.2)
+            scaled_indirect = rank.fuse(direct, c * indirect, 0.8, 0.2)
+            order = ranking(base)
+            assert ranking(scaled_direct) == order
+            assert ranking(scaled_indirect) == order
 
 
 BENCH4BL_DIR = os.environ.get("BUGLOC_BENCH4BL_DIR")

@@ -13,6 +13,7 @@ from bugloc.cli import Settings, main, read_config_file
 from bugloc.embedding import EmbeddingConfig, PV_DM
 from bugloc.errors import BugLocError
 from bugloc.preprocess import PreprocessConfig
+from conftest import java_stub, write_project
 
 FAST = ["--epochs", "2", "--vector-size", "8", "--min-count", "1",
         "--infer-epochs", "2"]
@@ -272,3 +273,18 @@ def test_redirected_stdout_is_not_kept_alive(synth_benchmark, tmp_path):
     del buf
     gc.collect()
     assert alive() is None
+
+
+def test_duplicate_bug_id_is_one_json_error(tmp_path, runner):
+    project = write_project(tmp_path / "bench", "dup", {"A.java": java_stub("alpha")},
+                            [{"id": "B-1", "summary": "alpha fails", "description": "",
+                              "fixed_files": ["A.java"]}])
+    (project / "bugs" / "B-1-again.json").write_text(json.dumps(
+        {"id": "B-1", "summary": "alpha again", "description": "",
+         "fixed_files": ["A.java"]}))
+    result = runner.invoke(main, ["evaluate", "--benchmark", str(tmp_path / "bench"),
+                                  "--methods", "1", "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert "dup: duplicate bug id 'B-1'" in json.loads(lines[0])["error"]

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from bugloc.corpus import (CorpusError, load_benchmark, load_project,
@@ -236,3 +238,23 @@ def test_xml_adapter(tmp_path):
     assert report.fixed_files == {"pkg/Widget.java"}
     assert "explodes" in report.text
     assert report.timestamp == "2013-05-01 10:00:00"
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_duplicate_bug_id_rejected_json(tmp_path, strict):
+    project_dir = write_project(tmp_path, "dup", {"A.java": java_stub("a")},
+                                [_bug("B-1", ["A.java"])])
+    (project_dir / "bugs" / "B-1-again.json").write_text(
+        json.dumps(_bug("B-1", ["A.java"], summary="another crash")))
+    with pytest.raises(CorpusError, match=r"dup: duplicate bug id 'B-1'"):
+        load_project(project_dir, strict=strict)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_duplicate_bug_id_rejected_xml(tmp_path, strict):
+    project_dir = _xml_project(tmp_path, ["org/foo/Bar.java"], ["org.foo.Bar.java"])
+    xml = project_dir / "bugrepo" / "repository.xml"
+    bug = '<bug id="1"><buginformation><summary>bar again</summary></buginformation></bug>'
+    xml.write_text(xml.read_text().replace("</bugrepository>", bug + "</bugrepository>"))
+    with pytest.raises(CorpusError, match=r"xmlproj: duplicate bug id '1'"):
+        load_project(project_dir, strict=strict)

@@ -1,12 +1,13 @@
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from bugloc import embedding, tfidf
 from bugloc.corpus import Benchmark, BugReport, Project, SourceFile
 from bugloc.preprocess import PreprocessConfig, preprocess_project
-from bugloc.rank import (Artifacts, MethodConfig, direct_relevancy, fuse,
-                         history_for, indirect_relevancy, localize)
+from bugloc.rank import Artifacts, MethodConfig, fuse, history_for, localize
 
 CONFIG = PreprocessConfig()
 
@@ -25,20 +26,33 @@ def report(bug_id, text, fixed=frozenset(), stamp=None):
                 timestamp=stamp)
 
 
+TOY_FILES = {
+    "Zeppelin.java": "class Zeppelin { int zeppelin; int shared; }",
+    "Quagmire.java": "class Quagmire { int quagmire; int shared; int shared2; }",
+    "Obelisk.java": "class Obelisk { int obelisk; int obelisk2; }",
+    "Empty.java": "class Empty { }",
+}
+TOY_REPORTS = [
+    report("B-1", "zeppelin drifts away", {"Zeppelin.java"}, "2021-01-01"),
+    report("B-2", "quagmire swallows zeppelin", {"Quagmire.java"}, "2021-02-01"),
+    report("B-3", "obelisk cracked", {"Obelisk.java"}, "2021-03-01"),
+]
+
+
 @pytest.fixture
 def toy_project():
-    files = {
-        "Zeppelin.java": "class Zeppelin { int zeppelin; int shared; }",
-        "Quagmire.java": "class Quagmire { int quagmire; int shared; int shared2; }",
-        "Obelisk.java": "class Obelisk { int obelisk; int obelisk2; }",
-        "Empty.java": "class Empty { }",
-    }
-    reports = [
-        report("B-1", "zeppelin drifts away", {"Zeppelin.java"}, "2021-01-01"),
-        report("B-2", "quagmire swallows zeppelin", {"Quagmire.java"}, "2021-02-01"),
-        report("B-3", "obelisk cracked", {"Obelisk.java"}, "2021-03-01"),
-    ]
-    return make_project("toy", files, reports)
+    return make_project("toy", TOY_FILES, TOY_REPORTS)
+
+
+def toy_with(*extra):
+    """The toy project with more reports after its own, and those reports."""
+    project = make_project("toy", TOY_FILES, [*TOY_REPORTS, *extra])
+    return project, project.bug_reports[len(TOY_REPORTS):]
+
+
+def scores(ranked, kind):
+    """``{file id: score}`` of one kind ("direct", "indirect", "final")."""
+    return {e.file_id: getattr(e, f"{kind}_score") for e in ranked.entries}
 
 
 class TestMethodTable:
@@ -83,146 +97,127 @@ class TestMethodTable:
 
 
 class TestDirectRelevancy:
-    def test_identical_file_gets_strict_max(self, toy_project):
-        artifacts = Artifacts(toy_project)
-        query = BugReport(id="q", summary="obelisk obelisk2", description="",
-                          fixed_files=set())
-        preprocess_query(query)
-        scores = direct_relevancy(query, toy_project.source_files,
-                                  MethodConfig.from_id(1), artifacts)
-        best = max(scores, key=scores.get)
+    def test_identical_file_gets_strict_max(self):
+        project, (query,) = toy_with(report("q", "obelisk obelisk2"))
+        direct = scores(localize(query, project, MethodConfig.from_id(1),
+                                 Artifacts(project)), "direct")
+        best = max(direct, key=direct.get)
         assert best == "Obelisk.java"
-        assert scores["Obelisk.java"] > max(v for k, v in scores.items()
+        assert direct["Obelisk.java"] > max(v for k, v in direct.items()
                                             if k != "Obelisk.java")
 
-    def test_empty_query_all_zero(self, toy_project):
-        artifacts = Artifacts(toy_project)
-        query = BugReport(id="q", summary="", description="", fixed_files=set())
-        preprocess_query(query)
-        scores = direct_relevancy(query, toy_project.source_files,
-                                  MethodConfig.from_id(1), artifacts)
-        assert set(scores.values()) == {0.0}
+    def test_empty_query_all_zero(self):
+        project, (query,) = toy_with(report("q", ""))
+        ranked = localize(query, project, MethodConfig.from_id(1), Artifacts(project))
+        assert set(scores(ranked, "direct").values()) == {0.0}
 
     def test_matches_module_oracle(self, toy_project):
         # scores must equal independently composed vectorize/rvsm calls
         artifacts = Artifacts(toy_project)
         query = toy_project.bug_reports[1]
-        scores = direct_relevancy(query, toy_project.source_files,
-                                  MethodConfig.from_id(1), artifacts)
+        direct = scores(localize(query, toy_project, MethodConfig.from_id(1), artifacts),
+                        "direct")
         vocab = tfidf.build_vocabulary([f.token_stream for f in toy_project.source_files])
         norm = tfidf.LengthNormalizer.from_counts(
             len(f.token_stream) for f in toy_project.source_files)
         bug_vec = tfidf.vectorize(query.token_stream, vocab)
         for f in toy_project.source_files:
             expected = tfidf.rvsm(bug_vec, tfidf.vectorize(f.token_stream, vocab), norm)
-            assert scores[f.id] == pytest.approx(expected, rel=1e-12)
-
-    def test_respects_file_subset(self, toy_project):
-        artifacts = Artifacts(toy_project)
-        query = toy_project.bug_reports[0]
-        subset = toy_project.source_files[:2]
-        scores = direct_relevancy(query, subset, MethodConfig.from_id(1), artifacts)
-        assert set(scores) == {f.id for f in subset}
+            assert direct[f.id] == pytest.approx(expected, rel=1e-12)
 
     def test_global_scope_requires_model(self, toy_project):
         artifacts = Artifacts(toy_project)
         with pytest.raises(ValueError, match="global"):
-            direct_relevancy(toy_project.bug_reports[0], toy_project.source_files,
-                             MethodConfig.from_id(2), artifacts)
+            localize(toy_project.bug_reports[0], toy_project, MethodConfig.from_id(2),
+                     artifacts)
 
 
-def preprocess_query(query):
-    from bugloc.preprocess import BUG_REPORT, preprocess
-    query.token_stream = preprocess(query.text, BUG_REPORT, CONFIG)
+def test_reports_must_be_preprocessed(toy_project):
+    toy_project.bug_reports[1].token_stream = None
+    with pytest.raises(ValueError, match="B-2: token stream missing; preprocess first"):
+        Artifacts(toy_project)
 
 
 class TestIndirectRelevancy:
     def test_empty_history_is_zero_map(self, toy_project):
-        artifacts = Artifacts(toy_project)
-        scores = indirect_relevancy(toy_project.bug_reports[0], [],
-                                    MethodConfig.from_id(3), artifacts)
-        assert set(scores) == toy_project.file_ids
-        assert set(scores.values()) == {0.0}
+        ranked = localize(toy_project.bug_reports[2], toy_project, MethodConfig.from_id(3),
+                          Artifacts(toy_project), history=[])
+        indirect = scores(ranked, "indirect")
+        assert set(indirect) == toy_project.file_ids
+        assert set(indirect.values()) == {0.0}
 
-    def test_contribution_split_across_fixed_files(self, toy_project):
-        artifacts = Artifacts(toy_project)
-        query = BugReport(id="q", summary="zeppelin drifts away", description="",
-                          fixed_files=set())
-        preprocess_query(query)
-        past = BugReport(id="h", summary="zeppelin drifts away", description="",
-                         fixed_files={"Zeppelin.java", "Obelisk.java"})
-        preprocess_query(past)
-        similarity = tfidf.cosine(
-            artifacts.report_vector(query, "local"),
-            artifacts.report_vector(past, "local"))
-        scores = indirect_relevancy(query, [past], MethodConfig.from_id(3), artifacts)
+    def test_contribution_split_across_fixed_files(self):
+        project, (past, query) = toy_with(
+            report("h", "zeppelin drifts away", {"Zeppelin.java", "Obelisk.java"}),
+            report("q", "zeppelin drifts away"))
+        artifacts = Artifacts(project)
+        vocab = artifacts.local_vocab
+        similarity = tfidf.cosine(tfidf.vectorize(query.token_stream, vocab),
+                                  tfidf.vectorize(past.token_stream, vocab))
+        indirect = scores(localize(query, project, MethodConfig.from_id(3), artifacts,
+                                   history=[past]), "indirect")
         assert similarity > 0
-        assert scores["Zeppelin.java"] == pytest.approx(similarity / 2)
-        assert scores["Obelisk.java"] == pytest.approx(similarity / 2)
-        assert scores["Quagmire.java"] == 0.0
+        assert indirect["Zeppelin.java"] == pytest.approx(similarity / 2)
+        assert indirect["Obelisk.java"] == pytest.approx(similarity / 2)
+        assert indirect["Quagmire.java"] == 0.0
 
-    def test_contributions_sum_over_history(self, toy_project):
-        artifacts = Artifacts(toy_project)
-        query = toy_project.bug_reports[1]  # mentions zeppelin too
-        h1 = toy_project.bug_reports[0]
-        h2 = BugReport(id="h2", summary="zeppelin quagmire", description="",
-                       fixed_files={"Zeppelin.java"})
-        preprocess_query(h2)
-        sim1 = tfidf.cosine(artifacts.report_vector(query, "local"),
-                            artifacts.report_vector(h1, "local"))
-        sim2 = tfidf.cosine(artifacts.report_vector(query, "local"),
-                            artifacts.report_vector(h2, "local"))
-        scores = indirect_relevancy(query, [h1, h2], MethodConfig.from_id(3), artifacts)
-        assert scores["Zeppelin.java"] == pytest.approx(sim1 / 1 + sim2 / 1)
+    def test_contributions_sum_over_history(self):
+        project, (h2,) = toy_with(report("h2", "zeppelin quagmire", {"Zeppelin.java"}))
+        artifacts = Artifacts(project)
+        query = project.bug_reports[1]  # mentions zeppelin too
+        h1 = project.bug_reports[0]
+        vocab = artifacts.local_vocab
+        query_vec = tfidf.vectorize(query.token_stream, vocab)
+        sim1, sim2 = (tfidf.cosine(query_vec, tfidf.vectorize(h.token_stream, vocab))
+                      for h in (h1, h2))
+        indirect = scores(localize(query, project, MethodConfig.from_id(3), artifacts,
+                                   history=[h1, h2]), "indirect")
+        assert indirect["Zeppelin.java"] == pytest.approx(sim1 / 1 + sim2 / 1)
+
+
+def order(values):
+    """Positions of ``values`` from the highest value to the lowest."""
+    return sorted(range(len(values)), key=lambda j: -values[j])
 
 
 class TestFuse:
     def test_weighted_average(self):
-        fused = fuse({"a": 1.0, "b": 0.0}, {"a": 0.0, "b": 1.0}, 0.8, 0.2)
-        assert fused["a"] == pytest.approx(0.8)
-        assert fused["b"] == pytest.approx(0.2)
+        fused = fuse(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.8, 0.2)
+        assert fused[0] == pytest.approx(0.8)
+        assert fused[1] == pytest.approx(0.2)
 
     def test_convexity_fixed_point(self):
         # equal normalized maps stay put under any weight split
-        direct = {"a": 0.3, "b": 0.9, "c": 0.6}
-        fused = fuse(direct, dict(direct), 0.8, 0.2)
-        normalized = {"a": 0.0, "b": 1.0, "c": 0.5}
-        for k in direct:
-            assert fused[k] == pytest.approx(normalized[k])
+        direct = np.array([0.3, 0.9, 0.6])
+        fused = fuse(direct, direct.copy(), 0.8, 0.2)
+        assert fused == pytest.approx([0.0, 1.0, 0.5])
 
     def test_w2_zero_keeps_direct_order(self):
         rng = random.Random(1)
         for _ in range(50):
-            direct = {f"f{i}": rng.random() for i in range(8)}
-            indirect = {f"f{i}": rng.random() for i in range(8)}
-            fused = fuse(direct, indirect, 1.0, 0.0)
-            assert sorted(fused, key=fused.get) == sorted(direct, key=direct.get)
+            direct = np.array([rng.random() for _ in range(8)])
+            indirect = np.array([rng.random() for _ in range(8)])
+            assert order(fuse(direct, indirect, 1.0, 0.0)) == order(direct)
 
     def test_w1_zero_keeps_indirect_order(self):
         rng = random.Random(6)
         for _ in range(50):
-            direct = {f"f{i}": rng.random() for i in range(8)}
-            indirect = {f"f{i}": rng.random() for i in range(8)}
-            fused = fuse(direct, indirect, 0.0, 1.0)
-            assert sorted(fused, key=fused.get) == sorted(indirect, key=indirect.get)
+            direct = np.array([rng.random() for _ in range(8)])
+            indirect = np.array([rng.random() for _ in range(8)])
+            assert order(fuse(direct, indirect, 0.0, 1.0)) == order(indirect)
 
     def test_scaling_leaves_ranking(self):
         rng = random.Random(2)
-        direct = {f"f{i}": rng.random() for i in range(6)}
-        indirect = {f"f{i}": rng.random() for i in range(6)}
+        direct = np.array([rng.random() for _ in range(6)])
+        indirect = np.array([rng.random() for _ in range(6)])
         base = fuse(direct, indirect, 0.8, 0.2)
         for c in (0.001, 3.7, 4096):
-            scaled = fuse({k: c * v for k, v in direct.items()}, indirect, 0.8, 0.2)
-            assert sorted(base, key=base.get) == sorted(scaled, key=scaled.get)
+            assert order(fuse(c * direct, indirect, 0.8, 0.2)) == order(base)
 
     def test_constant_map_normalizes_to_zero(self):
-        fused = fuse({"a": 5.0, "b": 5.0}, {"a": 1.0, "b": 0.0}, 0.8, 0.2)
-        assert fused["a"] == pytest.approx(0.2)
-        assert fused["b"] == pytest.approx(0.0)
-
-    def test_mismatched_sets_rejected(self):
-        with pytest.raises(ValueError, match="file sets"):
-            fuse({"a": 1.0}, {"b": 1.0}, 0.8, 0.2)
+        fused = fuse(np.array([5.0, 5.0]), np.array([1.0, 0.0]), 0.8, 0.2)
+        assert fused[0] == pytest.approx(0.2)
+        assert fused[1] == pytest.approx(0.0)
 
 
 class TestHistory:
@@ -410,25 +405,23 @@ class TestMatchesPerPairReference:
                                          artifacts.local_vocab)
         ranked = localize(project.bug_reports[2], project, config, artifacts)
         scores = {e.file_id: e.indirect_score for e in ranked.entries}
-        sim1, sim2 = (tfidf.cosine(artifacts.report_vector(project.bug_reports[2], "local"),
-                                   artifacts.report_vector(r, "local"))
+        vocab = artifacts.local_vocab
+        query_vec = tfidf.vectorize(project.bug_reports[2].token_stream, vocab)
+        sim1, sim2 = (tfidf.cosine(query_vec, tfidf.vectorize(r.token_stream, vocab))
                       for r in project.bug_reports[:2])
         assert scores["Zeppelin.java"] == sim1 / 2 + sim2 / 3
 
-    def test_query_and_history_from_outside_the_project(self, toy_project):
+    def test_query_or_history_from_outside_the_project_rejected(self, toy_project):
         artifacts = Artifacts(toy_project)
-        query = BugReport(id="q", summary="zeppelin quagmire obelisk", description="",
-                          fixed_files=set())
-        outsider = BugReport(id="h", summary="obelisk zeppelin", description="",
-                             fixed_files={"Obelisk.java", "Elsewhere.java"})
-        for r in (query, outsider):
-            preprocess_query(r)
-        history = [toy_project.bug_reports[0], outsider, toy_project.bug_reports[1]]
-        config = MethodConfig.from_id(3)
-        ranked = localize(query, toy_project, config, artifacts, history=history)
-        assert_matches_reference(ranked, query, history, config, toy_project,
-                                 artifacts.local_vocab)
-        assert {e.file_id: e.indirect_score for e in ranked.entries}["Obelisk.java"] > 0
+        own = toy_project.bug_reports
+        # an equal copy is still not one of the project's report objects
+        stranger = dataclasses.replace(own[0])
+        for method_id in (1, 3):  # with and without history
+            config = MethodConfig.from_id(method_id)
+            with pytest.raises(ValueError, match="'B-1' is not a report of project toy"):
+                localize(stranger, toy_project, config, artifacts, history=[])
+            with pytest.raises(ValueError, match="'B-1' is not a report of project toy"):
+                localize(own[2], toy_project, config, artifacts, history=[own[1], stranger])
 
     @pytest.mark.parametrize("method_id", [1, 3])
     def test_identical_files_stay_exactly_tied_in_path_order(self, method_id):
@@ -491,13 +484,16 @@ class TestDocVectorMethods:
     @pytest.mark.parametrize("policy", ["earlier", "all"])
     def test_scores_match_per_pair_doc_cosine(self, setting, policy):
         project, dm, dbow = setting
-        artifacts = Artifacts(project, dm_model=dm, dbow_model=dbow)
+        artifacts = Artifacts(project, global_vocab=global_vocab(project), dm_model=dm,
+                              dbow_model=dbow)
         files = sorted(project.source_files, key=lambda f: f.id)
         assert not self._vector(project.file("Lone.java"), dm, dbow).values.any()
         for query in project.bug_reports:
             history = history_for(query, project, policy)
-            direct = direct_relevancy(query, files, MethodConfig.from_id(5), artifacts)
-            indirect = indirect_relevancy(query, history, MethodConfig.from_id(6), artifacts)
+            direct = scores(localize(query, project, MethodConfig.from_id(5), artifacts,
+                                     history=history), "direct")
+            indirect = scores(localize(query, project, MethodConfig.from_id(6), artifacts,
+                                       history=history), "indirect")
             q = self._vector(query, dm, dbow)
             want_direct = {f.id: embedding.doc_cosine(q, self._vector(f, dm, dbow))
                            for f in files}
@@ -511,7 +507,8 @@ class TestDocVectorMethods:
                 assert max(abs(got[f] - want[f]) for f in want) <= 1e-12
             assert direct["Lone.java"] == 0.0
 
-    def test_infers_only_the_documents_a_call_needs(self, setting, monkeypatch):
+    def test_files_and_reports_each_inferred_once_in_one_batch(self, setting,
+                                                                monkeypatch):
         project, dm, dbow = setting
         inferred = []
 
@@ -521,14 +518,14 @@ class TestDocVectorMethods:
 
         combined_matrix = embedding.combined_matrix
         monkeypatch.setattr(embedding, "combined_matrix", counting)
-        vocab = tfidf.build_vocabulary([f.token_stream for f in project.source_files],
-                                       scope="global")
-        artifacts = Artifacts(project, global_vocab=vocab, dm_model=dm, dbow_model=dbow)
-        query = project.bug_reports[6]
-        localize(query, project, MethodConfig.from_id(5), artifacts)
-        assert sorted(inferred) == [1, len(project.source_files)]  # the query, the files
-        localize(query, project, MethodConfig.from_id(6), artifacts)
-        fixing = sum(1 for r in project.bug_reports[:6] if r.fixed_files)
-        assert inferred[2:] == [fixing]  # the fixing history in one batch
-        localize(query, project, MethodConfig.from_id(7), artifacts)
-        assert len(inferred) == 3
+        artifacts = Artifacts(project, global_vocab=global_vocab(project), dm_model=dm,
+                              dbow_model=dbow)
+        for query in (project.bug_reports[6], project.bug_reports[2]):
+            for method_id in (5, 6, 7):
+                localize(query, project, MethodConfig.from_id(method_id), artifacts)
+        assert inferred == [len(project.source_files), len(project.bug_reports)]
+
+
+def global_vocab(project):
+    return tfidf.build_vocabulary([f.token_stream for f in project.source_files],
+                                  scope="global")
