@@ -20,7 +20,7 @@ def evaluate(project, artifacts, method_id):
     for query in project.bug_reports:
         ranked = rank.localize(query, project, rank.MethodConfig.from_id(method_id),
                                artifacts)
-        results.append(QueryResult(query.id, ranked.file_ids, set(query.fixed_files)))
+        results.append(QueryResult.from_ranking(query.id, ranked.file_ids, query.fixed_files))
     return compute_metrics(results)
 
 

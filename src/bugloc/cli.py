@@ -73,8 +73,14 @@ class Settings:
         "split_compounds": ("split_compound_identifiers", bool),
     }
 
+    _KEYS = {*_DEFAULTS, *_EMBEDDING_OPTIONS, *_PREPROCESS_OPTIONS, "infer_epochs"}
+
     def __init__(self, config_path, cli_values: dict):
         self.file_values = read_config_file(config_path) if config_path else {}
+        for key in self.file_values:
+            if key not in self._KEYS:
+                raise BugLocError(f"{config_path}: unknown config key {key!r} "
+                                  f"(recognized: {', '.join(sorted(self._KEYS))})")
         self.cli_values = cli_values
 
     def get(self, key, cast=str):
@@ -251,7 +257,7 @@ def _print_top(ranked: rank.RankedList, limit: int = 10) -> None:
     _echo(f"top {limit} of {len(ranked.entries)} files for {ranked.query_bug_id} "
           f"(method {ranked.method_id}):")
     _echo(f"{'rank':>4}  {'final':>10}  {'direct':>10}  {'indirect':>10}  file")
-    for i, e in enumerate(ranked.entries[:limit], start=1):
+    for i, e in enumerate(ranked.rows(limit), start=1):
         _echo(f"{i:>4}  {e.final_score:>10.6f}  {e.direct_score:>10.6f}  "
               f"{e.indirect_score:>10.6f}  {e.file_id}")
 
@@ -293,17 +299,17 @@ def cmd_localize(benchmark_path, project_name, bug_id, method_id, cache_dir,
 
 
 def _evaluate_project(project, artifacts, method_id, settings):
+    """Rank every report of the project with one method and score each
+    ranking from the ranks of the report's fixed files."""
     method = rank.MethodConfig.from_id(method_id)
     policy = settings.get("history_policy")
     results = []
-    for query in project.bug_reports:
-        history = rank.history_for(query, project, policy)
+    for row, query in enumerate(project.bug_reports):
+        history = rank.history_at(project, row, policy)
         ranked = rank.localize(query, project, method, artifacts, history=history)
-        results.append(metrics.QueryResult(
-            bug_id=query.id,
-            ranked_file_ids=ranked.file_ids,
-            relevant_file_ids=set(query.fixed_files),
-        ))
+        ranks = ranked.ranks_of(artifacts.fixed_columns(row))
+        results.append(metrics.QueryResult(query.id, tuple(ranks.tolist()),
+                                           len(query.fixed_files)))
     return metrics.compute_metrics(results), results
 
 
@@ -350,10 +356,15 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
     settings = _settings(kwargs, methods=methods_raw, history_policy=history_policy)
     benchmark, cache = _load(settings, benchmark_path, cache_dir)
     method_ids = settings.method_ids()
-    if projects_raw:
-        project_names = sorted(projects_raw.replace(" ", "").split(","))
-    else:
+    if not projects_raw:
         project_names = sorted(benchmark.project_names)
+    else:
+        project_names = sorted({name for name in projects_raw.replace(" ", "").split(",")
+                                if name})
+        if not project_names:
+            raise click.UsageError("no projects requested")
+        for name in project_names:
+            benchmark.project(name)  # validate before any work, raises on unknown names
 
     rows, per_query_rows = [], []
     per_project: dict[int, dict[str, metrics.MetricsReport]] = {m: {} for m in method_ids}

@@ -1,11 +1,16 @@
 """Ranking quality metrics and the paired significance test.
 
-Reciprocal rank, average precision and Top-N hit counts follow the usual
-IR definitions over full ranked lists; a relevant file missing from the
-list contributes nothing (rank infinity). The Wilcoxon signed-rank test is
-exact (full sign-assignment distribution, mid-ranks for ties) up to n=12
-and falls back to a tie- and continuity-corrected normal approximation for
-larger samples.
+A query's result is the ascending 1-based ranks its relevant files took
+and the number of relevant files it has; no ranked list is kept. A
+relevant file missing from the ranking has no rank and contributes
+nothing (rank infinity). Reciprocal rank, average precision and Top-N hit
+counts follow the usual IR definitions: RR is ``1 / r_1``, AP adds
+``k / r_k`` over the ranks in ascending order (the arithmetic and order of
+a walk down the list) and divides by the number of relevant files, and a
+Top-N hit is ``r_1 <= N``. The Wilcoxon signed-rank test is exact (full
+sign-assignment distribution, mid-ranks for ties) up to n=12 and falls
+back to a tie- and continuity-corrected normal approximation for larger
+samples.
 """
 
 from __future__ import annotations
@@ -20,25 +25,39 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class QueryResult:
-    """One bug report's ranked file list plus its ground truth."""
+    """One bug report's ground truth as ranks: ``relevant_ranks`` are the
+    ascending 1-based ranks of its relevant files that were ranked, and
+    ``n_relevant`` counts all of its relevant files."""
 
     bug_id: str
-    ranked_file_ids: list[str]
-    relevant_file_ids: set[str]
+    relevant_ranks: tuple[int, ...]
+    n_relevant: int
 
     def __post_init__(self):
-        if not self.relevant_file_ids:
+        if self.n_relevant < 1:
             raise ValueError(f"query {self.bug_id}: empty relevant set")
-        if len(set(self.ranked_file_ids)) != len(self.ranked_file_ids):
-            raise ValueError(f"query {self.bug_id}: duplicate entries in ranked list")
+        ranks = self.relevant_ranks
+        if len(ranks) > self.n_relevant or any(
+                not a < b for a, b in zip((0, *ranks), ranks)):
+            raise ValueError(f"query {self.bug_id}: relevant ranks {ranks} are not "
+                             f"{self.n_relevant} or fewer ascending ranks")
+
+    @classmethod
+    def from_ranking(cls, bug_id: str, ranked_ids: Sequence[str],
+                     relevant: Iterable[str]) -> "QueryResult":
+        """The result of a full ranked list of file ids and the relevant ids."""
+        relevant = set(relevant)
+        if not relevant:
+            raise ValueError(f"query {bug_id}: empty relevant set")
+        if len(set(ranked_ids)) != len(ranked_ids):
+            raise ValueError(f"query {bug_id}: duplicate entries in ranked list")
+        return cls(bug_id, tuple(i for i, file_id in enumerate(ranked_ids, start=1)
+                                 if file_id in relevant), len(relevant))
 
 
 def first_relevant_rank(result: QueryResult) -> int | None:
     """1-based rank of the first relevant file, or None if none is ranked."""
-    for i, file_id in enumerate(result.ranked_file_ids, start=1):
-        if file_id in result.relevant_file_ids:
-            return i
-    return None
+    return result.relevant_ranks[0] if result.relevant_ranks else None
 
 
 def reciprocal_rank(result: QueryResult) -> float:
@@ -52,13 +71,12 @@ def reciprocal_rank(result: QueryResult) -> float:
 def average_precision(result: QueryResult) -> float:
     """Mean of precision-at-j over the ranks j holding relevant files,
     divided by the total number of relevant files."""
-    hits = 0
     precision_sum = 0.0
-    for j, file_id in enumerate(result.ranked_file_ids, start=1):
-        if file_id in result.relevant_file_ids:
-            hits += 1
-            precision_sum += hits / j
-    return precision_sum / len(result.relevant_file_ids)
+    # a plain loop, not sum(): from Python 3.12 on sum() compensates float
+    # rounding, and this must add exactly as a walk down the list does
+    for hits, j in enumerate(result.relevant_ranks, start=1):
+        precision_sum += hits / j
+    return precision_sum / result.n_relevant
 
 
 def mrr(results: Sequence[QueryResult]) -> float:

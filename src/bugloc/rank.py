@@ -21,7 +21,9 @@ Scores are numpy arrays over the project's files in path order, and
 reports are addressed as rows of ``project.bug_reports``: a query or a
 history report must be one of the project's own report objects. Per
 TF.IDF scope, :class:`Artifacts` vectorizes the files and the reports
-once and builds the files' :class:`~bugloc.tfidf.Postings` (and, for
+once, derives each report's query arrays once
+(:func:`~bugloc.tfidf.query_terms`), and builds the files'
+:class:`~bugloc.tfidf.Postings` (and, for
 methods that use history, the reports'), so one query costs one
 ``bincount`` against each: direct scores are the files' logistic length
 factors times ``Postings.cosines``, and the bridge is a ``bincount`` of
@@ -38,6 +40,13 @@ norms, so doc-vector similarities are matrix-vector products
 (:func:`~bugloc.embedding.doc_cosines`), equal to the per-pair
 :func:`~bugloc.embedding.doc_cosine` within rounding, and feed the same
 bridge.
+
+:func:`localize` returns the score arrays and ``entries``, the file
+columns in ranked order, and builds no per-file object. ``evaluate``
+scores a query from the ranks of its fixed files
+(:meth:`RankedList.ranks_of`), not from a list of file ids, and takes
+each query's history by row (:func:`history_at`); :class:`RankEntry` rows
+exist only for a ranking that is written or printed.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,8 +110,9 @@ class MethodConfig:
                    for m in (self.direct_model, self.indirect_model))
 
 
-@dataclass
-class RankEntry:
+class RankEntry(NamedTuple):
+    """One row of a written or printed ranking."""
+
     file_id: str
     final_score: float
     direct_score: float
@@ -110,13 +121,42 @@ class RankEntry:
 
 @dataclass
 class RankedList:
+    """One query's scores over the project's files, and their order.
+
+    ``final``, ``direct`` and ``indirect`` are score arrays over ``files``,
+    the project's file ids in path order. ``entries`` holds the file
+    columns from best to worst: a stable sort of ``final``, so tied files
+    keep path order. :class:`RankEntry` rows are built only by
+    :meth:`rows`, for output.
+    """
+
     query_bug_id: str
-    entries: list[RankEntry]
     method_id: int
+    files: list[str]
+    final: np.ndarray
+    direct: np.ndarray
+    indirect: np.ndarray
+    entries: np.ndarray
 
     @property
     def file_ids(self) -> list[str]:
-        return [e.file_id for e in self.entries]
+        """File ids from best to worst."""
+        files = self.files
+        return [files[j] for j in self.entries.tolist()]
+
+    def rows(self, limit: int | None = None) -> list[RankEntry]:
+        """The first ``limit`` ranked files (all by default) as rows, best first."""
+        order = self.entries[:limit]
+        files = self.files
+        return list(map(RankEntry, [files[j] for j in order.tolist()],
+                        self.final[order].tolist(), self.direct[order].tolist(),
+                        self.indirect[order].tolist()))
+
+    def ranks_of(self, columns: np.ndarray) -> np.ndarray:
+        """Ascending 1-based ranks of the files at ``columns``."""
+        wanted = np.zeros(len(self.files), dtype=bool)
+        wanted[columns] = True
+        return np.flatnonzero(wanted[self.entries]) + 1
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -125,7 +165,7 @@ class RankedList:
     def dump_csv(self, fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["bug_id", "rank", "file_path", "final", "direct", "indirect"])
-        for rank, e in enumerate(self.entries, start=1):
+        for rank, e in enumerate(self.rows(), start=1):
             writer.writerow([self.query_bug_id, rank, e.file_id,
                              f"{e.final_score:.10g}", f"{e.direct_score:.10g}",
                              f"{e.indirect_score:.10g}"])
@@ -137,8 +177,9 @@ _TFIDF_SCOPES = {TFIDF_LOCAL: "local", TFIDF_GLOBAL: "global"}
 class _TfidfScope:
     """A project's TF.IDF data under one vocabulary.
 
-    File postings, length factors and report vectors are built up front;
-    the report postings only when a method ranks through history.
+    File postings, length factors, report vectors and each report's
+    :func:`~bugloc.tfidf.query_terms` are built up front; the report
+    postings only when a method ranks through history.
     """
 
     def __init__(self, vocab: tfidf.Vocabulary, files, reports,
@@ -149,6 +190,7 @@ class _TfidfScope:
         self.length_weights = np.array([tfidf.length_weight(v.term_count, normalizer)
                                         for v in vectors])  # rVSM logistic factor per file
         self.report_vectors = [tfidf.vectorize(r.token_stream, vocab) for r in reports]
+        self.queries = [tfidf.query_terms(v) for v in self.report_vectors]
 
     @cached_property
     def reports(self) -> tfidf.Postings:
@@ -268,6 +310,11 @@ class Artifacts:
         return (np.concatenate(([0], np.cumsum(counts, dtype=np.intp))),
                 np.array(columns, dtype=np.intp), np.array(sizes, dtype=float))
 
+    def fixed_columns(self, row: int) -> np.ndarray:
+        """Columns of the files that the project's report ``row`` fixed."""
+        offsets, columns, _ = self._project_pairs
+        return columns[offsets[row]:offsets[row + 1]]
+
     def _bridge(self, rows: np.ndarray, sims: np.ndarray) -> np.ndarray:
         """Per file, the sum over the history reports B (project rows
         ``rows``) that fixed it of ``sims[B] / |fixed(B)|`` (``sims``
@@ -301,7 +348,7 @@ def _direct_scores(row: int, kind: str, artifacts: Artifacts) -> np.ndarray:
     """Direct scores of the project's report ``row`` against every file."""
     if kind in _TFIDF_SCOPES:
         data = artifacts._tfidf_scope(_TFIDF_SCOPES[kind])
-        return data.length_weights * data.files.cosines(data.report_vectors[row])
+        return data.length_weights * data.files.cosines(*data.queries[row])
     if kind == DOC2VEC_GLOBAL:
         files = artifacts.file_doc_vectors
         vectors, norms = artifacts.report_doc_vectors
@@ -321,7 +368,7 @@ def _history_sims(row: int, history: np.ndarray, kind: str,
     if kind not in _TFIDF_SCOPES:
         raise ValueError(f"unknown indirect model {kind!r}")
     data = artifacts._tfidf_scope(_TFIDF_SCOPES[kind])
-    return data.reports.cosines(data.report_vectors[row])[history]
+    return data.reports.cosines(*data.queries[row])[history]
 
 
 def _indirect_scores(row: int, history: np.ndarray, kind: str,
@@ -336,19 +383,24 @@ def _indirect_scores(row: int, history: np.ndarray, kind: str,
     return artifacts._bridge(history, _history_sims(row, history, kind, artifacts))
 
 
-def history_for(query: BugReport, project: Project, policy: str = "earlier") -> list[BugReport]:
-    """Reports usable as history for a query: everything strictly earlier
-    in the project ordering, or every other report under ``policy="all"``."""
+def history_at(project: Project, row: int, policy: str = "earlier") -> list[BugReport]:
+    """Reports usable as history for the project's report ``row``: the
+    reports before it in the project ordering, or every other report under
+    ``policy="all"``."""
+    reports = project.bug_reports
+    if policy == "earlier":
+        return reports[:row]
     if policy == "all":
-        return [r for r in project.bug_reports if r.id != query.id]
-    if policy != "earlier":
-        raise ValueError(f"unknown history policy {policy!r}")
-    out = []
-    for report in project.bug_reports:
+        return reports[:row] + reports[row + 1:]
+    raise ValueError(f"unknown history policy {policy!r}")
+
+
+def history_for(query: BugReport, project: Project, policy: str = "earlier") -> list[BugReport]:
+    """:func:`history_at` for the project's report with the query's id."""
+    for row, report in enumerate(project.bug_reports):
         if report.id == query.id:
-            break
-        out.append(report)
-    return out
+            return history_at(project, row, policy)
+    raise ValueError(f"report {query.id!r} is not a report of project {project.name}")
 
 
 def localize(query: BugReport, project: Project, config: MethodConfig,
@@ -369,8 +421,5 @@ def localize(query: BugReport, project: Project, config: MethodConfig,
     direct = _direct_scores(row, config.direct_model, artifacts)
     indirect = _indirect_scores(row, rows, config.indirect_model, artifacts)
     final = fuse(direct, indirect, config.w1, config.w2)
-    ids, finals, directs, indirects = (artifacts.file_ids, final.tolist(), direct.tolist(),
-                                       indirect.tolist())
-    entries = [RankEntry(ids[j], finals[j], directs[j], indirects[j])
-               for j in np.argsort(-final, kind="stable").tolist()]
-    return RankedList(query_bug_id=query.id, entries=entries, method_id=config.method_id)
+    return RankedList(query.id, config.method_id, artifacts.file_ids, final, direct, indirect,
+                      np.argsort(-final, kind="stable"))

@@ -21,6 +21,7 @@ reproduces :func:`cosine` for every pair bit for bit (see its docstring).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -157,13 +158,17 @@ def build_global_idf(benchmark: Benchmark, held_out: str,
 
 
 def vectorize(stream: TokenStream, vocab: Vocabulary) -> TfIdfVector:
-    """TF.IDF weights for one stream; out-of-vocabulary terms are dropped."""
-    counts: dict[int, int] = {}
-    for term in stream.tokens:
-        term_id = vocab.term_ids.get(term)
-        if term_id is not None:
-            counts[term_id] = counts.get(term_id, 0) + 1
-    weights = {tid: (math.log(f) + 1.0) * vocab.idf(tid) for tid, f in counts.items()}
+    """TF.IDF weights for one stream; out-of-vocabulary terms are dropped.
+
+    Terms keep the order of their first occurrence (``Counter`` keeps it),
+    which fixes the order :meth:`TfIdfVector.norm` adds the weights in.
+    """
+    term_ids = vocab.term_ids
+    weights = {}
+    for term, f in Counter(stream.tokens).items():
+        tid = term_ids.get(term)
+        if tid is not None:
+            weights[tid] = (math.log(f) + 1.0) * vocab.idf(tid)
     return TfIdfVector(weights=weights, term_count=len(stream.tokens))
 
 
@@ -207,6 +212,14 @@ def span_indices(offsets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.n
     return np.arange(len(owner)) + shift[owner], owner
 
 
+def query_terms(vector: TfIdfVector) -> tuple[np.ndarray, np.ndarray, float]:
+    """What :meth:`Postings.cosines` reads of a query vector: its term ids in
+    ascending order, their weights in that order, and its norm."""
+    terms = sorted(vector.weights)
+    return (np.array(terms, dtype=np.intp), np.array([vector.weights[t] for t in terms]),
+            vector.norm())
+
+
 class Postings:
     """Term-major index over a list of TF.IDF vectors (the rows).
 
@@ -234,23 +247,22 @@ class Postings:
         self.weights = weights[order]
         self.offsets = np.concatenate(([0], np.cumsum(np.bincount(terms, minlength=n_terms))))
         self.norms = np.array([v.norm() for v in vectors], dtype=float)
-        self._scored = self.norms != 0.0
+        self._scored = np.flatnonzero(self.norms)   # rows with a nonzero norm
+        self._scored_norms = self.norms[self._scored]
 
     def __len__(self) -> int:
         return len(self.norms)
 
-    def cosines(self, query: TfIdfVector) -> np.ndarray:
-        """``cosine(query, row)`` for every row, in row order."""
+    def cosines(self, terms: np.ndarray, weights: np.ndarray, norm: float) -> np.ndarray:
+        """``cosine(query, row)`` for every row, in row order, for the query
+        that :func:`query_terms` describes as ``(terms, weights, norm)``."""
         out = np.zeros(len(self))
-        query_norm = query.norm()
-        if query_norm == 0.0:
+        if norm == 0.0:
             return out
-        terms = sorted(query.weights)
-        idx, owner = span_indices(self.offsets, np.array(terms, dtype=np.intp))
-        query_weights = np.array([query.weights[t] for t in terms])
-        dots = np.bincount(self.rows[idx], weights=query_weights[owner] * self.weights[idx],
+        idx, owner = span_indices(self.offsets, terms)
+        dots = np.bincount(self.rows[idx], weights=weights[owner] * self.weights[idx],
                            minlength=len(self))
-        out[self._scored] = dots[self._scored] / (query_norm * self.norms[self._scored])
+        out[self._scored] = dots[self._scored] / (norm * self._scored_norms)
         return out
 
 

@@ -71,15 +71,15 @@ def test_criterion_1_rvsm_oracle_equivalence():
 def test_criterion_2_metric_fixtures():
     with criterion(2, "MRR/MAP fixtures exact, Top-N monotone on 1000 sets", 5):
         ranks_result = [
-            metrics.QueryResult("q1", ["a", "b", "c", "d"], {"a"}),
-            metrics.QueryResult("q2", ["a", "b", "c", "d"], {"b"}),
-            metrics.QueryResult("q3", ["a", "b", "c", "d"], {"d"}),
+            metrics.QueryResult.from_ranking("q1", ["a", "b", "c", "d"], {"a"}),
+            metrics.QueryResult.from_ranking("q2", ["a", "b", "c", "d"], {"b"}),
+            metrics.QueryResult.from_ranking("q3", ["a", "b", "c", "d"], {"d"}),
         ]
         assert metrics.mrr(ranks_result) == (1 + 0.5 + 0.25) / 3
         assert metrics.mrr(ranks_result) == pytest.approx(0.58333, abs=5e-6)
 
         ap = metrics.average_precision(
-            metrics.QueryResult("q", ["r1", "x", "r2", "y"], {"r1", "r2"}))
+            metrics.QueryResult.from_ranking("q", ["r1", "x", "r2", "y"], {"r1", "r2"}))
         assert ap == (1 + 2 / 3) / 2
         assert ap == pytest.approx(0.83333, abs=5e-6)
 
@@ -91,7 +91,7 @@ def test_criterion_2_metric_fixtures():
             for q in range(n_queries):
                 ranked = rng.sample(pool, rng.randint(1, len(pool)))
                 relevant = {rng.choice(pool)}
-                results.append(metrics.QueryResult(f"q{q}", ranked, relevant))
+                results.append(metrics.QueryResult.from_ranking(f"q{q}", ranked, relevant))
             counts = [metrics.top_n(results, n) for n in (1, 2, 3, 5, 8, 12)]
             assert counts == sorted(counts)
             assert counts[-1] <= len(results)

@@ -8,6 +8,7 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
+from bugloc import rank
 from bugloc.cache import ArtifactCache
 from bugloc.cli import Settings, main, read_config_file
 from bugloc.embedding import EmbeddingConfig, PV_DM
@@ -288,3 +289,78 @@ def test_duplicate_bug_id_is_one_json_error(tmp_path, runner):
     lines = result.stderr.splitlines()
     assert len(lines) == 1
     assert "dup: duplicate bug id 'B-1'" in json.loads(lines[0])["error"]
+
+
+class TestEvaluateProjects:
+    def test_repeated_name_evaluated_once(self, synth_benchmark, tmp_path, runner):
+        root, benchmark, _ = synth_benchmark
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["evaluate", "--benchmark", str(root), "--methods", "1",
+                                      "--projects", "proj1, proj1,", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = list(csv.DictReader(open(out / "metrics.csv")))
+        n_queries = len(benchmark.project("proj1").bug_reports)
+        assert [(r["project"], r["n_queries"]) for r in rows] == \
+            [("proj1", str(n_queries)), ("ALL", str(n_queries))]
+        assert len(list(csv.DictReader(open(out / "per_query.csv")))) == n_queries
+
+    def test_unknown_name_fails_before_any_ranking(self, synth_benchmark, tmp_path, runner,
+                                                   monkeypatch):
+        root, _, _ = synth_benchmark
+        ranked = []
+        localize = rank.localize
+        monkeypatch.setattr(rank, "localize", lambda *a, **k: ranked.append(1) or localize(*a, **k))
+        result = runner.invoke(main, ["evaluate", "--benchmark", str(root), "--methods", "1",
+                                      "--projects", "proj1,nope", "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "unknown project: nope"
+        assert ranked == []
+        assert not (tmp_path / "o").exists()
+
+
+def test_unknown_config_key_is_one_json_error(synth_benchmark, tmp_path, runner):
+    root, _, _ = synth_benchmark
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epoch = 5\nseed = 3\n")
+    result = runner.invoke(main, ["evaluate", "--benchmark", str(root), "--methods", "1",
+                                  "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert "unknown config key 'epoch'" in json.loads(lines[0])["error"]
+    with pytest.raises(BugLocError, match="'epoch'"):
+        Settings(cfg, {})
+
+
+def test_readme_config_keys_are_the_recognized_ones(tmp_path):
+    readme = ["seed", "methods", "history_policy", "vector_size", "alpha", "window",
+              "min_count", "negative", "sample", "epochs", "infer_epochs", "min_token_length",
+              "split_compounds", "stopwords_path", "keywords_path"]
+    assert Settings._KEYS == set(readme)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = 1\n" for key in readme))
+    assert Settings(cfg, {}).file_values.keys() == set(readme)
+
+
+def test_evaluate_builds_no_rank_entry(synth_benchmark, tmp_path, runner, monkeypatch):
+    root, _, _ = synth_benchmark
+    built = []
+
+    class CountingEntry(rank.RankEntry):
+        def __new__(cls, *args):
+            built.append(args[0])
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(rank, "RankEntry", CountingEntry)
+    result = runner.invoke(main, ["evaluate", "--benchmark", str(root), "--methods", "1,3",
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 0, result.output
+    assert built == []
+    # the probe does see the rows a localize call writes
+    result = runner.invoke(main, ["localize", "--benchmark", str(root), "--project", "proj1",
+                                  "--bug", "BUG-proj1-001", "--method", "1",
+                                  "--out", str(tmp_path / "l")])
+    assert result.exit_code == 0, result.output
+    assert built

@@ -1,0 +1,23 @@
+"""Every demo runs to completion against the package in ``src/``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 4
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          cwd=tmp_path, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,8 +13,7 @@ from bugloc.metrics import (MetricsReport, QueryResult, average_precision,
 
 
 def result(ranked, relevant, bug_id="q"):
-    return QueryResult(bug_id=bug_id, ranked_file_ids=list(ranked),
-                       relevant_file_ids=set(relevant))
+    return QueryResult.from_ranking(bug_id, list(ranked), relevant)
 
 
 class TestReciprocalRank:
@@ -138,7 +138,65 @@ def test_query_result_validation():
     with pytest.raises(ValueError):
         result("abc", "")
     with pytest.raises(ValueError):
-        QueryResult("q", ["a", "a"], {"a"})
+        QueryResult.from_ranking("q", ["a", "a"], {"a"})
+
+
+@pytest.mark.parametrize("ranks, n_relevant", [((), 0), ((1, 2), 1), ((2, 2), 2),
+                                               ((3, 1), 2), ((0,), 1)])
+def test_query_result_rejects_impossible_ranks(ranks, n_relevant):
+    with pytest.raises(ValueError, match="query q"):
+        QueryResult("q", ranks, n_relevant)
+
+
+def test_from_ranking_keeps_ascending_ranks_and_counts_unranked_files():
+    r = QueryResult.from_ranking("q", ["x", "r2", "y", "r1"], {"r1", "r2", "gone"})
+    assert (r.relevant_ranks, r.n_relevant) == ((2, 4), 3)
+
+
+# The list-walking formulas the rank-based metrics replaced, kept as the
+# reference they must reproduce bit for bit.
+def list_rr(ranked, relevant):
+    for i, file_id in enumerate(ranked, start=1):
+        if file_id in relevant:
+            return 1.0 / i
+    return 0.0
+
+
+def list_ap(ranked, relevant):
+    hits = 0
+    precision_sum = 0.0
+    for j, file_id in enumerate(ranked, start=1):
+        if file_id in relevant:
+            hits += 1
+            precision_sum += hits / j
+    return precision_sum / len(relevant)
+
+
+def list_top_n(ranked, relevant, n):
+    return any(file_id in relevant for file_id in ranked[:n])
+
+
+@given(st.data())
+def test_ranks_from_tied_scores_match_list_formulas(data):
+    n_files = data.draw(st.integers(1, 40))
+    scores = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n_files,
+                                         max_size=n_files)), dtype=float)
+    columns = data.draw(st.sets(st.integers(0, n_files - 1), min_size=1))
+    missing = data.draw(st.integers(0, 2))  # relevant files not in the ranking
+    ids = [f"f{j:02d}" for j in range(n_files)]
+    order = np.argsort(-scores, kind="stable")  # few distinct values: many exact ties
+    ranked = [ids[j] for j in order]
+    relevant = {ids[j] for j in columns} | {f"gone{k}" for k in range(missing)}
+
+    wanted = np.zeros(n_files, dtype=bool)
+    wanted[list(columns)] = True
+    ranks = tuple((np.flatnonzero(wanted[order]) + 1).tolist())
+    from_ranks = QueryResult("q", ranks, len(relevant))
+    assert from_ranks == QueryResult.from_ranking("q", ranked, relevant)
+    assert reciprocal_rank(from_ranks) == list_rr(ranked, relevant)
+    assert average_precision(from_ranks) == list_ap(ranked, relevant)
+    for n in (1, 5, 10):
+        assert top_n([from_ranks], n) == list_top_n(ranked, relevant, n)
 
 
 def test_first_relevant_rank():

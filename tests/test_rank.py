@@ -7,7 +7,7 @@ import pytest
 from bugloc import embedding, tfidf
 from bugloc.corpus import Benchmark, BugReport, Project, SourceFile
 from bugloc.preprocess import PreprocessConfig, preprocess_project
-from bugloc.rank import Artifacts, MethodConfig, fuse, history_for, localize
+from bugloc.rank import Artifacts, MethodConfig, fuse, history_at, history_for, localize
 
 CONFIG = PreprocessConfig()
 
@@ -52,7 +52,7 @@ def toy_with(*extra):
 
 def scores(ranked, kind):
     """``{file id: score}`` of one kind ("direct", "indirect", "final")."""
-    return {e.file_id: getattr(e, f"{kind}_score") for e in ranked.entries}
+    return {e.file_id: getattr(e, f"{kind}_score") for e in ranked.rows()}
 
 
 class TestMethodTable:
@@ -236,6 +236,21 @@ class TestHistory:
     def test_unknown_policy(self, toy_project):
         with pytest.raises(ValueError):
             history_for(toy_project.bug_reports[0], toy_project, policy="future")
+        with pytest.raises(ValueError):
+            history_at(toy_project, 0, policy="future")
+
+    @pytest.mark.parametrize("policy", ["earlier", "all"])
+    def test_by_row_matches_by_query(self, toy_project, policy):
+        for row, query in enumerate(toy_project.bug_reports):
+            by_row = history_at(toy_project, row, policy)
+            assert by_row == history_for(query, toy_project, policy)
+            assert all(r is toy_project.bug_reports[i] for i, r in enumerate(by_row)
+                       if policy == "earlier" or i < row)
+
+    def test_query_from_another_project_rejected(self, toy_project):
+        stranger = dataclasses.replace(toy_project.bug_reports[0], id="B-9")
+        with pytest.raises(ValueError, match="'B-9' is not a report of project toy"):
+            history_for(stranger, toy_project)
 
 
 class TestLocalize:
@@ -245,7 +260,7 @@ class TestLocalize:
                           MethodConfig.from_id(1), artifacts)
         assert len(ranked.entries) == len(toy_project.source_files)
         assert set(ranked.file_ids) == toy_project.file_ids
-        finals = [e.final_score for e in ranked.entries]
+        finals = [e.final_score for e in ranked.rows()]
         assert finals == sorted(finals, reverse=True)
 
     def test_planted_file_ranks_first(self, toy_project):
@@ -278,7 +293,21 @@ class TestLocalize:
         a = localize(query, toy_project, MethodConfig.from_id(3), artifacts)
         b = localize(query, toy_project, MethodConfig.from_id(3), Artifacts(toy_project))
         assert a.file_ids == b.file_ids
-        assert [e.final_score for e in a.entries] == [e.final_score for e in b.entries]
+        assert [e.final_score for e in a.rows()] == [e.final_score for e in b.rows()]
+
+    def test_rows_and_ranks_follow_entries(self, toy_project):
+        ranked = localize(toy_project.bug_reports[1], toy_project, MethodConfig.from_id(3),
+                          Artifacts(toy_project))
+        rows = ranked.rows()
+        assert [e.file_id for e in rows] == ranked.file_ids
+        assert ranked.rows(2) == rows[:2]
+        for e in rows:
+            j = ranked.files.index(e.file_id)
+            assert (e.final_score, e.direct_score, e.indirect_score) == \
+                (ranked.final[j], ranked.direct[j], ranked.indirect[j])
+        columns = np.array([ranked.files.index("Quagmire.java"), ranked.files.index("Empty.java")])
+        expected = sorted(ranked.file_ids.index(f) + 1 for f in ("Quagmire.java", "Empty.java"))
+        assert ranked.ranks_of(columns).tolist() == expected
 
     def test_csv_round_trip(self, toy_project, tmp_path):
         artifacts = Artifacts(toy_project)
@@ -328,8 +357,8 @@ def reference_scores(query, history, config, project, vocab):
 
 def assert_matches_reference(ranked, query, history, config, project, vocab):
     final, direct, indirect = reference_scores(query, history, config, project, vocab)
-    assert [e.file_id for e in ranked.entries] == sorted(final, key=lambda f: (-final[f], f))
-    for e in ranked.entries:
+    assert [e.file_id for e in ranked.rows()] == sorted(final, key=lambda f: (-final[f], f))
+    for e in ranked.rows():
         assert e.final_score == final[e.file_id]
         assert e.direct_score == direct[e.file_id]
         assert e.indirect_score == indirect[e.file_id]
@@ -404,7 +433,7 @@ class TestMatchesPerPairReference:
                 assert_matches_reference(ranked, query, history, config, project,
                                          artifacts.local_vocab)
         ranked = localize(project.bug_reports[2], project, config, artifacts)
-        scores = {e.file_id: e.indirect_score for e in ranked.entries}
+        scores = {e.file_id: e.indirect_score for e in ranked.rows()}
         vocab = artifacts.local_vocab
         query_vec = tfidf.vectorize(project.bug_reports[2].token_stream, vocab)
         sim1, sim2 = (tfidf.cosine(query_vec, tfidf.vectorize(r.token_stream, vocab))
@@ -434,7 +463,7 @@ class TestMatchesPerPairReference:
             report("B-2", "kestrel osprey", {"Other.java"}, "2021-02-01")])
         ranked = localize(project.bug_reports[1], project, MethodConfig.from_id(method_id),
                           Artifacts(project))
-        twins = [e for e in ranked.entries if e.file_id.endswith("Twin.java")]
+        twins = [e for e in ranked.rows() if e.file_id.endswith("Twin.java")]
         assert [e.file_id for e in twins] == ["a-b/Twin.java", "a/Twin.java", "b/Twin.java"]
         assert len({(e.final_score, e.direct_score, e.indirect_score) for e in twins}) == 1
         assert twins[0].direct_score > 0
