@@ -1,12 +1,33 @@
-"""On-disk cache for offline-trained global models and the token-stream index.
+"""On-disk cache: offline-trained global models, the token-stream index of
+the benchmark, and per-project ranking indexes.
+
+Artifacts, one file each in the cache directory:
+
+- ``idf_<project>.txt``: the global IDF model with ``<project>`` held out;
+- ``dm_<project>.npz``, ``dbow_<project>.npz``: its paragraph-vector models;
+- ``tokens.bin``: the token streams of every document of the benchmark;
+- ``index_local_<project>.bin``, ``index_global_<project>.bin``: the
+  project's TF.IDF ranking arrays under that scope
+  (:class:`~bugloc.rank.TfidfScope`) and its file and report ids. The first
+  ``localize`` or ``evaluate`` that ranks with a scope builds its index;
+  ``train-global`` builds none.
 
 Every artifact gets a sidecar ``.meta.json`` holding a fingerprint of the
-corpus contents and the preprocessing/embedding configuration that
-produced it, plus the sha256 of the artifact's bytes. An artifact is
-written to a temporary file and moved into place, so it is never seen half
-written. A fingerprint mismatch forces a rebuild; so does an artifact that
-no longer matches its sha256 or cannot be read, with a warning. Nothing is
-trusted by filename alone, and nothing is unpickled.
+corpus and of the preprocessing/embedding configuration that produced it,
+plus the sha256 of the artifact's bytes. The corpus part is
+:func:`corpus_digest`, a hash over the bytes of every file the benchmark
+loader reads, listed by the loader's own functions. An artifact is written
+to a temporary file and moved into place, so it is never seen half written.
+A fingerprint mismatch forces a rebuild; so does an artifact that no longer
+matches its sha256 or cannot be read, with a warning. Nothing is trusted by
+filename, size or modification time, and nothing is unpickled.
+
+So a ``localize`` that finds its ranking index fresh reads the bytes of
+every benchmark file (to hash them), its own project (to check the index's
+file and report ids against it) and that one index, and preprocesses
+nothing. The digest is taken before the benchmark is read: an edit made
+while a call runs can be cached under the digest of the bytes before it,
+and the next call, which hashes the new bytes, rebuilds.
 """
 
 from __future__ import annotations
@@ -20,31 +41,46 @@ import sys
 from array import array
 from pathlib import Path
 
-from . import embedding, tfidf
-from .corpus import Benchmark
+import numpy as np
+
+from . import corpus, embedding, rank, tfidf
+from .corpus import Benchmark, Project
 from .preprocess import BUG_REPORT, SOURCE_FILE, PreprocessConfig, TokenStream
 
 logger = logging.getLogger(__name__)
 
 
-def corpus_digest(benchmark: Benchmark) -> str:
-    """Content hash over project names, file paths/texts and bug reports."""
-    h = hashlib.sha256()
-    for project in sorted(benchmark.projects, key=lambda p: p.name):
-        h.update(project.name.encode())
-        for src in project.source_files:
-            h.update(src.id.encode())
-            h.update(hashlib.sha256(src.raw_text.encode()).digest())
-        for report in project.bug_reports:
-            h.update(report.id.encode())
-            h.update(hashlib.sha256(report.text.encode()).digest())
-            h.update(",".join(sorted(report.fixed_files)).encode())
+def corpus_digest(root) -> str:
+    """sha256 over what the benchmark loader reads under ``root``: the
+    project directory names, the paths and bytes of each project's source
+    and bug-report files, ``manifest.csv``, and ``corpus.LOADER_VERSION``.
+    Each name and content goes in behind its tag and both lengths, so no two
+    benchmarks feed the hash the same stream."""
+    h = hashlib.sha256(b"bugloc-corpus %d\n" % corpus.LOADER_VERSION)
+    entries = []   # (tag, name relative to root, path to read or None)
+    for project in corpus.project_dirs(Path(root)):
+        entries.append((b"P", project.name, None))
+        files = corpus.project_files(project)
+        entries += [(b"F", f"{project.name}/sources/{rel}", f"{project}/sources/{rel}")
+                    for rel in files.sources]
+        entries += [(b"F", f"{project.name}/{rel}", f"{project}/{rel}") for rel in files.reports]
+    manifest = os.path.join(root, corpus.MANIFEST)
+    if os.path.isfile(manifest):
+        entries.append((b"M", corpus.MANIFEST, manifest))
+    for tag, name, path in entries:
+        data = b""
+        if path is not None:
+            with open(path, "rb", buffering=0) as fh:
+                data = fh.read()
+        encoded = name.encode("utf-8", "surrogateescape")
+        h.update(tag + struct.pack("<2q", len(encoded), len(data)) + encoded)
+        h.update(data)
     return h.hexdigest()
 
 
 def _documents(benchmark: Benchmark):
-    """(document, origin) in corpus_digest order: projects by name, each
-    project's source files, then its bug reports."""
+    """(document, origin) in index order: projects by name, each project's
+    source files, then its bug reports."""
     for project in sorted(benchmark.projects, key=lambda p: p.name):
         for src in project.source_files:
             yield src, SOURCE_FILE
@@ -101,6 +137,110 @@ def _decode_streams(data: bytes, origins: list[str]) -> list[TokenStream]:
             for origin, a, b in zip(origins, offsets, offsets[1:])]
 
 
+# Ranking index: this header line, the int64 number of arrays, a table of
+# one (name: 16 bytes, dtype: 8 bytes, both ASCII padded with NULs; length:
+# int64) record per array in _INDEX_ARRAYS order, then the arrays in that
+# order, little-endian, each padded with zeros to a multiple of 8 bytes.
+# "ids" is the JSON list [file ids in path order, report ids in row order].
+_INDEX_HEADER = b"bugloc-index v1\n"
+_INDEX_DTYPES = {"i8": np.dtype("<i8"), "f8": np.dtype("<f8"), "u1": np.dtype("u1")}
+_INDEX_ARRAYS = [
+    ("file_rows", "i8"), ("file_weights", "f8"), ("file_offsets", "i8"), ("file_norms", "f8"),
+    ("length_weights", "f8"),
+    ("report_rows", "i8"), ("report_weights", "f8"), ("report_offsets", "i8"),
+    ("query_offsets", "i8"), ("query_terms", "i8"), ("query_weights", "f8"),
+    ("query_norms", "f8"),
+    ("ids", "u1"),
+]
+_RECORD = struct.Struct("<16s8sq")
+
+
+def _encode_index(scope: rank.TfidfScope, file_ids: list[str],
+                  report_ids: list[str]) -> list[bytes]:
+    """The index of a scope, as the buffers to write in order. The report
+    postings' norms are the queries' norms, so they are stored once."""
+    files, reports = scope.files, scope.reports
+    ids = json.dumps([file_ids, report_ids]).encode()
+    values = {
+        "file_rows": files.rows, "file_weights": files.weights, "file_offsets": files.offsets,
+        "file_norms": files.norms, "length_weights": scope.length_weights,
+        "report_rows": reports.rows, "report_weights": reports.weights,
+        "report_offsets": reports.offsets,
+        "query_offsets": scope.query_offsets, "query_terms": scope.query_terms,
+        "query_weights": scope.query_weights, "query_norms": scope.query_norms,
+        "ids": np.frombuffer(ids, dtype=np.uint8),
+    }
+    table, chunks = [], []
+    for name, code in _INDEX_ARRAYS:
+        value = values[name]
+        raw = np.ascontiguousarray(value, dtype=_INDEX_DTYPES[code]).tobytes()
+        table.append(_RECORD.pack(name.encode(), code.encode(), len(value)))
+        chunks.append(raw + bytes(-len(raw) % 8))
+    return [_INDEX_HEADER, struct.pack("<q", len(table)), *table, *chunks]
+
+
+def _check_spans(offsets, indices, n_spans: int, bound: int, *aligned) -> None:
+    """Raise unless ``offsets`` cut ``indices`` into ``n_spans`` spans (from
+    0, never decreasing, to the end), every index is in ``[0, bound)`` and
+    every ``aligned`` array is as long as ``indices``."""
+    if (n_spans < 0 or len(offsets) != n_spans + 1 or offsets[0] != 0
+            or offsets[-1] != len(indices) or np.any(offsets[1:] < offsets[:-1])
+            or (len(indices) and not 0 <= indices.min() <= indices.max() < bound)
+            or any(len(a) != len(indices) for a in aligned)):
+        raise ValueError("ranking index offsets, indices or lengths out of range")
+
+
+def _decode_index(data: bytes) -> tuple[rank.TfidfScope, list[str], list[str]]:
+    """The scope, file ids and report ids of a verified index. The arrays
+    are read-only views of ``data``."""
+    if not data.startswith(_INDEX_HEADER):
+        raise ValueError("not a ranking index")
+    start = len(_INDEX_HEADER) + 8 + _RECORD.size * len(_INDEX_ARRAYS)
+    if len(data) < start or struct.unpack_from("<q", data, len(_INDEX_HEADER))[0] != len(
+            _INDEX_ARRAYS):
+        raise ValueError("ranking index table cut short or of another layout")
+    a, offset = {}, start
+    for i, (name, code) in enumerate(_INDEX_ARRAYS):
+        got_name, got_code, length = _RECORD.unpack_from(
+            data, len(_INDEX_HEADER) + 8 + _RECORD.size * i)
+        dtype = _INDEX_DTYPES[code]
+        size = length * dtype.itemsize
+        if (got_name.rstrip(b"\0") != name.encode() or got_code.rstrip(b"\0") != code.encode()
+                or length < 0 or offset + size > len(data)):
+            raise ValueError(f"ranking index array {name} missing or cut short")
+        a[name] = np.frombuffer(data, dtype=dtype, count=length, offset=offset)
+        offset += size + -size % 8
+    if offset != len(data):
+        raise ValueError("ranking index has trailing bytes")
+    ids = json.loads(a["ids"].tobytes())
+    if not (isinstance(ids, list) and len(ids) == 2
+            and all(isinstance(x, list) and all(isinstance(i, str) for i in x) for x in ids)):
+        raise ValueError("ranking index ids are not two lists of strings")
+    file_ids, report_ids = ids
+    n_files, n_reports, n_terms = len(file_ids), len(report_ids), len(a["file_offsets"]) - 1
+    _check_spans(a["file_offsets"], a["file_rows"], n_terms, n_files, a["file_weights"])
+    _check_spans(a["report_offsets"], a["report_rows"], n_terms, n_reports, a["report_weights"])
+    _check_spans(a["query_offsets"], a["query_terms"], n_reports, n_terms, a["query_weights"])
+    if (len(a["file_norms"]) != n_files or len(a["length_weights"]) != n_files
+            or len(a["query_norms"]) != n_reports):
+        raise ValueError("ranking index lengths disagree with its file and report counts")
+    scope = rank.TfidfScope(
+        tfidf.Postings(a["file_rows"], a["file_weights"], a["file_offsets"], a["file_norms"]),
+        a["length_weights"],
+        (a["query_offsets"], a["query_terms"], a["query_weights"], a["query_norms"]),
+        reports=tfidf.Postings(a["report_rows"], a["report_weights"], a["report_offsets"],
+                               a["query_norms"]))
+    return scope, file_ids, report_ids
+
+
+def _write_chunks(chunks):
+    """A ``write(path)`` for :meth:`ArtifactCache._store` writing the buffers."""
+    def write(tmp):
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+    return write
+
+
 def _file_sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -135,22 +275,38 @@ def _fingerprint(kind: str, held_out: str, corpus: str,
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-class ArtifactCache:
-    """Directory of per-held-out-project global models and of the token
-    streams of the whole benchmark."""
+_REBUILD = {"tokens": "re-preprocessing", "index_local": "rebuilding",
+            "index_global": "rebuilding"}
 
-    def __init__(self, directory, benchmark: Benchmark,
-                 preprocess_config: PreprocessConfig,
+
+class ArtifactCache:
+    """Directory of per-held-out-project global models, the token streams
+    of the whole benchmark and per-project ranking indexes.
+
+    ``benchmark`` is a loaded :class:`~bugloc.corpus.Benchmark`, or the
+    root directory of one. A cache over a root serves ranking indexes
+    (:meth:`stored_scope`) before anything is loaded; what else it serves
+    reads ``self.benchmark``, which the caller sets once it has loaded it.
+    """
+
+    def __init__(self, directory, benchmark, preprocess_config: PreprocessConfig,
                  embed_config: embedding.EmbeddingConfig | None = None):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.benchmark = benchmark
+        if isinstance(benchmark, Benchmark):
+            if benchmark.root is None:
+                raise ValueError("the benchmark was not loaded from a directory")
+            self.benchmark, root = benchmark, benchmark.root
+        else:
+            self.benchmark, root = None, benchmark
         self.preprocess_config = preprocess_config
         self.embed_config = embed_config
-        self._corpus = corpus_digest(benchmark)
+        self._corpus = corpus_digest(root)
+        # ranking indexes found unusable, so asking again builds without re-reading
+        self._missed: set[tuple[str, str]] = set()
 
     def _paths(self, kind: str, held_out: str) -> tuple[Path, Path]:
-        suffix = {"idf": "txt", "tokens": "bin"}.get(kind, "npz")
+        suffix = {"idf": "txt", "dm": "npz", "dbow": "npz"}.get(kind, "bin")
         stem = f"{kind}_{held_out}" if held_out else kind
         artifact = self.directory / f"{stem}.{suffix}"
         return artifact, artifact.with_suffix(artifact.suffix + ".meta.json")
@@ -162,7 +318,7 @@ class ArtifactCache:
         artifact, meta = self._paths(kind, held_out)
         if not artifact.is_file() or not meta.is_file():
             return False
-        rebuild = "re-preprocessing" if kind == "tokens" else "retraining"
+        rebuild = _REBUILD.get(kind, "retraining")
         try:
             recorded = json.loads(meta.read_text("utf-8"))
             fingerprint, sha = recorded["fingerprint"], recorded["sha256"]
@@ -214,12 +370,52 @@ class ArtifactCache:
     def save_token_streams(self) -> None:
         """Write the index of every document's current ``token_stream``."""
         chunks = _encode_streams(doc.token_stream for doc, _ in _documents(self.benchmark))
+        self._store("tokens", "", None, _write_chunks(chunks))
 
-        def write(tmp):
-            with open(tmp, "wb") as fh:
-                fh.writelines(chunks)
+    def stored_scope(self, project: Project, scope: str) -> rank.TfidfScope | None:
+        """The project's TF.IDF arrays under ``scope`` ("local" or "global")
+        from its ranking index; None when the index is missing, stale or
+        damaged (with a warning), or holds other file or report ids than
+        ``project``."""
+        kind = f"index_{scope}"
+        if (kind, project.name) in self._missed:
+            return None
+        artifact, _ = self._paths(kind, project.name)
+        found = None
+        try:
+            data = artifact.read_bytes()
+        except OSError:
+            data = None
+        if data is not None and self._is_fresh(kind, project.name, None, data):
+            try:
+                found, file_ids, report_ids = _decode_index(data)
+            except ValueError as exc:  # JSON and UTF-8 errors are ValueErrors
+                logger.warning("corrupt ranking index %s (%s); rebuilding", artifact.name, exc)
+            else:
+                if (file_ids != sorted(f.id for f in project.source_files)
+                        or report_ids != [r.id for r in project.bug_reports]):
+                    logger.info("ranking index %s is of other files or reports; rebuilding",
+                                artifact.name)
+                    found = None
+        if found is None:
+            self._missed.add((kind, project.name))
+        return found
 
-        self._store("tokens", "", None, write)
+    def tfidf_scope(self, artifacts: rank.Artifacts, scope: str) -> rank.TfidfScope:
+        """The TF.IDF arrays of ``artifacts.project`` under ``scope``: from
+        its ranking index, or else built from the artifacts' token streams
+        and the scope's vocabulary and stored as its index."""
+        project = artifacts.project
+        found = self.stored_scope(project, scope)
+        if found is None:
+            vocab = (self.global_vocabulary(project.name) if scope == "global"
+                     else artifacts.local_vocab)
+            found = artifacts.build_scope(vocab)
+            chunks = _encode_index(found, artifacts.file_ids,
+                                   [r.id for r in project.bug_reports])
+            self._store(f"index_{scope}", project.name, None, _write_chunks(chunks))
+            self._missed.discard((f"index_{scope}", project.name))
+        return found
 
     def global_vocabulary(self, held_out: str) -> tfidf.Vocabulary:
         """Load or build the leakage-safe global IDF model for a project."""

@@ -22,9 +22,9 @@ import click
 
 from . import embedding, metrics, rank
 from .cache import ArtifactCache
-from .corpus import load_benchmark
+from .corpus import load_benchmark, load_benchmark_project
 from .errors import BugLocError
-from .preprocess import PreprocessConfig, preprocess_benchmark
+from .preprocess import PreprocessConfig, preprocess_benchmark, preprocess_project
 
 
 # '#' at the start of a line or after whitespace starts a comment; inside a
@@ -150,41 +150,58 @@ def fail_cleanly(fn):
     return wrapper
 
 
-def _load(settings, benchmark_path, cache_dir=None):
-    """The benchmark with every token stream filled, and the call's artifact
-    cache (None without ``--cache``).
+def _cache(settings, benchmark_path, cache_dir) -> ArtifactCache | None:
+    """The call's artifact cache over the benchmark's bytes; None without
+    ``--cache``."""
+    if cache_dir is None:
+        return None
+    return ArtifactCache(cache_dir, benchmark_path, settings.preprocess_config(),
+                         settings.embedding_config())
+
+
+def _load(settings, benchmark_path, cache=None):
+    """The benchmark with every token stream filled.
 
     With a cache, the streams come from its token-stream index; on a miss
     the benchmark is preprocessed and the index written for later calls.
     """
     benchmark = load_benchmark(benchmark_path, strict=False)
-    config = settings.preprocess_config()
-    cache = None
-    if cache_dir is not None:
-        cache = ArtifactCache(cache_dir, benchmark, config, settings.embedding_config())
+    if cache is not None:
+        cache.benchmark = benchmark
     if cache is None or not cache.load_token_streams():
-        preprocess_benchmark(benchmark, config)
+        preprocess_benchmark(benchmark, settings.preprocess_config())
         if cache is not None:
             cache.save_token_streams()
-    return benchmark, cache
+    return benchmark
 
 
 def _artifacts_for(project, cache, method_ids, settings) -> rank.Artifacts:
-    """Artifacts covering the union of the given methods' model needs."""
+    """Artifacts covering the union of the given methods' model needs; with
+    a cache, their TF.IDF scopes come from its ranking indexes."""
     configs = [rank.MethodConfig.from_id(m) for m in method_ids]
     infer_epochs = settings.infer_epochs()
     if cache is None and any(c.needs_global_tfidf or c.needs_embeddings for c in configs):
         raise BugLocError(
             f"methods {sorted(c.method_id for c in configs)} need global "
             "models: pass --cache")
-    global_vocab = dm = dbow = None
-    if any(c.needs_global_tfidf for c in configs):
-        global_vocab = cache.global_vocabulary(project.name)
+    dm = dbow = None
     if any(c.needs_embeddings for c in configs):
         dm = cache.embedding_model(project.name, embedding.PV_DM)
         dbow = cache.embedding_model(project.name, embedding.PV_DBOW)
-    return rank.Artifacts(project, global_vocab=global_vocab, dm_model=dm,
-                          dbow_model=dbow, infer_epochs=infer_epochs)
+    artifacts = rank.Artifacts(project, dm_model=dm, dbow_model=dbow, infer_epochs=infer_epochs)
+    if cache is not None:
+        for scope in sorted(set().union(*(c.tfidf_scopes for c in configs))):
+            artifacts.scopes[scope] = cache.tfidf_scope(artifacts, scope)
+    return artifacts
+
+
+def _indexed_artifacts(cache, benchmark_path, project_name, method) -> rank.Artifacts | None:
+    """Artifacts for a TF.IDF method from the project alone, unpreprocessed,
+    and its ranking index; None when the index misses."""
+    (scope,) = method.tfidf_scopes
+    project = load_benchmark_project(benchmark_path, project_name, strict=False)
+    found = cache.stored_scope(project, scope)
+    return None if found is None else rank.Artifacts(project, scopes={scope: found})
 
 
 _common_options = [
@@ -243,7 +260,8 @@ def main():
 def cmd_train_global(benchmark_path, cache_dir, held_out, embeddings, **kwargs):
     """Build global IDF and paragraph-vector models per held-out project."""
     settings = _settings(kwargs)
-    benchmark, cache = _load(settings, benchmark_path, cache_dir)
+    cache = _cache(settings, benchmark_path, cache_dir)
+    benchmark = _load(settings, benchmark_path, cache)
     names = list(held_out) or benchmark.project_names
     for name in names:
         benchmark.project(name)  # validate early, raises on unknown names
@@ -280,14 +298,23 @@ def cmd_localize(benchmark_path, project_name, bug_id, method_id, cache_dir,
     if not 1 <= method_id <= 7:
         raise click.UsageError(f"unknown method id {method_id} (valid: 1..7)")
     settings = _settings(kwargs, history_policy=history_policy)
-    benchmark, cache = _load(settings, benchmark_path, cache_dir)
-    project = benchmark.project(project_name)
+    method = rank.MethodConfig.from_id(method_id)
+    cache = _cache(settings, benchmark_path, cache_dir)
+    artifacts = None
+    if cache is not None and not method.needs_embeddings:
+        artifacts = _indexed_artifacts(cache, benchmark_path, project_name, method)
+    if artifacts is None:
+        if cache is None:  # only the query project is read, so only it is loaded
+            project = load_benchmark_project(benchmark_path, project_name, strict=False)
+            preprocess_project(project, settings.preprocess_config())
+        else:
+            project = _load(settings, benchmark_path, cache).project(project_name)
+        artifacts = _artifacts_for(project, cache, [method_id], settings)
+    project = artifacts.project
     try:
         query = project.report(bug_id)
     except KeyError:
         raise BugLocError(f"unknown bug id {bug_id!r} in project {project_name}")
-    method = rank.MethodConfig.from_id(method_id)
-    artifacts = _artifacts_for(project, cache, [method_id], settings)
     history = rank.history_for(query, project, settings.get("history_policy"))
     ranked = rank.localize(query, project, method, artifacts, history=history)
     out = Path(out_dir)
@@ -354,7 +381,8 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
     """Run methods over the benchmark; writes metrics, per-query values and
     pairwise significance tests under --out."""
     settings = _settings(kwargs, methods=methods_raw, history_policy=history_policy)
-    benchmark, cache = _load(settings, benchmark_path, cache_dir)
+    cache = _cache(settings, benchmark_path, cache_dir)
+    benchmark = _load(settings, benchmark_path, cache)
     method_ids = settings.method_ids()
     if not projects_raw:
         project_names = sorted(benchmark.project_names)

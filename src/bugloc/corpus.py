@@ -11,17 +11,23 @@ Bug JSON schema: ``{"id": str, "summary": str, "description": str,
 
 Projects exported in the BugLocator/Bench4BL XML convention
 (``<project>/bugrepo/repository.xml``) load through the same entry points;
-the adapter is picked by what is on disk.
+the adapter is picked by what is on disk. An optional ``manifest.csv`` at
+the root lists each project's expected file and report counts.
+
+:func:`project_dirs` and :func:`project_files` list what the loaders read,
+so the cache can hash exactly those bytes to tell whether a benchmark
+changed.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CorpusError
 
@@ -29,6 +35,12 @@ if TYPE_CHECKING:
     from .preprocess import TokenStream
 
 logger = logging.getLogger(__name__)
+
+# Bump on any change to how the same files load (parsing, fix-link
+# resolution, report order or filtering), so that cached artifacts rebuild.
+LOADER_VERSION = 1
+
+MANIFEST = "manifest.csv"
 
 
 @dataclass
@@ -90,6 +102,7 @@ class Project:
 class Benchmark:
     projects: list[Project]
     manifest: dict[str, tuple[int, int]] | None = None
+    root: Path | None = None    # the directory it was loaded from
 
     def __post_init__(self):
         names = [p.name for p in self.projects]
@@ -161,22 +174,44 @@ class _FileIndex:
         return resolved
 
 
-def _load_source_files(root: Path) -> list[SourceFile]:
-    sources_dir = root / "sources"
-    if not sources_dir.is_dir():
-        raise CorpusError(f"{root}: missing sources/ directory")
-    files = []
-    for path in sorted(sources_dir.rglob("*.java")):
-        rel = path.relative_to(sources_dir).as_posix()
-        files.append(SourceFile(id=rel, path=rel, raw_text=path.read_text("utf-8", errors="replace")))
-    return files
+class ProjectFiles(NamedTuple):
+    """The files :func:`load_project` reads in a project directory."""
+
+    sources: list[str]          # sources/**/*.java as ids: "/"-paths under sources/
+    reports: list[str]          # bugs/*.json, or else bugrepo/repository.xml, as
+                                # "/"-paths under the project directory
+    report_format: str | None   # "json", "xml", or None when there are neither
 
 
-def _load_json_reports(bugs_dir: Path, index: _FileIndex, strict: bool) -> list[BugReport]:
+def project_files(root: Path) -> ProjectFiles:
+    """Each list in path order: sorted by path component, as ``Path`` sorts."""
+    top = os.path.join(root, "sources")
+    cut = len(top) + 1
+    sources = []
+    for dirpath, _, names in os.walk(top):
+        base = dirpath[cut:].replace(os.sep, "/")
+        sources += [f"{base}/{n}" if base else n for n in names if n.endswith(".java")]
+    sources.sort(key=lambda rel: rel.split("/"))
+    bugs_dir = os.path.join(root, "bugs")
+    if os.path.isdir(bugs_dir):
+        return ProjectFiles(sources, [f"bugs/{n}" for n in sorted(os.listdir(bugs_dir))
+                                      if n.endswith(".json")], "json")
+    if os.path.isfile(os.path.join(root, "bugrepo", "repository.xml")):
+        return ProjectFiles(sources, ["bugrepo/repository.xml"], "xml")
+    return ProjectFiles(sources, [], None)
+
+
+def project_dirs(root: Path) -> list[Path]:
+    """The project directories of a benchmark root, sorted."""
+    return sorted(p for p in root.iterdir() if p.is_dir())
+
+
+def _load_json_reports(paths: list[str], index: _FileIndex, strict: bool) -> list[BugReport]:
     reports = []
-    for path in sorted(bugs_dir.glob("*.json")):
+    for path in paths:
         try:
-            raw = json.loads(path.read_text("utf-8"))
+            with open(path, encoding="utf-8") as fh:
+                raw = json.loads(fh.read())
             bug_id = str(raw["id"])
             report = BugReport(
                 id=bug_id,
@@ -226,15 +261,21 @@ def load_project(root_path, strict: bool = True) -> Project:
     root = Path(root_path)
     if not root.is_dir():
         raise CorpusError(f"project directory not found: {root}")
-    source_files = _load_source_files(root)
+    sources_dir = root / "sources"
+    if not sources_dir.is_dir():
+        raise CorpusError(f"{root}: missing sources/ directory")
+    files = project_files(root)
+    source_files = []
+    for rel in files.sources:
+        with open(os.path.join(sources_dir, rel), encoding="utf-8", errors="replace") as fh:
+            source_files.append(SourceFile(id=rel, path=rel, raw_text=fh.read()))
     index = _FileIndex(f.id for f in source_files)
 
-    bugs_dir = root / "bugs"
-    xml_path = root / "bugrepo" / "repository.xml"
-    if bugs_dir.is_dir():
-        reports = _load_json_reports(bugs_dir, index, strict)
-    elif xml_path.is_file():
-        reports = _load_xml_reports(xml_path, index, strict)
+    if files.report_format == "json":
+        reports = _load_json_reports([os.path.join(root, rel) for rel in files.reports],
+                                     index, strict)
+    elif files.report_format == "xml":
+        reports = _load_xml_reports(root / files.reports[0], index, strict)
     else:
         raise CorpusError(f"{root}: no bugs/ directory or bugrepo/repository.xml")
     # results and history are keyed by bug id, so one id must be one report
@@ -271,18 +312,29 @@ def _load_manifest(path: Path) -> dict[str, tuple[int, int]]:
     return manifest
 
 
+def _check_manifest(manifest: dict[str, tuple[int, int]], project: Project) -> None:
+    expected = manifest.get(project.name)
+    if expected is None:
+        return
+    actual = (len(project.source_files), len(project.bug_reports))
+    if actual != expected:
+        raise CorpusError(
+            f"{project.name}: manifest expects {expected[0]} source files "
+            f"and {expected[1]} bug reports, found {actual[0]} and {actual[1]}")
+
+
 def load_benchmark(root_path, strict: bool = True) -> Benchmark:
     """Load every project subdirectory, validate each, and check the
     optional ``manifest.csv`` (project, source file count, bug report count)."""
     root = Path(root_path)
     if not root.is_dir():
         raise CorpusError(f"benchmark directory not found: {root}")
-    project_dirs = sorted(p for p in root.iterdir() if p.is_dir())
-    if not project_dirs:
+    dirs = project_dirs(root)
+    if not dirs:
         raise CorpusError(f"no projects found under {root}")
 
     projects, failures = [], []
-    for pdir in project_dirs:
+    for pdir in dirs:
         try:
             projects.append(validate_and_filter(load_project(pdir, strict=strict)))
         except CorpusError as exc:
@@ -291,16 +343,25 @@ def load_benchmark(root_path, strict: bool = True) -> Benchmark:
         raise CorpusError("failed to load projects: " + "; ".join(failures))
 
     manifest = None
-    manifest_path = root / "manifest.csv"
+    manifest_path = root / MANIFEST
     if manifest_path.is_file():
         manifest = _load_manifest(manifest_path)
         for project in projects:
-            expected = manifest.get(project.name)
-            if expected is None:
-                continue
-            actual = (len(project.source_files), len(project.bug_reports))
-            if actual != expected:
-                raise CorpusError(
-                    f"{project.name}: manifest expects {expected[0]} source files "
-                    f"and {expected[1]} bug reports, found {actual[0]} and {actual[1]}")
-    return Benchmark(projects=projects, manifest=manifest)
+            _check_manifest(manifest, project)
+    return Benchmark(projects=projects, manifest=manifest, root=root)
+
+
+def load_benchmark_project(root_path, name: str, strict: bool = True) -> Project:
+    """One project of the benchmark at ``root_path``, loaded, filtered and
+    checked against ``manifest.csv`` as :func:`load_benchmark` would, without
+    reading the other projects."""
+    root = Path(root_path)
+    if not root.is_dir():
+        raise CorpusError(f"benchmark directory not found: {root}")
+    if name not in {p.name for p in project_dirs(root)}:
+        raise CorpusError(f"unknown project: {name}")
+    project = validate_and_filter(load_project(root / name, strict=strict))
+    manifest_path = root / MANIFEST
+    if manifest_path.is_file():
+        _check_manifest(_load_manifest(manifest_path), project)
+    return project

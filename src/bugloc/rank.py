@@ -20,11 +20,12 @@ Combined scoring (method 7) normalizes the TF.IDF and doc-vector maps to
 Scores are numpy arrays over the project's files in path order, and
 reports are addressed as rows of ``project.bug_reports``: a query or a
 history report must be one of the project's own report objects. Per
-TF.IDF scope, :class:`Artifacts` vectorizes the files and the reports
-once, derives each report's query arrays once
-(:func:`~bugloc.tfidf.query_terms`), and builds the files'
-:class:`~bugloc.tfidf.Postings` (and, for
-methods that use history, the reports'), so one query costs one
+TF.IDF scope, a :class:`TfidfScope` holds the files'
+:class:`~bugloc.tfidf.Postings`, their length factors, each report's query
+arrays (:func:`~bugloc.tfidf.queries`) and, for methods that use history,
+the reports' postings. :class:`Artifacts` builds it once from the token
+streams, or takes it as loaded from the cache's ranking index (the same
+float64 arrays), so one query costs one
 ``bincount`` against each: direct scores are the files' logistic length
 factors times ``Postings.cosines``, and the bridge is a ``bincount`` of
 ``sim / |fixed(B)|`` over (report, fixed file) pairs stored in report order,
@@ -100,9 +101,16 @@ class MethodConfig:
         return cls(method_id, direct, indirect, default_w1, default_w2)
 
     @property
+    def tfidf_scopes(self) -> set[str]:
+        """The TF.IDF scopes ("local", "global") the method ranks with."""
+        kinds = {self.direct_model, self.indirect_model}
+        if COMBINED_GLOBAL in kinds:
+            kinds.add(TFIDF_GLOBAL)
+        return {_TFIDF_SCOPES[k] for k in kinds if k in _TFIDF_SCOPES}
+
+    @property
     def needs_global_tfidf(self) -> bool:
-        return TFIDF_GLOBAL in (self.direct_model, self.indirect_model) or \
-            COMBINED_GLOBAL in (self.direct_model, self.indirect_model)
+        return "global" in self.tfidf_scopes
 
     @property
     def needs_embeddings(self) -> bool:
@@ -174,28 +182,55 @@ class RankedList:
 _TFIDF_SCOPES = {TFIDF_LOCAL: "local", TFIDF_GLOBAL: "global"}
 
 
-class _TfidfScope:
-    """A project's TF.IDF data under one vocabulary.
+def _streams(docs) -> list:
+    """The documents' token streams; ``ValueError`` for a document without one."""
+    streams = [d.token_stream for d in docs]
+    for doc, stream in zip(docs, streams):
+        if stream is None:
+            raise ValueError(f"{doc.id}: token stream missing; preprocess first")
+    return streams
 
-    File postings, length factors, report vectors and each report's
-    :func:`~bugloc.tfidf.query_terms` are built up front; the report
-    postings only when a method ranks through history.
+
+class TfidfScope:
+    """A project's TF.IDF arrays under one vocabulary: what ranking reads.
+
+    ``files`` holds the file postings (rows in path order) and
+    ``length_weights`` the rVSM logistic factor of each file. Each report's
+    query arrays (:func:`~bugloc.tfidf.queries`) are CSR arrays in report
+    order, read through :meth:`query`. ``reports`` holds the report
+    postings; a scope built from token streams builds them only when a
+    method ranks through history.
     """
 
-    def __init__(self, vocab: tfidf.Vocabulary, files, reports,
-                 normalizer: tfidf.LengthNormalizer):
-        vectors = [tfidf.vectorize(f.token_stream, vocab) for f in files]
-        self.vocab = vocab
-        self.files = tfidf.Postings(vectors, len(vocab))    # rows in ``files`` order
-        self.length_weights = np.array([tfidf.length_weight(v.term_count, normalizer)
-                                        for v in vectors])  # rVSM logistic factor per file
-        self.report_vectors = [tfidf.vectorize(r.token_stream, vocab) for r in reports]
-        self.queries = [tfidf.query_terms(v) for v in self.report_vectors]
+    def __init__(self, files: tfidf.Postings, length_weights: np.ndarray, queries,
+                 reports: tfidf.Postings | None = None, report_vectors=None):
+        self.files = files
+        self.length_weights = length_weights
+        self.query_offsets, self.query_terms, self.query_weights, self.query_norms = queries
+        if reports is not None:
+            self.reports = reports
+        self._report_vectors = report_vectors
+
+    @classmethod
+    def build(cls, vocab: tfidf.Vocabulary, files, reports,
+              normalizer: tfidf.LengthNormalizer) -> "TfidfScope":
+        """Vectorize the files (in ``files`` order) and the reports."""
+        vectors = [tfidf.vectorize(stream, vocab) for stream in _streams(files)]
+        report_vectors = [tfidf.vectorize(stream, vocab) for stream in _streams(reports)]
+        return cls(tfidf.Postings.from_vectors(vectors, len(vocab)),
+                   np.array([tfidf.length_weight(v.term_count, normalizer) for v in vectors]),
+                   tfidf.queries(report_vectors), report_vectors=report_vectors)
 
     @cached_property
     def reports(self) -> tfidf.Postings:
         """Postings over the project's reports, rows in report order."""
-        return tfidf.Postings(self.report_vectors, len(self.vocab))
+        return tfidf.Postings.from_vectors(self._report_vectors, self.files.n_terms)
+
+    def query(self, row: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """Report ``row``'s ascending term ids, their weights and its norm."""
+        start, end = self.query_offsets[row], self.query_offsets[row + 1]
+        return (self.query_terms[start:end], self.query_weights[start:end],
+                self.query_norms[row])
 
 
 class Artifacts:
@@ -203,49 +238,45 @@ class Artifacts:
 
     Local TF.IDF state is derived lazily from the project itself; global
     models (IDF vocabulary, paragraph-vector pair) must be supplied when a
-    method asks for them. Per TF.IDF scope, file postings and report
-    vectors are built once and serve every query; report postings and the
-    fix pairs are built only when a method ranks through history; the doc
-    vectors of the files and of the reports are each inferred once, in one
-    batch. Score arrays follow ``files``, the project's source files in
-    path order, so a stable sort keeps tied files in path order; reports
-    are rows of ``project.bug_reports``.
+    method asks for them. Per TF.IDF scope, a :class:`TfidfScope` is built
+    once and serves every query, unless ``scopes`` supplies it (loaded from
+    a cache, say); the fix pairs are built only when a method ranks through
+    history; the doc vectors of the files and of the reports are each
+    inferred once, in one batch. Score arrays follow ``files``, the
+    project's source files in path order, so a stable sort keeps tied files
+    in path order; reports are rows of ``project.bug_reports``.
+
+    Token streams are read only to build a scope or infer doc vectors. So a
+    project whose scopes are all supplied needs none; without ``scopes``,
+    every document must have one.
     """
 
     def __init__(self, project: Project, global_vocab: tfidf.Vocabulary | None = None,
                  dm_model: embedding.EmbeddingModel | None = None,
                  dbow_model: embedding.EmbeddingModel | None = None,
-                 infer_epochs: int | None = None):
+                 infer_epochs: int | None = None,
+                 scopes: dict[str, TfidfScope] | None = None):
         self.project = project
         self.global_vocab = global_vocab
         self.dm_model = dm_model
         self.dbow_model = dbow_model
         self.infer_epochs = infer_epochs
-        for doc in (*project.source_files, *project.bug_reports):
-            if doc.token_stream is None:
-                raise ValueError(f"{doc.id}: token stream missing; preprocess first")
+        self.scopes = dict(scopes or {})
+        if not self.scopes:
+            _streams([*project.source_files, *project.bug_reports])
         self.files = sorted(project.source_files, key=lambda f: f.id)
         self.file_ids = [f.id for f in self.files]
         self._column = {fid: j for j, fid in enumerate(self.file_ids)}
         # keyed by identity: only the project's own report objects have a row
         self._row = {id(r): i for i, r in enumerate(project.bug_reports)}
-        self._local_vocab: tfidf.Vocabulary | None = None
-        self._normalizer: tfidf.LengthNormalizer | None = None
-        self._scopes: dict[str, _TfidfScope] = {}
 
-    @property
+    @cached_property
     def local_vocab(self) -> tfidf.Vocabulary:
-        if self._local_vocab is None:
-            self._local_vocab = tfidf.build_vocabulary(
-                [f.token_stream for f in self.project.source_files], scope="local")
-        return self._local_vocab
+        return tfidf.build_vocabulary(_streams(self.project.source_files), scope="local")
 
-    @property
+    @cached_property
     def normalizer(self) -> tfidf.LengthNormalizer:
-        if self._normalizer is None:
-            self._normalizer = tfidf.LengthNormalizer.from_counts(
-                len(f.token_stream) for f in self.project.source_files)
-        return self._normalizer
+        return tfidf.LengthNormalizer.from_counts(map(len, _streams(self.project.source_files)))
 
     def vocab(self, scope: str) -> tfidf.Vocabulary:
         if scope == "local":
@@ -254,11 +285,14 @@ class Artifacts:
             raise ValueError("global IDF model required but not provided")
         return self.global_vocab
 
-    def _tfidf_scope(self, scope: str) -> _TfidfScope:
-        if scope not in self._scopes:
-            self._scopes[scope] = _TfidfScope(self.vocab(scope), self.files,
-                                              self.project.bug_reports, self.normalizer)
-        return self._scopes[scope]
+    def build_scope(self, vocab: tfidf.Vocabulary) -> TfidfScope:
+        """The project's TF.IDF arrays under ``vocab``, from its token streams."""
+        return TfidfScope.build(vocab, self.files, self.project.bug_reports, self.normalizer)
+
+    def _tfidf_scope(self, scope: str) -> TfidfScope:
+        if scope not in self.scopes:
+            self.scopes[scope] = self.build_scope(self.vocab(scope))
+        return self.scopes[scope]
 
     def rows(self, reports) -> np.ndarray:
         """Row of each report in ``project.bug_reports``; a report that is
@@ -287,13 +321,13 @@ class Artifacts:
     @cached_property
     def file_doc_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """Doc vectors of ``files`` as matrix rows, and their norms."""
-        return self._infer([f.token_stream for f in self.files])
+        return self._infer(_streams(self.files))
 
     @cached_property
     def report_doc_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """Doc vectors of the project's reports as matrix rows in report
         order, and their norms."""
-        return self._infer([r.token_stream for r in self.project.bug_reports])
+        return self._infer(_streams(self.project.bug_reports))
 
     @cached_property
     def _project_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -348,7 +382,7 @@ def _direct_scores(row: int, kind: str, artifacts: Artifacts) -> np.ndarray:
     """Direct scores of the project's report ``row`` against every file."""
     if kind in _TFIDF_SCOPES:
         data = artifacts._tfidf_scope(_TFIDF_SCOPES[kind])
-        return data.length_weights * data.files.cosines(*data.queries[row])
+        return data.length_weights * data.files.cosines(*data.query(row))
     if kind == DOC2VEC_GLOBAL:
         files = artifacts.file_doc_vectors
         vectors, norms = artifacts.report_doc_vectors
@@ -368,7 +402,7 @@ def _history_sims(row: int, history: np.ndarray, kind: str,
     if kind not in _TFIDF_SCOPES:
         raise ValueError(f"unknown indirect model {kind!r}")
     data = artifacts._tfidf_scope(_TFIDF_SCOPES[kind])
-    return data.reports.cosines(*data.queries[row])[history]
+    return data.reports.cosines(*data.query(row))[history]
 
 
 def _indirect_scores(row: int, history: np.ndarray, kind: str,

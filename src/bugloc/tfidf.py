@@ -212,12 +212,19 @@ def span_indices(offsets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.n
     return np.arange(len(owner)) + shift[owner], owner
 
 
-def query_terms(vector: TfIdfVector) -> tuple[np.ndarray, np.ndarray, float]:
-    """What :meth:`Postings.cosines` reads of a query vector: its term ids in
-    ascending order, their weights in that order, and its norm."""
-    terms = sorted(vector.weights)
-    return (np.array(terms, dtype=np.intp), np.array([vector.weights[t] for t in terms]),
-            vector.norm())
+def queries(vectors: Sequence[TfIdfVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                     np.ndarray]:
+    """What :meth:`Postings.cosines` reads of each vector as a query, as CSR
+    arrays ``(offsets, terms, weights, norms)``: vector ``i``'s term ids in
+    ascending order are ``terms[offsets[i]:offsets[i + 1]]``, their weights
+    are the same span of ``weights``, and its norm is ``norms[i]``."""
+    terms = [sorted(v.weights) for v in vectors]
+    lengths = [len(t) for t in terms]
+    flat = np.fromiter(chain.from_iterable(terms), dtype=np.int64, count=sum(lengths))
+    weights = np.fromiter((v.weights[t] for v, ts in zip(vectors, terms) for t in ts),
+                          dtype=float, count=len(flat))
+    return (np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))), flat, weights,
+            np.array([v.norm() for v in vectors], dtype=float))
 
 
 class Postings:
@@ -236,26 +243,38 @@ class Postings:
     ``cosine(query, row)`` bit for bit.
     """
 
-    def __init__(self, vectors: Sequence[TfIdfVector], n_terms: int):
+    def __init__(self, rows: np.ndarray, weights: np.ndarray, offsets: np.ndarray,
+                 norms: np.ndarray):
+        self.rows = rows
+        self.weights = weights
+        self.offsets = offsets
+        self.norms = norms
+        self._scored = np.flatnonzero(norms)   # rows with a nonzero norm
+        self._scored_norms = norms[self._scored]
+
+    @classmethod
+    def from_vectors(cls, vectors: Sequence[TfIdfVector], n_terms: int) -> "Postings":
         lengths = [len(v.weights) for v in vectors]
         terms = np.fromiter(chain.from_iterable(v.weights for v in vectors),
                             dtype=np.intp, count=sum(lengths))
         weights = np.fromiter(chain.from_iterable(v.weights.values() for v in vectors),
                               dtype=float, count=len(terms))
         order = np.argsort(terms, kind="stable")
-        self.rows = np.repeat(np.arange(len(vectors)), lengths)[order]
-        self.weights = weights[order]
-        self.offsets = np.concatenate(([0], np.cumsum(np.bincount(terms, minlength=n_terms))))
-        self.norms = np.array([v.norm() for v in vectors], dtype=float)
-        self._scored = np.flatnonzero(self.norms)   # rows with a nonzero norm
-        self._scored_norms = self.norms[self._scored]
+        return cls(np.repeat(np.arange(len(vectors)), lengths)[order], weights[order],
+                   np.concatenate(([0], np.cumsum(np.bincount(terms, minlength=n_terms)))),
+                   np.array([v.norm() for v in vectors], dtype=float))
+
+    @property
+    def n_terms(self) -> int:
+        return len(self.offsets) - 1
 
     def __len__(self) -> int:
         return len(self.norms)
 
     def cosines(self, terms: np.ndarray, weights: np.ndarray, norm: float) -> np.ndarray:
         """``cosine(query, row)`` for every row, in row order, for the query
-        that :func:`query_terms` describes as ``(terms, weights, norm)``."""
+        whose ascending term ids, their weights and its norm :func:`queries`
+        gives."""
         out = np.zeros(len(self))
         if norm == 0.0:
             return out

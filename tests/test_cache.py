@@ -1,4 +1,5 @@
-"""The token-stream index and the integrity of cached artifacts."""
+"""The token-stream index, the ranking indexes and the integrity of cached
+artifacts."""
 
 import hashlib
 import json
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bugloc import cli, embedding, preprocess, tfidf
+from bugloc import cache as cache_module, cli, corpus, embedding, preprocess, rank, tfidf
 from bugloc.cache import ArtifactCache
 from bugloc.cli import main
 from bugloc.corpus import load_benchmark
@@ -39,6 +40,19 @@ def preprocess_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def load_calls(monkeypatch):
+    """Records every call the CLI makes to load_benchmark."""
+    calls = []
+
+    def counted(root, strict=True):
+        calls.append(root)
+        return load_benchmark(root, strict)
+
+    monkeypatch.setattr(cli, "load_benchmark", counted)
+    return calls
+
+
 def run(*args):
     result = CliRunner().invoke(main, [str(a) for a in args])
     assert result.exit_code == 0, result.output
@@ -50,10 +64,33 @@ def train(bench, cache, *extra):
                *extra)
 
 
-def localize(bench, cache, *extra):
+def localize(bench, cache, *extra, method=4):
     return run("localize", "--benchmark", bench, "--project", "proj1",
-               "--bug", "BUG-proj1-001", "--method", "4", "--cache", cache,
+               "--bug", "BUG-proj1-001", "--method", method, "--cache", cache,
                "--out", cache.parent / "out", *extra)
+
+
+def ranking(cache, method=4):
+    """The bytes of the ranking CSV the last ``localize`` wrote."""
+    return (cache.parent / "out" / f"ranking_proj1_m{method}_BUG-proj1-001.csv").read_bytes()
+
+
+def damage(artifact, how):
+    """Damage a sealed artifact in one of four ways."""
+    data = bytearray(artifact.read_bytes())
+    if how == "truncate":
+        artifact.write_bytes(data[:len(data) // 2])
+    elif how == "flip":
+        data[len(data) // 2] ^= 0x01
+        artifact.write_bytes(bytes(data))
+    elif how == "wrong_sha":
+        meta = artifact.with_suffix(artifact.suffix + ".meta.json")
+        record = json.loads(meta.read_text())
+        record["sha256"] = "0" * 64
+        meta.write_text(json.dumps(record))
+    else:  # a consistent sha over bytes that are not an artifact of this corpus
+        artifact.write_bytes(data[:40] + b"\xff" * 20)
+        reseal(artifact)
 
 
 def documents(benchmark):
@@ -128,31 +165,166 @@ class TestTokenStreamIndex:
         assert len(preprocess_calls) == 2
         assert idf.stat().st_mtime_ns != stamp
 
-    @pytest.mark.parametrize("damage", ["truncate", "flip", "wrong_sha", "resealed_garbage"])
+    @pytest.mark.parametrize("how", ["truncate", "flip", "wrong_sha", "resealed_garbage"])
     def test_damaged_index_rebuilt_with_warning(self, bench, tmp_path, preprocess_calls,
-                                                caplog, damage):
+                                                caplog, how):
         train(bench, tmp_path / "c")
-        index = tmp_path / "c" / "tokens.bin"
-        data = bytearray(index.read_bytes())
-        meta = index.with_suffix(".bin.meta.json")
-        if damage == "truncate":
-            index.write_bytes(data[:len(data) // 2])
-        elif damage == "flip":
-            data[len(data) // 2] ^= 0x01
-            index.write_bytes(bytes(data))
-        elif damage == "wrong_sha":
-            record = json.loads(meta.read_text())
-            record["sha256"] = "0" * 64
-            meta.write_text(json.dumps(record))
-        else:  # a consistent sha over bytes that are not an index of this corpus
-            index.write_bytes(data[:40] + b"\xff" * 20)
-            reseal(index)
+        damage(tmp_path / "c" / "tokens.bin", how)
         with caplog.at_level(logging.WARNING):
             localize(bench, tmp_path / "c")
         assert len(preprocess_calls) == 2
         assert any("re-preprocessing" in r.getMessage() for r in caplog.records)
-        localize(bench, tmp_path / "c")  # the rebuilt index is used again
+        # the rebuilt index is used again: method 3 has no ranking index yet,
+        # so this call reads the token streams
+        localize(bench, tmp_path / "c", method=3)
         assert len(preprocess_calls) == 2
+
+
+class TestRankingIndex:
+    @pytest.mark.parametrize("method", [1, 2, 3, 4])
+    @pytest.mark.parametrize("policy", ["earlier", "all"])
+    def test_hit_equals_miss(self, bench, tmp_path, load_calls, method, policy):
+        train(bench, tmp_path / "c")
+        miss = localize(bench, tmp_path / "c", "--history", policy, method=method)
+        built = ranking(tmp_path / "c", method)
+        scope = "local" if method in (1, 3) else "global"
+        assert (tmp_path / "c" / f"index_{scope}_proj1.bin").is_file()
+        hit = localize(bench, tmp_path / "c", "--history", policy, method=method)
+        assert len(load_calls) == 2  # train-global and the miss; the hit loads no benchmark
+        assert ranking(tmp_path / "c", method) == built
+        assert hit.stdout == miss.stdout
+
+    def test_hit_loads_no_benchmark_and_reads_no_token_streams(
+            self, bench, tmp_path, load_calls, preprocess_calls, monkeypatch):
+        train(bench, tmp_path / "c")
+        localize(bench, tmp_path / "c")
+        (tmp_path / "c" / "tokens.bin").unlink()
+        loads, preprocessings = len(load_calls), len(preprocess_calls)
+        ranked = []
+        original = rank.localize
+        monkeypatch.setattr(rank, "localize", lambda *a, **k: ranked.append(1) or original(*a, **k))
+        localize(bench, tmp_path / "c")
+        assert (len(load_calls), len(preprocess_calls)) == (loads, preprocessings)
+        assert len(ranked) == 1
+        assert not (tmp_path / "c" / "tokens.bin").exists()  # a miss would have rewritten it
+
+    @pytest.mark.parametrize("how", ["truncate", "flip", "wrong_sha", "resealed_garbage"])
+    def test_damaged_index_rebuilt_with_warning(self, bench, tmp_path, load_calls, caplog,
+                                                how):
+        train(bench, tmp_path / "c")
+        localize(bench, tmp_path / "c")
+        built = ranking(tmp_path / "c")
+        damage(tmp_path / "c" / "index_global_proj1.bin", how)
+        with caplog.at_level(logging.WARNING):
+            localize(bench, tmp_path / "c")
+        assert any("index_global_proj1.bin" in r.getMessage() and "rebuilding" in r.getMessage()
+                   for r in caplog.records)
+        assert ranking(tmp_path / "c") == built
+        assert len(load_calls) == 3
+        localize(bench, tmp_path / "c")  # the rebuilt index is used again
+        assert len(load_calls) == 3
+
+    @pytest.mark.parametrize("flaw", ["query_term_out_of_range", "offsets_decrease",
+                                      "row_out_of_range", "short_length_weights"])
+    def test_resealed_index_of_bad_structure_rebuilt_with_warning(self, bench, tmp_path,
+                                                                  caplog, flaw):
+        train(bench, tmp_path / "c")
+        localize(bench, tmp_path / "c")
+        built = ranking(tmp_path / "c")
+        artifact = tmp_path / "c" / "index_global_proj1.bin"
+        project = corpus.load_benchmark_project(bench, "proj1", strict=False)
+        cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig(), EmbeddingConfig())
+        scope = cache.stored_scope(project, "global")
+        files, reports = scope.files, scope.reports
+        terms, rows, offsets = (scope.query_terms.copy(), files.rows.copy(),
+                                files.offsets.copy())
+        length_weights = scope.length_weights
+        if flaw == "query_term_out_of_range":
+            terms[0] = files.n_terms
+        elif flaw == "offsets_decrease":
+            step = np.flatnonzero(np.diff(offsets))[0]
+            offsets[step + 1] = offsets[step] - 1
+        elif flaw == "row_out_of_range":
+            rows[0] = len(files)
+        else:
+            length_weights = length_weights[:-1]
+        bad = rank.TfidfScope(
+            tfidf.Postings(rows, files.weights, offsets, files.norms), length_weights,
+            (scope.query_offsets, terms, scope.query_weights, scope.query_norms),
+            reports=reports)
+        file_ids = sorted(f.id for f in project.source_files)
+        artifact.write_bytes(b"".join(cache_module._encode_index(
+            bad, file_ids, [r.id for r in project.bug_reports])))
+        reseal(artifact)
+        with caplog.at_level(logging.WARNING):
+            localize(bench, tmp_path / "c")
+        assert any("corrupt ranking index" in r.getMessage() for r in caplog.records)
+        assert ranking(tmp_path / "c") == built
+
+    @pytest.mark.parametrize("edit", ["other_project_file", "new_java_file", "manifest",
+                                      "loader_version", "new_empty_project"])
+    def test_benchmark_change_misses(self, bench, tmp_path, load_calls, monkeypatch, edit):
+        if edit == "new_java_file":  # a new file changes the counts the manifest checks
+            (bench / "manifest.csv").unlink()
+        train(bench, tmp_path / "c")
+        localize(bench, tmp_path / "c")
+        assert len(load_calls) == 2
+        if edit == "other_project_file":
+            source = sorted((bench / "proj2" / "sources").rglob("*.java"))[0]
+            source.write_text(source.read_text() + "\nclass Zebrafish {}\n")
+        elif edit == "new_java_file":
+            (bench / "proj3" / "sources" / "Zebrafish.java").write_text("class Zebrafish {}\n")
+        elif edit == "new_empty_project":  # loads, with no files and no queries
+            (bench / "proj4" / "sources").mkdir(parents=True)
+            (bench / "proj4" / "bugs").mkdir()
+        elif edit == "manifest":  # a comment: the benchmark loads the same
+            with open(bench / "manifest.csv", "a") as fh:
+                fh.write("# checked\n")
+        else:
+            monkeypatch.setattr(corpus, "LOADER_VERSION", corpus.LOADER_VERSION + 1)
+        localize(bench, tmp_path / "c")
+        assert len(load_calls) == 3
+
+    def test_digest_hashes_bytes_not_decoded_text(self, bench):
+        source = sorted((bench / "proj1" / "sources").rglob("*.java"))[0]
+        text = source.read_text()
+        before = cache_module.corpus_digest(bench)
+        source.write_bytes(text.replace("\n", "\r\n").encode())
+        crlf = cache_module.corpus_digest(bench)
+        source.write_bytes(text.encode() + b"// \xfe\n")
+        invalid_fe = cache_module.corpus_digest(bench)
+        fe_text = corpus.load_project(bench / "proj1").source_files[0].raw_text
+        source.write_bytes(text.encode() + b"// \xff\n")
+        invalid_ff = cache_module.corpus_digest(bench)
+        # the loader decodes all three edits to text it has seen before
+        assert corpus.load_project(bench / "proj1").source_files[0].raw_text == fe_text
+        assert len({before, crlf, invalid_fe, invalid_ff}) == 4
+
+    def test_index_of_other_reports_misses(self, bench, tmp_path, load_calls):
+        train(bench, tmp_path / "c")
+        localize(bench, tmp_path / "c")
+        project = corpus.load_benchmark_project(bench, "proj1", strict=False)
+        cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig(), EmbeddingConfig())
+        assert cache.stored_scope(project, "global") is not None
+        project.bug_reports.pop()
+        cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig(), EmbeddingConfig())
+        assert cache.stored_scope(project, "global") is None
+
+    def test_arrays_round_trip(self, bench, tmp_path):
+        benchmark = load_benchmark(bench, strict=False)
+        preprocess_benchmark(benchmark, PreprocessConfig())
+        project = benchmark.project("proj1")
+        cache = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig())
+        built = cache.tfidf_scope(rank.Artifacts(project), "local")
+        loaded = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig()).stored_scope(
+            project, "local")
+        for name in ("rows", "weights", "offsets", "norms"):
+            for part in ("files", "reports"):
+                want, got = getattr(getattr(built, part), name), getattr(getattr(loaded, part), name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        for name in ("length_weights", "query_offsets", "query_terms", "query_weights",
+                     "query_norms"):
+            assert np.array_equal(getattr(loaded, name), getattr(built, name))
 
 
 class TestArtifactIntegrity:

@@ -3,6 +3,7 @@ import csv
 import gc
 import io
 import json
+import shutil
 import weakref
 
 import pytest
@@ -150,6 +151,38 @@ class TestLocalizeCommand:
                                       "--project", "proj1", "--bug", "BUG-proj1-001",
                                       "--method", "3", "--out", str(tmp_path / "o")])
         assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("method", [1, 3])
+    def test_local_method_without_cache_reads_only_its_project(self, synth_benchmark,
+                                                               tmp_path, runner, method):
+        root = shutil.copytree(synth_benchmark[0], tmp_path / "bench")
+        args = ["localize", "--benchmark", str(root), "--project", "proj1",
+                "--bug", "BUG-proj1-001", "--method", str(method)]
+        csv_path = tmp_path / "o" / f"ranking_proj1_m{method}_BUG-proj1-001.csv"
+        before = runner.invoke(main, [*args, "--out", str(tmp_path / "o")])
+        assert before.exit_code == 0, before.output
+        ranking = csv_path.read_bytes()
+        (root / "proj2" / "bugs" / "broken.json").write_text("{not json")
+        after = runner.invoke(main, [*args, "--out", str(tmp_path / "o")])
+        assert after.exit_code == 0, after.output
+        assert after.stdout == before.stdout
+        assert csv_path.read_bytes() == ranking
+        manifest = root / "manifest.csv"
+        manifest.write_text(manifest.read_text().replace("proj1,", "proj1,1"))
+        result = runner.invoke(main, [*args, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and "manifest" in json.loads(lines[0])["error"]
+
+    def test_unknown_project_is_one_json_error(self, synth_benchmark, tmp_path, runner):
+        root, _, _ = synth_benchmark
+        for cache in ([], ["--cache", str(tmp_path / "c")]):
+            result = runner.invoke(main, ["localize", "--benchmark", str(root),
+                                          "--project", "nope", "--bug", "BUG-proj1-001",
+                                          "--method", "3", "--out", str(tmp_path / "o"),
+                                          *cache])
+            assert result.exit_code == 1
+            assert json.loads(result.stderr)["error"] == "unknown project: nope"
 
     def test_global_method_without_cache_errors(self, synth_benchmark, tmp_path, runner):
         root, _, _ = synth_benchmark

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from bugloc.corpus import (CorpusError, load_benchmark, load_project,
-                           validate_and_filter)
+from bugloc.corpus import (CorpusError, load_benchmark, load_benchmark_project, load_project,
+                           project_files, validate_and_filter)
 from conftest import java_stub, write_project
 
 
@@ -50,6 +50,18 @@ def test_reports_ordered_by_timestamp(small_project):
 def test_fix_links_resolved(small_project):
     project = load_project(small_project)
     assert project.report("B-1").fixed_files == {"Gamma.java", "a/Beta.java"}
+
+
+def test_sources_listed_in_path_order(tmp_path):
+    names = ["a-b/X.java", "a/X.java", "a.b/X.java", "a/b/c/Y.java", "Z.java", "a/Z.java",
+             "a/Notes.txt"]
+    files = {name: java_stub("x") for name in names}
+    root = write_project(tmp_path, "order", files, [_bug("B-1", ["Z.java"])])
+    want = [p.relative_to(root / "sources").as_posix()
+            for p in sorted((root / "sources").rglob("*.java"))]
+    assert project_files(root).sources == want
+    assert [f.id for f in load_project(root).source_files] == want
+    assert project_files(root).reports == ["bugs/B-1.json"]
 
 
 def test_missing_directory(tmp_path):
@@ -162,6 +174,20 @@ class TestBenchmark:
             "project,source_files,bug_reports\np1,29,14\n")
         with pytest.raises(CorpusError, match="manifest"):
             load_benchmark(tmp_path)
+
+    def test_one_project_loads_alone_and_checks_the_manifest(self, tmp_path):
+        write_project(tmp_path, "p1", {"A.java": java_stub("a")},
+                      [_bug("B-1", ["A.java"]), _bug("B-2", ["Gone.java"])])
+        write_project(tmp_path, "broken", {"A.java": java_stub("a")},
+                      [_bug("B-9", ["Nope.java"])])
+        project = load_benchmark_project(tmp_path, "p1", strict=False)
+        assert [r.id for r in project.bug_reports] == ["B-1"]
+        assert project.removed_reports == 1
+        with pytest.raises(CorpusError, match="unknown project: nope"):
+            load_benchmark_project(tmp_path, "nope")
+        (tmp_path / "manifest.csv").write_text("project,source_files,bug_reports\np1,1,2\n")
+        with pytest.raises(CorpusError, match="manifest"):
+            load_benchmark_project(tmp_path, "p1", strict=False)
 
     def test_loading_is_deterministic(self, tmp_path):
         for name in ("p1", "p2"):
