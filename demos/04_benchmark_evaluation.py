@@ -17,9 +17,8 @@ from bugloc.preprocess import PreprocessConfig, preprocess_benchmark
 
 def evaluate(project, artifacts, method_id):
     results = []
-    for query in project.bug_reports:
-        ranked = rank.localize(query, project, rank.MethodConfig.from_id(method_id),
-                               artifacts)
+    for row, query in enumerate(project.bug_reports):
+        ranked = rank.localize(artifacts, row, rank.MethodConfig.from_id(method_id))
         results.append(QueryResult.from_ranking(query.id, ranked.file_ids, query.fixed_files))
     return compute_metrics(results)
 

@@ -74,6 +74,8 @@ class Settings:
     }
 
     _KEYS = {*_DEFAULTS, *_EMBEDDING_OPTIONS, *_PREPROCESS_OPTIONS, "infer_epochs"}
+    _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
 
     def __init__(self, config_path, cli_values: dict):
         self.file_values = read_config_file(config_path) if config_path else {}
@@ -90,7 +92,10 @@ class Settings:
         if value is None:
             return self._DEFAULTS.get(key)
         if cast is bool and isinstance(value, str):
-            return value.lower() in ("1", "true", "yes", "on")
+            if value.lower() not in self._BOOLEANS:
+                raise BugLocError(f"{key} must be 1/0, true/false, yes/no or on/off, "
+                                  f"got {value!r}")
+            return self._BOOLEANS[value.lower()]
         return cast(value)
 
     def _given(self, options: dict) -> dict:
@@ -310,13 +315,9 @@ def cmd_localize(benchmark_path, project_name, bug_id, method_id, cache_dir,
         else:
             project = _load(settings, benchmark_path, cache).project(project_name)
         artifacts = _artifacts_for(project, cache, [method_id], settings)
-    project = artifacts.project
-    try:
-        query = project.report(bug_id)
-    except KeyError:
-        raise BugLocError(f"unknown bug id {bug_id!r} in project {project_name}")
-    history = rank.history_for(query, project, settings.get("history_policy"))
-    ranked = rank.localize(query, project, method, artifacts, history=history)
+    row = artifacts.project.row(bug_id)
+    history = rank.history_at(artifacts.project, row, settings.get("history_policy"))
+    ranked = rank.localize(artifacts, row, method, history=history)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"ranking_{project_name}_m{method_id}_{bug_id}.csv"
@@ -333,7 +334,7 @@ def _evaluate_project(project, artifacts, method_id, settings):
     results = []
     for row, query in enumerate(project.bug_reports):
         history = rank.history_at(project, row, policy)
-        ranked = rank.localize(query, project, method, artifacts, history=history)
+        ranked = rank.localize(artifacts, row, method, history=history)
         ranks = ranked.ranks_of(artifacts.fixed_columns(row))
         results.append(metrics.QueryResult(query.id, tuple(ranks.tolist()),
                                            len(query.fixed_files)))
@@ -443,7 +444,7 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
                                           "", "", str(exc)])
 
     _write_metrics_outputs(Path(out_dir), rows, per_query_rows, wilcoxon_rows)
-    _echo(f"wrote metrics for {len(project_names)} project(s), "
+    _echo(f"wrote metrics for {len(per_project[method_ids[0]])} project(s), "
           f"methods {','.join(map(str, method_ids))} to {out_dir}")
 
 

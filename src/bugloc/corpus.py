@@ -6,8 +6,10 @@ Canonical on-disk layout, one directory per project::
         sources/**/*.java      file identity = path relative to sources/
         bugs/*.json            one report per file, see below
 
-Bug JSON schema: ``{"id": str, "summary": str, "description": str,
+Bug JSON schema: ``{"id": str or int, "summary": str, "description": str,
 "fixed_files": [relative paths], "open_date": optional ISO-8601 string}``.
+A null or missing summary or description loads as ``""``, a null or
+missing open date as none; a field of another type is an error.
 
 Projects exported in the BugLocator/Bench4BL XML convention
 (``<project>/bugrepo/repository.xml``) load through the same entry points;
@@ -38,7 +40,7 @@ logger = logging.getLogger(__name__)
 
 # Bump on any change to how the same files load (parsing, fix-link
 # resolution, report order or filtering), so that cached artifacts rebuild.
-LOADER_VERSION = 1
+LOADER_VERSION = 2
 
 MANIFEST = "manifest.csv"
 
@@ -91,11 +93,12 @@ class Project:
     def has_queries(self) -> bool:
         return bool(self.bug_reports)
 
-    def report(self, bug_id: str) -> BugReport:
-        for r in self.bug_reports:
-            if r.id == bug_id:
-                return r
-        raise KeyError(bug_id)
+    def row(self, bug_id: str) -> int:
+        """Row of the report with id ``bug_id`` in ``bug_reports``."""
+        for row, report in enumerate(self.bug_reports):
+            if report.id == bug_id:
+                return row
+        raise CorpusError(f"unknown bug id {bug_id!r} in project {self.name}")
 
 
 @dataclass
@@ -154,7 +157,7 @@ class _FileIndex:
     def resolve(self, bug_id: str, raw_links, strict: bool) -> set[str]:
         resolved = set()
         for link in raw_links:
-            link = str(link).replace("\\", "/").lstrip("/")
+            link = link.replace("\\", "/").lstrip("/")
             if link in self.paths:
                 resolved.add(link)
                 continue
@@ -206,19 +209,34 @@ def project_dirs(root: Path) -> list[Path]:
     return sorted(p for p in root.iterdir() if p.is_dir())
 
 
+def _optional_str(raw: dict, key: str) -> str | None:
+    value = raw.get(key)
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"{key!r} must be a string or null, not {type(value).__name__}")
+    return value
+
+
 def _load_json_reports(paths: list[str], index: _FileIndex, strict: bool) -> list[BugReport]:
     reports = []
     for path in paths:
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.loads(fh.read())
-            bug_id = str(raw["id"])
+            if not isinstance(raw, dict):
+                raise TypeError("not a JSON object")
+            raw_id, links = raw["id"], raw.get("fixed_files", [])
+            if isinstance(raw_id, bool) or not isinstance(raw_id, (str, int)):
+                raise TypeError(f"'id' must be a string or an integer, "
+                                f"not {type(raw_id).__name__}")
+            if not (isinstance(links, list) and all(isinstance(link, str) for link in links)):
+                raise TypeError("'fixed_files' must be a list of strings")
+            bug_id = str(raw_id)
             report = BugReport(
                 id=bug_id,
-                summary=str(raw.get("summary", "")),
-                description=str(raw.get("description", "")),
-                fixed_files=index.resolve(bug_id, raw.get("fixed_files", []), strict),
-                timestamp=raw.get("open_date"),
+                summary=_optional_str(raw, "summary") or "",
+                description=_optional_str(raw, "description") or "",
+                fixed_files=index.resolve(bug_id, links, strict),
+                timestamp=_optional_str(raw, "open_date"),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise CorpusError(f"malformed bug report {path}: {exc}") from exc

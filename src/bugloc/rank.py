@@ -18,12 +18,12 @@ Combined scoring (method 7) normalizes the TF.IDF and doc-vector maps to
 [0, 1] separately and averages them per relevancy function.
 
 Scores are numpy arrays over the project's files in path order, and
-reports are addressed as rows of ``project.bug_reports``: a query or a
-history report must be one of the project's own report objects. Per
-TF.IDF scope, a :class:`TfidfScope` holds the files'
-:class:`~bugloc.tfidf.Postings`, their length factors, each report's query
-arrays (:func:`~bugloc.tfidf.queries`) and, for methods that use history,
-the reports' postings. :class:`Artifacts` builds it once from the token
+reports are addressed only as rows of ``project.bug_reports``: the query
+is a row and its history an int array of rows, so neither can name a
+report of another project. Per TF.IDF scope, a :class:`TfidfScope` holds
+the files' :class:`~bugloc.tfidf.Postings`, their length factors, each
+report's query arrays (:func:`~bugloc.tfidf.queries`) and the reports'
+postings. :class:`Artifacts` builds it once from the token
 streams, or takes it as loaded from the cache's ranking index (the same
 float64 arrays), so one query costs one
 ``bincount`` against each: direct scores are the files' logistic length
@@ -42,12 +42,13 @@ norms, so doc-vector similarities are matrix-vector products
 :func:`~bugloc.embedding.doc_cosine` within rounding, and feed the same
 bridge.
 
-:func:`localize` returns the score arrays and ``entries``, the file
-columns in ranked order, and builds no per-file object. ``evaluate``
-scores a query from the ranks of its fixed files
-(:meth:`RankedList.ranks_of`), not from a list of file ids, and takes
-each query's history by row (:func:`history_at`); :class:`RankEntry` rows
-exist only for a ranking that is written or printed.
+:func:`localize` takes the query's row and the history's rows, returns
+the score arrays and ``entries``, the file columns in ranked order, and
+builds no per-file object. ``evaluate`` scores a query from the ranks of
+its fixed files (:meth:`RankedList.ranks_of`), not from a list of file
+ids, and takes each query's history as rows (:func:`history_at`);
+:class:`RankEntry` rows exist only for a ranking that is written or
+printed.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import embedding, tfidf
-from .corpus import BugReport, Project
+from .corpus import Project
 
 TFIDF_LOCAL = "tfidf_local"
 TFIDF_GLOBAL = "tfidf_global"
@@ -198,18 +199,15 @@ class TfidfScope:
     ``length_weights`` the rVSM logistic factor of each file. Each report's
     query arrays (:func:`~bugloc.tfidf.queries`) are CSR arrays in report
     order, read through :meth:`query`. ``reports`` holds the report
-    postings; a scope built from token streams builds them only when a
-    method ranks through history.
+    postings, rows in report order.
     """
 
     def __init__(self, files: tfidf.Postings, length_weights: np.ndarray, queries,
-                 reports: tfidf.Postings | None = None, report_vectors=None):
+                 reports: tfidf.Postings):
         self.files = files
         self.length_weights = length_weights
         self.query_offsets, self.query_terms, self.query_weights, self.query_norms = queries
-        if reports is not None:
-            self.reports = reports
-        self._report_vectors = report_vectors
+        self.reports = reports
 
     @classmethod
     def build(cls, vocab: tfidf.Vocabulary, files, reports,
@@ -219,12 +217,8 @@ class TfidfScope:
         report_vectors = [tfidf.vectorize(stream, vocab) for stream in _streams(reports)]
         return cls(tfidf.Postings.from_vectors(vectors, len(vocab)),
                    np.array([tfidf.length_weight(v.term_count, normalizer) for v in vectors]),
-                   tfidf.queries(report_vectors), report_vectors=report_vectors)
-
-    @cached_property
-    def reports(self) -> tfidf.Postings:
-        """Postings over the project's reports, rows in report order."""
-        return tfidf.Postings.from_vectors(self._report_vectors, self.files.n_terms)
+                   tfidf.queries(report_vectors),
+                   tfidf.Postings.from_vectors(report_vectors, len(vocab)))
 
     def query(self, row: int) -> tuple[np.ndarray, np.ndarray, float]:
         """Report ``row``'s ascending term ids, their weights and its norm."""
@@ -267,8 +261,6 @@ class Artifacts:
         self.files = sorted(project.source_files, key=lambda f: f.id)
         self.file_ids = [f.id for f in self.files]
         self._column = {fid: j for j, fid in enumerate(self.file_ids)}
-        # keyed by identity: only the project's own report objects have a row
-        self._row = {id(r): i for i, r in enumerate(project.bug_reports)}
 
     @cached_property
     def local_vocab(self) -> tfidf.Vocabulary:
@@ -293,17 +285,6 @@ class Artifacts:
         if scope not in self.scopes:
             self.scopes[scope] = self.build_scope(self.vocab(scope))
         return self.scopes[scope]
-
-    def rows(self, reports) -> np.ndarray:
-        """Row of each report in ``project.bug_reports``; a report that is
-        not one of the project's own objects raises ``ValueError``."""
-        try:  # runs for every history of every query, so kept to C-level loops
-            return np.fromiter(map(self._row.__getitem__, map(id, reports)), dtype=np.intp,
-                               count=len(reports))
-        except KeyError:
-            stranger = next(r for r in reports if id(r) not in self._row)
-            raise ValueError(f"report {stranger.id!r} is not a report of project "
-                             f"{self.project.name}") from None
 
     def _require_models(self):
         if self.dm_model is None or self.dbow_model is None:
@@ -417,43 +398,41 @@ def _indirect_scores(row: int, history: np.ndarray, kind: str,
     return artifacts._bridge(history, _history_sims(row, history, kind, artifacts))
 
 
-def history_at(project: Project, row: int, policy: str = "earlier") -> list[BugReport]:
-    """Reports usable as history for the project's report ``row``: the
-    reports before it in the project ordering, or every other report under
+def history_at(project: Project, row: int, policy: str = "earlier") -> np.ndarray:
+    """Rows usable as history for the project's report ``row``: the rows
+    before it in the project ordering, or every other row under
     ``policy="all"``."""
-    reports = project.bug_reports
     if policy == "earlier":
-        return reports[:row]
+        return np.arange(row)
     if policy == "all":
-        return reports[:row] + reports[row + 1:]
+        rows = np.arange(len(project.bug_reports))
+        return rows[rows != row]
     raise ValueError(f"unknown history policy {policy!r}")
 
 
-def history_for(query: BugReport, project: Project, policy: str = "earlier") -> list[BugReport]:
-    """:func:`history_at` for the project's report with the query's id."""
-    for row, report in enumerate(project.bug_reports):
-        if report.id == query.id:
-            return history_at(project, row, policy)
-    raise ValueError(f"report {query.id!r} is not a report of project {project.name}")
+def localize(artifacts: Artifacts, row: int, config: MethodConfig,
+             history: np.ndarray | None = None) -> RankedList:
+    """Rank every source file of ``artifacts.project`` for its report ``row``.
 
-
-def localize(query: BugReport, project: Project, config: MethodConfig,
-             artifacts: Artifacts, history: list[BugReport] | None = None) -> RankedList:
-    """Rank every source file of the project for one query.
-
-    ``history`` defaults to the reports strictly earlier than the query.
-    The query and the history must be reports of ``artifacts.project``
-    (``ValueError`` otherwise); the caller is responsible for excluding the
-    query itself (and, during evaluation, anything not strictly earlier)
-    from ``history``. Ties in the fused score break by file path so output
+    ``history`` holds the report rows the query may draw on and defaults
+    to the rows before it; the caller is responsible for excluding the
+    query itself (and, during evaluation, anything not strictly earlier).
+    A query row or history row outside ``project.bug_reports`` raises
+    ``ValueError``. Ties in the fused score break by file path so output
     order is total.
     """
-    if history is None:
-        history = history_for(query, project)
-    (row,) = artifacts.rows([query])
-    rows = artifacts.rows(history)
+    project = artifacts.project
+    n_reports = len(project.bug_reports)
+    history = (history_at(project, row) if history is None
+               else np.asarray(history, dtype=np.intp))
+    # numpy would silently read a negative row from the end
+    outside = len(history) and (history.min() < 0 or history.max() >= n_reports)
+    if outside or not 0 <= row < n_reports:
+        raise ValueError(f"report rows must lie in [0, {n_reports}) for project "
+                         f"{project.name}")
     direct = _direct_scores(row, config.direct_model, artifacts)
-    indirect = _indirect_scores(row, rows, config.indirect_model, artifacts)
+    indirect = _indirect_scores(row, history, config.indirect_model, artifacts)
     final = fuse(direct, indirect, config.w1, config.w2)
-    return RankedList(query.id, config.method_id, artifacts.file_ids, final, direct, indirect,
+    return RankedList(project.bug_reports[row].id, config.method_id,
+                      artifacts.file_ids, final, direct, indirect,
                       np.argsort(-final, kind="stable"))

@@ -148,12 +148,11 @@ def test_criterion_5_synthetic_end_to_end(synth_benchmark, tmp_path):
         for project in benchmark.projects:
             global_vocab = cache.global_vocabulary(project.name)
             artifacts = rank.Artifacts(project, global_vocab=global_vocab)
-            for query in project.bug_reports:
+            for row, query in enumerate(project.bug_reports):
                 total += 1
                 for method_id in (1, 2, 3, 4):
-                    ranked = rank.localize(query, project,
-                                           rank.MethodConfig.from_id(method_id),
-                                           artifacts)
+                    ranked = rank.localize(artifacts, row,
+                                           rank.MethodConfig.from_id(method_id))
                     truth_rank = min(ranked.file_ids.index(f) + 1 for f in query.fixed_files)
                     hits[method_id] += truth_rank == 1
                     decoy_ranks.setdefault((project.name, query.id), {})[method_id] = truth_rank

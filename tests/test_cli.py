@@ -397,3 +397,58 @@ def test_evaluate_builds_no_rank_entry(synth_benchmark, tmp_path, runner, monkey
                                   "--out", str(tmp_path / "l")])
     assert result.exit_code == 0, result.output
     assert built
+
+
+def test_json_report_of_wrong_field_type_is_one_json_error(tmp_path, runner):
+    # an integer open date next to string ones used to crash the report sort
+    project = write_project(tmp_path / "bench", "mixed", {"A.java": java_stub("alpha")}, [
+        {"id": "B-1", "summary": "alpha fails", "fixed_files": ["A.java"],
+         "open_date": "2021-01-01"},
+        {"id": "B-2", "summary": "alpha again", "fixed_files": ["A.java"],
+         "open_date": 20210201}])
+    result = runner.invoke(main, ["evaluate", "--benchmark", str(tmp_path / "bench"),
+                                  "--methods", "1", "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert str(project / "bugs" / "B-2.json") in error
+    assert "'open_date' must be a string or null, not int" in error
+
+
+@pytest.mark.parametrize("value, expected", [("1", True), ("TRUE", True), ("Yes", True),
+                                             ("on", True), ("0", False), ("False", False),
+                                             ("NO", False), ("Off", False)])
+def test_config_booleans_accept_the_usual_spellings(tmp_path, value, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"split_compounds = {value}\n")
+    settings = Settings(cfg, {})
+    assert settings.get("split_compounds", bool) is expected
+    assert settings.preprocess_config().split_compound_identifiers is expected
+
+
+def test_misspelt_config_boolean_is_one_json_error(synth_benchmark, tmp_path, runner):
+    root, _, _ = synth_benchmark
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("split_compounds = flase\n")
+    result = runner.invoke(main, ["evaluate", "--benchmark", str(root), "--methods", "1",
+                                  "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == (
+        "split_compounds must be 1/0, true/false, yes/no or on/off, got 'flase'")
+    assert not (tmp_path / "o").exists()
+
+
+def test_evaluate_closing_line_counts_only_evaluated_projects(tmp_path, runner):
+    bench = tmp_path / "bench"
+    write_project(bench, "fixed", {"A.java": java_stub("alpha")},
+                  [{"id": "B-1", "summary": "alpha fails", "fixed_files": ["A.java"]}])
+    write_project(bench, "unfixed", {"A.java": java_stub("alpha")},
+                  [{"id": "B-1", "summary": "alpha fails", "fixed_files": []}])
+    result = runner.invoke(main, ["evaluate", "--benchmark", str(bench), "--methods", "1",
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 0, result.output
+    assert "skipping unfixed: no queries" in result.stderr
+    assert result.stdout.strip() == f"wrote metrics for 1 project(s), methods 1 to {tmp_path / 'o'}"

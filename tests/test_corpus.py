@@ -49,7 +49,7 @@ def test_reports_ordered_by_timestamp(small_project):
 
 def test_fix_links_resolved(small_project):
     project = load_project(small_project)
-    assert project.report("B-1").fixed_files == {"Gamma.java", "a/Beta.java"}
+    assert project.bug_reports[project.row("B-1")].fixed_files == {"Gamma.java", "a/Beta.java"}
 
 
 def test_sources_listed_in_path_order(tmp_path):
@@ -80,14 +80,14 @@ def test_nonstrict_drops_bad_link(tmp_path, caplog):
     project_dir = write_project(tmp_path, "p", {"A.java": java_stub("a")},
                                 [_bug("B-77", ["Missing.java", "A.java"])])
     project = load_project(project_dir, strict=False)
-    assert project.report("B-77").fixed_files == {"A.java"}
+    assert project.bug_reports[project.row("B-77")].fixed_files == {"A.java"}
 
 
 def test_basename_fallback_when_unambiguous(tmp_path):
     project_dir = write_project(tmp_path, "p", {"x/deep/A.java": java_stub("a")},
                                 [_bug("B-1", ["A.java"])])
     project = load_project(project_dir)
-    assert project.report("B-1").fixed_files == {"x/deep/A.java"}
+    assert project.bug_reports[project.row("B-1")].fixed_files == {"x/deep/A.java"}
 
 
 def test_basename_fallback_rejects_ambiguity(tmp_path):
@@ -102,6 +102,61 @@ def test_malformed_report(tmp_path):
     (project_dir / "bugs" / "bad.json").write_text('{"summary": "no id"}')
     with pytest.raises(CorpusError, match="malformed"):
         load_project(project_dir)
+
+
+class TestJsonFieldTypes:
+    def load(self, tmp_path, **fields):
+        """The report of a one-report project whose bug JSON is ``fields``
+        over a valid report; a field set to ``...`` is left out."""
+        bug = {**_bug("B-1", ["A.java"], stamp="2021-01-01"), **fields}
+        project_dir = write_project(tmp_path, "p", {"A.java": java_stub("a")}, [])
+        (project_dir / "bugs" / "bug.json").write_text(
+            json.dumps({k: v for k, v in bug.items() if v is not ...}))
+        (report,) = load_project(project_dir).bug_reports
+        return report
+
+    def test_null_or_missing_text_fields_load_empty(self, tmp_path):
+        report = self.load(tmp_path, summary=None, description=..., open_date=None)
+        assert (report.summary, report.description, report.timestamp) == ("", "", None)
+
+    def test_integer_id_loads_as_text(self, tmp_path):
+        assert self.load(tmp_path, id=7).id == "7"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("id", None, "'id' must be a string or an integer, not NoneType"),
+        ("id", True, "'id' must be a string or an integer, not bool"),
+        ("id", 1.5, "'id' must be a string or an integer, not float"),
+        ("summary", 3, "'summary' must be a string or null, not int"),
+        ("description", ["it", "crashes"], "'description' must be a string or null, not list"),
+        ("open_date", 20210101, "'open_date' must be a string or null, not int"),
+        ("fixed_files", "A.java", "'fixed_files' must be a list of strings"),
+        ("fixed_files", ["A.java", 3], "'fixed_files' must be a list of strings"),
+        ("fixed_files", None, "'fixed_files' must be a list of strings"),
+    ])
+    def test_wrong_type_rejected_naming_the_file(self, tmp_path, field, value, message):
+        with pytest.raises(CorpusError, match=r"malformed bug report \S*bug\.json: ") as info:
+            self.load(tmp_path, **{field: value})
+        assert str(info.value).endswith(message)
+
+    def test_not_an_object_rejected(self, tmp_path):
+        project_dir = write_project(tmp_path, "p", {"A.java": java_stub("a")}, [])
+        (project_dir / "bugs" / "bug.json").write_text('["B-1"]')
+        with pytest.raises(CorpusError, match="bug.json: not a JSON object"):
+            load_project(project_dir)
+
+    def test_mixed_open_date_types_rejected_before_sorting(self, tmp_path):
+        project_dir = write_project(tmp_path, "p", {"A.java": java_stub("a")}, [
+            _bug("B-1", ["A.java"], stamp="2021-01-01"), {**_bug("B-2", ["A.java"]),
+                                                         "open_date": 20210201}])
+        with pytest.raises(CorpusError, match="B-2.json: 'open_date' must be a string"):
+            load_project(project_dir)
+
+
+def test_row_of_bug_id(small_project):
+    project = load_project(small_project)
+    assert [project.row(bug_id) for bug_id in ("B-1", "B-2")] == [0, 1]
+    with pytest.raises(CorpusError, match="unknown bug id 'B-3' in project demo"):
+        project.row("B-3")
 
 
 def test_empty_file_flagged_degenerate(tmp_path):

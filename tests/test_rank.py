@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from bugloc import embedding, tfidf
 from bugloc.corpus import Benchmark, BugReport, Project, SourceFile
 from bugloc.preprocess import PreprocessConfig, preprocess_project
-from bugloc.rank import Artifacts, MethodConfig, fuse, history_at, history_for, localize
+from bugloc.rank import Artifacts, MethodConfig, fuse, history_at, localize
 
 CONFIG = PreprocessConfig()
 
@@ -48,6 +47,11 @@ def toy_with(*extra):
     """The toy project with more reports after its own, and those reports."""
     project = make_project("toy", TOY_FILES, [*TOY_REPORTS, *extra])
     return project, project.bug_reports[len(TOY_REPORTS):]
+
+
+def reports_at(project, rows):
+    """The project's reports at ``rows``, in that order."""
+    return [project.bug_reports[i] for i in rows]
 
 
 def scores(ranked, kind):
@@ -99,8 +103,8 @@ class TestMethodTable:
 class TestDirectRelevancy:
     def test_identical_file_gets_strict_max(self):
         project, (query,) = toy_with(report("q", "obelisk obelisk2"))
-        direct = scores(localize(query, project, MethodConfig.from_id(1),
-                                 Artifacts(project)), "direct")
+        direct = scores(localize(Artifacts(project), project.row(query.id),
+                                 MethodConfig.from_id(1)), "direct")
         best = max(direct, key=direct.get)
         assert best == "Obelisk.java"
         assert direct["Obelisk.java"] > max(v for k, v in direct.items()
@@ -108,15 +112,14 @@ class TestDirectRelevancy:
 
     def test_empty_query_all_zero(self):
         project, (query,) = toy_with(report("q", ""))
-        ranked = localize(query, project, MethodConfig.from_id(1), Artifacts(project))
+        ranked = localize(Artifacts(project), project.row(query.id), MethodConfig.from_id(1))
         assert set(scores(ranked, "direct").values()) == {0.0}
 
     def test_matches_module_oracle(self, toy_project):
         # scores must equal independently composed vectorize/rvsm calls
         artifacts = Artifacts(toy_project)
         query = toy_project.bug_reports[1]
-        direct = scores(localize(query, toy_project, MethodConfig.from_id(1), artifacts),
-                        "direct")
+        direct = scores(localize(artifacts, 1, MethodConfig.from_id(1)), "direct")
         vocab = tfidf.build_vocabulary([f.token_stream for f in toy_project.source_files])
         norm = tfidf.LengthNormalizer.from_counts(
             len(f.token_stream) for f in toy_project.source_files)
@@ -128,8 +131,7 @@ class TestDirectRelevancy:
     def test_global_scope_requires_model(self, toy_project):
         artifacts = Artifacts(toy_project)
         with pytest.raises(ValueError, match="global"):
-            localize(toy_project.bug_reports[0], toy_project, MethodConfig.from_id(2),
-                     artifacts)
+            localize(artifacts, 0, MethodConfig.from_id(2))
 
 
 def test_reports_must_be_preprocessed(toy_project):
@@ -140,8 +142,7 @@ def test_reports_must_be_preprocessed(toy_project):
 
 class TestIndirectRelevancy:
     def test_empty_history_is_zero_map(self, toy_project):
-        ranked = localize(toy_project.bug_reports[2], toy_project, MethodConfig.from_id(3),
-                          Artifacts(toy_project), history=[])
+        ranked = localize(Artifacts(toy_project), 2, MethodConfig.from_id(3), history=[])
         indirect = scores(ranked, "indirect")
         assert set(indirect) == toy_project.file_ids
         assert set(indirect.values()) == {0.0}
@@ -154,8 +155,8 @@ class TestIndirectRelevancy:
         vocab = artifacts.local_vocab
         similarity = tfidf.cosine(tfidf.vectorize(query.token_stream, vocab),
                                   tfidf.vectorize(past.token_stream, vocab))
-        indirect = scores(localize(query, project, MethodConfig.from_id(3), artifacts,
-                                   history=[past]), "indirect")
+        indirect = scores(localize(artifacts, project.row(query.id), MethodConfig.from_id(3),
+                                   history=[project.row(past.id)]), "indirect")
         assert similarity > 0
         assert indirect["Zeppelin.java"] == pytest.approx(similarity / 2)
         assert indirect["Obelisk.java"] == pytest.approx(similarity / 2)
@@ -170,8 +171,8 @@ class TestIndirectRelevancy:
         query_vec = tfidf.vectorize(query.token_stream, vocab)
         sim1, sim2 = (tfidf.cosine(query_vec, tfidf.vectorize(h.token_stream, vocab))
                       for h in (h1, h2))
-        indirect = scores(localize(query, project, MethodConfig.from_id(3), artifacts,
-                                   history=[h1, h2]), "indirect")
+        indirect = scores(localize(artifacts, 1, MethodConfig.from_id(3),
+                                   history=[0, project.row(h2.id)]), "indirect")
         assert indirect["Zeppelin.java"] == pytest.approx(sim1 / 1 + sim2 / 1)
 
 
@@ -222,42 +223,33 @@ class TestFuse:
 
 class TestHistory:
     def test_strictly_earlier(self, toy_project):
-        query = toy_project.bug_reports[1]
-        assert [r.id for r in history_for(query, toy_project)] == ["B-1"]
+        assert [r.id for r in reports_at(toy_project, history_at(toy_project, 1))] == ["B-1"]
 
     def test_first_report_has_no_history(self, toy_project):
-        assert history_for(toy_project.bug_reports[0], toy_project) == []
+        assert len(history_at(toy_project, 0)) == 0
 
     def test_all_others_policy(self, toy_project):
-        query = toy_project.bug_reports[0]
-        ids = [r.id for r in history_for(query, toy_project, policy="all")]
-        assert ids == ["B-2", "B-3"]
+        history = history_at(toy_project, 0, policy="all")
+        assert [r.id for r in reports_at(toy_project, history)] == ["B-2", "B-3"]
 
     def test_unknown_policy(self, toy_project):
-        with pytest.raises(ValueError):
-            history_for(toy_project.bug_reports[0], toy_project, policy="future")
         with pytest.raises(ValueError):
             history_at(toy_project, 0, policy="future")
 
     @pytest.mark.parametrize("policy", ["earlier", "all"])
-    def test_by_row_matches_by_query(self, toy_project, policy):
-        for row, query in enumerate(toy_project.bug_reports):
-            by_row = history_at(toy_project, row, policy)
-            assert by_row == history_for(query, toy_project, policy)
-            assert all(r is toy_project.bug_reports[i] for i, r in enumerate(by_row)
-                       if policy == "earlier" or i < row)
-
-    def test_query_from_another_project_rejected(self, toy_project):
-        stranger = dataclasses.replace(toy_project.bug_reports[0], id="B-9")
-        with pytest.raises(ValueError, match="'B-9' is not a report of project toy"):
-            history_for(stranger, toy_project)
+    def test_rows_are_list_positions(self, toy_project, policy):
+        reports = toy_project.bug_reports
+        for row in range(len(reports)):
+            expected = reports[:row] if policy == "earlier" else reports[:row] + reports[row + 1:]
+            history = history_at(toy_project, row, policy)
+            assert history.dtype.kind == "i"
+            assert reports_at(toy_project, history) == expected
 
 
 class TestLocalize:
     def test_ranked_list_covers_all_files(self, toy_project):
         artifacts = Artifacts(toy_project)
-        ranked = localize(toy_project.bug_reports[0], toy_project,
-                          MethodConfig.from_id(1), artifacts)
+        ranked = localize(artifacts, 0, MethodConfig.from_id(1))
         assert len(ranked.entries) == len(toy_project.source_files)
         assert set(ranked.file_ids) == toy_project.file_ids
         finals = [e.final_score for e in ranked.rows()]
@@ -265,15 +257,15 @@ class TestLocalize:
 
     def test_planted_file_ranks_first(self, toy_project):
         artifacts = Artifacts(toy_project)
-        for query in toy_project.bug_reports:
-            ranked = localize(query, toy_project, MethodConfig.from_id(1), artifacts)
+        for row, query in enumerate(toy_project.bug_reports):
+            ranked = localize(artifacts, row, MethodConfig.from_id(1))
             assert ranked.file_ids.index(next(iter(query.fixed_files))) + 1 == 1
 
     def test_method3_equals_method1_with_empty_history(self, toy_project):
         artifacts = Artifacts(toy_project)
-        query = toy_project.bug_reports[0]  # earliest: empty history
-        local_only = localize(query, toy_project, MethodConfig.from_id(1), artifacts)
-        with_history = localize(query, toy_project, MethodConfig.from_id(3), artifacts)
+        # row 0 is the earliest report: empty history
+        local_only = localize(artifacts, 0, MethodConfig.from_id(1))
+        with_history = localize(artifacts, 0, MethodConfig.from_id(3))
         assert local_only.file_ids == with_history.file_ids
 
     def test_tie_break_is_path_lexicographic(self):
@@ -282,22 +274,19 @@ class TestLocalize:
         project = make_project("ties", files, [
             report("B-1", "same problem", {"A.java"}, "2021-01-01")])
         artifacts = Artifacts(project)
-        ranked = localize(project.bug_reports[0], project,
-                          MethodConfig.from_id(1), artifacts)
+        ranked = localize(artifacts, 0, MethodConfig.from_id(1))
         # A and B tie on content; A must precede B
         assert ranked.file_ids.index("A.java") < ranked.file_ids.index("B.java")
 
     def test_deterministic(self, toy_project):
         artifacts = Artifacts(toy_project)
-        query = toy_project.bug_reports[2]
-        a = localize(query, toy_project, MethodConfig.from_id(3), artifacts)
-        b = localize(query, toy_project, MethodConfig.from_id(3), Artifacts(toy_project))
+        a = localize(artifacts, 2, MethodConfig.from_id(3))
+        b = localize(Artifacts(toy_project), 2, MethodConfig.from_id(3))
         assert a.file_ids == b.file_ids
         assert [e.final_score for e in a.rows()] == [e.final_score for e in b.rows()]
 
     def test_rows_and_ranks_follow_entries(self, toy_project):
-        ranked = localize(toy_project.bug_reports[1], toy_project, MethodConfig.from_id(3),
-                          Artifacts(toy_project))
+        ranked = localize(Artifacts(toy_project), 1, MethodConfig.from_id(3))
         rows = ranked.rows()
         assert [e.file_id for e in rows] == ranked.file_ids
         assert ranked.rows(2) == rows[:2]
@@ -311,8 +300,7 @@ class TestLocalize:
 
     def test_csv_round_trip(self, toy_project, tmp_path):
         artifacts = Artifacts(toy_project)
-        ranked = localize(toy_project.bug_reports[0], toy_project,
-                          MethodConfig.from_id(3), artifacts)
+        ranked = localize(artifacts, 0, MethodConfig.from_id(3))
         path = tmp_path / "out.csv"
         ranked.write_csv(path)
         lines = path.read_text().splitlines()
@@ -323,7 +311,8 @@ class TestLocalize:
 
 def reference_scores(query, history, config, project, vocab):
     """Final, direct and indirect maps of a TF.IDF method from per-pair
-    rVSM and cosine calls and a dict bridge summed in history order."""
+    rVSM and cosine calls and a dict bridge summed in history order
+    (``history`` holds report objects)."""
     def vec(stream):
         return tfidf.vectorize(stream, vocab)
 
@@ -376,10 +365,11 @@ class TestMatchesPerPairReference:
             artifacts = Artifacts(project, global_vocab=tfidf.build_global_idf(
                 benchmark, project.name))
             vocab = artifacts.vocab("local" if method_id in (1, 3) else "global")
-            for query in project.bug_reports:
-                history = history_for(query, project, policy)
-                ranked = localize(query, project, config, artifacts, history=history)
-                assert_matches_reference(ranked, query, history, config, project, vocab)
+            for row, query in enumerate(project.bug_reports):
+                history = history_at(project, row, policy)
+                ranked = localize(artifacts, row, config, history=history)
+                assert_matches_reference(ranked, query, reports_at(project, history), config,
+                                         project, vocab)
 
     @pytest.mark.parametrize("policy", ["earlier", "all"])
     @pytest.mark.parametrize("method_id", [1, 2, 3, 4])
@@ -409,10 +399,11 @@ class TestMatchesPerPairReference:
             artifacts = Artifacts(project, global_vocab=tfidf.build_global_idf(
                 benchmark, project.name))
             vocab = artifacts.vocab("local" if method_id in (1, 3) else "global")
-            for query in project.bug_reports:
-                history = history_for(query, project, policy)
-                ranked = localize(query, project, config, artifacts, history=history)
-                assert_matches_reference(ranked, query, history, config, project, vocab)
+            for row, query in enumerate(project.bug_reports):
+                history = history_at(project, row, policy)
+                ranked = localize(artifacts, row, config, history=history)
+                assert_matches_reference(ranked, query, reports_at(project, history), config,
+                                         project, vocab)
 
     def test_multi_file_fixes_count_files_missing_from_project(self):
         files = {"Zeppelin.java": "class Zeppelin { int zeppelin; int drift; }",
@@ -427,12 +418,12 @@ class TestMatchesPerPairReference:
         artifacts = Artifacts(project)
         config = MethodConfig.from_id(3)
         for policy in ("earlier", "all"):
-            for query in project.bug_reports:
-                history = history_for(query, project, policy)
-                ranked = localize(query, project, config, artifacts, history=history)
-                assert_matches_reference(ranked, query, history, config, project,
-                                         artifacts.local_vocab)
-        ranked = localize(project.bug_reports[2], project, config, artifacts)
+            for row, query in enumerate(project.bug_reports):
+                history = history_at(project, row, policy)
+                ranked = localize(artifacts, row, config, history=history)
+                assert_matches_reference(ranked, query, reports_at(project, history), config,
+                                         project, artifacts.local_vocab)
+        ranked = localize(artifacts, 2, config)
         scores = {e.file_id: e.indirect_score for e in ranked.rows()}
         vocab = artifacts.local_vocab
         query_vec = tfidf.vectorize(project.bug_reports[2].token_stream, vocab)
@@ -440,17 +431,16 @@ class TestMatchesPerPairReference:
                       for r in project.bug_reports[:2])
         assert scores["Zeppelin.java"] == sim1 / 2 + sim2 / 3
 
-    def test_query_or_history_from_outside_the_project_rejected(self, toy_project):
+    def test_query_or_history_row_out_of_range_rejected(self, toy_project):
         artifacts = Artifacts(toy_project)
-        own = toy_project.bug_reports
-        # an equal copy is still not one of the project's report objects
-        stranger = dataclasses.replace(own[0])
+        n = len(toy_project.bug_reports)
         for method_id in (1, 3):  # with and without history
             config = MethodConfig.from_id(method_id)
-            with pytest.raises(ValueError, match="'B-1' is not a report of project toy"):
-                localize(stranger, toy_project, config, artifacts, history=[])
-            with pytest.raises(ValueError, match="'B-1' is not a report of project toy"):
-                localize(own[2], toy_project, config, artifacts, history=[own[1], stranger])
+            # numpy would read row -1 as the last report
+            for row, history in ((-1, []), (n, []), (2, [1, -1]), (2, [n, 0])):
+                with pytest.raises(ValueError, match=r"report rows must lie in \[0, 3\) "
+                                                     "for project toy"):
+                    localize(artifacts, row, config, history=history)
 
     @pytest.mark.parametrize("method_id", [1, 3])
     def test_identical_files_stay_exactly_tied_in_path_order(self, method_id):
@@ -461,8 +451,7 @@ class TestMatchesPerPairReference:
             report("B-1", "kestrel harrier", {"a/Twin.java", "b/Twin.java",
                                               "a-b/Twin.java"}, "2021-01-01"),
             report("B-2", "kestrel osprey", {"Other.java"}, "2021-02-01")])
-        ranked = localize(project.bug_reports[1], project, MethodConfig.from_id(method_id),
-                          Artifacts(project))
+        ranked = localize(Artifacts(project), 1, MethodConfig.from_id(method_id))
         twins = [e for e in ranked.rows() if e.file_id.endswith("Twin.java")]
         assert [e.file_id for e in twins] == ["a-b/Twin.java", "a/Twin.java", "b/Twin.java"]
         assert len({(e.final_score, e.direct_score, e.indirect_score) for e in twins}) == 1
@@ -475,9 +464,7 @@ class TestMatchesPerPairReference:
 def test_report_postings_built_only_for_history_methods(toy_project, method_id,
                                                         uses_history):
     artifacts = Artifacts(toy_project)
-    localize(toy_project.bug_reports[2], toy_project, MethodConfig.from_id(method_id),
-             artifacts)
-    assert ("reports" in vars(artifacts._tfidf_scope("local"))) == uses_history
+    localize(artifacts, 2, MethodConfig.from_id(method_id))
     assert ("_project_pairs" in vars(artifacts)) == uses_history
 
 
@@ -517,17 +504,17 @@ class TestDocVectorMethods:
                               dbow_model=dbow)
         files = sorted(project.source_files, key=lambda f: f.id)
         assert not self._vector(project.file("Lone.java"), dm, dbow).values.any()
-        for query in project.bug_reports:
-            history = history_for(query, project, policy)
-            direct = scores(localize(query, project, MethodConfig.from_id(5), artifacts,
+        for row, query in enumerate(project.bug_reports):
+            history = history_at(project, row, policy)
+            direct = scores(localize(artifacts, row, MethodConfig.from_id(5),
                                      history=history), "direct")
-            indirect = scores(localize(query, project, MethodConfig.from_id(6), artifacts,
+            indirect = scores(localize(artifacts, row, MethodConfig.from_id(6),
                                        history=history), "indirect")
             q = self._vector(query, dm, dbow)
             want_direct = {f.id: embedding.doc_cosine(q, self._vector(f, dm, dbow))
                            for f in files}
             want_indirect = dict.fromkeys(want_direct, 0.0)
-            for past in history:
+            for past in reports_at(project, history):
                 sim = embedding.doc_cosine(q, self._vector(past, dm, dbow))
                 for fid in past.fixed_files:
                     want_indirect[fid] += sim / len(past.fixed_files)
@@ -549,9 +536,9 @@ class TestDocVectorMethods:
         monkeypatch.setattr(embedding, "combined_matrix", counting)
         artifacts = Artifacts(project, global_vocab=global_vocab(project), dm_model=dm,
                               dbow_model=dbow)
-        for query in (project.bug_reports[6], project.bug_reports[2]):
+        for row in (6, 2):
             for method_id in (5, 6, 7):
-                localize(query, project, MethodConfig.from_id(method_id), artifacts)
+                localize(artifacts, row, MethodConfig.from_id(method_id))
         assert inferred == [len(project.source_files), len(project.bug_reports)]
 
 
