@@ -11,14 +11,15 @@ to stderr and exit nonzero.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import re
 import statistics
 import sys
-from functools import wraps
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import embedding, metrics, rank
 from .cache import ArtifactCache
@@ -78,6 +79,7 @@ class Settings:
                  "0": False, "false": False, "no": False, "off": False}
 
     def __init__(self, config_path, cli_values: dict):
+        self.config_path = config_path
         self.file_values = read_config_file(config_path) if config_path else {}
         for key in self.file_values:
             if key not in self._KEYS:
@@ -87,8 +89,10 @@ class Settings:
 
     def get(self, key, cast=str):
         value = self.cli_values.get(key)
+        source = f"flag --{key.replace('_', '-')}"
         if value is None:
             value = self.file_values.get(key)
+            source = f"config file {self.config_path}"
         if value is None:
             return self._DEFAULTS.get(key)
         if cast is bool and isinstance(value, str):
@@ -96,7 +100,11 @@ class Settings:
                 raise BugLocError(f"{key} must be 1/0, true/false, yes/no or on/off, "
                                   f"got {value!r}")
             return self._BOOLEANS[value.lower()]
-        return cast(value)
+        try:
+            return cast(value)
+        except ValueError:  # only int and float casts can fail
+            kind = "an integer" if cast is int else "a number"
+            raise BugLocError(f"{key} must be {kind}, got {value!r} ({source})") from None
 
     def _given(self, options: dict) -> dict:
         """Config fields of the options that have a value."""
@@ -123,10 +131,9 @@ class Settings:
         return embedding.EmbeddingConfig(**self._given(self._EMBEDDING_OPTIONS))
 
     def infer_epochs(self) -> int | None:
-        value = self.get("infer_epochs")
-        if value in (None, ""):
+        if self.get("infer_epochs") in (None, ""):
             return None
-        epochs = int(value)
+        epochs = self.get("infer_epochs", int)
         if epochs < 1:
             raise BugLocError(f"infer_epochs must be >= 1, got {epochs}")
         return epochs
@@ -144,7 +151,7 @@ def _echo(message: str, err: bool = False) -> None:
 
 
 def fail_cleanly(fn):
-    @wraps(fn)
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
@@ -165,38 +172,54 @@ def _cache(settings, benchmark_path, cache_dir) -> ArtifactCache | None:
 
 
 def _load(settings, benchmark_path, cache=None):
-    """The benchmark with every token stream filled.
-
-    With a cache, the streams come from its token-stream index; on a miss
-    the benchmark is preprocessed and the index written for later calls.
-    """
+    """The benchmark with every token stream filled (:func:`_fill_streams`)."""
     benchmark = load_benchmark(benchmark_path, strict=False)
     if cache is not None:
         cache.benchmark = benchmark
+    _fill_streams(settings, benchmark, cache)
+    return benchmark
+
+
+def _fill_streams(settings, benchmark, cache=None) -> None:
+    """Fill every token stream of the benchmark. With a cache, the streams
+    come from its token-stream index; on a miss the benchmark is
+    preprocessed and the index written for later calls."""
     if cache is None or not cache.load_token_streams():
         preprocess_benchmark(benchmark, settings.preprocess_config())
         if cache is not None:
             cache.save_token_streams()
-    return benchmark
 
 
-def _artifacts_for(project, cache, method_ids, settings) -> rank.Artifacts:
+def _artifacts_for(project, cache, method_ids, settings, fill_streams=None) -> rank.Artifacts:
     """Artifacts covering the union of the given methods' model needs; with
-    a cache, their TF.IDF scopes come from its ranking indexes."""
+    a cache, their TF.IDF scopes come from its ranking indexes.
+
+    Token streams are read only to build a scope whose index misses and to
+    infer doc vectors; ``fill_streams()``, when given, is called first in
+    those cases, and otherwise never.
+    """
     configs = [rank.MethodConfig.from_id(m) for m in method_ids]
     infer_epochs = settings.infer_epochs()
     if cache is None and any(c.needs_global_tfidf or c.needs_embeddings for c in configs):
         raise BugLocError(
             f"methods {sorted(c.method_id for c in configs)} need global "
             "models: pass --cache")
+    names = sorted(set().union(*(c.tfidf_scopes for c in configs)))
+    found = {} if cache is None else {name: cache.stored_scope(project, name) for name in names}
+    scopes = {name: scope for name, scope in found.items() if scope is not None}
+    needs_embeddings = any(c.needs_embeddings for c in configs)
+    if fill_streams is not None and (needs_embeddings or len(scopes) < len(names)):
+        fill_streams()
     dm = dbow = None
-    if any(c.needs_embeddings for c in configs):
+    if needs_embeddings:
         dm = cache.embedding_model(project.name, embedding.PV_DM)
         dbow = cache.embedding_model(project.name, embedding.PV_DBOW)
-    artifacts = rank.Artifacts(project, dm_model=dm, dbow_model=dbow, infer_epochs=infer_epochs)
+    artifacts = rank.Artifacts(project, dm_model=dm, dbow_model=dbow, infer_epochs=infer_epochs,
+                               scopes=scopes)
     if cache is not None:
-        for scope in sorted(set().union(*(c.tfidf_scopes for c in configs))):
-            artifacts.scopes[scope] = cache.tfidf_scope(artifacts, scope)
+        for name in names:
+            if name not in scopes:
+                artifacts.scopes[name] = cache.tfidf_scope(artifacts, name)
     return artifacts
 
 
@@ -327,17 +350,16 @@ def cmd_localize(benchmark_path, project_name, bug_id, method_id, cache_dir,
 
 
 def _evaluate_project(project, artifacts, method_id, settings):
-    """Rank every report of the project with one method and score each
-    ranking from the ranks of the report's fixed files."""
+    """Rank every report of the project with one method, in one batch, and
+    score each ranking from the ranks of the report's fixed files."""
     method = rank.MethodConfig.from_id(method_id)
     policy = settings.get("history_policy")
-    results = []
-    for row, query in enumerate(project.bug_reports):
-        history = rank.history_at(project, row, policy)
-        ranked = rank.localize(artifacts, row, method, history=history)
-        ranks = ranked.ranks_of(artifacts.fixed_columns(row))
-        results.append(metrics.QueryResult(query.id, tuple(ranks.tolist()),
-                                           len(query.fixed_files)))
+    n = len(project.bug_reports)
+    ranked = rank.localize(artifacts, np.arange(n), method,
+                           history=[rank.history_at(project, row, policy) for row in range(n)])
+    ranks = ranked.ranks_of([artifacts.fixed_columns(row) for row in range(n)])
+    results = [metrics.QueryResult(query.id, tuple(r.tolist()), len(query.fixed_files))
+               for query, r in zip(project.bug_reports, ranks)]
     return metrics.compute_metrics(results), results
 
 
@@ -383,7 +405,11 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
     pairwise significance tests under --out."""
     settings = _settings(kwargs, methods=methods_raw, history_policy=history_policy)
     cache = _cache(settings, benchmark_path, cache_dir)
-    benchmark = _load(settings, benchmark_path, cache)
+    benchmark = load_benchmark(benchmark_path, strict=False)
+    if cache is not None:
+        cache.benchmark = benchmark
+    # decoded or preprocessed once, and only when a project needs them
+    fill_streams = functools.cache(lambda: _fill_streams(settings, benchmark, cache))
     method_ids = settings.method_ids()
     if not projects_raw:
         project_names = sorted(benchmark.project_names)
@@ -404,7 +430,7 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
             continue
         # one Artifacts per project covering every requested method, so
         # vectorization and doc-vector inference are shared across methods
-        artifacts = _artifacts_for(project, cache, method_ids, settings)
+        artifacts = _artifacts_for(project, cache, method_ids, settings, fill_streams)
         for method_id in method_ids:
             report, results = _evaluate_project(project, artifacts, method_id, settings)
             per_project[method_id][name] = report

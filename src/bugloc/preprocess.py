@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -39,6 +40,7 @@ _NOISE_RE = re.compile(
     re.S)
 
 
+@cache  # the packaged lists never change while the process runs
 def _load_wordlist(name: str) -> frozenset[str]:
     text = resources.files("bugloc.resources").joinpath(name).read_text("utf-8")
     return _parse_wordlist(text)
@@ -89,7 +91,12 @@ class PreprocessConfig:
         return cls(**kwargs)
 
     def fingerprint(self) -> dict:
-        """Stable summary used for artifact cache invalidation."""
+        """Stable summary used for artifact cache invalidation, computed once
+        per config; callers must not modify it."""
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> dict:
         return {
             "pipeline_version": PIPELINE_VERSION,
             "stopwords": sorted(self.stopwords),

@@ -18,35 +18,51 @@ Combined scoring (method 7) normalizes the TF.IDF and doc-vector maps to
 [0, 1] separately and averages them per relevancy function.
 
 Scores are numpy arrays over the project's files in path order, and
-reports are addressed only as rows of ``project.bug_reports``: the query
-is a row and its history an int array of rows, so neither can name a
-report of another project. Per TF.IDF scope, a :class:`TfidfScope` holds
-the files' :class:`~bugloc.tfidf.Postings`, their length factors, each
-report's query arrays (:func:`~bugloc.tfidf.queries`) and the reports'
-postings. :class:`Artifacts` builds it once from the token
-streams, or takes it as loaded from the cache's ranking index (the same
-float64 arrays), so one query costs one
-``bincount`` against each: direct scores are the files' logistic length
-factors times ``Postings.cosines``, and the bridge is a ``bincount`` of
-``sim / |fixed(B)|`` over (report, fixed file) pairs stored in report order,
-of which an "earlier" history is a prefix. These TF.IDF operations repeat
-the arithmetic of the per-pair formulas (:func:`~bugloc.tfidf.rvsm`,
-:func:`~bugloc.tfidf.cosine`, a dict summed in history order) in the same
-order, so the scores are bit-identical to them.
+reports are addressed only as rows of ``project.bug_reports``: a query is
+a row and its history an int array of rows, so neither can name a report
+of another project.
 
-Doc vectors are inferred in two batches
-(:func:`~bugloc.embedding.combined_matrix`): all of the project's files and
-all of its reports, each once. They are kept as matrix rows with their
-norms, so doc-vector similarities are matrix-vector products
-(:func:`~bugloc.embedding.doc_cosines`), equal to the per-pair
-:func:`~bugloc.embedding.doc_cosine` within rounding, and feed the same
-bridge.
+:func:`localize` ranks a batch of queries in one pass: an int array of
+rows, each with its own history, gives one :class:`RankedList` whose
+score arrays and ``entries`` (the file columns in ranked order) have one
+row per query. An int row is the batch of one, returned as that query's
+1-D :class:`RankedList`. Every path runs the same kernel, in chunks of a
+bounded number of (query, document) pairs, counting the project's files
+and reports, so a one-row call builds 1×F and 1×R arrays and a batch's
+working arrays stay the size of a chunk's; only the four result arrays
+grow with the batch:
 
-:func:`localize` takes the query's row and the history's rows, returns
-the score arrays and ``entries``, the file columns in ranked order, and
-builds no per-file object. ``evaluate`` scores a query from the ranks of
-its fixed files (:meth:`RankedList.ranks_of`), not from a list of file
-ids, and takes each query's history as rows (:func:`history_at`);
+- TF.IDF: per scope, a :class:`TfidfScope` holds the files'
+  :class:`~bugloc.tfidf.Postings`, their length factors, each report's
+  query arrays (:func:`~bugloc.tfidf.queries`) and the reports' postings.
+  :class:`Artifacts` builds it once from the token streams, or takes it as
+  loaded from the cache's ranking index (the same float64 arrays). Direct
+  scores are the length factors times ``Postings.cosines``, and the
+  similarities to history reports are ``Postings.cosines`` against the
+  report postings: each one ``bincount`` over the bins ``query * n +
+  row`` of the chunk's query spans.
+- Doc vectors are inferred in two batches
+  (:func:`~bugloc.embedding.combined_matrix`): all of the project's files
+  and all of its reports, each once, kept as matrix rows with their norms.
+  Similarities are one matrix-vector product per query
+  (:func:`~bugloc.embedding.doc_cosines`), over the file rows or that
+  query's history rows, equal to the per-pair
+  :func:`~bugloc.embedding.doc_cosine` within rounding. A matrix-matrix
+  product would round differently and can flip ties.
+- The bridge is one ``bincount`` of ``sim / |fixed(B)|`` over the bins
+  ``query * F + column`` of the (report, fixed file) pairs of the
+  concatenated histories, in history order. Min-max, fusion and the stable
+  sort work row by row.
+
+Each bin sums the products of the per-pair formulas
+(:func:`~bugloc.tfidf.rvsm`, :func:`~bugloc.tfidf.cosine`, a dict summed in
+history order) in the same order, so the TF.IDF scores are bit-identical
+to them, and a batch's arrays equal those of its one-row calls bit for
+bit.
+
+``evaluate`` ranks all of a project's reports with one call per method,
+taking each query's history as rows (:func:`history_at`), and scores each
+query from the ranks of its fixed files (:meth:`RankedList.ranks_of`);
 :class:`RankEntry` rows exist only for a ranking that is written or
 printed.
 """
@@ -130,16 +146,19 @@ class RankEntry(NamedTuple):
 
 @dataclass
 class RankedList:
-    """One query's scores over the project's files, and their order.
+    """One query's scores over the project's files, and their order; or a
+    batch of queries', one row each.
 
     ``final``, ``direct`` and ``indirect`` are score arrays over ``files``,
     the project's file ids in path order. ``entries`` holds the file
     columns from best to worst: a stable sort of ``final``, so tied files
-    keep path order. :class:`RankEntry` rows are built only by
-    :meth:`rows`, for output.
+    keep path order. For a batch the four arrays are 2-D (queries × files)
+    and ``query_bug_id`` lists the queries' bug ids; :meth:`ranks_of` reads
+    both forms, the other methods one query's. :class:`RankEntry` rows are
+    built only by :meth:`rows`, for output.
     """
 
-    query_bug_id: str
+    query_bug_id: str | list[str]
     method_id: int
     files: list[str]
     final: np.ndarray
@@ -161,11 +180,21 @@ class RankedList:
                         self.final[order].tolist(), self.direct[order].tolist(),
                         self.indirect[order].tolist()))
 
-    def ranks_of(self, columns: np.ndarray) -> np.ndarray:
-        """Ascending 1-based ranks of the files at ``columns``."""
-        wanted = np.zeros(len(self.files), dtype=bool)
-        wanted[columns] = True
-        return np.flatnonzero(wanted[self.entries]) + 1
+    def ranks_of(self, columns) -> np.ndarray | list[np.ndarray]:
+        """Ascending 1-based ranks of the files at ``columns``; for a batch,
+        ``columns`` holds one int array per query and the result one array
+        of ranks per query."""
+        single = self.entries.ndim == 1
+        entries = np.atleast_2d(self.entries)
+        columns = [columns] if single else columns
+        wanted = np.zeros(entries.shape, dtype=bool)
+        wanted[np.repeat(np.arange(len(columns)), [len(c) for c in columns]),
+               np.concatenate([np.zeros(0, dtype=np.intp), *columns])] = True
+        # row-major, so the ranks come out query by query, each ascending
+        queries, positions = np.nonzero(np.take_along_axis(wanted, entries, axis=1))
+        ranks = np.split(positions + 1,
+                         np.cumsum(np.bincount(queries, minlength=len(columns)))[:-1])
+        return ranks[0] if single else ranks
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -198,7 +227,7 @@ class TfidfScope:
     ``files`` holds the file postings (rows in path order) and
     ``length_weights`` the rVSM logistic factor of each file. Each report's
     query arrays (:func:`~bugloc.tfidf.queries`) are CSR arrays in report
-    order, read through :meth:`query`. ``reports`` holds the report
+    order, held as the tuple ``queries``. ``reports`` holds the report
     postings, rows in report order.
     """
 
@@ -206,6 +235,7 @@ class TfidfScope:
                  reports: tfidf.Postings):
         self.files = files
         self.length_weights = length_weights
+        self.queries = queries
         self.query_offsets, self.query_terms, self.query_weights, self.query_norms = queries
         self.reports = reports
 
@@ -219,12 +249,6 @@ class TfidfScope:
                    np.array([tfidf.length_weight(v.term_count, normalizer) for v in vectors]),
                    tfidf.queries(report_vectors),
                    tfidf.Postings.from_vectors(report_vectors, len(vocab)))
-
-    def query(self, row: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """Report ``row``'s ascending term ids, their weights and its norm."""
-        start, end = self.query_offsets[row], self.query_offsets[row + 1]
-        return (self.query_terms[start:end], self.query_weights[start:end],
-                self.query_norms[row])
 
 
 class Artifacts:
@@ -330,24 +354,29 @@ class Artifacts:
         offsets, columns, _ = self._project_pairs
         return columns[offsets[row]:offsets[row + 1]]
 
-    def _bridge(self, rows: np.ndarray, sims: np.ndarray) -> np.ndarray:
-        """Per file, the sum over the history reports B (project rows
-        ``rows``) that fixed it of ``sims[B] / |fixed(B)|`` (``sims``
-        follows ``rows``), added up in history order as a dict accumulation
-        would."""
+    def _bridge(self, history: _Histories, sims: np.ndarray) -> np.ndarray:
+        """Per query of the batch and file, the sum over the query's history
+        reports B that fixed the file of ``sims[B] / |fixed(B)|`` (``sims``
+        follows ``history.rows``), added up in history order as a dict
+        accumulation would: one ``bincount`` over the bins ``query * F +
+        column``."""
         offsets, columns, sizes = self._project_pairs
-        idx, positions = tfidf.span_indices(offsets, rows)
-        return np.bincount(columns[idx], weights=sims[positions] / sizes[idx],
-                           minlength=len(self.files))
+        idx, positions = tfidf.span_indices(offsets, history.rows)
+        n_queries, n_files = len(history.offsets) - 1, len(self.files)
+        # float even when no pair is drawn on: bincount gives ints for no input
+        scores = np.bincount(history.owner[positions] * n_files + columns[idx],
+                             weights=sims[positions] / sizes[idx],
+                             minlength=n_queries * n_files).astype(float, copy=False)
+        return scores.reshape(n_queries, n_files)
 
 
 def _minmax(scores: np.ndarray) -> np.ndarray:
+    """Each row of ``scores`` (or the one score array) scaled to [0, 1]."""
+    lo = scores.min(axis=-1, keepdims=True)
+    hi = scores.max(axis=-1, keepdims=True)
     # Constant maps (including all-zero) normalize to zero so they cannot
     # perturb the fused ranking.
-    lo, hi = scores.min(), scores.max()
-    if hi == lo:
-        return np.zeros_like(scores)
-    return (scores - lo) / (hi - lo)
+    return np.divide(scores - lo, hi - lo, out=np.zeros_like(scores), where=hi != lo)
 
 
 def _combined(lexical: np.ndarray, semantic: np.ndarray) -> np.ndarray:
@@ -355,47 +384,86 @@ def _combined(lexical: np.ndarray, semantic: np.ndarray) -> np.ndarray:
 
 
 def fuse(direct: np.ndarray, indirect: np.ndarray, w1: float, w2: float) -> np.ndarray:
-    """Min-max normalize both score arrays and combine them as w1*d + w2*i."""
+    """Min-max normalize both score arrays and combine them as w1*d + w2*i;
+    2-D arrays are normalized row by row."""
     return w1 * _minmax(direct) + w2 * _minmax(indirect)
 
 
-def _direct_scores(row: int, kind: str, artifacts: Artifacts) -> np.ndarray:
-    """Direct scores of the project's report ``row`` against every file."""
+# localize scores a batch in chunks of about this many (query, document)
+# pairs, documents being the project's files and reports (the direct scores
+# and the history similarities), so that a chunk's working arrays stay
+# cache-sized and memory does not grow with the number of queries
+_CHUNK_SCORES = 1 << 14
+
+
+class _Histories(NamedTuple):
+    """The history rows of a batch of queries: query ``i`` of the batch may
+    draw on ``rows[offsets[i]:offsets[i + 1]]``, and ``owner`` holds the
+    batch index of the query each of ``rows`` belongs to."""
+
+    rows: np.ndarray
+    owner: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, history: list[np.ndarray]) -> _Histories:
+        """The histories of a batch, one int array of rows per query."""
+        lengths = [len(past) for past in history]
+        return cls(np.concatenate([np.zeros(0, dtype=np.intp), *history]),
+                   np.repeat(np.arange(len(history)), lengths),
+                   np.concatenate(([0], np.cumsum(lengths, dtype=np.intp))))
+
+
+def _direct_scores(rows: np.ndarray, kind: str, artifacts: Artifacts) -> np.ndarray:
+    """Direct scores of the project's reports ``rows`` (one score row each)
+    against every file."""
     if kind in _TFIDF_SCOPES:
         data = artifacts._tfidf_scope(_TFIDF_SCOPES[kind])
-        return data.length_weights * data.files.cosines(*data.query(row))
+        return data.length_weights * data.files.cosines(data.queries, rows)
     if kind == DOC2VEC_GLOBAL:
         files = artifacts.file_doc_vectors
         vectors, norms = artifacts.report_doc_vectors
-        return embedding.doc_cosines(*files, vectors[row], norms[row])
+        out = np.empty((len(rows), len(artifacts.files)))
+        for i, row in enumerate(rows.tolist()):
+            out[i] = embedding.doc_cosines(*files, vectors[row], norms[row])
+        return out
     if kind == COMBINED_GLOBAL:
-        return _combined(_direct_scores(row, TFIDF_GLOBAL, artifacts),
-                         _direct_scores(row, DOC2VEC_GLOBAL, artifacts))
+        return _combined(_direct_scores(rows, TFIDF_GLOBAL, artifacts),
+                         _direct_scores(rows, DOC2VEC_GLOBAL, artifacts))
     raise ValueError(f"unknown direct model {kind!r}")
 
 
-def _history_sims(row: int, history: np.ndarray, kind: str,
+def _history_sims(rows: np.ndarray, history: _Histories, kind: str,
                   artifacts: Artifacts) -> np.ndarray:
-    """Similarity of report ``row`` to each report row in ``history``."""
+    """Similarity of each query to each of its history reports, aligned
+    with ``history.rows``."""
     if kind == DOC2VEC_GLOBAL:
+        # one matrix-vector product per query over its own history rows: a
+        # matrix-matrix product rounds differently and can flip ties
         vectors, norms = artifacts.report_doc_vectors
-        return embedding.doc_cosines(vectors[history], norms[history], vectors[row], norms[row])
+        offsets = history.offsets.tolist()
+        sims = np.empty(len(history.rows))
+        for i, row in enumerate(rows.tolist()):
+            past = history.rows[offsets[i]:offsets[i + 1]]
+            sims[offsets[i]:offsets[i + 1]] = embedding.doc_cosines(
+                vectors[past], norms[past], vectors[row], norms[row])
+        return sims
     if kind not in _TFIDF_SCOPES:
         raise ValueError(f"unknown indirect model {kind!r}")
     data = artifacts._tfidf_scope(_TFIDF_SCOPES[kind])
-    return data.reports.cosines(*data.query(row))[history]
+    return data.reports.cosines(data.queries, rows)[history.owner, history.rows]
 
 
-def _indirect_scores(row: int, history: np.ndarray, kind: str,
+def _indirect_scores(rows: np.ndarray, history: _Histories, kind: str,
                      artifacts: Artifacts) -> np.ndarray:
-    """History-bridged scores of report ``row``; ``history`` holds the
-    report rows it may draw on, and an empty one yields all zeros."""
+    """History-bridged scores of the reports ``rows``; an empty history
+    yields a row of zeros."""
     if kind == NONE:
-        return np.zeros(len(artifacts.files))
+        return np.zeros((len(rows), len(artifacts.files)))
     if kind == COMBINED_GLOBAL:
-        return _combined(_indirect_scores(row, history, TFIDF_GLOBAL, artifacts),
-                         _indirect_scores(row, history, DOC2VEC_GLOBAL, artifacts))
-    return artifacts._bridge(history, _history_sims(row, history, kind, artifacts))
+        return _combined(_indirect_scores(rows, history, TFIDF_GLOBAL, artifacts),
+                         _indirect_scores(rows, history, DOC2VEC_GLOBAL, artifacts))
+    return artifacts._bridge(history, _history_sims(rows, history, kind, artifacts))
 
 
 def history_at(project: Project, row: int, policy: str = "earlier") -> np.ndarray:
@@ -410,29 +478,53 @@ def history_at(project: Project, row: int, policy: str = "earlier") -> np.ndarra
     raise ValueError(f"unknown history policy {policy!r}")
 
 
-def localize(artifacts: Artifacts, row: int, config: MethodConfig,
-             history: np.ndarray | None = None) -> RankedList:
-    """Rank every source file of ``artifacts.project`` for its report ``row``.
+def localize(artifacts: Artifacts, rows, config: MethodConfig,
+             history=None) -> RankedList:
+    """Rank every source file of ``artifacts.project`` for its reports at
+    ``rows``, an int array of report rows, in one pass.
 
-    ``history`` holds the report rows the query may draw on and defaults
-    to the rows before it; the caller is responsible for excluding the
-    query itself (and, during evaluation, anything not strictly earlier).
+    ``history`` holds, per query row, the int array of report rows that
+    query may draw on; each defaults to the rows before it. The caller is
+    responsible for excluding the query itself (and, during evaluation,
+    anything not strictly earlier). The result's score arrays and
+    ``entries`` have one row per query row. An int ``rows`` is a batch of
+    one whose ``history`` is one int array, and its result is that one
+    query's 1-D :class:`RankedList`.
+
     A query row or history row outside ``project.bug_reports`` raises
     ``ValueError``. Ties in the fused score break by file path so output
     order is total.
     """
     project = artifacts.project
     n_reports = len(project.bug_reports)
-    history = (history_at(project, row) if history is None
-               else np.asarray(history, dtype=np.intp))
+    single = np.ndim(rows) == 0
+    rows = np.atleast_1d(np.asarray(rows, dtype=np.intp))
+    if history is None:
+        history = [history_at(project, row) for row in rows.tolist()]
+    elif single:
+        history = [history]
+    history = [np.asarray(past, dtype=np.intp) for past in history]
+    if len(history) != len(rows):
+        raise ValueError(f"{len(history)} histories for {len(rows)} query rows")
     # numpy would silently read a negative row from the end
-    outside = len(history) and (history.min() < 0 or history.max() >= n_reports)
-    if outside or not 0 <= row < n_reports:
+    every = np.concatenate([rows, *history])
+    if len(every) and (every.min() < 0 or every.max() >= n_reports):
         raise ValueError(f"report rows must lie in [0, {n_reports}) for project "
                          f"{project.name}")
-    direct = _direct_scores(row, config.direct_model, artifacts)
-    indirect = _indirect_scores(row, history, config.indirect_model, artifacts)
-    final = fuse(direct, indirect, config.w1, config.w2)
-    return RankedList(project.bug_reports[row].id, config.method_id,
-                      artifacts.file_ids, final, direct, indirect,
-                      np.argsort(-final, kind="stable"))
+    shape = (len(rows), len(artifacts.files))
+    direct, indirect, final = np.empty(shape), np.empty(shape), np.empty(shape)
+    entries = np.empty(shape, dtype=np.intp)
+    step = max(1, _CHUNK_SCORES // (shape[1] + n_reports))
+    for start in range(0, len(rows), step):
+        chunk = slice(start, start + step)
+        direct[chunk] = _direct_scores(rows[chunk], config.direct_model, artifacts)
+        indirect[chunk] = _indirect_scores(rows[chunk], _Histories.of(history[chunk]),
+                                           config.indirect_model, artifacts)
+        final[chunk] = fuse(direct[chunk], indirect[chunk], config.w1, config.w2)
+        entries[chunk] = np.argsort(-final[chunk], axis=-1, kind="stable")
+    ids = [project.bug_reports[row].id for row in rows.tolist()]
+    if single:
+        return RankedList(ids[0], config.method_id, artifacts.file_ids, final[0], direct[0],
+                          indirect[0], entries[0])
+    return RankedList(ids, config.method_id, artifacts.file_ids, final, direct, indirect,
+                      entries)

@@ -14,8 +14,9 @@ a bounded boost:
 ``N`` is min-max normalization of raw term counts over the file corpus
 being ranked.
 
-:class:`Postings` scores one query against a whole collection at once and
-reproduces :func:`cosine` for every pair bit for bit (see its docstring).
+:class:`Postings` scores a batch of queries against a whole collection at
+once and reproduces :func:`cosine` for every pair bit for bit (see its
+docstring).
 """
 
 from __future__ import annotations
@@ -234,13 +235,14 @@ class Postings:
     their weights in ``weights``; ``norms`` holds each row's
     :meth:`TfIdfVector.norm`, computed once.
 
-    :meth:`cosines` gathers the query's postings in ascending term id and
-    accumulates the products with one ``np.bincount``, which adds each
-    row's products one after another from 0 in input order, without
+    :meth:`cosines` gathers each query's postings in ascending term id,
+    query after query, and accumulates the products with one
+    ``np.bincount`` over the bins ``query * len(self) + row``, which adds
+    each bin's products one after another from 0 in input order, without
     compensation. That is the order and the arithmetic of :func:`cosine`'s
     loop over shared terms (a loop because ``sum()`` compensates float
     rounding from Python 3.12 on), so every score equals
-    ``cosine(query, row)`` bit for bit.
+    ``cosine(query, row)`` bit for bit, however many queries are asked at once.
     """
 
     def __init__(self, rows: np.ndarray, weights: np.ndarray, offsets: np.ndarray,
@@ -271,17 +273,23 @@ class Postings:
     def __len__(self) -> int:
         return len(self.norms)
 
-    def cosines(self, terms: np.ndarray, weights: np.ndarray, norm: float) -> np.ndarray:
-        """``cosine(query, row)`` for every row, in row order, for the query
-        whose ascending term ids, their weights and its norm :func:`queries`
-        gives."""
-        out = np.zeros(len(self))
-        if norm == 0.0:
-            return out
-        idx, owner = span_indices(self.offsets, terms)
-        dots = np.bincount(self.rows[idx], weights=weights[owner] * self.weights[idx],
-                           minlength=len(self))
-        out[self._scored] = dots[self._scored] / (norm * self._scored_norms)
+    def cosines(self, queries, asked: np.ndarray) -> np.ndarray:
+        """``cosine(query, row)`` for every row, in row order, of each query
+        ``asked`` holds: one result row per entry of ``asked``, an index into
+        ``queries``, the CSR arrays ``(offsets, terms, weights, norms)``
+        :func:`queries` gives."""
+        offsets, terms, weights, norms = queries
+        n = len(self)
+        spans, query_of = span_indices(offsets, asked)
+        idx, owner = span_indices(self.offsets, terms[spans])
+        dots = np.bincount(query_of[owner] * n + self.rows[idx],
+                           weights=weights[spans][owner] * self.weights[idx],
+                           minlength=len(asked) * n).reshape(len(asked), n)
+        norms = norms[asked]
+        out = np.zeros((len(asked), n))
+        out[:, self._scored] = np.divide(
+            dots[:, self._scored], np.outer(norms, self._scored_norms),
+            out=np.zeros((len(asked), len(self._scored))), where=(norms != 0.0)[:, None])
         return out
 
 

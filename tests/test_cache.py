@@ -285,6 +285,37 @@ class TestRankingIndex:
         localize(bench, tmp_path / "c")
         assert len(load_calls) == 3
 
+    def test_warm_evaluate_decodes_no_token_stream(self, bench, tmp_path, monkeypatch):
+        decoded = []
+        decode = cache_module._decode_streams
+        monkeypatch.setattr(cache_module, "_decode_streams",
+                            lambda *args: decoded.append(1) or decode(*args))
+        train(bench, tmp_path / "c")
+        outputs = ("metrics.csv", "metrics.json", "per_query.csv", "wilcoxon.csv")
+
+        def evaluate(i):
+            run("evaluate", "--benchmark", bench, "--methods", "1,2,3,4", "--cache",
+                tmp_path / "c", "--out", tmp_path / f"out{i}")
+            return [(tmp_path / f"out{i}" / name).read_bytes() for name in outputs]
+
+        first = evaluate(0)  # builds every ranking index from the decoded streams
+        assert len(decoded) == 1
+        assert evaluate(1) == first
+        assert len(decoded) == 1
+        index = tmp_path / "c" / "index_global_proj2.bin"
+        index.unlink()
+        assert evaluate(2) == first
+        assert index.is_file()
+        assert len(decoded) == 2
+
+    def test_word_list_files_are_read_on_every_call(self, bench, tmp_path, preprocess_calls):
+        words = tmp_path / "stop.txt"
+        for listed in ("zeppelin", "quagmire"):
+            words.write_text(f"{listed}\n")
+            localize(bench, tmp_path / "c", "--stopwords", words, method=3)
+        assert [c.stopwords for c in preprocess_calls] == [frozenset({"zeppelin"}),
+                                                            frozenset({"quagmire"})]
+
     def test_digest_hashes_bytes_not_decoded_text(self, bench):
         source = sorted((bench / "proj1" / "sources").rglob("*.java"))[0]
         text = source.read_text()

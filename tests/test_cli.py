@@ -377,6 +377,53 @@ def test_readme_config_keys_are_the_recognized_ones(tmp_path):
     assert Settings(cfg, {}).file_values.keys() == set(readme)
 
 
+def test_evaluate_ranks_each_project_and_method_in_one_localize_call(
+        synth_benchmark, tmp_path, runner, monkeypatch):
+    # the benchmark's oracle test perturbs evaluate through this hook
+    root, benchmark, _ = synth_benchmark
+    original = rank.localize
+    calls = []
+
+    def counting(artifacts, rows, config, **kwargs):
+        calls.append((artifacts.project.name, config.method_id))
+        return original(artifacts, rows, config, **kwargs)
+
+    def swapped(*args, **kwargs):
+        ranked = original(*args, **kwargs)
+        ranked.entries[0], ranked.entries[1] = ranked.entries[1], ranked.entries[0]
+        return ranked
+
+    outputs = []
+    for i, hook in enumerate((counting, swapped)):
+        monkeypatch.setattr(rank, "localize", hook)
+        out = tmp_path / f"o{i}"
+        result = runner.invoke(main, ["evaluate", "--benchmark", str(root), "--methods", "1,3",
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        outputs.append((out / "per_query.csv").read_bytes())
+    assert sorted(calls) == [(p.name, m) for p in sorted(benchmark.projects, key=lambda p: p.name)
+                             for m in (1, 3)]
+    assert outputs[0] != outputs[1]
+
+
+def test_non_numeric_config_value_is_one_json_error_naming_key_and_file(
+        synth_benchmark, tmp_path, runner):
+    root, _, _ = synth_benchmark
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("min_token_length = two\n")
+    result = runner.invoke(main, ["evaluate", "--benchmark", str(root), "--methods", "1",
+                                  "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == (
+        f"min_token_length must be an integer, got 'two' (config file {cfg})")
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(BugLocError, match=r"^alpha must be a number, got 'fast' "
+                                          r"\(flag --alpha\)$"):
+        Settings(None, {"alpha": "fast"}).embedding_config()
+
+
 def test_evaluate_builds_no_rank_entry(synth_benchmark, tmp_path, runner, monkeypatch):
     root, _, _ = synth_benchmark
     built = []

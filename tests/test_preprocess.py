@@ -218,6 +218,14 @@ def test_config_from_files(tmp_path):
     assert ts.tokens == ("quux",)
 
 
+def test_packaged_wordlists_parsed_once_and_fingerprint_once_per_config():
+    first, second = PreprocessConfig(), PreprocessConfig(min_token_length=3)
+    assert first.stopwords is second.stopwords and first.keywords is second.keywords
+    assert first.fingerprint() is first.fingerprint()
+    assert first.fingerprint()["min_token_length"] == 2
+    assert second.fingerprint()["min_token_length"] == 3
+
+
 def test_empty_wordlists_rejected():
     with pytest.raises(ValueError):
         PreprocessConfig(stopwords=frozenset(), keywords=frozenset({"if"}))

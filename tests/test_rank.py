@@ -1,12 +1,13 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from bugloc import embedding, tfidf
+from bugloc import embedding, rank, tfidf
 from bugloc.corpus import Benchmark, BugReport, Project, SourceFile
 from bugloc.preprocess import PreprocessConfig, preprocess_project
-from bugloc.rank import Artifacts, MethodConfig, fuse, history_at, localize
+from bugloc.rank import Artifacts, MethodConfig, RankedList, fuse, history_at, localize
 
 CONFIG = PreprocessConfig()
 
@@ -344,6 +345,71 @@ def reference_scores(query, history, config, project, vocab):
     return final, direct, indirect
 
 
+def shared_terms_projects(extra=()):
+    """Two projects of long documents over a small vocabulary, so that they
+    share many terms and a change of summation order or rounding shows in
+    the last bit; the ``extra`` reports are added after each project's own."""
+    rng = random.Random(11)
+    words = ["".join(rng.choice("bdgklmprtvz") + rng.choice("aiou") for _ in range(3))
+             for _ in range(60)]
+
+    def text(n):
+        return " ".join(rng.choices(words, weights=range(60, 0, -1), k=n))
+
+    projects = []
+    for name in ("p1", "p2"):
+        files = {f"F{i:02d}.java": f"class F {{ {text(rng.randint(5, 80))} }}"
+                 for i in range(30)}
+        reports = [report(f"B-{k:02d}", text(rng.randint(3, 25)),
+                          set(rng.sample(sorted(files), rng.randint(1, 5)))
+                          | ({"Gone.java"} if k % 4 == 0 else set()),
+                          f"2021-01-{k + 1:02d}")
+                   for k in range(25)]
+        projects.append(make_project(name, files, [*reports, *extra]))
+    return projects
+
+
+def docvec_project(extra=()):
+    """A project with a file out of every vocabulary (a zero doc vector),
+    paragraph-vector models trained on it and the ``extra`` reports added
+    after its own: ``(project, dm, dbow)``."""
+    rng = random.Random(5)
+    words = [f"{a}{b}" for a in ("kes", "har", "osp", "mer", "fal") for b in
+             ("trel", "rier", "rey", "lin", "con")]
+
+    def text(low, high):
+        return " ".join(rng.choices(words, k=rng.randint(low, high)))
+
+    files = {f"F{i:02d}.java": f"class F {{ {text(4, 30)} }}" for i in range(12)}
+    files["Lone.java"] = "class Lone { int zyzzyva; }"  # out of vocabulary: zero vector
+    reports = [report(f"B-{k:02d}", text(2, 9), set(rng.sample(sorted(files), rng.randint(0, 3))),
+                      f"2021-01-{k + 1:02d}")
+               for k in range(10)]
+    project = make_project("dv", files, [*reports, *extra])
+    streams = [f.token_stream for f in project.source_files]
+    streams += [r.token_stream for r in project.bug_reports]
+    config = embedding.EmbeddingConfig(vector_size=6, window=2, min_count=2, negative=3,
+                                       epochs=3, seed=2)
+    dm = embedding.train(streams, config, embedding.PV_DM)
+    dbow = embedding.train(streams, config, embedding.PV_DBOW)
+    return project, dm, dbow
+
+
+def rankings(artifacts, config, histories, batch):
+    """``(row, query, ranked)`` for every report of the project, each ranked
+    with its history: in one-row calls, or cut from one batched call."""
+    reports = artifacts.project.bug_reports
+    if not batch:
+        for row, query in enumerate(reports):
+            yield row, query, localize(artifacts, row, config, history=histories[row])
+        return
+    both = localize(artifacts, np.arange(len(reports)), config, history=histories)
+    assert both.query_bug_id == [r.id for r in reports]
+    for row, query in enumerate(reports):
+        yield row, query, RankedList(query.id, both.method_id, both.files, both.final[row],
+                                     both.direct[row], both.indirect[row], both.entries[row])
+
+
 def assert_matches_reference(ranked, query, history, config, project, vocab):
     final, direct, indirect = reference_scores(query, history, config, project, vocab)
     assert [e.file_id for e in ranked.rows()] == sorted(final, key=lambda f: (-final[f], f))
@@ -365,45 +431,29 @@ class TestMatchesPerPairReference:
             artifacts = Artifacts(project, global_vocab=tfidf.build_global_idf(
                 benchmark, project.name))
             vocab = artifacts.vocab("local" if method_id in (1, 3) else "global")
-            for row, query in enumerate(project.bug_reports):
-                history = history_at(project, row, policy)
-                ranked = localize(artifacts, row, config, history=history)
-                assert_matches_reference(ranked, query, reports_at(project, history), config,
-                                         project, vocab)
+            histories = [history_at(project, row, policy)
+                         for row in range(len(project.bug_reports))]
+            for batch in (False, True):
+                for row, query, ranked in rankings(artifacts, config, histories, batch):
+                    assert_matches_reference(ranked, query, reports_at(project, histories[row]),
+                                             config, project, vocab)
 
     @pytest.mark.parametrize("policy", ["earlier", "all"])
     @pytest.mark.parametrize("method_id", [1, 2, 3, 4])
     def test_random_corpus_with_many_shared_terms(self, method_id, policy):
-        # long documents over a small vocabulary share many terms, so a
-        # change of summation order or rounding shows in the last bit
-        rng = random.Random(11)
-        words = ["".join(rng.choice("bdgklmprtvz") + rng.choice("aiou") for _ in range(3))
-                 for _ in range(60)]
-
-        def text(n):
-            return " ".join(rng.choices(words, weights=range(60, 0, -1), k=n))
-
-        projects = []
-        for name in ("p1", "p2"):
-            files = {f"F{i:02d}.java": f"class F {{ {text(rng.randint(5, 80))} }}"
-                     for i in range(30)}
-            reports = [report(f"B-{k:02d}", text(rng.randint(3, 25)),
-                              set(rng.sample(sorted(files), rng.randint(1, 5)))
-                              | ({"Gone.java"} if k % 4 == 0 else set()),
-                              f"2021-01-{k + 1:02d}")
-                       for k in range(25)]
-            projects.append(make_project(name, files, reports))
-        benchmark = Benchmark(projects)
         config = MethodConfig.from_id(method_id)
+        projects = shared_terms_projects()
+        benchmark = Benchmark(projects)
         for project in projects:
             artifacts = Artifacts(project, global_vocab=tfidf.build_global_idf(
                 benchmark, project.name))
             vocab = artifacts.vocab("local" if method_id in (1, 3) else "global")
-            for row, query in enumerate(project.bug_reports):
-                history = history_at(project, row, policy)
-                ranked = localize(artifacts, row, config, history=history)
-                assert_matches_reference(ranked, query, reports_at(project, history), config,
-                                         project, vocab)
+            histories = [history_at(project, row, policy)
+                         for row in range(len(project.bug_reports))]
+            for batch in (False, True):
+                for row, query, ranked in rankings(artifacts, config, histories, batch):
+                    assert_matches_reference(ranked, query, reports_at(project, histories[row]),
+                                             config, project, vocab)
 
     def test_multi_file_fixes_count_files_missing_from_project(self):
         files = {"Zeppelin.java": "class Zeppelin { int zeppelin; int drift; }",
@@ -417,12 +467,12 @@ class TestMatchesPerPairReference:
         ])
         artifacts = Artifacts(project)
         config = MethodConfig.from_id(3)
-        for policy in ("earlier", "all"):
-            for row, query in enumerate(project.bug_reports):
-                history = history_at(project, row, policy)
-                ranked = localize(artifacts, row, config, history=history)
-                assert_matches_reference(ranked, query, reports_at(project, history), config,
-                                         project, artifacts.local_vocab)
+        for policy, batch in itertools.product(("earlier", "all"), (False, True)):
+            histories = [history_at(project, row, policy)
+                         for row in range(len(project.bug_reports))]
+            for row, query, ranked in rankings(artifacts, config, histories, batch):
+                assert_matches_reference(ranked, query, reports_at(project, histories[row]),
+                                         config, project, artifacts.local_vocab)
         ranked = localize(artifacts, 2, config)
         scores = {e.file_id: e.indirect_score for e in ranked.rows()}
         vocab = artifacts.local_vocab
@@ -474,25 +524,7 @@ class TestDocVectorMethods:
 
     @pytest.fixture(scope="class")
     def setting(self):
-        rng = random.Random(5)
-        words = [f"{a}{b}" for a in ("kes", "har", "osp", "mer", "fal") for b in
-                 ("trel", "rier", "rey", "lin", "con")]
-        def text(low, high):
-            return " ".join(rng.choices(words, k=rng.randint(low, high)))
-
-        files = {f"F{i:02d}.java": f"class F {{ {text(4, 30)} }}" for i in range(12)}
-        files["Lone.java"] = "class Lone { int zyzzyva; }"  # out of vocabulary: zero vector
-        reports = [report(f"B-{k:02d}", text(2, 9), set(rng.sample(sorted(files), rng.randint(0, 3))),
-                          f"2021-01-{k + 1:02d}")
-                   for k in range(10)]
-        project = make_project("dv", files, reports)
-        streams = [f.token_stream for f in project.source_files]
-        streams += [r.token_stream for r in project.bug_reports]
-        config = embedding.EmbeddingConfig(vector_size=6, window=2, min_count=2, negative=3,
-                                           epochs=3, seed=2)
-        dm = embedding.train(streams, config, embedding.PV_DM)
-        dbow = embedding.train(streams, config, embedding.PV_DBOW)
-        return project, dm, dbow
+        return docvec_project()
 
     def _vector(self, doc, dm, dbow):
         return embedding.combined_vector(doc.token_stream, dm, dbow)
@@ -540,6 +572,84 @@ class TestDocVectorMethods:
             for method_id in (5, 6, 7):
                 localize(artifacts, row, MethodConfig.from_id(method_id))
         assert inferred == [len(project.source_files), len(project.bug_reports)]
+
+
+# reports the batch must rank as the one-row calls do: one whose terms are
+# all out of every vocabulary (a zero-norm query, a zero doc vector), and
+# one whose fixed files are all missing from the project
+EDGE_REPORTS = [report("B-oov", "xylophonic quixotry", {"F00.java"}, "2021-12-01"),
+                report("B-gone", "class F", {"Gone.java", "Lost.java"}, "2021-12-02")]
+
+
+class TestBatchEqualsOneRowCalls:
+    """One ``localize`` over all of a project's rows returns, bit for bit,
+    the arrays of the one-row calls."""
+
+    @pytest.fixture(scope="class")
+    def corpora(self):
+        projects = shared_terms_projects(EDGE_REPORTS)
+        benchmark = Benchmark(projects)
+        tfidf_only = [Artifacts(p, global_vocab=tfidf.build_global_idf(benchmark, p.name))
+                      for p in projects]
+        project, dm, dbow = docvec_project(EDGE_REPORTS)
+        return tfidf_only, Artifacts(project, global_vocab=global_vocab(project), dm_model=dm,
+                                     dbow_model=dbow)
+
+    @staticmethod
+    def histories(project, policy):
+        n = len(project.bug_reports)
+        if policy != "explicit":
+            return [history_at(project, row, policy) for row in range(n)]
+        rng = random.Random(3)
+        histories = [rng.choices(range(n), k=rng.randint(0, 6)) for _ in range(n)]
+        histories[1] = []
+        histories[2] = [5, 0, 5, 3]  # unordered, with a repeated row
+        return histories
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("policy", ["earlier", "all", "explicit"])
+    @pytest.mark.parametrize("method_id", range(1, 8))
+    def test_arrays_equal(self, corpora, monkeypatch, method_id, policy, chunked):
+        tfidf_only, with_vectors = corpora
+        config = MethodConfig.from_id(method_id)
+        for artifacts in ([with_vectors] if method_id > 4 else [*tfidf_only, with_vectors]):
+            project = artifacts.project
+            if chunked:  # three queries a chunk, so the batch spans several
+                monkeypatch.setattr(rank, "_CHUNK_SCORES",
+                                    3 * (len(artifacts.files) + len(project.bug_reports)))
+            histories = self.histories(project, policy)
+            rows = np.arange(len(project.bug_reports))
+            both = localize(artifacts, rows, config, history=histories)
+            assert both.query_bug_id == [r.id for r in project.bug_reports]
+            for row in rows:
+                one = localize(artifacts, int(row), config, history=histories[row])
+                assert one.query_bug_id == project.bug_reports[row].id
+                for name in ("final", "direct", "indirect", "entries"):
+                    assert np.array_equal(getattr(both, name)[row], getattr(one, name)), name
+            assert both.final.shape == both.entries.shape == (len(rows), len(artifacts.files))
+            # the edge reports are what they claim to be
+            assert not both.direct[project.row("B-oov")].any()
+            assert len(artifacts.fixed_columns(project.row("B-gone"))) == 0
+
+    def test_default_history_is_the_earlier_rows(self, corpora):
+        artifacts = corpora[0][0]
+        config = MethodConfig.from_id(3)
+        rows = np.array([4, 0, 9])
+        both = localize(artifacts, rows, config)
+        for i, row in enumerate(rows.tolist()):
+            assert np.array_equal(both.final[i], localize(artifacts, row, config).final)
+
+    def test_one_out_of_range_history_row_fails_the_batch(self, corpora):
+        artifacts = corpora[0][0]
+        project = artifacts.project
+        n = len(project.bug_reports)
+        histories = [history_at(project, row) for row in range(n)]
+        histories[7] = np.array([2, n, 1])
+        with pytest.raises(ValueError, match=rf"report rows must lie in \[0, {n}\) "
+                                             "for project p1"):
+            localize(artifacts, np.arange(n), MethodConfig.from_id(3), history=histories)
+        with pytest.raises(ValueError, match="2 histories for 3 query rows"):
+            localize(artifacts, np.arange(3), MethodConfig.from_id(3), history=histories[:2])
 
 
 def global_vocab(project):
