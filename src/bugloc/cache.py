@@ -8,9 +8,9 @@ Artifacts, one file each in the cache directory:
 - ``tokens.bin``: the token streams of every document of the benchmark;
 - ``index_local_<project>.bin``, ``index_global_<project>.bin``: the
   project's TF.IDF ranking arrays under that scope
-  (:class:`~bugloc.rank.TfidfScope`) and its file and report ids. The first
-  ``localize`` or ``evaluate`` that ranks with a scope builds its index;
-  ``train-global`` builds none.
+  (:class:`~bugloc.rank.TfidfScope`), its file and report ids and each
+  report's fixed-file columns. The first ``localize`` or ``evaluate`` that
+  ranks with a scope builds its index; ``train-global`` builds none.
 
 Every artifact gets a sidecar ``.meta.json`` holding a fingerprint of the
 corpus and of the preprocessing/embedding configuration that produced it,
@@ -19,15 +19,28 @@ plus the sha256 of the artifact's bytes. The corpus part is
 loader reads, listed by the loader's own functions. An artifact is written
 to a temporary file and moved into place, so it is never seen half written.
 A fingerprint mismatch forces a rebuild; so does an artifact that no longer
-matches its sha256 or cannot be read, with a warning. Nothing is trusted by
-filename, size or modification time, and nothing is unpickled.
+matches its sha256 or cannot be read, with a warning. Nothing is unpickled.
 
-So a ``localize`` that finds its ranking index fresh reads the bytes of
-every benchmark file (to hash them), its own project (to check the index's
-file and report ids against it) and that one index, and preprocesses
-nothing. The digest is taken before the benchmark is read: an edit made
-while a call runs can be cached under the digest of the bytes before it,
-and the next call, which hashes the new bytes, rebuilds.
+The digest is looked up by stat, as git trusts its index: the record
+``corpus.json`` holds the digest with the benchmark's absolute root,
+``corpus.LOADER_VERSION`` and a hash of the (name, size, ``mtime_ns``,
+``ctime_ns``, inode) of every file the loader reads. A call stats those
+files and reuses the recorded digest when all of that matches and every
+file is older than the record itself; a file whose ``mtime_ns`` or
+``ctime_ns`` is not older than the record's ``mtime_ns`` may have changed
+in the same clock tick ("racily clean") and counts as changed. Otherwise it
+hashes every byte and records the digest with the stats taken before the
+bytes were read. An edit that restores the old ``mtime_ns`` still moves
+``ctime_ns``, and a file replaced by rename has another inode; only a
+same-size edit on a filesystem that keeps neither ``mtime`` nor ``ctime``
+goes unseen.
+
+So a ``localize`` or an all-hit ``evaluate`` for TF.IDF methods rebuilds
+its projects from their ranking indexes (:meth:`ArtifactCache.indexed_project`):
+it stats the benchmark, reads those indexes and no benchmark file, and
+preprocesses nothing. The stats are taken before the benchmark is read: an
+edit made while a call runs can be cached under the digest of the bytes
+before it, and the next call, which sees the new stats, rebuilds.
 """
 
 from __future__ import annotations
@@ -40,24 +53,21 @@ import struct
 import sys
 from array import array
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import corpus, embedding, rank, tfidf
-from .corpus import Benchmark, Project
+from .corpus import Benchmark, BugReport, Project, SourceFile
 from .preprocess import BUG_REPORT, SOURCE_FILE, PreprocessConfig, TokenStream
 
 logger = logging.getLogger(__name__)
 
 
-def corpus_digest(root) -> str:
-    """sha256 over what the benchmark loader reads under ``root``: the
-    project directory names, the paths and bytes of each project's source
-    and bug-report files, ``manifest.csv``, and ``corpus.LOADER_VERSION``.
-    Each name and content goes in behind its tag and both lengths, so no two
-    benchmarks feed the hash the same stream."""
-    h = hashlib.sha256(b"bugloc-corpus %d\n" % corpus.LOADER_VERSION)
-    entries = []   # (tag, name relative to root, path to read or None)
+def _corpus_entries(root) -> list[tuple[bytes, str, str | None]]:
+    """(tag, name relative to root, path to read or None) of what the
+    benchmark loader reads under ``root``, in digest order."""
+    entries = []
     for project in corpus.project_dirs(Path(root)):
         entries.append((b"P", project.name, None))
         files = corpus.project_files(project)
@@ -67,7 +77,18 @@ def corpus_digest(root) -> str:
     manifest = os.path.join(root, corpus.MANIFEST)
     if os.path.isfile(manifest):
         entries.append((b"M", corpus.MANIFEST, manifest))
-    for tag, name, path in entries:
+    return entries
+
+
+def corpus_digest(root, entries=None) -> str:
+    """sha256 over what the benchmark loader reads under ``root``: the
+    project directory names, the paths and bytes of each project's source
+    and bug-report files, ``manifest.csv``, and ``corpus.LOADER_VERSION``.
+    Each name and content goes in behind its tag and both lengths, so no two
+    benchmarks feed the hash the same stream. ``entries`` is
+    ``_corpus_entries(root)`` when the caller has listed it already."""
+    h = hashlib.sha256(b"bugloc-corpus %d\n" % corpus.LOADER_VERSION)
+    for tag, name, path in _corpus_entries(root) if entries is None else entries:
         data = b""
         if path is not None:
             with open(path, "rb", buffering=0) as fh:
@@ -76,6 +97,20 @@ def corpus_digest(root) -> str:
         h.update(tag + struct.pack("<2q", len(encoded), len(data)) + encoded)
         h.update(data)
     return h.hexdigest()
+
+
+def _stat_key(entries) -> tuple[str, int]:
+    """A hash of the entries' names and of each file's size, ``mtime_ns``,
+    ``ctime_ns`` and inode, and the newest of those times (-1 for none)."""
+    lines, newest = [], -1
+    for tag, name, path in entries:
+        line = f"{tag.decode()}\0{name}\0"
+        if path is not None:
+            st = os.stat(path)
+            line += f"{st.st_size} {st.st_mtime_ns} {st.st_ctime_ns} {st.st_ino}"
+            newest = max(newest, st.st_mtime_ns, st.st_ctime_ns)
+        lines.append(line)
+    return hashlib.sha256("\n".join(lines).encode("utf-8", "surrogateescape")).hexdigest(), newest
 
 
 def _documents(benchmark: Benchmark):
@@ -100,7 +135,10 @@ def _encode_streams(streams) -> list:
     term_ids: dict[str, int] = {}
     offsets, ids = array("q", [0]), array("i")  # int32 on every supported platform
     for stream in streams:
-        ids.extend(term_ids.setdefault(t, len(term_ids)) for t in stream.tokens)
+        # ids go to each stream's new terms in first-occurrence order
+        for term in dict.fromkeys(stream.tokens):
+            term_ids.setdefault(term, len(term_ids))
+        ids.extend(map(term_ids.__getitem__, stream.tokens))
         offsets.append(len(ids))
     if sys.byteorder == "big":
         offsets.byteswap()
@@ -141,8 +179,11 @@ def _decode_streams(data: bytes, origins: list[str]) -> list[TokenStream]:
 # one (name: 16 bytes, dtype: 8 bytes, both ASCII padded with NULs; length:
 # int64) record per array in _INDEX_ARRAYS order, then the arrays in that
 # order, little-endian, each padded with zeros to a multiple of 8 bytes.
-# "ids" is the JSON list [file ids in path order, report ids in row order].
-_INDEX_HEADER = b"bugloc-index v1\n"
+# "fixed_offsets" and "fixed_columns" are CSR arrays of each report's fixed
+# files as ascending file columns; "ids" is the JSON list [file ids in path
+# order, report ids in row order]. The header is part of the index's
+# fingerprint, so an index of another layout is stale, not corrupt.
+_INDEX_HEADER = b"bugloc-index v2\n"
 _INDEX_DTYPES = {"i8": np.dtype("<i8"), "f8": np.dtype("<f8"), "u1": np.dtype("u1")}
 _INDEX_ARRAYS = [
     ("file_rows", "i8"), ("file_weights", "f8"), ("file_offsets", "i8"), ("file_norms", "f8"),
@@ -150,13 +191,36 @@ _INDEX_ARRAYS = [
     ("report_rows", "i8"), ("report_weights", "f8"), ("report_offsets", "i8"),
     ("query_offsets", "i8"), ("query_terms", "i8"), ("query_weights", "f8"),
     ("query_norms", "f8"),
+    ("fixed_offsets", "i8"), ("fixed_columns", "i8"),
     ("ids", "u1"),
 ]
 _RECORD = struct.Struct("<16s8sq")
 
 
-def _encode_index(scope: rank.TfidfScope, file_ids: list[str],
-                  report_ids: list[str]) -> list[bytes]:
+class _Index(NamedTuple):
+    """What a ranking index holds: the scope's arrays, the project's file
+    ids in path order, its report ids in row order, and the CSR arrays of
+    each report's fixed-file columns."""
+
+    scope: rank.TfidfScope
+    file_ids: list[str]
+    report_ids: list[str]
+    fixed_offsets: np.ndarray
+    fixed_columns: np.ndarray
+
+    def project(self, name: str) -> Project:
+        """The project as ranking sees it: ids and fixed files, with empty
+        texts and no token streams, so building a scope from it raises."""
+        files = self.file_ids
+        offsets = self.fixed_offsets.tolist()
+        columns = self.fixed_columns.tolist()
+        return Project(name, [SourceFile(fid, fid, "") for fid in files],
+                       [BugReport(rid, "", "", {files[c] for c in columns[a:b]})
+                        for rid, a, b in zip(self.report_ids, offsets, offsets[1:])])
+
+
+def _encode_index(scope: rank.TfidfScope, file_ids: list[str], report_ids: list[str],
+                  fixed_offsets: np.ndarray, fixed_columns: np.ndarray) -> list[bytes]:
     """The index of a scope, as the buffers to write in order. The report
     postings' norms are the queries' norms, so they are stored once."""
     files, reports = scope.files, scope.reports
@@ -168,6 +232,7 @@ def _encode_index(scope: rank.TfidfScope, file_ids: list[str],
         "report_offsets": reports.offsets,
         "query_offsets": scope.query_offsets, "query_terms": scope.query_terms,
         "query_weights": scope.query_weights, "query_norms": scope.query_norms,
+        "fixed_offsets": fixed_offsets, "fixed_columns": fixed_columns,
         "ids": np.frombuffer(ids, dtype=np.uint8),
     }
     table, chunks = [], []
@@ -190,9 +255,9 @@ def _check_spans(offsets, indices, n_spans: int, bound: int, *aligned) -> None:
         raise ValueError("ranking index offsets, indices or lengths out of range")
 
 
-def _decode_index(data: bytes) -> tuple[rank.TfidfScope, list[str], list[str]]:
-    """The scope, file ids and report ids of a verified index. The arrays
-    are read-only views of ``data``."""
+def _decode_index(data: bytes) -> _Index:
+    """What a verified index holds. The arrays are read-only views of
+    ``data``."""
     if not data.startswith(_INDEX_HEADER):
         raise ValueError("not a ranking index")
     start = len(_INDEX_HEADER) + 8 + _RECORD.size * len(_INDEX_ARRAYS)
@@ -221,6 +286,7 @@ def _decode_index(data: bytes) -> tuple[rank.TfidfScope, list[str], list[str]]:
     _check_spans(a["file_offsets"], a["file_rows"], n_terms, n_files, a["file_weights"])
     _check_spans(a["report_offsets"], a["report_rows"], n_terms, n_reports, a["report_weights"])
     _check_spans(a["query_offsets"], a["query_terms"], n_reports, n_terms, a["query_weights"])
+    _check_spans(a["fixed_offsets"], a["fixed_columns"], n_reports, n_files)
     if (len(a["file_norms"]) != n_files or len(a["length_weights"]) != n_files
             or len(a["query_norms"]) != n_reports):
         raise ValueError("ranking index lengths disagree with its file and report counts")
@@ -230,7 +296,7 @@ def _decode_index(data: bytes) -> tuple[rank.TfidfScope, list[str], list[str]]:
         (a["query_offsets"], a["query_terms"], a["query_weights"], a["query_norms"]),
         reports=tfidf.Postings(a["report_rows"], a["report_weights"], a["report_offsets"],
                                a["query_norms"]))
-    return scope, file_ids, report_ids
+    return _Index(scope, file_ids, report_ids, a["fixed_offsets"], a["fixed_columns"])
 
 
 def _write_chunks(chunks):
@@ -272,11 +338,16 @@ def _fingerprint(kind: str, held_out: str, corpus: str,
         "preprocess": preprocess_config.fingerprint(),
         "embedding": embed_config.fingerprint() if embed_config else None,
     }
+    if kind in _INDEX_KINDS:
+        payload["layout"] = _INDEX_HEADER.decode("ascii").strip()
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-_REBUILD = {"tokens": "re-preprocessing", "index_local": "rebuilding",
-            "index_global": "rebuilding"}
+_INDEX_KINDS = ("index_local", "index_global")
+_REBUILD = {"tokens": "re-preprocessing", **dict.fromkeys(_INDEX_KINDS, "rebuilding")}
+
+# the record of the corpus digest in the cache directory, see the module docstring
+_CORPUS_RECORD = "corpus.json"
 
 
 class ArtifactCache:
@@ -285,8 +356,9 @@ class ArtifactCache:
 
     ``benchmark`` is a loaded :class:`~bugloc.corpus.Benchmark`, or the
     root directory of one. A cache over a root serves ranking indexes
-    (:meth:`stored_scope`) before anything is loaded; what else it serves
-    reads ``self.benchmark``, which the caller sets once it has loaded it.
+    (:meth:`stored_scope`, :meth:`indexed_project`) before anything is
+    loaded; what else it serves reads ``self.benchmark``, which the caller
+    sets once it has loaded it.
     """
 
     def __init__(self, directory, benchmark, preprocess_config: PreprocessConfig,
@@ -301,9 +373,31 @@ class ArtifactCache:
             self.benchmark, root = None, benchmark
         self.preprocess_config = preprocess_config
         self.embed_config = embed_config
-        self._corpus = corpus_digest(root)
+        self._corpus = self._recorded_digest(root)
         # ranking indexes found unusable, so asking again builds without re-reading
         self._missed: set[tuple[str, str]] = set()
+
+    def _recorded_digest(self, root) -> str:
+        """:func:`corpus_digest` of ``root``: the recorded one while the
+        stats of what it hashes match the record and none is racily clean,
+        or else hashed anew and recorded with the stats taken before."""
+        entries = _corpus_entries(root)
+        stats, newest = _stat_key(entries)
+        identity = {"root": os.path.abspath(root), "loader": corpus.LOADER_VERSION,
+                    "stats": stats}
+        record = self.directory / _CORPUS_RECORD
+        try:
+            written = record.stat().st_mtime_ns
+            recorded = json.loads(record.read_text("utf-8"))
+            if (newest < written and all(recorded[key] == value for key, value in identity.items())
+                    and isinstance(recorded["digest"], str)):
+                return recorded["digest"]
+        except (OSError, ValueError, KeyError, TypeError):  # missing or damaged: hash
+            pass
+        digest = corpus_digest(root, entries)
+        text = json.dumps({**identity, "digest": digest})
+        _replace(record, lambda tmp: tmp.write_text(text, "utf-8"))
+        return digest
 
     def _paths(self, kind: str, held_out: str) -> tuple[Path, Path]:
         suffix = {"idf": "txt", "dm": "npz", "dbow": "npz"}.get(kind, "bin")
@@ -372,34 +466,70 @@ class ArtifactCache:
         chunks = _encode_streams(doc.token_stream for doc, _ in _documents(self.benchmark))
         self._store("tokens", "", None, _write_chunks(chunks))
 
+    def _read_index(self, kind: str, name: str) -> _Index | None:
+        """The project's ranking index of that kind; None when it is
+        missing, stale or damaged (with a warning), remembered as missed."""
+        if (kind, name) in self._missed:
+            return None
+        artifact, _ = self._paths(kind, name)
+        found = None
+        try:
+            data = artifact.read_bytes()
+        except OSError:
+            data = None
+        if data is not None and self._is_fresh(kind, name, None, data):
+            try:
+                found = _decode_index(data)
+            except ValueError as exc:  # JSON and UTF-8 errors are ValueErrors
+                logger.warning("corrupt ranking index %s (%s); rebuilding", artifact.name, exc)
+        if found is None:
+            self._missed.add((kind, name))
+        return found
+
     def stored_scope(self, project: Project, scope: str) -> rank.TfidfScope | None:
         """The project's TF.IDF arrays under ``scope`` ("local" or "global")
         from its ranking index; None when the index is missing, stale or
         damaged (with a warning), or holds other file or report ids than
         ``project``."""
         kind = f"index_{scope}"
-        if (kind, project.name) in self._missed:
-            return None
-        artifact, _ = self._paths(kind, project.name)
-        found = None
-        try:
-            data = artifact.read_bytes()
-        except OSError:
-            data = None
-        if data is not None and self._is_fresh(kind, project.name, None, data):
-            try:
-                found, file_ids, report_ids = _decode_index(data)
-            except ValueError as exc:  # JSON and UTF-8 errors are ValueErrors
-                logger.warning("corrupt ranking index %s (%s); rebuilding", artifact.name, exc)
-            else:
-                if (file_ids != sorted(f.id for f in project.source_files)
-                        or report_ids != [r.id for r in project.bug_reports]):
-                    logger.info("ranking index %s is of other files or reports; rebuilding",
-                                artifact.name)
-                    found = None
+        found = self._read_index(kind, project.name)
         if found is None:
+            return None
+        if (found.file_ids != sorted(f.id for f in project.source_files)
+                or found.report_ids != [r.id for r in project.bug_reports]):
+            logger.info("ranking index %s is of other files or reports; rebuilding",
+                        self._paths(kind, project.name)[0].name)
             self._missed.add((kind, project.name))
-        return found
+            return None
+        return found.scope
+
+    def indexed_project(self, name: str,
+                        scopes) -> tuple[Project, dict[str, rank.TfidfScope]] | None:
+        """Project ``name`` rebuilt from its ranking indexes under each of
+        ``scopes``, and their TF.IDF arrays by scope, each index read once;
+        None unless every index is fresh and whole and all hold the same
+        ids and fixed files.
+
+        The project holds only what ranking reads: file ids, report ids and
+        fixed files, with empty texts and no token streams. It must not be
+        preprocessed or used to build a scope. A fresh index was built from
+        the loaded benchmark of these same bytes, so the project loaded and
+        passed its manifest check.
+        """
+        found = {}
+        for scope in sorted(scopes):
+            index = self._read_index(f"index_{scope}", name)
+            if index is None:
+                return None
+            found[scope] = index
+        first, *others = found.values()
+        for other in others:
+            if (other.file_ids != first.file_ids or other.report_ids != first.report_ids
+                    or not np.array_equal(other.fixed_offsets, first.fixed_offsets)
+                    or not np.array_equal(other.fixed_columns, first.fixed_columns)):
+                logger.info("ranking indexes of %s disagree on ids or fixed files", name)
+                return None
+        return first.project(name), {scope: index.scope for scope, index in found.items()}
 
     def tfidf_scope(self, artifacts: rank.Artifacts, scope: str) -> rank.TfidfScope:
         """The TF.IDF arrays of ``artifacts.project`` under ``scope``: from
@@ -412,7 +542,7 @@ class ArtifactCache:
                      else artifacts.local_vocab)
             found = artifacts.build_scope(vocab)
             chunks = _encode_index(found, artifacts.file_ids,
-                                   [r.id for r in project.bug_reports])
+                                   [r.id for r in project.bug_reports], *artifacts.fixed)
             self._store(f"index_{scope}", project.name, None, _write_chunks(chunks))
             self._missed.discard((f"index_{scope}", project.name))
         return found

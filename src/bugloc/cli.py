@@ -23,7 +23,7 @@ import numpy as np
 
 from . import embedding, metrics, rank
 from .cache import ArtifactCache
-from .corpus import load_benchmark, load_benchmark_project
+from .corpus import Benchmark, load_benchmark, load_benchmark_project, project_dirs
 from .errors import BugLocError
 from .preprocess import PreprocessConfig, preprocess_benchmark, preprocess_project
 
@@ -190,9 +190,11 @@ def _fill_streams(settings, benchmark, cache=None) -> None:
             cache.save_token_streams()
 
 
-def _artifacts_for(project, cache, method_ids, settings, fill_streams=None) -> rank.Artifacts:
+def _artifacts_for(project, cache, method_ids, settings, fill_streams=None,
+                   scopes=None) -> rank.Artifacts:
     """Artifacts covering the union of the given methods' model needs; with
-    a cache, their TF.IDF scopes come from its ranking indexes.
+    a cache, their TF.IDF scopes come from its ranking indexes, or from
+    ``scopes`` (scope name -> arrays) when the caller has read them.
 
     Token streams are read only to build a scope whose index misses and to
     infer doc vectors; ``fill_streams()``, when given, is called first in
@@ -205,8 +207,10 @@ def _artifacts_for(project, cache, method_ids, settings, fill_streams=None) -> r
             f"methods {sorted(c.method_id for c in configs)} need global "
             "models: pass --cache")
     names = sorted(set().union(*(c.tfidf_scopes for c in configs)))
-    found = {} if cache is None else {name: cache.stored_scope(project, name) for name in names}
-    scopes = {name: scope for name, scope in found.items() if scope is not None}
+    if scopes is None:
+        found = {} if cache is None else {name: cache.stored_scope(project, name)
+                                          for name in names}
+        scopes = {name: scope for name, scope in found.items() if scope is not None}
     needs_embeddings = any(c.needs_embeddings for c in configs)
     if fill_streams is not None and (needs_embeddings or len(scopes) < len(names)):
         fill_streams()
@@ -223,13 +227,22 @@ def _artifacts_for(project, cache, method_ids, settings, fill_streams=None) -> r
     return artifacts
 
 
-def _indexed_artifacts(cache, benchmark_path, project_name, method) -> rank.Artifacts | None:
-    """Artifacts for a TF.IDF method from the project alone, unpreprocessed,
-    and its ranking index; None when the index misses."""
-    (scope,) = method.tfidf_scopes
-    project = load_benchmark_project(benchmark_path, project_name, strict=False)
-    found = cache.stored_scope(project, scope)
-    return None if found is None else rank.Artifacts(project, scopes={scope: found})
+def _indexed_benchmark(cache, benchmark_path, method_ids) -> dict | None:
+    """Every project of the benchmark rebuilt from its ranking indexes
+    (:meth:`~bugloc.cache.ArtifactCache.indexed_project`) with the TF.IDF
+    arrays the methods rank with, as name -> (project, scopes); None without
+    a cache, when a method needs doc vectors, or when any index misses."""
+    configs = [rank.MethodConfig.from_id(m) for m in method_ids]
+    if cache is None or any(c.needs_embeddings for c in configs):
+        return None
+    scopes = set().union(*(c.tfidf_scopes for c in configs))
+    found = {}
+    for project_dir in project_dirs(Path(benchmark_path)):
+        hit = cache.indexed_project(project_dir.name, scopes)
+        if hit is None:
+            return None
+        found[project_dir.name] = hit
+    return found or None
 
 
 _common_options = [
@@ -330,7 +343,9 @@ def cmd_localize(benchmark_path, project_name, bug_id, method_id, cache_dir,
     cache = _cache(settings, benchmark_path, cache_dir)
     artifacts = None
     if cache is not None and not method.needs_embeddings:
-        artifacts = _indexed_artifacts(cache, benchmark_path, project_name, method)
+        indexed = cache.indexed_project(project_name, method.tfidf_scopes)
+        if indexed is not None:
+            artifacts = rank.Artifacts(indexed[0], scopes=indexed[1])
     if artifacts is None:
         if cache is None:  # only the query project is read, so only it is loaded
             project = load_benchmark_project(benchmark_path, project_name, strict=False)
@@ -405,12 +420,20 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
     pairwise significance tests under --out."""
     settings = _settings(kwargs, methods=methods_raw, history_policy=history_policy)
     cache = _cache(settings, benchmark_path, cache_dir)
-    benchmark = load_benchmark(benchmark_path, strict=False)
-    if cache is not None:
-        cache.benchmark = benchmark
-    # decoded or preprocessed once, and only when a project needs them
-    fill_streams = functools.cache(lambda: _fill_streams(settings, benchmark, cache))
     method_ids = settings.method_ids()
+    # with every index a hit, the projects are rebuilt from them and no
+    # benchmark file is read; the rebuilt projects never become cache.benchmark
+    indexed = _indexed_benchmark(cache, benchmark_path, method_ids)
+    if indexed is not None:
+        benchmark = Benchmark([project for project, _ in indexed.values()],
+                              root=Path(benchmark_path))
+        fill_streams = None
+    else:
+        benchmark = load_benchmark(benchmark_path, strict=False)
+        if cache is not None:
+            cache.benchmark = benchmark
+        # decoded or preprocessed once, and only when a project needs them
+        fill_streams = functools.cache(lambda: _fill_streams(settings, benchmark, cache))
     if not projects_raw:
         project_names = sorted(benchmark.project_names)
     else:
@@ -430,7 +453,8 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
             continue
         # one Artifacts per project covering every requested method, so
         # vectorization and doc-vector inference are shared across methods
-        artifacts = _artifacts_for(project, cache, method_ids, settings, fill_streams)
+        artifacts = _artifacts_for(project, cache, method_ids, settings, fill_streams,
+                                   None if indexed is None else indexed[name][1])
         for method_id in method_ids:
             report, results = _evaluate_project(project, artifacts, method_id, settings)
             per_project[method_id][name] = report

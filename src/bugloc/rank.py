@@ -337,21 +337,29 @@ class Artifacts:
     @cached_property
     def _project_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """File column and ``|fixed files|`` of every (report, fixed file of
-        this project) pair, in report order, and ``offsets`` such that
-        report ``i``'s pairs are ``offsets[i]:offsets[i + 1]``. The size
-        counts fixed files missing from the project too."""
+        this project) pair, in report order and, within a report, by column,
+        and ``offsets`` such that report ``i``'s pairs are ``offsets[i]:offsets[i + 1]``.
+        The size counts fixed files missing from the project too."""
         counts, columns, sizes = [], [], []
         for report in self.project.bug_reports:
-            fixed = [self._column[fid] for fid in report.fixed_files if fid in self._column]
+            fixed = sorted(self._column[fid] for fid in report.fixed_files
+                           if fid in self._column)
             counts.append(len(fixed))
             columns += fixed
             sizes += [len(report.fixed_files)] * len(fixed)
         return (np.concatenate(([0], np.cumsum(counts, dtype=np.intp))),
                 np.array(columns, dtype=np.intp), np.array(sizes, dtype=float))
 
+    @property
+    def fixed(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR arrays of the fixed files of every report: report ``i`` fixed
+        the files at the ascending columns ``columns[offsets[i]:offsets[i + 1]]``."""
+        offsets, columns, _ = self._project_pairs
+        return offsets, columns
+
     def fixed_columns(self, row: int) -> np.ndarray:
         """Columns of the files that the project's report ``row`` fixed."""
-        offsets, columns, _ = self._project_pairs
+        offsets, columns = self.fixed
         return columns[offsets[row]:offsets[row + 1]]
 
     def _bridge(self, history: _Histories, sims: np.ndarray) -> np.ndarray:

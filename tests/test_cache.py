@@ -1,10 +1,15 @@
 """The token-stream index, the ranking indexes and the integrity of cached
 artifacts."""
 
+import builtins
 import hashlib
+import io
 import json
 import logging
+import os
 import shutil
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +58,42 @@ def load_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def digest_calls(monkeypatch):
+    """Records every root the cache hashes byte by byte."""
+    calls = []
+    digest = cache_module.corpus_digest
+
+    def counted(root, entries=None):
+        calls.append(root)
+        return digest(root, entries)
+
+    monkeypatch.setattr(cache_module, "corpus_digest", counted)
+    return calls
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Records every path opened through ``open`` or ``io.open``."""
+    paths = []
+    real = io.open
+
+    def tracked(file, *args, **kwargs):
+        paths.append(file)
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", tracked)
+    monkeypatch.setattr(io, "open", tracked)
+    return paths
+
+
+def under(paths, root):
+    """The paths of ``paths`` that lie under the directory ``root``."""
+    root = Path(root).resolve()
+    return [p for p in paths if isinstance(p, (str, os.PathLike))
+            and Path(os.fspath(p)).resolve().is_relative_to(root)]
+
+
 def run(*args):
     result = CliRunner().invoke(main, [str(a) for a in args])
     assert result.exit_code == 0, result.output
@@ -91,6 +132,28 @@ def damage(artifact, how):
     else:  # a consistent sha over bytes that are not an artifact of this corpus
         artifact.write_bytes(data[:40] + b"\xff" * 20)
         reseal(artifact)
+
+
+def record_path(cache):
+    return cache / cache_module._CORPUS_RECORD
+
+
+def settle(cache):
+    """Date the corpus record after every benchmark file, as if it had been
+    written a clock tick after the last edit, so no file is racily clean."""
+    later = time.time_ns() + 10 ** 9
+    os.utime(record_path(cache), ns=(later, later))
+
+
+def same_size_edit(path):
+    """Change one byte of the file, keeping its size."""
+    data = bytearray(path.read_bytes())
+    data[-2] = ord("y") if data[-2] != ord("y") else ord("z")
+    path.write_bytes(bytes(data))
+
+
+def cached_digest(cache, bench):
+    return ArtifactCache(cache, bench, PreprocessConfig())._corpus
 
 
 def documents(benchmark):
@@ -225,7 +288,9 @@ class TestRankingIndex:
         assert len(load_calls) == 3
 
     @pytest.mark.parametrize("flaw", ["query_term_out_of_range", "offsets_decrease",
-                                      "row_out_of_range", "short_length_weights"])
+                                      "row_out_of_range", "short_length_weights",
+                                      "fixed_column_out_of_range",
+                                      "fixed_offsets_wrong_length"])
     def test_resealed_index_of_bad_structure_rebuilt_with_warning(self, bench, tmp_path,
                                                                   caplog, flaw):
         train(bench, tmp_path / "c")
@@ -239,6 +304,7 @@ class TestRankingIndex:
         terms, rows, offsets = (scope.query_terms.copy(), files.rows.copy(),
                                 files.offsets.copy())
         length_weights = scope.length_weights
+        fixed_offsets, fixed_columns = rank.Artifacts(project, scopes={"global": scope}).fixed
         if flaw == "query_term_out_of_range":
             terms[0] = files.n_terms
         elif flaw == "offsets_decrease":
@@ -246,6 +312,11 @@ class TestRankingIndex:
             offsets[step + 1] = offsets[step] - 1
         elif flaw == "row_out_of_range":
             rows[0] = len(files)
+        elif flaw == "fixed_column_out_of_range":
+            fixed_columns = fixed_columns.copy()
+            fixed_columns[0] = len(files)
+        elif flaw == "fixed_offsets_wrong_length":
+            fixed_offsets = fixed_offsets[:-1]
         else:
             length_weights = length_weights[:-1]
         bad = rank.TfidfScope(
@@ -254,7 +325,7 @@ class TestRankingIndex:
             reports=reports)
         file_ids = sorted(f.id for f in project.source_files)
         artifact.write_bytes(b"".join(cache_module._encode_index(
-            bad, file_ids, [r.id for r in project.bug_reports])))
+            bad, file_ids, [r.id for r in project.bug_reports], fixed_offsets, fixed_columns)))
         reseal(artifact)
         with caplog.at_level(logging.WARNING):
             localize(bench, tmp_path / "c")
@@ -356,6 +427,173 @@ class TestRankingIndex:
         for name in ("length_weights", "query_offsets", "query_terms", "query_weights",
                      "query_norms"):
             assert np.array_equal(getattr(loaded, name), getattr(built, name))
+
+
+class TestCorpusRecord:
+    """The corpus digest looked up by stat, and when it is hashed anew."""
+
+    def test_warm_call_hashes_nothing(self, bench, tmp_path, digest_calls):
+        assert cached_digest(tmp_path / "c", bench) == cache_module.corpus_digest(bench)
+        settle(tmp_path / "c")
+        del digest_calls[:]
+        assert cached_digest(tmp_path / "c", bench) == cache_module.corpus_digest(bench)
+        assert len(digest_calls) == 1  # the comparison's own
+
+    def test_racily_clean_file_is_rehashed(self, bench, tmp_path, digest_calls):
+        """A file edited in the clock tick the record was written in keeps
+        the recorded stats; its time, not older than the record's, gives it
+        away."""
+        before = cached_digest(tmp_path / "c", bench)
+        source = sorted((bench / "proj1" / "sources").rglob("*.java"))[0]
+        same_size_edit(source)
+        # the record of a call that stat'ed the edited file in that tick
+        # and hashed the bytes before the edit
+        record = record_path(tmp_path / "c")
+        recorded = json.loads(record.read_text())
+        recorded["stats"], _ = cache_module._stat_key(cache_module._corpus_entries(bench))
+        record.write_text(json.dumps(recorded))
+        tick = source.stat().st_mtime_ns
+        os.utime(record, ns=(tick, tick))
+        del digest_calls[:]
+        after = cached_digest(tmp_path / "c", bench)
+        assert len(digest_calls) == 1
+        assert after != before and after == cache_module.corpus_digest(bench)
+
+    def test_edit_restoring_mtime_misses_through_ctime(self, bench, tmp_path, digest_calls):
+        before = cached_digest(tmp_path / "c", bench)
+        source = sorted((bench / "proj2" / "sources").rglob("*.java"))[0]
+        stat = source.stat()
+        same_size_edit(source)
+        os.utime(source, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert (source.stat().st_size, source.stat().st_mtime_ns) == (stat.st_size,
+                                                                      stat.st_mtime_ns)
+        settle(tmp_path / "c")
+        del digest_calls[:]
+        after = cached_digest(tmp_path / "c", bench)
+        assert len(digest_calls) == 1
+        assert after != before and after == cache_module.corpus_digest(bench)
+
+    def test_file_replaced_by_rename_misses(self, bench, tmp_path, digest_calls):
+        before = cached_digest(tmp_path / "c", bench)
+        source = sorted((bench / "proj3" / "sources").rglob("*.java"))[0]
+        stat = source.stat()
+        replacement = source.with_name("replacement.tmp")
+        shutil.copy2(source, replacement)
+        same_size_edit(replacement)
+        os.utime(replacement, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        os.replace(replacement, source)
+        settle(tmp_path / "c")
+        del digest_calls[:]
+        after = cached_digest(tmp_path / "c", bench)
+        assert len(digest_calls) == 1
+        assert after != before and after == cache_module.corpus_digest(bench)
+
+    def test_two_roots_never_share_a_digest(self, bench, tmp_path):
+        other = shutil.copytree(bench, tmp_path / "other")  # copy2 keeps sizes and mtimes
+        same_size_edit(sorted((other / "proj1" / "sources").rglob("*.java"))[0])
+        want = {root: cache_module.corpus_digest(root) for root in (bench, other)}
+        assert len(set(want.values())) == 2
+        for root in (bench, other, other, bench, other):
+            assert cached_digest(tmp_path / "c", root) == want[root]
+            settle(tmp_path / "c")
+
+    @pytest.mark.parametrize("content", [b"", b'{"root": "', b"\xff\xfe garbage", b"[1, 2]",
+                                         b'{"root": 1}', b"null"])
+    def test_damaged_record_falls_back_to_full_hash(self, bench, tmp_path, digest_calls,
+                                                    content):
+        train(bench, tmp_path / "c")
+        localize(bench, tmp_path / "c")
+        built = ranking(tmp_path / "c")
+        record_path(tmp_path / "c").write_bytes(content)
+        settle(tmp_path / "c")
+        del digest_calls[:]
+        localize(bench, tmp_path / "c")  # exit 0, no traceback
+        assert len(digest_calls) == 1
+        assert ranking(tmp_path / "c") == built
+        assert json.loads(record_path(tmp_path / "c").read_text())["digest"] == \
+            cache_module.corpus_digest(bench)
+
+
+class TestHitsReadNoBenchmarkFile:
+    def test_localize_hit(self, bench, tmp_path, opened):
+        train(bench, tmp_path / "c")
+        localize(bench, tmp_path / "c")
+        assert under(opened, bench)  # the miss read the benchmark, and was seen doing so
+        built = ranking(tmp_path / "c")
+        settle(tmp_path / "c")
+        del opened[:]
+        localize(bench, tmp_path / "c")
+        assert opened and not under(opened, bench)
+        assert ranking(tmp_path / "c") == built
+
+    @pytest.mark.parametrize("policy", ["earlier", "all"])
+    def test_all_hit_evaluate(self, bench, tmp_path, opened, load_calls, policy):
+        outputs = ("metrics.csv", "metrics.json", "per_query.csv", "wilcoxon.csv")
+
+        def evaluate(i):
+            run("evaluate", "--benchmark", bench, "--methods", "1,2,3,4", "--cache",
+                tmp_path / "c", "--out", tmp_path / f"out{i}", "--history", policy)
+            return [(tmp_path / f"out{i}" / name).read_bytes() for name in outputs]
+
+        cold = evaluate("cold")
+        settle(tmp_path / "c")
+        del opened[:]
+        assert evaluate("warm") == cold
+        assert opened and not under(opened, bench)
+        assert len(load_calls) == 1
+        # without a cache every file is read, and the outputs are the same
+        run("evaluate", "--benchmark", bench, "--methods", "1,3", "--out", tmp_path / "plain",
+            "--history", policy)
+        run("evaluate", "--benchmark", bench, "--methods", "1,3", "--cache", tmp_path / "c",
+            "--out", tmp_path / "hit13", "--history", policy)
+        assert len(load_calls) == 2
+        for name in outputs:
+            assert (tmp_path / "plain" / name).read_bytes() == \
+                (tmp_path / "hit13" / name).read_bytes()
+
+    def test_partial_hit_evaluate_loads_the_benchmark(self, bench, tmp_path, load_calls):
+        outputs = ("metrics.csv", "metrics.json", "per_query.csv", "wilcoxon.csv")
+
+        def evaluate(i):
+            run("evaluate", "--benchmark", bench, "--methods", "1,2,3,4", "--cache",
+                tmp_path / "c", "--out", tmp_path / f"out{i}")
+            return [(tmp_path / f"out{i}" / name).read_bytes() for name in outputs]
+
+        cold = evaluate(0)
+        assert len(load_calls) == 1
+        (tmp_path / "c" / "index_local_proj3.bin").unlink()
+        assert evaluate(1) == cold
+        assert len(load_calls) == 2
+        assert (tmp_path / "c" / "index_local_proj3.bin").is_file()
+        assert evaluate(2) == cold
+        assert len(load_calls) == 2
+
+    def test_rebuilt_project_cannot_build_a_scope(self, bench, tmp_path):
+        train(bench, tmp_path / "c")
+        localize(bench, tmp_path / "c")
+        cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig())
+        project, scopes = cache.indexed_project("proj1", {"global"})
+        loaded = corpus.load_benchmark_project(bench, "proj1", strict=False)
+        assert [f.id for f in project.source_files] == sorted(f.id for f in loaded.source_files)
+        assert [(r.id, r.fixed_files) for r in project.bug_reports] == \
+            [(r.id, r.fixed_files) for r in loaded.bug_reports]
+        assert all(d.token_stream is None for d in [*project.source_files, *project.bug_reports])
+        with pytest.raises(ValueError, match="token stream missing"):
+            rank.Artifacts(project, scopes=scopes).build_scope(tfidf.Vocabulary({}, [], 1))
+
+    def test_index_of_older_layout_rebuilds_quietly(self, bench, tmp_path, caplog,
+                                                    monkeypatch):
+        train(bench, tmp_path / "c")
+        monkeypatch.setattr(cache_module, "_INDEX_HEADER", b"bugloc-index v1\n")
+        localize(bench, tmp_path / "c")
+        built = ranking(tmp_path / "c")
+        monkeypatch.undo()
+        with caplog.at_level(logging.INFO):
+            localize(bench, tmp_path / "c")
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert ranking(tmp_path / "c") == built
+        assert (tmp_path / "c" / "index_global_proj1.bin").read_bytes().startswith(
+            cache_module._INDEX_HEADER)
 
 
 class TestArtifactIntegrity:
