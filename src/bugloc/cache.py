@@ -35,12 +35,17 @@ bytes were read. An edit that restores the old ``mtime_ns`` still moves
 same-size edit on a filesystem that keeps neither ``mtime`` nor ``ctime``
 goes unseen.
 
-So a ``localize`` or an all-hit ``evaluate`` for TF.IDF methods rebuilds
-its projects from their ranking indexes (:meth:`ArtifactCache.indexed_project`):
-it stats the benchmark, reads those indexes and no benchmark file, and
-preprocesses nothing. The stats are taken before the benchmark is read: an
-edit made while a call runs can be cached under the digest of the bytes
-before it, and the next call, which sees the new stats, rebuilds.
+Ranking indexes are read only by :meth:`ArtifactCache.indexed_project`,
+each once per call, and a hit is decided per project. A ``localize`` or
+``evaluate`` ranking a project with TF.IDF methods only, whose every
+requested scope has a fresh index, rebuilds the project from those indexes:
+it stats the benchmark, reads no benchmark file and preprocesses nothing,
+also when ``evaluate --projects`` names a subset. A project with any index
+missing, stale or damaged is loaded, and all of its requested scopes are
+rebuilt, with the same bytes for the indexes that were whole. The stats are
+taken before the benchmark is read: an edit made while a call runs can be
+cached under the digest of the bytes before it, and the next call, which
+sees the new stats, rebuilds.
 """
 
 from __future__ import annotations
@@ -356,9 +361,9 @@ class ArtifactCache:
 
     ``benchmark`` is a loaded :class:`~bugloc.corpus.Benchmark`, or the
     root directory of one. A cache over a root serves ranking indexes
-    (:meth:`stored_scope`, :meth:`indexed_project`) before anything is
-    loaded; what else it serves reads ``self.benchmark``, which the caller
-    sets once it has loaded it.
+    (:meth:`indexed_project`) before anything is loaded; what else it
+    serves reads ``self.benchmark``, which the caller sets once it has
+    loaded it.
     """
 
     def __init__(self, directory, benchmark, preprocess_config: PreprocessConfig,
@@ -374,8 +379,6 @@ class ArtifactCache:
         self.preprocess_config = preprocess_config
         self.embed_config = embed_config
         self._corpus = self._recorded_digest(root)
-        # ranking indexes found unusable, so asking again builds without re-reading
-        self._missed: set[tuple[str, str]] = set()
 
     def _recorded_digest(self, root) -> str:
         """:func:`corpus_digest` of ``root``: the recorded one while the
@@ -468,40 +471,19 @@ class ArtifactCache:
 
     def _read_index(self, kind: str, name: str) -> _Index | None:
         """The project's ranking index of that kind; None when it is
-        missing, stale or damaged (with a warning), remembered as missed."""
-        if (kind, name) in self._missed:
-            return None
+        missing, stale or damaged (with a warning)."""
         artifact, _ = self._paths(kind, name)
-        found = None
         try:
             data = artifact.read_bytes()
         except OSError:
-            data = None
-        if data is not None and self._is_fresh(kind, name, None, data):
-            try:
-                found = _decode_index(data)
-            except ValueError as exc:  # JSON and UTF-8 errors are ValueErrors
-                logger.warning("corrupt ranking index %s (%s); rebuilding", artifact.name, exc)
-        if found is None:
-            self._missed.add((kind, name))
-        return found
-
-    def stored_scope(self, project: Project, scope: str) -> rank.TfidfScope | None:
-        """The project's TF.IDF arrays under ``scope`` ("local" or "global")
-        from its ranking index; None when the index is missing, stale or
-        damaged (with a warning), or holds other file or report ids than
-        ``project``."""
-        kind = f"index_{scope}"
-        found = self._read_index(kind, project.name)
-        if found is None:
             return None
-        if (found.file_ids != sorted(f.id for f in project.source_files)
-                or found.report_ids != [r.id for r in project.bug_reports]):
-            logger.info("ranking index %s is of other files or reports; rebuilding",
-                        self._paths(kind, project.name)[0].name)
-            self._missed.add((kind, project.name))
+        if not self._is_fresh(kind, name, None, data):
             return None
-        return found.scope
+        try:
+            return _decode_index(data)
+        except ValueError as exc:  # JSON and UTF-8 errors are ValueErrors
+            logger.warning("corrupt ranking index %s (%s); rebuilding", artifact.name, exc)
+            return None
 
     def indexed_project(self, name: str,
                         scopes) -> tuple[Project, dict[str, rank.TfidfScope]] | None:
@@ -532,20 +514,17 @@ class ArtifactCache:
         return first.project(name), {scope: index.scope for scope, index in found.items()}
 
     def tfidf_scope(self, artifacts: rank.Artifacts, scope: str) -> rank.TfidfScope:
-        """The TF.IDF arrays of ``artifacts.project`` under ``scope``: from
-        its ranking index, or else built from the artifacts' token streams
-        and the scope's vocabulary and stored as its index."""
+        """The TF.IDF arrays of ``artifacts.project`` under ``scope`` ("local"
+        or "global"), built from the artifacts' token streams and the scope's
+        vocabulary, and stored as the project's ranking index."""
         project = artifacts.project
-        found = self.stored_scope(project, scope)
-        if found is None:
-            vocab = (self.global_vocabulary(project.name) if scope == "global"
-                     else artifacts.local_vocab)
-            found = artifacts.build_scope(vocab)
-            chunks = _encode_index(found, artifacts.file_ids,
-                                   [r.id for r in project.bug_reports], *artifacts.fixed)
-            self._store(f"index_{scope}", project.name, None, _write_chunks(chunks))
-            self._missed.discard((f"index_{scope}", project.name))
-        return found
+        vocab = (self.global_vocabulary(project.name) if scope == "global"
+                 else artifacts.local_vocab)
+        built = artifacts.build_scope(vocab)
+        chunks = _encode_index(built, artifacts.file_ids, [r.id for r in project.bug_reports],
+                               *artifacts.fixed)
+        self._store(f"index_{scope}", project.name, None, _write_chunks(chunks))
+        return built
 
     def global_vocabulary(self, held_out: str) -> tfidf.Vocabulary:
         """Load or build the leakage-safe global IDF model for a project."""

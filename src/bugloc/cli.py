@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import logging
 import re
 import statistics
 import sys
@@ -24,9 +25,10 @@ import numpy as np
 from . import embedding, metrics, rank
 from .cache import ArtifactCache
 from .corpus import Benchmark, load_benchmark, load_benchmark_project, project_dirs
-from .errors import BugLocError
-from .preprocess import PreprocessConfig, preprocess_benchmark, preprocess_project
+from .errors import BugLocError, CorpusError
+from .preprocess import PreprocessConfig, preprocess_benchmark
 
+logger = logging.getLogger(__name__)
 
 # '#' at the start of a line or after whitespace starts a comment; inside a
 # value, as in a path like /data/c#/stop.txt, it is part of the value.
@@ -171,34 +173,42 @@ def _cache(settings, benchmark_path, cache_dir) -> ArtifactCache | None:
                          settings.embedding_config())
 
 
-def _load(settings, benchmark_path, cache=None):
-    """The benchmark with every token stream filled (:func:`_fill_streams`)."""
-    benchmark = load_benchmark(benchmark_path, strict=False)
-    if cache is not None:
-        cache.benchmark = benchmark
-    _fill_streams(settings, benchmark, cache)
-    return benchmark
-
-
-def _fill_streams(settings, benchmark, cache=None) -> None:
-    """Fill every token stream of the benchmark. With a cache, the streams
-    come from its token-stream index; on a miss the benchmark is
-    preprocessed and the index written for later calls."""
-    if cache is None or not cache.load_token_streams():
-        preprocess_benchmark(benchmark, settings.preprocess_config())
+def _loader(settings, benchmark_path, cache=None, project_name=None):
+    """A function returning the benchmark with every token stream filled,
+    loaded on its first call only. With a cache, the benchmark becomes
+    ``cache.benchmark`` and the streams come from its token-stream index, or
+    are preprocessed and indexed on a miss. Without a cache, a
+    ``project_name`` limits the load to that project."""
+    @functools.cache
+    def loaded() -> Benchmark:
+        if cache is None and project_name is not None:
+            benchmark = Benchmark([load_benchmark_project(benchmark_path, project_name,
+                                                          strict=False)])
+        else:
+            benchmark = load_benchmark(benchmark_path, strict=False)
         if cache is not None:
-            cache.save_token_streams()
+            cache.benchmark = benchmark
+        if cache is None or not cache.load_token_streams():
+            preprocess_benchmark(benchmark, settings.preprocess_config())
+            if cache is not None:
+                cache.save_token_streams()
+        return benchmark
+
+    return loaded
 
 
-def _artifacts_for(project, cache, method_ids, settings, fill_streams=None,
-                   scopes=None) -> rank.Artifacts:
-    """Artifacts covering the union of the given methods' model needs; with
-    a cache, their TF.IDF scopes come from its ranking indexes, or from
-    ``scopes`` (scope name -> arrays) when the caller has read them.
+def _artifacts(name, method_ids, settings, cache, loaded) -> rank.Artifacts:
+    """Artifacts of project ``name`` covering the union of the given
+    methods' model needs.
 
-    Token streams are read only to build a scope whose index misses and to
-    infer doc vectors; ``fill_streams()``, when given, is called first in
-    those cases, and otherwise never.
+    With a cache and TF.IDF methods only, a project whose every requested
+    scope has a fresh ranking index is rebuilt from those indexes
+    (:meth:`~bugloc.cache.ArtifactCache.indexed_project`), and no benchmark
+    file is read. Otherwise the project comes from ``loaded()``; with a
+    cache, each requested scope is built from its token streams and stored,
+    except that doc-vector methods rank with the hit indexes when they hold
+    the loaded project's file and report ids. A project with no queries
+    gets no scope and no model, for nothing ranks it.
     """
     configs = [rank.MethodConfig.from_id(m) for m in method_ids]
     infer_epochs = settings.infer_epochs()
@@ -207,42 +217,32 @@ def _artifacts_for(project, cache, method_ids, settings, fill_streams=None,
             f"methods {sorted(c.method_id for c in configs)} need global "
             "models: pass --cache")
     names = sorted(set().union(*(c.tfidf_scopes for c in configs)))
-    if scopes is None:
-        found = {} if cache is None else {name: cache.stored_scope(project, name)
-                                          for name in names}
-        scopes = {name: scope for name, scope in found.items() if scope is not None}
     needs_embeddings = any(c.needs_embeddings for c in configs)
-    if fill_streams is not None and (needs_embeddings or len(scopes) < len(names)):
-        fill_streams()
+    indexed = cache.indexed_project(name, names) if cache is not None and names else None
+    if indexed is not None and not needs_embeddings:
+        return rank.Artifacts(indexed[0], infer_epochs=infer_epochs, scopes=indexed[1])
+    project = loaded().project(name)
+    if not project.has_queries:
+        return rank.Artifacts(project)
+    scopes = {}
+    if indexed is not None:
+        hit, found = indexed
+        if ([f.id for f in hit.source_files] == sorted(f.id for f in project.source_files)
+                and [r.id for r in hit.bug_reports] == [r.id for r in project.bug_reports]):
+            scopes = found
+        else:
+            logger.info("ranking indexes of %s are of other files or reports; rebuilding",
+                        name)
     dm = dbow = None
     if needs_embeddings:
-        dm = cache.embedding_model(project.name, embedding.PV_DM)
-        dbow = cache.embedding_model(project.name, embedding.PV_DBOW)
+        dm = cache.embedding_model(name, embedding.PV_DM)
+        dbow = cache.embedding_model(name, embedding.PV_DBOW)
     artifacts = rank.Artifacts(project, dm_model=dm, dbow_model=dbow, infer_epochs=infer_epochs,
                                scopes=scopes)
-    if cache is not None:
-        for name in names:
-            if name not in scopes:
-                artifacts.scopes[name] = cache.tfidf_scope(artifacts, name)
+    if cache is not None and not scopes:
+        for scope in names:
+            artifacts.scopes[scope] = cache.tfidf_scope(artifacts, scope)
     return artifacts
-
-
-def _indexed_benchmark(cache, benchmark_path, method_ids) -> dict | None:
-    """Every project of the benchmark rebuilt from its ranking indexes
-    (:meth:`~bugloc.cache.ArtifactCache.indexed_project`) with the TF.IDF
-    arrays the methods rank with, as name -> (project, scopes); None without
-    a cache, when a method needs doc vectors, or when any index misses."""
-    configs = [rank.MethodConfig.from_id(m) for m in method_ids]
-    if cache is None or any(c.needs_embeddings for c in configs):
-        return None
-    scopes = set().union(*(c.tfidf_scopes for c in configs))
-    found = {}
-    for project_dir in project_dirs(Path(benchmark_path)):
-        hit = cache.indexed_project(project_dir.name, scopes)
-        if hit is None:
-            return None
-        found[project_dir.name] = hit
-    return found or None
 
 
 _common_options = [
@@ -302,7 +302,7 @@ def cmd_train_global(benchmark_path, cache_dir, held_out, embeddings, **kwargs):
     """Build global IDF and paragraph-vector models per held-out project."""
     settings = _settings(kwargs)
     cache = _cache(settings, benchmark_path, cache_dir)
-    benchmark = _load(settings, benchmark_path, cache)
+    benchmark = _loader(settings, benchmark_path, cache)()
     names = list(held_out) or benchmark.project_names
     for name in names:
         benchmark.project(name)  # validate early, raises on unknown names
@@ -339,23 +339,14 @@ def cmd_localize(benchmark_path, project_name, bug_id, method_id, cache_dir,
     if not 1 <= method_id <= 7:
         raise click.UsageError(f"unknown method id {method_id} (valid: 1..7)")
     settings = _settings(kwargs, history_policy=history_policy)
-    method = rank.MethodConfig.from_id(method_id)
     cache = _cache(settings, benchmark_path, cache_dir)
-    artifacts = None
-    if cache is not None and not method.needs_embeddings:
-        indexed = cache.indexed_project(project_name, method.tfidf_scopes)
-        if indexed is not None:
-            artifacts = rank.Artifacts(indexed[0], scopes=indexed[1])
-    if artifacts is None:
-        if cache is None:  # only the query project is read, so only it is loaded
-            project = load_benchmark_project(benchmark_path, project_name, strict=False)
-            preprocess_project(project, settings.preprocess_config())
-        else:
-            project = _load(settings, benchmark_path, cache).project(project_name)
-        artifacts = _artifacts_for(project, cache, [method_id], settings)
+    # without a cache only the query project is read, so only it is loaded
+    artifacts = _artifacts(project_name, [method_id], settings, cache,
+                           _loader(settings, benchmark_path, cache, project_name))
     row = artifacts.project.row(bug_id)
     history = rank.history_at(artifacts.project, row, settings.get("history_policy"))
-    ranked = rank.localize(artifacts, row, method, history=history)
+    ranked = rank.localize(artifacts, row, rank.MethodConfig.from_id(method_id),
+                           history=history)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"ranking_{project_name}_m{method_id}_{bug_id}.csv"
@@ -421,40 +412,33 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
     settings = _settings(kwargs, methods=methods_raw, history_policy=history_policy)
     cache = _cache(settings, benchmark_path, cache_dir)
     method_ids = settings.method_ids()
-    # with every index a hit, the projects are rebuilt from them and no
-    # benchmark file is read; the rebuilt projects never become cache.benchmark
-    indexed = _indexed_benchmark(cache, benchmark_path, method_ids)
-    if indexed is not None:
-        benchmark = Benchmark([project for project, _ in indexed.values()],
-                              root=Path(benchmark_path))
-        fill_streams = None
-    else:
-        benchmark = load_benchmark(benchmark_path, strict=False)
-        if cache is not None:
-            cache.benchmark = benchmark
-        # decoded or preprocessed once, and only when a project needs them
-        fill_streams = functools.cache(lambda: _fill_streams(settings, benchmark, cache))
+    root = Path(benchmark_path)
+    available = [project_dir.name for project_dir in project_dirs(root)]
+    if not available:
+        raise CorpusError(f"no projects found under {root}")
     if not projects_raw:
-        project_names = sorted(benchmark.project_names)
+        project_names = available
     else:
         project_names = sorted({name for name in projects_raw.replace(" ", "").split(",")
                                 if name})
         if not project_names:
             raise click.UsageError("no projects requested")
-        for name in project_names:
-            benchmark.project(name)  # validate before any work, raises on unknown names
+        for name in project_names:  # validate before any work
+            if name not in available:
+                raise CorpusError(f"unknown project: {name}")
+    # the benchmark is loaded once, and only if a project's indexes miss
+    loaded = _loader(settings, benchmark_path, cache)
 
     rows, per_query_rows = [], []
     per_project: dict[int, dict[str, metrics.MetricsReport]] = {m: {} for m in method_ids}
     for name in project_names:
-        project = benchmark.project(name)
+        # one Artifacts per project covering every requested method, so
+        # vectorization and doc-vector inference are shared across methods
+        artifacts = _artifacts(name, method_ids, settings, cache, loaded)
+        project = artifacts.project
         if not project.has_queries:
             _echo(f"skipping {name}: no queries", err=True)
             continue
-        # one Artifacts per project covering every requested method, so
-        # vectorization and doc-vector inference are shared across methods
-        artifacts = _artifacts_for(project, cache, method_ids, settings, fill_streams,
-                                   None if indexed is None else indexed[name][1])
         for method_id in method_ids:
             report, results = _evaluate_project(project, artifacts, method_id, settings)
             per_project[method_id][name] = report

@@ -160,9 +160,6 @@ class EmbeddingModel:
         return np.array([self.term_index[t] for t in _tokens(document)
                          if t in self.term_index], dtype=np.int64)
 
-    def doc_vector(self, doc_id: str) -> np.ndarray:
-        return self.D[self.doc_ids.index(doc_id)]
-
     def sample_negatives(self, target: int, rng) -> np.ndarray:
         """Draw noise words from the unigram^0.75 table, skipping the target."""
         draws = np.searchsorted(self.noise_cum, rng.random(self.config.negative))

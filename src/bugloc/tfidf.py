@@ -314,6 +314,9 @@ def load_vocabulary(path) -> Vocabulary:
     if not lines or lines[0] != _FORMAT_HEADER:
         raise ValueError(f"{path}: not a {_FORMAT_HEADER} file")
     header = dict(line.split("\t", 1) for line in lines[1:4])
+    for field in ("docs", "scope", "held_out"):
+        if field not in header:
+            raise ValueError(f"{path}: header field {field!r} missing")
     term_ids, doc_freq = {}, []
     for line in lines[4:]:
         if not line:

@@ -297,9 +297,9 @@ class TestRankingIndex:
         localize(bench, tmp_path / "c")
         built = ranking(tmp_path / "c")
         artifact = tmp_path / "c" / "index_global_proj1.bin"
-        project = corpus.load_benchmark_project(bench, "proj1", strict=False)
         cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig(), EmbeddingConfig())
-        scope = cache.stored_scope(project, "global")
+        project, scopes = cache.indexed_project("proj1", {"global"})
+        scope = scopes["global"]
         files, reports = scope.files, scope.reports
         terms, rows, offsets = (scope.query_terms.copy(), files.rows.copy(),
                                 files.offsets.copy())
@@ -323,7 +323,7 @@ class TestRankingIndex:
             tfidf.Postings(rows, files.weights, offsets, files.norms), length_weights,
             (scope.query_offsets, terms, scope.query_weights, scope.query_norms),
             reports=reports)
-        file_ids = sorted(f.id for f in project.source_files)
+        file_ids = [f.id for f in project.source_files]
         artifact.write_bytes(b"".join(cache_module._encode_index(
             bad, file_ids, [r.id for r in project.bug_reports], fixed_offsets, fixed_columns)))
         reseal(artifact)
@@ -402,15 +402,31 @@ class TestRankingIndex:
         assert corpus.load_project(bench / "proj1").source_files[0].raw_text == fe_text
         assert len({before, crlf, invalid_fe, invalid_ff}) == 4
 
-    def test_index_of_other_reports_misses(self, bench, tmp_path, load_calls):
-        train(bench, tmp_path / "c")
-        localize(bench, tmp_path / "c")
-        project = corpus.load_benchmark_project(bench, "proj1", strict=False)
-        cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig(), EmbeddingConfig())
-        assert cache.stored_scope(project, "global") is not None
-        project.bug_reports.pop()
-        cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig(), EmbeddingConfig())
-        assert cache.stored_scope(project, "global") is None
+    def test_index_of_other_reports_misses(self, bench, tmp_path, caplog):
+        """A fresh index that holds other report ids than the loaded project
+        is not paired with it: a doc-vector method, which ranks the loaded
+        project, rebuilds the index instead."""
+        benchmark = load_benchmark(bench, strict=False)
+        preprocess_benchmark(benchmark, PreprocessConfig())
+        project = benchmark.project("proj1")
+        cache = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig())
+        fewer = corpus.Project("proj1", project.source_files, project.bug_reports[:-1])
+        cache.tfidf_scope(rank.Artifacts(fewer), "global")
+        hit, _ = cache.indexed_project("proj1", {"global"})
+        assert len(hit.bug_reports) == len(project.bug_reports) - 1
+        fast = ["--epochs", "2", "--vector-size", "8", "--min-count", "1", "--infer-epochs", "2"]
+        with caplog.at_level(logging.INFO):
+            localize(bench, tmp_path / "c", *fast, method=6)
+        assert any("other files or reports" in r.getMessage() for r in caplog.records)
+        built = ranking(tmp_path / "c", 6)
+        hit, _ = ArtifactCache(tmp_path / "c", bench, PreprocessConfig()).indexed_project(
+            "proj1", {"global"})
+        assert [r.id for r in hit.bug_reports] == [r.id for r in project.bug_reports]
+        index = tmp_path / "c" / "index_global_proj1.bin"
+        stamp = index.stat().st_mtime_ns
+        localize(bench, tmp_path / "c", *fast, method=6)  # the rebuilt index is paired
+        assert index.stat().st_mtime_ns == stamp
+        assert ranking(tmp_path / "c", 6) == built
 
     def test_arrays_round_trip(self, bench, tmp_path):
         benchmark = load_benchmark(bench, strict=False)
@@ -418,8 +434,9 @@ class TestRankingIndex:
         project = benchmark.project("proj1")
         cache = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig())
         built = cache.tfidf_scope(rank.Artifacts(project), "local")
-        loaded = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig()).stored_scope(
-            project, "local")
+        _, scopes = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig()).indexed_project(
+            "proj1", {"local"})
+        loaded = scopes["local"]
         for name in ("rows", "weights", "offsets", "norms"):
             for part in ("files", "reports"):
                 want, got = getattr(getattr(built, part), name), getattr(getattr(loaded, part), name)
@@ -568,6 +585,21 @@ class TestHitsReadNoBenchmarkFile:
         assert evaluate(2) == cold
         assert len(load_calls) == 2
 
+    def test_evaluate_of_named_projects_hits_on_their_indexes(self, bench, tmp_path,
+                                                              load_calls):
+        outputs = ("metrics.csv", "metrics.json", "per_query.csv", "wilcoxon.csv")
+
+        def evaluate(i):
+            run("evaluate", "--benchmark", bench, "--methods", "1,3", "--projects", "proj1",
+                "--cache", tmp_path / "c", "--out", tmp_path / f"out{i}")
+            return [(tmp_path / f"out{i}" / name).read_bytes() for name in outputs]
+
+        cold = evaluate(0)
+        assert evaluate(1) == cold
+        assert evaluate(2) == cold
+        assert len(load_calls) == 1
+        assert not (tmp_path / "c" / "index_local_proj2.bin").exists()
+
     def test_rebuilt_project_cannot_build_a_scope(self, bench, tmp_path):
         train(bench, tmp_path / "c")
         localize(bench, tmp_path / "c")
@@ -612,6 +644,23 @@ class TestArtifactIntegrity:
             again = self._cache(bench, tmp_path).global_vocabulary("proj1")
         assert again.term_ids == vocab.term_ids
         assert any("sha256" in r.getMessage() for r in caplog.records)
+
+    @pytest.mark.parametrize("kept", [1, 2])
+    def test_idf_cut_inside_its_header_is_rebuilt(self, bench, tmp_path, caplog, kept):
+        vocab = self._cache(bench, tmp_path).global_vocabulary("proj1")
+        artifact = tmp_path / "c" / "idf_proj1.txt"
+        lines = artifact.read_text().splitlines(keepends=True)
+        artifact.write_text("".join(lines[:kept]))
+        reseal(artifact)
+        field = ["docs", "scope"][kept - 1]
+        with pytest.raises(ValueError, match=f"header field {field!r} missing"):
+            tfidf.load_vocabulary(artifact)
+        with caplog.at_level(logging.WARNING):
+            again = self._cache(bench, tmp_path).global_vocabulary("proj1")
+        assert again.term_ids == vocab.term_ids
+        assert any("corrupt cached IDF model" in r.getMessage() and "retraining" in r.getMessage()
+                   for r in caplog.records)
+        assert artifact.read_text().splitlines(keepends=True) == lines
 
     def test_model_holding_an_object_array_is_never_unpickled(self, bench, tmp_path,
                                                               caplog):

@@ -221,6 +221,22 @@ def test_epochs_below_one_is_one_json_error(synth_benchmark, tmp_path, runner, f
     assert "epochs" in json.loads(lines[0])["error"]
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_bad_infer_epochs_is_one_json_error_on_index_miss_and_hit(synth_benchmark, tmp_path,
+                                                                  runner, warm):
+    root, _, _ = synth_benchmark
+    args = ["localize", "--benchmark", str(root), "--project", "proj1", "--bug", "BUG-proj1-001",
+            "--method", "4", "--cache", str(tmp_path / "c"), "--out", str(tmp_path / "o")]
+    if warm:
+        assert runner.invoke(main, args).exit_code == 0
+        assert (tmp_path / "c" / "index_global_proj1.bin").is_file()
+    result = runner.invoke(main, [*args, "--infer-epochs", "0"])
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert "infer_epochs" in json.loads(lines[0])["error"]
+
+
 class TestEvaluateCommand:
     def test_report_structure(self, synth_benchmark, tmp_path, runner):
         root, _, _ = synth_benchmark
