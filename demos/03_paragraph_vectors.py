@@ -31,8 +31,8 @@ def main():
     ids = sorted(DOCS)
     corpus = [DOCS[i] for i in ids]
 
-    dm = train(corpus, config, PV_DM, doc_ids=ids, track_loss=True)
-    dbow = train(corpus, config, PV_DBOW, doc_ids=ids, track_loss=True)
+    dm = train(corpus, config, PV_DM, track_loss=True)
+    dbow = train(corpus, config, PV_DBOW, track_loss=True)
     print(f"PV-DM   corpus loss {dm.initial_loss:.3f} -> {dm.final_loss:.3f}")
     print(f"PV-DBOW corpus loss {dbow.initial_loss:.3f} -> {dbow.final_loss:.3f}")
 

@@ -1,10 +1,11 @@
 """On-disk cache: offline-trained global models, the token-stream index of
 the benchmark, and per-project ranking indexes.
 
-Artifacts, one file each in the cache directory:
+Artifacts, one file ``<kind>[_<project>].bin`` each in the cache directory:
 
-- ``idf_<project>.txt``: the global IDF model with ``<project>`` held out;
-- ``dm_<project>.npz``, ``dbow_<project>.npz``: its paragraph-vector models;
+- ``idf_<project>.bin``: the global IDF model with ``<project>`` held out;
+- ``dm_<project>.bin``, ``dbow_<project>.bin``: its paragraph-vector
+  models, holding what inference reads: terms, counts, ``W``, ``U``, ``b``;
 - ``tokens.bin``: the token streams of every document of the benchmark;
 - ``index_local_<project>.bin``, ``index_global_<project>.bin``: the
   project's TF.IDF ranking arrays under that scope
@@ -12,14 +13,20 @@ Artifacts, one file each in the cache directory:
   report's fixed-file columns. The first ``localize`` or ``evaluate`` that
   ranks with a scope builds its index; ``train-global`` builds none.
 
-Every artifact gets a sidecar ``.meta.json`` holding a fingerprint of the
-corpus and of the preprocessing/embedding configuration that produced it,
-plus the sha256 of the artifact's bytes. The corpus part is
-:func:`corpus_digest`, a hash over the bytes of every file the benchmark
-loader reads, listed by the loader's own functions. An artifact is written
-to a temporary file and moved into place, so it is never seen half written.
-A fingerprint mismatch forces a rebuild; so does an artifact that no longer
-matches its sha256 or cannot be read, with a warning. Nothing is unpickled.
+All share the layout of :mod:`bugloc.container`; nothing is pickled. Every
+artifact gets a sidecar ``.meta.json`` holding a fingerprint of the corpus,
+of the preprocessing/embedding configuration that produced it and of its
+layout's header line, plus the sha256 of its bytes as they were written.
+The corpus part is :func:`corpus_digest`, a hash over the bytes of every
+file the benchmark loader reads, listed by the loader's own functions. An
+artifact is written to a temporary file and moved into place, so it is
+never seen half written. :meth:`ArtifactCache._read` reads an artifact's
+bytes once and decodes them only when fingerprint and sha256 match. A
+fingerprint mismatch, as for an artifact of an older layout, is a quiet
+rebuild: a cache written before this layout rebuilds every artifact once,
+and its ``idf_*.txt`` and ``*.npz`` files are no longer read and may be
+deleted with their ``.meta.json``. An artifact that fails its sha256 or
+does not decode is rebuilt with a warning.
 
 The digest is looked up by stat, as git trusts its index: the record
 ``corpus.json`` holds the digest with the benchmark's absolute root,
@@ -55,14 +62,12 @@ import json
 import logging
 import os
 import struct
-import sys
-from array import array
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from . import corpus, embedding, rank, tfidf
+from . import container, corpus, embedding, rank, tfidf
 from .corpus import Benchmark, BugReport, Project, SourceFile
 from .preprocess import BUG_REPORT, SOURCE_FILE, PreprocessConfig, TokenStream
 
@@ -128,78 +133,47 @@ def _documents(benchmark: Benchmark):
             yield report, BUG_REPORT
 
 
-# Token-stream index: this header line, then three little-endian int64
-# (byte length of the terms, number of document offsets, number of term
-# ids), the distinct terms as UTF-8 joined by "\n", the int64 offsets of
-# each document's first term id and of the end, and the int32 term ids.
-_TOKENS_HEADER = b"bugloc-tokens v1\n"
-
-
-def _encode_streams(streams) -> list:
-    """The index of the streams, as the buffers to write in order."""
-    term_ids: dict[str, int] = {}
-    offsets, ids = array("q", [0]), array("i")  # int32 on every supported platform
-    for stream in streams:
-        # ids go to each stream's new terms in first-occurrence order
-        for term in dict.fromkeys(stream.tokens):
-            term_ids.setdefault(term, len(term_ids))
-        ids.extend(map(term_ids.__getitem__, stream.tokens))
-        offsets.append(len(ids))
-    if sys.byteorder == "big":
-        offsets.byteswap()
-        ids.byteswap()
-    terms = "\n".join(term_ids).encode("utf-8")
-    return [_TOKENS_HEADER, struct.pack("<3q", len(terms), len(offsets), len(ids)), terms,
-            offsets, ids]
-
-
-def _decode_streams(data: bytes, origins: list[str]) -> list[TokenStream]:
-    """Token streams of a verified index; every stream shares one str per term."""
-    if not data.startswith(_TOKENS_HEADER):
-        raise ValueError("not a token-stream index")
-    start = len(_TOKENS_HEADER) + 24
-    if len(data) < start:
-        raise ValueError("token-stream index header cut short")
-    n_bytes, n_offsets, n_ids = struct.unpack_from("<3q", data, len(_TOKENS_HEADER))
-    if (n_bytes < 0 or n_ids < 0 or n_offsets != len(origins) + 1
-            or len(data) != start + n_bytes + 8 * n_offsets + 4 * n_ids):
-        raise ValueError("token-stream index does not fit the corpus")
-    terms = data[start:start + n_bytes].decode("utf-8").split("\n") if n_bytes else []
-    offsets, ids = array("q"), array("i")
-    offsets.frombytes(data[start + n_bytes:start + n_bytes + 8 * n_offsets])
-    ids.frombytes(data[start + n_bytes + 8 * n_offsets:])
-    if sys.byteorder == "big":
-        offsets.byteswap()
-        ids.byteswap()
-    if (offsets[0] != 0 or offsets[-1] != n_ids
-            or any(a > b for a, b in zip(offsets, offsets[1:]))
-            or (n_ids and not 0 <= min(ids) <= max(ids) < len(terms))):
-        raise ValueError("token-stream index offsets or term ids out of range")
-    lookup = terms.__getitem__
-    return [TokenStream(tuple(map(lookup, ids[a:b])), origin)
-            for origin, a, b in zip(origins, offsets, offsets[1:])]
-
-
-# Ranking index: this header line, the int64 number of arrays, a table of
-# one (name: 16 bytes, dtype: 8 bytes, both ASCII padded with NULs; length:
-# int64) record per array in _INDEX_ARRAYS order, then the arrays in that
-# order, little-endian, each padded with zeros to a multiple of 8 bytes.
-# "fixed_offsets" and "fixed_columns" are CSR arrays of each report's fixed
-# files as ascending file columns; "ids" is the JSON list [file ids in path
-# order, report ids in row order]. The header is part of the index's
-# fingerprint, so an index of another layout is stale, not corrupt.
-_INDEX_HEADER = b"bugloc-index v2\n"
-_INDEX_DTYPES = {"i8": np.dtype("<i8"), "f8": np.dtype("<f8"), "u1": np.dtype("u1")}
-_INDEX_ARRAYS = [
+# The token-stream index (see bugloc.container): the distinct terms, each
+# document's offset into ``ids`` and the end, and the term ids in order.
+_TOKENS = container.Layout(b"bugloc-tokens v2\n",
+                           [("terms", container.STR), ("offsets", "i8"), ("ids", "i4")])
+# A ranking index: a scope's arrays, each report's fixed files as CSR arrays
+# of ascending file columns, file ids in path order and report ids in row order.
+_INDEX = container.Layout(b"bugloc-index v3\n", [
     ("file_rows", "i8"), ("file_weights", "f8"), ("file_offsets", "i8"), ("file_norms", "f8"),
     ("length_weights", "f8"),
     ("report_rows", "i8"), ("report_weights", "f8"), ("report_offsets", "i8"),
     ("query_offsets", "i8"), ("query_terms", "i8"), ("query_weights", "f8"),
     ("query_norms", "f8"),
     ("fixed_offsets", "i8"), ("fixed_columns", "i8"),
-    ("ids", "u1"),
-]
-_RECORD = struct.Struct("<16s8sq")
+    ("file_ids", container.STR), ("report_ids", container.STR),
+])
+
+
+def _encode_streams(streams) -> list:
+    """The index of the streams, as the buffers to write in order."""
+    streams = list(streams)
+    offsets = np.cumsum([0, *(len(stream.tokens) for stream in streams)])
+    term_ids: dict[str, int] = {}
+    ids = np.empty(offsets[-1], dtype=np.int32)
+    for stream, start, end in zip(streams, offsets.tolist(), offsets[1:].tolist()):
+        # ids go to each stream's new terms in first-occurrence order
+        for term in dict.fromkeys(stream.tokens):
+            term_ids.setdefault(term, len(term_ids))
+        ids[start:end] = np.fromiter(map(term_ids.__getitem__, stream.tokens), np.int32)
+    return _TOKENS.encode({"terms": list(term_ids), "offsets": offsets, "ids": ids})
+
+
+def _decode_streams(data: bytes, origins: list[str]) -> list[TokenStream]:
+    """Token streams of a verified index, decoded one document at a time;
+    every stream shares one str per term."""
+    a = _TOKENS.decode(data)
+    terms, offsets, ids = a["terms"], a["offsets"], a["ids"]
+    container.check_spans(offsets, ids, len(origins), len(terms))
+    lookup = terms.__getitem__
+    bounds = offsets.tolist()
+    return [TokenStream(tuple(map(lookup, ids[start:end].tolist())), origin)
+            for origin, start, end in zip(origins, bounds, bounds[1:])]
 
 
 class _Index(NamedTuple):
@@ -225,12 +199,11 @@ class _Index(NamedTuple):
 
 
 def _encode_index(scope: rank.TfidfScope, file_ids: list[str], report_ids: list[str],
-                  fixed_offsets: np.ndarray, fixed_columns: np.ndarray) -> list[bytes]:
+                  fixed_offsets: np.ndarray, fixed_columns: np.ndarray) -> list:
     """The index of a scope, as the buffers to write in order. The report
     postings' norms are the queries' norms, so they are stored once."""
     files, reports = scope.files, scope.reports
-    ids = json.dumps([file_ids, report_ids]).encode()
-    values = {
+    return _INDEX.encode({
         "file_rows": files.rows, "file_weights": files.weights, "file_offsets": files.offsets,
         "file_norms": files.norms, "length_weights": scope.length_weights,
         "report_rows": reports.rows, "report_weights": reports.weights,
@@ -238,60 +211,23 @@ def _encode_index(scope: rank.TfidfScope, file_ids: list[str], report_ids: list[
         "query_offsets": scope.query_offsets, "query_terms": scope.query_terms,
         "query_weights": scope.query_weights, "query_norms": scope.query_norms,
         "fixed_offsets": fixed_offsets, "fixed_columns": fixed_columns,
-        "ids": np.frombuffer(ids, dtype=np.uint8),
-    }
-    table, chunks = [], []
-    for name, code in _INDEX_ARRAYS:
-        value = values[name]
-        raw = np.ascontiguousarray(value, dtype=_INDEX_DTYPES[code]).tobytes()
-        table.append(_RECORD.pack(name.encode(), code.encode(), len(value)))
-        chunks.append(raw + bytes(-len(raw) % 8))
-    return [_INDEX_HEADER, struct.pack("<q", len(table)), *table, *chunks]
-
-
-def _check_spans(offsets, indices, n_spans: int, bound: int, *aligned) -> None:
-    """Raise unless ``offsets`` cut ``indices`` into ``n_spans`` spans (from
-    0, never decreasing, to the end), every index is in ``[0, bound)`` and
-    every ``aligned`` array is as long as ``indices``."""
-    if (n_spans < 0 or len(offsets) != n_spans + 1 or offsets[0] != 0
-            or offsets[-1] != len(indices) or np.any(offsets[1:] < offsets[:-1])
-            or (len(indices) and not 0 <= indices.min() <= indices.max() < bound)
-            or any(len(a) != len(indices) for a in aligned)):
-        raise ValueError("ranking index offsets, indices or lengths out of range")
+        "file_ids": file_ids, "report_ids": report_ids,
+    })
 
 
 def _decode_index(data: bytes) -> _Index:
     """What a verified index holds. The arrays are read-only views of
     ``data``."""
-    if not data.startswith(_INDEX_HEADER):
-        raise ValueError("not a ranking index")
-    start = len(_INDEX_HEADER) + 8 + _RECORD.size * len(_INDEX_ARRAYS)
-    if len(data) < start or struct.unpack_from("<q", data, len(_INDEX_HEADER))[0] != len(
-            _INDEX_ARRAYS):
-        raise ValueError("ranking index table cut short or of another layout")
-    a, offset = {}, start
-    for i, (name, code) in enumerate(_INDEX_ARRAYS):
-        got_name, got_code, length = _RECORD.unpack_from(
-            data, len(_INDEX_HEADER) + 8 + _RECORD.size * i)
-        dtype = _INDEX_DTYPES[code]
-        size = length * dtype.itemsize
-        if (got_name.rstrip(b"\0") != name.encode() or got_code.rstrip(b"\0") != code.encode()
-                or length < 0 or offset + size > len(data)):
-            raise ValueError(f"ranking index array {name} missing or cut short")
-        a[name] = np.frombuffer(data, dtype=dtype, count=length, offset=offset)
-        offset += size + -size % 8
-    if offset != len(data):
-        raise ValueError("ranking index has trailing bytes")
-    ids = json.loads(a["ids"].tobytes())
-    if not (isinstance(ids, list) and len(ids) == 2
-            and all(isinstance(x, list) and all(isinstance(i, str) for i in x) for x in ids)):
-        raise ValueError("ranking index ids are not two lists of strings")
-    file_ids, report_ids = ids
+    a = _INDEX.decode(data)
+    file_ids, report_ids = a["file_ids"], a["report_ids"]
+    if sorted(set(file_ids)) != file_ids or len(set(report_ids)) != len(report_ids):
+        raise ValueError("ranking index file ids out of path order or report ids repeated")
     n_files, n_reports, n_terms = len(file_ids), len(report_ids), len(a["file_offsets"]) - 1
-    _check_spans(a["file_offsets"], a["file_rows"], n_terms, n_files, a["file_weights"])
-    _check_spans(a["report_offsets"], a["report_rows"], n_terms, n_reports, a["report_weights"])
-    _check_spans(a["query_offsets"], a["query_terms"], n_reports, n_terms, a["query_weights"])
-    _check_spans(a["fixed_offsets"], a["fixed_columns"], n_reports, n_files)
+    check = container.check_spans
+    check(a["file_offsets"], a["file_rows"], n_terms, n_files, a["file_weights"])
+    check(a["report_offsets"], a["report_rows"], n_terms, n_reports, a["report_weights"])
+    check(a["query_offsets"], a["query_terms"], n_reports, n_terms, a["query_weights"])
+    check(a["fixed_offsets"], a["fixed_columns"], n_reports, n_files)
     if (len(a["file_norms"]) != n_files or len(a["length_weights"]) != n_files
             or len(a["query_norms"]) != n_reports):
         raise ValueError("ranking index lengths disagree with its file and report counts")
@@ -304,52 +240,37 @@ def _decode_index(data: bytes) -> _Index:
     return _Index(scope, file_ids, report_ids, a["fixed_offsets"], a["fixed_columns"])
 
 
-def _write_chunks(chunks):
-    """A ``write(path)`` for :meth:`ArtifactCache._store` writing the buffers."""
-    def write(tmp):
-        with open(tmp, "wb") as fh:
-            fh.writelines(chunks)
-    return write
-
-
-def _file_sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
-def _replace(path: Path, write) -> str:
-    """Write ``path`` through ``write(tmp)`` to a temporary file beside it,
-    then move that into place; returns the sha256 of what was written."""
-    tmp = path.with_name(f"{path.stem}.tmp{os.getpid()}{path.suffix}")
+def _replace(path: Path, chunks) -> str:
+    """Write the buffers to a temporary file beside ``path``, then move
+    that into place; returns the sha256 of what was written."""
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    sha = hashlib.sha256()
     try:
-        write(tmp)
-        sha = _file_sha256(tmp)
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                sha.update(chunk)
+                fh.write(chunk)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-    return sha
+    return sha.hexdigest()
 
 
 def _fingerprint(kind: str, held_out: str, corpus: str,
                  preprocess_config: PreprocessConfig,
                  embed_config: embedding.EmbeddingConfig | None) -> str:
-    payload = {
-        "kind": kind,
-        "held_out": held_out,
-        "corpus": corpus,
-        "preprocess": preprocess_config.fingerprint(),
-        "embedding": embed_config.fingerprint() if embed_config else None,
-    }
-    if kind in _INDEX_KINDS:
-        payload["layout"] = _INDEX_HEADER.decode("ascii").strip()
+    payload = {"kind": kind, "held_out": held_out, "corpus": corpus,
+               "preprocess": preprocess_config.fingerprint(),
+               "embedding": embed_config.fingerprint() if embed_config else None,
+               "layout": _KINDS[kind][0].header.decode("ascii").strip()}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-_INDEX_KINDS = ("index_local", "index_global")
-_REBUILD = {"tokens": "re-preprocessing", **dict.fromkeys(_INDEX_KINDS, "rebuilding")}
+# per kind of artifact: its layout, what a warning calls it and what replaces it
+_KINDS = {"tokens": (_TOKENS, "token-stream index", "re-preprocessing"),
+          "idf": (tfidf.LAYOUT, "cached IDF model", "retraining"),
+          **dict.fromkeys(("dm", "dbow"), (embedding.LAYOUT, "cached model", "retraining")),
+          **dict.fromkeys(("index_local", "index_global"), (_INDEX, "ranking index", "rebuilding"))}
 
 # the record of the corpus digest in the cache directory, see the module docstring
 _CORPUS_RECORD = "corpus.json"
@@ -399,66 +320,60 @@ class ArtifactCache:
             pass
         digest = corpus_digest(root, entries)
         text = json.dumps({**identity, "digest": digest})
-        _replace(record, lambda tmp: tmp.write_text(text, "utf-8"))
+        _replace(record, [text.encode("utf-8")])
         return digest
 
     def _paths(self, kind: str, held_out: str) -> tuple[Path, Path]:
-        suffix = {"idf": "txt", "dm": "npz", "dbow": "npz"}.get(kind, "bin")
-        stem = f"{kind}_{held_out}" if held_out else kind
-        artifact = self.directory / f"{stem}.{suffix}"
-        return artifact, artifact.with_suffix(artifact.suffix + ".meta.json")
+        artifact = self.directory / (f"{kind}_{held_out}.bin" if held_out else f"{kind}.bin")
+        return artifact, artifact.with_name(artifact.name + ".meta.json")
 
-    def _is_fresh(self, kind: str, held_out: str, embed_config,
-                  data: bytes | None = None) -> bool:
-        """Whether the artifact was recorded under today's fingerprint and
-        its bytes (``data``, or else the file's) hash to the recorded sha256."""
+    def _read(self, kind: str, held_out: str, decode, embed_config=None):
+        """``decode`` of the artifact's bytes, read once; None when the
+        artifact is missing or stale, and, with a warning, when its bytes do
+        not match the recorded sha256 or ``decode`` raises ``ValueError``."""
         artifact, meta = self._paths(kind, held_out)
-        if not artifact.is_file() or not meta.is_file():
-            return False
-        rebuild = _REBUILD.get(kind, "retraining")
+        _, what, rebuild = _KINDS[kind]
         try:
             recorded = json.loads(meta.read_text("utf-8"))
             fingerprint, sha = recorded["fingerprint"], recorded["sha256"]
-        except (json.JSONDecodeError, KeyError, TypeError, OSError):
+        except FileNotFoundError:
+            return None
+        except (ValueError, KeyError, TypeError, OSError):
             logger.warning("unreadable cache metadata for %s; %s", artifact.name, rebuild)
-            return False
-        if fingerprint != _fingerprint(kind, held_out, self._corpus,
-                                       self.preprocess_config, embed_config):
-            return False
-        actual = hashlib.sha256(data).hexdigest() if data is not None else _file_sha256(artifact)
-        if actual != sha:
+            return None
+        if fingerprint != _fingerprint(kind, held_out, self._corpus, self.preprocess_config,
+                                       embed_config):
+            return None
+        try:
+            data = artifact.read_bytes()
+        except OSError:
+            return None
+        if hashlib.sha256(data).hexdigest() != sha:
             logger.warning("cache artifact %s does not match its recorded sha256; %s",
                            artifact.name, rebuild)
-            return False
-        return True
+            return None
+        try:
+            return decode(data)
+        except ValueError as exc:  # UTF-8 errors are ValueErrors
+            logger.warning("corrupt %s %s (%s); %s", what, artifact.name, exc, rebuild)
+            return None
 
-    def _store(self, kind: str, held_out: str, embed_config, write) -> None:
-        """Put the artifact in place with ``write(path)``, then record its
-        fingerprint and sha256."""
+    def _store(self, kind: str, held_out: str, chunks, embed_config=None) -> None:
+        """Put the artifact's buffers in place, then record its fingerprint
+        and the sha256 of the buffers."""
         artifact, meta = self._paths(kind, held_out)
-        record = {
-            "fingerprint": _fingerprint(kind, held_out, self._corpus,
-                                        self.preprocess_config, embed_config),
-            "sha256": _replace(artifact, write),
-        }
-        _replace(meta, lambda tmp: tmp.write_text(json.dumps(record, indent=2), "utf-8"))
+        record = {"fingerprint": _fingerprint(kind, held_out, self._corpus,
+                                              self.preprocess_config, embed_config),
+                  "sha256": _replace(artifact, chunks)}
+        _replace(meta, [json.dumps(record, indent=2).encode()])
 
     def load_token_streams(self) -> bool:
         """Fill every document's ``token_stream`` from the index; False, with
         nothing filled, when the index is missing, stale or damaged."""
-        artifact, _ = self._paths("tokens", "")
-        try:
-            data = artifact.read_bytes()
-        except OSError:
-            return False
-        if not self._is_fresh("tokens", "", None, data):
-            return False
         docs = list(_documents(self.benchmark))
-        try:
-            streams = _decode_streams(data, [origin for _, origin in docs])
-        except (ValueError, UnicodeDecodeError) as exc:
-            logger.warning("corrupt token-stream index %s (%s); re-preprocessing",
-                           artifact.name, exc)
+        streams = self._read("tokens", "",
+                             lambda data: _decode_streams(data, [origin for _, origin in docs]))
+        if streams is None:
             return False
         for (doc, _), stream in zip(docs, streams):
             doc.token_stream = stream
@@ -466,24 +381,8 @@ class ArtifactCache:
 
     def save_token_streams(self) -> None:
         """Write the index of every document's current ``token_stream``."""
-        chunks = _encode_streams(doc.token_stream for doc, _ in _documents(self.benchmark))
-        self._store("tokens", "", None, _write_chunks(chunks))
-
-    def _read_index(self, kind: str, name: str) -> _Index | None:
-        """The project's ranking index of that kind; None when it is
-        missing, stale or damaged (with a warning)."""
-        artifact, _ = self._paths(kind, name)
-        try:
-            data = artifact.read_bytes()
-        except OSError:
-            return None
-        if not self._is_fresh(kind, name, None, data):
-            return None
-        try:
-            return _decode_index(data)
-        except ValueError as exc:  # JSON and UTF-8 errors are ValueErrors
-            logger.warning("corrupt ranking index %s (%s); rebuilding", artifact.name, exc)
-            return None
+        self._store("tokens", "",
+                    _encode_streams(doc.token_stream for doc, _ in _documents(self.benchmark)))
 
     def indexed_project(self, name: str,
                         scopes) -> tuple[Project, dict[str, rank.TfidfScope]] | None:
@@ -500,7 +399,7 @@ class ArtifactCache:
         """
         found = {}
         for scope in sorted(scopes):
-            index = self._read_index(f"index_{scope}", name)
+            index = self._read(f"index_{scope}", name, _decode_index)
             if index is None:
                 return None
             found[scope] = index
@@ -521,58 +420,45 @@ class ArtifactCache:
         vocab = (self.global_vocabulary(project.name) if scope == "global"
                  else artifacts.local_vocab)
         built = artifacts.build_scope(vocab)
-        chunks = _encode_index(built, artifacts.file_ids, [r.id for r in project.bug_reports],
-                               *artifacts.fixed)
-        self._store(f"index_{scope}", project.name, None, _write_chunks(chunks))
+        self._store(f"index_{scope}", project.name,
+                    _encode_index(built, artifacts.file_ids,
+                                  [r.id for r in project.bug_reports], *artifacts.fixed))
         return built
 
     def global_vocabulary(self, held_out: str) -> tfidf.Vocabulary:
         """Load or build the leakage-safe global IDF model for a project."""
-        artifact, _ = self._paths("idf", held_out)
-        if self._is_fresh("idf", held_out, None):
-            try:
-                return tfidf.load_vocabulary(artifact)
-            except (ValueError, OSError) as exc:
-                logger.warning("corrupt cached IDF model %s (%s); retraining",
-                               artifact.name, exc)
-        logger.info("building global IDF model, held-out project %s", held_out)
-        vocab = tfidf.build_global_idf(self.benchmark, held_out)
-        self._store("idf", held_out, None, lambda tmp: tfidf.save_vocabulary(vocab, tmp))
+        vocab = self._read("idf", held_out, tfidf.load_vocabulary)
+        if vocab is None:
+            logger.info("building global IDF model, held-out project %s", held_out)
+            vocab = tfidf.build_global_idf(self.benchmark, held_out)
+            self._store("idf", held_out, tfidf.save_vocabulary(vocab))
         return vocab
 
     def _training_corpus(self, held_out: str):
-        """Source files of every project plus the other projects' reports."""
-        docs, ids, vocab_docs = [], [], []
+        """Source files of every project plus the other projects' reports,
+        and the source files alone, which the vocabulary comes from."""
+        docs, vocab_docs = [], []
         for project in self.benchmark.projects:
             for src in project.source_files:
                 docs.append(src.token_stream)
-                ids.append(f"{project.name}/{src.id}")
                 vocab_docs.append(src.token_stream)
-            if project.name == held_out:
-                continue
-            for report in project.bug_reports:
-                docs.append(report.token_stream)
-                ids.append(f"{project.name}#{report.id}")
-        return docs, ids, vocab_docs
+            if project.name != held_out:
+                docs += [report.token_stream for report in project.bug_reports]
+        return docs, vocab_docs
 
     def embedding_model(self, held_out: str, mode: str) -> embedding.EmbeddingModel:
         """Load or train the paragraph-vector model of the given mode."""
         if self.embed_config is None:
             raise ValueError("no embedding configuration supplied")
         kind = "dm" if mode == embedding.PV_DM else "dbow"
-        artifact, _ = self._paths(kind, held_out)
-        if self._is_fresh(kind, held_out, self.embed_config):
-            try:
-                return embedding.load_model(artifact)
-            except (ValueError, OSError, KeyError, TypeError) as exc:
-                logger.warning("corrupt cached model %s (%s); retraining",
-                               artifact.name, exc)
-        logger.info("training %s model, held-out project %s", mode, held_out)
-        docs, ids, vocab_docs = self._training_corpus(held_out)
-        model = embedding.train(docs, self.embed_config, mode,
-                                doc_ids=ids, vocab_documents=vocab_docs)
-        self._store(kind, held_out, self.embed_config,
-                    lambda tmp: embedding.save_model(model, tmp))
+        model = self._read(kind, held_out,
+                           lambda data: embedding.load_model(data, mode, self.embed_config),
+                           self.embed_config)
+        if model is None:
+            logger.info("training %s model, held-out project %s", mode, held_out)
+            docs, vocab_docs = self._training_corpus(held_out)
+            model = embedding.train(docs, self.embed_config, mode, vocab_documents=vocab_docs)
+            self._store(kind, held_out, embedding.save_model(model), self.embed_config)
         return model
 
     def train_all(self, held_out_projects, with_embeddings: bool = True) -> dict:
@@ -580,11 +466,9 @@ class ArtifactCache:
         built = {}
         for name in held_out_projects:
             self.global_vocabulary(name)
-            entry = {"idf": str(self._paths("idf", name)[0])}
             if with_embeddings:
                 self.embedding_model(name, embedding.PV_DM)
                 self.embedding_model(name, embedding.PV_DBOW)
-                entry["dm"] = str(self._paths("dm", name)[0])
-                entry["dbow"] = str(self._paths("dbow", name)[0])
-            built[name] = entry
+            built[name] = {kind: str(self._paths(kind, name)[0])
+                           for kind in (["idf", "dm", "dbow"] if with_embeddings else ["idf"])}
         return built

@@ -369,27 +369,22 @@ def _evaluate_project(project, artifacts, method_id, settings):
     return metrics.compute_metrics(results), results
 
 
+_METRICS_HEADER = ["project", "method", "mrr", "map", "top1", "top5", "top10", "n_queries"]
+
+
 def _write_metrics_outputs(out, rows, per_query_rows, wilcoxon_rows):
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "metrics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["project", "method", "mrr", "map", "top1", "top5",
-                         "top10", "n_queries"])
-        writer.writerows(rows)
+    for name, header, table in [
+            ("metrics.csv", _METRICS_HEADER, rows),
+            ("per_query.csv", ["project", "method", "bug_id", "reciprocal_rank",
+                               "average_precision"], per_query_rows),
+            ("wilcoxon.csv", ["metric", "method_a", "method_b", "n", "statistic", "p_value",
+                              "note"], wilcoxon_rows)]:
+        with open(out / name, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *table])
     with open(out / "metrics.json", "w") as fh:
-        json.dump([dict(zip(["project", "method", "mrr", "map", "top1", "top5",
-                             "top10", "n_queries"], row)) for row in rows], fh, indent=2)
+        json.dump([dict(zip(_METRICS_HEADER, row)) for row in rows], fh, indent=2)
         fh.write("\n")
-    with open(out / "per_query.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["project", "method", "bug_id", "reciprocal_rank",
-                         "average_precision"])
-        writer.writerows(per_query_rows)
-    with open(out / "wilcoxon.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "method_a", "method_b", "n", "statistic",
-                         "p_value", "note"])
-        writer.writerows(wilcoxon_rows)
 
 
 @main.command("evaluate")
@@ -491,8 +486,16 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
 def cmd_report(results_dir, pair):
     """Print a summary table from an evaluate output directory."""
     results = Path(results_dir)
-    with open(results / "metrics.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    path = results / "metrics.csv"
+    with open(path, newline="") as fh:
+        header, *lines = list(csv.reader(fh)) or [_METRICS_HEADER]
+    if header != _METRICS_HEADER:
+        raise BugLocError(f"{path}: header is not {','.join(_METRICS_HEADER)}")
+    for number, values in enumerate(lines, start=2):
+        if len(values) != len(header):
+            raise BugLocError(f"{path}: row {number} has {len(values)} fields, "
+                              f"expected {len(header)}")
+    rows = [dict(zip(header, values)) for values in lines]
     if not rows:
         raise BugLocError("metrics.csv is empty")
 

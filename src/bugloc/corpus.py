@@ -321,12 +321,16 @@ def validate_and_filter(project: Project) -> Project:
 
 def _load_manifest(path: Path) -> dict[str, tuple[int, int]]:
     manifest = {}
-    for line in path.read_text("utf-8").splitlines():
+    for number, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#") or line.lower().startswith("project,"):
             continue
-        name, n_files, n_reports = [part.strip() for part in line.split(",")]
-        manifest[name] = (int(n_files), int(n_reports))
+        try:
+            name, n_files, n_reports = [part.strip() for part in line.split(",")]
+            manifest[name] = (int(n_files), int(n_reports))
+        except ValueError:
+            raise CorpusError(f"{path}: line {number} is not project,files,reports: "
+                              f"{line!r}") from None
     return manifest
 
 

@@ -15,13 +15,13 @@ initialization, document shuffling, subsampling and noise draws.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import container
 from .errors import TrainingError
 
 PV_DM = "pv_dm"
@@ -132,15 +132,15 @@ def prediction_gradients(W, D, U, b, mode, doc_index, target, context, negatives
 
 
 class EmbeddingModel:
-    """Trained paragraph-vector model; immutable after training."""
+    """Paragraph-vector model; immutable after training. ``D``, the training
+    documents' vectors, exists only on a model fresh from :func:`train`."""
 
-    def __init__(self, mode, config, terms, counts, doc_ids, W, D, U, b):
+    def __init__(self, mode, config, terms, counts, W, U, b, D=None):
         self.mode = mode
         self.config = config
         self.terms = list(terms)
         self.term_index = {t: i for i, t in enumerate(self.terms)}
         self.counts = np.asarray(counts, dtype=np.int64)
-        self.doc_ids = list(doc_ids)
         self.W = W
         self.D = D
         self.U = U
@@ -205,7 +205,6 @@ def corpus_loss(model: EmbeddingModel, doc_token_ids: Sequence[np.ndarray]) -> f
 
 
 def train(documents: Iterable, config: EmbeddingConfig, mode: str,
-          doc_ids: Sequence[str] | None = None,
           vocab_documents: Iterable | None = None,
           track_loss: bool = False) -> EmbeddingModel:
     """Train a paragraph-vector model by SGD over the documents.
@@ -221,10 +220,6 @@ def train(documents: Iterable, config: EmbeddingConfig, mode: str,
     docs = [_tokens(d) for d in documents]
     if len(docs) < 2:
         raise ValueError("need at least 2 documents to train")
-    if doc_ids is None:
-        doc_ids = [f"doc{i}" for i in range(len(docs))]
-    elif len(doc_ids) != len(docs):
-        raise ValueError("doc_ids length does not match documents")
 
     vocab_docs = docs if vocab_documents is None else [_tokens(d) for d in vocab_documents]
     freq: dict[str, int] = {}
@@ -242,7 +237,7 @@ def train(documents: Iterable, config: EmbeddingConfig, mode: str,
     D = (rng.random((len(docs), d)) - 0.5) / d
     U = np.zeros((len(terms), d))
     b = np.zeros(len(terms))
-    model = EmbeddingModel(mode, config, terms, counts, doc_ids, W, D, U, b)
+    model = EmbeddingModel(mode, config, terms, counts, W, U, b, D)
 
     doc_token_ids = [model.token_ids(tokens) for tokens in docs]
     total_positions = sum(len(ids) for ids in doc_token_ids)
@@ -455,33 +450,29 @@ def doc_cosines(vectors: np.ndarray, norms: np.ndarray, query: np.ndarray,
                      where=norms != 0.0)
 
 
-_FORMAT_VERSION = 2  # 2: terms and doc ids as unicode arrays, not pickled objects
+# A model's artifact (see bugloc.container) holds what inference reads: the
+# terms in id order with their counts, W and U (terms × vector size,
+# row-major) and b. Mode and config are not stored: the cache's fingerprint
+# pins them.
+LAYOUT = container.Layout(b"bugloc-pv v3\n", [
+    ("terms", container.STR), ("counts", "i4"), ("W", "f8"), ("U", "f8"), ("b", "f8")])
 
 
-def save_model(model: EmbeddingModel, path) -> None:
-    np.savez_compressed(
-        path,
-        version=_FORMAT_VERSION,
-        mode=model.mode,
-        terms=np.array(model.terms, dtype=str),
-        counts=model.counts,
-        doc_ids=np.array(model.doc_ids, dtype=str),
-        W=model.W, D=model.D, U=model.U, b=model.b,
-        config=json.dumps(asdict(model.config)),
-    )
+def save_model(model: EmbeddingModel) -> list:
+    """The buffers of the model's artifact, in write order."""
+    return LAYOUT.encode({"terms": model.terms, "counts": model.counts, "W": model.W,
+                          "U": model.U, "b": model.b})
 
 
-def load_model(path) -> EmbeddingModel:
-    """Load a saved model; a file holding pickled objects raises ValueError."""
-    with np.load(path, allow_pickle=False) as data:
-        if int(data["version"]) != _FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported model format version")
-        config = EmbeddingConfig(**json.loads(str(data["config"])))
-        return EmbeddingModel(
-            mode=str(data["mode"]),
-            config=config,
-            terms=data["terms"].tolist(),
-            counts=data["counts"],
-            doc_ids=data["doc_ids"].tolist(),
-            W=data["W"], D=data["D"], U=data["U"], b=data["b"],
-        )
+def load_model(data: bytes, mode: str, config: EmbeddingConfig) -> EmbeddingModel:
+    """The model of that mode and config whose artifact :func:`save_model`
+    wrote; ``ValueError`` for any other bytes. Nothing is unpickled, and the
+    arrays are read-only views of ``data``."""
+    a = LAYOUT.decode(data)
+    terms, counts, d = a["terms"], a["counts"], config.vector_size
+    if (not terms or len(set(terms)) != len(terms) or len(counts) != len(terms)
+            or len(a["W"]) != len(terms) * d or len(a["U"]) != len(terms) * d
+            or len(a["b"]) != len(terms) or counts.min() < 1):
+        raise ValueError("model arrays disagree with its terms and vector size")
+    return EmbeddingModel(mode, config, terms, counts, a["W"].reshape(-1, d),
+                          a["U"].reshape(-1, d), a["b"])

@@ -25,11 +25,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import container
 from .corpus import Benchmark
 from .preprocess import TokenStream
 
@@ -293,41 +293,31 @@ class Postings:
         return out
 
 
-_FORMAT_HEADER = "bugloc-idf v1"
+# The IDF model's artifact (see bugloc.container): terms in id order, their
+# document frequencies, the documents counted, scope and held-out project if any.
+LAYOUT = container.Layout(b"bugloc-idf v2\n", [
+    ("terms", container.STR), ("doc_freq", "i4"), ("documents", "i8"),
+    ("scope", container.STR), ("held_out", container.STR)])
 
 
-def save_vocabulary(vocab: Vocabulary, path) -> None:
-    """Write the IDF model as a line-oriented text file."""
-    lines = [
-        _FORMAT_HEADER,
-        f"docs\t{vocab.total_documents}",
-        f"scope\t{vocab.scope}",
-        f"held_out\t{vocab.held_out or ''}",
-    ]
-    for term in sorted(vocab.term_ids):
-        lines.append(f"{term}\t{vocab.doc_freq[vocab.term_ids[term]]}")
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+def save_vocabulary(vocab: Vocabulary) -> list:
+    """The IDF model as the buffers of its artifact, in write order."""
+    return LAYOUT.encode({
+        "terms": sorted(vocab.term_ids, key=vocab.term_ids.__getitem__),
+        "doc_freq": vocab.doc_freq, "documents": [vocab.total_documents],
+        "scope": [vocab.scope], "held_out": [vocab.held_out] if vocab.held_out else [],
+    })
 
 
-def load_vocabulary(path) -> Vocabulary:
-    lines = Path(path).read_text("utf-8").splitlines()
-    if not lines or lines[0] != _FORMAT_HEADER:
-        raise ValueError(f"{path}: not a {_FORMAT_HEADER} file")
-    header = dict(line.split("\t", 1) for line in lines[1:4])
-    for field in ("docs", "scope", "held_out"):
-        if field not in header:
-            raise ValueError(f"{path}: header field {field!r} missing")
-    term_ids, doc_freq = {}, []
-    for line in lines[4:]:
-        if not line:
-            continue
-        term, df = line.rsplit("\t", 1)
-        term_ids[term] = len(doc_freq)
-        doc_freq.append(int(df))
-    return Vocabulary(
-        term_ids=term_ids,
-        doc_freq=doc_freq,
-        total_documents=int(header["docs"]),
-        scope=header["scope"],
-        held_out=header["held_out"] or None,
-    )
+def load_vocabulary(data: bytes) -> Vocabulary:
+    """The IDF model :func:`save_vocabulary` wrote; ``ValueError`` for any
+    other bytes."""
+    a = LAYOUT.decode(data)
+    terms, doc_freq = a["terms"], a["doc_freq"]
+    term_ids = {t: i for i, t in enumerate(terms)}
+    if (len(term_ids) != len(terms) or len(doc_freq) != len(terms) or len(a["documents"]) != 1
+            or len(a["scope"]) != 1 or len(a["held_out"]) > 1):
+        raise ValueError("IDF model arrays disagree in length or repeat a term")
+    return Vocabulary(term_ids=term_ids, doc_freq=doc_freq.tolist(),
+                      total_documents=int(a["documents"][0]), scope=a["scope"][0],
+                      held_out=a["held_out"][0] if a["held_out"] else None)

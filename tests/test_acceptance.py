@@ -18,12 +18,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bugloc import metrics, rank, synth, tfidf
-from bugloc.cache import ArtifactCache
+from bugloc import cli, metrics, rank, synth, tfidf
 from bugloc.cli import main
 from bugloc.corpus import load_benchmark
 from bugloc.embedding import PV_DBOW, PV_DM, softmax
-from bugloc.preprocess import PreprocessConfig, TokenStream, preprocess_benchmark
+from bugloc.preprocess import TokenStream, preprocess_benchmark
 
 from test_embedding import finite_difference_error
 from test_metrics import wilcoxon_enumeration_oracle
@@ -137,33 +136,45 @@ def test_criterion_4_embedding_gradients():
             assert abs(p.sum() - 1.0) <= 1e-9
 
 
-def test_criterion_5_synthetic_end_to_end(synth_benchmark, tmp_path):
+def test_criterion_5_synthetic_end_to_end(synth_benchmark, tmp_path, monkeypatch):
     with criterion(5, "methods 1-4 hit rank 1 >= 95%; global IDF beats local on decoys", 60):
-        _, benchmark, meta = synth_benchmark
-        cache = ArtifactCache(tmp_path / "cache", benchmark, PreprocessConfig())
+        root, benchmark, meta = synth_benchmark
+        loads = []
 
-        hits = {m: 0 for m in (1, 2, 3, 4)}
-        total = 0
-        decoy_ranks: dict[tuple[str, str], dict[int, int]] = {}
-        for project in benchmark.projects:
-            global_vocab = cache.global_vocabulary(project.name)
-            artifacts = rank.Artifacts(project, global_vocab=global_vocab)
-            for row, query in enumerate(project.bug_reports):
-                total += 1
-                for method_id in (1, 2, 3, 4):
-                    ranked = rank.localize(artifacts, row,
-                                           rank.MethodConfig.from_id(method_id))
-                    truth_rank = min(ranked.file_ids.index(f) + 1 for f in query.fixed_files)
-                    hits[method_id] += truth_rank == 1
-                    decoy_ranks.setdefault((project.name, query.id), {})[method_id] = truth_rank
+        def counted(*args, **kwargs):
+            loads.append(args)
+            return load_benchmark(*args, **kwargs)
 
+        monkeypatch.setattr(cli, "load_benchmark", counted)
+
+        def evaluate(out):
+            """Each (project, bug, method)'s first relevant rank, from the
+            evaluate command's per_query.csv."""
+            result = CliRunner().invoke(main, [
+                "evaluate", "--benchmark", str(root), "--methods", "1,2,3,4",
+                "--cache", str(tmp_path / "cache"), "--out", str(tmp_path / out)])
+            assert result.exit_code == 0, result.output
+            with open(tmp_path / out / "per_query.csv", newline="") as fh:
+                return {(r["project"], r["bug_id"], int(r["method"])):
+                        round(1 / float(r["reciprocal_rank"]))
+                        for r in csv.DictReader(fh)}
+
+        cold = evaluate("cold")
+        assert len(loads) == 1
+        warm = evaluate("warm")  # every ranking index hits: no benchmark load
+        assert len(loads) == 1
+        assert warm == cold
+
+        total = sum(len(p.bug_reports) for p in benchmark.projects)
         for method_id in (1, 2, 3, 4):
-            rate = hits[method_id] / total
+            ranks = [r for (_, _, m), r in warm.items() if m == method_id]
+            assert len(ranks) == total
+            rate = ranks.count(1) / total
             assert rate >= 0.95, f"method {method_id} rank-1 rate {rate:.3f}"
 
         assert meta["decoy"], "fixture must plant at least one decoy query"
         for entry in meta["decoy"]:
-            ranks = decoy_ranks[(entry["project"], entry["bug_id"])]
+            ranks = {m: warm[(entry["project"], entry["bug_id"], m)] for m in (1, 4)}
             assert ranks[4] < ranks[1], f"global IDF did not win: {ranks}"
             assert ranks[4] == 1
 

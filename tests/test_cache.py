@@ -14,15 +14,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from bugloc import cache as cache_module, cli, corpus, embedding, preprocess, rank, tfidf
 from bugloc.cache import ArtifactCache
 from bugloc.cli import main
 from bugloc.corpus import load_benchmark
-from bugloc.embedding import EmbeddingConfig, PV_DM
+from bugloc.embedding import EmbeddingConfig, PV_DBOW, PV_DM
 from bugloc.preprocess import PreprocessConfig, preprocess_benchmark
 
 EMBED = EmbeddingConfig(vector_size=8, epochs=2, min_count=1, seed=3)
+FAST = ["--epochs", "2", "--vector-size", "8", "--min-count", "1", "--infer-epochs", "2"]
+OUTPUTS = ("metrics.csv", "metrics.json", "per_query.csv", "wilcoxon.csv")
+
+# every kind of artifact, and its file for the benchmark or for proj1
+KINDS = {"tokens": "tokens.bin", "idf": "idf_proj1.bin", "dm": "dm_proj1.bin",
+         "dbow": "dbow_proj1.bin", "index_local": "index_local_proj1.bin",
+         "index_global": "index_global_proj1.bin"}
 
 
 @pytest.fixture
@@ -114,6 +122,49 @@ def localize(bench, cache, *extra, method=4):
 def ranking(cache, method=4):
     """The bytes of the ranking CSV the last ``localize`` wrote."""
     return (cache.parent / "out" / f"ranking_proj1_m{method}_BUG-proj1-001.csv").read_bytes()
+
+
+def reads(kind, bench, cache, out):
+    """The call that reads the artifact of that kind: ``train-global`` of
+    proj1 for the token streams and proj1's models, and ``evaluate`` of
+    proj1 with methods 1-4 for its ranking indexes."""
+    if kind.startswith("index"):
+        return run("evaluate", "--benchmark", bench, "--methods", "1,2,3,4", "--projects",
+                   "proj1", "--cache", cache, "--out", out)
+    return run("train-global", "--benchmark", bench, "--cache", cache, "--held-out", "proj1",
+               *FAST)
+
+
+def seal(bench, cache, out):
+    """Write an artifact of every kind of :data:`KINDS`."""
+    reads("tokens", bench, cache, out)
+    reads("index_local", bench, cache, out)
+
+
+@pytest.fixture(scope="module")
+def sealed(synth_benchmark, tmp_path_factory):
+    """The synthetic benchmark's root and a cache holding every kind of
+    artifact; tests copy the cache before changing it."""
+    root = synth_benchmark[0]
+    cache = tmp_path_factory.mktemp("sealed") / "c"
+    seal(root, cache, cache.parent / "out")
+    return root, cache
+
+
+@pytest.fixture(scope="module")
+def sealed_bytes(sealed):
+    """Per kind, the bytes of the sealed artifact and the function that
+    decodes them."""
+    root, cache = sealed
+    origins = [origin for _, origin in cache_module._documents(load_benchmark(root))]
+    config = EmbeddingConfig(vector_size=8, epochs=2, min_count=1)  # as FAST sets it
+    decoders = {"tokens": lambda data: cache_module._decode_streams(data, origins),
+                "idf": tfidf.load_vocabulary,
+                "dm": lambda data: embedding.load_model(data, PV_DM, config),
+                "dbow": lambda data: embedding.load_model(data, PV_DBOW, config),
+                "index_local": cache_module._decode_index,
+                "index_global": cache_module._decode_index}
+    return {kind: ((cache / name).read_bytes(), decoders[kind]) for kind, name in KINDS.items()}
 
 
 def damage(artifact, how):
@@ -221,7 +272,7 @@ class TestTokenStreamIndex:
     def test_pipeline_version_change_rebuilds_index_and_models(
             self, bench, tmp_path, preprocess_calls, monkeypatch):
         train(bench, tmp_path / "c")
-        idf = tmp_path / "c" / "idf_proj1.txt"
+        idf = tmp_path / "c" / "idf_proj1.bin"
         stamp = idf.stat().st_mtime_ns
         monkeypatch.setattr(preprocess, "PIPELINE_VERSION", preprocess.PIPELINE_VERSION + 1)
         localize(bench, tmp_path / "c")
@@ -613,19 +664,29 @@ class TestHitsReadNoBenchmarkFile:
         with pytest.raises(ValueError, match="token stream missing"):
             rank.Artifacts(project, scopes=scopes).build_scope(tfidf.Vocabulary({}, [], 1))
 
+    @pytest.mark.parametrize("kind", KINDS)
     def test_index_of_older_layout_rebuilds_quietly(self, bench, tmp_path, caplog,
-                                                    monkeypatch):
-        train(bench, tmp_path / "c")
-        monkeypatch.setattr(cache_module, "_INDEX_HEADER", b"bugloc-index v1\n")
-        localize(bench, tmp_path / "c")
-        built = ranking(tmp_path / "c")
+                                                    monkeypatch, kind):
+        """An artifact written in an older layout, as by an earlier version,
+        is stale: rebuilt once without a warning, then hit."""
+        layout = cache_module._KINDS[kind][0]
+        current = layout.header
+        monkeypatch.setattr(layout, "header", current.split()[0] + b" v0\n")
+        seal(bench, tmp_path / "c", tmp_path / "old")
+        artifact = tmp_path / "c" / KINDS[kind]
+        assert not artifact.read_bytes().startswith(current)
         monkeypatch.undo()
         with caplog.at_level(logging.INFO):
-            localize(bench, tmp_path / "c")
+            reads(kind, bench, tmp_path / "c", tmp_path / "new")
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
-        assert ranking(tmp_path / "c") == built
-        assert (tmp_path / "c" / "index_global_proj1.bin").read_bytes().startswith(
-            cache_module._INDEX_HEADER)
+        assert artifact.read_bytes().startswith(current)
+        stamp = artifact.stat().st_ino  # a rewrite moves a new file into place
+        reads(kind, bench, tmp_path / "c", tmp_path / "hit")
+        assert artifact.stat().st_ino == stamp
+        if kind.startswith("index"):
+            for name in OUTPUTS:
+                assert (tmp_path / "hit" / name).read_bytes() == \
+                    (tmp_path / "old" / name).read_bytes()
 
 
 class TestArtifactIntegrity:
@@ -634,66 +695,75 @@ class TestArtifactIntegrity:
         preprocess_benchmark(benchmark, PreprocessConfig())
         return ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig(), EMBED)
 
-    def test_idf_cut_at_a_line_boundary_is_rebuilt(self, bench, tmp_path, caplog):
-        vocab = self._cache(bench, tmp_path).global_vocabulary("proj1")
-        artifact = tmp_path / "c" / "idf_proj1.txt"
-        lines = artifact.read_text().splitlines(keepends=True)
-        artifact.write_text("".join(lines[:-2]))
-        assert len(tfidf.load_vocabulary(artifact)) == len(vocab) - 2  # loads silently
-        with caplog.at_level(logging.WARNING):
-            again = self._cache(bench, tmp_path).global_vocabulary("proj1")
-        assert again.term_ids == vocab.term_ids
-        assert any("sha256" in r.getMessage() for r in caplog.records)
-
-    @pytest.mark.parametrize("kept", [1, 2])
-    def test_idf_cut_inside_its_header_is_rebuilt(self, bench, tmp_path, caplog, kept):
-        vocab = self._cache(bench, tmp_path).global_vocabulary("proj1")
-        artifact = tmp_path / "c" / "idf_proj1.txt"
-        lines = artifact.read_text().splitlines(keepends=True)
-        artifact.write_text("".join(lines[:kept]))
-        reseal(artifact)
-        field = ["docs", "scope"][kept - 1]
-        with pytest.raises(ValueError, match=f"header field {field!r} missing"):
-            tfidf.load_vocabulary(artifact)
-        with caplog.at_level(logging.WARNING):
-            again = self._cache(bench, tmp_path).global_vocabulary("proj1")
-        assert again.term_ids == vocab.term_ids
-        assert any("corrupt cached IDF model" in r.getMessage() and "retraining" in r.getMessage()
-                   for r in caplog.records)
-        assert artifact.read_text().splitlines(keepends=True) == lines
-
-    def test_model_holding_an_object_array_is_never_unpickled(self, bench, tmp_path,
-                                                              caplog):
-        model = self._cache(bench, tmp_path).embedding_model("proj1", PV_DM)
-        assert all(type(t) is str for t in model.terms + model.doc_ids)
-        artifact = tmp_path / "c" / "dm_proj1.npz"
-        with np.load(artifact) as data:
-            arrays = dict(data)
-        arrays["terms"] = np.array([Tripwire()] + model.terms[1:], dtype=object)
-        np.savez_compressed(artifact, **arrays)
+    @pytest.mark.parametrize("how", ["truncate", "resealed_garbage"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_resealed_damaged_artifact_rebuilt_with_one_warning(self, sealed, tmp_path,
+                                                                caplog, kind, how):
+        bench, sealed_cache = sealed
+        cache = shutil.copytree(sealed_cache, tmp_path / "c")
+        artifact = cache / KINDS[kind]
+        built = artifact.read_bytes()
+        damage(artifact, how)
         reseal(artifact)
         with caplog.at_level(logging.WARNING):
-            again = self._cache(bench, tmp_path).embedding_model("proj1", PV_DM)
-        assert not Tripwire.unpickled
-        assert again.terms == model.terms
-        assert any("retraining" in r.getMessage() for r in caplog.records)
-        with np.load(artifact, allow_pickle=False) as data:
-            assert data["terms"].dtype.kind == "U"
+            reads(kind, bench, cache, tmp_path / "out")
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1 and KINDS[kind] in warnings[0], warnings
+        assert artifact.read_bytes() == built
+        caplog.clear()
+        stamp = artifact.stat().st_ino  # a rewrite moves a new file into place
+        with caplog.at_level(logging.WARNING):
+            reads(kind, bench, cache, tmp_path / "out")
+        assert not caplog.records
+        assert artifact.stat().st_ino == stamp
 
     def test_model_round_trip_without_pickle(self, bench, tmp_path):
         model = self._cache(bench, tmp_path).embedding_model("proj1", PV_DM)
-        loaded = embedding.load_model(tmp_path / "c" / "dm_proj1.npz")
-        assert loaded.terms == model.terms and loaded.doc_ids == model.doc_ids
-        assert np.array_equal(loaded.D, model.D)
+        data = (tmp_path / "c" / "dm_proj1.bin").read_bytes()
+        assert set(embedding.LAYOUT.decode(data)) == {"terms", "counts", "W", "U", "b"}
+        loaded = embedding.load_model(data, PV_DM, EMBED)
+        assert loaded.terms == model.terms and loaded.config == model.config
+        assert loaded.D is None
+        for name in ("counts", "W", "U", "b"):
+            assert np.array_equal(getattr(loaded, name), getattr(model, name))
+        again = self._cache(bench, tmp_path).embedding_model("proj1", PV_DM)
+        assert np.array_equal(again.W, model.W) and not again.W.flags.writeable
 
 
-class Tripwire:
-    unpickled = False
+@pytest.mark.parametrize("kind", KINDS)
+class TestDecoderFuzz:
+    """Every decoder of an artifact raises ValueError, and nothing else, on
+    bytes that are not exactly an artifact of its kind."""
 
-    def __reduce__(self):
-        return (_trip, ())
+    @settings(max_examples=60, deadline=None)
+    @given(junk=st.binary(max_size=200), keep=st.integers(min_value=0, max_value=400))
+    def test_arbitrary_bytes(self, sealed_bytes, kind, junk, keep):
+        data, decode = sealed_bytes[kind]
+        for candidate in (junk, data[:keep] + junk):
+            try:
+                decode(candidate)
+            except ValueError:
+                pass
 
+    @settings(max_examples=60, deadline=None)
+    @given(cut=st.floats(min_value=0, max_value=1, exclude_max=True))
+    def test_truncation(self, sealed_bytes, kind, cut):
+        data, decode = sealed_bytes[kind]
+        with pytest.raises(ValueError):
+            decode(data[:int(cut * len(data))])
 
-def _trip():
-    Tripwire.unpickled = True
-    return "tripped"
+    @settings(max_examples=60, deadline=None)
+    @given(where=st.floats(min_value=0, max_value=1, exclude_max=True),
+           bits=st.integers(min_value=1, max_value=255))
+    def test_single_byte_flip(self, sealed_bytes, kind, where, bits):
+        data, decode = sealed_bytes[kind]
+        flipped = bytearray(data)
+        flipped[int(where * len(data))] ^= bits
+        try:
+            decode(bytes(flipped))
+        except ValueError:
+            pass
+
+    def test_real_artifact_decodes(self, sealed_bytes, kind):
+        data, decode = sealed_bytes[kind]
+        decode(data)

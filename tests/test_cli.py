@@ -69,7 +69,7 @@ class TestArtifactCache:
     def test_cache_hit_skips_rebuild(self, synth_benchmark, tmp_path):
         cache = self._cache(synth_benchmark, tmp_path)
         cache.global_vocabulary("proj1")
-        artifact = tmp_path / "cache" / "idf_proj1.txt"
+        artifact = tmp_path / "cache" / "idf_proj1.bin"
         stamp = artifact.stat().st_mtime_ns
         cache2 = self._cache(synth_benchmark, tmp_path)
         cache2.global_vocabulary("proj1")
@@ -78,7 +78,7 @@ class TestArtifactCache:
     def test_config_change_invalidates(self, synth_benchmark, tmp_path):
         cache = self._cache(synth_benchmark, tmp_path)
         cache.embedding_model("proj1", PV_DM)
-        artifact = tmp_path / "cache" / "dm_proj1.npz"
+        artifact = tmp_path / "cache" / "dm_proj1.bin"
         stamp = artifact.stat().st_mtime_ns
         cache2 = self._cache(synth_benchmark, tmp_path, alpha=0.09)
         cache2.embedding_model("proj1", PV_DM)
@@ -88,7 +88,7 @@ class TestArtifactCache:
                                                      tmp_path, caplog):
         cache = self._cache(synth_benchmark, tmp_path)
         cache.global_vocabulary("proj1")
-        artifact = tmp_path / "cache" / "idf_proj1.txt"
+        artifact = tmp_path / "cache" / "idf_proj1.bin"
         artifact.write_text("scrambled\n")
         vocab = self._cache(synth_benchmark, tmp_path).global_vocabulary("proj1")
         assert len(vocab) > 0
@@ -97,17 +97,24 @@ class TestArtifactCache:
     def test_corrupt_metadata_retrains(self, synth_benchmark, tmp_path):
         cache = self._cache(synth_benchmark, tmp_path)
         cache.global_vocabulary("proj1")
-        meta = tmp_path / "cache" / "idf_proj1.txt.meta.json"
+        meta = tmp_path / "cache" / "idf_proj1.bin.meta.json"
         meta.write_text("{broken")
         vocab = self._cache(synth_benchmark, tmp_path).global_vocabulary("proj1")
         assert len(vocab) > 0
 
     def test_training_corpus_excludes_held_out_reports(self, synth_benchmark, tmp_path):
-        cache = self._cache(synth_benchmark, tmp_path)
-        _, ids, _ = cache._training_corpus("proj1")
-        assert not any(i.startswith("proj1#") for i in ids)
-        assert any(i.startswith("proj1/") for i in ids)  # source files stay
-        assert any(i.startswith("proj2#") for i in ids)
+        _, benchmark, _ = synth_benchmark
+        docs, vocab_docs = self._cache(synth_benchmark, tmp_path)._training_corpus("proj1")
+        trained = {id(d) for d in docs}
+
+        def streams(project, part):
+            return [id(d.token_stream) for d in getattr(benchmark.project(project), part)]
+
+        assert not trained & set(streams("proj1", "bug_reports"))
+        assert set(streams("proj1", "source_files")) <= trained  # source files stay
+        assert set(streams("proj2", "bug_reports")) <= trained
+        assert [id(d) for d in vocab_docs] == [
+            i for p in ("proj1", "proj2", "proj3") for i in streams(p, "source_files")]
 
 
 class TestTrainGlobalCommand:
@@ -118,7 +125,7 @@ class TestTrainGlobalCommand:
                                       "--no-embeddings"])
         assert result.exit_code == 0, result.output
         for name in ("proj1", "proj2", "proj3"):
-            assert (tmp_path / "c" / f"idf_{name}.txt").is_file()
+            assert (tmp_path / "c" / f"idf_{name}.bin").is_file()
 
     def test_unknown_held_out_fails(self, synth_benchmark, tmp_path, runner):
         root, _, _ = synth_benchmark
@@ -305,6 +312,19 @@ class TestReportCommand:
         assert result.exit_code == 0, result.output
         assert "method 4 vs method 3" in result.output
         assert "MRR delta" in result.output
+
+    @pytest.mark.parametrize("text, complaint", [
+        ("a,b\n", "header is not project,method,"),
+        ("project,method,mrr,map,top1,top5,top10,n_queries\nproj1,3\n",
+         "row 2 has 2 fields, expected 8")], ids=["other_header", "short_row"])
+    def test_malformed_metrics_is_one_json_error(self, runner, tmp_path, text, complaint):
+        (tmp_path / "metrics.csv").write_text(text)
+        result = runner.invoke(main, ["report", "--results", str(tmp_path)])
+        assert result.exit_code == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert str(tmp_path / "metrics.csv") in error and complaint in error
 
     def test_missing_results_dir(self, runner, tmp_path):
         result = runner.invoke(main, ["report", "--results", str(tmp_path)])

@@ -230,6 +230,17 @@ class TestBenchmark:
         with pytest.raises(CorpusError, match="manifest"):
             load_benchmark(tmp_path)
 
+    @pytest.mark.parametrize("line", ["p1,1", "p1,1,x", "p1,1,1,1"])
+    def test_bad_manifest_line_names_file_and_line(self, tmp_path, line):
+        write_project(tmp_path, "p1", {"A.java": java_stub("a")},
+                      [_bug("B-1", ["A.java"])])
+        (tmp_path / "manifest.csv").write_text(f"project,source_files,bug_reports\n{line}\n")
+        with pytest.raises(CorpusError) as caught:
+            load_benchmark(tmp_path)
+        message = str(caught.value)
+        assert "manifest.csv" in message and "line 2" in message
+        assert "project,files,reports" in message and repr(line) in message
+
     def test_one_project_loads_alone_and_checks_the_manifest(self, tmp_path):
         write_project(tmp_path, "p1", {"A.java": java_stub("a")},
                       [_bug("B-1", ["A.java"]), _bug("B-2", ["Gone.java"])])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bugloc.embedding import (DocVector, EmbeddingConfig, PV_DBOW, PV_DM,
+from bugloc.embedding import (LAYOUT, DocVector, EmbeddingConfig, PV_DBOW, PV_DM,
                               combined_matrix, combined_vector, doc_cosine,
                               doc_cosines, infer_matrix, infer_vector,
                               load_model, prediction_gradients, save_model,
@@ -171,7 +171,7 @@ class TestTraining:
         model = train(TOY_DOCS + extra, toy_config(), PV_DM,
                       vocab_documents=TOY_DOCS)
         assert "zeta" not in model.term_index
-        assert len(model.doc_ids) == 5
+        assert len(model.D) == 5
 
     def test_divergence_reported_with_epoch(self):
         # an absurd learning rate overflows the weights within a few epochs
@@ -381,20 +381,42 @@ def test_doc_cosine_zero_vector():
     assert doc_cosine(DocVector(np.zeros(3)), DocVector(np.ones(3))) == 0.0
 
 
-def test_serialization_roundtrip(tmp_path):
-    model = train(TOY_DOCS, toy_config(negative=2), PV_DBOW,
-                  doc_ids=["d0", "d1", "d2"])
-    path = tmp_path / "model.npz"
-    save_model(model, path)
-    loaded = load_model(path)
+def test_serialization_roundtrip():
+    model = train(TOY_DOCS, toy_config(negative=2), PV_DBOW)
+    data = b"".join(save_model(model))
+    loaded = load_model(data, PV_DBOW, model.config)
     assert loaded.mode == PV_DBOW
     assert loaded.terms == model.terms
-    assert loaded.doc_ids == ["d0", "d1", "d2"]
     assert loaded.config == model.config
-    for x, y in ((loaded.W, model.W), (loaded.D, model.D),
-                 (loaded.U, model.U), (loaded.b, model.b)):
+    assert np.array_equal(loaded.counts, model.counts)
+    for x, y in ((loaded.W, model.W), (loaded.U, model.U), (loaded.b, model.b)):
         assert np.array_equal(x, y)
+    # the file holds what inference reads: no training doc vectors
+    assert loaded.D is None and model.D.tobytes() not in data
     # inference through the reloaded model is identical
     a = infer_vector(TOY_DOCS[2], model)
     b = infer_vector(TOY_DOCS[2], loaded)
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("flaw", ["no_terms", "repeated_term", "zero_count", "short_W",
+                                  "short_b", "other_vector_size"])
+def test_load_rejects_inconsistent_arrays(flaw):
+    model = train(TOY_DOCS, toy_config(negative=2), PV_DM)
+    values = {"terms": model.terms, "counts": model.counts, "W": model.W, "U": model.U,
+              "b": model.b}
+    config = model.config
+    if flaw == "no_terms":
+        values = {"terms": [], "counts": [], "W": [], "U": [], "b": []}
+    elif flaw == "repeated_term":
+        values["terms"] = [model.terms[0]] * len(model.terms)
+    elif flaw == "zero_count":
+        values["counts"] = np.zeros(len(model.terms), dtype=int)
+    elif flaw == "short_W":
+        values["W"] = model.W[:-1]
+    elif flaw == "short_b":
+        values["b"] = model.b[:-1]
+    else:
+        config = toy_config(negative=2, vector_size=model.vector_size + 1)
+    with pytest.raises(ValueError):
+        load_model(b"".join(LAYOUT.encode(values)), PV_DM, config)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from bugloc.corpus import Benchmark, Project, SourceFile
 from bugloc.preprocess import SOURCE_FILE, TokenStream
-from bugloc.tfidf import (LengthNormalizer, TfIdfVector, Vocabulary,
+from bugloc.tfidf import (LAYOUT, LengthNormalizer, TfIdfVector, Vocabulary,
                           build_global_idf, build_vocabulary, cosine,
                           load_vocabulary, rvsm, save_vocabulary, vectorize)
 
@@ -257,24 +257,34 @@ class TestGlobalIdf:
         assert vocab.doc_freq[vocab.term_ids["a"]] == 3
 
 
-def test_vocabulary_roundtrip(tmp_path):
+def test_vocabulary_roundtrip():
     bench = Benchmark(projects=[
         _project("p1", [["a", "only1"]]),
         _project("p2", [["a", "b"], ["b"]]),
     ])
     vocab = build_global_idf(bench, "p1")
-    path = tmp_path / "model.txt"
-    save_vocabulary(vocab, path)
-    loaded = load_vocabulary(path)
+    loaded = load_vocabulary(b"".join(save_vocabulary(vocab)))
     assert loaded.term_ids == vocab.term_ids
     assert loaded.doc_freq == vocab.doc_freq
     assert loaded.total_documents == vocab.total_documents
     assert loaded.scope == "global"
     assert loaded.held_out == "p1"
+    local = load_vocabulary(b"".join(save_vocabulary(build_vocabulary([stream("a\nb", "\ud800")]))))
+    assert local.term_ids == {"\ud800": 1, "a\nb": 0} and local.held_out is None
 
 
-def test_load_rejects_other_files(tmp_path):
-    path = tmp_path / "junk.txt"
-    path.write_text("not a model\n")
+def test_load_rejects_other_files():
     with pytest.raises(ValueError):
-        load_vocabulary(path)
+        load_vocabulary(b"not a model\n")
+
+
+@pytest.mark.parametrize("change", [
+    {"doc_freq": [1]}, {"terms": ["a", "a"]}, {"scope": ["global", "local"]}, {"documents": []},
+    {"doc_freq": [1, 3]}], ids=["short_doc_freq", "repeated_term", "two_scopes", "no_documents",
+                                "df_above_documents"])
+def test_load_rejects_inconsistent_arrays(change):
+    values = {"terms": ["a", "b"], "doc_freq": [1, 2], "documents": [2], "scope": ["global"],
+              "held_out": ["p1"]}
+    assert load_vocabulary(b"".join(LAYOUT.encode(values))).held_out == "p1"
+    with pytest.raises(ValueError):
+        load_vocabulary(b"".join(LAYOUT.encode({**values, **change})))
