@@ -28,19 +28,29 @@ and its ``idf_*.txt`` and ``*.npz`` files are no longer read and may be
 deleted with their ``.meta.json``. An artifact that fails its sha256 or
 does not decode is rebuilt with a warning.
 
-The digest is looked up by stat, as git trusts its index: the record
-``corpus.json`` holds the digest with the benchmark's absolute root,
-``corpus.LOADER_VERSION`` and a hash of the (name, size, ``mtime_ns``,
-``ctime_ns``, inode) of every file the loader reads. A call stats those
-files and reuses the recorded digest when all of that matches and every
-file is older than the record itself; a file whose ``mtime_ns`` or
-``ctime_ns`` is not older than the record's ``mtime_ns`` may have changed
-in the same clock tick ("racily clean") and counts as changed. Otherwise it
-hashes every byte and records the digest with the stats taken before the
-bytes were read. An edit that restores the old ``mtime_ns`` still moves
-``ctime_ns``, and a file replaced by rename has another inode; only a
-same-size edit on a filesystem that keeps neither ``mtime`` nor ``ctime``
-goes unseen.
+The digest is looked up by stat, as git trusts its index and its untracked
+cache: the record ``corpus.json`` holds the digest with the benchmark's
+absolute root, ``corpus.LOADER_VERSION``, the project names, the relative
+names of the directories whose entries decide the listing (the root, each
+project directory, ``sources/`` and every directory under it, and
+``bugs/`` or else ``bugrepo/``, as :mod:`bugloc.corpus` reports them) and
+of every file the digest reads, and one sha256 over each name's stamp: file
+type, size, ``mtime_ns``, ``ctime_ns`` and inode, packed as 64-bit integers.
+A call stats each recorded name relative to the opened root and lists
+nothing: it reuses the recorded digest when the stamps match and every
+directory and file is older than the record itself. A name whose
+``mtime_ns`` or ``ctime_ns`` is not older than the record's ``mtime_ns``
+may have changed in the same clock tick ("racily clean") and counts as
+changed; for a directory that means it re-lists. Otherwise the call lists
+the benchmark once, stamping each directory before it is listed, stamps
+each file before its bytes are read, hashes every byte and records it all.
+Creating, removing or renaming an entry moves its directory's ``mtime`` and
+``ctime``, so a settled record sees it; an edit that restores a file's old
+``mtime_ns`` still moves ``ctime_ns``, and a file replaced by rename has
+another inode; only a same-size edit on a filesystem that keeps neither
+``mtime`` nor ``ctime`` goes unseen. A record of another layout, such as
+one without directory stamps, counts as missing: it costs one re-hash to
+the same digest, and no artifact is rebuilt.
 
 Ranking indexes are read only by :meth:`ArtifactCache.indexed_project`,
 each once per call, and a hit is decided per project. A ``localize`` or
@@ -49,18 +59,21 @@ requested scope has a fresh index, rebuilds the project from those indexes:
 it stats the benchmark, reads no benchmark file and preprocesses nothing,
 also when ``evaluate --projects`` names a subset. A project with any index
 missing, stale or damaged is loaded, and all of its requested scopes are
-rebuilt, with the same bytes for the indexes that were whole. The stats are
-taken before the benchmark is read: an edit made while a call runs can be
-cached under the digest of the bytes before it, and the next call, which
-sees the new stats, rebuilds.
+rebuilt, with the same bytes for the indexes that were whole. The stamps
+are taken before the benchmark is listed and read: an edit made while a
+call runs can be cached under the digest of the bytes before it, and the
+next call, which sees the new stamps, rebuilds.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
+import operator
 import os
+import stat
 import struct
 from pathlib import Path
 from typing import NamedTuple
@@ -74,13 +87,14 @@ from .preprocess import BUG_REPORT, SOURCE_FILE, PreprocessConfig, TokenStream
 logger = logging.getLogger(__name__)
 
 
-def _corpus_entries(root) -> list[tuple[bytes, str, str | None]]:
+def _corpus_entries(root, stamp=lambda path: None) -> list[tuple[bytes, str, str | None]]:
     """(tag, name relative to root, path to read or None) of what the
-    benchmark loader reads under ``root``, in digest order."""
+    benchmark loader reads under ``root``, in digest order; ``stamp`` goes
+    to the listing functions of :mod:`bugloc.corpus`."""
     entries = []
-    for project in corpus.project_dirs(Path(root)):
+    for project in corpus.project_dirs(Path(root), stamp):
         entries.append((b"P", project.name, None))
-        files = corpus.project_files(project)
+        files = corpus.project_files(project, stamp)
         entries += [(b"F", f"{project.name}/sources/{rel}", f"{project}/sources/{rel}")
                     for rel in files.sources]
         entries += [(b"F", f"{project.name}/{rel}", f"{project}/{rel}") for rel in files.reports]
@@ -109,18 +123,34 @@ def corpus_digest(root, entries=None) -> str:
     return h.hexdigest()
 
 
-def _stat_key(entries) -> tuple[str, int]:
-    """A hash of the entries' names and of each file's size, ``mtime_ns``,
-    ``ctime_ns`` and inode, and the newest of those times (-1 for none)."""
-    lines, newest = [], -1
-    for tag, name, path in entries:
-        line = f"{tag.decode()}\0{name}\0"
-        if path is not None:
-            st = os.stat(path)
-            line += f"{st.st_size} {st.st_mtime_ns} {st.st_ctime_ns} {st.st_ino}"
-            newest = max(newest, st.st_mtime_ns, st.st_ctime_ns)
-        lines.append(line)
-    return hashlib.sha256("\n".join(lines).encode("utf-8", "surrogateescape")).hexdigest(), newest
+# a stamp: file type, size, mtime_ns, ctime_ns and inode; all 0 for a name
+# that cannot be stat'ed
+_STAMP = struct.Struct("<4qQ")
+
+
+def _stamp(path, dir_fd=None) -> tuple[int, int, int, int, int]:
+    try:
+        st = os.stat(path, dir_fd=dir_fd)
+    except OSError:
+        return (0, 0, 0, 0, 0)
+    return stat.S_IFMT(st.st_mode), st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino
+
+
+def _seal(stamps) -> tuple[str, int]:
+    """The sha256 of the packed stamps, in order, and the newest ``mtime_ns``
+    or ``ctime_ns`` among them."""
+    newest = max(max(map(operator.itemgetter(2), stamps)),
+                 max(map(operator.itemgetter(3), stamps)))
+    return hashlib.sha256(b"".join(itertools.starmap(_STAMP.pack, stamps))).hexdigest(), newest
+
+
+def _seal_at(root: str, names) -> tuple[str, int]:
+    """:func:`_seal` of the stamps of ``names``, each relative to ``root``."""
+    fd = os.open(root, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
+    try:
+        return _seal([_stamp(name, fd) for name in names])
+    finally:
+        os.close(fd)
 
 
 def _documents(benchmark: Benchmark):
@@ -284,7 +314,8 @@ class ArtifactCache:
     root directory of one. A cache over a root serves ranking indexes
     (:meth:`indexed_project`) before anything is loaded; what else it
     serves reads ``self.benchmark``, which the caller sets once it has
-    loaded it.
+    loaded it. ``project_names`` are the benchmark's project directories,
+    as the corpus record lists them.
     """
 
     def __init__(self, directory, benchmark, preprocess_config: PreprocessConfig,
@@ -302,24 +333,43 @@ class ArtifactCache:
         self._corpus = self._recorded_digest(root)
 
     def _recorded_digest(self, root) -> str:
-        """:func:`corpus_digest` of ``root``: the recorded one while the
-        stats of what it hashes match the record and none is racily clean,
-        or else hashed anew and recorded with the stats taken before."""
-        entries = _corpus_entries(root)
-        stats, newest = _stat_key(entries)
-        identity = {"root": os.path.abspath(root), "loader": corpus.LOADER_VERSION,
-                    "stats": stats}
+        """:func:`corpus_digest` of ``root``: the recorded one while every
+        recorded directory and file has its recorded stamp and none is
+        racily clean, or else hashed anew and recorded with stamps taken
+        before each directory was listed and each file read. Sets
+        ``project_names``."""
+        root = os.path.abspath(root)
+        identity = {"root": root, "loader": corpus.LOADER_VERSION}
         record = self.directory / _CORPUS_RECORD
         try:
-            written = record.stat().st_mtime_ns
-            recorded = json.loads(record.read_text("utf-8"))
-            if (newest < written and all(recorded[key] == value for key, value in identity.items())
-                    and isinstance(recorded["digest"], str)):
-                return recorded["digest"]
+            with open(record, "rb") as fh:
+                written = os.fstat(fh.fileno()).st_mtime_ns
+                recorded = json.loads(fh.read())
+            if all(recorded[key] == value for key, value in identity.items()):
+                stamps, newest = _seal_at(root, recorded["dirs"] + recorded["files"])
+                if (stamps == recorded["stamps"] and newest < written
+                        and isinstance(recorded["digest"], str)
+                        and isinstance(recorded["projects"], list)):
+                    self.project_names = recorded["projects"]
+                    return recorded["digest"]
         except (OSError, ValueError, KeyError, TypeError):  # missing or damaged: hash
             pass
+        cut = len(os.path.join(root, ""))
+        dirs, dir_stamps = [], []
+
+        def stamp(path):
+            path = os.fspath(path)
+            dirs.append(path[cut:] or ".")
+            dir_stamps.append(_stamp(path))
+
+        entries = _corpus_entries(root, stamp)
+        files = [(name, path) for _, name, path in entries if path is not None]
+        stamps, _ = _seal(dir_stamps + [_stamp(path) for _, path in files])
         digest = corpus_digest(root, entries)
-        text = json.dumps({**identity, "digest": digest})
+        self.project_names = [name for tag, name, _ in entries if tag == b"P"]
+        text = json.dumps({**identity, "digest": digest, "projects": self.project_names,
+                           "dirs": dirs, "files": [name for name, _ in files],
+                           "stamps": stamps})
         _replace(record, [text.encode("utf-8")])
         return digest
 

@@ -408,7 +408,8 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
     cache = _cache(settings, benchmark_path, cache_dir)
     method_ids = settings.method_ids()
     root = Path(benchmark_path)
-    available = [project_dir.name for project_dir in project_dirs(root)]
+    available = (cache.project_names if cache is not None
+                 else [project_dir.name for project_dir in project_dirs(root)])
     if not available:
         raise CorpusError(f"no projects found under {root}")
     if not projects_raw:

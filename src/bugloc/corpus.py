@@ -18,7 +18,14 @@ the root lists each project's expected file and report counts.
 
 :func:`project_dirs` and :func:`project_files` list what the loaders read,
 so the cache can hash exactly those bytes to tell whether a benchmark
-changed.
+changed. Given a ``stamp`` callable they also report, each just before it
+is looked into, every directory whose entries decide that listing: the
+root, each project directory, ``sources/`` and every directory under it,
+and ``bugs/`` when it exists, else ``bugrepo/``. Creating, removing or
+renaming an entry moves its directory's ``mtime`` and ``ctime``, so while
+none of those directories changes its stat the listing is the same, and
+the cache stats them instead of listing again. Directories whose names
+start with ``.`` (``.git/``, ``.idea/``) are not projects.
 """
 
 from __future__ import annotations
@@ -186,27 +193,46 @@ class ProjectFiles(NamedTuple):
     report_format: str | None   # "json", "xml", or None when there are neither
 
 
-def project_files(root: Path) -> ProjectFiles:
-    """Each list in path order: sorted by path component, as ``Path`` sorts."""
+def _unstamped(path) -> None:
+    pass
+
+
+def project_files(root: Path, stamp=_unstamped) -> ProjectFiles:
+    """Each list in path order: sorted by path component, as ``Path`` sorts.
+
+    ``stamp`` is called with the path of the project directory, of
+    ``sources/``, of each directory under it and of ``bugs/`` or, without
+    that, ``bugrepo/``, each before it is looked into; ``sources/`` and
+    ``bugrepo/`` also when they are missing."""
     top = os.path.join(root, "sources")
+    stamp(root)
+    stamp(top)
     cut = len(top) + 1
     sources = []
-    for dirpath, _, names in os.walk(top):
+    for dirpath, dirnames, names in os.walk(top):
+        for name in dirnames:  # os.walk lists a directory after its parent's turn
+            stamp(os.path.join(dirpath, name))
         base = dirpath[cut:].replace(os.sep, "/")
         sources += [f"{base}/{n}" if base else n for n in names if n.endswith(".java")]
     sources.sort(key=lambda rel: rel.split("/"))
     bugs_dir = os.path.join(root, "bugs")
     if os.path.isdir(bugs_dir):
+        stamp(bugs_dir)
         return ProjectFiles(sources, [f"bugs/{n}" for n in sorted(os.listdir(bugs_dir))
                                       if n.endswith(".json")], "json")
-    if os.path.isfile(os.path.join(root, "bugrepo", "repository.xml")):
+    bugrepo = os.path.join(root, "bugrepo")
+    stamp(bugrepo)
+    if os.path.isfile(os.path.join(bugrepo, "repository.xml")):
         return ProjectFiles(sources, ["bugrepo/repository.xml"], "xml")
     return ProjectFiles(sources, [], None)
 
 
-def project_dirs(root: Path) -> list[Path]:
-    """The project directories of a benchmark root, sorted."""
-    return sorted(p for p in root.iterdir() if p.is_dir())
+def project_dirs(root: Path, stamp=_unstamped) -> list[Path]:
+    """The project directories of a benchmark root, sorted: every directory
+    in it whose name does not start with ``.``. ``stamp`` is called with
+    ``root`` before it is listed."""
+    stamp(root)
+    return sorted(p for p in root.iterdir() if not p.name.startswith(".") and p.is_dir())
 
 
 def _optional_str(raw: dict, key: str) -> str | None:

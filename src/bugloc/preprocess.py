@@ -96,6 +96,11 @@ class PreprocessConfig:
         return self._fingerprint
 
     @cached_property
+    def reserved(self) -> frozenset[str]:
+        """The stop words and the keywords: terms no token stream holds."""
+        return self.stopwords | self.keywords
+
+    @cached_property
     def _fingerprint(self) -> dict:
         return {
             "pipeline_version": PIPELINE_VERSION,
@@ -177,7 +182,7 @@ def preprocess(text: str, origin: str = BUG_REPORT,
     config = config or PreprocessConfig()
     if origin == SOURCE_FILE:
         text = strip_code_noise(text)
-    drop = config.stopwords | config.keywords
+    drop = config.reserved
     if stems is None:
         stems = {}
     tokens: list[str] = []

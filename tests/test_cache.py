@@ -81,6 +81,21 @@ def digest_calls(monkeypatch):
 
 
 @pytest.fixture
+def listings(monkeypatch):
+    """Records every call to a function that lists a directory, by name."""
+    calls = []
+    for module, name in [(os, "walk"), (os, "scandir"), (os, "listdir"),
+                         (corpus, "project_dirs"), (corpus, "project_files"),
+                         (cli, "project_dirs")]:
+        def counted(*args, real=getattr(module, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.fixture
 def opened(monkeypatch):
     """Records every path opened through ``open`` or ``io.open``."""
     paths = []
@@ -194,6 +209,86 @@ def settle(cache):
     written a clock tick after the last edit, so no file is racily clean."""
     later = time.time_ns() + 10 ** 9
     os.utime(record_path(cache), ns=(later, later))
+
+
+def artifact_stamps(cache):
+    """The inode and ``mtime_ns`` of every artifact, by name: an artifact
+    rewritten in place of another gets a new inode."""
+    return {path.name: (path.stat().st_ino, path.stat().st_mtime_ns)
+            for path in cache.glob("*.bin")}
+
+
+def stale_record(cache, digest):
+    """Put ``digest`` in the corpus record, keeping its stamps, and settle it."""
+    recorded = json.loads(record_path(cache).read_text())
+    recorded["digest"] = digest
+    record_path(cache).write_text(json.dumps(recorded))
+    settle(cache)
+
+
+def first(bench, pattern):
+    return sorted(bench.glob(pattern))[0]
+
+
+def unchanged(bench):
+    pass
+
+
+def add_java_in_new_package(bench):
+    package = bench / "proj1" / "sources" / "org" / "zebra"
+    package.mkdir(parents=True)
+    (package / "Zebra.java").write_text("class Zebra {}\n")
+
+
+def rename_java_to_txt(bench):
+    source = first(bench, "proj3/sources/**/*.java")
+    source.rename(source.with_suffix(".txt"))
+
+
+def add_bug_json(bench):
+    (bench / "proj1" / "bugs" / "ZEBRA.json").write_text('{"id": "ZEBRA", "summary": "zebra"}')
+
+
+def add_project(bench):
+    (bench / "proj4" / "sources").mkdir(parents=True)
+    (bench / "proj4" / "bugs").mkdir()
+
+
+def add_manifest(bench):
+    (bench / "manifest.csv").write_text("proj1,1,1\n")
+
+
+def remove_manifest(bench):
+    (bench / "manifest.csv").unlink()
+
+
+def add_repository(bench):
+    (bench / "proj1" / "bugrepo").mkdir(exist_ok=True)
+    (bench / "proj1" / "bugrepo" / "repository.xml").write_text("<bugrepository/>\n")
+
+
+def remove_bugs(bench):
+    shutil.rmtree(bench / "proj1" / "bugs")
+
+
+def replace_bugs_with_empty_bugrepo(bench):
+    remove_bugs(bench)
+    (bench / "proj1" / "bugrepo").mkdir()
+
+
+# changes to what the loader lists, each as (prepare the benchmark, change it)
+LISTING_CHANGES = {
+    "java_in_new_package": (unchanged, add_java_in_new_package),
+    "java_deleted": (unchanged, lambda bench: first(bench, "proj2/sources/**/*.java").unlink()),
+    "java_renamed_to_txt": (unchanged, rename_java_to_txt),
+    "bug_json_added": (unchanged, add_bug_json),
+    "bug_json_deleted": (unchanged, lambda bench: first(bench, "proj2/bugs/*.json").unlink()),
+    "new_project": (unchanged, add_project),
+    "manifest_created": (remove_manifest, add_manifest),
+    "manifest_deleted": (unchanged, remove_manifest),
+    "bugs_removed_with_bugrepo_present": (add_repository, remove_bugs),
+    "repository_xml_created": (replace_bugs_with_empty_bugrepo, add_repository),
+}
 
 
 def same_size_edit(path):
@@ -509,23 +604,58 @@ class TestCorpusRecord:
 
     def test_racily_clean_file_is_rehashed(self, bench, tmp_path, digest_calls):
         """A file edited in the clock tick the record was written in keeps
-        the recorded stats; its time, not older than the record's, gives it
+        the recorded stamps; its time, not older than the record's, gives it
         away."""
         before = cached_digest(tmp_path / "c", bench)
         source = sorted((bench / "proj1" / "sources").rglob("*.java"))[0]
         same_size_edit(source)
-        # the record of a call that stat'ed the edited file in that tick
+        tick = time.time_ns() + 10 ** 9  # after every other file's times
+        os.utime(source, ns=(tick, tick))
+        after = cache_module.corpus_digest(bench)
+        assert cached_digest(tmp_path / "c", bench) == after
+        # the record of a call that stamped the edited file in that tick
         # and hashed the bytes before the edit
-        record = record_path(tmp_path / "c")
-        recorded = json.loads(record.read_text())
-        recorded["stats"], _ = cache_module._stat_key(cache_module._corpus_entries(bench))
-        record.write_text(json.dumps(recorded))
-        tick = source.stat().st_mtime_ns
-        os.utime(record, ns=(tick, tick))
+        stale_record(tmp_path / "c", before)
+        assert cached_digest(tmp_path / "c", bench) == before  # the stamps alone agree
+        os.utime(record_path(tmp_path / "c"), ns=(tick, tick))
+        del digest_calls[:]
+        assert cached_digest(tmp_path / "c", bench) == after
+        assert len(digest_calls) == 1
+
+    def test_racily_clean_directory_is_relisted(self, bench, tmp_path, digest_calls, listings):
+        """Likewise a directory whose entries changed in that tick: a file
+        removed from it, with no file left whose time gives it away."""
+        before = cached_digest(tmp_path / "c", bench)
+        source = sorted((bench / "proj2" / "sources").rglob("*.java"))[0]
+        source.unlink()
+        tick = time.time_ns() + 10 ** 9
+        os.utime(source.parent, ns=(tick, tick))
+        after = cache_module.corpus_digest(bench)
+        assert cached_digest(tmp_path / "c", bench) == after
+        stale_record(tmp_path / "c", before)
+        assert cached_digest(tmp_path / "c", bench) == before
+        os.utime(record_path(tmp_path / "c"), ns=(tick, tick))
+        del digest_calls[:], listings[:]
+        assert cached_digest(tmp_path / "c", bench) == after
+        assert len(digest_calls) == 1 and listings
+
+    @pytest.mark.parametrize("change", sorted(LISTING_CHANGES))
+    def test_listing_change_rehashes_once(self, bench, tmp_path, digest_calls, change):
+        """Under a settled record every file keeps its stamp; only the stamp
+        of the directory whose entries changed tells."""
+        prepare, edit = LISTING_CHANGES[change]
+        prepare(bench)
+        before = cached_digest(tmp_path / "c", bench)
+        settle(tmp_path / "c")
+        assert cached_digest(tmp_path / "c", bench) == before
+        edit(bench)
         del digest_calls[:]
         after = cached_digest(tmp_path / "c", bench)
         assert len(digest_calls) == 1
         assert after != before and after == cache_module.corpus_digest(bench)
+        settle(tmp_path / "c")
+        assert cached_digest(tmp_path / "c", bench) == after
+        assert len(digest_calls) == 2  # the comparison's own
 
     def test_edit_restoring_mtime_misses_through_ctime(self, bench, tmp_path, digest_calls):
         before = cached_digest(tmp_path / "c", bench)
@@ -582,7 +712,72 @@ class TestCorpusRecord:
             cache_module.corpus_digest(bench)
 
 
+    def test_hidden_directories_are_not_projects(self, bench, tmp_path, digest_calls,
+                                                 load_calls):
+        digest = cache_module.corpus_digest(bench)
+        names = load_benchmark(bench).project_names
+        train(bench, tmp_path / "c")
+        localize(bench, tmp_path / "c")
+        built, artifacts = ranking(tmp_path / "c"), artifact_stamps(tmp_path / "c")
+        settle(tmp_path / "c")
+        (bench / ".git").mkdir()
+        (bench / ".git" / "HEAD").write_text("ref: refs/heads/main\n")
+        (bench / ".idea").mkdir()
+        del digest_calls[:]
+        localize(bench, tmp_path / "c")
+        assert len(digest_calls) == 1  # the root's stamp moved
+        assert len(load_calls) == 2  # train-global and the first localize
+        assert ranking(tmp_path / "c") == built
+        assert artifact_stamps(tmp_path / "c") == artifacts
+        assert load_benchmark(bench).project_names == names
+        assert cache_module.corpus_digest(bench) == digest
+        run("evaluate", "--benchmark", bench, "--methods", "1", "--out", tmp_path / "out")
+
+    def test_record_of_the_previous_layout_rehashes_once(self, bench, tmp_path, digest_calls,
+                                                         load_calls, caplog):
+        """A record holding one hash of every file's stats, without the
+        listing's directories, is read as no record: one re-hash, to the same
+        digest, so no artifact is rebuilt."""
+        train(bench, tmp_path / "c")
+        localize(bench, tmp_path / "c")
+        built, artifacts = ranking(tmp_path / "c"), artifact_stamps(tmp_path / "c")
+        recorded = json.loads(record_path(tmp_path / "c").read_text())
+        record_path(tmp_path / "c").write_text(json.dumps(
+            {"root": recorded["root"], "loader": recorded["loader"], "stats": "0" * 64,
+             "digest": recorded["digest"]}))
+        settle(tmp_path / "c")
+        del digest_calls[:]
+        with caplog.at_level(logging.WARNING):
+            localize(bench, tmp_path / "c")
+        assert len(digest_calls) == 1 and not caplog.records
+        assert len(load_calls) == 2
+        assert ranking(tmp_path / "c") == built
+        assert artifact_stamps(tmp_path / "c") == artifacts
+        settle(tmp_path / "c")
+        localize(bench, tmp_path / "c")
+        assert len(digest_calls) == 1
+
+
 class TestHitsReadNoBenchmarkFile:
+    @pytest.mark.parametrize("command", ["localize", "evaluate"])
+    def test_hit_lists_nothing(self, bench, tmp_path, digest_calls, listings, command):
+        def call():
+            if command == "localize":
+                localize(bench, tmp_path / "c")
+            else:
+                run("evaluate", "--benchmark", bench, "--methods", "1,2,3,4", "--cache",
+                    tmp_path / "c", "--out", tmp_path / "out")
+
+        train(bench, tmp_path / "c")
+        call()
+        assert "project_files" in listings  # the misses listed, and were seen doing so
+        settle(tmp_path / "c")
+        del digest_calls[:], listings[:]
+        call()
+        assert listings == [] and digest_calls == []
+        assert json.loads(record_path(tmp_path / "c").read_text())["digest"] == \
+            cache_module.corpus_digest(bench)
+
     def test_localize_hit(self, bench, tmp_path, opened):
         train(bench, tmp_path / "c")
         localize(bench, tmp_path / "c")

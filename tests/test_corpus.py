@@ -1,9 +1,10 @@
 import json
+import os
 
 import pytest
 
 from bugloc.corpus import (CorpusError, load_benchmark, load_benchmark_project, load_project,
-                           project_files, validate_and_filter)
+                           project_dirs, project_files, validate_and_filter)
 from conftest import java_stub, write_project
 
 
@@ -62,6 +63,47 @@ def test_sources_listed_in_path_order(tmp_path):
     assert project_files(root).sources == want
     assert [f.id for f in load_project(root).source_files] == want
     assert project_files(root).reports == ["bugs/B-1.json"]
+
+
+def test_listing_stamps_each_directory_before_looking_into_it(tmp_path, monkeypatch):
+    bench = tmp_path / "bench"
+    write_project(bench, "json", {"a/b/X.java": java_stub("x"), "Y.java": java_stub("y")},
+                  [_bug("B-1", ["Y.java"])])
+    (bench / "xml" / "sources").mkdir(parents=True)
+    (bench / "xml" / "bugrepo").mkdir()
+    (bench / ".git" / "objects").mkdir(parents=True)
+    events = []
+    for name in ("listdir", "scandir"):
+        def listed(path=".", real=getattr(os, name)):
+            events.append(("list", os.fspath(path)))
+            return real(path)
+
+        monkeypatch.setattr(os, name, listed)
+
+    def stamp(path):
+        events.append(("stamp", os.fspath(path)))
+
+    projects = project_dirs(bench, stamp)
+    for project in projects:
+        project_files(project, stamp)
+    monkeypatch.undo()
+    assert [p.name for p in projects] == ["json", "xml"]
+    for at, (kind, path) in enumerate(events):
+        if kind == "list":
+            assert ("stamp", path) in events[:at]
+    stamped = [os.path.relpath(path, bench) for kind, path in events if kind == "stamp"]
+    assert stamped == [".", "json", "json/sources", "json/sources/a", "json/sources/a/b",
+                       "json/bugs", "xml", "xml/sources", "xml/bugrepo"]
+
+
+def test_hidden_directories_are_not_projects(tmp_path):
+    write_project(tmp_path, "p", {"A.java": java_stub("a")}, [_bug("B-1", ["A.java"])])
+    (tmp_path / ".git").mkdir()
+    (tmp_path / ".git" / "HEAD").write_text("ref: refs/heads/main\n")
+    (tmp_path / ".idea").mkdir()
+    assert load_benchmark(tmp_path).project_names == ["p"]
+    with pytest.raises(CorpusError, match="unknown project"):
+        load_benchmark_project(tmp_path, ".git")
 
 
 def test_missing_directory(tmp_path):
