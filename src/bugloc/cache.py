@@ -67,6 +67,7 @@ next call, which sees the new stamps, rebuilds.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -480,9 +481,16 @@ class ArtifactCache:
         vocab = self._read("idf", held_out, tfidf.load_vocabulary)
         if vocab is None:
             logger.info("building global IDF model, held-out project %s", held_out)
-            vocab = tfidf.build_global_idf(self.benchmark, held_out)
+            vocab = tfidf.build_global_idf(self.benchmark, held_out,
+                                           self._document_frequencies)
             self._store("idf", held_out, tfidf.save_vocabulary(vocab))
         return vocab
+
+    @functools.cached_property
+    def _document_frequencies(self) -> tfidf.DocumentFrequencies:
+        """The benchmark's source-file document frequencies, counted on the
+        first global IDF model built, once for every held-out project."""
+        return tfidf.DocumentFrequencies.count(self.benchmark)
 
     def _training_corpus(self, held_out: str):
         """Source files of every project plus the other projects' reports,

@@ -78,8 +78,12 @@ class Layout:
         for record, (name, code) in zip(self._records, self.arrays):
             if code == STR:
                 strings, length = values[name], len(values[name])
-                value = np.cumsum([0, *(len(s.encode("utf-8", "surrogatepass")) for s in strings)])
-                parts = [value.astype(_OFFSETS), "".join(strings).encode("utf-8", "surrogatepass")]
+                whole = "".join(strings)
+                # all ASCII: every character is one byte, as _decode_strings assumes too
+                sizes = (map(len, strings) if whole.isascii()
+                         else (len(s.encode("utf-8", "surrogatepass")) for s in strings))
+                value = np.cumsum([0, *sizes])
+                parts = [value.astype(_OFFSETS), whole.encode("utf-8", "surrogatepass")]
             else:
                 value = np.asarray(values[name]).reshape(-1)
                 parts, length = [np.ascontiguousarray(value, dtype=_DTYPES[code])], len(value)

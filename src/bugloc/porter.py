@@ -127,7 +127,14 @@ _STEP4 = (
 )
 
 
-def _map_suffix(word: str, rules, min_measure: int) -> str:
+# each step's suffixes, so that one endswith() rejects a word no rule matches
+_STEP2_SUFFIXES = tuple(suffix for suffix, _ in _STEP2)
+_STEP3_SUFFIXES = tuple(suffix for suffix, _ in _STEP3)
+
+
+def _map_suffix(word: str, rules, suffixes: tuple[str, ...], min_measure: int) -> str:
+    if not word.endswith(suffixes):
+        return word
     for suffix, repl in rules:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
@@ -138,6 +145,8 @@ def _map_suffix(word: str, rules, min_measure: int) -> str:
 
 
 def _step4(word: str) -> str:
+    if not word.endswith(_STEP4):
+        return word
     for suffix in _STEP4:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
@@ -166,8 +175,8 @@ def stem(word: str) -> str:
         return word
     word = _step1ab(word)
     word = _step1c(word)
-    word = _map_suffix(word, _STEP2, 1)
-    word = _map_suffix(word, _STEP3, 1)
+    word = _map_suffix(word, _STEP2, _STEP2_SUFFIXES, 1)
+    word = _map_suffix(word, _STEP3, _STEP3_SUFFIXES, 1)
     word = _step4(word)
     word = _step5(word)
     return word

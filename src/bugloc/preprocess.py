@@ -162,9 +162,36 @@ def _stem_fixpoint(term: str) -> str:
         term = stemmed
 
 
+@dataclass
+class Memo:
+    """What one preprocessing call has worked out, shared by its documents:
+    each raw word's terms (split, filtered, stemmed and length-filtered) in
+    ``words``, and each identifier part's stem in ``stems``. Distinct words
+    and parts are few next to their occurrences. Valid for one config; keep
+    one only as long as the call, so that every call does its own work."""
+
+    words: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    stems: dict[str, str] = field(default_factory=dict)
+
+
+def _expand(word: str, config: PreprocessConfig, stems: dict[str, str]) -> tuple[str, ...]:
+    """The terms one raw word contributes to a stream, in order."""
+    drop = config.reserved
+    terms = []
+    for part in split_identifier(word, config.split_compound_identifiers):
+        if part in drop:
+            continue
+        stemmed = stems.get(part)
+        if stemmed is None:
+            stemmed = stems[part] = _stem_fixpoint(part)
+        if len(stemmed) >= config.min_token_length and stemmed not in drop:
+            terms.append(stemmed)
+    return tuple(terms)
+
+
 def preprocess(text: str, origin: str = BUG_REPORT,
                config: PreprocessConfig | None = None,
-               stems: dict[str, str] | None = None) -> TokenStream:
+               memo: Memo | None = None) -> TokenStream:
     """Run the full normalization pipeline over one document's text.
 
     Source text is first scrubbed of comments and literals. Tokens are
@@ -173,48 +200,43 @@ def preprocess(text: str, origin: str = BUG_REPORT,
     may collapse onto a reserved word, e.g. classes -> class), and finally
     length-filtered. An empty result is legal.
 
-    ``stems`` memoizes stemming across the documents of one call: pass the
-    same dict for every document of a corpus, whose distinct terms are few
-    next to its occurrences.
+    ``memo`` carries each distinct word's terms and each part's stem across
+    the documents of one call: pass the same :class:`Memo` for every
+    document of a corpus.
     """
     if origin not in (BUG_REPORT, SOURCE_FILE):
         raise ValueError(f"unknown document origin: {origin!r}")
     config = config or PreprocessConfig()
     if origin == SOURCE_FILE:
         text = strip_code_noise(text)
-    drop = config.reserved
-    if stems is None:
-        stems = {}
+    memo = memo or Memo()
+    words, stems = memo.words, memo.stems
     tokens: list[str] = []
-    for match in _WORD_RE.finditer(text):
-        for part in split_identifier(match.group(0), config.split_compound_identifiers):
-            if part in drop:
-                continue
-            stemmed = stems.get(part)
-            if stemmed is None:
-                stemmed = stems[part] = _stem_fixpoint(part)
-            if len(stemmed) >= config.min_token_length and stemmed not in drop:
-                tokens.append(stemmed)
+    for word in _WORD_RE.findall(text):
+        terms = words.get(word)
+        if terms is None:
+            terms = words[word] = _expand(word, config, stems)
+        tokens += terms
     return TokenStream(tokens=tuple(tokens), origin=origin)
 
 
 def preprocess_project(project, config: PreprocessConfig | None = None,
-                       stems: dict[str, str] | None = None) -> None:
+                       memo: Memo | None = None) -> None:
     """Fill ``token_stream`` on every source file and bug report in place.
 
-    Stems are memoized in ``stems`` (a fresh dict by default) for the
-    duration of the call only, so every call stems its own corpus.
+    Words and stems are memoized in ``memo`` (a fresh one by default) for
+    the duration of the call only, so every call expands its own corpus.
     """
     config = config or PreprocessConfig()
-    stems = {} if stems is None else stems
+    memo = memo or Memo()
     for src in project.source_files:
-        src.token_stream = preprocess(src.raw_text, SOURCE_FILE, config, stems)
+        src.token_stream = preprocess(src.raw_text, SOURCE_FILE, config, memo)
     for report in project.bug_reports:
-        report.token_stream = preprocess(report.text, BUG_REPORT, config, stems)
+        report.token_stream = preprocess(report.text, BUG_REPORT, config, memo)
 
 
 def preprocess_benchmark(benchmark, config: PreprocessConfig | None = None) -> None:
     config = config or PreprocessConfig()
-    stems: dict[str, str] = {}
+    memo = Memo()
     for project in benchmark.projects:
-        preprocess_project(project, config, stems)
+        preprocess_project(project, config, memo)

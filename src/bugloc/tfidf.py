@@ -25,7 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,36 +122,58 @@ def build_vocabulary(documents: Iterable[TokenStream], scope: str = "local") -> 
     )
 
 
+class DocumentFrequencies(NamedTuple):
+    """Source-file document frequencies of a whole benchmark, counted once:
+    the sorted union vocabulary and its term ids, each term's frequency over
+    every project, in term id order, and per project its file count and its
+    own frequencies."""
+
+    term_ids: dict[str, int]
+    total: list[int]
+    projects: dict[str, tuple[int, Counter]]
+
+    @classmethod
+    def count(cls, benchmark: Benchmark) -> "DocumentFrequencies":
+        total: Counter = Counter()
+        projects = {}
+        for project in benchmark.projects:
+            own: Counter = Counter()
+            for src in project.source_files:
+                if src.token_stream is None:
+                    raise ValueError(
+                        f"{project.name}/{src.id}: token stream missing; preprocess first")
+                own.update(set(src.token_stream.tokens))
+            total.update(own)
+            projects[project.name] = (len(project.source_files), own)
+        terms = sorted(total)
+        return cls({t: i for i, t in enumerate(terms)}, [total[t] for t in terms], projects)
+
+
 def build_global_idf(benchmark: Benchmark, held_out: str,
-                     count_held_out: bool = False) -> Vocabulary:
+                     counts: DocumentFrequencies | None = None) -> Vocabulary:
     """Global vocabulary with leakage-safe document frequencies.
 
     Terms come from the source files of *every* project, the held-out one
     included; frequency counts and the document total exclude the held-out
-    project's files. Terms seen only there keep a frequency floor of 1 so
-    their weight stays defined. ``count_held_out`` switches to counting
-    the whole benchmark instead (no exclusion).
+    project's files: each is the benchmark's less the held-out project's
+    own. Terms seen only there keep a frequency floor of 1 so their weight
+    stays defined. ``counts`` are the benchmark's
+    :class:`DocumentFrequencies`, counted here when not given; every
+    vocabulary built from them shares their ``term_ids``.
     """
-    held_project = benchmark.project(held_out)  # raises on unknown name
-    counted_docs = 0
-    df: dict[str, int] = {}
-    vocab_terms: set[str] = set()
-    for project in benchmark.projects:
-        for src in project.source_files:
-            if src.token_stream is None:
-                raise ValueError(f"{project.name}/{src.id}: token stream missing; preprocess first")
-            vocab_terms.update(src.token_stream.tokens)
-            if project.name == held_project.name and not count_held_out:
-                continue
-            counted_docs += 1
-            for term in set(src.token_stream.tokens):
-                df[term] = df.get(term, 0) + 1
+    benchmark.project(held_out)  # raises on unknown name
+    counts = counts or DocumentFrequencies.count(benchmark)
+    own_docs, own = counts.projects[held_out]
+    counted_docs = sum(n for n, _ in counts.projects.values()) - own_docs
     if counted_docs == 0:
         raise ValueError("no documents left to count after holding out " + held_out)
-    terms = sorted(vocab_terms)
+    term_ids, doc_freq = counts.term_ids, counts.total.copy()
+    for term, n in own.items():  # only the held-out project's terms can reach the floor
+        tid = term_ids[term]
+        doc_freq[tid] = max(1, doc_freq[tid] - n)
     return Vocabulary(
-        term_ids={t: i for i, t in enumerate(terms)},
-        doc_freq=[max(1, df.get(t, 0)) for t in terms],
+        term_ids=term_ids,
+        doc_freq=doc_freq,
         total_documents=counted_docs,
         scope="global",
         held_out=held_out,

@@ -884,6 +884,41 @@ class TestHitsReadNoBenchmarkFile:
                     (tmp_path / "old" / name).read_bytes()
 
 
+# sha256 of what `train-global --no-embeddings` writes for the default
+# synthetic benchmark. A change to pipeline output must update these together
+# with a bump of preprocess.PIPELINE_VERSION (or of the artifact's layout).
+GOLDEN = {
+    "tokens.bin": "7731e3b3816caa4966aa31b341eeb044b55fd9879370624bc257e0c7f8ec4ae6",
+    "idf_proj1.bin": "e7a535e84a605f6513c48411dae90291be538db44c4727f2318e4e2649fd9f27",
+    "idf_proj2.bin": "d1a5519e96f8cf57ee8292e3726856e32c51003e10c5dbe17dd9f96486b0d4bf",
+    "idf_proj3.bin": "0892f3812e8850039513800d3a08805b353b8d716ea224e9b1191f93ab8d3143",
+}
+
+
+def test_train_global_artifacts_match_golden_digests(synth_benchmark, tmp_path):
+    root, _, _ = synth_benchmark
+    train(root, tmp_path / "c")
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "c").glob("*.bin")}
+    assert written == GOLDEN
+    assert preprocess.PIPELINE_VERSION == 1
+
+
+def test_global_df_counted_once_per_cache(synth_benchmark, tmp_path, monkeypatch):
+    _, benchmark, _ = synth_benchmark
+    counted, built = [], []
+    count, build = tfidf.DocumentFrequencies.count, tfidf.build_global_idf
+    monkeypatch.setattr(tfidf.DocumentFrequencies, "count",
+                        classmethod(lambda cls, b: counted.append(b) or count(b)))
+    monkeypatch.setattr(tfidf, "build_global_idf",
+                        lambda *args: built.append(args[1]) or build(*args))
+    names = benchmark.project_names
+    ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig()).train_all(names, False)
+    assert counted == [benchmark] and built == names
+    ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig()).train_all(names, False)
+    assert counted == [benchmark] and built == names  # every model a hit: nothing counted
+
+
 class TestArtifactIntegrity:
     def _cache(self, bench, tmp_path):
         benchmark = load_benchmark(bench, strict=False)

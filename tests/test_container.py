@@ -31,6 +31,18 @@ def test_strings_round_trip_any_str():
     assert LAYOUT.decode(encoded(names=names))["names"] == names
 
 
+@pytest.mark.parametrize("names", [
+    ["alpha", "", "b", "gamma_delta"], ["alpha", "é", "", "日本"], ["a", "\ud800", "\udcff", ""]],
+    ids=["ascii", "non_ascii", "lone_surrogates"])
+def test_string_offsets_count_utf8_bytes(names):
+    only = container.Layout(b"bugloc-test v1\n", [("names", container.STR)])
+    header, count, record, offsets, blob, padding = only.encode({"names": names})
+    sizes = [len(s.encode("utf-8", "surrogatepass")) for s in names]
+    assert offsets.dtype == np.dtype("<i4") and offsets.tolist() == np.cumsum([0, *sizes]).tolist()
+    assert blob == "".join(names).encode("utf-8", "surrogatepass")
+    assert only.decode(b"".join([header, count, record, offsets, blob, padding]))["names"] == names
+
+
 def test_arrays_start_8_byte_aligned():
     data = encoded(names=["abc"], counts=[1, 2, 3], offsets=[4], weights=[0.5, 1.5])
     base = np.frombuffer(data, np.uint8).ctypes.data

@@ -2,7 +2,9 @@
 implementation (the widely circulated ANSI-C port)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bugloc import porter
 from bugloc.porter import stem
 
 # (word, stem) pairs computed once with the reference implementation and
@@ -51,3 +53,59 @@ def test_short_words_pass_through():
 
 def test_lowercases_input():
     assert stem("Connected") == "connect"
+
+
+def _loop_map_suffix(word, rules, suffixes, min_measure):
+    """The step 2 and 3 rule loop without the one-endswith() reject."""
+    for suffix, repl in rules:
+        if word.endswith(suffix):
+            stem = word[: len(word) - len(suffix)]
+            if porter._measure(stem) > min_measure - 1:
+                return stem + repl
+            return word
+    return word
+
+
+def _loop_step4(word):
+    """The step 4 rule loop without the one-endswith() reject."""
+    for suffix in porter._STEP4:
+        if word.endswith(suffix):
+            stem = word[: len(word) - len(suffix)]
+            if suffix == "ion" and (not stem or stem[-1] not in "st"):
+                return word
+            if porter._measure(stem) > 1:
+                return stem
+            return word
+    return word
+
+
+def test_reject_tuples_are_the_rule_suffixes():
+    assert porter._STEP2_SUFFIXES == tuple(suffix for suffix, _ in porter._STEP2)
+    assert porter._STEP3_SUFFIXES == tuple(suffix for suffix, _ in porter._STEP3)
+
+
+# every rule's suffix, and what steps 2 and 3 rewrite to, which a later step may match
+_SUFFIXES = sorted({*porter._STEP4, *(part for rule in porter._STEP2 + porter._STEP3
+                                      for part in rule)})
+_suffixed = st.builds(lambda stem, suffix, tail: stem + suffix + tail,
+                      st.text("abcdefghilmnorstuvyz", max_size=8), st.sampled_from(_SUFFIXES),
+                      st.sampled_from(["", "", "s", "es", "ed", "ing", "ly", "y", "e"]))
+
+
+def _plain_stems(words):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(porter, "_map_suffix", _loop_map_suffix)
+        mp.setattr(porter, "_step4", _loop_step4)
+        return [stem(w) for w in words]
+
+
+def test_quick_reject_equals_the_plain_rule_loop_on_every_suffix():
+    words = [stem + suffix + tail for stem in ("", "b", "ar", "tr", "conv", "gener", "ss")
+             for suffix in _SUFFIXES for tail in ("", "s", "ed", "ing", "y")]
+    assert [stem(w) for w in words] == _plain_stems(words)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_suffixed, min_size=1, max_size=20))
+def test_quick_reject_equals_the_plain_rule_loop(words):
+    assert [stem(w) for w in words] == _plain_stems(words)

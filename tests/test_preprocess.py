@@ -3,9 +3,9 @@ import logging
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bugloc import porter
+from bugloc import porter, preprocess as preprocess_module
 from bugloc.corpus import BugReport, Project, SourceFile
-from bugloc.preprocess import (BUG_REPORT, SOURCE_FILE, PreprocessConfig,
+from bugloc.preprocess import (BUG_REPORT, SOURCE_FILE, Memo, PreprocessConfig,
                                TokenStream, preprocess, preprocess_project,
                                split_identifier, stem, strip_code_noise)
 
@@ -188,22 +188,43 @@ def test_deterministic():
 
 
 def test_stems_memoized_within_one_call_only(monkeypatch):
-    calls = []
-    real_stem = porter.stem
+    calls, splits = [], []
+    real_stem, real_split = porter.stem, preprocess_module.split_identifier
     monkeypatch.setattr(porter, "stem", lambda term: calls.append(term) or real_stem(term))
+    monkeypatch.setattr(preprocess_module, "split_identifier",
+                        lambda word, keep=True: splits.append(word) or real_split(word, keep))
     project = Project(
         name="p",
         source_files=[SourceFile(id="A.java", path="A.java",
-                                 raw_text="class A { int running; int running2; }")],
-        bug_reports=[BugReport(id="B-1", summary="running runner", description="",
+                                 raw_text="class A { int running; int running2; }"),
+                      SourceFile(id="B.java", path="B.java",
+                                 raw_text="class B { int running; int isRunning; }")],
+        bug_reports=[BugReport(id="B-1", summary="running runner isRunning", description="",
                                fixed_files={"A.java"})])
     preprocess_project(project, CONFIG)
-    first = list(calls)
+    first, first_splits = list(calls), list(splits)
     assert first.count("running") == 1
-    assert project.bug_reports[0].token_stream.tokens == ("run", "runner")
+    assert sorted(first_splits) == sorted(
+        {"class", "A", "B", "int", "running", "running2", "isRunning", "runner"})
+    assert project.bug_reports[0].token_stream.tokens == ("run", "runner", "run", "isrun")
     calls.clear()
+    splits.clear()
     preprocess_project(project, CONFIG)
-    assert calls == first
+    assert calls == first and splits == first_splits
+
+
+_mixed = st.lists(st.tuples(st.one_of(_texts, st.text(max_size=40)),
+                            st.sampled_from([BUG_REPORT, SOURCE_FILE])), max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed)
+def test_shared_memo_gives_the_streams_of_fresh_ones(docs):
+    fresh = [preprocess(text, origin, CONFIG) for text, origin in docs]
+    for order in (docs, docs[::-1]):
+        memo = Memo()
+        shared = [preprocess(text, origin, CONFIG, memo) for text, origin in order]
+        assert shared == (fresh if order is docs else fresh[::-1])
 
 
 def test_config_from_files(tmp_path):

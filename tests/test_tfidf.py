@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from bugloc.corpus import Benchmark, Project, SourceFile
 from bugloc.preprocess import SOURCE_FILE, TokenStream
-from bugloc.tfidf import (LAYOUT, LengthNormalizer, TfIdfVector, Vocabulary,
-                          build_global_idf, build_vocabulary, cosine,
+from bugloc.tfidf import (LAYOUT, DocumentFrequencies, LengthNormalizer, TfIdfVector,
+                          Vocabulary, build_global_idf, build_vocabulary, cosine,
                           load_vocabulary, rvsm, save_vocabulary, vectorize)
 
 
@@ -251,10 +251,54 @@ class TestGlobalIdf:
         # "a" is in 2 of p1's files but only 1 counted doc (p2/F0)
         assert vocab.doc_freq[vocab.term_ids["a"]] == 1
 
-    def test_count_held_out_switch(self):
-        vocab = build_global_idf(self._benchmark(), "p1", count_held_out=True)
-        assert vocab.total_documents == 7
-        assert vocab.doc_freq[vocab.term_ids["a"]] == 3
+    def test_no_documents_left(self):
+        bench = Benchmark(projects=[_project("p1", [["a"]]), _project("p2", [])])
+        with pytest.raises(ValueError, match="no documents left"):
+            build_global_idf(bench, "p1")
+
+    def test_missing_token_stream(self):
+        bench = self._benchmark()
+        bench.projects[2].source_files[1].token_stream = None
+        with pytest.raises(ValueError, match="p3/F1.java: token stream missing"):
+            build_global_idf(bench, "p1")
+
+
+def recounted_idf(benchmark, held_out):
+    """Global DF counted over every project but the held-out one, with the
+    floor of 1, as (terms in id order, doc_freq, total_documents)."""
+    vocab, df, docs = set(), {}, 0
+    for project in benchmark.projects:
+        for src in project.source_files:
+            vocab.update(src.token_stream.tokens)
+            if project.name != held_out:
+                docs += 1
+                for term in set(src.token_stream.tokens):
+                    df[term] = df.get(term, 0) + 1
+    terms = sorted(vocab)
+    return terms, [max(1, df.get(t, 0)) for t in terms], docs
+
+
+_project_tokens = st.lists(st.lists(st.sampled_from("abcdefg"), max_size=5), max_size=4)
+
+
+@given(st.lists(_project_tokens, min_size=2, max_size=4))
+def test_counted_once_equals_recount_per_held_out_project(token_lists):
+    bench = Benchmark(projects=[_project(f"p{i}", files) for i, files in enumerate(token_lists)])
+    counts = DocumentFrequencies.count(bench)
+    for project in bench.projects:
+        expected = recounted_idf(bench, project.name)
+        if expected[2] == 0:
+            with pytest.raises(ValueError, match="no documents left"):
+                build_global_idf(bench, project.name, counts)
+            continue
+        vocab = build_global_idf(bench, project.name, counts)
+        assert vocab.term_ids is counts.term_ids
+        assert (sorted(vocab.term_ids, key=vocab.term_ids.get), vocab.doc_freq,
+                vocab.total_documents) == expected
+        assert (b"".join(save_vocabulary(vocab))
+                == b"".join(save_vocabulary(build_global_idf(bench, project.name))))
+    assert counts.total == [sum(project_counts[t] for _, project_counts in
+                                counts.projects.values()) for t in counts.term_ids]
 
 
 def test_vocabulary_roundtrip():
