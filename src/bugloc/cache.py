@@ -9,7 +9,8 @@ Artifacts, one file ``<kind>[_<project>].bin`` each in the cache directory:
 - ``tokens.bin``: the token streams of every document of the benchmark;
 - ``index_local_<project>.bin``, ``index_global_<project>.bin``: the
   project's TF.IDF ranking arrays under that scope
-  (:class:`~bugloc.rank.TfidfScope`), its file and report ids and each
+  (:class:`~bugloc.rank.TfidfScope`: file postings, length factors and
+  each report's vector, stored once), its file and report ids and each
   report's fixed-file columns. The first ``localize`` or ``evaluate`` that
   ranks with a scope builds its index; ``train-global`` builds none.
 
@@ -170,10 +171,9 @@ _TOKENS = container.Layout(b"bugloc-tokens v2\n",
                            [("terms", container.STR), ("offsets", "i8"), ("ids", "i4")])
 # A ranking index: a scope's arrays, each report's fixed files as CSR arrays
 # of ascending file columns, file ids in path order and report ids in row order.
-_INDEX = container.Layout(b"bugloc-index v3\n", [
+_INDEX = container.Layout(b"bugloc-index v4\n", [
     ("file_rows", "i8"), ("file_weights", "f8"), ("file_offsets", "i8"), ("file_norms", "f8"),
     ("length_weights", "f8"),
-    ("report_rows", "i8"), ("report_weights", "f8"), ("report_offsets", "i8"),
     ("query_offsets", "i8"), ("query_terms", "i8"), ("query_weights", "f8"),
     ("query_norms", "f8"),
     ("fixed_offsets", "i8"), ("fixed_columns", "i8"),
@@ -231,16 +231,13 @@ class _Index(NamedTuple):
 
 def _encode_index(scope: rank.TfidfScope, file_ids: list[str], report_ids: list[str],
                   fixed_offsets: np.ndarray, fixed_columns: np.ndarray) -> list:
-    """The index of a scope, as the buffers to write in order. The report
-    postings' norms are the queries' norms, so they are stored once."""
-    files, reports = scope.files, scope.reports
+    """The index of a scope, as the buffers to write in order."""
+    files, queries = scope.files, scope.queries
     return _INDEX.encode({
         "file_rows": files.rows, "file_weights": files.weights, "file_offsets": files.offsets,
         "file_norms": files.norms, "length_weights": scope.length_weights,
-        "report_rows": reports.rows, "report_weights": reports.weights,
-        "report_offsets": reports.offsets,
-        "query_offsets": scope.query_offsets, "query_terms": scope.query_terms,
-        "query_weights": scope.query_weights, "query_norms": scope.query_norms,
+        "query_offsets": queries.offsets, "query_terms": queries.terms,
+        "query_weights": queries.weights, "query_norms": queries.norms,
         "fixed_offsets": fixed_offsets, "fixed_columns": fixed_columns,
         "file_ids": file_ids, "report_ids": report_ids,
     })
@@ -256,7 +253,6 @@ def _decode_index(data: bytes) -> _Index:
     n_files, n_reports, n_terms = len(file_ids), len(report_ids), len(a["file_offsets"]) - 1
     check = container.check_spans
     check(a["file_offsets"], a["file_rows"], n_terms, n_files, a["file_weights"])
-    check(a["report_offsets"], a["report_rows"], n_terms, n_reports, a["report_weights"])
     check(a["query_offsets"], a["query_terms"], n_reports, n_terms, a["query_weights"])
     check(a["fixed_offsets"], a["fixed_columns"], n_reports, n_files)
     if (len(a["file_norms"]) != n_files or len(a["length_weights"]) != n_files
@@ -265,9 +261,7 @@ def _decode_index(data: bytes) -> _Index:
     scope = rank.TfidfScope(
         tfidf.Postings(a["file_rows"], a["file_weights"], a["file_offsets"], a["file_norms"]),
         a["length_weights"],
-        (a["query_offsets"], a["query_terms"], a["query_weights"], a["query_norms"]),
-        reports=tfidf.Postings(a["report_rows"], a["report_weights"], a["report_offsets"],
-                               a["query_norms"]))
+        tfidf.Rows(a["query_offsets"], a["query_terms"], a["query_weights"], a["query_norms"]))
     return _Index(scope, file_ids, report_ids, a["fixed_offsets"], a["fixed_columns"])
 
 

@@ -9,11 +9,11 @@ round-trips. A :class:`Layout` is an artifact kind: its header line and the
 (name, dtype code) of its arrays.
 
 :mod:`bugloc.cache` keeps every artifact in this layout as
-``<kind>[_<project>].bin``: ``tokens``, ``index_local``, ``index_global``,
-``idf``, and ``dm`` and ``dbow`` models, which hold only what inference reads
-(terms, counts, ``W``, ``U``, ``b``). The header line is part of each
-artifact's fingerprint, so a cache of an older layout rebuilds every artifact
-once, quietly."""
+``<kind>[_<project>].bin``: ``tokens``, ``index_local`` and ``index_global``
+(file postings, length factors and report vectors), ``idf``, and ``dm`` and
+``dbow`` models, which hold only what inference reads (terms, counts, ``W``,
+``U``, ``b``). The header line is part of each artifact's fingerprint, so a
+cache of an older layout rebuilds every artifact once, quietly."""
 
 from __future__ import annotations
 

@@ -79,16 +79,23 @@ def average_precision(result: QueryResult) -> float:
     return precision_sum / result.n_relevant
 
 
+def _mean(values: list[float]) -> float:
+    total = 0.0  # a plain loop, as in average_precision, on every Python version
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def mrr(results: Sequence[QueryResult]) -> float:
     if not results:
         raise ValueError("mrr of an empty query set")
-    return sum(reciprocal_rank(r) for r in results) / len(results)
+    return _mean([reciprocal_rank(r) for r in results])
 
 
 def mean_average_precision(results: Sequence[QueryResult]) -> float:
     if not results:
         raise ValueError("map of an empty query set")
-    return sum(average_precision(r) for r in results) / len(results)
+    return _mean([average_precision(r) for r in results])
 
 
 def top_n(results: Iterable[QueryResult], n: int) -> int:

@@ -33,14 +33,13 @@ working arrays stay the size of a chunk's; only the four result arrays
 grow with the batch:
 
 - TF.IDF: per scope, a :class:`TfidfScope` holds the files'
-  :class:`~bugloc.tfidf.Postings`, their length factors, each report's
-  query arrays (:func:`~bugloc.tfidf.queries`) and the reports' postings.
-  :class:`Artifacts` builds it once from the token streams, or takes it as
-  loaded from the cache's ranking index (the same float64 arrays). Direct
-  scores are the length factors times ``Postings.cosines``, and the
-  similarities to history reports are ``Postings.cosines`` against the
-  report postings: each one ``bincount`` over the bins ``query * n +
-  row`` of the chunk's query spans.
+  :class:`~bugloc.tfidf.Postings`, their length factors and the reports'
+  :class:`~bugloc.tfidf.Rows`, the queries. :class:`Artifacts` builds it
+  once from the token streams, or takes it as loaded from the cache's
+  ranking index (the same float64 arrays). Direct scores are the length
+  factors times ``Postings.cosines``, and the similarities to history
+  reports are ``Postings.cosines`` against the report postings: each one
+  ``bincount`` over the bins ``query * n + row`` of the chunk's query spans.
 - Doc vectors are inferred in two batches
   (:func:`~bugloc.embedding.combined_matrix`): all of the project's files
   and all of its reports, each once, kept as matrix rows with their norms.
@@ -224,31 +223,30 @@ def _streams(docs) -> list:
 class TfidfScope:
     """A project's TF.IDF arrays under one vocabulary: what ranking reads.
 
-    ``files`` holds the file postings (rows in path order) and
-    ``length_weights`` the rVSM logistic factor of each file. Each report's
-    query arrays (:func:`~bugloc.tfidf.queries`) are CSR arrays in report
-    order, held as the tuple ``queries``. ``reports`` holds the report
-    postings, rows in report order.
+    ``files`` holds the file postings (rows in path order),
+    ``length_weights`` the rVSM logistic factor of each file and
+    ``queries`` the reports' rows; ``reports``, their postings, is derived
+    from ``queries`` when history is first ranked.
     """
 
-    def __init__(self, files: tfidf.Postings, length_weights: np.ndarray, queries,
-                 reports: tfidf.Postings):
+    def __init__(self, files: tfidf.Postings, length_weights: np.ndarray,
+                 queries: tfidf.Rows):
         self.files = files
         self.length_weights = length_weights
         self.queries = queries
-        self.query_offsets, self.query_terms, self.query_weights, self.query_norms = queries
-        self.reports = reports
+
+    @cached_property
+    def reports(self) -> tfidf.Postings:
+        return tfidf.Postings.from_rows(self.queries, self.files.n_terms)
 
     @classmethod
     def build(cls, vocab: tfidf.Vocabulary, files, reports,
               normalizer: tfidf.LengthNormalizer) -> "TfidfScope":
-        """Vectorize the files (in ``files`` order) and the reports."""
-        vectors = [tfidf.vectorize(stream, vocab) for stream in _streams(files)]
-        report_vectors = [tfidf.vectorize(stream, vocab) for stream in _streams(reports)]
-        return cls(tfidf.Postings.from_vectors(vectors, len(vocab)),
-                   np.array([tfidf.length_weight(v.term_count, normalizer) for v in vectors]),
-                   tfidf.queries(report_vectors),
-                   tfidf.Postings.from_vectors(report_vectors, len(vocab)))
+        """Weigh the files (in ``files`` order) and the reports."""
+        streams = _streams(files)
+        return cls(tfidf.Postings.from_rows(tfidf.weigh(streams, vocab), len(vocab)),
+                   np.array([tfidf.length_weight(len(s), normalizer) for s in streams]),
+                   tfidf.weigh(_streams(reports), vocab))
 
 
 class Artifacts:

@@ -14,9 +14,10 @@ a bounded boost:
 ``N`` is min-max normalization of raw term counts over the file corpus
 being ranked.
 
-:class:`Postings` scores a batch of queries against a whole collection at
-once and reproduces :func:`cosine` for every pair bit for bit (see its
-docstring).
+Ranking reads token streams as :class:`Rows` (:func:`weigh`) and scores
+them with :class:`Postings`. :func:`vectorize`, :func:`cosine` and
+:func:`rvsm` are the per-document reference API that both reproduce bit for
+bit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -73,7 +74,10 @@ class TfIdfVector:
     term_count: int = 0
 
     def norm(self) -> float:
-        return math.sqrt(sum(w * w for w in self.weights.values()))
+        total = 0.0
+        for w in self.weights.values():  # not sum(), see cosine()
+            total += w * w
+        return math.sqrt(total)
 
 
 @dataclass(frozen=True)
@@ -235,27 +239,49 @@ def span_indices(offsets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.n
     return np.arange(len(owner)) + shift[owner], owner
 
 
-def queries(vectors: Sequence[TfIdfVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                                     np.ndarray]:
-    """What :meth:`Postings.cosines` reads of each vector as a query, as CSR
-    arrays ``(offsets, terms, weights, norms)``: vector ``i``'s term ids in
-    ascending order are ``terms[offsets[i]:offsets[i + 1]]``, their weights
-    are the same span of ``weights``, and its norm is ``norms[i]``."""
-    terms = [sorted(v.weights) for v in vectors]
-    lengths = [len(t) for t in terms]
-    flat = np.fromiter(chain.from_iterable(terms), dtype=np.int64, count=sum(lengths))
-    weights = np.fromiter((v.weights[t] for v, ts in zip(vectors, terms) for t in ts),
-                          dtype=float, count=len(flat))
-    return (np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))), flat, weights,
-            np.array([v.norm() for v in vectors], dtype=float))
+class Rows(NamedTuple):
+    """TF.IDF vectors as CSR arrays: row ``i``'s term ids, ascending, are
+    ``terms[offsets[i]:offsets[i + 1]]``, their weights are the same span of
+    ``weights``, and its norm is ``norms[i]``."""
+
+    offsets: np.ndarray
+    terms: np.ndarray
+    weights: np.ndarray
+    norms: np.ndarray
+
+
+def weigh(streams: Sequence[TokenStream], vocab: Vocabulary) -> Rows:
+    """The :func:`vectorize` weights and ``norm()`` of each stream, one row
+    each, bit for bit: a term's frequency is the count of its distinct
+    (document, term) pair, ``math.log(f) + 1.0`` is taken once per distinct
+    count and :meth:`Vocabulary.idf` once per distinct term, and each norm
+    adds its squares in first-occurrence order with one ``np.bincount``."""
+    lengths = [len(stream.tokens) for stream in streams]
+    get = vocab.term_ids.get
+    ids = np.fromiter(chain.from_iterable(map(get, s.tokens, repeat(-1)) for s in streams),
+                      dtype=np.int32, count=sum(lengths))
+    width = max(len(vocab), 1)  # no term is known to an empty vocabulary
+    keys = np.repeat(np.arange(len(lengths), dtype=np.int64) * width, lengths) + ids
+    pairs, first, counts = np.unique(keys[ids >= 0], return_index=True, return_counts=True)
+    del ids, keys
+    docs, terms = np.divmod(pairs, width)
+    distinct, term_at = np.unique(terms, return_inverse=True)
+    idf = np.array([vocab.idf(t) for t in distinct.tolist()], dtype=float)
+    distinct, count_at = np.unique(counts, return_inverse=True)
+    tf = np.array([math.log(f) + 1.0 for f in distinct.tolist()], dtype=float)
+    weights = tf[count_at] * idf[term_at]
+    order = np.argsort(first)
+    squares = np.bincount(docs[order], weights=(weights * weights)[order],
+                          minlength=len(lengths))
+    return Rows(np.concatenate(([0], np.cumsum(np.bincount(docs, minlength=len(lengths))))),
+                terms, weights, np.sqrt(squares, dtype=float))
 
 
 class Postings:
-    """Term-major index over a list of TF.IDF vectors (the rows).
+    """Term-major index over TF.IDF vectors (the rows).
 
     The postings of term ``t`` are ``rows[offsets[t]:offsets[t + 1]]`` with
-    their weights in ``weights``; ``norms`` holds each row's
-    :meth:`TfIdfVector.norm`, computed once.
+    their weights in ``weights``; ``norms`` holds each row's norm.
 
     :meth:`cosines` gathers each query's postings in ascending term id,
     query after query, and accumulates the products with one
@@ -277,16 +303,14 @@ class Postings:
         self._scored_norms = norms[self._scored]
 
     @classmethod
-    def from_vectors(cls, vectors: Sequence[TfIdfVector], n_terms: int) -> "Postings":
-        lengths = [len(v.weights) for v in vectors]
-        terms = np.fromiter(chain.from_iterable(v.weights for v in vectors),
-                            dtype=np.intp, count=sum(lengths))
-        weights = np.fromiter(chain.from_iterable(v.weights.values() for v in vectors),
-                              dtype=float, count=len(terms))
-        order = np.argsort(terms, kind="stable")
-        return cls(np.repeat(np.arange(len(vectors)), lengths)[order], weights[order],
-                   np.concatenate(([0], np.cumsum(np.bincount(terms, minlength=n_terms)))),
-                   np.array([v.norm() for v in vectors], dtype=float))
+    def from_rows(cls, rows: Rows, n_terms: int) -> "Postings":
+        """The postings of the vectors ``rows`` over ``n_terms`` term ids:
+        a stable sort by term, so each term's rows ascend."""
+        order = np.argsort(rows.terms, kind="stable")
+        owner = np.repeat(np.arange(len(rows.norms)), np.diff(rows.offsets))
+        return cls(owner[order], rows.weights[order],
+                   np.concatenate(([0], np.cumsum(np.bincount(rows.terms, minlength=n_terms)))),
+                   rows.norms)
 
     @property
     def n_terms(self) -> int:
@@ -295,11 +319,10 @@ class Postings:
     def __len__(self) -> int:
         return len(self.norms)
 
-    def cosines(self, queries, asked: np.ndarray) -> np.ndarray:
+    def cosines(self, queries: Rows, asked: np.ndarray) -> np.ndarray:
         """``cosine(query, row)`` for every row, in row order, of each query
         ``asked`` holds: one result row per entry of ``asked``, an index into
-        ``queries``, the CSR arrays ``(offsets, terms, weights, norms)``
-        :func:`queries` gives."""
+        ``queries``."""
         offsets, terms, weights, norms = queries
         n = len(self)
         spans, query_of = span_indices(offsets, asked)

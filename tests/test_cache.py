@@ -446,8 +446,8 @@ class TestRankingIndex:
         cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig(), EmbeddingConfig())
         project, scopes = cache.indexed_project("proj1", {"global"})
         scope = scopes["global"]
-        files, reports = scope.files, scope.reports
-        terms, rows, offsets = (scope.query_terms.copy(), files.rows.copy(),
+        files = scope.files
+        terms, rows, offsets = (scope.queries.terms.copy(), files.rows.copy(),
                                 files.offsets.copy())
         length_weights = scope.length_weights
         fixed_offsets, fixed_columns = rank.Artifacts(project, scopes={"global": scope}).fixed
@@ -467,8 +467,7 @@ class TestRankingIndex:
             length_weights = length_weights[:-1]
         bad = rank.TfidfScope(
             tfidf.Postings(rows, files.weights, offsets, files.norms), length_weights,
-            (scope.query_offsets, terms, scope.query_weights, scope.query_norms),
-            reports=reports)
+            scope.queries._replace(terms=terms))
         file_ids = [f.id for f in project.source_files]
         artifact.write_bytes(b"".join(cache_module._encode_index(
             bad, file_ids, [r.id for r in project.bug_reports], fixed_offsets, fixed_columns)))
@@ -587,9 +586,9 @@ class TestRankingIndex:
             for part in ("files", "reports"):
                 want, got = getattr(getattr(built, part), name), getattr(getattr(loaded, part), name)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
-        for name in ("length_weights", "query_offsets", "query_terms", "query_weights",
-                     "query_norms"):
-            assert np.array_equal(getattr(loaded, name), getattr(built, name))
+        assert np.array_equal(loaded.length_weights, built.length_weights)
+        for want, got in zip(built.queries, loaded.queries):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestCorpusRecord:
@@ -902,6 +901,27 @@ def test_train_global_artifacts_match_golden_digests(synth_benchmark, tmp_path):
                for p in (tmp_path / "c").glob("*.bin")}
     assert written == GOLDEN
     assert preprocess.PIPELINE_VERSION == 1
+
+
+# sha256 of the ranking indexes and metrics that `evaluate --methods 1,2,3,4`
+# writes for the default synthetic benchmark on a cache trained as above.
+# Every float is added in a fixed order, without sum(), so these hold on every
+# Python version.
+GOLDEN_EVALUATE = {
+    "c/index_local_proj1.bin": "cdb2d37c333c7cf9ccf926b9dd563214c6c37dcea95d22bfd787dbbc529e0629",
+    "c/index_global_proj1.bin": "d43910f4ff679d6c28070f23d3bb92687c8202c25b4a98c4ca3d5c3e7d5fd611",
+    "out/metrics.csv": "3e9f404e3f6ed7b313e46fc1f176ef5b927f45f1e775c9d6a1cbc81eb2a3fc18",
+    "out/per_query.csv": "42a5494c9be21ee50e0c77ac91c3dde528d2bea9a0d49220240703e21daf04cf",
+}
+
+
+def test_evaluate_outputs_match_golden_digests(synth_benchmark, tmp_path):
+    root, _, _ = synth_benchmark
+    train(root, tmp_path / "c")
+    run("evaluate", "--benchmark", root, "--methods", "1,2,3,4", "--cache", tmp_path / "c",
+        "--out", tmp_path / "out")
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GOLDEN_EVALUATE} == GOLDEN_EVALUATE
 
 
 def test_global_df_counted_once_per_cache(synth_benchmark, tmp_path, monkeypatch):

@@ -122,6 +122,20 @@ def test_metrics_invariant_under_query_permutation():
     assert top_n(results, 1) == top_n(shuffled, 1)
 
 
+def test_means_add_left_to_right():
+    """MRR and MAP add in a plain loop: these reciprocal ranks sum to another
+    float left to right than exactly, as ``sum()`` from Python 3.12 on would
+    give, so ``metrics.csv`` would differ between versions."""
+    ranks = (1, 3, 7)
+    results = [QueryResult(f"q{r}", (r,), 1) for r in ranks]
+    total = 0.0
+    for r in ranks:
+        total += 1 / r
+    assert total / len(ranks) != math.fsum(1 / r for r in ranks) / len(ranks)
+    assert mrr(results) == total / len(ranks)
+    assert mean_average_precision(results) == total / len(ranks)
+
+
 def test_compute_metrics_report():
     results = [result("abc", "a", "q1"), result("abc", "b", "q2")]
     report = compute_metrics(results)

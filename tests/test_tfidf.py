@@ -1,14 +1,16 @@
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bugloc.corpus import Benchmark, Project, SourceFile
 from bugloc.preprocess import SOURCE_FILE, TokenStream
-from bugloc.tfidf import (LAYOUT, DocumentFrequencies, LengthNormalizer, TfIdfVector,
-                          Vocabulary, build_global_idf, build_vocabulary, cosine,
-                          load_vocabulary, rvsm, save_vocabulary, vectorize)
+from bugloc.tfidf import (LAYOUT, DocumentFrequencies, LengthNormalizer, Postings,
+                          TfIdfVector, Vocabulary, build_global_idf, build_vocabulary, cosine,
+                          load_vocabulary, rvsm, save_vocabulary, vectorize, weigh)
 
 
 def stream(*tokens, origin=SOURCE_FILE):
@@ -182,6 +184,44 @@ class TestRvsm:
                 assert actual == 0.0
             else:
                 assert actual == pytest.approx(expected, rel=1e-12)
+
+
+# "x" and "y" are never in a vocabulary built from the files' terms only
+_tokens = st.lists(st.sampled_from("abcde"), max_size=12)
+_query_tokens = st.lists(st.sampled_from("abcdexy"), max_size=12)
+
+
+@given(st.lists(_tokens, min_size=1, max_size=5), st.lists(_query_tokens, max_size=5))
+@example([["a", "b"], ["b", "c"]], [[]]).via("empty query stream")
+@example([["a", "b"], []], [["x", "y", "x"]]).via("every query term out of vocabulary")
+@example([["a", "a", "a", "b"], ["b", "c", "c"]], [["c", "a", "c", "c", "a"]]).via(
+    "repeated terms")
+@example([["d", "e", "d"]], [["e", "d"]]).via("a single document")
+@example([[], []], [["a", "x"], []]).via("a vocabulary with no terms")
+def test_weigh_and_postings_match_the_reference(files, queries):
+    """``weigh`` gives each stream's ``vectorize`` terms, ascending, their
+    weights and ``norm()``, and the postings of its rows score every
+    (query, row) pair as ``cosine`` does, all bit for bit."""
+    vocab = build_vocabulary([stream(*tokens) for tokens in files])
+    docs = [stream(*tokens) for tokens in files]
+    asked = [stream(*tokens, origin="bug_report") for tokens in queries]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, query_rows = weigh(docs, vocab), weigh(asked, vocab)
+        scores = Postings.from_rows(rows, len(vocab)).cosines(query_rows,
+                                                              np.arange(len(asked)))
+    vectors = [vectorize(doc, vocab) for doc in docs]
+    query_vectors = [vectorize(doc, vocab) for doc in asked]
+    for got, want in ((rows, vectors), (query_rows, query_vectors)):
+        assert len(got.offsets) == len(want) + 1 and got.offsets[0] == 0
+        for i, vec in enumerate(want):
+            span = slice(got.offsets[i], got.offsets[i + 1])
+            terms = sorted(vec.weights)
+            assert got.terms[span].tolist() == terms
+            assert got.weights[span].tolist() == [vec.weights[t] for t in terms]
+            assert got.norms[i] == vec.norm()
+    assert scores.shape == (len(asked), len(docs))
+    assert scores.tolist() == [[cosine(q, f) for f in vectors] for q in query_vectors]
 
 
 class TestLengthNormalizer:
