@@ -11,8 +11,15 @@ Artifacts, one file ``<kind>[_<project>].bin`` each in the cache directory:
   project's TF.IDF ranking arrays under that scope
   (:class:`~bugloc.rank.TfidfScope`: file postings, length factors and
   each report's vector, stored once), its file and report ids and each
-  report's fixed-file columns. The first ``localize`` or ``evaluate`` that
-  ranks with a scope builds its index; ``train-global`` builds none.
+  report's fixed-file columns;
+- ``index_docvec_<project>.bin``: the project's doc-vector index, the
+  combined DM+DBOW vectors of its files and of its reports with their norms
+  (:class:`~bugloc.rank.DocVectors`), and the same ids and fixed-file
+  columns. Its fingerprint also holds the inference epochs, ``None``
+  resolved to the configured training epochs.
+
+The first ``localize`` or ``evaluate`` that ranks with a scope (``local``,
+``global`` or ``docvec``) builds its index; ``train-global`` builds none.
 
 All share the layout of :mod:`bugloc.container`; nothing is pickled. Every
 artifact gets a sidecar ``.meta.json`` holding a fingerprint of the corpus,
@@ -54,16 +61,20 @@ one without directory stamps, counts as missing: it costs one re-hash to
 the same digest, and no artifact is rebuilt.
 
 Ranking indexes are read only by :meth:`ArtifactCache.indexed_project`,
-each once per call, and a hit is decided per project. A ``localize`` or
-``evaluate`` ranking a project with TF.IDF methods only, whose every
-requested scope has a fresh index, rebuilds the project from those indexes:
-it stats the benchmark, reads no benchmark file and preprocesses nothing,
-also when ``evaluate --projects`` names a subset. A project with any index
-missing, stale or damaged is loaded, and all of its requested scopes are
-rebuilt, with the same bytes for the indexes that were whole. The stamps
-are taken before the benchmark is listed and read: an edit made while a
-call runs can be cached under the digest of the bytes before it, and the
-next call, which sees the new stamps, rebuilds.
+each once per call, and a hit is decided per project, by one rule for all
+seven methods. A ``localize`` or ``evaluate`` ranking a project whose every
+requested scope has a fresh index rebuilds the project from those indexes:
+it stats the benchmark, reads no benchmark file, no token stream and no
+paragraph-vector model, preprocesses nothing and infers nothing, also when
+``evaluate --projects`` names a subset. A TF.IDF-only call never opens a
+doc-vector index. A project with any index missing, stale or damaged is
+loaded; each of its requested indexes that was read whole and holds the
+loaded project's ids and fixed files is kept as it is, and the others are
+rebuilt. So a cache written before doc-vector indexes existed gains them
+on its next doc-vector call and rewrites nothing else. The stamps are
+taken before the benchmark is listed and read: an edit made while a call
+runs can be cached under the digest of the bytes before it, and the next
+call, which sees the new stamps, rebuilds.
 """
 
 from __future__ import annotations
@@ -77,6 +88,7 @@ import operator
 import os
 import stat
 import struct
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -169,16 +181,21 @@ def _documents(benchmark: Benchmark):
 # document's offset into ``ids`` and the end, and the term ids in order.
 _TOKENS = container.Layout(b"bugloc-tokens v2\n",
                            [("terms", container.STR), ("offsets", "i8"), ("ids", "i4")])
-# A ranking index: a scope's arrays, each report's fixed files as CSR arrays
+# What every ranking index ends with: each report's fixed files as CSR arrays
 # of ascending file columns, file ids in path order and report ids in row order.
+_PROJECT = [("fixed_offsets", "i8"), ("fixed_columns", "i8"),
+            ("file_ids", container.STR), ("report_ids", container.STR)]
+# A TF.IDF ranking index: a scope's arrays, then the project's.
 _INDEX = container.Layout(b"bugloc-index v4\n", [
     ("file_rows", "i8"), ("file_weights", "f8"), ("file_offsets", "i8"), ("file_norms", "f8"),
     ("length_weights", "f8"),
     ("query_offsets", "i8"), ("query_terms", "i8"), ("query_weights", "f8"),
-    ("query_norms", "f8"),
-    ("fixed_offsets", "i8"), ("fixed_columns", "i8"),
-    ("file_ids", container.STR), ("report_ids", container.STR),
-])
+    ("query_norms", "f8"), *_PROJECT])
+# A doc-vector index: the file and report vectors (rows of 2d values, stored
+# flat) with their norms, then the project's arrays.
+_DOCVEC = container.Layout(b"bugloc-docvec v1\n", [
+    ("file_vectors", "f8"), ("file_norms", "f8"), ("report_vectors", "f8"),
+    ("report_norms", "f8"), *_PROJECT])
 
 
 def _encode_streams(streams) -> list:
@@ -208,15 +225,22 @@ def _decode_streams(data: bytes, origins: list[str]) -> list[TokenStream]:
 
 
 class _Index(NamedTuple):
-    """What a ranking index holds: the scope's arrays, the project's file
-    ids in path order, its report ids in row order, and the CSR arrays of
-    each report's fixed-file columns."""
+    """What a ranking index holds: the arrays ranking reads (a
+    :class:`~bugloc.rank.TfidfScope` or :class:`~bugloc.rank.DocVectors`),
+    the project's file ids in path order, its report ids in row order, and
+    the CSR arrays of each report's fixed-file columns."""
 
-    scope: rank.TfidfScope
+    arrays: rank.TfidfScope | rank.DocVectors
     file_ids: list[str]
     report_ids: list[str]
     fixed_offsets: np.ndarray
     fixed_columns: np.ndarray
+
+    def holds(self, file_ids, report_ids, fixed_offsets, fixed_columns) -> bool:
+        """Whether the index is of these ids and fixed files."""
+        return (self.file_ids == file_ids and self.report_ids == report_ids
+                and np.array_equal(self.fixed_offsets, fixed_offsets)
+                and np.array_equal(self.fixed_columns, fixed_columns))
 
     def project(self, name: str) -> Project:
         """The project as ranking sees it: ids and fixed files, with empty
@@ -243,18 +267,26 @@ def _encode_index(scope: rank.TfidfScope, file_ids: list[str], report_ids: list[
     })
 
 
+def _project_arrays(a: dict) -> tuple[int, int]:
+    """The file and report counts of a decoded index, once its ids and
+    fixed-file columns are checked."""
+    file_ids, report_ids = a["file_ids"], a["report_ids"]
+    if sorted(set(file_ids)) != file_ids or len(set(report_ids)) != len(report_ids):
+        raise ValueError("ranking index file ids out of path order or report ids repeated")
+    container.check_spans(a["fixed_offsets"], a["fixed_columns"], len(report_ids),
+                          len(file_ids))
+    return len(file_ids), len(report_ids)
+
+
 def _decode_index(data: bytes) -> _Index:
     """What a verified index holds. The arrays are read-only views of
     ``data``."""
     a = _INDEX.decode(data)
-    file_ids, report_ids = a["file_ids"], a["report_ids"]
-    if sorted(set(file_ids)) != file_ids or len(set(report_ids)) != len(report_ids):
-        raise ValueError("ranking index file ids out of path order or report ids repeated")
-    n_files, n_reports, n_terms = len(file_ids), len(report_ids), len(a["file_offsets"]) - 1
+    n_files, n_reports = _project_arrays(a)
+    n_terms = len(a["file_offsets"]) - 1
     check = container.check_spans
     check(a["file_offsets"], a["file_rows"], n_terms, n_files, a["file_weights"])
     check(a["query_offsets"], a["query_terms"], n_reports, n_terms, a["query_weights"])
-    check(a["fixed_offsets"], a["fixed_columns"], n_reports, n_files)
     if (len(a["file_norms"]) != n_files or len(a["length_weights"]) != n_files
             or len(a["query_norms"]) != n_reports):
         raise ValueError("ranking index lengths disagree with its file and report counts")
@@ -262,7 +294,35 @@ def _decode_index(data: bytes) -> _Index:
         tfidf.Postings(a["file_rows"], a["file_weights"], a["file_offsets"], a["file_norms"]),
         a["length_weights"],
         tfidf.Rows(a["query_offsets"], a["query_terms"], a["query_weights"], a["query_norms"]))
-    return _Index(scope, file_ids, report_ids, a["fixed_offsets"], a["fixed_columns"])
+    return _Index(scope, a["file_ids"], a["report_ids"], a["fixed_offsets"], a["fixed_columns"])
+
+
+def _encode_docvec(vectors: rank.DocVectors, file_ids: list[str], report_ids: list[str],
+                   fixed_offsets: np.ndarray, fixed_columns: np.ndarray) -> list:
+    """The doc-vector index of a project, as the buffers to write in order."""
+    return _DOCVEC.encode({
+        "file_vectors": vectors.files, "file_norms": vectors.file_norms,
+        "report_vectors": vectors.reports, "report_norms": vectors.report_norms,
+        "fixed_offsets": fixed_offsets, "fixed_columns": fixed_columns,
+        "file_ids": file_ids, "report_ids": report_ids,
+    })
+
+
+def _decode_docvec(data: bytes, dimension: int) -> _Index:
+    """What a verified doc-vector index of vectors of ``dimension`` values
+    holds. The arrays are read-only views of ``data``."""
+    a = _DOCVEC.decode(data)
+    n_files, n_reports = _project_arrays(a)
+    if (len(a["file_vectors"]) != n_files * dimension or len(a["file_norms"]) != n_files
+            or len(a["report_vectors"]) != n_reports * dimension
+            or len(a["report_norms"]) != n_reports):
+        raise ValueError("doc-vector index lengths disagree with its file and report counts "
+                         "and vector size")
+    vectors = rank.DocVectors(a["file_vectors"].reshape(n_files, dimension), a["file_norms"],
+                              a["report_vectors"].reshape(n_reports, dimension),
+                              a["report_norms"])
+    return _Index(vectors, a["file_ids"], a["report_ids"], a["fixed_offsets"],
+                  a["fixed_columns"])
 
 
 def _replace(path: Path, chunks) -> str:
@@ -281,21 +341,14 @@ def _replace(path: Path, chunks) -> str:
     return sha.hexdigest()
 
 
-def _fingerprint(kind: str, held_out: str, corpus: str,
-                 preprocess_config: PreprocessConfig,
-                 embed_config: embedding.EmbeddingConfig | None) -> str:
-    payload = {"kind": kind, "held_out": held_out, "corpus": corpus,
-               "preprocess": preprocess_config.fingerprint(),
-               "embedding": embed_config.fingerprint() if embed_config else None,
-               "layout": _KINDS[kind][0].header.decode("ascii").strip()}
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
 # per kind of artifact: its layout, what a warning calls it and what replaces it
 _KINDS = {"tokens": (_TOKENS, "token-stream index", "re-preprocessing"),
           "idf": (tfidf.LAYOUT, "cached IDF model", "retraining"),
           **dict.fromkeys(("dm", "dbow"), (embedding.LAYOUT, "cached model", "retraining")),
-          **dict.fromkeys(("index_local", "index_global"), (_INDEX, "ranking index", "rebuilding"))}
+          **dict.fromkeys(("index_local", "index_global"), (_INDEX, "ranking index", "rebuilding")),
+          "index_docvec": (_DOCVEC, "doc-vector index", "rebuilding")}
+# the kinds whose bytes depend on the embedding configuration
+_EMBEDDED = {"dm", "dbow", "index_docvec"}
 
 # the record of the corpus digest in the cache directory, see the module docstring
 _CORPUS_RECORD = "corpus.json"
@@ -310,11 +363,14 @@ class ArtifactCache:
     (:meth:`indexed_project`) before anything is loaded; what else it
     serves reads ``self.benchmark``, which the caller sets once it has
     loaded it. ``project_names`` are the benchmark's project directories,
-    as the corpus record lists them.
+    as the corpus record lists them. ``infer_epochs`` are the inference
+    epochs of the doc vectors it indexes, ``None`` for the training epochs
+    of ``embed_config``.
     """
 
     def __init__(self, directory, benchmark, preprocess_config: PreprocessConfig,
-                 embed_config: embedding.EmbeddingConfig | None = None):
+                 embed_config: embedding.EmbeddingConfig | None = None,
+                 infer_epochs: int | None = None):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         if isinstance(benchmark, Benchmark):
@@ -325,6 +381,9 @@ class ArtifactCache:
             self.benchmark, root = None, benchmark
         self.preprocess_config = preprocess_config
         self.embed_config = embed_config
+        self.infer_epochs = infer_epochs
+        # the indexes a missed indexed_project read whole, by (project, scope)
+        self._whole: dict[tuple[str, str], _Index] = {}
         self._corpus = self._recorded_digest(root)
 
     def _recorded_digest(self, root) -> str:
@@ -372,7 +431,23 @@ class ArtifactCache:
         artifact = self.directory / (f"{kind}_{held_out}.bin" if held_out else f"{kind}.bin")
         return artifact, artifact.with_name(artifact.name + ".meta.json")
 
-    def _read(self, kind: str, held_out: str, decode, embed_config=None):
+    def _fingerprint(self, kind: str, held_out: str) -> str:
+        """What an artifact of that kind and project is built from: the
+        corpus digest, the configurations its bytes depend on and its
+        layout's header line."""
+        embedded = kind in _EMBEDDED
+        if embedded and self.embed_config is None:
+            raise ValueError("no embedding configuration supplied")
+        payload = {"kind": kind, "held_out": held_out, "corpus": self._corpus,
+                   "preprocess": self.preprocess_config.fingerprint(),
+                   "embedding": self.embed_config.fingerprint() if embedded else None,
+                   "layout": _KINDS[kind][0].header.decode("ascii").strip()}
+        if kind == "index_docvec":
+            payload["infer_epochs"] = (self.embed_config.epochs if self.infer_epochs is None
+                                       else self.infer_epochs)
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+    def _read(self, kind: str, held_out: str, decode):
         """``decode`` of the artifact's bytes, read once; None when the
         artifact is missing or stale, and, with a warning, when its bytes do
         not match the recorded sha256 or ``decode`` raises ``ValueError``."""
@@ -386,8 +461,7 @@ class ArtifactCache:
         except (ValueError, KeyError, TypeError, OSError):
             logger.warning("unreadable cache metadata for %s; %s", artifact.name, rebuild)
             return None
-        if fingerprint != _fingerprint(kind, held_out, self._corpus, self.preprocess_config,
-                                       embed_config):
+        if fingerprint != self._fingerprint(kind, held_out):
             return None
         try:
             data = artifact.read_bytes()
@@ -403,12 +477,11 @@ class ArtifactCache:
             logger.warning("corrupt %s %s (%s); %s", what, artifact.name, exc, rebuild)
             return None
 
-    def _store(self, kind: str, held_out: str, chunks, embed_config=None) -> None:
+    def _store(self, kind: str, held_out: str, chunks) -> None:
         """Put the artifact's buffers in place, then record its fingerprint
         and the sha256 of the buffers."""
         artifact, meta = self._paths(kind, held_out)
-        record = {"fingerprint": _fingerprint(kind, held_out, self._corpus,
-                                              self.preprocess_config, embed_config),
+        record = {"fingerprint": self._fingerprint(kind, held_out),
                   "sha256": _replace(artifact, chunks)}
         _replace(meta, [json.dumps(record, indent=2).encode()])
 
@@ -429,38 +502,69 @@ class ArtifactCache:
         self._store("tokens", "",
                     _encode_streams(doc.token_stream for doc, _ in _documents(self.benchmark)))
 
-    def indexed_project(self, name: str,
-                        scopes) -> tuple[Project, dict[str, rank.TfidfScope]] | None:
+    def indexed_project(self, name: str, scopes) -> tuple[Project, dict] | None:
         """Project ``name`` rebuilt from its ranking indexes under each of
-        ``scopes``, and their TF.IDF arrays by scope, each index read once;
-        None unless every index is fresh and whole and all hold the same
-        ids and fixed files.
+        ``scopes`` ("local", "global", "docvec"), and their arrays by scope
+        (a :class:`~bugloc.rank.TfidfScope` per TF.IDF scope, the
+        :class:`~bugloc.rank.DocVectors` under "docvec"), each index read
+        once; None unless every index is fresh and whole and all hold the
+        same ids and fixed files.
 
         The project holds only what ranking reads: file ids, report ids and
         fixed files, with empty texts and no token streams. It must not be
         preprocessed or used to build a scope. A fresh index was built from
         the loaded benchmark of these same bytes, so the project loaded and
         passed its manifest check.
+
+        On a miss, the indexes that were read whole are kept for this call:
+        :meth:`tfidf_scope` and :meth:`doc_vector_index` use each one, rather
+        than rebuild it, when it holds the loaded project's ids and fixed
+        files.
         """
         found = {}
         for scope in sorted(scopes):
-            index = self._read(f"index_{scope}", name, _decode_index)
-            if index is None:
-                return None
-            found[scope] = index
-        first, *others = found.values()
-        for other in others:
-            if (other.file_ids != first.file_ids or other.report_ids != first.report_ids
-                    or not np.array_equal(other.fixed_offsets, first.fixed_offsets)
-                    or not np.array_equal(other.fixed_columns, first.fixed_columns)):
-                logger.info("ranking indexes of %s disagree on ids or fixed files", name)
-                return None
-        return first.project(name), {scope: index.scope for scope, index in found.items()}
+            if scope == "docvec":  # a fresh fingerprint means an embedding config
+                index = self._read("index_docvec", name, lambda data: _decode_docvec(
+                    data, 2 * self.embed_config.vector_size))
+            else:
+                index = self._read(f"index_{scope}", name, _decode_index)
+            if index is not None:
+                found[scope] = index
+        whole = len(found) == len(scopes)
+        indexes = list(found.values())
+        if whole and not all(indexes[0].holds(*other[1:]) for other in indexes[1:]):
+            logger.info("ranking indexes of %s disagree on ids or fixed files", name)
+            whole = False
+        if not whole:
+            self._whole.update({(name, scope): index for scope, index in found.items()})
+            return None
+        if "docvec" in found:
+            logger.info("doc-vector index of %s hit", name)
+        return indexes[0].project(name), {scope: index.arrays for scope, index in found.items()}
+
+    def _kept(self, artifacts: rank.Artifacts, scope: str):
+        """The arrays of the project's index under ``scope`` that the missed
+        :meth:`indexed_project` read whole, when it holds the ids and fixed
+        files of ``artifacts.project``; else None."""
+        project = artifacts.project
+        index = self._whole.pop((project.name, scope), None)
+        if index is None:
+            return None
+        if index.holds(artifacts.file_ids, [r.id for r in project.bug_reports],
+                       *artifacts.fixed):
+            return index.arrays
+        logger.info("%s index of %s is of other files or reports; rebuilding", scope,
+                    project.name)
+        return None
 
     def tfidf_scope(self, artifacts: rank.Artifacts, scope: str) -> rank.TfidfScope:
         """The TF.IDF arrays of ``artifacts.project`` under ``scope`` ("local"
-        or "global"), built from the artifacts' token streams and the scope's
-        vocabulary, and stored as the project's ranking index."""
+        or "global"): its index as this call read it whole, or else built
+        from the artifacts' token streams and the scope's vocabulary, and
+        stored as the project's ranking index."""
+        kept = self._kept(artifacts, scope)
+        if kept is not None:
+            return kept
         project = artifacts.project
         vocab = (self.global_vocabulary(project.name) if scope == "global"
                  else artifacts.local_vocab)
@@ -469,6 +573,27 @@ class ArtifactCache:
                     _encode_index(built, artifacts.file_ids,
                                   [r.id for r in project.bug_reports], *artifacts.fixed))
         return built
+
+    def doc_vector_index(self, artifacts: rank.Artifacts) -> rank.DocVectors:
+        """The doc vectors of ``artifacts.project``: its doc-vector index as
+        this call read it whole, or else inferred from the artifacts' token
+        streams with the held-out project's models, and stored as its index."""
+        kept = self._kept(artifacts, "docvec")
+        if kept is not None:
+            return kept
+        project = artifacts.project
+        dm = self.embedding_model(project.name, embedding.PV_DM)
+        dbow = self.embedding_model(project.name, embedding.PV_DBOW)
+        start = time.perf_counter()
+        vectors = rank.DocVectors.infer(artifacts.files, project.bug_reports, dm, dbow,
+                                        self.infer_epochs)
+        logger.info("built doc-vector index of %s: %d files, %d reports, %.3f s inferring",
+                    project.name, len(artifacts.files), len(project.bug_reports),
+                    time.perf_counter() - start)
+        self._store("index_docvec", project.name,
+                    _encode_docvec(vectors, artifacts.file_ids,
+                                   [r.id for r in project.bug_reports], *artifacts.fixed))
+        return vectors
 
     def global_vocabulary(self, held_out: str) -> tfidf.Vocabulary:
         """Load or build the leakage-safe global IDF model for a project."""
@@ -504,13 +629,12 @@ class ArtifactCache:
             raise ValueError("no embedding configuration supplied")
         kind = "dm" if mode == embedding.PV_DM else "dbow"
         model = self._read(kind, held_out,
-                           lambda data: embedding.load_model(data, mode, self.embed_config),
-                           self.embed_config)
+                           lambda data: embedding.load_model(data, mode, self.embed_config))
         if model is None:
             logger.info("training %s model, held-out project %s", mode, held_out)
             docs, vocab_docs = self._training_corpus(held_out)
             model = embedding.train(docs, self.embed_config, mode, vocab_documents=vocab_docs)
-            self._store(kind, held_out, embedding.save_model(model), self.embed_config)
+            self._store(kind, held_out, embedding.save_model(model))
         return model
 
     def train_all(self, held_out_projects, with_embeddings: bool = True) -> dict:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import logging
 import re
 import statistics
 import sys
@@ -27,8 +26,6 @@ from .cache import ArtifactCache
 from .corpus import Benchmark, load_benchmark, load_benchmark_project, project_dirs
 from .errors import BugLocError, CorpusError
 from .preprocess import PreprocessConfig, preprocess_benchmark
-
-logger = logging.getLogger(__name__)
 
 # '#' at the start of a line or after whitespace starts a comment; inside a
 # value, as in a path like /data/c#/stop.txt, it is part of the value.
@@ -167,10 +164,11 @@ def fail_cleanly(fn):
 def _cache(settings, benchmark_path, cache_dir) -> ArtifactCache | None:
     """The call's artifact cache over the benchmark's bytes; None without
     ``--cache``."""
+    infer_epochs = settings.infer_epochs()  # checked with or without a cache
     if cache_dir is None:
         return None
     return ArtifactCache(cache_dir, benchmark_path, settings.preprocess_config(),
-                         settings.embedding_config())
+                         settings.embedding_config(), infer_epochs)
 
 
 def _loader(settings, benchmark_path, cache=None, project_name=None):
@@ -201,47 +199,39 @@ def _artifacts(name, method_ids, settings, cache, loaded) -> rank.Artifacts:
     """Artifacts of project ``name`` covering the union of the given
     methods' model needs.
 
-    With a cache and TF.IDF methods only, a project whose every requested
-    scope has a fresh ranking index is rebuilt from those indexes
-    (:meth:`~bugloc.cache.ArtifactCache.indexed_project`), and no benchmark
-    file is read. Otherwise the project comes from ``loaded()``; with a
-    cache, each requested scope is built from its token streams and stored,
-    except that doc-vector methods rank with the hit indexes when they hold
-    the loaded project's file and report ids. A project with no queries
-    gets no scope and no model, for nothing ranks it.
+    With a cache, a project whose every requested index (a TF.IDF scope
+    per scope the methods rank with, and the doc-vector index for methods
+    5-7) is fresh is rebuilt from those indexes
+    (:meth:`~bugloc.cache.ArtifactCache.indexed_project`): no benchmark
+    file, token stream or model is read and nothing is inferred. Otherwise
+    the project comes from ``loaded()``; with a cache, each requested index
+    that the miss read whole and that holds the loaded project's ids and
+    fixed files is used as it is, and every other one is built from the
+    token streams and models, and stored. A project with no queries gets no
+    index and no model, for nothing ranks it.
     """
     configs = [rank.MethodConfig.from_id(m) for m in method_ids]
-    infer_epochs = settings.infer_epochs()
     if cache is None and any(c.needs_global_tfidf or c.needs_embeddings for c in configs):
         raise BugLocError(
             f"methods {sorted(c.method_id for c in configs)} need global "
             "models: pass --cache")
-    names = sorted(set().union(*(c.tfidf_scopes for c in configs)))
     needs_embeddings = any(c.needs_embeddings for c in configs)
-    indexed = cache.indexed_project(name, names) if cache is not None and names else None
-    if indexed is not None and not needs_embeddings:
-        return rank.Artifacts(indexed[0], infer_epochs=infer_epochs, scopes=indexed[1])
+    names = sorted(set().union(*(c.tfidf_scopes for c in configs)))
+    indexes = [*names, "docvec"] if needs_embeddings else names
+    indexed = cache.indexed_project(name, indexes) if cache is not None and indexes else None
+    if indexed is not None:
+        project, found = indexed
+        return rank.Artifacts(project, scopes={scope: found[scope] for scope in names},
+                              doc_vectors=found.get("docvec"))
     project = loaded().project(name)
     if not project.has_queries:
         return rank.Artifacts(project)
-    scopes = {}
-    if indexed is not None:
-        hit, found = indexed
-        if ([f.id for f in hit.source_files] == sorted(f.id for f in project.source_files)
-                and [r.id for r in hit.bug_reports] == [r.id for r in project.bug_reports]):
-            scopes = found
-        else:
-            logger.info("ranking indexes of %s are of other files or reports; rebuilding",
-                        name)
-    dm = dbow = None
-    if needs_embeddings:
-        dm = cache.embedding_model(name, embedding.PV_DM)
-        dbow = cache.embedding_model(name, embedding.PV_DBOW)
-    artifacts = rank.Artifacts(project, dm_model=dm, dbow_model=dbow, infer_epochs=infer_epochs,
-                               scopes=scopes)
-    if cache is not None and not scopes:
+    artifacts = rank.Artifacts(project)
+    if cache is not None:
         for scope in names:
             artifacts.scopes[scope] = cache.tfidf_scope(artifacts, scope)
+        if needs_embeddings:
+            artifacts.doc_vectors = cache.doc_vector_index(artifacts)
     return artifacts
 
 

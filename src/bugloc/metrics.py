@@ -126,11 +126,18 @@ class MetricsReport:
 
 
 def compute_metrics(results: Sequence[QueryResult], top_ns=(1, 5, 10)) -> MetricsReport:
+    """MRR, MAP, Top-N hits and each query's (RR, AP), each query's RR and
+    AP computed once; MRR and MAP are :func:`mrr` and
+    :func:`mean_average_precision` bit for bit."""
+    if not results:
+        raise ValueError("mrr of an empty query set")
+    rrs = [reciprocal_rank(r) for r in results]
+    aps = [average_precision(r) for r in results]
     return MetricsReport(
-        mrr=mrr(results),
-        map=mean_average_precision(results),
+        mrr=_mean(rrs),
+        map=_mean(aps),
         top_n={n: top_n(results, n) for n in top_ns},
-        per_query={r.bug_id: (reciprocal_rank(r), average_precision(r)) for r in results},
+        per_query=dict(zip([r.bug_id for r in results], zip(rrs, aps))),
         n_queries=len(results),
     )
 

@@ -40,10 +40,12 @@ grow with the batch:
   factors times ``Postings.cosines``, and the similarities to history
   reports are ``Postings.cosines`` against the report postings: each one
   ``bincount`` over the bins ``query * n + row`` of the chunk's query spans.
-- Doc vectors are inferred in two batches
+- Doc vectors (:class:`DocVectors`) are inferred in two batches
   (:func:`~bugloc.embedding.combined_matrix`): all of the project's files
-  and all of its reports, each once, kept as matrix rows with their norms.
-  Similarities are one matrix-vector product per query
+  and all of its reports, each once, kept as matrix rows with their norms;
+  or :class:`Artifacts` takes them as loaded from the cache's doc-vector
+  index (the same float64 arrays), and then needs no model and no token
+  stream. Similarities are one matrix-vector product per query
   (:func:`~bugloc.embedding.doc_cosines`), over the file rows or that
   query's history rows, equal to the per-pair
   :func:`~bugloc.embedding.doc_cosine` within rounding. A matrix-matrix
@@ -249,6 +251,29 @@ class TfidfScope:
                    tfidf.weigh(_streams(reports), vocab))
 
 
+class DocVectors(NamedTuple):
+    """A project's combined DM+DBOW doc vectors as matrix rows: its files'
+    in path order and its reports' in row order, each row with its norm."""
+
+    files: np.ndarray
+    file_norms: np.ndarray
+    reports: np.ndarray
+    report_norms: np.ndarray
+
+    @classmethod
+    def infer(cls, files, reports, dm_model: embedding.EmbeddingModel,
+              dbow_model: embedding.EmbeddingModel, epochs: int | None = None) -> DocVectors:
+        """The vectors of the files and of the reports, inferred from their
+        token streams in one batch each."""
+        def rows(docs):
+            vectors, _ = embedding.combined_matrix(_streams(docs), dm_model, dbow_model,
+                                                   epochs=epochs)
+            # one norm per row, computed as doc_cosine computes it
+            return vectors, np.array([np.linalg.norm(v) for v in vectors])
+
+        return cls(*rows(files), *rows(reports))
+
+
 class Artifacts:
     """Models and per-project arrays a localization run draws on.
 
@@ -257,28 +282,34 @@ class Artifacts:
     method asks for them. Per TF.IDF scope, a :class:`TfidfScope` is built
     once and serves every query, unless ``scopes`` supplies it (loaded from
     a cache, say); the fix pairs are built only when a method ranks through
-    history; the doc vectors of the files and of the reports are each
-    inferred once, in one batch. Score arrays follow ``files``, the
-    project's source files in path order, so a stable sort keeps tied files
-    in path order; reports are rows of ``project.bug_reports``.
+    history. The doc vectors of the files and of the reports are inferred
+    together, each in one batch, when a method first needs either, unless
+    ``doc_vectors`` supplies them; then no model is needed. Score arrays
+    follow ``files``, the project's source files in path order, so a stable
+    sort keeps tied files in path order; reports are rows of
+    ``project.bug_reports``.
 
     Token streams are read only to build a scope or infer doc vectors. So a
-    project whose scopes are all supplied needs none; without ``scopes``,
-    every document must have one.
+    project whose scopes or doc vectors are supplied needs none, as long as
+    its methods rank with nothing else; with neither supplied, every
+    document must have one.
     """
 
     def __init__(self, project: Project, global_vocab: tfidf.Vocabulary | None = None,
                  dm_model: embedding.EmbeddingModel | None = None,
                  dbow_model: embedding.EmbeddingModel | None = None,
                  infer_epochs: int | None = None,
-                 scopes: dict[str, TfidfScope] | None = None):
+                 scopes: dict[str, TfidfScope] | None = None,
+                 doc_vectors: DocVectors | None = None):
         self.project = project
         self.global_vocab = global_vocab
         self.dm_model = dm_model
         self.dbow_model = dbow_model
         self.infer_epochs = infer_epochs
         self.scopes = dict(scopes or {})
-        if not self.scopes:
+        if doc_vectors is not None:
+            self.doc_vectors = doc_vectors
+        elif not self.scopes:
             _streams([*project.source_files, *project.bug_reports])
         self.files = sorted(project.source_files, key=lambda f: f.id)
         self.file_ids = [f.id for f in self.files]
@@ -308,29 +339,14 @@ class Artifacts:
             self.scopes[scope] = self.build_scope(self.vocab(scope))
         return self.scopes[scope]
 
-    def _require_models(self):
+    @cached_property
+    def doc_vectors(self) -> DocVectors:
+        """The doc vectors of ``files`` and of the project's reports: as
+        supplied, or else inferred with the models on first use."""
         if self.dm_model is None or self.dbow_model is None:
             raise ValueError("paragraph-vector models required but not provided")
-
-    def _infer(self, streams) -> tuple[np.ndarray, np.ndarray]:
-        """Combined doc vectors of the streams, inferred in one batch, and
-        their norms."""
-        self._require_models()
-        vectors, _ = embedding.combined_matrix(streams, self.dm_model, self.dbow_model,
-                                               epochs=self.infer_epochs)
-        # one norm per row, computed as doc_cosine computes it
-        return vectors, np.array([np.linalg.norm(v) for v in vectors])
-
-    @cached_property
-    def file_doc_vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Doc vectors of ``files`` as matrix rows, and their norms."""
-        return self._infer(_streams(self.files))
-
-    @cached_property
-    def report_doc_vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Doc vectors of the project's reports as matrix rows in report
-        order, and their norms."""
-        return self._infer(_streams(self.project.bug_reports))
+        return DocVectors.infer(self.files, self.project.bug_reports, self.dm_model,
+                                self.dbow_model, self.infer_epochs)
 
     @cached_property
     def _project_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -427,11 +443,11 @@ def _direct_scores(rows: np.ndarray, kind: str, artifacts: Artifacts) -> np.ndar
         data = artifacts._tfidf_scope(_TFIDF_SCOPES[kind])
         return data.length_weights * data.files.cosines(data.queries, rows)
     if kind == DOC2VEC_GLOBAL:
-        files = artifacts.file_doc_vectors
-        vectors, norms = artifacts.report_doc_vectors
+        vectors = artifacts.doc_vectors
         out = np.empty((len(rows), len(artifacts.files)))
         for i, row in enumerate(rows.tolist()):
-            out[i] = embedding.doc_cosines(*files, vectors[row], norms[row])
+            out[i] = embedding.doc_cosines(vectors.files, vectors.file_norms,
+                                           vectors.reports[row], vectors.report_norms[row])
         return out
     if kind == COMBINED_GLOBAL:
         return _combined(_direct_scores(rows, TFIDF_GLOBAL, artifacts),
@@ -446,7 +462,8 @@ def _history_sims(rows: np.ndarray, history: _Histories, kind: str,
     if kind == DOC2VEC_GLOBAL:
         # one matrix-vector product per query over its own history rows: a
         # matrix-matrix product rounds differently and can flip ties
-        vectors, norms = artifacts.report_doc_vectors
+        doc_vectors = artifacts.doc_vectors
+        vectors, norms = doc_vectors.reports, doc_vectors.report_norms
         offsets = history.offsets.tolist()
         sims = np.empty(len(history.rows))
         for i, row in enumerate(rows.tolist()):

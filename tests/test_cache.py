@@ -7,6 +7,7 @@ import io
 import json
 import logging
 import os
+import re
 import shutil
 import time
 from pathlib import Path
@@ -30,7 +31,7 @@ OUTPUTS = ("metrics.csv", "metrics.json", "per_query.csv", "wilcoxon.csv")
 # every kind of artifact, and its file for the benchmark or for proj1
 KINDS = {"tokens": "tokens.bin", "idf": "idf_proj1.bin", "dm": "dm_proj1.bin",
          "dbow": "dbow_proj1.bin", "index_local": "index_local_proj1.bin",
-         "index_global": "index_global_proj1.bin"}
+         "index_global": "index_global_proj1.bin", "index_docvec": "index_docvec_proj1.bin"}
 
 
 @pytest.fixture
@@ -142,10 +143,10 @@ def ranking(cache, method=4):
 def reads(kind, bench, cache, out):
     """The call that reads the artifact of that kind: ``train-global`` of
     proj1 for the token streams and proj1's models, and ``evaluate`` of
-    proj1 with methods 1-4 for its ranking indexes."""
+    proj1 with all seven methods for its ranking indexes."""
     if kind.startswith("index"):
-        return run("evaluate", "--benchmark", bench, "--methods", "1,2,3,4", "--projects",
-                   "proj1", "--cache", cache, "--out", out)
+        return run("evaluate", "--benchmark", bench, "--methods", "1,2,3,4,5,6,7", "--projects",
+                   "proj1", "--cache", cache, "--out", out, *FAST)
     return run("train-global", "--benchmark", bench, "--cache", cache, "--held-out", "proj1",
                *FAST)
 
@@ -178,7 +179,8 @@ def sealed_bytes(sealed):
                 "dm": lambda data: embedding.load_model(data, PV_DM, config),
                 "dbow": lambda data: embedding.load_model(data, PV_DBOW, config),
                 "index_local": cache_module._decode_index,
-                "index_global": cache_module._decode_index}
+                "index_global": cache_module._decode_index,
+                "index_docvec": lambda data: cache_module._decode_docvec(data, 16)}
     return {kind: ((cache / name).read_bytes(), decoders[kind]) for kind, name in KINDS.items()}
 
 
@@ -845,6 +847,36 @@ class TestHitsReadNoBenchmarkFile:
         assert len(load_calls) == 1
         assert not (tmp_path / "c" / "index_local_proj2.bin").exists()
 
+    @pytest.mark.parametrize("command", ["localize", "evaluate"])
+    def test_doc_vector_hit_reads_no_model_and_infers_nothing(self, bench, tmp_path, opened,
+                                                              load_calls, monkeypatch, command):
+        inferred = []
+        infer = embedding.infer_matrix
+        monkeypatch.setattr(embedding, "infer_matrix",
+                            lambda *args, **kwargs: inferred.append(1) or infer(*args, **kwargs))
+
+        def call():
+            if command == "localize":
+                localize(bench, tmp_path / "c", *FAST, method=7)
+                return ranking(tmp_path / "c", 7)
+            run("evaluate", "--benchmark", bench, "--methods", "5,6,7", "--cache",
+                tmp_path / "c", "--out", tmp_path / "out", *FAST)
+            return [(tmp_path / "out" / name).read_bytes() for name in OUTPUTS]
+
+        run("train-global", "--benchmark", bench, "--cache", tmp_path / "c", *FAST)
+        del opened[:]
+        cold = call()
+        # the miss read the benchmark and the models and inferred, and was seen doing so
+        assert inferred and under(opened, bench) and len(load_calls) == 2
+        assert any(Path(p).name == "dm_proj1.bin" for p in opened if isinstance(p, (str, Path)))
+        settle(tmp_path / "c")
+        del opened[:], inferred[:]
+        assert call() == cold
+        assert inferred == [] and len(load_calls) == 2
+        assert opened and not under(opened, bench)
+        assert not [p for p in opened if isinstance(p, (str, os.PathLike))
+                    and Path(p).name.startswith(("dm_", "dbow_", "tokens"))]
+
     def test_rebuilt_project_cannot_build_a_scope(self, bench, tmp_path):
         train(bench, tmp_path / "c")
         localize(bench, tmp_path / "c")
@@ -922,6 +954,137 @@ def test_evaluate_outputs_match_golden_digests(synth_benchmark, tmp_path):
         "--out", tmp_path / "out")
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in GOLDEN_EVALUATE} == GOLDEN_EVALUATE
+
+
+# sha256 of what `evaluate --methods 5,6,7` writes for the default synthetic
+# benchmark with the FAST settings, before doc-vector indexes existed: a hit on
+# the index must rank as the inference it replaces did.
+GOLDEN_DOCVEC = {
+    "metrics.csv": "f7ad15ae54702ad1fd25f644324d7986211c42ef7154c43a7171d8c0fd9e6fca",
+    "per_query.csv": "e92a28fd006aca5cb081a509c38ed36e2f12e8777f725a7340d19079a0006ad0",
+}
+
+
+def test_doc_vector_outputs_match_golden_digests(synth_benchmark, tmp_path):
+    root, _, _ = synth_benchmark
+    for out in ("cold", "warm"):  # the second call ranks from the doc-vector indexes
+        run("evaluate", "--benchmark", root, "--methods", "5,6,7", "--cache", tmp_path / "c",
+            "--out", tmp_path / out, *FAST)
+        assert {name: hashlib.sha256((tmp_path / out / name).read_bytes()).hexdigest()
+                for name in GOLDEN_DOCVEC} == GOLDEN_DOCVEC
+
+
+class TestDocVectorIndex:
+    @staticmethod
+    def fast(**changes):
+        """FAST with some values changed, by flag name without dashes."""
+        values = dict(zip(FAST[::2], FAST[1::2]))
+        values.update({f"--{key.replace('_', '-')}": str(v) for key, v in changes.items()})
+        return [arg for item in values.items() for arg in item]
+
+    def test_hit_logs_one_line_and_a_miss_logs_what_it_built(self, bench, tmp_path, caplog):
+        with caplog.at_level(logging.INFO, logger="bugloc.cache"):
+            localize(bench, tmp_path / "c", *FAST, method=5)
+        built = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("built doc-vector index")]
+        assert len(built) == 1
+        assert re.fullmatch(r"built doc-vector index of proj1: 12 files, 13 reports, "
+                            r"[0-9.]+ s inferring", built[0]), built
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="bugloc.cache"):
+            localize(bench, tmp_path / "c", *FAST, method=5)
+        assert [r.getMessage() for r in caplog.records] == ["doc-vector index of proj1 hit"]
+        assert "doc-vector" not in ranking(tmp_path / "c", 5).decode()
+
+    def test_tfidf_call_never_opens_a_doc_vector_index(self, bench, tmp_path, opened,
+                                                       monkeypatch):
+        stats = []
+        stat = os.stat
+        monkeypatch.setattr(os, "stat", lambda path, *args, **kwargs:
+                            stats.append(path) or stat(path, *args, **kwargs))
+        localize(bench, tmp_path / "c", *FAST, method=6)
+        del opened[:], stats[:]
+        for method in (1, 2, 3, 4):
+            localize(bench, tmp_path / "c", *FAST, method=method)
+        touched = [os.fspath(p) for p in [*opened, *stats] if isinstance(p, (str, os.PathLike))]
+        assert touched and not [p for p in touched if "docvec" in p]
+
+    @pytest.mark.parametrize("change", [{"infer_epochs": 3}, {"seed": 4}, {"vector_size": 6}])
+    def test_inference_settings_change_misses(self, bench, tmp_path, change):
+        index = tmp_path / "c" / "index_docvec_proj1.bin"
+        localize(bench, tmp_path / "c", *FAST, method=5)
+        stamp, data = artifact_stamps(tmp_path / "c")["index_docvec_proj1.bin"], index.read_bytes()
+        localize(bench, tmp_path / "c", *FAST, method=5)
+        assert artifact_stamps(tmp_path / "c")["index_docvec_proj1.bin"] == stamp
+        localize(bench, tmp_path / "c", *self.fast(**change), method=5)
+        assert artifact_stamps(tmp_path / "c")["index_docvec_proj1.bin"] != stamp
+        assert index.read_bytes() != data
+        vectors = cache_module._decode_docvec(index.read_bytes(),
+                                              2 * change.get("vector_size", 8)).arrays
+        assert vectors.files.shape[0] == 12 and vectors.reports.shape[0] == 13
+
+    def test_unset_infer_epochs_means_the_training_epochs(self, bench, tmp_path):
+        localize(bench, tmp_path / "c", *FAST, method=5)  # --epochs 2 --infer-epochs 2
+        stamp = artifact_stamps(tmp_path / "c")["index_docvec_proj1.bin"]
+        built = ranking(tmp_path / "c", 5)
+        unset = FAST[:FAST.index("--infer-epochs")]
+        localize(bench, tmp_path / "c", *unset, method=5)
+        assert artifact_stamps(tmp_path / "c")["index_docvec_proj1.bin"] == stamp
+        assert ranking(tmp_path / "c", 5) == built
+
+    @pytest.mark.parametrize("how", ["truncate", "flip", "wrong_shape"])
+    def test_damaged_index_rebuilt_with_one_warning(self, bench, tmp_path, caplog, how):
+        localize(bench, tmp_path / "c", *FAST, method=7)
+        built = ranking(tmp_path / "c", 7)
+        artifact = tmp_path / "c" / "index_docvec_proj1.bin"
+        if how == "wrong_shape":  # resealed vectors one value short per row
+            cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig(),
+                                  EmbeddingConfig(vector_size=8, epochs=2, min_count=1), 2)
+            project, found = cache.indexed_project("proj1", {"docvec"})
+            vectors = found["docvec"]
+            short = rank.DocVectors(vectors.files[:, 1:], vectors.file_norms,
+                                    vectors.reports[:, 1:], vectors.report_norms)
+            fixed = rank.Artifacts(project, doc_vectors=vectors).fixed
+            artifact.write_bytes(b"".join(cache_module._encode_docvec(
+                short, [f.id for f in project.source_files],
+                [r.id for r in project.bug_reports], *fixed)))
+            reseal(artifact)
+        else:
+            damage(artifact, how)
+        with caplog.at_level(logging.WARNING):
+            localize(bench, tmp_path / "c", *FAST, method=7)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1 and "index_docvec_proj1.bin" in warnings[0], warnings
+        assert "rebuilding" in warnings[0]
+        assert ranking(tmp_path / "c", 7) == built
+        stamp = artifact_stamps(tmp_path / "c")
+        localize(bench, tmp_path / "c", *FAST, method=7)  # the rebuilt index hits
+        assert artifact_stamps(tmp_path / "c") == stamp
+
+    def test_cache_without_doc_vector_indexes_gains_them_quietly(self, bench, tmp_path,
+                                                                 caplog):
+        """A cache of a version before doc-vector indexes holds every other
+        artifact of a doc-vector ``evaluate``: the next call adds the
+        indexes and rewrites nothing else."""
+        def evaluate(out):
+            run("evaluate", "--benchmark", bench, "--methods", "5,6,7", "--cache",
+                tmp_path / "c", "--out", tmp_path / out, *FAST)
+            return [(tmp_path / out / name).read_bytes() for name in OUTPUTS]
+
+        cold = evaluate("cold")
+        for path in (tmp_path / "c").glob("index_docvec_*"):
+            path.unlink()
+        before = artifact_stamps(tmp_path / "c")
+        assert "index_global_proj1.bin" in before and "dm_proj2.bin" in before
+        with caplog.at_level(logging.INFO):
+            assert evaluate("upgraded") == cold
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        after = artifact_stamps(tmp_path / "c")
+        assert {name: after[name] for name in before} == before
+        assert sorted(set(after) - set(before)) == [
+            f"index_docvec_{p}.bin" for p in ("proj1", "proj2", "proj3")]
+        assert evaluate("hit") == cold
+        assert artifact_stamps(tmp_path / "c") == after
 
 
 def test_global_df_counted_once_per_cache(synth_benchmark, tmp_path, monkeypatch):

@@ -535,3 +535,57 @@ def test_evaluate_closing_line_counts_only_evaluated_projects(tmp_path, runner):
     assert result.exit_code == 0, result.output
     assert "skipping unfixed: no queries" in result.stderr
     assert result.stdout.strip() == f"wrote metrics for 1 project(s), methods 1 to {tmp_path / 'o'}"
+
+
+class TestDocVectorIndex:
+    """Methods 5-7 rank the same from a cold cache, from their indexes and
+    when only some of a project's indexes hit."""
+
+    OUTPUTS = ("metrics.csv", "metrics.json", "per_query.csv", "wilcoxon.csv")
+
+    @pytest.mark.parametrize("policy", ["earlier", "all"])
+    def test_evaluate_cold_warm_and_partial_hit_agree(self, synth_benchmark, tmp_path, runner,
+                                                      policy):
+        root, _, _ = synth_benchmark
+        cache = tmp_path / "c"
+
+        def evaluate(out):
+            result = runner.invoke(main, ["evaluate", "--benchmark", str(root), "--methods",
+                                          "5,6,7", "--cache", str(cache), "--out",
+                                          str(tmp_path / out), "--history", policy, *FAST])
+            assert result.exit_code == 0, result.output
+            return [(tmp_path / out / name).read_bytes() for name in self.OUTPUTS]
+
+        cold = evaluate("cold")
+        assert sorted(p.name for p in cache.glob("index_docvec_*.bin")) == [
+            "index_docvec_proj1.bin", "index_docvec_proj2.bin", "index_docvec_proj3.bin"]
+        assert evaluate("warm") == cold
+        (cache / "index_docvec_proj1.bin").unlink()
+        (cache / "index_global_proj2.bin").unlink()
+        assert evaluate("partial") == cold
+        assert (cache / "index_docvec_proj1.bin").is_file()
+        assert (cache / "index_global_proj2.bin").is_file()
+
+    @pytest.mark.parametrize("policy", ["earlier", "all"])
+    @pytest.mark.parametrize("method", [5, 6, 7])
+    def test_localize_cold_warm_and_partial_hit_agree(self, synth_benchmark, tmp_path, runner,
+                                                      method, policy):
+        root, _, _ = synth_benchmark
+        cache = tmp_path / "c"
+        csv_path = tmp_path / "o" / f"ranking_proj2_m{method}_BUG-proj2-003.csv"
+
+        def localize():
+            result = runner.invoke(main, ["localize", "--benchmark", str(root), "--project",
+                                          "proj2", "--bug", "BUG-proj2-003", "--method",
+                                          str(method), "--cache", str(cache), "--out",
+                                          str(tmp_path / "o"), "--history", policy, *FAST])
+            assert result.exit_code == 0, result.output
+            return result.stdout, csv_path.read_bytes()
+
+        cold = localize()
+        assert localize() == cold
+        indexes = ["index_docvec_proj2.bin"] + (["index_global_proj2.bin"] if method > 5 else [])
+        for name in indexes:  # each missing on its own
+            (cache / name).unlink()
+            assert localize() == cold
+            assert (cache / name).is_file()

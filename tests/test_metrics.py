@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 import random
 
@@ -146,6 +147,16 @@ def test_compute_metrics_report():
     assert report.per_query["q2"] == (0.5, 0.5)
     assert report.as_dict()["top5"] == 2
     assert report.top_n[1] <= report.top_n[5] <= report.top_n[10] <= report.n_queries
+
+
+def test_compute_metrics_warns_once_per_query_without_ranked_relevant_file(caplog):
+    results = [QueryResult("q1", (), 1), QueryResult("q2", (3,), 2), QueryResult("q3", (), 2)]
+    with caplog.at_level(logging.WARNING, logger="bugloc.metrics"):
+        report = compute_metrics(results)
+    assert [r.getMessage() for r in caplog.records] == [
+        "query q1: no relevant file in ranked list", "query q3: no relevant file in ranked list"]
+    assert report.mrr == mrr(results) and report.map == mean_average_precision(results)
+    assert report.per_query == {"q1": (0.0, 0.0), "q2": (1 / 3, 1 / 6), "q3": (0.0, 0.0)}
 
 
 def test_query_result_validation():
