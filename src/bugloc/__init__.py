@@ -12,7 +12,7 @@ from .corpus import (Benchmark, BugReport, Project, SourceFile,
 from .embedding import (DocVector, EmbeddingConfig, EmbeddingModel, PV_DBOW,
                         PV_DM, combined_vector, infer_vector, train)
 from .errors import BugLocError, CorpusError, TrainingError
-from .metrics import (MetricsReport, QueryResult, average_precision,
+from .metrics import (MetricsReport, QueryResult, RankBatch, average_precision,
                       compute_metrics, mean_average_precision, mrr,
                       reciprocal_rank, top_n, wilcoxon_signed_rank)
 # the pipeline entry point itself is bugloc.preprocess.preprocess; exporting
@@ -31,7 +31,7 @@ __all__ = [
     "Artifacts", "Benchmark", "BugLocError", "BugReport", "CorpusError",
     "DocVector", "EmbeddingConfig", "EmbeddingModel", "LengthNormalizer",
     "MethodConfig", "MetricsReport", "PV_DBOW", "PV_DM", "PreprocessConfig",
-    "Project", "QueryResult", "RankedList", "SourceFile", "TfIdfVector",
+    "Project", "QueryResult", "RankBatch", "RankedList", "SourceFile", "TfIdfVector",
     "TokenStream", "TrainingError", "Vocabulary", "average_precision",
     "build_global_idf", "build_vocabulary", "combined_vector",
     "compute_metrics", "cosine", "fuse", "infer_vector", "load_benchmark",

@@ -566,9 +566,12 @@ class ArtifactCache:
         if kept is not None:
             return kept
         project = artifacts.project
-        vocab = (self.global_vocabulary(project.name) if scope == "global"
-                 else artifacts.local_vocab)
-        built = artifacts.build_scope(vocab)
+        if not project.has_queries:  # nothing ranks it, and it may have no file to weigh
+            built = rank.TfidfScope.unranked(len(artifacts.files))
+        else:
+            vocab = (self.global_vocabulary(project.name) if scope == "global"
+                     else artifacts.local_vocab)
+            built = artifacts.build_scope(vocab)
         self._store(f"index_{scope}", project.name,
                     _encode_index(built, artifacts.file_ids,
                                   [r.id for r in project.bug_reports], *artifacts.fixed))
@@ -582,14 +585,18 @@ class ArtifactCache:
         if kept is not None:
             return kept
         project = artifacts.project
-        dm = self.embedding_model(project.name, embedding.PV_DM)
-        dbow = self.embedding_model(project.name, embedding.PV_DBOW)
-        start = time.perf_counter()
-        vectors = rank.DocVectors.infer(artifacts.files, project.bug_reports, dm, dbow,
-                                        self.infer_epochs)
-        logger.info("built doc-vector index of %s: %d files, %d reports, %.3f s inferring",
-                    project.name, len(artifacts.files), len(project.bug_reports),
-                    time.perf_counter() - start)
+        if not project.has_queries:  # nothing ranks it: no model, no inference
+            vectors = rank.DocVectors.unranked(len(artifacts.files),
+                                               2 * self.embed_config.vector_size)
+        else:
+            dm = self.embedding_model(project.name, embedding.PV_DM)
+            dbow = self.embedding_model(project.name, embedding.PV_DBOW)
+            start = time.perf_counter()
+            vectors = rank.DocVectors.infer(artifacts.files, project.bug_reports, dm, dbow,
+                                            self.infer_epochs)
+            logger.info("built doc-vector index of %s: %d files, %d reports, %.3f s "
+                        "inferring", project.name, len(artifacts.files),
+                        len(project.bug_reports), time.perf_counter() - start)
         self._store("index_docvec", project.name,
                     _encode_docvec(vectors, artifacts.file_ids,
                                    [r.id for r in project.bug_reports], *artifacts.fixed))

@@ -207,8 +207,9 @@ def _artifacts(name, method_ids, settings, cache, loaded) -> rank.Artifacts:
     the project comes from ``loaded()``; with a cache, each requested index
     that the miss read whole and that holds the loaded project's ids and
     fixed files is used as it is, and every other one is built from the
-    token streams and models, and stored. A project with no queries gets no
-    index and no model, for nothing ranks it.
+    token streams and models, and stored. A project with no queries gets
+    indexes of empty arrays and no model, for nothing ranks it, so that a
+    warm call hits on it as on every other project.
     """
     configs = [rank.MethodConfig.from_id(m) for m in method_ids]
     if cache is None and any(c.needs_global_tfidf or c.needs_embeddings for c in configs):
@@ -223,10 +224,7 @@ def _artifacts(name, method_ids, settings, cache, loaded) -> rank.Artifacts:
         project, found = indexed
         return rank.Artifacts(project, scopes={scope: found[scope] for scope in names},
                               doc_vectors=found.get("docvec"))
-    project = loaded().project(name)
-    if not project.has_queries:
-        return rank.Artifacts(project)
-    artifacts = rank.Artifacts(project)
+    artifacts = rank.Artifacts(loaded().project(name))
     if cache is not None:
         for scope in names:
             artifacts.scopes[scope] = cache.tfidf_scope(artifacts, scope)
@@ -345,18 +343,17 @@ def cmd_localize(benchmark_path, project_name, bug_id, method_id, cache_dir,
     _echo(f"wrote {csv_path}")
 
 
-def _evaluate_project(project, artifacts, method_id, settings):
+def _evaluate_project(project, artifacts, method_id, settings) -> metrics.MetricsReport:
     """Rank every report of the project with one method, in one batch, and
-    score each ranking from the ranks of the report's fixed files."""
-    method = rank.MethodConfig.from_id(method_id)
-    policy = settings.get("history_policy")
-    n = len(project.bug_reports)
-    ranked = rank.localize(artifacts, np.arange(n), method,
-                           history=[rank.history_at(project, row, policy) for row in range(n)])
-    ranks = ranked.ranks_of([artifacts.fixed_columns(row) for row in range(n)])
-    results = [metrics.QueryResult(query.id, tuple(r.tolist()), len(query.fixed_files))
-               for query, r in zip(project.bug_reports, ranks)]
-    return metrics.compute_metrics(results), results
+    score the batch from the ranks of the reports' fixed files."""
+    ranked = rank.localize(artifacts, np.arange(len(project.bug_reports)),
+                           rank.MethodConfig.from_id(method_id),
+                           history=rank.project_histories(project,
+                                                          settings.get("history_policy")))
+    offsets, ranks = ranked.ranks_of(*artifacts.fixed)
+    return metrics.compute_metrics(metrics.RankBatch(
+        ranked.query_bug_id, offsets, ranks,
+        np.array([len(query.fixed_files) for query in project.bug_reports])))
 
 
 _METRICS_HEADER = ["project", "method", "mrr", "map", "top1", "top5", "top10", "n_queries"]
@@ -426,15 +423,13 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
             _echo(f"skipping {name}: no queries", err=True)
             continue
         for method_id in method_ids:
-            report, results = _evaluate_project(project, artifacts, method_id, settings)
+            report = _evaluate_project(project, artifacts, method_id, settings)
             per_project[method_id][name] = report
             rows.append([name, method_id, f"{report.mrr:.6f}", f"{report.map:.6f}",
                          report.top_n[1], report.top_n[5], report.top_n[10],
                          report.n_queries])
-            for result in results:
-                rr, ap = report.per_query[result.bug_id]
-                per_query_rows.append([name, method_id, result.bug_id,
-                                       f"{rr:.6f}", f"{ap:.6f}"])
+            per_query_rows += [[name, method_id, bug_id, f"{rr:.6f}", f"{ap:.6f}"]
+                               for bug_id, (rr, ap) in report.per_query.items()]
 
     for method_id in method_ids:
         reports = [per_project[method_id][n] for n in sorted(per_project[method_id])]

@@ -95,6 +95,16 @@ def _tokens(document) -> tuple[str, ...]:
     return tuple(getattr(document, "tokens", document))
 
 
+def _hidden(W, D, mode, doc_index, context) -> tuple[int, np.ndarray]:
+    """The number of vectors a prediction's hidden state averages, and the
+    state: doc vector ``D[doc_index]``, in PV-DM averaged with the
+    ``context`` word vectors."""
+    if mode == PV_DM and len(context):
+        n_avg = len(context) + 1
+        return n_avg, (D[doc_index] + W[np.asarray(context)].sum(axis=0)) / n_avg
+    return 1, D[doc_index]
+
+
 def prediction_gradients(W, D, U, b, mode, doc_index, target, context, negatives=None):
     """Loss of one training prediction and its gradients: the kernel that
     training applies and the gradient checks test.
@@ -109,11 +119,7 @@ def prediction_gradients(W, D, U, b, mode, doc_index, target, context, negatives
     full softmax; a repeated row's gradients add up), and ``share``, the
     gradient with respect to the doc vector and to each context word vector.
     """
-    if mode == PV_DM and len(context):
-        n_avg = len(context) + 1
-        h = (D[doc_index] + W[np.asarray(context)].sum(axis=0)) / n_avg
-    else:
-        n_avg, h = 1, D[doc_index]
+    n_avg, h = _hidden(W, D, mode, doc_index, context)
     if negatives is None:
         rows = slice(None)
         g = softmax(U @ h + b)
@@ -190,14 +196,16 @@ def _sgd_step(model: EmbeddingModel, doc_index, target, context, lr, rng) -> flo
 
 def corpus_loss(model: EmbeddingModel, doc_token_ids: Sequence[np.ndarray]) -> float:
     """Mean full-softmax loss over every prediction in the corpus; the
-    deterministic objective used for before/after training comparisons."""
+    deterministic objective used for before/after training comparisons.
+    Each loss is :func:`prediction_gradients`' full-softmax loss, bit for
+    bit, with no gradient computed."""
     total, count = 0.0, 0
     window = model.config.window
     for doc_index, ids in enumerate(doc_token_ids):
         for pos in range(len(ids)):
             context = _context_window(ids, pos, window) if model.mode == PV_DM else ()
-            total += prediction_gradients(model.W, model.D, model.U, model.b, model.mode,
-                                          doc_index, ids[pos], context)[0]
+            _, h = _hidden(model.W, model.D, model.mode, doc_index, context)
+            total += -math.log(softmax(model.U @ h + model.b)[ids[pos]])
             count += 1
     if count == 0:
         raise TrainingError("no in-vocabulary tokens to evaluate")

@@ -7,10 +7,20 @@ nothing (rank infinity). Reciprocal rank, average precision and Top-N hit
 counts follow the usual IR definitions: RR is ``1 / r_1``, AP adds
 ``k / r_k`` over the ranks in ascending order (the arithmetic and order of
 a walk down the list) and divides by the number of relevant files, and a
-Top-N hit is ``r_1 <= N``. The Wilcoxon signed-rank test is exact (full
-sign-assignment distribution, mid-ranks for ties) up to n=12 and falls
-back to a tie- and continuity-corrected normal approximation for larger
-samples.
+Top-N hit is ``r_1 <= N``.
+
+:func:`compute_metrics` scores a batch of queries in one array path: a
+:class:`RankBatch` holds their ranks as CSR arrays, RR is one division per
+query and AP adds ``k / r_k`` for k = 1, 2, ... across all queries at once,
+so each query's sum grows left to right as in the walk. :class:`QueryResult`
+and the per-query functions (:func:`reciprocal_rank`,
+:func:`average_precision`, :func:`mrr`, :func:`mean_average_precision`,
+:func:`top_n`) are the reference API: the batch path equals them bit for
+bit, and a list of results converts to a batch with :meth:`RankBatch.of`.
+
+The Wilcoxon signed-rank test is exact (full sign-assignment distribution,
+mid-ranks for ties) up to n=12 and falls back to a tie- and
+continuity-corrected normal approximation for larger samples.
 """
 
 from __future__ import annotations
@@ -18,7 +28,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -125,20 +137,80 @@ class MetricsReport:
         return out
 
 
-def compute_metrics(results: Sequence[QueryResult], top_ns=(1, 5, 10)) -> MetricsReport:
-    """MRR, MAP, Top-N hits and each query's (RR, AP), each query's RR and
-    AP computed once; MRR and MAP are :func:`mrr` and
-    :func:`mean_average_precision` bit for bit."""
-    if not results:
+class RankBatch(NamedTuple):
+    """A batch of queries' results as CSR arrays: query ``i`` is
+    ``bug_ids[i]``, its ranked relevant files took the ascending 1-based
+    ranks ``ranks[offsets[i]:offsets[i + 1]]``, and it has ``n_relevant[i]``
+    relevant files in all."""
+
+    bug_ids: list[str]
+    offsets: np.ndarray
+    ranks: np.ndarray
+    n_relevant: np.ndarray
+
+    @classmethod
+    def of(cls, results: Sequence[QueryResult]) -> RankBatch:
+        """The batch of a list of results, in list order."""
+        lengths = [len(r.relevant_ranks) for r in results]
+        return cls([r.bug_id for r in results],
+                   np.concatenate(([0], np.cumsum(lengths, dtype=np.intp))),
+                   np.array([k for r in results for k in r.relevant_ranks], dtype=np.intp),
+                   np.array([r.n_relevant for r in results], dtype=np.intp))
+
+    def check(self) -> None:
+        """``ValueError`` unless the arrays agree in length and every query
+        has a relevant file and at most that many ranks, ascending from 1, as
+        :class:`QueryResult` requires."""
+        counts = np.diff(self.offsets)
+        if not len(self.bug_ids) == len(counts) == len(self.n_relevant) or \
+                self.offsets[-1] != len(self.ranks):
+            raise ValueError("rank batch arrays disagree in length")
+        previous = np.concatenate(([0], self.ranks[:-1]))
+        previous[self.offsets[:-1][counts > 0]] = 0  # each span starts above 0
+        bad = (self.n_relevant < 1) | (counts > self.n_relevant)
+        bad[np.repeat(np.arange(len(counts)), counts)[self.ranks <= previous]] = True
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"query {self.bug_ids[i]}: relevant ranks "
+                             f"{tuple(self.ranks[self.offsets[i]:self.offsets[i + 1]].tolist())}"
+                             f" are not {self.n_relevant[i]} or fewer ascending ranks")
+
+
+def compute_metrics(batch: RankBatch | Sequence[QueryResult],
+                    top_ns=(1, 5, 10)) -> MetricsReport:
+    """MRR, MAP, Top-N hits and each query's (RR, AP) of a batch, or of a
+    list of results, converted once with :meth:`RankBatch.of`. Each query's
+    RR and AP equal :func:`reciprocal_rank` and :func:`average_precision`,
+    and MRR and MAP :func:`mrr` and :func:`mean_average_precision`, bit for
+    bit; a query with no relevant file ranked is warned about once."""
+    if not isinstance(batch, RankBatch):
+        batch = RankBatch.of(batch)
+    if not batch.bug_ids:
         raise ValueError("mrr of an empty query set")
-    rrs = [reciprocal_rank(r) for r in results]
-    aps = [average_precision(r) for r in results]
+    if any(n < 1 for n in top_ns):
+        raise ValueError("n must be >= 1")
+    batch.check()
+    offsets, ranks = batch.offsets, batch.ranks
+    counts = np.diff(offsets)
+    starts = offsets[:-1]
+    ranked = counts > 0
+    for i in np.flatnonzero(~ranked).tolist():
+        logger.warning("query %s: no relevant file in ranked list", batch.bug_ids[i])
+    first = np.zeros(len(counts), dtype=np.intp)
+    first[ranked] = ranks[starts[ranked]]
+    rrs = np.zeros(len(counts))
+    rrs[ranked] = 1.0 / first[ranked]
+    precision_sums = np.zeros(len(counts))
+    for k in range(1, int(counts.max()) + 1):
+        has = counts >= k
+        precision_sums[has] += k / ranks[starts[has] + k - 1]
+    rrs, aps = rrs.tolist(), (precision_sums / batch.n_relevant).tolist()
     return MetricsReport(
         mrr=_mean(rrs),
         map=_mean(aps),
-        top_n={n: top_n(results, n) for n in top_ns},
-        per_query=dict(zip([r.bug_id for r in results], zip(rrs, aps))),
-        n_queries=len(results),
+        top_n={n: int(np.count_nonzero(ranked & (first <= n))) for n in top_ns},
+        per_query=dict(zip(batch.bug_ids, zip(rrs, aps))),
+        n_queries=len(rrs),
     )
 
 

@@ -61,9 +61,17 @@ history order) in the same order, so the TF.IDF scores are bit-identical
 to them, and a batch's arrays equal those of its one-row calls bit for
 bit.
 
+A batch's histories are one :class:`Histories`, CSR arrays of history
+rows: :func:`project_histories` builds those of a project's reports under
+a policy with numpy alone, and a list of per-query row arrays is converted
+once, on entry to :func:`localize`; each chunk slices it.
+
 ``evaluate`` ranks all of a project's reports with one call per method,
-taking each query's history as rows (:func:`history_at`), and scores each
-query from the ranks of its fixed files (:meth:`RankedList.ranks_of`);
+with the whole project's :class:`Histories`, and scores the batch from the
+ranks of the reports' fixed files: :meth:`RankedList.ranks_of` reads them
+off ``entries`` for the fixed-file CSR arrays (:attr:`Artifacts.fixed`)
+and returns them as CSR arrays too, which
+:func:`~bugloc.metrics.compute_metrics` scores without a per-query object.
 :class:`RankEntry` rows exist only for a ranking that is written or
 printed.
 """
@@ -155,8 +163,9 @@ class RankedList:
     columns from best to worst: a stable sort of ``final``, so tied files
     keep path order. For a batch the four arrays are 2-D (queries × files)
     and ``query_bug_id`` lists the queries' bug ids; :meth:`ranks_of` reads
-    both forms, the other methods one query's. :class:`RankEntry` rows are
-    built only by :meth:`rows`, for output.
+    both forms, one query's as a batch of one, and returns CSR arrays; the
+    other methods read one query's. :class:`RankEntry` rows are built only
+    by :meth:`rows`, for output.
     """
 
     query_bug_id: str | list[str]
@@ -181,21 +190,20 @@ class RankedList:
                         self.final[order].tolist(), self.direct[order].tolist(),
                         self.indirect[order].tolist()))
 
-    def ranks_of(self, columns) -> np.ndarray | list[np.ndarray]:
-        """Ascending 1-based ranks of the files at ``columns``; for a batch,
-        ``columns`` holds one int array per query and the result one array
-        of ranks per query."""
-        single = self.entries.ndim == 1
+    def ranks_of(self, offsets: np.ndarray,
+                 columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ranks of the files at the CSR columns: query ``i`` of the batch (the
+        one query of a 1-D list) asks for the files at
+        ``columns[offsets[i]:offsets[i + 1]]``, as :attr:`Artifacts.fixed`
+        holds them. Returns CSR arrays: query ``i``'s ascending 1-based ranks
+        are ``ranks[rank_offsets[i]:rank_offsets[i + 1]]``."""
         entries = np.atleast_2d(self.entries)
-        columns = [columns] if single else columns
         wanted = np.zeros(entries.shape, dtype=bool)
-        wanted[np.repeat(np.arange(len(columns)), [len(c) for c in columns]),
-               np.concatenate([np.zeros(0, dtype=np.intp), *columns])] = True
+        wanted[np.repeat(np.arange(len(entries)), np.diff(offsets)), columns] = True
         # row-major, so the ranks come out query by query, each ascending
         queries, positions = np.nonzero(np.take_along_axis(wanted, entries, axis=1))
-        ranks = np.split(positions + 1,
-                         np.cumsum(np.bincount(queries, minlength=len(columns)))[:-1])
-        return ranks[0] if single else ranks
+        counts = np.bincount(queries, minlength=len(entries))
+        return np.concatenate(([0], np.cumsum(counts))), positions + 1
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -242,6 +250,14 @@ class TfidfScope:
         return tfidf.Postings.from_rows(self.queries, self.files.n_terms)
 
     @classmethod
+    def unranked(cls, n_files: int) -> TfidfScope:
+        """The scope of a project with no reports, which nothing ranks: no
+        term, and ``n_files`` files of norm 0."""
+        none, zeros = np.zeros(0, dtype=np.intp), np.zeros(n_files)
+        return cls(tfidf.Postings(none, np.zeros(0), np.zeros(1, dtype=np.intp), zeros), zeros,
+                   tfidf.Rows(np.zeros(1, dtype=np.intp), none, np.zeros(0), np.zeros(0)))
+
+    @classmethod
     def build(cls, vocab: tfidf.Vocabulary, files, reports,
               normalizer: tfidf.LengthNormalizer) -> "TfidfScope":
         """Weigh the files (in ``files`` order) and the reports."""
@@ -272,6 +288,13 @@ class DocVectors(NamedTuple):
             return vectors, np.array([np.linalg.norm(v) for v in vectors])
 
         return cls(*rows(files), *rows(reports))
+
+    @classmethod
+    def unranked(cls, n_files: int, size: int) -> DocVectors:
+        """The vectors of a project with no reports, which nothing ranks:
+        ``n_files`` zero vectors of ``size`` values."""
+        return cls(np.zeros((n_files, size)), np.zeros(n_files), np.zeros((0, size)),
+                   np.zeros(0))
 
 
 class Artifacts:
@@ -371,12 +394,7 @@ class Artifacts:
         offsets, columns, _ = self._project_pairs
         return offsets, columns
 
-    def fixed_columns(self, row: int) -> np.ndarray:
-        """Columns of the files that the project's report ``row`` fixed."""
-        offsets, columns = self.fixed
-        return columns[offsets[row]:offsets[row + 1]]
-
-    def _bridge(self, history: _Histories, sims: np.ndarray) -> np.ndarray:
+    def _bridge(self, history: Histories, sims: np.ndarray) -> np.ndarray:
         """Per query of the batch and file, the sum over the query's history
         reports B that fixed the file of ``sims[B] / |fixed(B)|`` (``sims``
         follows ``history.rows``), added up in history order as a dict
@@ -418,22 +436,37 @@ def fuse(direct: np.ndarray, indirect: np.ndarray, w1: float, w2: float) -> np.n
 _CHUNK_SCORES = 1 << 14
 
 
-class _Histories(NamedTuple):
-    """The history rows of a batch of queries: query ``i`` of the batch may
-    draw on ``rows[offsets[i]:offsets[i + 1]]``, and ``owner`` holds the
-    batch index of the query each of ``rows`` belongs to."""
+class Histories:
+    """The history rows of a batch of queries, as CSR arrays: query ``i`` of
+    the batch may draw on ``rows[offsets[i]:offsets[i + 1]]``, and ``owner``
+    holds the batch index of the query each of ``rows`` belongs to.
+    ``len()`` is the number of queries, and a slice of the batch
+    (``histories[start:stop]``) is the histories of those queries."""
 
-    rows: np.ndarray
-    owner: np.ndarray
-    offsets: np.ndarray
+    __slots__ = ("rows", "owner", "offsets")
+
+    def __init__(self, rows: np.ndarray, owner: np.ndarray, offsets: np.ndarray):
+        self.rows = rows
+        self.owner = owner
+        self.offsets = offsets
 
     @classmethod
-    def of(cls, history: list[np.ndarray]) -> _Histories:
+    def of(cls, history) -> Histories:
         """The histories of a batch, one int array of rows per query."""
         lengths = [len(past) for past in history]
-        return cls(np.concatenate([np.zeros(0, dtype=np.intp), *history]),
+        return cls(np.concatenate([np.zeros(0, dtype=np.intp),
+                                   *(np.asarray(past, dtype=np.intp) for past in history)]),
                    np.repeat(np.arange(len(history)), lengths),
                    np.concatenate(([0], np.cumsum(lengths, dtype=np.intp))))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, chunk: slice) -> Histories:
+        start, stop, _ = chunk.indices(len(self))
+        lo, hi = self.offsets[start], self.offsets[stop]
+        return Histories(self.rows[lo:hi], self.owner[lo:hi] - start,
+                         self.offsets[start:stop + 1] - lo)
 
 
 def _direct_scores(rows: np.ndarray, kind: str, artifacts: Artifacts) -> np.ndarray:
@@ -455,7 +488,7 @@ def _direct_scores(rows: np.ndarray, kind: str, artifacts: Artifacts) -> np.ndar
     raise ValueError(f"unknown direct model {kind!r}")
 
 
-def _history_sims(rows: np.ndarray, history: _Histories, kind: str,
+def _history_sims(rows: np.ndarray, history: Histories, kind: str,
                   artifacts: Artifacts) -> np.ndarray:
     """Similarity of each query to each of its history reports, aligned
     with ``history.rows``."""
@@ -477,7 +510,7 @@ def _history_sims(rows: np.ndarray, history: _Histories, kind: str,
     return data.reports.cosines(data.queries, rows)[history.owner, history.rows]
 
 
-def _indirect_scores(rows: np.ndarray, history: _Histories, kind: str,
+def _indirect_scores(rows: np.ndarray, history: Histories, kind: str,
                      artifacts: Artifacts) -> np.ndarray:
     """History-bridged scores of the reports ``rows``; an empty history
     yields a row of zeros."""
@@ -489,16 +522,42 @@ def _indirect_scores(rows: np.ndarray, history: _Histories, kind: str,
     return artifacts._bridge(history, _history_sims(rows, history, kind, artifacts))
 
 
-def history_at(project: Project, row: int, policy: str = "earlier") -> np.ndarray:
-    """Rows usable as history for the project's report ``row``: the rows
+def project_histories(project: Project, policy: str = "earlier",
+                      rows=None) -> Histories:
+    """The histories of the project's reports at ``rows`` (every row by
+    default) as one :class:`Histories`: each query row's span holds the rows
     before it in the project ordering, or every other row under
     ``policy="all"``."""
+    n = len(project.bug_reports)
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
     if policy == "earlier":
-        return np.arange(row)
+        lengths = rows
+    elif policy == "all":
+        lengths = np.full(len(rows), max(n - 1, 0), dtype=np.intp)
+    else:
+        raise ValueError(f"unknown history policy {policy!r}")
+    offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))
+    owner = np.repeat(np.arange(len(rows)), lengths)
+    # each span counts 0, 1, ... up; under "all" it steps over the query's own row
+    past = np.arange(offsets[-1]) - offsets[owner]
     if policy == "all":
-        rows = np.arange(len(project.bug_reports))
-        return rows[rows != row]
-    raise ValueError(f"unknown history policy {policy!r}")
+        past += past >= rows[owner]
+    return Histories(past, owner, offsets)
+
+
+def history_at(project: Project, row: int, policy: str = "earlier") -> np.ndarray:
+    """Rows usable as history for the project's report ``row``: its span of
+    :func:`project_histories`."""
+    return project_histories(project, policy, [row]).rows
+
+
+def _check_rows(rows: np.ndarray, project: Project) -> None:
+    """``ValueError`` unless every one of ``rows`` is a row of the project's
+    reports: numpy would silently read a negative row from the end."""
+    n_reports = len(project.bug_reports)
+    if len(rows) and (rows.min() < 0 or rows.max() >= n_reports):
+        raise ValueError(f"report rows must lie in [0, {n_reports}) for project "
+                         f"{project.name}")
 
 
 def localize(artifacts: Artifacts, rows, config: MethodConfig,
@@ -507,9 +566,10 @@ def localize(artifacts: Artifacts, rows, config: MethodConfig,
     ``rows``, an int array of report rows, in one pass.
 
     ``history`` holds, per query row, the int array of report rows that
-    query may draw on; each defaults to the rows before it. The caller is
-    responsible for excluding the query itself (and, during evaluation,
-    anything not strictly earlier). The result's score arrays and
+    query may draw on, or is one :class:`Histories` of the batch (a list is
+    converted to one on entry); each defaults to the rows before it. The
+    caller is responsible for excluding the query itself (and, during
+    evaluation, anything not strictly earlier). The result's score arrays and
     ``entries`` have one row per query row. An int ``rows`` is a batch of
     one whose ``history`` is one int array, and its result is that one
     query's 1-D :class:`RankedList`.
@@ -522,18 +582,14 @@ def localize(artifacts: Artifacts, rows, config: MethodConfig,
     n_reports = len(project.bug_reports)
     single = np.ndim(rows) == 0
     rows = np.atleast_1d(np.asarray(rows, dtype=np.intp))
+    _check_rows(rows, project)
     if history is None:
-        history = [history_at(project, row) for row in rows.tolist()]
-    elif single:
-        history = [history]
-    history = [np.asarray(past, dtype=np.intp) for past in history]
+        history = project_histories(project, "earlier", rows)
+    elif not isinstance(history, Histories):
+        history = Histories.of([history] if single else history)
     if len(history) != len(rows):
         raise ValueError(f"{len(history)} histories for {len(rows)} query rows")
-    # numpy would silently read a negative row from the end
-    every = np.concatenate([rows, *history])
-    if len(every) and (every.min() < 0 or every.max() >= n_reports):
-        raise ValueError(f"report rows must lie in [0, {n_reports}) for project "
-                         f"{project.name}")
+    _check_rows(history.rows, project)
     shape = (len(rows), len(artifacts.files))
     direct, indirect, final = np.empty(shape), np.empty(shape), np.empty(shape)
     entries = np.empty(shape, dtype=np.intp)
@@ -541,7 +597,7 @@ def localize(artifacts: Artifacts, rows, config: MethodConfig,
     for start in range(0, len(rows), step):
         chunk = slice(start, start + step)
         direct[chunk] = _direct_scores(rows[chunk], config.direct_model, artifacts)
-        indirect[chunk] = _indirect_scores(rows[chunk], _Histories.of(history[chunk]),
+        indirect[chunk] = _indirect_scores(rows[chunk], history[chunk],
                                            config.indirect_model, artifacts)
         final[chunk] = fuse(direct[chunk], indirect[chunk], config.w1, config.w2)
         entries[chunk] = np.argsort(-final[chunk], axis=-1, kind="stable")

@@ -847,6 +847,35 @@ class TestHitsReadNoBenchmarkFile:
         assert len(load_calls) == 1
         assert not (tmp_path / "c" / "index_local_proj2.bin").exists()
 
+    @pytest.mark.parametrize("methods, with_file", [("1,3", True), ("1,3", False),
+                                                    ("5", True), ("1,2,3,4,5,6,7", False)])
+    def test_project_without_queries_hits_too(self, bench, tmp_path, load_calls,
+                                              methods, with_file):
+        (bench / "proj4" / "sources").mkdir(parents=True)
+        (bench / "proj4" / "bugs").mkdir()
+        if with_file:
+            (bench / "proj4" / "sources" / "Lone.java").write_text("class Lone { int lone; }\n")
+        flags = FAST if any(m in methods for m in "567") else []
+        if methods != "1,3":  # the global models of proj1-3, and none of proj4
+            for name in ("proj1", "proj2", "proj3"):
+                run("train-global", "--benchmark", bench, "--cache", tmp_path / "c",
+                    "--held-out", name, *flags)
+        del load_calls[:]
+
+        def evaluate(i):
+            result = run("evaluate", "--benchmark", bench, "--methods", methods, "--cache",
+                         tmp_path / "c", "--out", tmp_path / f"out{i}", *flags)
+            assert "skipping proj4: no queries" in result.stderr
+            return [(tmp_path / f"out{i}" / name).read_bytes() for name in OUTPUTS]
+
+        cold = evaluate(0)
+        assert evaluate(1) == cold
+        assert evaluate(2) == cold
+        assert len(load_calls) == 1
+        # nothing ranks proj4, so it got no model of its own
+        assert not [kind for kind in ("idf", "dm", "dbow")
+                    if (tmp_path / "c" / f"{kind}_proj4.bin").exists()]
+
     @pytest.mark.parametrize("command", ["localize", "evaluate"])
     def test_doc_vector_hit_reads_no_model_and_infers_nothing(self, bench, tmp_path, opened,
                                                               load_calls, monkeypatch, command):
@@ -954,6 +983,24 @@ def test_evaluate_outputs_match_golden_digests(synth_benchmark, tmp_path):
         "--out", tmp_path / "out")
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in GOLDEN_EVALUATE} == GOLDEN_EVALUATE
+
+
+# sha256 of what `evaluate --methods 1,2,3,4 --history all` writes for the
+# default synthetic benchmark on a cache trained as above. On this benchmark
+# the policy moves no printed value: they equal the default policy's digests.
+GOLDEN_EVALUATE_ALL = {
+    "out/metrics.csv": "3e9f404e3f6ed7b313e46fc1f176ef5b927f45f1e775c9d6a1cbc81eb2a3fc18",
+    "out/per_query.csv": "42a5494c9be21ee50e0c77ac91c3dde528d2bea9a0d49220240703e21daf04cf",
+}
+
+
+def test_evaluate_all_history_outputs_match_golden_digests(synth_benchmark, tmp_path):
+    root, _, _ = synth_benchmark
+    train(root, tmp_path / "c")
+    run("evaluate", "--benchmark", root, "--methods", "1,2,3,4", "--cache", tmp_path / "c",
+        "--out", tmp_path / "out", "--history", "all")
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GOLDEN_EVALUATE_ALL} == GOLDEN_EVALUATE_ALL
 
 
 # sha256 of what `evaluate --methods 5,6,7` writes for the default synthetic

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bugloc import embedding
 from bugloc.embedding import (LAYOUT, DocVector, EmbeddingConfig, PV_DBOW, PV_DM,
                               combined_matrix, combined_vector, doc_cosine,
                               doc_cosines, infer_matrix, infer_vector,
@@ -140,6 +141,32 @@ class TestTraining:
     def test_loss_decreases_over_epochs(self, mode):
         model = train(TOY_DOCS, toy_config(epochs=30), mode, track_loss=True)
         assert model.final_loss < model.initial_loss
+
+    @pytest.mark.parametrize("negative", [0, 3])
+    @pytest.mark.parametrize("mode", [PV_DM, PV_DBOW])
+    def test_corpus_loss_is_the_mean_prediction_loss_bit_for_bit(self, mode, negative,
+                                                                 monkeypatch):
+        """The initial and final losses, which compute no gradient, are the
+        mean of prediction_gradients' full-softmax losses exactly."""
+        corpus_loss, seen = embedding.corpus_loss, []
+
+        def checked(model, doc_token_ids):
+            total, count = 0.0, 0
+            for doc_index, ids in enumerate(doc_token_ids):
+                for pos in range(len(ids)):
+                    context = (embedding._context_window(ids, pos, model.config.window)
+                               if mode == PV_DM else ())
+                    total += prediction_gradients(model.W, model.D, model.U, model.b, mode,
+                                                  doc_index, ids[pos], context)[0]
+                    count += 1
+            seen.append(corpus_loss(model, doc_token_ids))
+            assert seen[-1] == total / count
+            return seen[-1]
+
+        monkeypatch.setattr(embedding, "corpus_loss", checked)
+        model = train(TOY_DOCS, toy_config(epochs=4, negative=negative), mode, track_loss=True)
+        assert seen == [model.initial_loss, model.final_loss]
+        assert model.initial_loss != model.final_loss
 
     def test_min_count_filters_vocabulary(self):
         model = train(TOY_DOCS, toy_config(min_count=2), PV_DBOW)

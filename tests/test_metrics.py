@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bugloc.metrics import (MetricsReport, QueryResult, average_precision,
+from bugloc.metrics import (MetricsReport, QueryResult, RankBatch, average_precision,
                             compute_metrics, first_relevant_rank,
                             mean_average_precision, mrr, reciprocal_rank,
                             top_n, wilcoxon_signed_rank)
@@ -157,6 +157,72 @@ def test_compute_metrics_warns_once_per_query_without_ranked_relevant_file(caplo
         "query q1: no relevant file in ranked list", "query q3: no relevant file in ranked list"]
     assert report.mrr == mrr(results) and report.map == mean_average_precision(results)
     assert report.per_query == {"q1": (0.0, 0.0), "q2": (1 / 3, 1 / 6), "q3": (0.0, 0.0)}
+
+
+@st.composite
+def query_results(draw):
+    """Results whose high ranks and many relevant files make AP's sum round
+    in its last bit; some have no relevant file ranked."""
+    n = draw(st.integers(1, 30))
+    ranks = draw(st.lists(st.integers(1, 5000), unique=True, max_size=n))
+    return QueryResult("q", tuple(sorted(ranks)), n)
+
+
+@given(st.lists(query_results(), min_size=1, max_size=20))
+def test_batch_metrics_equal_the_reference_functions_exactly(results):
+    results = [QueryResult(f"q{i}", r.relevant_ranks, r.n_relevant)
+               for i, r in enumerate(results)]
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("bugloc.metrics")
+    logger.addHandler(handler)
+    try:
+        report = compute_metrics(RankBatch.of(results))
+    finally:
+        logger.removeHandler(handler)
+    assert [r.getMessage() for r in records] == [
+        f"query {r.bug_id}: no relevant file in ranked list"
+        for r in results if not r.relevant_ranks]
+    assert report.per_query == {r.bug_id: (reciprocal_rank(r), average_precision(r))
+                                for r in results}
+    assert report.mrr == mrr(results)
+    assert report.map == mean_average_precision(results)
+    assert report.top_n == {n: top_n(results, n) for n in (1, 5, 10)}
+    assert report.n_queries == len(results)
+    assert compute_metrics(results) == report  # a list converts to the same batch
+
+
+def test_batch_of_one_query():
+    batch = RankBatch(["q"], np.array([0, 3]), np.array([2, 3, 7]), np.array([4]))
+    report = compute_metrics(batch)
+    assert report.per_query == {"q": (0.5, (1 / 2 + 2 / 3 + 3 / 7) / 4)}
+    assert report.top_n == {1: 0, 5: 1, 10: 1}
+    assert compute_metrics(RankBatch(["q"], np.array([0, 0]), np.zeros(0, int),
+                                     np.array([1]))).per_query == {"q": (0.0, 0.0)}
+    # each query's ranks ascend on their own: the second starts afresh, at 1
+    two = RankBatch(["q", "r"], np.array([0, 1, 2]), np.array([2, 1]), np.array([1, 1]))
+    assert compute_metrics(two).per_query == {"q": (0.5, 0.5), "r": (1.0, 1.0)}
+
+
+@pytest.mark.parametrize("offsets, ranks, n_relevant", [
+    ([0, 1], [1], [0]),           # no relevant file
+    ([0, 2], [1, 2], [1]),        # more ranks than relevant files
+    ([0, 2], [3, 3], [2]),        # not strictly ascending
+    ([0, 2], [3, 1], [2]),
+    ([0, 1], [0], [1]),           # ranks start at 1
+])
+def test_batch_rejects_impossible_ranks(offsets, ranks, n_relevant):
+    batch = RankBatch(["q"], np.array(offsets), np.array(ranks), np.array(n_relevant))
+    with pytest.raises(ValueError, match="query q"):
+        compute_metrics(batch)
+
+
+def test_batch_rejects_arrays_of_other_lengths():
+    with pytest.raises(ValueError, match="disagree in length"):
+        compute_metrics(RankBatch(["q"], np.array([0, 2]), np.array([1]), np.array([2])))
+    with pytest.raises(ValueError, match="disagree in length"):
+        compute_metrics(RankBatch(["q", "r"], np.array([0, 1]), np.array([1]), np.array([2])))
 
 
 def test_query_result_validation():

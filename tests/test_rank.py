@@ -7,7 +7,8 @@ import pytest
 from bugloc import embedding, rank, tfidf
 from bugloc.corpus import Benchmark, BugReport, Project, SourceFile
 from bugloc.preprocess import PreprocessConfig, preprocess_project
-from bugloc.rank import Artifacts, MethodConfig, RankedList, fuse, history_at, localize
+from bugloc.rank import (Artifacts, Histories, MethodConfig, RankedList, fuse, history_at,
+                         localize, project_histories)
 
 CONFIG = PreprocessConfig()
 
@@ -247,6 +248,55 @@ class TestHistory:
             assert reports_at(toy_project, history) == expected
 
 
+def reference_history(n, row, policy):
+    """The rows before ``row`` of n reports, or every other row under "all"."""
+    return list(range(row)) if policy == "earlier" else [r for r in range(n) if r != row]
+
+
+def assert_same_histories(got, want):
+    assert len(got) == len(want)
+    for name in ("rows", "owner", "offsets"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == np.intp and np.array_equal(a, b), name
+
+
+class TestProjectHistories:
+    @pytest.mark.parametrize("policy", ["earlier", "all"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_equals_the_per_query_histories(self, policy, n):
+        project = make_project("h", TOY_FILES, [report(f"B-{i}", "shared", {"Empty.java"})
+                                                for i in range(n)])
+        whole = project_histories(project, policy)
+        assert_same_histories(whole, Histories.of(
+            [reference_history(n, row, policy) for row in range(n)]))
+        assert_same_histories(whole, Histories.of(
+            [history_at(project, row, policy) for row in range(n)]))
+        rows = [r for r in (n - 1, 0, n // 2) if r >= 0]  # unordered, and repeated
+        assert_same_histories(project_histories(project, policy, rows), Histories.of(
+            [reference_history(n, row, policy) for row in rows]))
+
+    def test_slices_are_the_histories_of_those_queries(self, toy_project):
+        histories = [[2, 0], [], [1], [0, 1, 2]]
+        whole = Histories.of(histories)
+        for start, stop in ((0, 4), (1, 3), (2, 2), (3, 4), (2, 9)):
+            assert_same_histories(whole[start:stop], Histories.of(histories[start:stop]))
+
+    def test_localize_takes_either_form(self, toy_project):
+        artifacts = Artifacts(toy_project)
+        rows = np.arange(len(toy_project.bug_reports))
+        for policy in ("earlier", "all"):
+            whole = localize(artifacts, rows, MethodConfig.from_id(3),
+                             history=project_histories(toy_project, policy))
+            lists = localize(artifacts, rows, MethodConfig.from_id(3),
+                             history=[history_at(toy_project, r, policy) for r in rows])
+            assert np.array_equal(whole.final, lists.final)
+            assert np.array_equal(whole.entries, lists.entries)
+
+    def test_unknown_policy(self, toy_project):
+        with pytest.raises(ValueError, match="unknown history policy 'future'"):
+            project_histories(toy_project, "future")
+
+
 class TestLocalize:
     def test_ranked_list_covers_all_files(self, toy_project):
         artifacts = Artifacts(toy_project)
@@ -297,7 +347,8 @@ class TestLocalize:
                 (ranked.final[j], ranked.direct[j], ranked.indirect[j])
         columns = np.array([ranked.files.index("Quagmire.java"), ranked.files.index("Empty.java")])
         expected = sorted(ranked.file_ids.index(f) + 1 for f in ("Quagmire.java", "Empty.java"))
-        assert ranked.ranks_of(columns).tolist() == expected
+        offsets, ranks = ranked.ranks_of(np.array([0, len(columns)]), columns)
+        assert offsets.tolist() == [0, 2] and ranks.tolist() == expected
 
     def test_csv_round_trip(self, toy_project, tmp_path):
         artifacts = Artifacts(toy_project)
@@ -629,7 +680,23 @@ class TestBatchEqualsOneRowCalls:
             assert both.final.shape == both.entries.shape == (len(rows), len(artifacts.files))
             # the edge reports are what they claim to be
             assert not both.direct[project.row("B-oov")].any()
-            assert len(artifacts.fixed_columns(project.row("B-gone"))) == 0
+            offsets, _ = artifacts.fixed
+            assert offsets[project.row("B-gone")] == offsets[project.row("B-gone") + 1]
+
+    @pytest.mark.parametrize("method_id", [1, 3, 6])
+    def test_csr_ranks_are_the_positions_of_the_fixed_columns(self, corpora, method_id):
+        artifacts = corpora[1]
+        project = artifacts.project
+        ranked = localize(artifacts, np.arange(len(project.bug_reports)),
+                          MethodConfig.from_id(method_id))
+        ranked.entries[[0, 1]] = ranked.entries[[1, 0]]  # ranks follow entries, not scores
+        offsets, columns = artifacts.fixed
+        rank_offsets, ranks = ranked.ranks_of(offsets, columns)
+        assert rank_offsets.tolist() == offsets.tolist()
+        for i, entries in enumerate(ranked.entries):
+            want = np.flatnonzero(np.isin(entries, columns[offsets[i]:offsets[i + 1]])) + 1
+            assert ranks[rank_offsets[i]:rank_offsets[i + 1]].tolist() == want.tolist()
+        assert rank_offsets[project.row("B-gone")] == rank_offsets[project.row("B-gone") + 1]
 
     def test_default_history_is_the_earlier_rows(self, corpora):
         artifacts = corpora[0][0]
