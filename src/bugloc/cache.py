@@ -502,13 +502,14 @@ class ArtifactCache:
         self._store("tokens", "",
                     _encode_streams(doc.token_stream for doc, _ in _documents(self.benchmark)))
 
-    def indexed_project(self, name: str, scopes) -> tuple[Project, dict] | None:
+    def indexed_project(self, name: str, scopes) -> tuple[Project, dict, tuple] | None:
         """Project ``name`` rebuilt from its ranking indexes under each of
-        ``scopes`` ("local", "global", "docvec"), and their arrays by scope
+        ``scopes`` ("local", "global", "docvec"), their arrays by scope
         (a :class:`~bugloc.rank.TfidfScope` per TF.IDF scope, the
         :class:`~bugloc.rank.DocVectors` under "docvec"), each index read
-        once; None unless every index is fresh and whole and all hold the
-        same ids and fixed files.
+        once, and the CSR arrays of the reports' fixed-file columns (see
+        :attr:`~bugloc.rank.Artifacts.fixed`); None unless every index is
+        fresh and whole and all hold the same ids and fixed files.
 
         The project holds only what ranking reads: file ids, report ids and
         fixed files, with empty texts and no token streams. It must not be
@@ -540,7 +541,9 @@ class ArtifactCache:
             return None
         if "docvec" in found:
             logger.info("doc-vector index of %s hit", name)
-        return indexes[0].project(name), {scope: index.arrays for scope, index in found.items()}
+        first = indexes[0]
+        return (first.project(name), {scope: index.arrays for scope, index in found.items()},
+                (first.fixed_offsets, first.fixed_columns))
 
     def _kept(self, artifacts: rank.Artifacts, scope: str):
         """The arrays of the project's index under ``scope`` that the missed

@@ -221,9 +221,9 @@ def _artifacts(name, method_ids, settings, cache, loaded) -> rank.Artifacts:
     indexes = [*names, "docvec"] if needs_embeddings else names
     indexed = cache.indexed_project(name, indexes) if cache is not None and indexes else None
     if indexed is not None:
-        project, found = indexed
+        project, found, fixed = indexed
         return rank.Artifacts(project, scopes={scope: found[scope] for scope in names},
-                              doc_vectors=found.get("docvec"))
+                              doc_vectors=found.get("docvec"), fixed=fixed)
     artifacts = rank.Artifacts(loaded().project(name))
     if cache is not None:
         for scope in names:

@@ -10,7 +10,18 @@ unigram^0.75 noise distribution, or the full softmax when ``negative`` is
 0 (only sensible for small vocabularies, e.g. in gradient tests).
 
 Training is deterministic for a fixed seed: a single rng drives
-initialization, document shuffling, subsampling and noise draws.
+initialization, document shuffling, subsampling and noise draws. SGD takes
+one step per token, epoch by epoch (documents shuffled, the learning rate
+decaying per step), each step reading the weights the one before updated.
+What no step changes is prepared a block of steps at a time: the random
+draws (the same doubles, in the same order, as one draw per step), the
+output rows, the context windows, and flags for the steps whose output
+rows or context words repeat, which keep ``np.add.at``; every other step
+writes its rows with plain fancy indexing, which adds the same floats.
+Each step runs the kernel that :func:`prediction_gradients` runs, and a
+block's losses come from its loss function over all of the block's scores
+at once, so the weights and losses are those of a one-step loop bit for
+bit.
 """
 
 from __future__ import annotations
@@ -48,8 +59,13 @@ class EmbeddingConfig:
             raise ValueError("window must be >= 1")
         if self.negative < 0:
             raise ValueError("negative must be >= 0")
+        floats = (self.alpha, self.sample, self.min_alpha_dm, self.min_alpha_dbow)
+        if not all(math.isfinite(value) for value in floats if value is not None):
+            raise ValueError("alpha, sample and min_alpha must be finite")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        if self.sample < 0:
+            raise ValueError("sample must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         for value in (self.min_alpha_dm, self.min_alpha_dbow):
@@ -105,6 +121,35 @@ def _hidden(W, D, mode, doc_index, context) -> tuple[int, np.ndarray]:
     return 1, D[doc_index]
 
 
+def _softmax_gradients(U, b, h, target):
+    """Full-softmax loss of ``target`` given hidden state ``h``, the error
+    ``g`` (the softmax minus the one-hot target: the gradient with respect
+    to ``b``) and the gradient ``U.T @ g`` with respect to ``h``."""
+    g = softmax(U @ h + b)
+    loss = -math.log(g[target])
+    g[target] -= 1.0
+    return loss, g, U.T @ g
+
+
+def _sampled_gradients(out, bias, h):
+    """Negative sampling's scores ``z`` of the output rows ``out`` (the
+    target's first, then the noise words') with biases ``bias`` given
+    hidden state ``h``, the error ``g = sigmoid(z) - label`` (the gradient
+    with respect to the biases) and the gradient ``g @ out`` with respect
+    to ``h``."""
+    z = out @ h + bias
+    g = _sigmoid(z)
+    g[0] -= 1.0
+    return z, g, g @ out
+
+
+def _sampled_loss(z):
+    """Negative-sampling loss of the scores ``z`` (the target's first), or
+    of each row of a matrix of them: a row's loss is the same float either
+    way."""
+    return -_log_sigmoid(z[..., 0]) - _log_sigmoid(-z[..., 1:]).sum(axis=-1)
+
+
 def prediction_gradients(W, D, U, b, mode, doc_index, target, context, negatives=None):
     """Loss of one training prediction and its gradients: the kernel that
     training applies and the gradient checks test.
@@ -118,23 +163,17 @@ def prediction_gradients(W, D, U, b, mode, doc_index, target, context, negatives
     respect to ``U[rows]`` and ``b[rows]`` (``rows`` is every row under the
     full softmax; a repeated row's gradients add up), and ``share``, the
     gradient with respect to the doc vector and to each context word vector.
+    Training runs the same functions step by step.
     """
     n_avg, h = _hidden(W, D, mode, doc_index, context)
     if negatives is None:
         rows = slice(None)
-        g = softmax(U @ h + b)
-        loss = -math.log(g[target])
-        g[target] -= 1.0
-        g_hidden = U.T @ g
+        loss, g, g_hidden = _softmax_gradients(U, b, h, target)
     else:
         rows = np.concatenate(([target], negatives))
-        out = U[rows]
-        z = out @ h + b[rows]
-        loss = float(-_log_sigmoid(z[0]) - _log_sigmoid(-z[1:]).sum())
-        g = _sigmoid(z)
-        g[0] -= 1.0
-        g_hidden = g @ out
-    return loss, rows, np.outer(g, h), g, g_hidden / n_avg
+        z, g, g_hidden = _sampled_gradients(U[rows], b[rows], h)
+        loss = float(_sampled_loss(z))
+    return loss, rows, g[:, None] * h, g, g_hidden / n_avg
 
 
 class EmbeddingModel:
@@ -166,32 +205,138 @@ class EmbeddingModel:
         return np.array([self.term_index[t] for t in _tokens(document)
                          if t in self.term_index], dtype=np.int64)
 
-    def sample_negatives(self, target: int, rng) -> np.ndarray:
-        """Draw noise words from the unigram^0.75 table, skipping the target."""
-        draws = np.searchsorted(self.noise_cum, rng.random(self.config.negative))
-        return draws[draws != target]
-
 
 def _context_window(ids: np.ndarray, pos: int, window: int) -> np.ndarray:
     lo = max(0, pos - window)
     return np.concatenate((ids[lo:pos], ids[pos + 1:pos + window + 1]))
 
 
-def _sgd_step(model: EmbeddingModel, doc_index, target, context, lr, rng) -> float:
-    """One training prediction step, updating parameters in place."""
-    negatives = model.sample_negatives(target, rng) if model.config.negative > 0 else None
-    loss, rows, g_out, g_bias, share = prediction_gradients(
-        model.W, model.D, model.U, model.b, model.mode, doc_index, target, context, negatives)
-    if negatives is None:
-        model.U -= lr * g_out
-        model.b -= lr * g_bias
-    else:
-        np.add.at(model.U, rows, -lr * g_out)
-        np.add.at(model.b, rows, -lr * g_bias)
-    model.D[doc_index] -= lr * share
-    if model.mode == PV_DM and len(context):
-        np.add.at(model.W, context, -lr * share)
-    return loss
+# Training and inference prepare the draws, windows and output rows of this
+# many steps (in inference, (step, document) pairs) at a time, which bounds
+# the memory they take.
+_BLOCK_ROWS = 256
+_NO_CONTEXT = np.empty(0, dtype=np.int64)
+
+
+def _layout(doc_ids: Sequence[np.ndarray], window: int):
+    """Documents laid end to end, each after ``window`` padding slots, so
+    that a context window never reaches into a neighbour: each document's
+    first slot, every slot's token id, and which slots hold a token."""
+    lengths = np.array([len(ids) for ids in doc_ids], dtype=np.int64)
+    starts = np.cumsum(lengths + window) - lengths
+    tokens = np.zeros(starts[-1] + lengths[-1] + window, dtype=np.int64)
+    present = np.zeros(len(tokens), dtype=bool)
+    for start, ids in zip(starts.tolist(), doc_ids):
+        tokens[start:start + len(ids)] = ids
+        present[start:start + len(ids)] = True
+    return starts, tokens, present
+
+
+def _window_offsets(window: int) -> np.ndarray:
+    return np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
+
+
+def _noise(model: EmbeddingModel, rng, n: int, keep_prob=None):
+    """The positions of a block of ``n`` that train, and the noise words of
+    each one that does (a row of ``negative``), read from ``rng`` in the
+    per-step order: under subsampling (``keep_prob``, each position's keep
+    probability, not None) a position's keep draw and then, if it trains,
+    its noise draws. It never draws more doubles than the block reads, so
+    the next block, or the next epoch's shuffle, reads on where it stopped.
+    """
+    negative = model.config.negative
+    if keep_prob is None:
+        return np.arange(n), np.searchsorted(model.noise_cum, rng.random((n, negative)))
+    kept, noise, buffer, at = [], [], [], 0
+    for i, p in enumerate(keep_prob.tolist()):
+        if at == len(buffer):  # every position left reads one double at least
+            buffer, at = rng.random(n - i).tolist(), 0
+        at += 1
+        if buffer[at - 1] > p:
+            continue
+        kept.append(i)
+        row = buffer[at:at + negative]
+        at += len(row)
+        if len(row) < negative:  # the rest of this row, and one double per position left
+            buffer = rng.random(negative - len(row) + n - i - 1).tolist()
+            at = negative - len(row)
+            row += buffer[:at]
+        noise.append(row)
+    doubles = np.array(noise, dtype=float).reshape(len(kept), negative)
+    return np.array(kept, dtype=np.intp), np.searchsorted(model.noise_cum, doubles)
+
+
+def _repeats(ids: np.ndarray) -> list[bool]:
+    """Per row of ``ids``, whether a value occurs in it twice."""
+    ordered = np.sort(ids, axis=1)
+    return (ordered[:, 1:] == ordered[:, :-1]).any(axis=1).tolist()
+
+
+def _train_block(model: EmbeddingModel, docs: np.ndarray, centers: np.ndarray,
+                 noise: np.ndarray, lrs: np.ndarray, tokens: np.ndarray,
+                 present: np.ndarray) -> list[float]:
+    """Take one block's SGD steps in order, updating the weights in place,
+    and return each step's loss. Step ``s`` predicts the token in slot
+    ``centers[s]`` of the :func:`_layout` (``tokens``, ``present``) of
+    document ``docs[s]`` against noise words ``noise[s]``, at learning rate
+    ``lrs[s]``."""
+    W, D, U, b, mode = model.W, model.D, model.U, model.b, model.mode
+    targets = tokens[centers]
+    n = len(targets)
+    contexts = [_NO_CONTEXT] * n
+    shared = [False] * n
+    if mode == PV_DM:
+        slots = centers[:, None] + _window_offsets(model.config.window)
+        inside = present[slots]
+        words = tokens[slots]
+        contexts = [row[mask] for row, mask in zip(words, inside)]
+        # padding slots get distinct negative ids, so only words can repeat
+        shared = _repeats(np.where(inside, words, -1 - np.arange(slots.shape[1])))
+    losses = np.zeros(n)
+    negative = model.config.negative
+    if negative:
+        rows = np.empty((n, negative + 1), dtype=np.intp)
+        rows[:, 0] = targets
+        rows[:, 1:] = noise
+        drawn = rows != targets[:, None]  # a step drops each draw of its target
+        drawn[:, 0] = True
+        filtered = (~drawn).any(axis=1).tolist()
+        repeated = _repeats(rows)
+        scores = np.zeros(rows.shape)
+    for s, (doc, target, lr, context) in enumerate(zip(docs.tolist(), targets.tolist(),
+                                                        lrs.tolist(), contexts)):
+        n_avg, h = _hidden(W, D, mode, doc, context)
+        if not negative:
+            losses[s], g, g_hidden = _softmax_gradients(U, b, h, target)
+            U -= lr * (g[:, None] * h)
+            b -= lr * g
+        else:
+            step_rows = rows[s][drawn[s]] if filtered[s] else rows[s]
+            out, bias = U[step_rows], b[step_rows]
+            z, g, g_hidden = _sampled_gradients(out, bias, h)
+            step_out, step_bias = -lr * (g[:, None] * h), -lr * g
+            if repeated[s]:
+                np.add.at(U, step_rows, step_out)
+                np.add.at(b, step_rows, step_bias)
+            else:
+                U[step_rows] = out + step_out
+                b[step_rows] = bias + step_bias
+            if filtered[s]:
+                losses[s] = _sampled_loss(z)
+            else:
+                scores[s] = z
+        # dividing by 1 and subtracting x in place of adding -x change no float
+        step = lr * (g_hidden / n_avg if n_avg > 1 else g_hidden)
+        row = D[doc]
+        row -= step
+        if len(context):
+            if shared[s]:
+                np.subtract.at(W, context, step)
+            else:
+                W[context] -= step
+    if negative:
+        losses = np.where(filtered, losses, _sampled_loss(scores))
+    return losses.tolist()
 
 
 def corpus_loss(model: EmbeddingModel, doc_token_ids: Sequence[np.ndarray]) -> float:
@@ -248,7 +393,8 @@ def train(documents: Iterable, config: EmbeddingConfig, mode: str,
     model = EmbeddingModel(mode, config, terms, counts, W, U, b, D)
 
     doc_token_ids = [model.token_ids(tokens) for tokens in docs]
-    total_positions = sum(len(ids) for ids in doc_token_ids)
+    lengths = np.array([len(ids) for ids in doc_token_ids], dtype=np.int64)
+    total_positions = int(lengths.sum())
     if total_positions == 0:
         raise TrainingError("all documents are out of vocabulary")
     total_steps = config.epochs * total_positions
@@ -262,26 +408,29 @@ def train(documents: Iterable, config: EmbeddingConfig, mode: str,
     if track_loss:
         model.initial_loss = corpus_loss(model, doc_token_ids)
 
-    step = 0
-    lr = alpha
+    starts, tokens, present = _layout(doc_token_ids, config.window)
     for epoch in range(config.epochs):
         epoch_total, epoch_examples = 0.0, 0
-        for doc_index in rng.permutation(len(docs)):
-            ids = doc_token_ids[doc_index]
-            for pos in range(len(ids)):
-                lr = alpha + (min_alpha - alpha) * (step / total_steps)
-                step += 1
-                if keep_prob is not None and rng.random() > keep_prob[ids[pos]]:
-                    continue
-                context = (_context_window(ids, pos, config.window)
-                           if mode == PV_DM else np.empty(0, dtype=np.int64))
-                epoch_total += _sgd_step(model, doc_index, ids[pos], context, lr, rng)
-                epoch_examples += 1
+        order = rng.permutation(len(docs))
+        ends = np.cumsum(lengths[order])  # where each document's positions end in the epoch
+        for first in range(0, total_positions, _BLOCK_ROWS):
+            at = np.arange(first, min(first + _BLOCK_ROWS, total_positions))
+            which = np.searchsorted(ends, at, side="right")
+            docs_at = order[which]
+            centers = starts[docs_at] + at - ends[which] + lengths[docs_at]
+            kept, noise = _noise(model, rng, len(at),
+                                 None if keep_prob is None else keep_prob[tokens[centers]])
+            steps = epoch * total_positions + at[kept]
+            for loss in _train_block(model, docs_at[kept], centers[kept], noise,
+                                     alpha + (min_alpha - alpha) * (steps / total_steps),
+                                     tokens, present):
+                epoch_total += loss
+            epoch_examples += len(kept)
         mean_loss = epoch_total / max(1, epoch_examples)
         if not math.isfinite(mean_loss):
             raise TrainingError(f"non-finite training loss at epoch {epoch}")
         model.epoch_losses.append(mean_loss)
-    model.final_lr = lr
+    model.final_lr = alpha + (min_alpha - alpha) * ((total_steps - 1) / total_steps)
 
     if track_loss:
         model.final_loss = corpus_loss(model, doc_token_ids)
@@ -296,9 +445,9 @@ def _hidden_gradients(model: EmbeddingModel, targets: np.ndarray, rng):
 
     Under negative sampling every document scores the same noise draws at a
     step, drawn for the whole block at once; a draw equal to a document's
-    target gets zero weight, as :meth:`EmbeddingModel.sample_negatives`
-    would skip it. Stacked matrix products keep each document's arithmetic
-    independent of the other documents.
+    target gets zero weight, as a training step drops it. Stacked matrix
+    products keep each document's arithmetic independent of the other
+    documents.
     """
     U, b = model.U, model.b
     steps, docs = targets.shape
@@ -315,7 +464,7 @@ def _hidden_gradients(model: EmbeddingModel, targets: np.ndarray, rng):
         return softmax_gradients
 
     negative = model.config.negative
-    draws = np.searchsorted(model.noise_cum, rng.random((steps, negative)))[:, None, :]
+    draws = _noise(model, rng, steps)[1][:, None, :]
     rows = np.empty((steps, docs, negative + 1), dtype=np.intp)
     rows[:, :, 0] = targets
     rows[:, :, 1:] = draws
@@ -333,11 +482,6 @@ def _hidden_gradients(model: EmbeddingModel, targets: np.ndarray, rng):
         return np.matmul(minus_g[:, None, :], minus_out[j])[:, 0]
 
     return sampled_gradients
-
-
-# Inference prepares the windows and output rows of this many (step,
-# document) pairs at a time, which bounds the memory they take.
-_BLOCK_ROWS = 256
 
 
 def infer_matrix(streams: Sequence, model: EmbeddingModel, epochs: int | None = None,
@@ -368,17 +512,10 @@ def infer_matrix(streams: Sequence, model: EmbeddingModel, epochs: int | None = 
     if len(order) == 0:
         return values, oov
 
-    # Documents laid end to end, each after ``window`` padding slots, so a
-    # window never reaches into a neighbour; ``present`` zeroes the padding.
-    window = model.config.window
     lengths = lengths[order]
-    starts = np.cumsum(lengths + window) - lengths
-    tokens = np.zeros(starts[-1] + lengths[-1] + window, dtype=np.int64)
-    present = np.zeros(len(tokens))
-    for start, doc in zip(starts.tolist(), order.tolist()):
-        tokens[start:start + len(ids[doc])] = ids[doc]
-        present[start:start + len(ids[doc])] = 1.0
-    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
+    starts, tokens, present = _layout([ids[doc] for doc in order.tolist()],
+                                      model.config.window)
+    offsets = _window_offsets(model.config.window)
 
     rng = np.random.default_rng(model.config.seed if seed is None else seed)
     d = model.vector_size
@@ -401,8 +538,8 @@ def infer_matrix(streams: Sequence, model: EmbeddingModel, epochs: int | None = 
                     vec -= lr[j] * gradients(j, vec)
                 continue
             slots = center[:, :, None] + offsets
-            mask = present[slots][:, :, :, None]
-            n_avg = np.repeat(mask.sum(axis=2) + 1, d, axis=2)
+            mask = present[slots][:, :, :, None]  # zeroes the padding
+            n_avg = np.repeat(mask.sum(axis=2) + 1.0, d, axis=2)
             context = (model.W[tokens[slots]] * mask).sum(axis=2)
             for j in range(len(steps)):
                 share = gradients(j, (vec + context[j]) / n_avg[j]) / n_avg[j]

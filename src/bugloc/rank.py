@@ -310,7 +310,11 @@ class Artifacts:
     ``doc_vectors`` supplies them; then no model is needed. Score arrays
     follow ``files``, the project's source files in path order, so a stable
     sort keeps tied files in path order; reports are rows of
-    ``project.bug_reports``.
+    ``project.bug_reports``. ``fixed`` supplies the CSR arrays of
+    :attr:`fixed` (a ranking index holds them), each report's fixed-file
+    count being its number of columns, as it is for a project whose fixed
+    files all resolved; else they are built from the project when first
+    needed.
 
     Token streams are read only to build a scope or infer doc vectors. So a
     project whose scopes or doc vectors are supplied needs none, as long as
@@ -323,7 +327,8 @@ class Artifacts:
                  dbow_model: embedding.EmbeddingModel | None = None,
                  infer_epochs: int | None = None,
                  scopes: dict[str, TfidfScope] | None = None,
-                 doc_vectors: DocVectors | None = None):
+                 doc_vectors: DocVectors | None = None,
+                 fixed: tuple[np.ndarray, np.ndarray] | None = None):
         self.project = project
         self.global_vocab = global_vocab
         self.dm_model = dm_model
@@ -334,6 +339,10 @@ class Artifacts:
             self.doc_vectors = doc_vectors
         elif not self.scopes:
             _streams([*project.source_files, *project.bug_reports])
+        if fixed is not None:
+            offsets, columns = fixed
+            counts = np.diff(offsets)
+            self._project_pairs = offsets, columns, np.repeat(counts, counts).astype(float)
         self.files = sorted(project.source_files, key=lambda f: f.id)
         self.file_ids = [f.id for f in self.files]
         self._column = {fid: j for j, fid in enumerate(self.file_ids)}

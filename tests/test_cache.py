@@ -446,7 +446,7 @@ class TestRankingIndex:
         built = ranking(tmp_path / "c")
         artifact = tmp_path / "c" / "index_global_proj1.bin"
         cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig(), EmbeddingConfig())
-        project, scopes = cache.indexed_project("proj1", {"global"})
+        project, scopes, _ = cache.indexed_project("proj1", {"global"})
         scope = scopes["global"]
         files = scope.files
         terms, rows, offsets = (scope.queries.terms.copy(), files.rows.copy(),
@@ -559,14 +559,14 @@ class TestRankingIndex:
         cache = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig())
         fewer = corpus.Project("proj1", project.source_files, project.bug_reports[:-1])
         cache.tfidf_scope(rank.Artifacts(fewer), "global")
-        hit, _ = cache.indexed_project("proj1", {"global"})
+        hit, _, _ = cache.indexed_project("proj1", {"global"})
         assert len(hit.bug_reports) == len(project.bug_reports) - 1
         fast = ["--epochs", "2", "--vector-size", "8", "--min-count", "1", "--infer-epochs", "2"]
         with caplog.at_level(logging.INFO):
             localize(bench, tmp_path / "c", *fast, method=6)
         assert any("other files or reports" in r.getMessage() for r in caplog.records)
         built = ranking(tmp_path / "c", 6)
-        hit, _ = ArtifactCache(tmp_path / "c", bench, PreprocessConfig()).indexed_project(
+        hit, _, _ = ArtifactCache(tmp_path / "c", bench, PreprocessConfig()).indexed_project(
             "proj1", {"global"})
         assert [r.id for r in hit.bug_reports] == [r.id for r in project.bug_reports]
         index = tmp_path / "c" / "index_global_proj1.bin"
@@ -581,8 +581,8 @@ class TestRankingIndex:
         project = benchmark.project("proj1")
         cache = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig())
         built = cache.tfidf_scope(rank.Artifacts(project), "local")
-        _, scopes = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig()).indexed_project(
-            "proj1", {"local"})
+        reloaded = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig())
+        _, scopes, _ = reloaded.indexed_project("proj1", {"local"})
         loaded = scopes["local"]
         for name in ("rows", "weights", "offsets", "norms"):
             for part in ("files", "reports"):
@@ -910,7 +910,7 @@ class TestHitsReadNoBenchmarkFile:
         train(bench, tmp_path / "c")
         localize(bench, tmp_path / "c")
         cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig())
-        project, scopes = cache.indexed_project("proj1", {"global"})
+        project, scopes, fixed = cache.indexed_project("proj1", {"global"})
         loaded = corpus.load_benchmark_project(bench, "proj1", strict=False)
         assert [f.id for f in project.source_files] == sorted(f.id for f in loaded.source_files)
         assert [(r.id, r.fixed_files) for r in project.bug_reports] == \
@@ -918,6 +918,10 @@ class TestHitsReadNoBenchmarkFile:
         assert all(d.token_stream is None for d in [*project.source_files, *project.bug_reports])
         with pytest.raises(ValueError, match="token stream missing"):
             rank.Artifacts(project, scopes=scopes).build_scope(tfidf.Vocabulary({}, [], 1))
+        # the fixed-file arrays a hit supplies are those the loaded project gives
+        supplied = rank.Artifacts(project, scopes=scopes, fixed=fixed)._project_pairs
+        for got, want in zip(supplied, rank.Artifacts(loaded, scopes=scopes)._project_pairs):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_index_of_older_layout_rebuilds_quietly(self, bench, tmp_path, caplog,
@@ -1087,7 +1091,7 @@ class TestDocVectorIndex:
         if how == "wrong_shape":  # resealed vectors one value short per row
             cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig(),
                                   EmbeddingConfig(vector_size=8, epochs=2, min_count=1), 2)
-            project, found = cache.indexed_project("proj1", {"docvec"})
+            project, found, _ = cache.indexed_project("proj1", {"docvec"})
             vectors = found["docvec"]
             short = rank.DocVectors(vectors.files[:, 1:], vectors.file_norms,
                                     vectors.reports[:, 1:], vectors.report_norms)

@@ -127,6 +127,15 @@ class TestTrainGlobalCommand:
         for name in ("proj1", "proj2", "proj3"):
             assert (tmp_path / "c" / f"idf_{name}.bin").is_file()
 
+    @pytest.mark.parametrize("sample", ["-1", "nan"])
+    def test_invalid_sample_is_one_json_error(self, synth_benchmark, tmp_path, runner, sample):
+        root, _, _ = synth_benchmark
+        result = runner.invoke(main, ["train-global", "--benchmark", str(root),
+                                      "--cache", str(tmp_path / "c"), "--sample", sample])
+        assert result.exit_code == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and "sample" in json.loads(lines[0])["error"]
+
     def test_unknown_held_out_fails(self, synth_benchmark, tmp_path, runner):
         root, _, _ = synth_benchmark
         result = runner.invoke(main, ["train-global", "--benchmark", str(root),

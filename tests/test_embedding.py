@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bugloc import embedding
-from bugloc.embedding import (LAYOUT, DocVector, EmbeddingConfig, PV_DBOW, PV_DM,
-                              combined_matrix, combined_vector, doc_cosine,
+from bugloc.embedding import (LAYOUT, DocVector, EmbeddingConfig, EmbeddingModel, PV_DBOW,
+                              PV_DM, combined_matrix, combined_vector, doc_cosine,
                               doc_cosines, infer_matrix, infer_vector,
                               load_model, prediction_gradients, save_model,
                               softmax, train)
@@ -49,6 +51,14 @@ class TestConfig:
             EmbeddingConfig(negative=-1)
         with pytest.raises(ValueError):
             EmbeddingConfig(min_alpha_dm=0.2, alpha=0.1)
+        for alpha in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                EmbeddingConfig(alpha=alpha)
+        for sample in (-1.0, -1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sample"):
+                EmbeddingConfig(sample=sample)
+        with pytest.raises(ValueError, match="min_alpha"):
+            EmbeddingConfig(min_alpha_dbow=math.nan)
 
     def test_explicit_min_alpha_wins(self):
         config = EmbeddingConfig(alpha=0.1, min_alpha_dm=0.01)
@@ -208,6 +218,177 @@ class TestTraining:
                 train(TOY_DOCS, config, PV_DM)
 
 
+def sample_negatives(model, target, rng) -> np.ndarray:
+    """One step's noise words from the unigram^0.75 table, the target
+    skipped: the draws of the one-step loops below."""
+    draws = np.searchsorted(model.noise_cum, rng.random(model.config.negative))
+    return draws[draws != target]
+
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _log_sigmoid(z):
+    return -np.logaddexp(0.0, -z)
+
+
+def reference_step(model, doc_index, target, context, lr, rng, seen) -> float:
+    """One SGD step of the per-step loop, updating the model in place and
+    returning the step's loss; ``seen`` counts the steps whose noise draws
+    hit the target, whose output rows repeat and whose context words repeat."""
+    W, D, U, b = model.W, model.D, model.U, model.b
+    n_avg, h = 1, D[doc_index]
+    if model.mode == PV_DM and len(context):
+        n_avg = len(context) + 1
+        h = (D[doc_index] + W[context].sum(axis=0)) / n_avg
+        seen["context repeats"] += len(set(context.tolist())) < len(context)
+    if model.config.negative == 0:
+        g = softmax(U @ h + b)
+        loss = -math.log(g[target])
+        g[target] -= 1.0
+        g_hidden = U.T @ g
+        U -= lr * np.outer(g, h)
+        b -= lr * g
+    else:
+        negatives = sample_negatives(model, target, rng)
+        rows = np.concatenate(([target], negatives))
+        seen["target drawn"] += len(negatives) < model.config.negative
+        seen["rows repeat"] += len(set(rows.tolist())) < len(rows)
+        out = U[rows]
+        z = out @ h + b[rows]
+        loss = float(-_log_sigmoid(z[0]) - _log_sigmoid(-z[1:]).sum())
+        g = _sigmoid(z)
+        g[0] -= 1.0
+        g_hidden = g @ out
+        np.add.at(U, rows, -lr * np.outer(g, h))
+        np.add.at(b, rows, -lr * g)
+    share = g_hidden / n_avg
+    D[doc_index] -= lr * share
+    if model.mode == PV_DM and len(context):
+        np.add.at(W, context, -lr * share)
+    return loss
+
+
+def reference_train(documents, config, mode, seen):
+    """Training one step at a time, in the loop that block training
+    replaces: the model, its epoch losses and its final learning rate."""
+    docs = [tuple(d) for d in documents]
+    freq = {}
+    for doc in docs:
+        for t in doc:
+            freq[t] = freq.get(t, 0) + 1
+    terms = sorted(t for t, c in freq.items() if c >= config.min_count)
+    d = config.vector_size
+    rng = np.random.default_rng(config.seed)
+    W = (rng.random((len(terms), d)) - 0.5) / d
+    D = (rng.random((len(docs), d)) - 0.5) / d
+    model = EmbeddingModel(mode, config, terms, [freq[t] for t in terms], W,
+                           np.zeros((len(terms), d)), np.zeros(len(terms)), D)
+    doc_ids = [model.token_ids(doc) for doc in docs]
+    total_steps = config.epochs * sum(len(ids) for ids in doc_ids)
+    alpha, min_alpha, window = config.alpha, config.min_alpha(mode), config.window
+    keep_prob = None
+    if config.sample > 0:
+        frac = model.counts / model.counts.sum()
+        keep_prob = np.minimum(1.0, (np.sqrt(frac / config.sample) + 1) * config.sample / frac)
+    step, lr, losses = 0, alpha, []
+    for _ in range(config.epochs):
+        total, examples = 0.0, 0
+        for doc_index in rng.permutation(len(docs)):
+            ids = doc_ids[doc_index]
+            for pos in range(len(ids)):
+                lr = alpha + (min_alpha - alpha) * (step / total_steps)
+                step += 1
+                if keep_prob is not None and rng.random() > keep_prob[ids[pos]]:
+                    continue
+                context = (np.concatenate((ids[max(0, pos - window):pos],
+                                           ids[pos + 1:pos + window + 1]))
+                           if mode == PV_DM else np.empty(0, dtype=np.int64))
+                total += reference_step(model, doc_index, ids[pos], context, lr, rng, seen)
+                examples += 1
+        losses.append(total / max(1, examples))
+    return model, losses, lr
+
+
+class TestBlockTraining:
+    """Block training against the per-step reference loop, bit for bit."""
+
+    # repeated words, documents shorter than either window, one word only,
+    # and one of words below min_count only (no position at all); a small
+    # skewed vocabulary, so that noise draws hit the target and repeat
+    DOCS = [("a", "b", "a", "c", "a", "d", "b", "a", "e", "f", "a", "b", "c", "a"),
+            ("b", "b", "b", "c"), ("c",), ("d", "e"), ("once", "twice"),
+            ("a", "c", "e", "g", "a", "c", "e", "g", "h", "a", "a", "b"),
+            ("f", "g", "h", "d", "twice", "a"), ("h", "a", "b", "b", "a", "g", "c")]
+
+    def _check(self, mode, **settings):
+        config = EmbeddingConfig(**{**dict(vector_size=5, alpha=0.05, window=2, min_count=2,
+                                           negative=5, epochs=3, seed=7), **settings})
+        seen = dict.fromkeys(("target drawn", "rows repeat", "context repeats"), 0)
+        want, losses, lr = reference_train(self.DOCS, config, mode, seen)
+        got = train(self.DOCS, config, mode)
+        for name in ("W", "U", "b", "D"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.epoch_losses == losses
+        assert got.final_lr == lr
+        assert b"".join(save_model(got)) == b"".join(save_model(want))
+        return seen
+
+    @pytest.mark.parametrize("window", [1, 5])
+    @pytest.mark.parametrize("sample", [0.0, 1e-3])
+    @pytest.mark.parametrize("negative", [0, 5])
+    @pytest.mark.parametrize("mode", [PV_DM, PV_DBOW])
+    def test_matches_per_step_loop(self, mode, negative, sample, window):
+        seen = self._check(mode, negative=negative, sample=sample, window=window)
+        if negative:
+            assert seen["target drawn"] > 0 and seen["rows repeat"] > 0
+        if mode == PV_DM:
+            assert seen["context repeats"] > 0
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @pytest.mark.parametrize("sample", [0.0, 1e-3])
+    @pytest.mark.parametrize("mode", [PV_DM, PV_DBOW])
+    def test_blocks_ending_inside_documents(self, mode, sample, block, monkeypatch):
+        monkeypatch.setattr(embedding, "_BLOCK_ROWS", block)
+        self._check(mode, sample=sample)
+
+    @pytest.mark.parametrize("negative", [0, 5])
+    def test_training_runs_the_kernel_of_prediction_gradients(self, negative, monkeypatch):
+        calls = []
+
+        def spy(name):
+            kernel = getattr(embedding, name)
+            monkeypatch.setattr(embedding, name, lambda *a: calls.append(name) or kernel(*a))
+
+        for name in ("_hidden", "_softmax_gradients", "_sampled_gradients", "_sampled_loss"):
+            spy(name)
+        config = toy_config(negative=negative)
+        train(TOY_DOCS, config, PV_DM)
+        steps = config.epochs * sum(map(len, TOY_DOCS))
+        kernel = "_sampled_gradients" if negative else "_softmax_gradients"
+        assert calls.count("_hidden") == calls.count(kernel) == steps
+        assert (calls.count("_sampled_loss") > 0) == (negative > 0)
+        rng = np.random.default_rng(0)
+        W, D, U, b = (rng.normal(size=shape) for shape in ((4, 3), (2, 3), (4, 3), (4,)))
+        calls.clear()
+        prediction_gradients(W, D, U, b, PV_DM, 1, 2, np.array([0, 3]),
+                             np.array([1, 1]) if negative else None)
+        assert calls.count("_hidden") == calls.count(kernel) == 1
+        assert calls.count("_sampled_loss") == (negative > 0)
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=24),
+                  elements=st.floats(-800.0, 800.0)))
+def test_block_loss_is_the_step_loss(scores):
+    """The loss of a block of score rows, computed at once, is each row's
+    one-step loss, and the per-step loop's formula, exactly."""
+    block = embedding._sampled_loss(scores)
+    for z, loss in zip(scores, block.tolist()):
+        assert loss == float(embedding._sampled_loss(z))
+        assert loss == float(-_log_sigmoid(z[0]) - _log_sigmoid(-z[1:]).sum())
+
+
 class TestInference:
     def test_repeated_calls_identical(self):
         model = train(TOY_DOCS, toy_config(), PV_DM)
@@ -276,7 +457,7 @@ def reference_infer(stream, model, epochs=None, seed=None) -> np.ndarray:
         lr = alpha + (min_alpha - alpha) * (step / total)
         context = np.concatenate((ids[max(0, pos - window):pos], ids[pos + 1:pos + window + 1]))
         target = ids[pos]
-        negatives = model.sample_negatives(target, rng) if model.config.negative else None
+        negatives = sample_negatives(model, target, rng) if model.config.negative else None
         share = prediction_gradients(model.W, doc, model.U, model.b, model.mode, 0,
                                      target, context, negatives)[4]
         doc[0] -= lr * share
