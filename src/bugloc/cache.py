@@ -21,6 +21,25 @@ Artifacts, one file ``<kind>[_<project>].bin`` each in the cache directory:
 The first ``localize`` or ``evaluate`` that ranks with a scope (``local``,
 ``global`` or ``docvec``) builds its index; ``train-global`` builds none.
 
+Paragraph-vector models are trained where they miss: by ``train-global``,
+after every IDF model, or by the first doc-vector call that needs them. The
+models one call trains run on one worker per CPU this process may use
+(``os.sched_getaffinity``, so ``taskset`` limits them): the caller and
+children forked from it. A child reads the token streams from the memory it
+shares with the caller, stores each model it trains as the caller would and
+sends back only how training converged, or its error's type and message.
+Each model's rng is seeded from the configuration alone and no model reads
+what another writes, so every model and sidecar holds the bytes that one
+process training them in order writes, and the first job to fail, in that
+order, raises its error. The caller reads every cached model, logs each
+trained model's convergence, and trains in process on one CPU or where the
+platform cannot fork. Python 3.12+ warns when a process with threads forks,
+and numpy's OpenBLAS keeps a pool of them; OpenBLAS stops that pool in its
+``pthread_atfork`` handler and starts it again on demand, and the caller
+forks before it trains, with no BLAS call under way, so the warning is
+silenced for these forks. Only a call that trains models on two CPUs or
+more imports :mod:`multiprocessing`.
+
 All share the layout of :mod:`bugloc.container`; nothing is pickled. Every
 artifact gets a sidecar ``.meta.json`` holding a fingerprint of the corpus,
 of the preprocessing/embedding configuration that produced it and of its
@@ -86,9 +105,11 @@ import json
 import logging
 import operator
 import os
+import signal
 import stat
 import struct
 import time
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -96,6 +117,7 @@ import numpy as np
 
 from . import container, corpus, embedding, rank, tfidf
 from .corpus import Benchmark, BugReport, Project, SourceFile
+from .errors import TrainingError
 from .preprocess import BUG_REPORT, SOURCE_FILE, PreprocessConfig, TokenStream
 
 logger = logging.getLogger(__name__)
@@ -243,14 +265,12 @@ class _Index(NamedTuple):
                 and np.array_equal(self.fixed_columns, fixed_columns))
 
     def project(self, name: str) -> Project:
-        """The project as ranking sees it: ids and fixed files, with empty
-        texts and no token streams, so building a scope from it raises."""
-        files = self.file_ids
-        offsets = self.fixed_offsets.tolist()
-        columns = self.fixed_columns.tolist()
-        return Project(name, [SourceFile(fid, fid, "") for fid in files],
-                       [BugReport(rid, "", "", {files[c] for c in columns[a:b]})
-                        for rid, a, b in zip(self.report_ids, offsets, offsets[1:])])
+        """The project as ranking sees it: its file and report ids, with
+        empty texts and no token streams, so building a scope from it
+        raises. Each report's ``fixed_files`` is None: its fixed files are
+        its span of the fixed-file CSR arrays."""
+        return Project(name, [SourceFile(fid, fid, "") for fid in self.file_ids],
+                       [BugReport(rid, "", "", None) for rid in self.report_ids])
 
 
 def _encode_index(scope: rank.TfidfScope, file_ids: list[str], report_ids: list[str],
@@ -349,9 +369,56 @@ _KINDS = {"tokens": (_TOKENS, "token-stream index", "re-preprocessing"),
           "index_docvec": (_DOCVEC, "doc-vector index", "rebuilding")}
 # the kinds whose bytes depend on the embedding configuration
 _EMBEDDED = {"dm", "dbow", "index_docvec"}
+# the kind of each paragraph-vector mode's model
+_MODEL_KINDS = {embedding.PV_DM: "dm", embedding.PV_DBOW: "dbow"}
 
 # the record of the corpus digest in the cache directory, see the module docstring
 _CORPUS_RECORD = "corpus.json"
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fork_context():
+    """:mod:`multiprocessing`'s fork context, or None on a platform without
+    one. Only training several models at once imports the module."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
+class _Trained(NamedTuple):
+    """How training a model converged: the SGD steps it took, each epoch's
+    mean loss and its final learning rate."""
+
+    steps: int
+    epoch_losses: list[float]
+    final_lr: float
+
+    @classmethod
+    def of(cls, model: embedding.EmbeddingModel) -> _Trained:
+        return cls(model.steps, model.epoch_losses, model.final_lr)
+
+
+class _Failed(NamedTuple):
+    """The type and message of the error that stopped a forked worker's job."""
+
+    type: type
+    message: str
+
+
+def _log_trained(job: tuple[str, str], trained: _Trained) -> None:
+    held_out, mode = job
+    logger.info("trained %s model, held-out project %s: %d steps, epoch losses %s, "
+                "final learning rate %.6g", mode, held_out, trained.steps,
+                ", ".join(f"{loss:.6g}" for loss in trained.epoch_losses), trained.final_lr)
 
 
 class ArtifactCache:
@@ -592,8 +659,10 @@ class ArtifactCache:
             vectors = rank.DocVectors.unranked(len(artifacts.files),
                                                2 * self.embed_config.vector_size)
         else:
-            dm = self.embedding_model(project.name, embedding.PV_DM)
-            dbow = self.embedding_model(project.name, embedding.PV_DBOW)
+            pairs = [(project.name, embedding.PV_DM), (project.name, embedding.PV_DBOW)]
+            models = self._models(pairs)
+            # a model a forked worker trained is read back from the cache
+            dm, dbow = (models[pair] or self.embedding_model(*pair) for pair in pairs)
             start = time.perf_counter()
             vectors = rank.DocVectors.infer(artifacts.files, project.bug_reports, dm, dbow,
                                             self.infer_epochs)
@@ -635,26 +704,152 @@ class ArtifactCache:
 
     def embedding_model(self, held_out: str, mode: str) -> embedding.EmbeddingModel:
         """Load or train the paragraph-vector model of the given mode."""
+        return self._models([(held_out, mode)])[held_out, mode]
+
+    def _models(self, pairs) -> dict:
+        """The paragraph-vector model of each (held-out project, mode) of
+        ``pairs``, by pair: read from the cache, or else trained and stored.
+        The models to train go to :meth:`_train_jobs`, so a model a forked
+        worker trained is stored and maps to None."""
         if self.embed_config is None:
             raise ValueError("no embedding configuration supplied")
-        kind = "dm" if mode == embedding.PV_DM else "dbow"
-        model = self._read(kind, held_out,
-                           lambda data: embedding.load_model(data, mode, self.embed_config))
-        if model is None:
-            logger.info("training %s model, held-out project %s", mode, held_out)
-            docs, vocab_docs = self._training_corpus(held_out)
-            model = embedding.train(docs, self.embed_config, mode, vocab_documents=vocab_docs)
-            self._store(kind, held_out, embedding.save_model(model))
+        models, jobs = {}, []
+        for held_out, mode in dict.fromkeys(pairs):
+            model = self._read(_MODEL_KINDS[mode], held_out,
+                               lambda data: embedding.load_model(data, mode, self.embed_config))
+            if model is None:
+                logger.info("training %s model, held-out project %s", mode, held_out)
+                jobs.append((held_out, mode))
+            else:
+                models[held_out, mode] = model
+        return {**models, **self._train_jobs(jobs)} if jobs else models
+
+    def _train(self, held_out: str, mode: str) -> embedding.EmbeddingModel:
+        """Train the model of that mode over the training corpus of
+        ``held_out``, and store it."""
+        docs, vocab_docs = self._training_corpus(held_out)
+        model = embedding.train(docs, self.embed_config, mode, vocab_documents=vocab_docs)
+        self._store(_MODEL_KINDS[mode], held_out, embedding.save_model(model))
         return model
 
+    def _train_jobs(self, jobs) -> dict:
+        """Train and store the model of each (held-out project, mode) of
+        ``jobs``, and log how each converged; returns every model by job,
+        None for one a forked worker trained.
+
+        Up to one worker per CPU this process may use trains at once (see
+        :meth:`_train_forked`); one worker trains the jobs in order here.
+        Either way, every model trained is logged, and the first job to
+        fail, in job order, raises its error's type and message."""
+        workers = min(len(jobs), _cpu_count())
+        context = _fork_context() if workers > 1 else None
+        if context is None:
+            models = {}
+            for job in jobs:
+                models[job] = self._train(*job)
+                _log_trained(job, _Trained.of(models[job]))
+            return models
+        logger.info("training %d models on %d processes", len(jobs), workers)
+        models, failed = {}, None
+        for job, outcome in zip(jobs, self._train_forked(context, jobs, workers)):
+            if isinstance(outcome, embedding.EmbeddingModel):
+                models[job] = outcome
+                outcome = _Trained.of(outcome)
+            if isinstance(outcome, _Trained):
+                models.setdefault(job, None)
+                _log_trained(job, outcome)
+            elif failed is None:
+                # a job no worker reported on before the first failure was lost
+                failed = outcome or TrainingError(
+                    f"the process training the {job[1]} model, held-out project {job[0]}, "
+                    "exited without reporting")
+        if failed is not None:
+            raise failed
+        return models
+
+    def _train_forked(self, context, jobs, workers: int) -> list:
+        """Train ``jobs`` on ``workers`` processes at once: this one and
+        ``workers - 1`` children forked from it, which read the corpus from
+        the memory they share with it and store what they train. Each takes
+        the next job not yet taken, this process job 0 first; once a job
+        fails no worker takes another, so every job before it runs. Returns
+        per job the model this process trained, a child's :class:`_Trained`,
+        the error that stopped it, or None when no worker took it or one left
+        it unreported. Every child is joined before this returns or raises;
+        on an error outside a job, or an interrupt, each is terminated first
+        and its temporary files are removed."""
+        taken = context.Value("q", 1)  # jobs taken so far; len(jobs) once one failed
+
+        def take() -> int:
+            with taken.get_lock():
+                taken.value += 1
+                return taken.value - 1
+
+        def work(index: int, report) -> None:
+            while index < len(jobs):
+                try:
+                    outcome = self._train(*jobs[index])
+                except Exception as exc:  # the job's error, raised in job order
+                    with taken.get_lock():
+                        taken.value = len(jobs)
+                    outcome = exc
+                report(index, outcome)
+                index = take()
+
+        def child(conn) -> None:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's
+
+            def report(index: int, outcome) -> None:
+                conn.send((index, _Failed(type(outcome), str(outcome))
+                           if isinstance(outcome, Exception) else _Trained.of(outcome)))
+
+            work(take(), report)
+
+        outcomes, children = [None] * len(jobs), []
+        try:
+            for _ in range(workers - 1):
+                reader, writer = context.Pipe(duplex=False)
+                process = context.Process(target=child, args=(writer,), daemon=True)
+                with warnings.catch_warnings():
+                    # numpy's BLAS threads: see the module docstring
+                    warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                            DeprecationWarning)
+                    process.start()
+                writer.close()
+                children.append((process, reader))
+            work(0, outcomes.__setitem__)
+            for process, reader in children:
+                with reader:
+                    while True:
+                        try:
+                            index, outcome = reader.recv()
+                        except EOFError:  # the child is done and closed its end
+                            break
+                        outcomes[index] = (outcome.type(outcome.message)
+                                           if isinstance(outcome, _Failed) else outcome)
+                process.join()
+        except BaseException:
+            for process, _ in children:
+                process.terminate()
+            raise
+        finally:
+            for process, _ in children:
+                process.join()
+                if process.exitcode:
+                    for path in self.directory.glob(f"*.tmp{process.pid}"):
+                        path.unlink(missing_ok=True)
+        return outcomes
+
     def train_all(self, held_out_projects, with_embeddings: bool = True) -> dict:
-        """Materialize artifacts for each held-out project; returns paths."""
-        built = {}
-        for name in held_out_projects:
+        """Materialize artifacts for each held-out project; returns paths.
+        The global IDF models are built first, then every paragraph-vector
+        model that misses is trained, several at once where CPUs allow."""
+        names = list(dict.fromkeys(held_out_projects))
+        for name in names:
             self.global_vocabulary(name)
-            if with_embeddings:
-                self.embedding_model(name, embedding.PV_DM)
-                self.embedding_model(name, embedding.PV_DBOW)
-            built[name] = {kind: str(self._paths(kind, name)[0])
-                           for kind in (["idf", "dm", "dbow"] if with_embeddings else ["idf"])}
-        return built
+        if with_embeddings:
+            self._models([(name, mode) for name in names
+                          for mode in (embedding.PV_DM, embedding.PV_DBOW)])
+        kinds = ["idf", "dm", "dbow"] if with_embeddings else ["idf"]
+        return {name: {kind: str(self._paths(kind, name)[0]) for kind in kinds}
+                for name in names}

@@ -351,9 +351,8 @@ def _evaluate_project(project, artifacts, method_id, settings) -> metrics.Metric
                            history=rank.project_histories(project,
                                                           settings.get("history_policy")))
     offsets, ranks = ranked.ranks_of(*artifacts.fixed)
-    return metrics.compute_metrics(metrics.RankBatch(
-        ranked.query_bug_id, offsets, ranks,
-        np.array([len(query.fixed_files) for query in project.bug_reports])))
+    return metrics.compute_metrics(metrics.RankBatch(ranked.query_bug_id, offsets, ranks,
+                                                     artifacts.fixed_counts))
 
 
 _METRICS_HEADER = ["project", "method", "mrr", "map", "top1", "top5", "top10", "n_queries"]

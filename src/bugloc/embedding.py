@@ -178,7 +178,9 @@ def prediction_gradients(W, D, U, b, mode, doc_index, target, context, negatives
 
 class EmbeddingModel:
     """Paragraph-vector model; immutable after training. ``D``, the training
-    documents' vectors, exists only on a model fresh from :func:`train`."""
+    documents' vectors, and how training converged (``steps``, the SGD steps
+    taken, ``epoch_losses`` and ``final_lr``) exist only on a model fresh
+    from :func:`train`."""
 
     def __init__(self, mode, config, terms, counts, W, U, b, D=None):
         self.mode = mode
@@ -192,6 +194,7 @@ class EmbeddingModel:
         self.b = b
         noise = self.counts.astype(float) ** 0.75
         self.noise_cum = np.cumsum(noise / noise.sum())
+        self.steps = 0
         self.epoch_losses: list[float] = []
         self.initial_loss: float | None = None
         self.final_loss: float | None = None
@@ -430,6 +433,7 @@ def train(documents: Iterable, config: EmbeddingConfig, mode: str,
         if not math.isfinite(mean_loss):
             raise TrainingError(f"non-finite training loss at epoch {epoch}")
         model.epoch_losses.append(mean_loss)
+        model.steps += epoch_examples
     model.final_lr = alpha + (min_alpha - alpha) * ((total_steps - 1) / total_steps)
 
     if track_loss:

@@ -341,8 +341,9 @@ class Artifacts:
             _streams([*project.source_files, *project.bug_reports])
         if fixed is not None:
             offsets, columns = fixed
-            counts = np.diff(offsets)
-            self._project_pairs = offsets, columns, np.repeat(counts, counts).astype(float)
+            self.fixed_counts = np.diff(offsets)
+            self._project_pairs = (offsets, columns, np.repeat(
+                self.fixed_counts, self.fixed_counts).astype(float))
         self.files = sorted(project.source_files, key=lambda f: f.id)
         self.file_ids = [f.id for f in self.files]
         self._column = {fid: j for j, fid in enumerate(self.file_ids)}
@@ -381,20 +382,26 @@ class Artifacts:
                                 self.dbow_model, self.infer_epochs)
 
     @cached_property
+    def fixed_counts(self) -> np.ndarray:
+        """Each report's ``|fixed files|``, counting fixed files missing from
+        the project too; its number of columns when ``fixed`` was supplied."""
+        return np.array([len(report.fixed_files) for report in self.project.bug_reports],
+                        dtype=np.intp)
+
+    @cached_property
     def _project_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """File column and ``|fixed files|`` of every (report, fixed file of
         this project) pair, in report order and, within a report, by column,
-        and ``offsets`` such that report ``i``'s pairs are ``offsets[i]:offsets[i + 1]``.
-        The size counts fixed files missing from the project too."""
-        counts, columns, sizes = [], [], []
+        and ``offsets`` such that report ``i``'s pairs are ``offsets[i]:offsets[i + 1]``."""
+        counts, columns = [], []
         for report in self.project.bug_reports:
             fixed = sorted(self._column[fid] for fid in report.fixed_files
                            if fid in self._column)
             counts.append(len(fixed))
             columns += fixed
-            sizes += [len(report.fixed_files)] * len(fixed)
         return (np.concatenate(([0], np.cumsum(counts, dtype=np.intp))),
-                np.array(columns, dtype=np.intp), np.array(sizes, dtype=float))
+                np.array(columns, dtype=np.intp),
+                np.repeat(self.fixed_counts, counts).astype(float))
 
     @property
     def fixed(self) -> tuple[np.ndarray, np.ndarray]:

@@ -6,9 +6,13 @@ import hashlib
 import io
 import json
 import logging
+import multiprocessing
+import multiprocessing.process
 import os
 import re
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -446,13 +450,13 @@ class TestRankingIndex:
         built = ranking(tmp_path / "c")
         artifact = tmp_path / "c" / "index_global_proj1.bin"
         cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig(), EmbeddingConfig())
-        project, scopes, _ = cache.indexed_project("proj1", {"global"})
+        project, scopes, (fixed_offsets, fixed_columns) = cache.indexed_project(
+            "proj1", {"global"})
         scope = scopes["global"]
         files = scope.files
         terms, rows, offsets = (scope.queries.terms.copy(), files.rows.copy(),
                                 files.offsets.copy())
         length_weights = scope.length_weights
-        fixed_offsets, fixed_columns = rank.Artifacts(project, scopes={"global": scope}).fixed
         if flaw == "query_term_out_of_range":
             terms[0] = files.n_terms
         elif flaw == "offsets_decrease":
@@ -913,8 +917,13 @@ class TestHitsReadNoBenchmarkFile:
         project, scopes, fixed = cache.indexed_project("proj1", {"global"})
         loaded = corpus.load_benchmark_project(bench, "proj1", strict=False)
         assert [f.id for f in project.source_files] == sorted(f.id for f in loaded.source_files)
-        assert [(r.id, r.fixed_files) for r in project.bug_reports] == \
+        # a report's fixed files are its span of the returned arrays, not a set
+        offsets, columns = fixed
+        files = [f.id for f in project.source_files]
+        assert [(r.id, {files[c] for c in columns[a:b]})
+                for r, a, b in zip(project.bug_reports, offsets, offsets[1:])] == \
             [(r.id, r.fixed_files) for r in loaded.bug_reports]
+        assert all(r.fixed_files is None for r in project.bug_reports)
         assert all(d.token_stream is None for d in [*project.source_files, *project.bug_reports])
         with pytest.raises(ValueError, match="token stream missing"):
             rank.Artifacts(project, scopes=scopes).build_scope(tfidf.Vocabulary({}, [], 1))
@@ -1091,11 +1100,10 @@ class TestDocVectorIndex:
         if how == "wrong_shape":  # resealed vectors one value short per row
             cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig(),
                                   EmbeddingConfig(vector_size=8, epochs=2, min_count=1), 2)
-            project, found, _ = cache.indexed_project("proj1", {"docvec"})
+            project, found, fixed = cache.indexed_project("proj1", {"docvec"})
             vectors = found["docvec"]
             short = rank.DocVectors(vectors.files[:, 1:], vectors.file_norms,
                                     vectors.reports[:, 1:], vectors.report_norms)
-            fixed = rank.Artifacts(project, doc_vectors=vectors).fixed
             artifact.write_bytes(b"".join(cache_module._encode_docvec(
                 short, [f.id for f in project.source_files],
                 [r.id for r in project.bug_reports], *fixed)))
@@ -1151,6 +1159,238 @@ def test_global_df_counted_once_per_cache(synth_benchmark, tmp_path, monkeypatch
     assert counted == [benchmark] and built == names
     ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig()).train_all(names, False)
     assert counted == [benchmark] and built == names  # every model a hit: nothing counted
+
+
+def generated_corpus(seed, root):
+    """perfbench's docvec corpus of that seed, written under ``root``."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import corpus_gen
+        import workloads
+    finally:
+        sys.path.pop(0)
+    corpus_gen.write_tree(corpus_gen.generate(workloads.SPECS["docvec"].corpus, seed), root)
+    return root, workloads.Docvec.embedding_flags
+
+
+class TestParallelTraining:
+    """``train-global`` trains the models it misses on one worker per CPU:
+    the caller and forked children, with the bytes, errors and logs of one
+    process training them in order."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """Records every process start, and starts it."""
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            lambda process: started.append(process) or start(process))
+        return started
+
+    @staticmethod
+    def workers(monkeypatch, n):
+        monkeypatch.setattr(cache_module, "_cpu_count", lambda: n)
+
+    @staticmethod
+    def train_global(bench, cache, *extra):
+        return CliRunner().invoke(main, [str(a) for a in ("train-global", "--benchmark", bench,
+                                                          "--cache", cache, *extra)])
+
+    @staticmethod
+    def models(cache):
+        """The bytes of every model artifact and its sidecar, by name."""
+        return {path.name: path.read_bytes() for path in sorted(cache.iterdir())
+                if path.name.startswith(("dm_", "dbow_"))}
+
+    @staticmethod
+    def assert_clean(cache):
+        assert multiprocessing.active_children() == []
+        assert not [path.name for path in cache.iterdir() if ".tmp" in path.name]
+
+    def same_models(self, bench, tmp_path, monkeypatch, starts, *flags):
+        trained = {}
+        for n in (1, 2):
+            self.workers(monkeypatch, n)
+            del starts[:]
+            result = self.train_global(bench, tmp_path / f"c{n}", *flags)
+            assert result.exit_code == 0, result.output
+            assert len(starts) == n - 1
+            trained[n] = self.models(tmp_path / f"c{n}")
+        self.assert_clean(tmp_path / "c2")
+        assert trained[1] == trained[2]
+        return trained[1]
+
+    def test_synth_benchmark_models_are_the_same_on_two_workers(self, synth_benchmark, tmp_path,
+                                                               monkeypatch, starts):
+        models = self.same_models(synth_benchmark[0], tmp_path, monkeypatch, starts, *FAST)
+        assert len(models) == 12  # 3 projects x 2 modes, each with its sidecar
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_docvec_corpus_models_are_the_same_on_two_workers(self, tmp_path, monkeypatch,
+                                                              starts, seed):
+        bench, flags = generated_corpus(seed, tmp_path / "bench")
+        # four models on two workers: each process trains several; one epoch
+        # keeps the test short
+        models = self.same_models(bench, tmp_path, monkeypatch, starts, "--held-out", "proj1",
+                                  "--held-out", "proj2", *flags, "--epochs", "1")
+        assert len(models) == 8
+
+    def failing(self, monkeypatch, fails, marker):
+        """Make ``embedding.train`` raise for the modes in ``fails``; forked
+        workers inherit it. A DBOW job creates ``marker`` as it begins and,
+        when it trains, waits first; a failing DM job with a child running
+        waits for that marker, so that it fails while the child trains. Each
+        failure records how many children were running."""
+        running = []
+        train = embedding.train
+
+        def patched(docs, config, mode, **kwargs):
+            if mode == PV_DBOW:
+                marker.touch()
+            if mode in fails:
+                if mode == PV_DM and multiprocessing.active_children():
+                    for _ in range(1000):
+                        if marker.exists():
+                            break
+                        time.sleep(0.01)
+                running.append(len(multiprocessing.active_children()))
+                raise embedding.TrainingError(f"{mode} diverged")
+            if mode == PV_DBOW:
+                time.sleep(0.3)
+            return train(docs, config, mode, **kwargs)
+
+        monkeypatch.setattr(embedding, "train", patched)
+        return running
+
+    @pytest.mark.parametrize("fails, where", [({PV_DBOW}, "child"), ({PV_DM}, "caller"),
+                                              ({PV_DM, PV_DBOW}, "both")])
+    def test_first_failing_job_raises_its_error(self, synth_benchmark, tmp_path, monkeypatch,
+                                                starts, fails, where):
+        errors = {}
+        for n in (1, 2):
+            self.workers(monkeypatch, n)
+            running = self.failing(monkeypatch, fails, tmp_path / f"started{n}")
+            del starts[:]
+            result = self.train_global(synth_benchmark[0], tmp_path / f"c{n}", "--held-out",
+                                       "proj1", *FAST)
+            assert result.exit_code == 1, result.output
+            lines = result.stderr.splitlines()
+            assert len(lines) == 1, lines
+            errors[n] = json.loads(lines[0])["error"]
+            assert len(starts) == n - 1
+            self.assert_clean(tmp_path / f"c{n}")
+        # job 0, the DM model, runs in the caller, job 1 in the child
+        assert errors[1] == errors[2] == f"{PV_DM if PV_DM in fails else PV_DBOW} diverged"
+        if where == "caller":  # it failed while the child trained, which then finished
+            assert running == [1]
+            assert len(self.models(tmp_path / "c2")) == 2  # the DBOW model and its sidecar
+
+    def test_child_that_dies_fails_its_job(self, synth_benchmark, tmp_path, monkeypatch):
+        self.workers(monkeypatch, 2)
+        train, caller = embedding.train, os.getpid()
+
+        def patched(docs, config, mode, **kwargs):
+            if mode == PV_DBOW and os.getpid() != caller:  # dies before it reports
+                os._exit(3)
+            return train(docs, config, mode, **kwargs)
+
+        monkeypatch.setattr(embedding, "train", patched)
+        result = self.train_global(synth_benchmark[0], tmp_path / "c", "--held-out", "proj1",
+                                   *FAST)
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [json.dumps({"error": (
+            "the process training the pv_dbow model, held-out project proj1, exited "
+            "without reporting")})]
+        self.assert_clean(tmp_path / "c")
+
+    def test_interrupt_terminates_children_and_removes_their_files(self, synth_benchmark,
+                                                                  tmp_path, monkeypatch):
+        self.workers(monkeypatch, 2)
+        cache = ArtifactCache(tmp_path / "c", synth_benchmark[1], PreprocessConfig(), EMBED)
+        train = embedding.train
+
+        def patched(docs, config, mode, **kwargs):
+            if mode == PV_DBOW:  # in the child: a write under way, then a long wait
+                (tmp_path / "c" / f"dbow_proj1.bin.tmp{os.getpid()}").write_bytes(b"partial")
+                time.sleep(60)
+            for _ in range(500):  # in the caller, once the child is writing
+                if list((tmp_path / "c").glob("*.tmp*")):
+                    raise KeyboardInterrupt
+                time.sleep(0.01)
+            return train(docs, config, mode, **kwargs)
+
+        monkeypatch.setattr(embedding, "train", patched)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            cache.train_all(["proj1"])
+        assert time.perf_counter() - start < 30
+        self.assert_clean(tmp_path / "c")
+        assert self.models(tmp_path / "c") == {}
+
+    def test_all_hits_start_no_process(self, synth_benchmark, tmp_path, monkeypatch, starts):
+        self.workers(monkeypatch, 2)
+        assert self.train_global(synth_benchmark[0], tmp_path / "c", *FAST).exit_code == 0
+        assert len(starts) == 1
+        del starts[:]
+        assert self.train_global(synth_benchmark[0], tmp_path / "c", *FAST).exit_code == 0
+        assert starts == []
+
+    def test_min_count_above_every_term_raises_as_before(self, synth_benchmark, tmp_path,
+                                                          monkeypatch, starts):
+        for n in (1, 2):
+            self.workers(monkeypatch, n)
+            result = self.train_global(synth_benchmark[0], tmp_path / f"c{n}",
+                                       *FAST, "--min-count", "100000")
+            assert result.exit_code == 1
+            assert result.stderr.splitlines() == [
+                json.dumps({"error": "vocabulary is empty after min_count filtering"})]
+            self.assert_clean(tmp_path / f"c{n}")
+        assert len(starts) == 1
+
+    def test_each_trained_model_logs_how_it_converged(self, synth_benchmark, tmp_path,
+                                                       monkeypatch, caplog):
+        logged = {}
+        for n in (1, 2):
+            self.workers(monkeypatch, n)
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="bugloc.cache"):
+                cache = ArtifactCache(tmp_path / f"c{n}", synth_benchmark[1], PreprocessConfig(),
+                                      EMBED)
+                cache.train_all(["proj1", "proj2"])
+            logged[n] = [r.getMessage() for r in caplog.records
+                         if r.getMessage().startswith("trained ")]
+        assert logged[1] == logged[2]
+        assert [line.split(":")[0] for line in logged[2]] == [
+            f"trained {mode} model, held-out project {name}"
+            for name in ("proj1", "proj2") for mode in (PV_DM, PV_DBOW)]
+        model = embedding.train(*cache._training_corpus("proj2")[:1], EMBED, PV_DBOW,
+                                vocab_documents=cache._training_corpus("proj2")[1])
+        assert logged[2][-1] == (
+            f"trained pv_dbow model, held-out project proj2: {model.steps} steps, "
+            f"epoch losses {model.epoch_losses[0]:.6g}, {model.epoch_losses[1]:.6g}, "
+            f"final learning rate {model.final_lr:.6g}")
+
+    def test_tfidf_set_up_and_queries_import_no_multiprocessing(self, synth_benchmark, tmp_path):
+        bench, cache = synth_benchmark[0], tmp_path / "c"
+        calls = [["train-global", "--benchmark", bench, "--cache", cache, "--no-embeddings"],
+                 *[["localize", "--benchmark", bench, "--project", "proj1", "--bug",
+                    "BUG-proj1-001", "--method", "4", "--cache", cache, "--out", tmp_path]] * 2]
+        code = ("import json, sys\nfrom bugloc.cli import main\n"
+                "for args in json.loads(sys.argv[1]):\n"
+                "    main(args, standalone_mode=False)\n"
+                "print('multiprocessing' in sys.modules)")
+        src = str(Path(cache_module.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(calls, default=str)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
+    def test_cpu_count_falls_back_without_affinity(self, monkeypatch):
+        assert cache_module._cpu_count() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cache_module._cpu_count() == 3
 
 
 class TestArtifactIntegrity:
