@@ -27,13 +27,18 @@ models one call trains run on one worker per CPU this process may use
 (``os.sched_getaffinity``, so ``taskset`` limits them): the caller and
 children forked from it. A child reads the token streams from the memory it
 shares with the caller, stores each model it trains as the caller would and
-sends back only how training converged, or its error's type and message.
-Each model's rng is seeded from the configuration alone and no model reads
-what another writes, so every model and sidecar holds the bytes that one
-process training them in order writes, and the first job to fail, in that
-order, raises its error. The caller reads every cached model, logs each
-trained model's convergence, and trains in process on one CPU or where the
-platform cannot fork. Python 3.12+ warns when a process with threads forks,
+sends back only how training converged, or its error. Each model's rng is
+seeded from the configuration alone and no model reads what another writes,
+so every model and sidecar holds the bytes that one process training them
+in order writes, and the first job to fail, in that order, raises its
+error. The caller reads every cached model, logs each trained model's
+convergence, and trains in process on one CPU or where the platform cannot
+fork. Every worker holds one model at a time, the one it trains, with its
+training matrices, and drops it once it is stored; the doc-vector index reads
+back the two models it needs. So peak memory grows with the number of
+workers, not of models. A child exits when the caller terminates it, and on
+Linux also when the caller is killed; elsewhere it finishes its current
+model first. Python 3.12+ warns when a process with threads forks,
 and numpy's OpenBLAS keeps a pool of them; OpenBLAS stops that pool in its
 ``pthread_atfork`` handler and starts it again on demand, and the caller
 forks before it trains, with no BLAS call under way, so the warning is
@@ -98,6 +103,7 @@ call, which sees the new stamps, rebuilds.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import itertools
@@ -105,9 +111,11 @@ import json
 import logging
 import operator
 import os
+import pickle
 import signal
 import stat
 import struct
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -407,11 +415,25 @@ class _Trained(NamedTuple):
         return cls(model.steps, model.epoch_losses, model.final_lr)
 
 
-class _Failed(NamedTuple):
-    """The type and message of the error that stopped a forked worker's job."""
+def _portable(exc: Exception) -> Exception:
+    """``exc``, or a :class:`TrainingError` naming its type and message where
+    ``exc`` would not come through a pipe whole: where pickling or
+    unpickling it fails."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return TrainingError(f"{type(exc).__name__}: {exc}")
+    return exc
 
-    type: type
-    message: str
+
+def _signal_when_orphaned(signum: int) -> None:
+    """Have the kernel send this process ``signum`` once the thread that
+    forked it is gone: Linux's ``PR_SET_PDEATHSIG``. Does nothing on a
+    platform without ``prctl``."""
+    try:
+        ctypes.CDLL(None).prctl(1, signum)  # 1: PR_SET_PDEATHSIG
+    except (AttributeError, OSError):
+        pass
 
 
 def _log_trained(job: tuple[str, str], trained: _Trained) -> None:
@@ -660,9 +682,7 @@ class ArtifactCache:
                                                2 * self.embed_config.vector_size)
         else:
             pairs = [(project.name, embedding.PV_DM), (project.name, embedding.PV_DBOW)]
-            models = self._models(pairs)
-            # a model a forked worker trained is read back from the cache
-            dm, dbow = (models[pair] or self.embedding_model(*pair) for pair in pairs)
+            dm, dbow = self._models(pairs)
             start = time.perf_counter()
             vectors = rank.DocVectors.infer(artifacts.files, project.bug_reports, dm, dbow,
                                             self.infer_epochs)
@@ -704,59 +724,53 @@ class ArtifactCache:
 
     def embedding_model(self, held_out: str, mode: str) -> embedding.EmbeddingModel:
         """Load or train the paragraph-vector model of the given mode."""
-        return self._models([(held_out, mode)])[held_out, mode]
+        return self._models([(held_out, mode)])[0]
 
-    def _models(self, pairs) -> dict:
-        """The paragraph-vector model of each (held-out project, mode) of
-        ``pairs``, by pair: read from the cache, or else trained and stored.
-        The models to train go to :meth:`_train_jobs`, so a model a forked
-        worker trained is stored and maps to None."""
+    def _load_model(self, held_out: str, mode: str) -> embedding.EmbeddingModel | None:
+        """The cached model of that mode, or None where it misses."""
         if self.embed_config is None:
             raise ValueError("no embedding configuration supplied")
-        models, jobs = {}, []
-        for held_out, mode in dict.fromkeys(pairs):
-            model = self._read(_MODEL_KINDS[mode], held_out,
-                               lambda data: embedding.load_model(data, mode, self.embed_config))
-            if model is None:
-                logger.info("training %s model, held-out project %s", mode, held_out)
-                jobs.append((held_out, mode))
-            else:
-                models[held_out, mode] = model
-        return {**models, **self._train_jobs(jobs)} if jobs else models
+        return self._read(_MODEL_KINDS[mode], held_out,
+                          lambda data: embedding.load_model(data, mode, self.embed_config))
 
-    def _train(self, held_out: str, mode: str) -> embedding.EmbeddingModel:
+    def _models(self, pairs) -> list[embedding.EmbeddingModel]:
+        """The paragraph-vector model of each (held-out project, mode) of
+        ``pairs``, in order: read from the cache, or else trained and stored
+        by :meth:`_train_jobs`, and read back."""
+        models = [self._load_model(*pair) for pair in pairs]
+        self._train_jobs([pair for pair, model in zip(pairs, models) if model is None])
+        return [self._load_model(*pair) if model is None else model
+                for pair, model in zip(pairs, models)]
+
+    def _train(self, held_out: str, mode: str) -> _Trained:
         """Train the model of that mode over the training corpus of
-        ``held_out``, and store it."""
+        ``held_out`` and store it; returns how it converged, and keeps no
+        model."""
         docs, vocab_docs = self._training_corpus(held_out)
         model = embedding.train(docs, self.embed_config, mode, vocab_documents=vocab_docs)
         self._store(_MODEL_KINDS[mode], held_out, embedding.save_model(model))
-        return model
+        return _Trained.of(model)
 
-    def _train_jobs(self, jobs) -> dict:
+    def _train_jobs(self, jobs) -> None:
         """Train and store the model of each (held-out project, mode) of
-        ``jobs``, and log how each converged; returns every model by job,
-        None for one a forked worker trained.
+        ``jobs``, and log how each converged.
 
         Up to one worker per CPU this process may use trains at once (see
         :meth:`_train_forked`); one worker trains the jobs in order here.
         Either way, every model trained is logged, and the first job to
-        fail, in job order, raises its error's type and message."""
+        fail, in job order, raises its error."""
+        for held_out, mode in jobs:
+            logger.info("training %s model, held-out project %s", mode, held_out)
         workers = min(len(jobs), _cpu_count())
         context = _fork_context() if workers > 1 else None
         if context is None:
-            models = {}
             for job in jobs:
-                models[job] = self._train(*job)
-                _log_trained(job, _Trained.of(models[job]))
-            return models
+                _log_trained(job, self._train(*job))
+            return
         logger.info("training %d models on %d processes", len(jobs), workers)
-        models, failed = {}, None
+        failed = None
         for job, outcome in zip(jobs, self._train_forked(context, jobs, workers)):
-            if isinstance(outcome, embedding.EmbeddingModel):
-                models[job] = outcome
-                outcome = _Trained.of(outcome)
             if isinstance(outcome, _Trained):
-                models.setdefault(job, None)
                 _log_trained(job, outcome)
             elif failed is None:
                 # a job no worker reported on before the first failure was lost
@@ -765,7 +779,6 @@ class ArtifactCache:
                     "exited without reporting")
         if failed is not None:
             raise failed
-        return models
 
     def _train_forked(self, context, jobs, workers: int) -> list:
         """Train ``jobs`` on ``workers`` processes at once: this one and
@@ -773,12 +786,15 @@ class ArtifactCache:
         the memory they share with it and store what they train. Each takes
         the next job not yet taken, this process job 0 first; once a job
         fails no worker takes another, so every job before it runs. Returns
-        per job the model this process trained, a child's :class:`_Trained`,
-        the error that stopped it, or None when no worker took it or one left
-        it unreported. Every child is joined before this returns or raises;
-        on an error outside a job, or an interrupt, each is terminated first
-        and its temporary files are removed."""
+        per job its :class:`_Trained`, the error that stopped it (see
+        :func:`_portable`), or None when no worker took it or one left it
+        unreported. Every child is joined before this returns or raises; on
+        an error outside a job, or an interrupt, each is terminated first
+        and its temporary files are removed. A child also exits once this
+        process is gone: at once where the kernel signals it (Linux), else
+        when its current job ends."""
         taken = context.Value("q", 1)  # jobs taken so far; len(jobs) once one failed
+        caller = os.getpid()
 
         def take() -> int:
             with taken.get_lock():
@@ -798,10 +814,17 @@ class ArtifactCache:
 
         def child(conn) -> None:
             signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's
+            # terminated, or orphaned: exit through _replace's clean-up
+            signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
+            _signal_when_orphaned(signal.SIGTERM)
+            if os.getppid() != caller:  # orphaned before the signal was set
+                return
 
             def report(index: int, outcome) -> None:
-                conn.send((index, _Failed(type(outcome), str(outcome))
-                           if isinstance(outcome, Exception) else _Trained.of(outcome)))
+                if os.getppid() != caller:  # orphaned, with no signal: take no other job
+                    sys.exit(1)
+                conn.send((index, _portable(outcome) if isinstance(outcome, Exception)
+                           else outcome))
 
             work(take(), report)
 
@@ -825,8 +848,7 @@ class ArtifactCache:
                             index, outcome = reader.recv()
                         except EOFError:  # the child is done and closed its end
                             break
-                        outcomes[index] = (outcome.type(outcome.message)
-                                           if isinstance(outcome, _Failed) else outcome)
+                        outcomes[index] = outcome
                 process.join()
         except BaseException:
             for process, _ in children:
@@ -848,8 +870,9 @@ class ArtifactCache:
         for name in names:
             self.global_vocabulary(name)
         if with_embeddings:
-            self._models([(name, mode) for name in names
-                          for mode in (embedding.PV_DM, embedding.PV_DBOW)])
+            pairs = [(name, mode) for name in names
+                     for mode in (embedding.PV_DM, embedding.PV_DBOW)]
+            self._train_jobs([pair for pair in pairs if self._load_model(*pair) is None])
         kinds = ["idf", "dm", "dbow"] if with_embeddings else ["idf"]
         return {name: {kind: str(self._paths(kind, name)[0]) for kind in kinds}
                 for name in names}

@@ -69,7 +69,9 @@ class BugReport:
     id: str
     summary: str
     description: str
-    fixed_files: set[str]
+    # None on a project rebuilt from a ranking index, which holds the fixed
+    # files as CSR arrays instead
+    fixed_files: set[str] | None
     timestamp: str | None = None
     token_stream: "TokenStream | None" = None
 

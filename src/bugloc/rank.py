@@ -341,9 +341,7 @@ class Artifacts:
             _streams([*project.source_files, *project.bug_reports])
         if fixed is not None:
             offsets, columns = fixed
-            self.fixed_counts = np.diff(offsets)
-            self._project_pairs = (offsets, columns, np.repeat(
-                self.fixed_counts, self.fixed_counts).astype(float))
+            self._project_pairs = offsets, columns, np.diff(offsets)
         self.files = sorted(project.source_files, key=lambda f: f.id)
         self.file_ids = [f.id for f in self.files]
         self._column = {fid: j for j, fid in enumerate(self.file_ids)}
@@ -382,26 +380,37 @@ class Artifacts:
                                 self.dbow_model, self.infer_epochs)
 
     @cached_property
-    def fixed_counts(self) -> np.ndarray:
-        """Each report's ``|fixed files|``, counting fixed files missing from
-        the project too; its number of columns when ``fixed`` was supplied."""
-        return np.array([len(report.fixed_files) for report in self.project.bug_reports],
-                        dtype=np.intp)
-
-    @cached_property
     def _project_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """File column and ``|fixed files|`` of every (report, fixed file of
-        this project) pair, in report order and, within a report, by column,
-        and ``offsets`` such that report ``i``'s pairs are ``offsets[i]:offsets[i + 1]``."""
-        counts, columns = [], []
+        """File column of every (report, fixed file of this project) pair, in
+        report order and, within a report, by column, ``offsets`` such that
+        report ``i``'s pairs are ``offsets[i]:offsets[i + 1]``, and each
+        report's ``|fixed files|``, counting fixed files missing from the
+        project too."""
+        counts, columns, sizes = [], [], []
         for report in self.project.bug_reports:
+            if report.fixed_files is None:
+                raise ValueError(f"report {report.id} carries no fixed files: "
+                                 "supply its ranking index's fixed-file arrays")
             fixed = sorted(self._column[fid] for fid in report.fixed_files
                            if fid in self._column)
             counts.append(len(fixed))
             columns += fixed
+            sizes.append(len(report.fixed_files))
         return (np.concatenate(([0], np.cumsum(counts, dtype=np.intp))),
-                np.array(columns, dtype=np.intp),
-                np.repeat(self.fixed_counts, counts).astype(float))
+                np.array(columns, dtype=np.intp), np.array(sizes, dtype=np.intp))
+
+    @property
+    def fixed_counts(self) -> np.ndarray:
+        """Each report's ``|fixed files|``; its number of columns in
+        :attr:`fixed` when ``fixed`` was supplied."""
+        return self._project_pairs[2]
+
+    @cached_property
+    def _pair_sizes(self) -> np.ndarray:
+        """The ``|fixed files|`` of the report of each pair of :attr:`fixed`,
+        as floats."""
+        offsets, _, counts = self._project_pairs
+        return np.repeat(counts, np.diff(offsets)).astype(float)
 
     @property
     def fixed(self) -> tuple[np.ndarray, np.ndarray]:
@@ -416,12 +425,12 @@ class Artifacts:
         follows ``history.rows``), added up in history order as a dict
         accumulation would: one ``bincount`` over the bins ``query * F +
         column``."""
-        offsets, columns, sizes = self._project_pairs
+        offsets, columns, _ = self._project_pairs
         idx, positions = tfidf.span_indices(offsets, history.rows)
         n_queries, n_files = len(history.offsets) - 1, len(self.files)
         # float even when no pair is drawn on: bincount gives ints for no input
         scores = np.bincount(history.owner[positions] * n_files + columns[idx],
-                             weights=sims[positions] / sizes[idx],
+                             weights=sims[positions] / self._pair_sizes[idx],
                              minlength=n_queries * n_files).astype(float, copy=False)
         return scores.reshape(n_queries, n_files)
 

@@ -2,6 +2,7 @@
 artifacts."""
 
 import builtins
+import gc
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ import shutil
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -931,6 +933,8 @@ class TestHitsReadNoBenchmarkFile:
         supplied = rank.Artifacts(project, scopes=scopes, fixed=fixed)._project_pairs
         for got, want in zip(supplied, rank.Artifacts(loaded, scopes=scopes)._project_pairs):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+        with pytest.raises(ValueError, match="carries no fixed files"):
+            rank.Artifacts(project, scopes=scopes).fixed_counts
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_index_of_older_layout_rebuilds_quietly(self, bench, tmp_path, caplog,
@@ -1326,6 +1330,147 @@ class TestParallelTraining:
         assert time.perf_counter() - start < 30
         self.assert_clean(tmp_path / "c")
         assert self.models(tmp_path / "c") == {}
+
+    @pytest.mark.parametrize("error", [
+        UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),  # several arguments
+        KeyError("pv_dbow"),  # str() quotes the argument
+        embedding.TrainingError("diverged")])
+    def test_child_raises_the_error_in_process_training_raises(self, synth_benchmark,
+                                                               tmp_path, monkeypatch, error):
+        raised, train = {}, embedding.train
+
+        def patched(docs, config, mode, **kwargs):
+            if mode == PV_DBOW:  # job 1: in the child on two workers
+                raise error
+            return train(docs, config, mode, **kwargs)
+
+        monkeypatch.setattr(embedding, "train", patched)
+        for n in (1, 2):
+            self.workers(monkeypatch, n)
+            cache = ArtifactCache(tmp_path / f"c{n}", synth_benchmark[1], PreprocessConfig(),
+                                  EMBED)
+            with pytest.raises(type(error)) as info:
+                cache.train_all(["proj1"])
+            raised[n] = info.value
+            self.assert_clean(tmp_path / f"c{n}")
+        assert type(raised[2]) is type(error)
+        assert raised[2].args == raised[1].args == error.args
+        assert str(raised[2]) == str(error)
+
+    def test_child_error_that_does_not_pickle_names_its_type(self, synth_benchmark, tmp_path,
+                                                              monkeypatch):
+        class Local(ValueError):  # a local class: pickle cannot find it by name
+            pass
+
+        self.workers(monkeypatch, 2)
+        train = embedding.train
+
+        def patched(docs, config, mode, **kwargs):
+            if mode == PV_DBOW:
+                raise Local("no way back")
+            return train(docs, config, mode, **kwargs)
+
+        monkeypatch.setattr(embedding, "train", patched)
+        result = self.train_global(synth_benchmark[0], tmp_path / "c", "--held-out", "proj1",
+                                   *FAST)
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [json.dumps({"error": "Local: no way back"})]
+        self.assert_clean(tmp_path / "c")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc, and "
+                        "only Linux signals an orphaned child")
+    @pytest.mark.parametrize("signalled", [True, False])
+    def test_children_exit_when_the_caller_is_killed(self, synth_benchmark, tmp_path,
+                                                     signalled):
+        """The caller dies by SIGKILL while its child trains. Signalled, the
+        child exits at once, removes the file it was writing and stores no
+        model; with no signal (``prctl`` missing), it stores the model it
+        was training and takes no other job."""
+        child_pid, cache = tmp_path / "child.pid", tmp_path / "c"
+        code = (
+            "import os, sys, time\n"
+            "from pathlib import Path\n"
+            "from bugloc import cache, embedding\n"
+            "from bugloc.cli import main\n"
+            "cache._cpu_count = lambda: 2\n"
+            "if sys.argv[4] == 'False':\n"
+            "    cache._signal_when_orphaned = lambda signum: None\n"
+            "caller, train = os.getpid(), embedding.train\n"
+            "def patched(docs, config, mode, **kwargs):\n"
+            "    if os.getpid() == caller:\n"
+            "        time.sleep(60)\n"
+            "    model = train(docs, config, mode, **kwargs)\n"
+            "    if sys.argv[4] == 'False':\n"
+            "        Path(sys.argv[1]).write_text(str(os.getpid()))\n"
+            "        for _ in range(3000):\n"
+            "            if os.getppid() != caller:\n"
+            "                break\n"
+            "            time.sleep(0.01)\n"
+            "        return model\n"
+            "    def chunks():\n"
+            "        yield b'partial'\n"
+            "        Path(sys.argv[1]).write_text(str(os.getpid()))\n"
+            "        time.sleep(60)\n"
+            "    embedding.save_model = lambda model: chunks()\n"
+            "    return model\n"
+            "embedding.train = patched\n"
+            "main(['train-global', '--benchmark', sys.argv[2], '--cache', sys.argv[3],\n"
+            "      '--held-out', 'proj1', '--held-out', 'proj2', *sys.argv[5:]])\n")
+        src = str(Path(cache_module.__file__).parents[1])
+        caller = subprocess.Popen([sys.executable, "-c", code, str(child_pid),
+                                   str(synth_benchmark[0]), str(cache), str(signalled), *FAST],
+                                  env={**os.environ, "PYTHONPATH": src},
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            for _ in range(3000):
+                if child_pid.exists() and child_pid.read_text():
+                    break
+                assert caller.poll() is None
+                time.sleep(0.01)
+            pid = int(child_pid.read_text())
+            if signalled:
+                assert [path.name for path in cache.glob("*.tmp*")] == [
+                    f"dbow_proj1.bin.tmp{pid}"]
+        finally:
+            caller.kill()
+            caller.wait()
+
+        def running() -> bool:
+            try:  # a zombie, waiting for whoever adopted it, has exited
+                return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        for _ in range(1000):
+            if not running():
+                break
+            time.sleep(0.01)
+        assert not running()
+        assert list(cache.glob("*.tmp*")) == []
+        # jobs: DM and DBOW of proj1, then of proj2; the child took job 1
+        assert list(self.models(cache)) == ([] if signalled else
+                                            ["dbow_proj1.bin", "dbow_proj1.bin.meta.json"])
+
+    def test_caller_keeps_no_trained_model(self, synth_benchmark, tmp_path, monkeypatch):
+        """Each model trained in process is gone before the next one trains,
+        so a set-up holds one model at a time, however many it trains."""
+        self.workers(monkeypatch, 1)
+        trained, alive = [], []
+        train = embedding.train
+
+        def patched(docs, config, mode, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in trained))
+            model = train(docs, config, mode, **kwargs)
+            trained.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(embedding, "train", patched)
+        cache = ArtifactCache(tmp_path / "c", synth_benchmark[1], PreprocessConfig(), EMBED)
+        cache.train_all(["proj1", "proj2", "proj3"])
+        gc.collect()
+        assert alive == [0] * 6
+        assert [ref() for ref in trained] == [None] * 6
 
     def test_all_hits_start_no_process(self, synth_benchmark, tmp_path, monkeypatch, starts):
         self.workers(monkeypatch, 2)
