@@ -22,28 +22,18 @@ The first ``localize`` or ``evaluate`` that ranks with a scope (``local``,
 ``global`` or ``docvec``) builds its index; ``train-global`` builds none.
 
 Paragraph-vector models are trained where they miss: by ``train-global``,
-after every IDF model, or by the first doc-vector call that needs them. The
-models one call trains run on one worker per CPU this process may use
-(``os.sched_getaffinity``, so ``taskset`` limits them): the caller and
-children forked from it. A child reads the token streams from the memory it
-shares with the caller, stores each model it trains as the caller would and
-sends back only how training converged, or its error. Each model's rng is
-seeded from the configuration alone and no model reads what another writes,
-so every model and sidecar holds the bytes that one process training them
-in order writes, and the first job to fail, in that order, raises its
-error. The caller reads every cached model, logs each trained model's
-convergence, and trains in process on one CPU or where the platform cannot
-fork. Every worker holds one model at a time, the one it trains, with its
-training matrices, and drops it once it is stored; the doc-vector index reads
-back the two models it needs. So peak memory grows with the number of
-workers, not of models. A child exits when the caller terminates it, and on
-Linux also when the caller is killed; elsewhere it finishes its current
-model first. Python 3.12+ warns when a process with threads forks,
-and numpy's OpenBLAS keeps a pool of them; OpenBLAS stops that pool in its
-``pthread_atfork`` handler and starts it again on demand, and the caller
-forks before it trains, with no BLAS call under way, so the warning is
-silenced for these forks. Only a call that trains models on two CPUs or
-more imports :mod:`multiprocessing`.
+after every IDF model, or by the first doc-vector call that needs them, on
+the fork pool of :mod:`bugloc.pool`. A child reads the token streams from
+the memory it shares with the caller and stores each model it trains as the
+caller would. Each model's rng is seeded from the configuration alone and no
+model reads what another writes, so every model and sidecar holds the bytes
+that one process training them in order writes. The caller reads every
+cached model, and each model trained logs how it converged. Every worker
+holds one model at a time, the one it trains, with its training matrices,
+and drops it once it is stored; the doc-vector index reads back the two
+models it needs. So peak memory grows with the number of workers, not of
+models. A child that exits with an error, as when it is terminated, has its
+temporary files removed.
 
 All share the layout of :mod:`bugloc.container`; nothing is pickled. Every
 artifact gets a sidecar ``.meta.json`` holding a fingerprint of the corpus,
@@ -103,7 +93,6 @@ call, which sees the new stamps, rebuilds.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import hashlib
 import itertools
@@ -111,22 +100,17 @@ import json
 import logging
 import operator
 import os
-import pickle
-import signal
 import stat
 import struct
-import sys
 import time
-import warnings
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from . import container, corpus, embedding, rank, tfidf
+from . import container, corpus, embedding, pool, rank, tfidf
 from .corpus import Benchmark, BugReport, Project, SourceFile
-from .errors import TrainingError
-from .preprocess import BUG_REPORT, SOURCE_FILE, PreprocessConfig, TokenStream
+from .preprocess import PreprocessConfig, TokenStream, decode_streams, documents, encode_streams
 
 logger = logging.getLogger(__name__)
 
@@ -197,16 +181,6 @@ def _seal_at(root: str, names) -> tuple[str, int]:
         os.close(fd)
 
 
-def _documents(benchmark: Benchmark):
-    """(document, origin) in index order: projects by name, each project's
-    source files, then its bug reports."""
-    for project in sorted(benchmark.projects, key=lambda p: p.name):
-        for src in project.source_files:
-            yield src, SOURCE_FILE
-        for report in project.bug_reports:
-            yield report, BUG_REPORT
-
-
 # The token-stream index (see bugloc.container): the distinct terms, each
 # document's offset into ``ids`` and the end, and the term ids in order.
 _TOKENS = container.Layout(b"bugloc-tokens v2\n",
@@ -230,28 +204,16 @@ _DOCVEC = container.Layout(b"bugloc-docvec v1\n", [
 
 def _encode_streams(streams) -> list:
     """The index of the streams, as the buffers to write in order."""
-    streams = list(streams)
-    offsets = np.cumsum([0, *(len(stream.tokens) for stream in streams)])
-    term_ids: dict[str, int] = {}
-    ids = np.empty(offsets[-1], dtype=np.int32)
-    for stream, start, end in zip(streams, offsets.tolist(), offsets[1:].tolist()):
-        # ids go to each stream's new terms in first-occurrence order
-        for term in dict.fromkeys(stream.tokens):
-            term_ids.setdefault(term, len(term_ids))
-        ids[start:end] = np.fromiter(map(term_ids.__getitem__, stream.tokens), np.int32)
-    return _TOKENS.encode({"terms": list(term_ids), "offsets": offsets, "ids": ids})
+    terms, offsets, ids = encode_streams(streams)
+    return _TOKENS.encode({"terms": terms, "offsets": offsets, "ids": ids})
 
 
 def _decode_streams(data: bytes, origins: list[str]) -> list[TokenStream]:
-    """Token streams of a verified index, decoded one document at a time;
-    every stream shares one str per term."""
+    """Token streams of a verified index (see :func:`~bugloc.preprocess.decode_streams`)."""
     a = _TOKENS.decode(data)
     terms, offsets, ids = a["terms"], a["offsets"], a["ids"]
     container.check_spans(offsets, ids, len(origins), len(terms))
-    lookup = terms.__getitem__
-    bounds = offsets.tolist()
-    return [TokenStream(tuple(map(lookup, ids[start:end].tolist())), origin)
-            for origin, start, end in zip(origins, bounds, bounds[1:])]
+    return decode_streams(terms, offsets, ids, origins)
 
 
 class _Index(NamedTuple):
@@ -382,65 +344,6 @@ _MODEL_KINDS = {embedding.PV_DM: "dm", embedding.PV_DBOW: "dbow"}
 
 # the record of the corpus digest in the cache directory, see the module docstring
 _CORPUS_RECORD = "corpus.json"
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _fork_context():
-    """:mod:`multiprocessing`'s fork context, or None on a platform without
-    one. Only training several models at once imports the module."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return multiprocessing.get_context("fork")
-
-
-class _Trained(NamedTuple):
-    """How training a model converged: the SGD steps it took, each epoch's
-    mean loss and its final learning rate."""
-
-    steps: int
-    epoch_losses: list[float]
-    final_lr: float
-
-    @classmethod
-    def of(cls, model: embedding.EmbeddingModel) -> _Trained:
-        return cls(model.steps, model.epoch_losses, model.final_lr)
-
-
-def _portable(exc: Exception) -> Exception:
-    """``exc``, or a :class:`TrainingError` naming its type and message where
-    ``exc`` would not come through a pipe whole: where pickling or
-    unpickling it fails."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        return TrainingError(f"{type(exc).__name__}: {exc}")
-    return exc
-
-
-def _signal_when_orphaned(signum: int) -> None:
-    """Have the kernel send this process ``signum`` once the thread that
-    forked it is gone: Linux's ``PR_SET_PDEATHSIG``. Does nothing on a
-    platform without ``prctl``."""
-    try:
-        ctypes.CDLL(None).prctl(1, signum)  # 1: PR_SET_PDEATHSIG
-    except (AttributeError, OSError):
-        pass
-
-
-def _log_trained(job: tuple[str, str], trained: _Trained) -> None:
-    held_out, mode = job
-    logger.info("trained %s model, held-out project %s: %d steps, epoch losses %s, "
-                "final learning rate %.6g", mode, held_out, trained.steps,
-                ", ".join(f"{loss:.6g}" for loss in trained.epoch_losses), trained.final_lr)
 
 
 class ArtifactCache:
@@ -577,7 +480,7 @@ class ArtifactCache:
     def load_token_streams(self) -> bool:
         """Fill every document's ``token_stream`` from the index; False, with
         nothing filled, when the index is missing, stale or damaged."""
-        docs = list(_documents(self.benchmark))
+        docs = list(documents(self.benchmark))
         streams = self._read("tokens", "",
                              lambda data: _decode_streams(data, [origin for _, origin in docs]))
         if streams is None:
@@ -589,7 +492,7 @@ class ArtifactCache:
     def save_token_streams(self) -> None:
         """Write the index of every document's current ``token_stream``."""
         self._store("tokens", "",
-                    _encode_streams(doc.token_stream for doc, _ in _documents(self.benchmark)))
+                    _encode_streams(doc.token_stream for doc, _ in documents(self.benchmark)))
 
     def indexed_project(self, name: str, scopes) -> tuple[Project, dict, tuple] | None:
         """Project ``name`` rebuilt from its ranking indexes under each of
@@ -742,125 +645,36 @@ class ArtifactCache:
         return [self._load_model(*pair) if model is None else model
                 for pair, model in zip(pairs, models)]
 
-    def _train(self, held_out: str, mode: str) -> _Trained:
-        """Train the model of that mode over the training corpus of
-        ``held_out`` and store it; returns how it converged, and keeps no
-        model."""
+    def _train(self, job: tuple[str, str]) -> None:
+        """Train the model of the (held-out project, mode) ``job`` over the
+        training corpus of that project, store it and log how it converged;
+        keeps no model."""
+        held_out, mode = job
         docs, vocab_docs = self._training_corpus(held_out)
         model = embedding.train(docs, self.embed_config, mode, vocab_documents=vocab_docs)
         self._store(_MODEL_KINDS[mode], held_out, embedding.save_model(model))
-        return _Trained.of(model)
+        logger.info("trained %s model, held-out project %s: %d steps, epoch losses %s, "
+                    "final learning rate %.6g", mode, held_out, model.steps,
+                    ", ".join(f"{loss:.6g}" for loss in model.epoch_losses), model.final_lr)
 
     def _train_jobs(self, jobs) -> None:
         """Train and store the model of each (held-out project, mode) of
-        ``jobs``, and log how each converged.
-
-        Up to one worker per CPU this process may use trains at once (see
-        :meth:`_train_forked`); one worker trains the jobs in order here.
-        Either way, every model trained is logged, and the first job to
-        fail, in job order, raises its error."""
+        ``jobs`` on up to one worker per CPU this process may use
+        (:func:`bugloc.pool.run`): the models stored, the lines logged and
+        the first error raised are those of one process training the jobs in
+        order."""
         for held_out, mode in jobs:
             logger.info("training %s model, held-out project %s", mode, held_out)
-        workers = min(len(jobs), _cpu_count())
-        context = _fork_context() if workers > 1 else None
-        if context is None:
-            for job in jobs:
-                _log_trained(job, self._train(*job))
-            return
-        logger.info("training %d models on %d processes", len(jobs), workers)
-        failed = None
-        for job, outcome in zip(jobs, self._train_forked(context, jobs, workers)):
-            if isinstance(outcome, _Trained):
-                _log_trained(job, outcome)
-            elif failed is None:
-                # a job no worker reported on before the first failure was lost
-                failed = outcome or TrainingError(
-                    f"the process training the {job[1]} model, held-out project {job[0]}, "
-                    "exited without reporting")
-        if failed is not None:
-            raise failed
+        pool.run(jobs, self._train, pool.cpu_count(),
+                 lambda job: f"the process training the {job[1]} model, held-out project "
+                             f"{job[0]}, exited without reporting",
+                 self._remove_temporary)
 
-    def _train_forked(self, context, jobs, workers: int) -> list:
-        """Train ``jobs`` on ``workers`` processes at once: this one and
-        ``workers - 1`` children forked from it, which read the corpus from
-        the memory they share with it and store what they train. Each takes
-        the next job not yet taken, this process job 0 first; once a job
-        fails no worker takes another, so every job before it runs. Returns
-        per job its :class:`_Trained`, the error that stopped it (see
-        :func:`_portable`), or None when no worker took it or one left it
-        unreported. Every child is joined before this returns or raises; on
-        an error outside a job, or an interrupt, each is terminated first
-        and its temporary files are removed. A child also exits once this
-        process is gone: at once where the kernel signals it (Linux), else
-        when its current job ends."""
-        taken = context.Value("q", 1)  # jobs taken so far; len(jobs) once one failed
-        caller = os.getpid()
-
-        def take() -> int:
-            with taken.get_lock():
-                taken.value += 1
-                return taken.value - 1
-
-        def work(index: int, report) -> None:
-            while index < len(jobs):
-                try:
-                    outcome = self._train(*jobs[index])
-                except Exception as exc:  # the job's error, raised in job order
-                    with taken.get_lock():
-                        taken.value = len(jobs)
-                    outcome = exc
-                report(index, outcome)
-                index = take()
-
-        def child(conn) -> None:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's
-            # terminated, or orphaned: exit through _replace's clean-up
-            signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
-            _signal_when_orphaned(signal.SIGTERM)
-            if os.getppid() != caller:  # orphaned before the signal was set
-                return
-
-            def report(index: int, outcome) -> None:
-                if os.getppid() != caller:  # orphaned, with no signal: take no other job
-                    sys.exit(1)
-                conn.send((index, _portable(outcome) if isinstance(outcome, Exception)
-                           else outcome))
-
-            work(take(), report)
-
-        outcomes, children = [None] * len(jobs), []
-        try:
-            for _ in range(workers - 1):
-                reader, writer = context.Pipe(duplex=False)
-                process = context.Process(target=child, args=(writer,), daemon=True)
-                with warnings.catch_warnings():
-                    # numpy's BLAS threads: see the module docstring
-                    warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                            DeprecationWarning)
-                    process.start()
-                writer.close()
-                children.append((process, reader))
-            work(0, outcomes.__setitem__)
-            for process, reader in children:
-                with reader:
-                    while True:
-                        try:
-                            index, outcome = reader.recv()
-                        except EOFError:  # the child is done and closed its end
-                            break
-                        outcomes[index] = outcome
-                process.join()
-        except BaseException:
-            for process, _ in children:
-                process.terminate()
-            raise
-        finally:
-            for process, _ in children:
-                process.join()
-                if process.exitcode:
-                    for path in self.directory.glob(f"*.tmp{process.pid}"):
-                        path.unlink(missing_ok=True)
-        return outcomes
+    def _remove_temporary(self, pid: int) -> None:
+        """Remove the temporary files process ``pid`` left (see
+        :func:`_replace`)."""
+        for path in self.directory.glob(f"*.tmp{pid}"):
+            path.unlink(missing_ok=True)
 
     def train_all(self, held_out_projects, with_embeddings: bool = True) -> dict:
         """Materialize artifacts for each held-out project; returns paths.

@@ -22,25 +22,38 @@ def _is_consonant(word: str, i: int) -> bool:
     return True
 
 
+class _Forms(dict):
+    """``str.translate`` table of each letter's form: ``v`` for a vowel,
+    ``c`` for a consonant and ``y`` for a ``y``, whose form depends on its
+    predecessor; any other character is a consonant."""
+
+    def __missing__(self, key: int) -> str:
+        return "c"
+
+
+_FORMS = _Forms({ord(c): "v" if c in _VOWELS else "y" if c == "y" else "c"
+                 for c in "abcdefghijklmnopqrstuvwxyz"})
+
+
+def _forms(word: str) -> str:
+    """Each character's form, ``c`` or ``v``, as :func:`_is_consonant` has it."""
+    forms = word.translate(_FORMS)
+    if "y" not in forms:
+        return forms
+    chars = list(forms)
+    for i, c in enumerate(chars):
+        if c == "y":  # a consonant at the start or after a vowel, else a vowel
+            chars[i] = "c" if i == 0 or chars[i - 1] == "v" else "v"
+    return "".join(chars)
+
+
 def _measure(stem: str) -> int:
     """Number of vowel-consonant sequences: [C](VC)^m[V]."""
-    i, n = 0, 0
-    length = len(stem)
-    while i < length and _is_consonant(stem, i):
-        i += 1
-    while i < length:
-        while i < length and not _is_consonant(stem, i):
-            i += 1
-        if i >= length:
-            break
-        n += 1
-        while i < length and _is_consonant(stem, i):
-            i += 1
-    return n
+    return _forms(stem).count("vc")
 
 
 def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return "v" in _forms(stem)
 
 
 def _ends_double_consonant(word: str) -> bool:
@@ -168,10 +181,20 @@ def _step5(word: str) -> str:
     return word
 
 
+# every suffix some step tests a word for: a word that ends in none of them
+# passes every step unchanged
+_STEP_SUFFIXES = ("s", "eed", "ed", "ing", "y", *_STEP2_SUFFIXES, *_STEP3_SUFFIXES, *_STEP4,
+                  "e", "ll")
+# the same test, without the suffixes that end in a shorter one of them
+_ANY_STEP = tuple(suffix for suffix in _STEP_SUFFIXES
+                  if not any(suffix != other and suffix.endswith(other)
+                             for other in _STEP_SUFFIXES))
+
+
 def stem(word: str) -> str:
     """Stem a single lowercase term; terms of length <= 2 pass through."""
     word = word.lower()
-    if len(word) <= 2:
+    if len(word) <= 2 or not word.endswith(_ANY_STEP):
         return word
     word = _step1ab(word)
     word = _step1c(word)

@@ -10,6 +10,7 @@ bug reports still match.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import re
 from dataclasses import dataclass, field
@@ -17,7 +18,9 @@ from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
-from . import porter
+import numpy as np
+
+from . import pool, porter
 
 logger = logging.getLogger(__name__)
 
@@ -27,6 +30,12 @@ SOURCE_FILE = "source_file"
 # Bump on any change to what the pipeline outputs for the same input, so
 # that cached token streams and models built from them are rebuilt.
 PIPELINE_VERSION = 1
+
+# preprocess_benchmark runs one worker per this many characters of text, up to
+# one per CPU. Two workers first gain in a fresh process, which imports
+# multiprocessing for its first fork, between 350k and 420k characters; below
+# that, forking and sending the streams back cost more than a worker saves.
+_CHARS_PER_WORKER = 200_000
 
 _WORD_RE = re.compile(r"[A-Za-z0-9_]+")
 _CAMEL_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z]?[a-z]+")
@@ -139,7 +148,7 @@ def split_identifier(identifier: str, keep_compound: bool = True) -> list[str]:
     concatenation of all its letters is appended as an extra term, so
     ``MAX_VALUE`` yields max, value, maxvalue.
     """
-    parts = [m.group(0).lower() for m in _CAMEL_RE.finditer(identifier)]
+    parts = [part.lower() for part in _CAMEL_RE.findall(identifier)]
     if keep_compound:
         compound = "".join(parts)
         if compound and parts != [compound]:
@@ -168,7 +177,9 @@ class Memo:
     each raw word's terms (split, filtered, stemmed and length-filtered) in
     ``words``, and each identifier part's stem in ``stems``. Distinct words
     and parts are few next to their occurrences. Valid for one config; keep
-    one only as long as the call, so that every call does its own work."""
+    one only as long as the call, so that every call does its own work.
+    :func:`preprocess_benchmark` keeps one memo per worker: one per chunk of
+    the benchmark, and a chunk per worker."""
 
     words: dict[str, tuple[str, ...]] = field(default_factory=dict)
     stems: dict[str, str] = field(default_factory=dict)
@@ -235,8 +246,89 @@ def preprocess_project(project, config: PreprocessConfig | None = None,
         report.token_stream = preprocess(report.text, BUG_REPORT, config, memo)
 
 
+def documents(benchmark):
+    """(document, origin) in index order: projects by name, each project's
+    source files, then its bug reports."""
+    for project in sorted(benchmark.projects, key=lambda p: p.name):
+        for src in project.source_files:
+            yield src, SOURCE_FILE
+        for report in project.bug_reports:
+            yield report, BUG_REPORT
+
+
+def encode_streams(streams) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The streams as their distinct terms, in first-occurrence order, each
+    stream's int64 offset into the term ids and the end, and the int32 term
+    ids in order."""
+    streams = list(streams)
+    offsets = np.cumsum([0, *(len(stream.tokens) for stream in streams)])
+    tokens = list(itertools.chain.from_iterable(stream.tokens for stream in streams))
+    term_ids = {term: i for i, term in enumerate(dict.fromkeys(tokens))}
+    return (list(term_ids), offsets,
+            np.fromiter(map(term_ids.__getitem__, tokens), np.int32, len(tokens)))
+
+
+def decode_streams(terms, offsets, ids, origins) -> list[TokenStream]:
+    """The streams that :func:`encode_streams` gave ``terms``, ``offsets``
+    and ``ids`` for, with these origins, decoded one at a time; every stream
+    shares one str per term."""
+    lookup = terms.__getitem__
+    bounds = offsets.tolist()
+    return [TokenStream(tuple(map(lookup, ids[start:end].tolist())), origin)
+            for origin, start, end in zip(origins, bounds, bounds[1:])]
+
+
+class _Streams(list):
+    """A list of token streams that pickles as :func:`encode_streams` of
+    them and unpickles through :func:`decode_streams`: a worker sends its
+    streams back as one str per distinct term and an int32 id per token."""
+
+    def __reduce__(self):
+        return decode_streams, (*encode_streams(self), [stream.origin for stream in self])
+
+
+def _chunks(lengths: list[int], workers: int) -> list[tuple[int, int]]:
+    """(start, end) of up to ``workers`` contiguous, non-empty spans of the
+    documents of these text lengths: cut into ``workers`` equal parts, the
+    text of each document goes to the part that holds its middle."""
+    total = sum(lengths)
+    parts = [min(workers - 1, (2 * start + length) * workers // (2 * total))
+             for start, length in zip(itertools.accumulate(lengths, initial=0), lengths)]
+    cuts = [0, *(i for i in range(1, len(parts)) if parts[i] != parts[i - 1]), len(parts)]
+    return list(zip(cuts, cuts[1:]))
+
+
 def preprocess_benchmark(benchmark, config: PreprocessConfig | None = None) -> None:
+    """Fill ``token_stream`` on every document of every project in place,
+    with one :class:`Memo` per worker.
+
+    A benchmark of at least twice ``_CHARS_PER_WORKER`` characters of text
+    is preprocessed on one worker per that many characters, up to one per
+    CPU this process may use (:mod:`bugloc.pool`): the documents, in
+    :func:`documents` order, are cut into one contiguous chunk per worker of
+    about equal text length; the caller preprocesses the first and children
+    forked from it the others, each chunk through :func:`preprocess` with a
+    memo of its own. A child sends its streams back as :func:`encode_streams`
+    arrays (see :class:`_Streams`) with what it logged, which the caller
+    logs in document order. A memo never changes a term, so the streams are
+    those of one memo over the whole benchmark. A smaller benchmark, or one
+    on one CPU, is preprocessed in process, and nothing is forked.
+    """
     config = config or PreprocessConfig()
-    memo = Memo()
-    for project in benchmark.projects:
-        preprocess_project(project, config, memo)
+    docs = list(documents(benchmark))
+    texts = [doc.raw_text if origin == SOURCE_FILE else doc.text for doc, origin in docs]
+    lengths = list(map(len, texts))
+    workers = min(pool.cpu_count(), sum(lengths) // _CHARS_PER_WORKER)
+    spans = _chunks(lengths, workers) if workers > 1 else [(0, len(docs))]
+
+    def chunk(span: tuple[int, int]) -> _Streams:
+        memo = Memo()
+        return _Streams(preprocess(text, origin, config, memo)
+                        for (_, origin), text in zip(docs[slice(*span)], texts[slice(*span)]))
+
+    chunks = pool.run(spans, chunk, len(spans),
+                      lambda span: f"the process preprocessing documents {span[0]} to "
+                                   f"{span[1] - 1} exited without reporting")
+    for span, streams in zip(spans, chunks):
+        for (doc, _), stream in zip(docs[slice(*span)], streams):
+            doc.token_stream = stream

@@ -23,7 +23,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from bugloc import cache as cache_module, cli, corpus, embedding, preprocess, rank, tfidf
+from bugloc import cache as cache_module, cli, corpus, embedding, pool, preprocess, rank, tfidf
 from bugloc.cache import ArtifactCache
 from bugloc.cli import main
 from bugloc.corpus import load_benchmark
@@ -178,7 +178,7 @@ def sealed_bytes(sealed):
     """Per kind, the bytes of the sealed artifact and the function that
     decodes them."""
     root, cache = sealed
-    origins = [origin for _, origin in cache_module._documents(load_benchmark(root))]
+    origins = [origin for _, origin in preprocess.documents(load_benchmark(root))]
     config = EmbeddingConfig(vector_size=8, epochs=2, min_count=1)  # as FAST sets it
     decoders = {"tokens": lambda data: cache_module._decode_streams(data, origins),
                 "idf": tfidf.load_vocabulary,
@@ -1165,16 +1165,27 @@ def test_global_df_counted_once_per_cache(synth_benchmark, tmp_path, monkeypatch
     assert counted == [benchmark] and built == names  # every model a hit: nothing counted
 
 
-def generated_corpus(seed, root):
-    """perfbench's docvec corpus of that seed, written under ``root``."""
+def generated_corpus(seed, root, workload="docvec"):
+    """perfbench's corpus of that workload and seed, written under ``root``,
+    and the docvec workload's embedding flags."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         import corpus_gen
         import workloads
     finally:
         sys.path.pop(0)
-    corpus_gen.write_tree(corpus_gen.generate(workloads.SPECS["docvec"].corpus, seed), root)
+    corpus_gen.write_tree(corpus_gen.generate(workloads.SPECS[workload].corpus, seed), root)
     return root, workloads.Docvec.embedding_flags
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """Records every process start, and starts it."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda process: started.append(process) or start(process))
+    return started
 
 
 class TestParallelTraining:
@@ -1182,18 +1193,9 @@ class TestParallelTraining:
     the caller and forked children, with the bytes, errors and logs of one
     process training them in order."""
 
-    @pytest.fixture
-    def starts(self, monkeypatch):
-        """Records every process start, and starts it."""
-        started = []
-        start = multiprocessing.process.BaseProcess.start
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
-                            lambda process: started.append(process) or start(process))
-        return started
-
     @staticmethod
     def workers(monkeypatch, n):
-        monkeypatch.setattr(cache_module, "_cpu_count", lambda: n)
+        monkeypatch.setattr(pool, "cpu_count", lambda: n)
 
     @staticmethod
     def train_global(bench, cache, *extra):
@@ -1390,11 +1392,11 @@ class TestParallelTraining:
         code = (
             "import os, sys, time\n"
             "from pathlib import Path\n"
-            "from bugloc import cache, embedding\n"
+            "from bugloc import embedding, pool\n"
             "from bugloc.cli import main\n"
-            "cache._cpu_count = lambda: 2\n"
+            "pool.cpu_count = lambda: 2\n"
             "if sys.argv[4] == 'False':\n"
-            "    cache._signal_when_orphaned = lambda signum: None\n"
+            "    pool._signal_when_orphaned = lambda signum: None\n"
             "caller, train = os.getpid(), embedding.train\n"
             "def patched(docs, config, mode, **kwargs):\n"
             "    if os.getpid() == caller:\n"
@@ -1531,11 +1533,74 @@ class TestParallelTraining:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
 
-    def test_cpu_count_falls_back_without_affinity(self, monkeypatch):
-        assert cache_module._cpu_count() == len(os.sched_getaffinity(0))
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert cache_module._cpu_count() == 3
+
+class TestParallelPreprocessing:
+    """A benchmark of at least twice ``preprocess._CHARS_PER_WORKER``
+    characters is preprocessed on one worker per that many characters, up
+    to one per CPU: every artifact and output holds the bytes of one
+    process preprocessing it."""
+
+    @staticmethod
+    def workers(monkeypatch, n):
+        """Preprocess any benchmark on n workers."""
+        monkeypatch.setattr(pool, "cpu_count", lambda: n)
+        monkeypatch.setattr(preprocess, "_CHARS_PER_WORKER", 1)
+
+    @pytest.mark.parametrize("seed", [None, 5, 11])
+    def test_artifacts_and_outputs_are_the_same_on_two_workers(self, synth_benchmark, tmp_path,
+                                                               monkeypatch, starts, seed):
+        """On the synthetic benchmark, and on perfbench's evaluate-tfidf
+        corpus of each seed."""
+        bench = (synth_benchmark[0] if seed is None else
+                 generated_corpus(seed, tmp_path / "bench", "evaluate-tfidf")[0])
+        built = {}
+        for n in (1, 2):
+            self.workers(monkeypatch, n)
+            del starts[:]
+            cache, out = tmp_path / f"c{n}", tmp_path / f"out{n}"
+            train(bench, cache)
+            assert len(starts) == n - 1
+            run("evaluate", "--benchmark", bench, "--methods", "1,2,3,4", "--cache", cache,
+                "--out", out)
+            built[n] = {path.name: path.read_bytes() for directory in (cache, out)
+                        for path in sorted(directory.iterdir())}
+        assert multiprocessing.active_children() == []
+        assert built[1] == built[2]
+        assert {"tokens.bin", "idf_proj1.bin", "index_local_proj3.bin",
+                "index_global_proj3.bin", *OUTPUTS} <= set(built[2])
+
+    def test_error_in_a_child_chunk_fails_the_call_cleanly(self, synth_benchmark, tmp_path,
+                                                          monkeypatch, starts):
+        self.workers(monkeypatch, 2)
+        real = preprocess.preprocess
+        last = max(load_benchmark(synth_benchmark[0]).projects, key=lambda p: p.name)
+        failing = last.bug_reports[-1].text  # the last document: the child's chunk
+
+        def patched(text, origin=preprocess.BUG_REPORT, config=None, memo=None):
+            if text == failing:
+                raise ValueError("no tokens in this report")
+            return real(text, origin, config, memo)
+
+        monkeypatch.setattr(preprocess, "preprocess", patched)
+        result = CliRunner().invoke(main, ["train-global", "--benchmark", str(synth_benchmark[0]),
+                                           "--cache", str(tmp_path / "c"), "--no-embeddings"])
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [
+            json.dumps({"error": "no tokens in this report"})]
+        assert len(starts) == 1
+        assert multiprocessing.active_children() == []
+        assert not [path.name for path in (tmp_path / "c").iterdir() if ".tmp" in path.name]
+
+    @pytest.mark.parametrize("workload", ["localize-cli", "docvec"])
+    def test_benchmarks_below_the_gate_fork_nothing(self, synth_benchmark, tmp_path,
+                                                    monkeypatch, starts, workload):
+        """The synthetic benchmark and perfbench's localize-cli and docvec
+        corpora are preprocessed in process, however many CPUs."""
+        monkeypatch.setattr(pool, "cpu_count", lambda: 64)
+        bench, _ = generated_corpus(5, tmp_path / "bench", workload)
+        for root in (synth_benchmark[0], bench):
+            preprocess_benchmark(load_benchmark(root, strict=False), PreprocessConfig())
+        assert starts == []
 
 
 class TestArtifactIntegrity:

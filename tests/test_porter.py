@@ -109,3 +109,64 @@ def test_quick_reject_equals_the_plain_rule_loop_on_every_suffix():
 @given(st.lists(_suffixed, min_size=1, max_size=20))
 def test_quick_reject_equals_the_plain_rule_loop(words):
     assert [stem(w) for w in words] == _plain_stems(words)
+
+
+def _loop_measure(stem):
+    """Number of vowel-consonant sequences, counted by the character loop
+    that the consonant/vowel string of ``porter._measure`` replaced."""
+    i, n = 0, 0
+    length = len(stem)
+    while i < length and porter._is_consonant(stem, i):
+        i += 1
+    while i < length:
+        while i < length and not porter._is_consonant(stem, i):
+            i += 1
+        if i >= length:
+            break
+        n += 1
+        while i < length and porter._is_consonant(stem, i):
+            i += 1
+    return n
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(st.text("aeiouyybcdrstYA", max_size=14), st.text(max_size=10)))
+def test_measure_equals_the_character_loop(word):
+    assert porter._measure(word) == _loop_measure(word)
+    assert porter._has_vowel(word) == any(not porter._is_consonant(word, i)
+                                          for i in range(len(word)))
+
+
+@pytest.mark.parametrize("word,m", [("tr", 0), ("ee", 0), ("tree", 0), ("y", 0), ("by", 0),
+                                    ("trouble", 1), ("oats", 1), ("trees", 1), ("ivy", 1),
+                                    ("troubles", 2), ("private", 2), ("oaten", 2),
+                                    ("syzygy", 2), ("yyy", 1)])
+def test_measure_of_the_paper_examples(word, m):
+    assert porter._measure(word) == m
+
+
+def _every_step(word):
+    """``stem`` without its test for a word that no step can change."""
+    word = word.lower()
+    if len(word) <= 2:
+        return word
+    for step in (porter._step1ab, porter._step1c,
+                 lambda w: porter._map_suffix(w, porter._STEP2, porter._STEP2_SUFFIXES, 1),
+                 lambda w: porter._map_suffix(w, porter._STEP3, porter._STEP3_SUFFIXES, 1),
+                 porter._step4, porter._step5):
+        word = step(word)
+    return word
+
+
+def test_a_word_no_step_tests_is_its_own_stem_on_every_suffix():
+    assert all(word.endswith(porter._ANY_STEP) for word in porter._STEP_SUFFIXES)
+    words = [stem + suffix + tail for stem in ("", "b", "ar", "tr", "conv", "gener", "ss")
+             for suffix in (*_SUFFIXES, "ll", "e", "y", "eed", "x", "ow", "um", "ght")
+             for tail in ("", "s", "ed", "ing", "y", "k")]
+    assert [stem(w) for w in words] == [_every_step(w) for w in words]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(_suffixed, st.text("abcdefgiklmnorstuwyzAE", max_size=12)))
+def test_a_word_no_step_tests_is_its_own_stem(word):
+    assert stem(word) == _every_step(word)

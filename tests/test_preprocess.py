@@ -1,13 +1,18 @@
 import logging
+import multiprocessing
+import multiprocessing.process
+import os
+import pickle
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bugloc import porter, preprocess as preprocess_module
-from bugloc.corpus import BugReport, Project, SourceFile
+from bugloc import pool, porter, preprocess as preprocess_module
+from bugloc.corpus import Benchmark, BugReport, Project, SourceFile
 from bugloc.preprocess import (BUG_REPORT, SOURCE_FILE, Memo, PreprocessConfig,
-                               TokenStream, preprocess, preprocess_project,
-                               split_identifier, stem, strip_code_noise)
+                               TokenStream, preprocess, preprocess_benchmark,
+                               preprocess_project, split_identifier, stem, strip_code_noise)
 
 CONFIG = PreprocessConfig()
 
@@ -261,3 +266,131 @@ def test_token_stream_is_immutable():
 def test_stem_is_single_pass_porter():
     # the op itself is one Porter application; only the pipeline iterates
     assert stem("agreed") == "agre"
+
+
+def workers(monkeypatch, n):
+    """Make preprocess_benchmark cut any benchmark into n chunks."""
+    monkeypatch.setattr(pool, "cpu_count", lambda: n)
+    monkeypatch.setattr(preprocess_module, "_CHARS_PER_WORKER", 1)
+
+
+def benchmark_of(texts_by_project):
+    """A benchmark of one source file per text and one report per project."""
+    return Benchmark([
+        Project(name, [SourceFile(f"F{i}.java", f"F{i}.java", text)
+                       for i, text in enumerate(texts)],
+                [BugReport(f"{name}-1", "closing comment", "missing", None)])
+        for name, texts in texts_by_project.items()])
+
+
+def streams_of(benchmark):
+    return [doc.token_stream for doc, _ in preprocess_module.documents(benchmark)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.dictionaries(st.sampled_from(["b", "a", "c"]),
+                       st.lists(st.one_of(_texts, st.text(max_size=60)), max_size=6),
+                       min_size=1))
+def test_chunks_on_two_workers_give_the_streams_of_one(texts_by_project):
+    streams = {}
+    for n in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            workers(mp, n)
+            benchmark = benchmark_of(texts_by_project)
+            preprocess_benchmark(benchmark, CONFIG)
+        streams[n] = streams_of(benchmark)
+    assert streams[1] == streams[2]
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_warnings_reach_the_caller_once_in_document_order(monkeypatch, caplog,
+                                                                tmp_path):
+    """Every file of both chunks has an unterminated block comment: each
+    warns once, through the caller's logging, the caller's chunk first."""
+    texts = {"p1": ["int a; /* open"] * 3, "p2": ["int b; /* open", "int c; /* open"]}
+    report = len("closing comment\nmissing")
+    lengths = [*map(len, texts["p1"]), report, *map(len, texts["p2"]), report]
+    assert preprocess_module._chunks(lengths, 2) == [(0, 4), (4, 7)]  # p1 | p2
+    caller, started, real = os.getpid(), tmp_path / "child started", preprocess
+
+    def patched(text, origin=BUG_REPORT, config=None, memo=None):
+        if os.getpid() != caller:
+            started.touch()
+        else:  # the caller's chunk waits until the child took the other
+            for _ in range(1000):
+                if started.exists() or not multiprocessing.active_children():
+                    break
+                time.sleep(0.01)
+        return real(text, origin, config, memo)
+
+    monkeypatch.setattr(preprocess_module, "preprocess", patched)
+    logged, streams = {}, {}
+    for n in (1, 2):
+        workers(monkeypatch, n)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="bugloc.preprocess"):
+            benchmark = benchmark_of(texts)
+            preprocess_benchmark(benchmark, CONFIG)
+        logged[n] = [(r.getMessage(), r.process) for r in caplog.records]
+        streams[n] = streams_of(benchmark)
+    assert streams[1] == streams[2]
+    message = "unterminated block comment; stripping to end of file"
+    assert logged[1] == [(message, caller)] * 5
+    assert [text for text, _ in logged[2]] == [message] * 5
+    pids = [pid for _, pid in logged[2]]
+    assert pids[:3] == [caller] * 3
+    assert len(set(pids[3:])) == 1 and pids[3] != caller
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("lengths, workers, expected", [
+    ([5] * 8, 2, [(0, 4), (4, 8)]),
+    ([1, 1, 1, 9], 2, [(0, 3), (3, 4)]),
+    ([9, 1, 1, 1], 2, [(0, 1), (1, 4)]),
+    ([100], 3, [(0, 1)]),
+    ([3, 3, 3, 3, 3, 3], 3, [(0, 2), (2, 4), (4, 6)]),
+])
+def test_chunks_are_contiguous_and_cut_by_text_length(lengths, workers, expected):
+    assert preprocess_module._chunks(lengths, workers) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from(["get", "user", "run", "x1", "é"]),
+                                   max_size=6),
+                          st.sampled_from([BUG_REPORT, SOURCE_FILE])), max_size=8))
+def test_streams_pickle_as_ids_and_come_back_equal(docs):
+    streams = preprocess_module._Streams(TokenStream(tuple(tokens), origin)
+                                         for tokens, origin in docs)
+    back = pickle.loads(pickle.dumps(streams))
+    assert back == list(streams)
+    terms = {}
+    for stream in back:  # one str per term across the streams
+        for token in stream.tokens:
+            assert terms.setdefault(token, token) is token
+
+
+@pytest.mark.parametrize("per_worker, started", [(0.5, 0), (0.49, 1), (0.3, 2), (0.01, 3)])
+def test_one_worker_per_chars_per_worker_up_to_the_cpus(monkeypatch, per_worker, started):
+    benchmark = benchmark_of({"p1": ["class A { int x; }", "int getUserName;"] * 4,
+                              "p2": ["long runs;"] * 6})
+    total = sum(len(doc.raw_text if origin == SOURCE_FILE else doc.text)
+                for doc, origin in preprocess_module.documents(benchmark))
+    starts = []
+    start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda process: starts.append(process) or start(process))
+    monkeypatch.setattr(pool, "cpu_count", lambda: 4)
+    monkeypatch.setattr(preprocess_module, "_CHARS_PER_WORKER", int(total * per_worker) + 1)
+    preprocess_benchmark(benchmark, CONFIG)
+    assert len(starts) == started
+    assert multiprocessing.active_children() == []
+
+
+def test_small_benchmark_is_preprocessed_in_process(monkeypatch):
+    """Below the size gate, no multiprocessing import and no fork, however
+    many CPUs."""
+    monkeypatch.setattr(pool, "cpu_count", lambda: 8)
+    monkeypatch.setattr(pool, "_fork_context", lambda: pytest.fail("forked"))
+    benchmark = benchmark_of({"p1": ["class A { int x; }"] * 3})
+    preprocess_benchmark(benchmark, CONFIG)
+    assert streams_of(benchmark)[0].tokens == ()
