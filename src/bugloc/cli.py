@@ -343,16 +343,33 @@ def cmd_localize(benchmark_path, project_name, bug_id, method_id, cache_dir,
     _echo(f"wrote {csv_path}")
 
 
-def _evaluate_project(project, artifacts, method_id, settings) -> metrics.MetricsReport:
-    """Rank every report of the project with one method, in one batch, and
-    score the batch from the ranks of the reports' fixed files."""
-    ranked = rank.localize(artifacts, np.arange(len(project.bug_reports)),
-                           rank.MethodConfig.from_id(method_id),
-                           history=rank.project_histories(project,
-                                                          settings.get("history_policy")))
-    offsets, ranks = ranked.ranks_of(*artifacts.fixed)
-    return metrics.compute_metrics(metrics.RankBatch(ranked.query_bug_id, offsets, ranks,
-                                                     artifacts.fixed_counts))
+def _evaluate_project(name, method_ids, settings, cache,
+                      loaded) -> dict[int, metrics.MetricsReport] | None:
+    """Rank every report of the project with each method, in one batch per
+    method, and score each batch from the ranks of the reports' fixed files;
+    None for a project without queries.
+
+    One :class:`~bugloc.rank.Artifacts` covers every method, so
+    vectorization and doc-vector inference are shared, and every method
+    ranks the same rows and histories, so each model's direct and
+    history-bridged scores are computed once, kept by the artifacts for the
+    batch, and shared too. They are freed with the artifacts on return.
+    """
+    artifacts = _artifacts(name, method_ids, settings, cache, loaded)
+    project = artifacts.project
+    if not project.has_queries:
+        return None
+    rows = np.arange(len(project.bug_reports))
+    history = rank.project_histories(project, settings.get("history_policy"))
+    reports = {}
+    for method_id in method_ids:
+        ranked = rank.localize(artifacts, rows, rank.MethodConfig.from_id(method_id),
+                               history=history)
+        offsets, ranks = ranked.ranks_of(*artifacts.fixed)
+        reports[method_id] = metrics.compute_metrics(metrics.RankBatch(
+            ranked.query_bug_id, offsets, ranks, artifacts.fixed_counts))
+        del ranked  # its final scores and order are not kept through the next method
+    return reports
 
 
 _METRICS_HEADER = ["project", "method", "mrr", "map", "top1", "top5", "top10", "n_queries"]
@@ -414,15 +431,11 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
     rows, per_query_rows = [], []
     per_project: dict[int, dict[str, metrics.MetricsReport]] = {m: {} for m in method_ids}
     for name in project_names:
-        # one Artifacts per project covering every requested method, so
-        # vectorization and doc-vector inference are shared across methods
-        artifacts = _artifacts(name, method_ids, settings, cache, loaded)
-        project = artifacts.project
-        if not project.has_queries:
+        reports = _evaluate_project(name, method_ids, settings, cache, loaded)
+        if reports is None:
             _echo(f"skipping {name}: no queries", err=True)
             continue
-        for method_id in method_ids:
-            report = _evaluate_project(project, artifacts, method_id, settings)
+        for method_id, report in reports.items():
             per_project[method_id][name] = report
             rows.append([name, method_id, f"{report.mrr:.6f}", f"{report.map:.6f}",
                          report.top_n[1], report.top_n[5], report.top_n[10],

@@ -29,8 +29,12 @@ row per query. An int row is the batch of one, returned as that query's
 1-D :class:`RankedList`. Every path runs the same kernel, in chunks of a
 bounded number of (query, document) pairs, counting the project's files
 and reports, so a one-row call builds 1×F and 1×R arrays and a batch's
-working arrays stay the size of a chunk's; only the four result arrays
-grow with the batch:
+working arrays stay the size of a chunk's; only the result arrays grow
+with the batch. Those are scored once per model: the batch's direct and
+history-bridged score arrays of each model kind (a TF.IDF scope, the doc
+vectors) are kept in :class:`BatchScores` by the :class:`Artifacts`, and
+every method that ranks the same rows with the same histories fuses,
+sorts and ranks from them; its :class:`RankedList` refers to them.
 
 - TF.IDF: per scope, a :class:`TfidfScope` holds the files'
   :class:`~bugloc.tfidf.Postings`, their length factors and the reports'
@@ -45,11 +49,15 @@ grow with the batch:
   and all of its reports, each once, kept as matrix rows with their norms;
   or :class:`Artifacts` takes them as loaded from the cache's doc-vector
   index (the same float64 arrays), and then needs no model and no token
-  stream. Similarities are one matrix-vector product per query
-  (:func:`~bugloc.embedding.doc_cosines`), over the file rows or that
-  query's history rows, equal to the per-pair
-  :func:`~bugloc.embedding.doc_cosine` within rounding. A matrix-matrix
-  product would round differently and can flip ties.
+  stream. Similarities are one matrix-vector product per query, over the
+  file rows or that query's history rows, equal to the per-pair
+  :func:`~bugloc.embedding.doc_cosine` within rounding. The direct scores
+  of a chunk are one stacked ``np.matmul`` (numpy runs it as those
+  matrix-vector products), the history similarities one
+  :func:`~bugloc.embedding.doc_cosines` per query, over a slice of the
+  report rows where the history is one ascending run. A matrix-matrix
+  product, or one over more rows than the query's history, would round
+  differently and can flip ties.
 - The bridge is one ``bincount`` of ``sim / |fixed(B)|`` over the bins
   ``query * F + column`` of the (report, fixed file) pairs of the
   concatenated histories, in history order. Min-max, fusion and the stable
@@ -67,7 +75,8 @@ a policy with numpy alone, and a list of per-query row arrays is converted
 once, on entry to :func:`localize`; each chunk slices it.
 
 ``evaluate`` ranks all of a project's reports with one call per method,
-with the whole project's :class:`Histories`, and scores the batch from the
+with the whole project's :class:`Histories`, built once for every method,
+so the methods share the models' scores, and scores each batch from the
 ranks of the reports' fixed files: :meth:`RankedList.ranks_of` reads them
 off ``entries`` for the fixed-file CSR arrays (:attr:`Artifacts.fixed`)
 and returns them as CSR arrays too, which
@@ -320,6 +329,9 @@ class Artifacts:
     project whose scopes or doc vectors are supplied needs none, as long as
     its methods rank with nothing else; with neither supplied, every
     document must have one.
+
+    The scores of the last batch ranked are kept (:meth:`batch_scores`)
+    until a different batch is ranked or the artifacts are freed.
     """
 
     def __init__(self, project: Project, global_vocab: tfidf.Vocabulary | None = None,
@@ -345,6 +357,7 @@ class Artifacts:
         self.files = sorted(project.source_files, key=lambda f: f.id)
         self.file_ids = [f.id for f in self.files]
         self._column = {fid: j for j, fid in enumerate(self.file_ids)}
+        self._batch: BatchScores | None = None
 
     @cached_property
     def local_vocab(self) -> tfidf.Vocabulary:
@@ -418,6 +431,15 @@ class Artifacts:
         the files at the ascending columns ``columns[offsets[i]:offsets[i + 1]]``."""
         offsets, columns, _ = self._project_pairs
         return offsets, columns
+
+    def batch_scores(self, rows: np.ndarray, history: Histories) -> BatchScores:
+        """The scores of the batch ``rows`` with ``history``: those kept for
+        the last batch ranked if it is the same batch, else a new, empty
+        :class:`BatchScores` that replaces them."""
+        if self._batch is None or not self._batch.holds(rows, history):
+            self._batch = BatchScores(rows, history, len(self.files),
+                                      len(self.project.bug_reports))
+        return self._batch
 
     def _bridge(self, history: Histories, sims: np.ndarray) -> np.ndarray:
         """Per query of the batch and file, the sum over the query's history
@@ -496,21 +518,21 @@ class Histories:
 
 def _direct_scores(rows: np.ndarray, kind: str, artifacts: Artifacts) -> np.ndarray:
     """Direct scores of the project's reports ``rows`` (one score row each)
-    against every file."""
+    against every file, under one model: a TF.IDF scope or the doc vectors."""
     if kind in _TFIDF_SCOPES:
         data = artifacts._tfidf_scope(_TFIDF_SCOPES[kind])
         return data.length_weights * data.files.cosines(data.queries, rows)
-    if kind == DOC2VEC_GLOBAL:
-        vectors = artifacts.doc_vectors
-        out = np.empty((len(rows), len(artifacts.files)))
-        for i, row in enumerate(rows.tolist()):
-            out[i] = embedding.doc_cosines(vectors.files, vectors.file_norms,
-                                           vectors.reports[row], vectors.report_norms[row])
-        return out
-    if kind == COMBINED_GLOBAL:
-        return _combined(_direct_scores(rows, TFIDF_GLOBAL, artifacts),
-                         _direct_scores(rows, DOC2VEC_GLOBAL, artifacts))
-    raise ValueError(f"unknown direct model {kind!r}")
+    if kind != DOC2VEC_GLOBAL:
+        raise ValueError(f"unknown direct model {kind!r}")
+    vectors = artifacts.doc_vectors
+    # one stacked product: numpy runs it as one matrix-vector product per
+    # query, bit for bit as embedding.doc_cosines computes each row; the
+    # matrix-matrix product reports @ files.T rounds differently
+    products = np.matmul(vectors.files, vectors.reports[rows][:, :, None])[:, :, 0]
+    norms = vectors.report_norms[rows]
+    return np.divide(products, np.outer(norms, vectors.file_norms),
+                     out=np.zeros(products.shape),
+                     where=(norms != 0.0)[:, None] & (vectors.file_norms != 0.0))
 
 
 def _history_sims(rows: np.ndarray, history: Histories, kind: str,
@@ -518,16 +540,26 @@ def _history_sims(rows: np.ndarray, history: Histories, kind: str,
     """Similarity of each query to each of its history reports, aligned
     with ``history.rows``."""
     if kind == DOC2VEC_GLOBAL:
-        # one matrix-vector product per query over its own history rows: a
-        # matrix-matrix product rounds differently and can flip ties
+        # one matrix-vector product per query over exactly its own history
+        # rows: a product over more rows, or a matrix-matrix product, rounds
+        # differently and can flip ties. A history that is one ascending run
+        # of rows, as every "earlier" history is, is read as a slice of the
+        # report matrix, the same matrix without the copy of a gather.
         doc_vectors = artifacts.doc_vectors
         vectors, norms = doc_vectors.reports, doc_vectors.report_norms
         offsets = history.offsets.tolist()
+        # breaks[k]: steps other than +1 among history.rows[:k + 1]
+        breaks = np.concatenate(([0], np.cumsum(np.diff(history.rows) != 1)))
         sims = np.empty(len(history.rows))
         for i, row in enumerate(rows.tolist()):
-            past = history.rows[offsets[i]:offsets[i + 1]]
-            sims[offsets[i]:offsets[i + 1]] = embedding.doc_cosines(
-                vectors[past], norms[past], vectors[row], norms[row])
+            lo, hi = offsets[i], offsets[i + 1]
+            if lo == hi:
+                continue
+            past = history.rows[lo:hi]
+            if breaks[hi - 1] == breaks[lo]:
+                past = slice(past[0], past[0] + hi - lo)
+            sims[lo:hi] = embedding.doc_cosines(vectors[past], norms[past], vectors[row],
+                                                norms[row])
         return sims
     if kind not in _TFIDF_SCOPES:
         raise ValueError(f"unknown indirect model {kind!r}")
@@ -535,16 +567,66 @@ def _history_sims(rows: np.ndarray, history: Histories, kind: str,
     return data.reports.cosines(data.queries, rows)[history.owner, history.rows]
 
 
-def _indirect_scores(rows: np.ndarray, history: Histories, kind: str,
-                     artifacts: Artifacts) -> np.ndarray:
-    """History-bridged scores of the reports ``rows``; an empty history
-    yields a row of zeros."""
-    if kind == NONE:
-        return np.zeros((len(rows), len(artifacts.files)))
-    if kind == COMBINED_GLOBAL:
-        return _combined(_indirect_scores(rows, history, TFIDF_GLOBAL, artifacts),
-                         _indirect_scores(rows, history, DOC2VEC_GLOBAL, artifacts))
-    return artifacts._bridge(history, _history_sims(rows, history, kind, artifacts))
+class BatchScores:
+    """The direct and history-bridged scores of one batch of queries (report
+    ``rows``, each with its span of ``history``), one array per model kind,
+    each computed on first use, in chunks, and kept for the methods that
+    rank the same batch. Every method's :class:`RankedList` of the batch
+    refers to these arrays, so they are read-only. Method 7's combined maps
+    are derived from the kept TF.IDF-global and doc-vector arrays on each
+    use. The scores come from the :class:`Artifacts` passed in, which keep
+    this object; it keeps no reference back, so the project's arrays are
+    freed with the artifacts, not at the next garbage collection.
+    """
+
+    def __init__(self, rows: np.ndarray, history: Histories, n_files: int, n_reports: int):
+        self.rows = rows
+        self.history = history
+        self.shape = (len(rows), n_files)
+        # chunks of about _CHUNK_SCORES (query, document) pairs, documents
+        # being the project's files and reports
+        step = max(1, _CHUNK_SCORES // (n_files + n_reports))
+        self.chunks = [slice(start, start + step) for start in range(0, len(rows), step)]
+        self._direct: dict[str, np.ndarray] = {}
+        self._indirect: dict[str, np.ndarray] = {}
+
+    def holds(self, rows: np.ndarray, history: Histories) -> bool:
+        """Whether these are the scores of the batch ``rows`` with ``history``."""
+        return (np.array_equal(self.rows, rows)
+                and np.array_equal(self.history.offsets, history.offsets)
+                and np.array_equal(self.history.rows, history.rows))
+
+    def _chunked(self, score) -> np.ndarray:
+        """The batch's array of ``score(chunk)`` for each chunk, read-only."""
+        out = np.empty(self.shape)
+        for chunk in self.chunks:
+            out[chunk] = score(chunk)
+        out.flags.writeable = False
+        return out
+
+    def direct(self, kind: str, artifacts: Artifacts) -> np.ndarray:
+        if kind == COMBINED_GLOBAL:
+            lexical = self.direct(TFIDF_GLOBAL, artifacts)
+            semantic = self.direct(DOC2VEC_GLOBAL, artifacts)
+            return self._chunked(lambda c: _combined(lexical[c], semantic[c]))
+        if kind not in self._direct:
+            self._direct[kind] = self._chunked(
+                lambda c: _direct_scores(self.rows[c], kind, artifacts))
+        return self._direct[kind]
+
+    def indirect(self, kind: str, artifacts: Artifacts) -> np.ndarray:
+        """History-bridged scores; an empty history yields a row of zeros."""
+        if kind == COMBINED_GLOBAL:
+            lexical = self.indirect(TFIDF_GLOBAL, artifacts)
+            semantic = self.indirect(DOC2VEC_GLOBAL, artifacts)
+            return self._chunked(lambda c: _combined(lexical[c], semantic[c]))
+        if kind == NONE:  # a read-only view of one zero, in no memory of its own
+            return np.broadcast_to(0.0, self.shape)
+        if kind not in self._indirect:
+            self._indirect[kind] = self._chunked(lambda c: artifacts._bridge(
+                self.history[c], _history_sims(self.rows[c], self.history[c], kind,
+                                               artifacts)))
+        return self._indirect[kind]
 
 
 def project_histories(project: Project, policy: str = "earlier",
@@ -604,7 +686,6 @@ def localize(artifacts: Artifacts, rows, config: MethodConfig,
     order is total.
     """
     project = artifacts.project
-    n_reports = len(project.bug_reports)
     single = np.ndim(rows) == 0
     rows = np.atleast_1d(np.asarray(rows, dtype=np.intp))
     _check_rows(rows, project)
@@ -615,15 +696,11 @@ def localize(artifacts: Artifacts, rows, config: MethodConfig,
     if len(history) != len(rows):
         raise ValueError(f"{len(history)} histories for {len(rows)} query rows")
     _check_rows(history.rows, project)
-    shape = (len(rows), len(artifacts.files))
-    direct, indirect, final = np.empty(shape), np.empty(shape), np.empty(shape)
-    entries = np.empty(shape, dtype=np.intp)
-    step = max(1, _CHUNK_SCORES // (shape[1] + n_reports))
-    for start in range(0, len(rows), step):
-        chunk = slice(start, start + step)
-        direct[chunk] = _direct_scores(rows[chunk], config.direct_model, artifacts)
-        indirect[chunk] = _indirect_scores(rows[chunk], history[chunk],
-                                           config.indirect_model, artifacts)
+    scores = artifacts.batch_scores(rows, history)
+    direct = scores.direct(config.direct_model, artifacts)
+    indirect = scores.indirect(config.indirect_model, artifacts)
+    final, entries = np.empty(scores.shape), np.empty(scores.shape, dtype=np.intp)
+    for chunk in scores.chunks:
         final[chunk] = fuse(direct[chunk], indirect[chunk], config.w1, config.w2)
         entries[chunk] = np.argsort(-final[chunk], axis=-1, kind="stable")
     ids = [project.bug_reports[row].id for row in rows.tolist()]

@@ -1038,6 +1038,60 @@ def test_doc_vector_outputs_match_golden_digests(synth_benchmark, tmp_path):
                 for name in GOLDEN_DOCVEC} == GOLDEN_DOCVEC
 
 
+# sha256 of what `evaluate --methods 5,6,7 --history all` writes with the
+# FAST settings, whose doc-vector histories are not runs of consecutive rows,
+# and of the `localize --method 7` ranking of the fifth report of proj1 under
+# each history policy, a batch of one, on the cache that evaluate trained.
+GOLDEN_DOCVEC_ALL = {
+    "metrics.csv": "de99ab33faac8464db623c75f72fb791306c9d0b25e66fa7057a103f1956aa30",
+    "per_query.csv": "8167dd4403bbe859e8891a9c01c5ec68487887b135697d2bb5c4acb8ed6c89d9",
+}
+GOLDEN_LOCALIZE_DOCVEC = {
+    "earlier": "a143a4bce183bf149aa050044ee824c0b0c2b62619f002f8ed730c5fc6462024",
+    "all": "44e82637c057d9e628758be38e05699e25814d5f44448319de1289eb5ac25dc5",
+}
+
+
+def test_doc_vector_all_history_and_localize_match_golden_digests(synth_benchmark,
+                                                                  tmp_path):
+    root, _, _ = synth_benchmark
+    run("evaluate", "--benchmark", root, "--methods", "5,6,7", "--cache", tmp_path / "c",
+        "--out", tmp_path / "out", "--history", "all", *FAST)
+    assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in GOLDEN_DOCVEC_ALL} == GOLDEN_DOCVEC_ALL
+    written = {}
+    for policy in GOLDEN_LOCALIZE_DOCVEC:
+        run("localize", "--benchmark", root, "--project", "proj1", "--bug", "BUG-proj1-005",
+            "--method", 7, "--cache", tmp_path / "c", "--out", tmp_path / policy,
+            "--history", policy, *FAST)
+        written[policy] = hashlib.sha256(
+            (tmp_path / policy / "ranking_proj1_m7_BUG-proj1-005.csv").read_bytes()).hexdigest()
+    assert written == GOLDEN_LOCALIZE_DOCVEC
+
+
+@pytest.mark.parametrize("policy", ["earlier", "all"])
+def test_a_method_scores_the_same_alone_as_alongside_others(synth_benchmark, tmp_path,
+                                                            policy):
+    root, _, _ = synth_benchmark
+    run("train-global", "--benchmark", root, "--cache", tmp_path / "c", *FAST)
+
+    def method_rows(methods, method):
+        """Each output's rows of ``method``, from an evaluate of ``methods``."""
+        out = tmp_path / f"{methods}-{policy}"
+        run("evaluate", "--benchmark", root, "--methods", methods, "--cache", tmp_path / "c",
+            "--out", out, "--history", policy, *FAST)
+        return {name: [line for line in (out / name).read_text().splitlines()[1:]
+                       if line.split(",")[1] == str(method)]
+                for name in ("metrics.csv", "per_query.csv")}
+
+    for method, alone, alongside in ((7, "7", ("5,6,7", "1,2,3,4,5,6,7")),
+                                     (3, "3", ("1,2,3,4",))):
+        want = method_rows(alone, method)
+        assert all(want.values())
+        for methods in alongside:
+            assert method_rows(methods, method) == want
+
+
 class TestDocVectorIndex:
     @staticmethod
     def fast(**changes):

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -624,6 +626,66 @@ class TestDocVectorMethods:
                 localize(artifacts, row, MethodConfig.from_id(method_id))
         assert inferred == [len(project.source_files), len(project.bug_reports)]
 
+    @staticmethod
+    def vectors_project(rng, n_files, n_reports, size):
+        """A project of ``n_files`` files and ``n_reports`` reports whose doc
+        vectors are random, with a zero vector among the files and among
+        the reports when there are two or more, and its Artifacts."""
+        files = [SourceFile(id=f"F{i:03d}.java", path=f"F{i:03d}.java", raw_text="")
+                 for i in range(n_files)]
+        reports = [BugReport(id=f"B-{k:03d}", summary="", description="",
+                             fixed_files=set()) for k in range(n_reports)]
+        project = Project(name="vec", source_files=files, bug_reports=reports)
+        matrices = [rng.standard_normal((n, size)) * rng.uniform(0.01, 10.0)
+                    for n in (n_files, n_reports)]
+        for matrix in matrices:
+            if len(matrix) > 1:
+                matrix[rng.integers(len(matrix))] = 0.0
+        norms = [np.array([np.linalg.norm(v) for v in matrix]) for matrix in matrices]
+        vectors = rank.DocVectors(matrices[0], norms[0], matrices[1], norms[1])
+        return Artifacts(project, doc_vectors=vectors), vectors
+
+    @pytest.mark.parametrize("n_files,size", [(1, 16), (2, 1), (7, 1), (1, 1), (33, 8),
+                                              (50, 16), (120, 32), (200, 64), (97, 100),
+                                              (64, 200)])
+    def test_stacked_and_sliced_scores_equal_doc_cosines_row_by_row(self, n_files, size):
+        rng = np.random.default_rng(n_files * 1000 + size)
+        n_reports = 9
+        artifacts, vectors = self.vectors_project(rng, n_files, n_reports, size)
+        project = artifacts.project
+
+        def want(matrix, norms, row):
+            return embedding.doc_cosines(matrix, norms, vectors.reports[row],
+                                         vectors.report_norms[row])
+
+        rows = np.arange(n_reports)
+        direct = rank._direct_scores(rows, rank.DOC2VEC_GLOBAL, artifacts)
+        assert direct.shape == (n_reports, n_files)
+        for row in rows.tolist():
+            assert np.array_equal(direct[row], want(vectors.files, vectors.file_norms, row))
+        zero_reports = np.flatnonzero(vectors.report_norms == 0.0)
+        assert len(zero_reports) == 1 and not direct[zero_reports].any()
+        if n_files > 1:
+            assert not direct[:, vectors.file_norms == 0.0].any()
+        explicit = [[], [0], [0, 2], [3, 4, 5], [1, 0], [0, 2, 1, 3], [5, 5], [0, 1, 3],
+                    [8, 7, 6, 5, 4]]  # gaps, reversals and repeats take the gather
+        for history in (project_histories(project, "earlier"),
+                        project_histories(project, "all"), Histories.of(explicit)):
+            sims = rank._history_sims(rows, history, rank.DOC2VEC_GLOBAL, artifacts)
+            for row in rows.tolist():
+                lo, hi = history.offsets[row], history.offsets[row + 1]
+                past = history.rows[lo:hi]
+                assert np.array_equal(sims[lo:hi], want(vectors.reports[past],
+                                                        vectors.report_norms[past], row))
+
+    def test_zero_rows_and_one_row(self):
+        artifacts, vectors = self.vectors_project(np.random.default_rng(1), 4, 3, 5)
+        none = np.zeros(0, dtype=np.intp)
+        assert rank._direct_scores(none, rank.DOC2VEC_GLOBAL, artifacts).shape == (0, 4)
+        one = rank._direct_scores(np.array([2]), rank.DOC2VEC_GLOBAL, artifacts)
+        assert np.array_equal(one[0], embedding.doc_cosines(
+            vectors.files, vectors.file_norms, vectors.reports[2], vectors.report_norms[2]))
+
 
 # reports the batch must rank as the one-row calls do: one whose terms are
 # all out of every vocabulary (a zero-norm query, a zero doc vector), and
@@ -717,6 +779,96 @@ class TestBatchEqualsOneRowCalls:
             localize(artifacts, np.arange(n), MethodConfig.from_id(3), history=histories)
         with pytest.raises(ValueError, match="2 histories for 3 query rows"):
             localize(artifacts, np.arange(3), MethodConfig.from_id(3), history=histories[:2])
+
+
+class TestSharedBatchScores:
+    """Methods that rank the same batch share each model's scores: each is
+    computed once, and every method ranks as it does alone."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        return docvec_project(EDGE_REPORTS)
+
+    @staticmethod
+    def fresh(setting):
+        project, dm, dbow = setting
+        return Artifacts(project, global_vocab=global_vocab(project), dm_model=dm,
+                         dbow_model=dbow)
+
+    def test_each_model_scored_once_per_chunk_of_the_batch(self, setting, monkeypatch):
+        artifacts = self.fresh(setting)
+        project = artifacts.project
+        monkeypatch.setattr(rank, "_CHUNK_SCORES",
+                            3 * (len(artifacts.files) + len(project.bug_reports)))
+        calls = []
+        for name in ("_direct_scores", "_history_sims"):
+            def counted(*args, _name=name, _original=getattr(rank, name)):
+                calls.append((_name, args[-2]))
+                return _original(*args)
+            monkeypatch.setattr(rank, name, counted)
+        rows = np.arange(len(project.bug_reports))
+        for policy in ("earlier", "all"):
+            calls.clear()
+            for method_id in range(1, 8):  # each call builds its histories anew
+                localize(artifacts, rows, MethodConfig.from_id(method_id),
+                         history=project_histories(project, policy))
+            chunks = -(-len(rows) // 3)
+            kinds = (rank.TFIDF_LOCAL, rank.TFIDF_GLOBAL, rank.DOC2VEC_GLOBAL)
+            assert sorted(calls) == sorted((name, kind) for name in ("_direct_scores",
+                                                                     "_history_sims")
+                                           for kind in kinds for _ in range(chunks))
+
+    @pytest.mark.parametrize("policy", ["earlier", "all"])
+    def test_methods_rank_alongside_others_as_alone(self, setting, policy):
+        shared = self.fresh(setting)
+        project = shared.project
+        rows = np.arange(len(project.bug_reports))
+        history = project_histories(project, policy)
+        together = {m: localize(shared, rows, MethodConfig.from_id(m), history=history)
+                    for m in (7, 5, 6, 1, 2, 3, 4)}
+        for method_id, ranked in together.items():
+            alone = localize(self.fresh(setting), rows, MethodConfig.from_id(method_id),
+                             history=history)
+            for name in ("final", "direct", "indirect", "entries"):
+                assert np.array_equal(getattr(ranked, name), getattr(alone, name)), name
+        assert together[4].direct is together[6].direct is together[2].direct
+        assert together[4].indirect is not together[6].indirect
+        for method_id in (1, 2, 5):  # no history: one zero, viewed
+            assert together[method_id].indirect.strides == (0, 0)
+            assert not together[method_id].indirect.any()
+        assert not together[4].direct.flags.writeable
+        with pytest.raises(ValueError):
+            together[4].direct[0, 0] = 1.0
+
+    def test_scores_are_freed_with_the_artifacts_without_a_collection(self, setting):
+        artifacts = self.fresh(setting)
+        rows = np.arange(len(artifacts.project.bug_reports))
+        ranked = localize(artifacts, rows, MethodConfig.from_id(7))
+        kept = weakref.ref(artifacts)
+        gc.disable()
+        try:
+            del artifacts
+            assert kept() is None
+        finally:
+            gc.enable()
+        assert ranked.final.shape == (len(rows), len(ranked.files))
+
+    def test_another_batch_is_scored_anew(self, setting):
+        shared = self.fresh(setting)
+        project = shared.project
+        config = MethodConfig.from_id(6)
+        rows = np.arange(len(project.bug_reports))
+        for policy, batch in (("earlier", rows), ("all", rows), ("all", rows[::-1]),
+                              ("earlier", rows)):
+            history = project_histories(project, policy, batch)
+            got = localize(shared, batch, config, history=history)
+            want = localize(self.fresh(setting), batch, config, history=history)
+            assert np.array_equal(got.final, want.final)
+            assert np.array_equal(got.indirect, want.indirect)
+        single = localize(shared, 3, config, history=history_at(project, 3, "all"))
+        assert np.array_equal(single.final, localize(self.fresh(setting), rows, config,
+                                                     history=project_histories(
+                                                         project, "all")).final[3])
 
 
 def global_vocab(project):
