@@ -353,7 +353,8 @@ def _evaluate_project(name, method_ids, settings, cache,
     vectorization and doc-vector inference are shared, and every method
     ranks the same rows and histories, so each model's direct and
     history-bridged scores are computed once, kept by the artifacts for the
-    batch, and shared too. They are freed with the artifacts on return.
+    batch, and shared too. A model's scores are freed once no method left
+    to run ranks with them, and the rest with the artifacts on return.
     """
     artifacts = _artifacts(name, method_ids, settings, cache, loaded)
     project = artifacts.project
@@ -361,14 +362,15 @@ def _evaluate_project(name, method_ids, settings, cache,
         return None
     rows = np.arange(len(project.bug_reports))
     history = rank.project_histories(project, settings.get("history_policy"))
+    configs = [rank.MethodConfig.from_id(method_id) for method_id in method_ids]
     reports = {}
-    for method_id in method_ids:
-        ranked = rank.localize(artifacts, rows, rank.MethodConfig.from_id(method_id),
-                               history=history)
+    for i, config in enumerate(configs):
+        ranked = rank.localize(artifacts, rows, config, history=history)
         offsets, ranks = ranked.ranks_of(*artifacts.fixed)
-        reports[method_id] = metrics.compute_metrics(metrics.RankBatch(
+        reports[config.method_id] = metrics.compute_metrics(metrics.RankBatch(
             ranked.query_bug_id, offsets, ranks, artifacts.fixed_counts))
         del ranked  # its final scores and order are not kept through the next method
+        artifacts.keep_scores(configs[i + 1:])
     return reports
 
 

@@ -54,10 +54,9 @@ sorts and ranks from them; its :class:`RankedList` refers to them.
   :func:`~bugloc.embedding.doc_cosine` within rounding. The direct scores
   of a chunk are one stacked ``np.matmul`` (numpy runs it as those
   matrix-vector products), the history similarities one
-  :func:`~bugloc.embedding.doc_cosines` per query, over a slice of the
-  report rows where the history is one ascending run. A matrix-matrix
-  product, or one over more rows than the query's history, would round
-  differently and can flip ties.
+  :func:`~bugloc.embedding.doc_cosines` per query, over that query's
+  gathered history rows. A matrix-matrix product, or one over more rows
+  than the query's history, would round differently and can flip ties.
 - The bridge is one ``bincount`` of ``sim / |fixed(B)|`` over the bins
   ``query * F + column`` of the (report, fixed file) pairs of the
   concatenated histories, in history order. Min-max, fusion and the stable
@@ -175,6 +174,11 @@ class RankedList:
     both forms, one query's as a batch of one, and returns CSR arrays; the
     other methods read one query's. :class:`RankEntry` rows are built only
     by :meth:`rows`, for output.
+
+    ``direct`` and ``indirect`` may be read-only arrays shared with the
+    results of other methods of the same batch (:class:`BatchScores`), or
+    views into them; one query's are a row of the batch's, which stays in
+    memory while the row does. Copy them before editing them.
     """
 
     query_bug_id: str | list[str]
@@ -331,7 +335,8 @@ class Artifacts:
     document must have one.
 
     The scores of the last batch ranked are kept (:meth:`batch_scores`)
-    until a different batch is ranked or the artifacts are freed.
+    until a different batch is ranked, :meth:`keep_scores` frees them or
+    the artifacts are freed.
     """
 
     def __init__(self, project: Project, global_vocab: tfidf.Vocabulary | None = None,
@@ -441,6 +446,12 @@ class Artifacts:
                                       len(self.project.bug_reports))
         return self._batch
 
+    def keep_scores(self, configs) -> None:
+        """Free the kept batch scores that none of the methods ``configs``
+        ranks with; ``evaluate`` passes the methods it has yet to run."""
+        if self._batch is not None:
+            self._batch.keep(configs)
+
     def _bridge(self, history: Histories, sims: np.ndarray) -> np.ndarray:
         """Per query of the batch and file, the sum over the query's history
         reports B that fixed the file of ``sims[B] / |fixed(B)|`` (``sims``
@@ -542,24 +553,15 @@ def _history_sims(rows: np.ndarray, history: Histories, kind: str,
     if kind == DOC2VEC_GLOBAL:
         # one matrix-vector product per query over exactly its own history
         # rows: a product over more rows, or a matrix-matrix product, rounds
-        # differently and can flip ties. A history that is one ascending run
-        # of rows, as every "earlier" history is, is read as a slice of the
-        # report matrix, the same matrix without the copy of a gather.
+        # differently and can flip ties
         doc_vectors = artifacts.doc_vectors
         vectors, norms = doc_vectors.reports, doc_vectors.report_norms
         offsets = history.offsets.tolist()
-        # breaks[k]: steps other than +1 among history.rows[:k + 1]
-        breaks = np.concatenate(([0], np.cumsum(np.diff(history.rows) != 1)))
         sims = np.empty(len(history.rows))
         for i, row in enumerate(rows.tolist()):
-            lo, hi = offsets[i], offsets[i + 1]
-            if lo == hi:
-                continue
-            past = history.rows[lo:hi]
-            if breaks[hi - 1] == breaks[lo]:
-                past = slice(past[0], past[0] + hi - lo)
-            sims[lo:hi] = embedding.doc_cosines(vectors[past], norms[past], vectors[row],
-                                                norms[row])
+            past = history.rows[offsets[i]:offsets[i + 1]]
+            sims[offsets[i]:offsets[i + 1]] = embedding.doc_cosines(
+                vectors[past], norms[past], vectors[row], norms[row])
         return sims
     if kind not in _TFIDF_SCOPES:
         raise ValueError(f"unknown indirect model {kind!r}")
@@ -571,10 +573,10 @@ class BatchScores:
     """The direct and history-bridged scores of one batch of queries (report
     ``rows``, each with its span of ``history``), one array per model kind,
     each computed on first use, in chunks, and kept for the methods that
-    rank the same batch. Every method's :class:`RankedList` of the batch
-    refers to these arrays, so they are read-only. Method 7's combined maps
-    are derived from the kept TF.IDF-global and doc-vector arrays on each
-    use. The scores come from the :class:`Artifacts` passed in, which keep
+    rank the same batch until :meth:`keep` drops it. Every method's
+    :class:`RankedList` of the batch refers to these arrays, so they are
+    read-only. Method 7's combined maps are derived from the kept
+    TF.IDF-global and doc-vector arrays on each use. The scores come from the :class:`Artifacts` passed in, which keep
     this object; it keeps no reference back, so the project's arrays are
     freed with the artifacts, not at the next garbage collection.
     """
@@ -595,6 +597,17 @@ class BatchScores:
         return (np.array_equal(self.rows, rows)
                 and np.array_equal(self.history.offsets, history.offsets)
                 and np.array_equal(self.history.rows, history.rows))
+
+    def keep(self, configs) -> None:
+        """Drop the arrays that none of the methods ``configs`` ranks with."""
+        def kinds(models):
+            return {kind for model in models
+                    for kind in ((TFIDF_GLOBAL, DOC2VEC_GLOBAL) if model == COMBINED_GLOBAL
+                                 else (model,))}
+        direct = kinds(config.direct_model for config in configs)
+        indirect = kinds(config.indirect_model for config in configs)
+        self._direct = {k: v for k, v in self._direct.items() if k in direct}
+        self._indirect = {k: v for k, v in self._indirect.items() if k in indirect}
 
     def _chunked(self, score) -> np.ndarray:
         """The batch's array of ``score(chunk)`` for each chunk, read-only."""

@@ -1092,6 +1092,29 @@ def test_a_method_scores_the_same_alone_as_alongside_others(synth_benchmark, tmp
             assert method_rows(methods, method) == want
 
 
+def test_evaluate_frees_the_scores_no_later_method_ranks_with(synth_benchmark, tmp_path,
+                                                              monkeypatch):
+    root, _, _ = synth_benchmark
+    refs, alive = [], []
+    localize = rank.localize
+
+    def recording(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        ranked = localize(*args, **kwargs)
+        refs.extend((weakref.ref(ranked.direct), weakref.ref(ranked.indirect)))
+        return ranked
+
+    monkeypatch.setattr(rank, "localize", recording)
+    gc.disable()
+    try:
+        run("evaluate", "--benchmark", root, "--methods", "1,3,4", "--projects", "proj1",
+            "--cache", tmp_path / "c", "--out", tmp_path / "out")
+    finally:
+        gc.enable()
+    # method 3 ranks with method 1's direct scores, method 4 with neither's
+    assert alive == [[], [True, False], [False] * 4]
+
+
 class TestDocVectorIndex:
     @staticmethod
     def fast(**changes):

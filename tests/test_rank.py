@@ -648,7 +648,7 @@ class TestDocVectorMethods:
     @pytest.mark.parametrize("n_files,size", [(1, 16), (2, 1), (7, 1), (1, 1), (33, 8),
                                               (50, 16), (120, 32), (200, 64), (97, 100),
                                               (64, 200)])
-    def test_stacked_and_sliced_scores_equal_doc_cosines_row_by_row(self, n_files, size):
+    def test_stacked_direct_and_history_scores_equal_doc_cosines_row_by_row(self, n_files, size):
         rng = np.random.default_rng(n_files * 1000 + size)
         n_reports = 9
         artifacts, vectors = self.vectors_project(rng, n_files, n_reports, size)
@@ -668,7 +668,7 @@ class TestDocVectorMethods:
         if n_files > 1:
             assert not direct[:, vectors.file_norms == 0.0].any()
         explicit = [[], [0], [0, 2], [3, 4, 5], [1, 0], [0, 2, 1, 3], [5, 5], [0, 1, 3],
-                    [8, 7, 6, 5, 4]]  # gaps, reversals and repeats take the gather
+                    [8, 7, 6, 5, 4]]  # gaps, reversals and repeats
         for history in (project_histories(project, "earlier"),
                         project_histories(project, "all"), Histories.of(explicit)):
             sims = rank._history_sims(rows, history, rank.DOC2VEC_GLOBAL, artifacts)
@@ -852,6 +852,28 @@ class TestSharedBatchScores:
         finally:
             gc.enable()
         assert ranked.final.shape == (len(rows), len(ranked.files))
+
+    def test_scores_no_method_left_ranks_with_are_freed(self, setting):
+        artifacts = self.fresh(setting)
+        rows = np.arange(len(artifacts.project.bug_reports))
+        configs = [MethodConfig.from_id(m) for m in (3, 4, 6, 7)]
+        refs, alive = {}, {}
+        gc.disable()
+        try:
+            for i, config in enumerate(configs):
+                ranked = localize(artifacts, rows, config)
+                refs[config.method_id] = weakref.ref(ranked.direct), weakref.ref(ranked.indirect)
+                del ranked
+                artifacts.keep_scores(configs[i + 1:])
+                alive[config.method_id] = {m: (direct() is not None, indirect() is not None)
+                                           for m, (direct, indirect) in refs.items()}
+        finally:
+            gc.enable()
+        assert alive[3] == {3: (False, False)}  # no later method ranks with local TF.IDF
+        assert alive[4] == {3: (False, False), 4: (True, True)}
+        assert alive[6] == {3: (False, False), 4: (True, True), 6: (True, True)}
+        # method 7's combined maps are its own, freed with its result
+        assert alive[7] == dict.fromkeys((3, 4, 6, 7), (False, False))
 
     def test_another_batch_is_scored_anew(self, setting):
         shared = self.fresh(setting)
