@@ -1069,6 +1069,64 @@ def test_doc_vector_all_history_and_localize_match_golden_digests(synth_benchmar
     assert written == GOLDEN_LOCALIZE_DOCVEC
 
 
+# sha256 of the doc-vector index of proj1 that `evaluate --methods 5,6,7`
+# writes with the FAST settings
+GOLDEN_INDEX_DOCVEC = "99ba771e53f3e520f3deacaa158e04c9884002521766857ca3e3ab3e0372838e"
+
+
+def test_doc_vector_index_matches_golden_digest(synth_benchmark, tmp_path):
+    root, _, _ = synth_benchmark
+    run("evaluate", "--benchmark", root, "--methods", "5,6,7", "--projects", "proj1",
+        "--cache", tmp_path / "c", "--out", tmp_path / "out", *FAST)
+    assert hashlib.sha256((tmp_path / "c" / "index_docvec_proj1.bin").read_bytes()
+                          ).hexdigest() == GOLDEN_INDEX_DOCVEC
+
+
+# sha256 of the `localize` ranking of the fifth report of proj1 by each
+# TF.IDF method, on a cache trained as for GOLDEN: the miss that builds the
+# ranking index and the hit on it write the same bytes
+GOLDEN_LOCALIZE_TFIDF = {
+    1: "ddf8f833c2a4013ef315df9c25107f87699b27f958663f9cbdf66e9411af13d2",
+    2: "dad9c4f439670536fd8b04f821a827fa9d38802493099fc574e170ef90f63bee",
+    3: "cd4f212b8a93fc9cfd9ba6e82d1cda5cd3009548714cac882221ac5b9672bfbf",
+    4: "d8885ab28813f82a409fc6ee41f17604cab66c7bb55994fe990095506e89f098",
+}
+
+
+def test_localize_on_an_index_hit_matches_golden_digests(synth_benchmark, tmp_path):
+    root, _, _ = synth_benchmark
+    train(root, tmp_path / "c")
+    written = {}
+    for method in GOLDEN_LOCALIZE_TFIDF:
+        digests = set()
+        for _ in ("miss", "hit"):
+            run("localize", "--benchmark", root, "--project", "proj1", "--bug", "BUG-proj1-005",
+                "--method", method, "--cache", tmp_path / "c", "--out", tmp_path / "out")
+            digests.add(hashlib.sha256((tmp_path / "out" / f"ranking_proj1_m{method}_BUG-proj1-005"
+                                                           ".csv").read_bytes()).hexdigest())
+        (written[method],) = digests
+    assert written == GOLDEN_LOCALIZE_TFIDF
+
+
+# sha256 of what `localize --method 3` (the fifth report of proj1) and
+# `evaluate --methods 1,3` write without a cache
+GOLDEN_UNCACHED = {
+    "ranking_proj1_m3_BUG-proj1-005.csv":
+        "cd4f212b8a93fc9cfd9ba6e82d1cda5cd3009548714cac882221ac5b9672bfbf",
+    "metrics.csv": "5975dcf6792c4853c1252313e20ef695d7fec22278e27a89159245388bad18ce",
+    "per_query.csv": "6191392ef2781f324d193ba0515654ed43cc3e0268a0ef7841bb0bed338728c2",
+}
+
+
+def test_calls_without_a_cache_match_golden_digests(synth_benchmark, tmp_path):
+    root, _, _ = synth_benchmark
+    run("localize", "--benchmark", root, "--project", "proj1", "--bug", "BUG-proj1-005",
+        "--method", 3, "--out", tmp_path)
+    run("evaluate", "--benchmark", root, "--methods", "1,3", "--out", tmp_path)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GOLDEN_UNCACHED} == GOLDEN_UNCACHED
+
+
 @pytest.mark.parametrize("policy", ["earlier", "all"])
 def test_a_method_scores_the_same_alone_as_alongside_others(synth_benchmark, tmp_path,
                                                             policy):
