@@ -10,7 +10,7 @@ from pathlib import Path
 from bugloc import rank, synth
 from bugloc.cache import ArtifactCache
 from bugloc.corpus import load_benchmark
-from bugloc.embedding import EmbeddingConfig, PV_DBOW, PV_DM
+from bugloc.embedding import EmbeddingConfig
 from bugloc.metrics import QueryResult, compute_metrics, wilcoxon_signed_rank
 from bugloc.preprocess import PreprocessConfig, preprocess_benchmark
 
@@ -35,18 +35,16 @@ def run(workdir: Path):
     preprocess_benchmark(benchmark)
 
     embed = EmbeddingConfig(vector_size=12, epochs=4, min_count=1, seed=2)
-    cache = ArtifactCache(workdir / "cache", benchmark, PreprocessConfig(), embed)
+    cache = ArtifactCache(workdir / "cache", benchmark, PreprocessConfig(), embed,
+                          infer_epochs=4)
 
     print(f"\n{'project':8s} {'method':>6s} {'MRR':>7s} {'MAP':>7s} {'top1':>5s}")
     per_method_mrr = {m: [] for m in range(1, 8)}
     for project in benchmark.projects:
-        artifacts = rank.Artifacts(
-            project,
-            global_vocab=cache.global_vocabulary(project.name),
-            dm_model=cache.embedding_model(project.name, PV_DM),
-            dbow_model=cache.embedding_model(project.name, PV_DBOW),
-            infer_epochs=4,
-        )
+        # the project's TF.IDF scopes and doc vectors, built and kept as its
+        # ranking indexes
+        artifacts = cache.artifacts(project.name, {"local", "global", "docvec"},
+                                    lambda: benchmark)
         for method_id in range(1, 8):
             report = evaluate(project, artifacts, method_id)
             per_method_mrr[method_id].append(report.mrr)

@@ -74,18 +74,19 @@ another inode; only a same-size edit on a filesystem that keeps neither
 one without directory stamps, counts as missing: it costs one re-hash to
 the same digest, and no artifact is rebuilt.
 
-Ranking indexes are read only by :meth:`ArtifactCache.indexed_project`,
-each once per call, and a hit is decided per project, by one rule for all
-seven methods. A ``localize`` or ``evaluate`` ranking a project whose every
-requested scope has a fresh index rebuilds the project from those indexes:
-it stats the benchmark, reads no benchmark file, no token stream and no
-paragraph-vector model, preprocesses nothing and infers nothing, also when
-``evaluate --projects`` names a subset. A TF.IDF-only call never opens a
-doc-vector index. A project with any index missing, stale or damaged is
-loaded; each of its requested indexes that was read whole and holds the
-loaded project's ids and fixed files is kept as it is, and the others are
-rebuilt. So a cache written before doc-vector indexes existed gains them
-on its next doc-vector call and rewrites nothing else. The stamps are
+Ranking indexes are read only by :meth:`ArtifactCache.artifacts`, each
+once per call, and a hit is decided per project, by one rule for all seven
+methods. A ``localize`` or ``evaluate`` ranking a project whose every
+requested scope has a fresh index, all of the same ids and fixed files,
+ranks with those indexes' arrays: it stats the benchmark, reads no
+benchmark file, no token stream and no paragraph-vector model,
+preprocesses nothing and infers nothing, also when ``evaluate --projects``
+names a subset. A TF.IDF-only call never opens a doc-vector index. A
+project with any index missing, stale or damaged is loaded; each of its
+requested indexes that holds the loaded project's ids and fixed files is
+used as it is, and the others are rebuilt. So a cache written before
+doc-vector indexes existed gains them on its next doc-vector call and
+rewrites nothing else. The stamps are
 taken before the benchmark is listed and read: an edit made while a call
 runs can be cached under the digest of the bytes before it, and the next
 call, which sees the new stamps, rebuilds.
@@ -109,7 +110,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import container, corpus, embedding, pool, rank, tfidf
-from .corpus import Benchmark, BugReport, Project, SourceFile
+from .corpus import Benchmark, Project
 from .preprocess import PreprocessConfig, TokenStream, decode_streams, documents, encode_streams
 
 logger = logging.getLogger(__name__)
@@ -225,22 +226,13 @@ class _Index(NamedTuple):
     arrays: rank.TfidfScope | rank.DocVectors
     file_ids: list[str]
     report_ids: list[str]
-    fixed_offsets: np.ndarray
-    fixed_columns: np.ndarray
+    fixed: tuple[np.ndarray, np.ndarray]
 
-    def holds(self, file_ids, report_ids, fixed_offsets, fixed_columns) -> bool:
-        """Whether the index is of these ids and fixed files."""
-        return (self.file_ids == file_ids and self.report_ids == report_ids
-                and np.array_equal(self.fixed_offsets, fixed_offsets)
-                and np.array_equal(self.fixed_columns, fixed_columns))
-
-    def project(self, name: str) -> Project:
-        """The project as ranking sees it: its file and report ids, with
-        empty texts and no token streams, so building a scope from it
-        raises. Each report's ``fixed_files`` is None: its fixed files are
-        its span of the fixed-file CSR arrays."""
-        return Project(name, [SourceFile(fid, fid, "") for fid in self.file_ids],
-                       [BugReport(rid, "", "", None) for rid in self.report_ids])
+    def holds(self, other) -> bool:
+        """Whether the index is of the ids and fixed files of ``other``, an
+        index or :class:`~bugloc.rank.Artifacts`."""
+        return (self.file_ids == other.file_ids and self.report_ids == other.report_ids
+                and all(map(np.array_equal, self.fixed, other.fixed)))
 
 
 def _encode_index(scope: rank.TfidfScope, file_ids: list[str], report_ids: list[str],
@@ -284,7 +276,7 @@ def _decode_index(data: bytes) -> _Index:
         tfidf.Postings(a["file_rows"], a["file_weights"], a["file_offsets"], a["file_norms"]),
         a["length_weights"],
         tfidf.Rows(a["query_offsets"], a["query_terms"], a["query_weights"], a["query_norms"]))
-    return _Index(scope, a["file_ids"], a["report_ids"], a["fixed_offsets"], a["fixed_columns"])
+    return _Index(scope, a["file_ids"], a["report_ids"], (a["fixed_offsets"], a["fixed_columns"]))
 
 
 def _encode_docvec(vectors: rank.DocVectors, file_ids: list[str], report_ids: list[str],
@@ -311,8 +303,8 @@ def _decode_docvec(data: bytes, dimension: int) -> _Index:
     vectors = rank.DocVectors(a["file_vectors"].reshape(n_files, dimension), a["file_norms"],
                               a["report_vectors"].reshape(n_reports, dimension),
                               a["report_norms"])
-    return _Index(vectors, a["file_ids"], a["report_ids"], a["fixed_offsets"],
-                  a["fixed_columns"])
+    return _Index(vectors, a["file_ids"], a["report_ids"],
+                  (a["fixed_offsets"], a["fixed_columns"]))
 
 
 def _replace(path: Path, chunks) -> str:
@@ -352,12 +344,12 @@ class ArtifactCache:
 
     ``benchmark`` is a loaded :class:`~bugloc.corpus.Benchmark`, or the
     root directory of one. A cache over a root serves ranking indexes
-    (:meth:`indexed_project`) before anything is loaded; what else it
-    serves reads ``self.benchmark``, which the caller sets once it has
-    loaded it. ``project_names`` are the benchmark's project directories,
-    as the corpus record lists them. ``infer_epochs`` are the inference
-    epochs of the doc vectors it indexes, ``None`` for the training epochs
-    of ``embed_config``.
+    (:meth:`artifacts`) before anything is loaded; what else it serves
+    reads ``self.benchmark``, which the caller sets once it has loaded it.
+    ``project_names`` are the benchmark's project directories, as the
+    corpus record lists them. ``infer_epochs`` are the inference epochs of
+    the doc vectors it indexes, ``None`` for the training epochs of
+    ``embed_config``.
     """
 
     def __init__(self, directory, benchmark, preprocess_config: PreprocessConfig,
@@ -374,8 +366,6 @@ class ArtifactCache:
         self.preprocess_config = preprocess_config
         self.embed_config = embed_config
         self.infer_epochs = infer_epochs
-        # the indexes a missed indexed_project read whole, by (project, scope)
-        self._whole: dict[tuple[str, str], _Index] = {}
         self._corpus = self._recorded_digest(root)
 
     def _recorded_digest(self, root) -> str:
@@ -494,107 +484,74 @@ class ArtifactCache:
         self._store("tokens", "",
                     _encode_streams(doc.token_stream for doc, _ in documents(self.benchmark)))
 
-    def indexed_project(self, name: str, scopes) -> tuple[Project, dict, tuple] | None:
-        """Project ``name`` rebuilt from its ranking indexes under each of
-        ``scopes`` ("local", "global", "docvec"), their arrays by scope
-        (a :class:`~bugloc.rank.TfidfScope` per TF.IDF scope, the
-        :class:`~bugloc.rank.DocVectors` under "docvec"), each index read
-        once, and the CSR arrays of the reports' fixed-file columns (see
-        :attr:`~bugloc.rank.Artifacts.fixed`); None unless every index is
-        fresh and whole and all hold the same ids and fixed files.
+    def artifacts(self, name: str, scopes, loaded) -> rank.Artifacts:
+        """The ranking arrays of project ``name`` under each of ``scopes``
+        ("local", "global", "docvec"): a :class:`~bugloc.rank.TfidfScope`
+        per TF.IDF scope and, under "docvec", the
+        :class:`~bugloc.rank.DocVectors`. Each index is read once.
 
-        The project holds only what ranking reads: file ids, report ids and
-        fixed files, with empty texts and no token streams. It must not be
-        preprocessed or used to build a scope. A fresh index was built from
-        the loaded benchmark of these same bytes, so the project loaded and
-        passed its manifest check.
-
-        On a miss, the indexes that were read whole are kept for this call:
-        :meth:`tfidf_scope` and :meth:`doc_vector_index` use each one, rather
-        than rebuild it, when it holds the loaded project's ids and fixed
-        files.
+        When every index is fresh and whole and all hold the same ids and
+        fixed files, the arrays are theirs: no benchmark file, token stream
+        or model is read. A fresh index was built from the loaded benchmark
+        of these same bytes, so the project loaded and passed its manifest
+        check. Otherwise the project comes from ``loaded()``, the benchmark
+        with its token streams; each index that holds the project's ids and
+        fixed files is used as it is, and the others are built and stored.
         """
         found = {}
         for scope in sorted(scopes):
             if scope == "docvec":  # a fresh fingerprint means an embedding config
-                index = self._read("index_docvec", name, lambda data: _decode_docvec(
+                found[scope] = self._read("index_docvec", name, lambda data: _decode_docvec(
                     data, 2 * self.embed_config.vector_size))
             else:
-                index = self._read(f"index_{scope}", name, _decode_index)
-            if index is not None:
-                found[scope] = index
-        whole = len(found) == len(scopes)
+                found[scope] = self._read(f"index_{scope}", name, _decode_index)
         indexes = list(found.values())
-        if whole and not all(indexes[0].holds(*other[1:]) for other in indexes[1:]):
-            logger.info("ranking indexes of %s disagree on ids or fixed files", name)
-            whole = False
-        if not whole:
-            self._whole.update({(name, scope): index for scope, index in found.items()})
-            return None
-        if "docvec" in found:
-            logger.info("doc-vector index of %s hit", name)
-        first = indexes[0]
-        return (first.project(name), {scope: index.arrays for scope, index in found.items()},
-                (first.fixed_offsets, first.fixed_columns))
-
-    def _kept(self, artifacts: rank.Artifacts, scope: str):
-        """The arrays of the project's index under ``scope`` that the missed
-        :meth:`indexed_project` read whole, when it holds the ids and fixed
-        files of ``artifacts.project``; else None."""
-        project = artifacts.project
-        index = self._whole.pop((project.name, scope), None)
-        if index is None:
-            return None
-        if index.holds(artifacts.file_ids, [r.id for r in project.bug_reports],
-                       *artifacts.fixed):
-            return index.arrays
-        logger.info("%s index of %s is of other files or reports; rebuilding", scope,
-                    project.name)
-        return None
-
-    def tfidf_scope(self, artifacts: rank.Artifacts, scope: str) -> rank.TfidfScope:
-        """The TF.IDF arrays of ``artifacts.project`` under ``scope`` ("local"
-        or "global"): its index as this call read it whole, or else built
-        from the artifacts' token streams and the scope's vocabulary, and
-        stored as the project's ranking index."""
-        kept = self._kept(artifacts, scope)
-        if kept is not None:
-            return kept
-        project = artifacts.project
-        if not project.has_queries:  # nothing ranks it, and it may have no file to weigh
-            built = rank.TfidfScope.unranked(len(artifacts.files))
+        if None not in indexes and all(indexes[0].holds(index) for index in indexes[1:]):
+            if "docvec" in found:
+                logger.info("doc-vector index of %s hit", name)
+            first, project = indexes[0], None
+            artifacts = rank.Artifacts(name, first.file_ids, first.report_ids, first.fixed, {})
         else:
-            vocab = (self.global_vocabulary(project.name) if scope == "global"
-                     else artifacts.local_vocab)
-            built = artifacts.build_scope(vocab)
-        self._store(f"index_{scope}", project.name,
-                    _encode_index(built, artifacts.file_ids,
-                                  [r.id for r in project.bug_reports], *artifacts.fixed))
-        return built
+            if None not in indexes:
+                logger.info("ranking indexes of %s disagree on ids or fixed files", name)
+            project = loaded().project(name)
+            artifacts = rank.Artifacts.of(project, {})
+        for scope, index in found.items():
+            if index is not None and not index.holds(artifacts):
+                logger.info("%s index of %s is of other files or reports; rebuilding", scope,
+                            name)
+                index = None
+            arrays = self._build(project, scope, artifacts) if index is None else index.arrays
+            if scope == "docvec":
+                artifacts.doc_vectors = arrays
+            else:
+                artifacts.scopes[scope] = arrays
+        return artifacts
 
-    def doc_vector_index(self, artifacts: rank.Artifacts) -> rank.DocVectors:
-        """The doc vectors of ``artifacts.project``: its doc-vector index as
-        this call read it whole, or else inferred from the artifacts' token
-        streams with the held-out project's models, and stored as its index."""
-        kept = self._kept(artifacts, "docvec")
-        if kept is not None:
-            return kept
-        project = artifacts.project
-        if not project.has_queries:  # nothing ranks it: no model, no inference
-            vectors = rank.DocVectors.unranked(len(artifacts.files),
+    def _build(self, project: Project, scope: str, artifacts: rank.Artifacts):
+        """The arrays of the project's index under ``scope``, built from its
+        token streams and stored as that index of the ids and fixed files
+        of ``artifacts``. A project without queries, which nothing ranks,
+        gets empty arrays, and no vocabulary or model is built for it."""
+        held = (artifacts.file_ids, artifacts.report_ids, *artifacts.fixed)
+        if scope != "docvec":
+            vocab = (self.global_vocabulary(project.name)
+                     if scope == "global" and project.has_queries else None)
+            built = rank.build_scope(project, vocab)
+            self._store(f"index_{scope}", project.name, _encode_index(built, *held))
+            return built
+        if not project.has_queries:
+            vectors = rank.DocVectors.unranked(len(project.source_files),
                                                2 * self.embed_config.vector_size)
         else:
             pairs = [(project.name, embedding.PV_DM), (project.name, embedding.PV_DBOW)]
             dm, dbow = self._models(pairs)
             start = time.perf_counter()
-            vectors = rank.DocVectors.infer(artifacts.files, project.bug_reports, dm, dbow,
-                                            self.infer_epochs)
+            vectors = rank.DocVectors.infer(project, dm, dbow, self.infer_epochs)
             logger.info("built doc-vector index of %s: %d files, %d reports, %.3f s "
-                        "inferring", project.name, len(artifacts.files),
+                        "inferring", project.name, len(project.source_files),
                         len(project.bug_reports), time.perf_counter() - start)
-        self._store("index_docvec", project.name,
-                    _encode_docvec(vectors, artifacts.file_ids,
-                                   [r.id for r in project.bug_reports], *artifacts.fixed))
+        self._store("index_docvec", project.name, _encode_docvec(vectors, *held))
         return vectors
 
     def global_vocabulary(self, held_out: str) -> tfidf.Vocabulary:

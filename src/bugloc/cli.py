@@ -195,42 +195,25 @@ def _loader(settings, benchmark_path, cache=None, project_name=None):
     return loaded
 
 
-def _artifacts(name, method_ids, settings, cache, loaded) -> rank.Artifacts:
+def _artifacts(name, method_ids, cache, loaded) -> rank.Artifacts:
     """Artifacts of project ``name`` covering the union of the given
-    methods' model needs.
-
-    With a cache, a project whose every requested index (a TF.IDF scope
-    per scope the methods rank with, and the doc-vector index for methods
-    5-7) is fresh is rebuilt from those indexes
-    (:meth:`~bugloc.cache.ArtifactCache.indexed_project`): no benchmark
-    file, token stream or model is read and nothing is inferred. Otherwise
-    the project comes from ``loaded()``; with a cache, each requested index
-    that the miss read whole and that holds the loaded project's ids and
-    fixed files is used as it is, and every other one is built from the
-    token streams and models, and stored. A project with no queries gets
-    indexes of empty arrays and no model, for nothing ranks it, so that a
-    warm call hits on it as on every other project.
-    """
+    methods' model needs: with a cache, a TF.IDF scope per scope the
+    methods rank with and the doc vectors for methods 5-7, from the
+    project's ranking indexes or built and stored
+    (:meth:`~bugloc.cache.ArtifactCache.artifacts`); without one, the local
+    scope of the project that ``loaded()`` holds."""
     configs = [rank.MethodConfig.from_id(m) for m in method_ids]
-    if cache is None and any(c.needs_global_tfidf or c.needs_embeddings for c in configs):
-        raise BugLocError(
-            f"methods {sorted(c.method_id for c in configs)} need global "
-            "models: pass --cache")
-    needs_embeddings = any(c.needs_embeddings for c in configs)
-    names = sorted(set().union(*(c.tfidf_scopes for c in configs)))
-    indexes = [*names, "docvec"] if needs_embeddings else names
-    indexed = cache.indexed_project(name, indexes) if cache is not None and indexes else None
-    if indexed is not None:
-        project, found, fixed = indexed
-        return rank.Artifacts(project, scopes={scope: found[scope] for scope in names},
-                              doc_vectors=found.get("docvec"), fixed=fixed)
-    artifacts = rank.Artifacts(loaded().project(name))
-    if cache is not None:
-        for scope in names:
-            artifacts.scopes[scope] = cache.tfidf_scope(artifacts, scope)
-        if needs_embeddings:
-            artifacts.doc_vectors = cache.doc_vector_index(artifacts)
-    return artifacts
+    if cache is None:
+        if any(c.needs_global_tfidf or c.needs_embeddings for c in configs):
+            raise BugLocError(
+                f"methods {sorted(c.method_id for c in configs)} need global "
+                "models: pass --cache")
+        project = loaded().project(name)
+        return rank.Artifacts.of(project, {"local": rank.build_scope(project)})
+    scopes = set().union(*(c.tfidf_scopes for c in configs))
+    if any(c.needs_embeddings for c in configs):
+        scopes.add("docvec")
+    return cache.artifacts(name, scopes, loaded)
 
 
 _common_options = [
@@ -329,10 +312,10 @@ def cmd_localize(benchmark_path, project_name, bug_id, method_id, cache_dir,
     settings = _settings(kwargs, history_policy=history_policy)
     cache = _cache(settings, benchmark_path, cache_dir)
     # without a cache only the query project is read, so only it is loaded
-    artifacts = _artifacts(project_name, [method_id], settings, cache,
+    artifacts = _artifacts(project_name, [method_id], cache,
                            _loader(settings, benchmark_path, cache, project_name))
-    row = artifacts.project.row(bug_id)
-    history = rank.history_at(artifacts.project, row, settings.get("history_policy"))
+    row = artifacts.row(bug_id)
+    history = rank.history_at(artifacts, row, settings.get("history_policy"))
     ranked = rank.localize(artifacts, row, rank.MethodConfig.from_id(method_id),
                            history=history)
     out = Path(out_dir)
@@ -356,12 +339,11 @@ def _evaluate_project(name, method_ids, settings, cache,
     batch, and shared too. A model's scores are freed once no method left
     to run ranks with them, and the rest with the artifacts on return.
     """
-    artifacts = _artifacts(name, method_ids, settings, cache, loaded)
-    project = artifacts.project
-    if not project.has_queries:
+    artifacts = _artifacts(name, method_ids, cache, loaded)
+    if not artifacts.report_ids:
         return None
-    rows = np.arange(len(project.bug_reports))
-    history = rank.project_histories(project, settings.get("history_policy"))
+    rows = np.arange(len(artifacts.report_ids))
+    history = rank.project_histories(artifacts, settings.get("history_policy"))
     configs = [rank.MethodConfig.from_id(method_id) for method_id in method_ids]
     reports = {}
     for i, config in enumerate(configs):

@@ -69,9 +69,7 @@ class BugReport:
     id: str
     summary: str
     description: str
-    # None on a project rebuilt from a ranking index, which holds the fixed
-    # files as CSR arrays instead
-    fixed_files: set[str] | None
+    fixed_files: set[str]
     timestamp: str | None = None
     token_stream: "TokenStream | None" = None
 

@@ -18,9 +18,9 @@ Combined scoring (method 7) normalizes the TF.IDF and doc-vector maps to
 [0, 1] separately and averages them per relevancy function.
 
 Scores are numpy arrays over the project's files in path order, and
-reports are addressed only as rows of ``project.bug_reports``: a query is
-a row and its history an int array of rows, so neither can name a report
-of another project.
+reports are addressed only as rows of the project's reports (in
+``Artifacts.report_ids`` order): a query is a row and its history an int
+array of rows, so neither can name a report of another project.
 
 :func:`localize` ranks a batch of queries in one pass: an int array of
 rows, each with its own history, gives one :class:`RankedList` whose
@@ -38,19 +38,18 @@ sorts and ranks from them; its :class:`RankedList` refers to them.
 
 - TF.IDF: per scope, a :class:`TfidfScope` holds the files'
   :class:`~bugloc.tfidf.Postings`, their length factors and the reports'
-  :class:`~bugloc.tfidf.Rows`, the queries. :class:`Artifacts` builds it
-  once from the token streams, or takes it as loaded from the cache's
-  ranking index (the same float64 arrays). Direct scores are the length
-  factors times ``Postings.cosines``, and the similarities to history
-  reports are ``Postings.cosines`` against the report postings: each one
-  ``bincount`` over the bins ``query * n + row`` of the chunk's query spans.
+  :class:`~bugloc.tfidf.Rows`, the queries: :func:`build_scope` weighs
+  them from the token streams, or the cache's ranking index holds them
+  (the same float64 arrays). Direct scores are the length factors times
+  ``Postings.cosines``, and the similarities to history reports are
+  ``Postings.cosines`` against the report postings: each one ``bincount``
+  over the bins ``query * n + row`` of the chunk's query spans.
 - Doc vectors (:class:`DocVectors`) are inferred in two batches
   (:func:`~bugloc.embedding.combined_matrix`): all of the project's files
   and all of its reports, each once, kept as matrix rows with their norms;
-  or :class:`Artifacts` takes them as loaded from the cache's doc-vector
-  index (the same float64 arrays), and then needs no model and no token
-  stream. Similarities are one matrix-vector product per query, over the
-  file rows or that query's history rows, equal to the per-pair
+  or the cache's doc-vector index holds them (the same float64 arrays).
+  Similarities are one matrix-vector product per query, over the file
+  rows or that query's history rows, equal to the per-pair
   :func:`~bugloc.embedding.doc_cosine` within rounding. The direct scores
   of a chunk are one stacked ``np.matmul`` (numpy runs it as those
   matrix-vector products), the history similarities one
@@ -72,6 +71,13 @@ A batch's histories are one :class:`Histories`, CSR arrays of history
 rows: :func:`project_histories` builds those of a project's reports under
 a policy with numpy alone, and a list of per-query row arrays is converted
 once, on entry to :func:`localize`; each chunk slices it.
+
+Every method reads one :class:`Artifacts` per project: its file and
+report ids, its fixed files as CSR arrays, a :class:`TfidfScope` per
+scope and the :class:`DocVectors`. :meth:`Artifacts.of` takes the ids and
+fixed files from a loaded project;
+:meth:`~bugloc.cache.ArtifactCache.artifacts` gives all of them, from the
+project's ranking indexes or built and stored.
 
 ``evaluate`` ranks all of a project's reports with one call per method,
 with the whole project's :class:`Histories`, built once for every method,
@@ -95,6 +101,7 @@ import numpy as np
 
 from . import embedding, tfidf
 from .corpus import Project
+from .errors import CorpusError
 
 TFIDF_LOCAL = "tfidf_local"
 TFIDF_GLOBAL = "tfidf_global"
@@ -270,14 +277,26 @@ class TfidfScope:
         return cls(tfidf.Postings(none, np.zeros(0), np.zeros(1, dtype=np.intp), zeros), zeros,
                    tfidf.Rows(np.zeros(1, dtype=np.intp), none, np.zeros(0), np.zeros(0)))
 
-    @classmethod
-    def build(cls, vocab: tfidf.Vocabulary, files, reports,
-              normalizer: tfidf.LengthNormalizer) -> "TfidfScope":
-        """Weigh the files (in ``files`` order) and the reports."""
-        streams = _streams(files)
-        return cls(tfidf.Postings.from_rows(tfidf.weigh(streams, vocab), len(vocab)),
-                   np.array([tfidf.length_weight(len(s), normalizer) for s in streams]),
-                   tfidf.weigh(_streams(reports), vocab))
+
+def _path_order(project: Project) -> list:
+    """The project's source files in path order, the order of score arrays."""
+    return sorted(project.source_files, key=lambda f: f.id)
+
+
+def build_scope(project: Project, vocab: tfidf.Vocabulary | None = None) -> TfidfScope:
+    """The project's TF.IDF arrays under ``vocab``, by default the local
+    vocabulary of its source files, weighed from its token streams; for a
+    project without reports, which nothing ranks, the unranked scope."""
+    if not project.has_queries:
+        return TfidfScope.unranked(len(project.source_files))
+    streams = _streams(project.source_files)
+    if vocab is None:
+        vocab = tfidf.build_vocabulary(streams, scope="local")
+    normalizer = tfidf.LengthNormalizer.from_counts(map(len, streams))
+    ordered = _streams(_path_order(project))
+    return TfidfScope(tfidf.Postings.from_rows(tfidf.weigh(ordered, vocab), len(vocab)),
+                      np.array([tfidf.length_weight(len(s), normalizer) for s in ordered]),
+                      tfidf.weigh(_streams(project.bug_reports), vocab))
 
 
 class DocVectors(NamedTuple):
@@ -290,17 +309,17 @@ class DocVectors(NamedTuple):
     report_norms: np.ndarray
 
     @classmethod
-    def infer(cls, files, reports, dm_model: embedding.EmbeddingModel,
+    def infer(cls, project: Project, dm_model: embedding.EmbeddingModel,
               dbow_model: embedding.EmbeddingModel, epochs: int | None = None) -> DocVectors:
-        """The vectors of the files and of the reports, inferred from their
-        token streams in one batch each."""
+        """The vectors of the project's files and of its reports, inferred
+        from their token streams in one batch each."""
         def rows(docs):
             vectors, _ = embedding.combined_matrix(_streams(docs), dm_model, dbow_model,
                                                    epochs=epochs)
             # one norm per row, computed as doc_cosine computes it
             return vectors, np.array([np.linalg.norm(v) for v in vectors])
 
-        return cls(*rows(files), *rows(reports))
+        return cls(*rows(_path_order(project)), *rows(project.bug_reports))
 
     @classmethod
     def unranked(cls, n_files: int, size: int) -> DocVectors:
@@ -311,139 +330,78 @@ class DocVectors(NamedTuple):
 
 
 class Artifacts:
-    """Models and per-project arrays a localization run draws on.
+    """One project's ranking arrays, as every method reads them.
 
-    Local TF.IDF state is derived lazily from the project itself; global
-    models (IDF vocabulary, paragraph-vector pair) must be supplied when a
-    method asks for them. Per TF.IDF scope, a :class:`TfidfScope` is built
-    once and serves every query, unless ``scopes`` supplies it (loaded from
-    a cache, say); the fix pairs are built only when a method ranks through
-    history. The doc vectors of the files and of the reports are inferred
-    together, each in one batch, when a method first needs either, unless
-    ``doc_vectors`` supplies them; then no model is needed. Score arrays
-    follow ``files``, the project's source files in path order, so a stable
-    sort keeps tied files in path order; reports are rows of
-    ``project.bug_reports``. ``fixed`` supplies the CSR arrays of
-    :attr:`fixed` (a ranking index holds them), each report's fixed-file
-    count being its number of columns, as it is for a project whose fixed
-    files all resolved; else they are built from the project when first
-    needed.
+    ``file_ids`` are the project's source files in path order, the order of
+    every score array, so a stable sort keeps tied files in path order;
+    ``report_ids`` are its reports in row order. ``fixed`` holds each
+    report's fixed files as CSR arrays: report ``i`` fixed the files at the
+    ascending columns ``columns[offsets[i]:offsets[i + 1]]``.
+    ``fixed_counts`` holds each report's ``|fixed files|``, by default its
+    number of columns, as for a loaded project, whose fixed files all
+    resolve to its files. ``scopes`` holds a :class:`TfidfScope` per
+    TF.IDF scope ("local", "global") and ``doc_vectors`` the
+    :class:`DocVectors`, or None; a method ranks only with the arrays
+    supplied, and reads no token stream and no model.
 
-    Token streams are read only to build a scope or infer doc vectors. So a
-    project whose scopes or doc vectors are supplied needs none, as long as
-    its methods rank with nothing else; with neither supplied, every
-    document must have one.
+    :meth:`of` takes the ids and fixed files from a project;
+    :meth:`~bugloc.cache.ArtifactCache.artifacts` gives all of the arrays.
 
     The scores of the last batch ranked are kept (:meth:`batch_scores`)
     until a different batch is ranked, :meth:`keep_scores` frees them or
     the artifacts are freed.
     """
 
-    def __init__(self, project: Project, global_vocab: tfidf.Vocabulary | None = None,
-                 dm_model: embedding.EmbeddingModel | None = None,
-                 dbow_model: embedding.EmbeddingModel | None = None,
-                 infer_epochs: int | None = None,
-                 scopes: dict[str, TfidfScope] | None = None,
-                 doc_vectors: DocVectors | None = None,
-                 fixed: tuple[np.ndarray, np.ndarray] | None = None):
-        self.project = project
-        self.global_vocab = global_vocab
-        self.dm_model = dm_model
-        self.dbow_model = dbow_model
-        self.infer_epochs = infer_epochs
-        self.scopes = dict(scopes or {})
-        if doc_vectors is not None:
-            self.doc_vectors = doc_vectors
-        elif not self.scopes:
-            _streams([*project.source_files, *project.bug_reports])
-        if fixed is not None:
-            offsets, columns = fixed
-            self._project_pairs = offsets, columns, np.diff(offsets)
-        self.files = sorted(project.source_files, key=lambda f: f.id)
-        self.file_ids = [f.id for f in self.files]
-        self._column = {fid: j for j, fid in enumerate(self.file_ids)}
+    def __init__(self, name: str, file_ids: list[str], report_ids: list[str],
+                 fixed: tuple[np.ndarray, np.ndarray], scopes: dict[str, TfidfScope],
+                 doc_vectors: DocVectors | None = None, fixed_counts: np.ndarray | None = None):
+        self.name = name
+        self.file_ids = file_ids
+        self.report_ids = report_ids
+        self.fixed = fixed
+        self.fixed_counts = np.diff(fixed[0]) if fixed_counts is None else fixed_counts
+        self.scopes = scopes
+        self.doc_vectors = doc_vectors
         self._batch: BatchScores | None = None
 
-    @cached_property
-    def local_vocab(self) -> tfidf.Vocabulary:
-        return tfidf.build_vocabulary(_streams(self.project.source_files), scope="local")
-
-    @cached_property
-    def normalizer(self) -> tfidf.LengthNormalizer:
-        return tfidf.LengthNormalizer.from_counts(map(len, _streams(self.project.source_files)))
-
-    def vocab(self, scope: str) -> tfidf.Vocabulary:
-        if scope == "local":
-            return self.local_vocab
-        if self.global_vocab is None:
-            raise ValueError("global IDF model required but not provided")
-        return self.global_vocab
-
-    def build_scope(self, vocab: tfidf.Vocabulary) -> TfidfScope:
-        """The project's TF.IDF arrays under ``vocab``, from its token streams."""
-        return TfidfScope.build(vocab, self.files, self.project.bug_reports, self.normalizer)
-
-    def _tfidf_scope(self, scope: str) -> TfidfScope:
-        if scope not in self.scopes:
-            self.scopes[scope] = self.build_scope(self.vocab(scope))
-        return self.scopes[scope]
-
-    @cached_property
-    def doc_vectors(self) -> DocVectors:
-        """The doc vectors of ``files`` and of the project's reports: as
-        supplied, or else inferred with the models on first use."""
-        if self.dm_model is None or self.dbow_model is None:
-            raise ValueError("paragraph-vector models required but not provided")
-        return DocVectors.infer(self.files, self.project.bug_reports, self.dm_model,
-                                self.dbow_model, self.infer_epochs)
-
-    @cached_property
-    def _project_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """File column of every (report, fixed file of this project) pair, in
-        report order and, within a report, by column, ``offsets`` such that
-        report ``i``'s pairs are ``offsets[i]:offsets[i + 1]``, and each
-        report's ``|fixed files|``, counting fixed files missing from the
-        project too."""
-        counts, columns, sizes = [], [], []
-        for report in self.project.bug_reports:
-            if report.fixed_files is None:
-                raise ValueError(f"report {report.id} carries no fixed files: "
-                                 "supply its ranking index's fixed-file arrays")
-            fixed = sorted(self._column[fid] for fid in report.fixed_files
-                           if fid in self._column)
+    @classmethod
+    def of(cls, project: Project, scopes: dict[str, TfidfScope],
+           doc_vectors: DocVectors | None = None) -> Artifacts:
+        """The project's ids and fixed files with the given arrays. A fixed
+        file missing from the project has no column but counts in
+        ``fixed_counts``."""
+        file_ids = [f.id for f in _path_order(project)]
+        column = {fid: j for j, fid in enumerate(file_ids)}
+        counts, columns = [], []
+        for report in project.bug_reports:
+            fixed = sorted(column[fid] for fid in report.fixed_files if fid in column)
             counts.append(len(fixed))
             columns += fixed
-            sizes.append(len(report.fixed_files))
-        return (np.concatenate(([0], np.cumsum(counts, dtype=np.intp))),
-                np.array(columns, dtype=np.intp), np.array(sizes, dtype=np.intp))
+        reports = project.bug_reports
+        return cls(project.name, file_ids, [r.id for r in reports],
+                   (np.concatenate(([0], np.cumsum(counts, dtype=np.intp))),
+                    np.array(columns, dtype=np.intp)), scopes, doc_vectors,
+                   np.array([len(r.fixed_files) for r in reports], dtype=np.intp))
 
-    @property
-    def fixed_counts(self) -> np.ndarray:
-        """Each report's ``|fixed files|``; its number of columns in
-        :attr:`fixed` when ``fixed`` was supplied."""
-        return self._project_pairs[2]
+    def row(self, bug_id: str) -> int:
+        """Row of the report with id ``bug_id``."""
+        try:
+            return self.report_ids.index(bug_id)
+        except ValueError:
+            raise CorpusError(f"unknown bug id {bug_id!r} in project {self.name}") from None
 
     @cached_property
     def _pair_sizes(self) -> np.ndarray:
         """The ``|fixed files|`` of the report of each pair of :attr:`fixed`,
         as floats."""
-        offsets, _, counts = self._project_pairs
-        return np.repeat(counts, np.diff(offsets)).astype(float)
-
-    @property
-    def fixed(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR arrays of the fixed files of every report: report ``i`` fixed
-        the files at the ascending columns ``columns[offsets[i]:offsets[i + 1]]``."""
-        offsets, columns, _ = self._project_pairs
-        return offsets, columns
+        return np.repeat(self.fixed_counts, np.diff(self.fixed[0])).astype(float)
 
     def batch_scores(self, rows: np.ndarray, history: Histories) -> BatchScores:
         """The scores of the batch ``rows`` with ``history``: those kept for
         the last batch ranked if it is the same batch, else a new, empty
         :class:`BatchScores` that replaces them."""
         if self._batch is None or not self._batch.holds(rows, history):
-            self._batch = BatchScores(rows, history, len(self.files),
-                                      len(self.project.bug_reports))
+            self._batch = BatchScores(rows, history, len(self.file_ids), len(self.report_ids))
         return self._batch
 
     def keep_scores(self, configs) -> None:
@@ -458,9 +416,9 @@ class Artifacts:
         follows ``history.rows``), added up in history order as a dict
         accumulation would: one ``bincount`` over the bins ``query * F +
         column``."""
-        offsets, columns, _ = self._project_pairs
+        offsets, columns = self.fixed
         idx, positions = tfidf.span_indices(offsets, history.rows)
-        n_queries, n_files = len(history.offsets) - 1, len(self.files)
+        n_queries, n_files = len(history.offsets) - 1, len(self.file_ids)
         # float even when no pair is drawn on: bincount gives ints for no input
         scores = np.bincount(history.owner[positions] * n_files + columns[idx],
                              weights=sims[positions] / self._pair_sizes[idx],
@@ -527,15 +485,24 @@ class Histories:
                          self.offsets[start:stop + 1] - lo)
 
 
+def _arrays(artifacts: Artifacts, kind: str):
+    """The arrays a model ranks with: its TF.IDF scope or the doc vectors."""
+    arrays = (artifacts.doc_vectors if kind == DOC2VEC_GLOBAL
+              else artifacts.scopes.get(_TFIDF_SCOPES[kind]))
+    if arrays is None:
+        raise ValueError(f"{kind} arrays required but not supplied")
+    return arrays
+
+
 def _direct_scores(rows: np.ndarray, kind: str, artifacts: Artifacts) -> np.ndarray:
     """Direct scores of the project's reports ``rows`` (one score row each)
     against every file, under one model: a TF.IDF scope or the doc vectors."""
     if kind in _TFIDF_SCOPES:
-        data = artifacts._tfidf_scope(_TFIDF_SCOPES[kind])
+        data = _arrays(artifacts, kind)
         return data.length_weights * data.files.cosines(data.queries, rows)
     if kind != DOC2VEC_GLOBAL:
         raise ValueError(f"unknown direct model {kind!r}")
-    vectors = artifacts.doc_vectors
+    vectors = _arrays(artifacts, kind)
     # one stacked product: numpy runs it as one matrix-vector product per
     # query, bit for bit as embedding.doc_cosines computes each row; the
     # matrix-matrix product reports @ files.T rounds differently
@@ -554,7 +521,7 @@ def _history_sims(rows: np.ndarray, history: Histories, kind: str,
         # one matrix-vector product per query over exactly its own history
         # rows: a product over more rows, or a matrix-matrix product, rounds
         # differently and can flip ties
-        doc_vectors = artifacts.doc_vectors
+        doc_vectors = _arrays(artifacts, kind)
         vectors, norms = doc_vectors.reports, doc_vectors.report_norms
         offsets = history.offsets.tolist()
         sims = np.empty(len(history.rows))
@@ -565,7 +532,7 @@ def _history_sims(rows: np.ndarray, history: Histories, kind: str,
         return sims
     if kind not in _TFIDF_SCOPES:
         raise ValueError(f"unknown indirect model {kind!r}")
-    data = artifacts._tfidf_scope(_TFIDF_SCOPES[kind])
+    data = _arrays(artifacts, kind)
     return data.reports.cosines(data.queries, rows)[history.owner, history.rows]
 
 
@@ -575,8 +542,11 @@ class BatchScores:
     each computed on first use, in chunks, and kept for the methods that
     rank the same batch until :meth:`keep` drops it. Every method's
     :class:`RankedList` of the batch refers to these arrays, so they are
-    read-only. Method 7's combined maps are derived from the kept
-    TF.IDF-global and doc-vector arrays on each use. The scores come from the :class:`Artifacts` passed in, which keep
+    read-only. Method 7's combined maps are derived from the TF.IDF-global
+    and doc-vector arrays on each use, and those are dropped once combined:
+    ``evaluate`` runs the methods in ascending order, so none ranks with
+    them after method 7, and another caller's later method scores them
+    anew. The scores come from the :class:`Artifacts` passed in, which keep
     this object; it keeps no reference back, so the project's arrays are
     freed with the artifacts, not at the next garbage collection.
     """
@@ -617,11 +587,18 @@ class BatchScores:
         out.flags.writeable = False
         return out
 
+    def _combine(self, score, kept: dict, artifacts: Artifacts) -> np.ndarray:
+        """Method 7's map of the TF.IDF-global and doc-vector arrays that
+        ``score`` gives, which are dropped from ``kept``."""
+        lexical = score(TFIDF_GLOBAL, artifacts)
+        semantic = score(DOC2VEC_GLOBAL, artifacts)
+        kept.pop(TFIDF_GLOBAL)
+        kept.pop(DOC2VEC_GLOBAL)
+        return self._chunked(lambda c: _combined(lexical[c], semantic[c]))
+
     def direct(self, kind: str, artifacts: Artifacts) -> np.ndarray:
         if kind == COMBINED_GLOBAL:
-            lexical = self.direct(TFIDF_GLOBAL, artifacts)
-            semantic = self.direct(DOC2VEC_GLOBAL, artifacts)
-            return self._chunked(lambda c: _combined(lexical[c], semantic[c]))
+            return self._combine(self.direct, self._direct, artifacts)
         if kind not in self._direct:
             self._direct[kind] = self._chunked(
                 lambda c: _direct_scores(self.rows[c], kind, artifacts))
@@ -630,9 +607,7 @@ class BatchScores:
     def indirect(self, kind: str, artifacts: Artifacts) -> np.ndarray:
         """History-bridged scores; an empty history yields a row of zeros."""
         if kind == COMBINED_GLOBAL:
-            lexical = self.indirect(TFIDF_GLOBAL, artifacts)
-            semantic = self.indirect(DOC2VEC_GLOBAL, artifacts)
-            return self._chunked(lambda c: _combined(lexical[c], semantic[c]))
+            return self._combine(self.indirect, self._indirect, artifacts)
         if kind == NONE:  # a read-only view of one zero, in no memory of its own
             return np.broadcast_to(0.0, self.shape)
         if kind not in self._indirect:
@@ -642,13 +617,13 @@ class BatchScores:
         return self._indirect[kind]
 
 
-def project_histories(project: Project, policy: str = "earlier",
+def project_histories(artifacts: Artifacts, policy: str = "earlier",
                       rows=None) -> Histories:
     """The histories of the project's reports at ``rows`` (every row by
     default) as one :class:`Histories`: each query row's span holds the rows
     before it in the project ordering, or every other row under
     ``policy="all"``."""
-    n = len(project.bug_reports)
+    n = len(artifacts.report_ids)
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
     if policy == "earlier":
         lengths = rows
@@ -665,25 +640,25 @@ def project_histories(project: Project, policy: str = "earlier",
     return Histories(past, owner, offsets)
 
 
-def history_at(project: Project, row: int, policy: str = "earlier") -> np.ndarray:
+def history_at(artifacts: Artifacts, row: int, policy: str = "earlier") -> np.ndarray:
     """Rows usable as history for the project's report ``row``: its span of
     :func:`project_histories`."""
-    return project_histories(project, policy, [row]).rows
+    return project_histories(artifacts, policy, [row]).rows
 
 
-def _check_rows(rows: np.ndarray, project: Project) -> None:
+def _check_rows(rows: np.ndarray, artifacts: Artifacts) -> None:
     """``ValueError`` unless every one of ``rows`` is a row of the project's
     reports: numpy would silently read a negative row from the end."""
-    n_reports = len(project.bug_reports)
+    n_reports = len(artifacts.report_ids)
     if len(rows) and (rows.min() < 0 or rows.max() >= n_reports):
         raise ValueError(f"report rows must lie in [0, {n_reports}) for project "
-                         f"{project.name}")
+                         f"{artifacts.name}")
 
 
 def localize(artifacts: Artifacts, rows, config: MethodConfig,
              history=None) -> RankedList:
-    """Rank every source file of ``artifacts.project`` for its reports at
-    ``rows``, an int array of report rows, in one pass.
+    """Rank every source file of the project for its reports at ``rows``,
+    an int array of report rows, in one pass.
 
     ``history`` holds, per query row, the int array of report rows that
     query may draw on, or is one :class:`Histories` of the batch (a list is
@@ -694,21 +669,20 @@ def localize(artifacts: Artifacts, rows, config: MethodConfig,
     one whose ``history`` is one int array, and its result is that one
     query's 1-D :class:`RankedList`.
 
-    A query row or history row outside ``project.bug_reports`` raises
+    A query row or history row outside the project's reports raises
     ``ValueError``. Ties in the fused score break by file path so output
     order is total.
     """
-    project = artifacts.project
     single = np.ndim(rows) == 0
     rows = np.atleast_1d(np.asarray(rows, dtype=np.intp))
-    _check_rows(rows, project)
+    _check_rows(rows, artifacts)
     if history is None:
-        history = project_histories(project, "earlier", rows)
+        history = project_histories(artifacts, "earlier", rows)
     elif not isinstance(history, Histories):
         history = Histories.of([history] if single else history)
     if len(history) != len(rows):
         raise ValueError(f"{len(history)} histories for {len(rows)} query rows")
-    _check_rows(history.rows, project)
+    _check_rows(history.rows, artifacts)
     scores = artifacts.batch_scores(rows, history)
     direct = scores.direct(config.direct_model, artifacts)
     indirect = scores.indirect(config.indirect_model, artifacts)
@@ -716,7 +690,7 @@ def localize(artifacts: Artifacts, rows, config: MethodConfig,
     for chunk in scores.chunks:
         final[chunk] = fuse(direct[chunk], indirect[chunk], config.w1, config.w2)
         entries[chunk] = np.argsort(-final[chunk], axis=-1, kind="stable")
-    ids = [project.bug_reports[row].id for row in rows.tolist()]
+    ids = [artifacts.report_ids[row] for row in rows.tolist()]
     if single:
         return RankedList(ids[0], config.method_id, artifacts.file_ids, final[0], direct[0],
                           indirect[0], entries[0])

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bugloc import synth
+from bugloc import rank, synth
 from bugloc.corpus import load_benchmark
 from bugloc.preprocess import preprocess_benchmark
 
@@ -27,6 +27,18 @@ def write_project(root, name, files, bugs):
 def java_stub(*identifiers, filler=""):
     body = "\n".join(f"    int {ident};" for ident in identifiers)
     return f"public class Stub {{\n{body}\n{filler}\n}}\n"
+
+
+def artifacts_of(project, global_vocab=None, dm=None, dbow=None, infer_epochs=None):
+    """The project's ``rank.Artifacts``, built from its token streams: its
+    local TF.IDF scope, plus its global scope under ``global_vocab`` and
+    its doc vectors inferred with the ``dm`` and ``dbow`` models, each when
+    given."""
+    scopes = {"local": rank.build_scope(project)}
+    if global_vocab is not None:
+        scopes["global"] = rank.build_scope(project, global_vocab)
+    vectors = None if dm is None else rank.DocVectors.infer(project, dm, dbow, infer_epochs)
+    return rank.Artifacts.of(project, scopes, vectors)
 
 
 @pytest.fixture(scope="session")

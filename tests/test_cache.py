@@ -316,6 +316,15 @@ def documents(benchmark):
         yield from project.bug_reports
 
 
+def indexed(cache, *scopes):
+    """The artifacts of proj1 from its ranking indexes under ``scopes``,
+    which must all hit."""
+    def loaded():
+        raise AssertionError("the ranking indexes of proj1 missed")
+
+    return cache.artifacts("proj1", set(scopes), loaded)
+
+
 def reseal(artifact):
     """Record the artifact's current bytes as its sha256, as a writer would."""
     meta = artifact.with_suffix(artifact.suffix + ".meta.json")
@@ -452,9 +461,9 @@ class TestRankingIndex:
         built = ranking(tmp_path / "c")
         artifact = tmp_path / "c" / "index_global_proj1.bin"
         cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig(), EmbeddingConfig())
-        project, scopes, (fixed_offsets, fixed_columns) = cache.indexed_project(
-            "proj1", {"global"})
-        scope = scopes["global"]
+        artifacts = indexed(cache, "global")
+        scope = artifacts.scopes["global"]
+        fixed_offsets, fixed_columns = artifacts.fixed
         files = scope.files
         terms, rows, offsets = (scope.queries.terms.copy(), files.rows.copy(),
                                 files.offsets.copy())
@@ -476,9 +485,8 @@ class TestRankingIndex:
         bad = rank.TfidfScope(
             tfidf.Postings(rows, files.weights, offsets, files.norms), length_weights,
             scope.queries._replace(terms=terms))
-        file_ids = [f.id for f in project.source_files]
         artifact.write_bytes(b"".join(cache_module._encode_index(
-            bad, file_ids, [r.id for r in project.bug_reports], fixed_offsets, fixed_columns)))
+            bad, artifacts.file_ids, artifacts.report_ids, fixed_offsets, fixed_columns)))
         reseal(artifact)
         with caplog.at_level(logging.WARNING):
             localize(bench, tmp_path / "c")
@@ -564,17 +572,15 @@ class TestRankingIndex:
         project = benchmark.project("proj1")
         cache = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig())
         fewer = corpus.Project("proj1", project.source_files, project.bug_reports[:-1])
-        cache.tfidf_scope(rank.Artifacts(fewer), "global")
-        hit, _, _ = cache.indexed_project("proj1", {"global"})
-        assert len(hit.bug_reports) == len(project.bug_reports) - 1
+        cache.artifacts("proj1", {"global"}, lambda: corpus.Benchmark([fewer]))
+        assert len(indexed(cache, "global").report_ids) == len(project.bug_reports) - 1
         fast = ["--epochs", "2", "--vector-size", "8", "--min-count", "1", "--infer-epochs", "2"]
         with caplog.at_level(logging.INFO):
             localize(bench, tmp_path / "c", *fast, method=6)
         assert any("other files or reports" in r.getMessage() for r in caplog.records)
         built = ranking(tmp_path / "c", 6)
-        hit, _, _ = ArtifactCache(tmp_path / "c", bench, PreprocessConfig()).indexed_project(
-            "proj1", {"global"})
-        assert [r.id for r in hit.bug_reports] == [r.id for r in project.bug_reports]
+        hit = indexed(ArtifactCache(tmp_path / "c", bench, PreprocessConfig()), "global")
+        assert hit.report_ids == [r.id for r in project.bug_reports]
         index = tmp_path / "c" / "index_global_proj1.bin"
         stamp = index.stat().st_mtime_ns
         localize(bench, tmp_path / "c", *fast, method=6)  # the rebuilt index is paired
@@ -586,10 +592,9 @@ class TestRankingIndex:
         preprocess_benchmark(benchmark, PreprocessConfig())
         project = benchmark.project("proj1")
         cache = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig())
-        built = cache.tfidf_scope(rank.Artifacts(project), "local")
+        built = cache.artifacts("proj1", {"local"}, lambda: benchmark).scopes["local"]
         reloaded = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig())
-        _, scopes, _ = reloaded.indexed_project("proj1", {"local"})
-        loaded = scopes["local"]
+        loaded = indexed(reloaded, "local").scopes["local"]
         for name in ("rows", "weights", "offsets", "norms"):
             for part in ("files", "reports"):
                 want, got = getattr(getattr(built, part), name), getattr(getattr(loaded, part), name)
@@ -912,29 +917,35 @@ class TestHitsReadNoBenchmarkFile:
         assert not [p for p in opened if isinstance(p, (str, os.PathLike))
                     and Path(p).name.startswith(("dm_", "dbow_", "tokens"))]
 
-    def test_rebuilt_project_cannot_build_a_scope(self, bench, tmp_path):
-        train(bench, tmp_path / "c")
-        localize(bench, tmp_path / "c")
-        cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig())
-        project, scopes, fixed = cache.indexed_project("proj1", {"global"})
-        loaded = corpus.load_benchmark_project(bench, "proj1", strict=False)
-        assert [f.id for f in project.source_files] == sorted(f.id for f in loaded.source_files)
-        # a report's fixed files are its span of the returned arrays, not a set
-        offsets, columns = fixed
-        files = [f.id for f in project.source_files]
-        assert [(r.id, {files[c] for c in columns[a:b]})
-                for r, a, b in zip(project.bug_reports, offsets, offsets[1:])] == \
-            [(r.id, r.fixed_files) for r in loaded.bug_reports]
-        assert all(r.fixed_files is None for r in project.bug_reports)
-        assert all(d.token_stream is None for d in [*project.source_files, *project.bug_reports])
-        with pytest.raises(ValueError, match="token stream missing"):
-            rank.Artifacts(project, scopes=scopes).build_scope(tfidf.Vocabulary({}, [], 1))
-        # the fixed-file arrays a hit supplies are those the loaded project gives
-        supplied = rank.Artifacts(project, scopes=scopes, fixed=fixed)._project_pairs
-        for got, want in zip(supplied, rank.Artifacts(loaded, scopes=scopes)._project_pairs):
+    def test_all_hit_artifacts_equal_the_cold_ones(self, bench, tmp_path):
+        """The arrays of an all-hit call are those the cold call built from
+        the loaded project, and a report's fixed files are its span of the
+        fixed-file arrays."""
+        benchmark = load_benchmark(bench, strict=False)
+        preprocess_benchmark(benchmark, PreprocessConfig())
+        scopes = ("local", "global", "docvec")
+        cold = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig(), EMBED, 2).artifacts(
+            "proj1", set(scopes), lambda: benchmark)
+        hit = indexed(ArtifactCache(tmp_path / "c", bench, PreprocessConfig(), EMBED, 2), *scopes)
+        assert (hit.name, hit.file_ids, hit.report_ids) == \
+            (cold.name, cold.file_ids, cold.report_ids)
+
+        def arrays(artifacts):
+            found = [*artifacts.fixed, artifacts.fixed_counts, *artifacts.doc_vectors]
+            for scope in ("local", "global"):
+                data = artifacts.scopes[scope]
+                files = data.files
+                found += [files.rows, files.weights, files.offsets, files.norms,
+                          data.length_weights, *data.queries]
+            return found
+
+        assert len(arrays(hit)) == len(arrays(cold)) == 25
+        for got, want in zip(arrays(hit), arrays(cold)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        with pytest.raises(ValueError, match="carries no fixed files"):
-            rank.Artifacts(project, scopes=scopes).fixed_counts
+        offsets, columns = hit.fixed
+        assert [(rid, {hit.file_ids[c] for c in columns[a:b]})
+                for rid, a, b in zip(hit.report_ids, offsets, offsets[1:])] == \
+            [(r.id, r.fixed_files) for r in benchmark.project("proj1").bug_reports]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_index_of_older_layout_rebuilds_quietly(self, bench, tmp_path, caplog,
@@ -1239,13 +1250,12 @@ class TestDocVectorIndex:
         if how == "wrong_shape":  # resealed vectors one value short per row
             cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig(),
                                   EmbeddingConfig(vector_size=8, epochs=2, min_count=1), 2)
-            project, found, fixed = cache.indexed_project("proj1", {"docvec"})
-            vectors = found["docvec"]
+            artifacts = indexed(cache, "docvec")
+            vectors = artifacts.doc_vectors
             short = rank.DocVectors(vectors.files[:, 1:], vectors.file_norms,
                                     vectors.reports[:, 1:], vectors.report_norms)
             artifact.write_bytes(b"".join(cache_module._encode_docvec(
-                short, [f.id for f in project.source_files],
-                [r.id for r in project.bug_reports], *fixed)))
+                short, artifacts.file_ids, artifacts.report_ids, *artifacts.fixed)))
             reseal(artifact)
         else:
             damage(artifact, how)

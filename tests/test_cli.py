@@ -430,7 +430,7 @@ def test_evaluate_ranks_each_project_and_method_in_one_localize_call(
     calls = []
 
     def counting(artifacts, rows, config, **kwargs):
-        calls.append((artifacts.project.name, config.method_id))
+        calls.append((artifacts.name, config.method_id))
         return original(artifacts, rows, config, **kwargs)
 
     def swapped(*args, **kwargs):

@@ -11,6 +11,7 @@ from bugloc.corpus import Benchmark, BugReport, Project, SourceFile
 from bugloc.preprocess import PreprocessConfig, preprocess_project
 from bugloc.rank import (Artifacts, Histories, MethodConfig, RankedList, fuse, history_at,
                          localize, project_histories)
+from conftest import artifacts_of
 
 CONFIG = PreprocessConfig()
 
@@ -107,7 +108,7 @@ class TestMethodTable:
 class TestDirectRelevancy:
     def test_identical_file_gets_strict_max(self):
         project, (query,) = toy_with(report("q", "obelisk obelisk2"))
-        direct = scores(localize(Artifacts(project), project.row(query.id),
+        direct = scores(localize(artifacts_of(project), project.row(query.id),
                                  MethodConfig.from_id(1)), "direct")
         best = max(direct, key=direct.get)
         assert best == "Obelisk.java"
@@ -116,12 +117,12 @@ class TestDirectRelevancy:
 
     def test_empty_query_all_zero(self):
         project, (query,) = toy_with(report("q", ""))
-        ranked = localize(Artifacts(project), project.row(query.id), MethodConfig.from_id(1))
+        ranked = localize(artifacts_of(project), project.row(query.id), MethodConfig.from_id(1))
         assert set(scores(ranked, "direct").values()) == {0.0}
 
     def test_matches_module_oracle(self, toy_project):
         # scores must equal independently composed vectorize/rvsm calls
-        artifacts = Artifacts(toy_project)
+        artifacts = artifacts_of(toy_project)
         query = toy_project.bug_reports[1]
         direct = scores(localize(artifacts, 1, MethodConfig.from_id(1)), "direct")
         vocab = tfidf.build_vocabulary([f.token_stream for f in toy_project.source_files])
@@ -133,7 +134,7 @@ class TestDirectRelevancy:
             assert direct[f.id] == pytest.approx(expected, rel=1e-12)
 
     def test_global_scope_requires_model(self, toy_project):
-        artifacts = Artifacts(toy_project)
+        artifacts = artifacts_of(toy_project)
         with pytest.raises(ValueError, match="global"):
             localize(artifacts, 0, MethodConfig.from_id(2))
 
@@ -141,12 +142,12 @@ class TestDirectRelevancy:
 def test_reports_must_be_preprocessed(toy_project):
     toy_project.bug_reports[1].token_stream = None
     with pytest.raises(ValueError, match="B-2: token stream missing; preprocess first"):
-        Artifacts(toy_project)
+        rank.build_scope(toy_project)
 
 
 class TestIndirectRelevancy:
     def test_empty_history_is_zero_map(self, toy_project):
-        ranked = localize(Artifacts(toy_project), 2, MethodConfig.from_id(3), history=[])
+        ranked = localize(artifacts_of(toy_project), 2, MethodConfig.from_id(3), history=[])
         indirect = scores(ranked, "indirect")
         assert set(indirect) == toy_project.file_ids
         assert set(indirect.values()) == {0.0}
@@ -155,8 +156,8 @@ class TestIndirectRelevancy:
         project, (past, query) = toy_with(
             report("h", "zeppelin drifts away", {"Zeppelin.java", "Obelisk.java"}),
             report("q", "zeppelin drifts away"))
-        artifacts = Artifacts(project)
-        vocab = artifacts.local_vocab
+        artifacts = artifacts_of(project)
+        vocab = local_vocab(project)
         similarity = tfidf.cosine(tfidf.vectorize(query.token_stream, vocab),
                                   tfidf.vectorize(past.token_stream, vocab))
         indirect = scores(localize(artifacts, project.row(query.id), MethodConfig.from_id(3),
@@ -168,10 +169,10 @@ class TestIndirectRelevancy:
 
     def test_contributions_sum_over_history(self):
         project, (h2,) = toy_with(report("h2", "zeppelin quagmire", {"Zeppelin.java"}))
-        artifacts = Artifacts(project)
+        artifacts = artifacts_of(project)
         query = project.bug_reports[1]  # mentions zeppelin too
         h1 = project.bug_reports[0]
-        vocab = artifacts.local_vocab
+        vocab = local_vocab(project)
         query_vec = tfidf.vectorize(query.token_stream, vocab)
         sim1, sim2 = (tfidf.cosine(query_vec, tfidf.vectorize(h.token_stream, vocab))
                       for h in (h1, h2))
@@ -227,25 +228,25 @@ class TestFuse:
 
 class TestHistory:
     def test_strictly_earlier(self, toy_project):
-        assert [r.id for r in reports_at(toy_project, history_at(toy_project, 1))] == ["B-1"]
+        assert [r.id for r in reports_at(toy_project, history_at(artifacts_of(toy_project), 1))] == ["B-1"]
 
     def test_first_report_has_no_history(self, toy_project):
-        assert len(history_at(toy_project, 0)) == 0
+        assert len(history_at(artifacts_of(toy_project), 0)) == 0
 
     def test_all_others_policy(self, toy_project):
-        history = history_at(toy_project, 0, policy="all")
+        history = history_at(artifacts_of(toy_project), 0, policy="all")
         assert [r.id for r in reports_at(toy_project, history)] == ["B-2", "B-3"]
 
     def test_unknown_policy(self, toy_project):
         with pytest.raises(ValueError):
-            history_at(toy_project, 0, policy="future")
+            history_at(artifacts_of(toy_project), 0, policy="future")
 
     @pytest.mark.parametrize("policy", ["earlier", "all"])
     def test_rows_are_list_positions(self, toy_project, policy):
         reports = toy_project.bug_reports
         for row in range(len(reports)):
             expected = reports[:row] if policy == "earlier" else reports[:row] + reports[row + 1:]
-            history = history_at(toy_project, row, policy)
+            history = history_at(artifacts_of(toy_project), row, policy)
             assert history.dtype.kind == "i"
             assert reports_at(toy_project, history) == expected
 
@@ -268,13 +269,14 @@ class TestProjectHistories:
     def test_equals_the_per_query_histories(self, policy, n):
         project = make_project("h", TOY_FILES, [report(f"B-{i}", "shared", {"Empty.java"})
                                                 for i in range(n)])
-        whole = project_histories(project, policy)
+        artifacts = artifacts_of(project)
+        whole = project_histories(artifacts, policy)
         assert_same_histories(whole, Histories.of(
             [reference_history(n, row, policy) for row in range(n)]))
         assert_same_histories(whole, Histories.of(
-            [history_at(project, row, policy) for row in range(n)]))
+            [history_at(artifacts, row, policy) for row in range(n)]))
         rows = [r for r in (n - 1, 0, n // 2) if r >= 0]  # unordered, and repeated
-        assert_same_histories(project_histories(project, policy, rows), Histories.of(
+        assert_same_histories(project_histories(artifacts, policy, rows), Histories.of(
             [reference_history(n, row, policy) for row in rows]))
 
     def test_slices_are_the_histories_of_those_queries(self, toy_project):
@@ -284,24 +286,24 @@ class TestProjectHistories:
             assert_same_histories(whole[start:stop], Histories.of(histories[start:stop]))
 
     def test_localize_takes_either_form(self, toy_project):
-        artifacts = Artifacts(toy_project)
+        artifacts = artifacts_of(toy_project)
         rows = np.arange(len(toy_project.bug_reports))
         for policy in ("earlier", "all"):
             whole = localize(artifacts, rows, MethodConfig.from_id(3),
-                             history=project_histories(toy_project, policy))
+                             history=project_histories(artifacts, policy))
             lists = localize(artifacts, rows, MethodConfig.from_id(3),
-                             history=[history_at(toy_project, r, policy) for r in rows])
+                             history=[history_at(artifacts, r, policy) for r in rows])
             assert np.array_equal(whole.final, lists.final)
             assert np.array_equal(whole.entries, lists.entries)
 
     def test_unknown_policy(self, toy_project):
         with pytest.raises(ValueError, match="unknown history policy 'future'"):
-            project_histories(toy_project, "future")
+            project_histories(artifacts_of(toy_project), "future")
 
 
 class TestLocalize:
     def test_ranked_list_covers_all_files(self, toy_project):
-        artifacts = Artifacts(toy_project)
+        artifacts = artifacts_of(toy_project)
         ranked = localize(artifacts, 0, MethodConfig.from_id(1))
         assert len(ranked.entries) == len(toy_project.source_files)
         assert set(ranked.file_ids) == toy_project.file_ids
@@ -309,13 +311,13 @@ class TestLocalize:
         assert finals == sorted(finals, reverse=True)
 
     def test_planted_file_ranks_first(self, toy_project):
-        artifacts = Artifacts(toy_project)
+        artifacts = artifacts_of(toy_project)
         for row, query in enumerate(toy_project.bug_reports):
             ranked = localize(artifacts, row, MethodConfig.from_id(1))
             assert ranked.file_ids.index(next(iter(query.fixed_files))) + 1 == 1
 
     def test_method3_equals_method1_with_empty_history(self, toy_project):
-        artifacts = Artifacts(toy_project)
+        artifacts = artifacts_of(toy_project)
         # row 0 is the earliest report: empty history
         local_only = localize(artifacts, 0, MethodConfig.from_id(1))
         with_history = localize(artifacts, 0, MethodConfig.from_id(3))
@@ -326,20 +328,20 @@ class TestLocalize:
                  "C.java": "class C { int other; }"}
         project = make_project("ties", files, [
             report("B-1", "same problem", {"A.java"}, "2021-01-01")])
-        artifacts = Artifacts(project)
+        artifacts = artifacts_of(project)
         ranked = localize(artifacts, 0, MethodConfig.from_id(1))
         # A and B tie on content; A must precede B
         assert ranked.file_ids.index("A.java") < ranked.file_ids.index("B.java")
 
     def test_deterministic(self, toy_project):
-        artifacts = Artifacts(toy_project)
+        artifacts = artifacts_of(toy_project)
         a = localize(artifacts, 2, MethodConfig.from_id(3))
-        b = localize(Artifacts(toy_project), 2, MethodConfig.from_id(3))
+        b = localize(artifacts_of(toy_project), 2, MethodConfig.from_id(3))
         assert a.file_ids == b.file_ids
         assert [e.final_score for e in a.rows()] == [e.final_score for e in b.rows()]
 
     def test_rows_and_ranks_follow_entries(self, toy_project):
-        ranked = localize(Artifacts(toy_project), 1, MethodConfig.from_id(3))
+        ranked = localize(artifacts_of(toy_project), 1, MethodConfig.from_id(3))
         rows = ranked.rows()
         assert [e.file_id for e in rows] == ranked.file_ids
         assert ranked.rows(2) == rows[:2]
@@ -353,7 +355,7 @@ class TestLocalize:
         assert offsets.tolist() == [0, 2] and ranks.tolist() == expected
 
     def test_csv_round_trip(self, toy_project, tmp_path):
-        artifacts = Artifacts(toy_project)
+        artifacts = artifacts_of(toy_project)
         ranked = localize(artifacts, 0, MethodConfig.from_id(3))
         path = tmp_path / "out.csv"
         ranked.write_csv(path)
@@ -448,10 +450,10 @@ def docvec_project(extra=()):
     return project, dm, dbow
 
 
-def rankings(artifacts, config, histories, batch):
+def rankings(project, artifacts, config, histories, batch):
     """``(row, query, ranked)`` for every report of the project, each ranked
     with its history: in one-row calls, or cut from one batched call."""
-    reports = artifacts.project.bug_reports
+    reports = project.bug_reports
     if not batch:
         for row, query in enumerate(reports):
             yield row, query, localize(artifacts, row, config, history=histories[row])
@@ -481,13 +483,14 @@ class TestMatchesPerPairReference:
         _, benchmark, _ = synth_benchmark
         config = MethodConfig.from_id(method_id)
         for project in benchmark.projects:
-            artifacts = Artifacts(project, global_vocab=tfidf.build_global_idf(
-                benchmark, project.name))
-            vocab = artifacts.vocab("local" if method_id in (1, 3) else "global")
-            histories = [history_at(project, row, policy)
+            vocab = tfidf.build_global_idf(benchmark, project.name)
+            artifacts = artifacts_of(project, vocab)
+            if method_id in (1, 3):
+                vocab = local_vocab(project)
+            histories = [history_at(artifacts, row, policy)
                          for row in range(len(project.bug_reports))]
             for batch in (False, True):
-                for row, query, ranked in rankings(artifacts, config, histories, batch):
+                for row, query, ranked in rankings(project, artifacts, config, histories, batch):
                     assert_matches_reference(ranked, query, reports_at(project, histories[row]),
                                              config, project, vocab)
 
@@ -498,13 +501,14 @@ class TestMatchesPerPairReference:
         projects = shared_terms_projects()
         benchmark = Benchmark(projects)
         for project in projects:
-            artifacts = Artifacts(project, global_vocab=tfidf.build_global_idf(
-                benchmark, project.name))
-            vocab = artifacts.vocab("local" if method_id in (1, 3) else "global")
-            histories = [history_at(project, row, policy)
+            vocab = tfidf.build_global_idf(benchmark, project.name)
+            artifacts = artifacts_of(project, vocab)
+            if method_id in (1, 3):
+                vocab = local_vocab(project)
+            histories = [history_at(artifacts, row, policy)
                          for row in range(len(project.bug_reports))]
             for batch in (False, True):
-                for row, query, ranked in rankings(artifacts, config, histories, batch):
+                for row, query, ranked in rankings(project, artifacts, config, histories, batch):
                     assert_matches_reference(ranked, query, reports_at(project, histories[row]),
                                              config, project, vocab)
 
@@ -518,24 +522,24 @@ class TestMatchesPerPairReference:
                                               "Obelisk.java"}, "2021-02-01"),
             report("B-3", "drift zeppelin quagmire", {"Quagmire.java"}, "2021-03-01"),
         ])
-        artifacts = Artifacts(project)
+        artifacts = artifacts_of(project)
         config = MethodConfig.from_id(3)
         for policy, batch in itertools.product(("earlier", "all"), (False, True)):
-            histories = [history_at(project, row, policy)
+            histories = [history_at(artifacts, row, policy)
                          for row in range(len(project.bug_reports))]
-            for row, query, ranked in rankings(artifacts, config, histories, batch):
+            for row, query, ranked in rankings(project, artifacts, config, histories, batch):
                 assert_matches_reference(ranked, query, reports_at(project, histories[row]),
-                                         config, project, artifacts.local_vocab)
+                                         config, project, local_vocab(project))
         ranked = localize(artifacts, 2, config)
         scores = {e.file_id: e.indirect_score for e in ranked.rows()}
-        vocab = artifacts.local_vocab
+        vocab = local_vocab(project)
         query_vec = tfidf.vectorize(project.bug_reports[2].token_stream, vocab)
         sim1, sim2 = (tfidf.cosine(query_vec, tfidf.vectorize(r.token_stream, vocab))
                       for r in project.bug_reports[:2])
         assert scores["Zeppelin.java"] == sim1 / 2 + sim2 / 3
 
     def test_query_or_history_row_out_of_range_rejected(self, toy_project):
-        artifacts = Artifacts(toy_project)
+        artifacts = artifacts_of(toy_project)
         n = len(toy_project.bug_reports)
         for method_id in (1, 3):  # with and without history
             config = MethodConfig.from_id(method_id)
@@ -554,21 +558,13 @@ class TestMatchesPerPairReference:
             report("B-1", "kestrel harrier", {"a/Twin.java", "b/Twin.java",
                                               "a-b/Twin.java"}, "2021-01-01"),
             report("B-2", "kestrel osprey", {"Other.java"}, "2021-02-01")])
-        ranked = localize(Artifacts(project), 1, MethodConfig.from_id(method_id))
+        ranked = localize(artifacts_of(project), 1, MethodConfig.from_id(method_id))
         twins = [e for e in ranked.rows() if e.file_id.endswith("Twin.java")]
         assert [e.file_id for e in twins] == ["a-b/Twin.java", "a/Twin.java", "b/Twin.java"]
         assert len({(e.final_score, e.direct_score, e.indirect_score) for e in twins}) == 1
         assert twins[0].direct_score > 0
         position = ranked.file_ids.index("a-b/Twin.java")
         assert ranked.file_ids[position:position + 3] == [e.file_id for e in twins]
-
-
-@pytest.mark.parametrize("method_id, uses_history", [(1, False), (3, True)])
-def test_report_postings_built_only_for_history_methods(toy_project, method_id,
-                                                        uses_history):
-    artifacts = Artifacts(toy_project)
-    localize(artifacts, 2, MethodConfig.from_id(method_id))
-    assert ("_project_pairs" in vars(artifacts)) == uses_history
 
 
 class TestDocVectorMethods:
@@ -585,12 +581,11 @@ class TestDocVectorMethods:
     @pytest.mark.parametrize("policy", ["earlier", "all"])
     def test_scores_match_per_pair_doc_cosine(self, setting, policy):
         project, dm, dbow = setting
-        artifacts = Artifacts(project, global_vocab=global_vocab(project), dm_model=dm,
-                              dbow_model=dbow)
+        artifacts = artifacts_of(project, global_vocab(project), dm, dbow)
         files = sorted(project.source_files, key=lambda f: f.id)
         assert not self._vector(project.file("Lone.java"), dm, dbow).values.any()
         for row, query in enumerate(project.bug_reports):
-            history = history_at(project, row, policy)
+            history = history_at(artifacts, row, policy)
             direct = scores(localize(artifacts, row, MethodConfig.from_id(5),
                                      history=history), "direct")
             indirect = scores(localize(artifacts, row, MethodConfig.from_id(6),
@@ -619,8 +614,7 @@ class TestDocVectorMethods:
 
         combined_matrix = embedding.combined_matrix
         monkeypatch.setattr(embedding, "combined_matrix", counting)
-        artifacts = Artifacts(project, global_vocab=global_vocab(project), dm_model=dm,
-                              dbow_model=dbow)
+        artifacts = artifacts_of(project, global_vocab(project), dm, dbow)
         for row in (6, 2):
             for method_id in (5, 6, 7):
                 localize(artifacts, row, MethodConfig.from_id(method_id))
@@ -643,7 +637,7 @@ class TestDocVectorMethods:
                 matrix[rng.integers(len(matrix))] = 0.0
         norms = [np.array([np.linalg.norm(v) for v in matrix]) for matrix in matrices]
         vectors = rank.DocVectors(matrices[0], norms[0], matrices[1], norms[1])
-        return Artifacts(project, doc_vectors=vectors), vectors
+        return Artifacts.of(project, {}, vectors), vectors
 
     @pytest.mark.parametrize("n_files,size", [(1, 16), (2, 1), (7, 1), (1, 1), (33, 8),
                                               (50, 16), (120, 32), (200, 64), (97, 100),
@@ -652,7 +646,6 @@ class TestDocVectorMethods:
         rng = np.random.default_rng(n_files * 1000 + size)
         n_reports = 9
         artifacts, vectors = self.vectors_project(rng, n_files, n_reports, size)
-        project = artifacts.project
 
         def want(matrix, norms, row):
             return embedding.doc_cosines(matrix, norms, vectors.reports[row],
@@ -669,8 +662,8 @@ class TestDocVectorMethods:
             assert not direct[:, vectors.file_norms == 0.0].any()
         explicit = [[], [0], [0, 2], [3, 4, 5], [1, 0], [0, 2, 1, 3], [5, 5], [0, 1, 3],
                     [8, 7, 6, 5, 4]]  # gaps, reversals and repeats
-        for history in (project_histories(project, "earlier"),
-                        project_histories(project, "all"), Histories.of(explicit)):
+        for history in (project_histories(artifacts, "earlier"),
+                        project_histories(artifacts, "all"), Histories.of(explicit)):
             sims = rank._history_sims(rows, history, rank.DOC2VEC_GLOBAL, artifacts)
             for row in rows.tolist():
                 lo, hi = history.offsets[row], history.offsets[row + 1]
@@ -702,17 +695,16 @@ class TestBatchEqualsOneRowCalls:
     def corpora(self):
         projects = shared_terms_projects(EDGE_REPORTS)
         benchmark = Benchmark(projects)
-        tfidf_only = [Artifacts(p, global_vocab=tfidf.build_global_idf(benchmark, p.name))
+        tfidf_only = [(p, artifacts_of(p, tfidf.build_global_idf(benchmark, p.name)))
                       for p in projects]
         project, dm, dbow = docvec_project(EDGE_REPORTS)
-        return tfidf_only, Artifacts(project, global_vocab=global_vocab(project), dm_model=dm,
-                                     dbow_model=dbow)
+        return tfidf_only, (project, artifacts_of(project, global_vocab(project), dm, dbow))
 
     @staticmethod
-    def histories(project, policy):
+    def histories(project, artifacts, policy):
         n = len(project.bug_reports)
         if policy != "explicit":
-            return [history_at(project, row, policy) for row in range(n)]
+            return [history_at(artifacts, row, policy) for row in range(n)]
         rng = random.Random(3)
         histories = [rng.choices(range(n), k=rng.randint(0, 6)) for _ in range(n)]
         histories[1] = []
@@ -725,12 +717,12 @@ class TestBatchEqualsOneRowCalls:
     def test_arrays_equal(self, corpora, monkeypatch, method_id, policy, chunked):
         tfidf_only, with_vectors = corpora
         config = MethodConfig.from_id(method_id)
-        for artifacts in ([with_vectors] if method_id > 4 else [*tfidf_only, with_vectors]):
-            project = artifacts.project
+        for project, artifacts in ([with_vectors] if method_id > 4
+                                   else [*tfidf_only, with_vectors]):
             if chunked:  # three queries a chunk, so the batch spans several
                 monkeypatch.setattr(rank, "_CHUNK_SCORES",
-                                    3 * (len(artifacts.files) + len(project.bug_reports)))
-            histories = self.histories(project, policy)
+                                    3 * (len(artifacts.file_ids) + len(project.bug_reports)))
+            histories = self.histories(project, artifacts, policy)
             rows = np.arange(len(project.bug_reports))
             both = localize(artifacts, rows, config, history=histories)
             assert both.query_bug_id == [r.id for r in project.bug_reports]
@@ -739,7 +731,7 @@ class TestBatchEqualsOneRowCalls:
                 assert one.query_bug_id == project.bug_reports[row].id
                 for name in ("final", "direct", "indirect", "entries"):
                     assert np.array_equal(getattr(both, name)[row], getattr(one, name)), name
-            assert both.final.shape == both.entries.shape == (len(rows), len(artifacts.files))
+            assert both.final.shape == both.entries.shape == (len(rows), len(artifacts.file_ids))
             # the edge reports are what they claim to be
             assert not both.direct[project.row("B-oov")].any()
             offsets, _ = artifacts.fixed
@@ -747,8 +739,7 @@ class TestBatchEqualsOneRowCalls:
 
     @pytest.mark.parametrize("method_id", [1, 3, 6])
     def test_csr_ranks_are_the_positions_of_the_fixed_columns(self, corpora, method_id):
-        artifacts = corpora[1]
-        project = artifacts.project
+        project, artifacts = corpora[1]
         ranked = localize(artifacts, np.arange(len(project.bug_reports)),
                           MethodConfig.from_id(method_id))
         ranked.entries[[0, 1]] = ranked.entries[[1, 0]]  # ranks follow entries, not scores
@@ -761,7 +752,7 @@ class TestBatchEqualsOneRowCalls:
         assert rank_offsets[project.row("B-gone")] == rank_offsets[project.row("B-gone") + 1]
 
     def test_default_history_is_the_earlier_rows(self, corpora):
-        artifacts = corpora[0][0]
+        _, artifacts = corpora[0][0]
         config = MethodConfig.from_id(3)
         rows = np.array([4, 0, 9])
         both = localize(artifacts, rows, config)
@@ -769,10 +760,9 @@ class TestBatchEqualsOneRowCalls:
             assert np.array_equal(both.final[i], localize(artifacts, row, config).final)
 
     def test_one_out_of_range_history_row_fails_the_batch(self, corpora):
-        artifacts = corpora[0][0]
-        project = artifacts.project
+        project, artifacts = corpora[0][0]
         n = len(project.bug_reports)
-        histories = [history_at(project, row) for row in range(n)]
+        histories = [history_at(artifacts, row) for row in range(n)]
         histories[7] = np.array([2, n, 1])
         with pytest.raises(ValueError, match=rf"report rows must lie in \[0, {n}\) "
                                              "for project p1"):
@@ -792,14 +782,13 @@ class TestSharedBatchScores:
     @staticmethod
     def fresh(setting):
         project, dm, dbow = setting
-        return Artifacts(project, global_vocab=global_vocab(project), dm_model=dm,
-                         dbow_model=dbow)
+        return artifacts_of(project, global_vocab(project), dm, dbow)
 
     def test_each_model_scored_once_per_chunk_of_the_batch(self, setting, monkeypatch):
         artifacts = self.fresh(setting)
-        project = artifacts.project
+        project = setting[0]
         monkeypatch.setattr(rank, "_CHUNK_SCORES",
-                            3 * (len(artifacts.files) + len(project.bug_reports)))
+                            3 * (len(artifacts.file_ids) + len(project.bug_reports)))
         calls = []
         for name in ("_direct_scores", "_history_sims"):
             def counted(*args, _name=name, _original=getattr(rank, name)):
@@ -811,7 +800,7 @@ class TestSharedBatchScores:
             calls.clear()
             for method_id in range(1, 8):  # each call builds its histories anew
                 localize(artifacts, rows, MethodConfig.from_id(method_id),
-                         history=project_histories(project, policy))
+                         history=project_histories(artifacts, policy))
             chunks = -(-len(rows) // 3)
             kinds = (rank.TFIDF_LOCAL, rank.TFIDF_GLOBAL, rank.DOC2VEC_GLOBAL)
             assert sorted(calls) == sorted((name, kind) for name in ("_direct_scores",
@@ -821,9 +810,8 @@ class TestSharedBatchScores:
     @pytest.mark.parametrize("policy", ["earlier", "all"])
     def test_methods_rank_alongside_others_as_alone(self, setting, policy):
         shared = self.fresh(setting)
-        project = shared.project
-        rows = np.arange(len(project.bug_reports))
-        history = project_histories(project, policy)
+        rows = np.arange(len(shared.report_ids))
+        history = project_histories(shared, policy)
         together = {m: localize(shared, rows, MethodConfig.from_id(m), history=history)
                     for m in (7, 5, 6, 1, 2, 3, 4)}
         for method_id, ranked in together.items():
@@ -842,7 +830,7 @@ class TestSharedBatchScores:
 
     def test_scores_are_freed_with_the_artifacts_without_a_collection(self, setting):
         artifacts = self.fresh(setting)
-        rows = np.arange(len(artifacts.project.bug_reports))
+        rows = np.arange(len(artifacts.report_ids))
         ranked = localize(artifacts, rows, MethodConfig.from_id(7))
         kept = weakref.ref(artifacts)
         gc.disable()
@@ -855,7 +843,7 @@ class TestSharedBatchScores:
 
     def test_scores_no_method_left_ranks_with_are_freed(self, setting):
         artifacts = self.fresh(setting)
-        rows = np.arange(len(artifacts.project.bug_reports))
+        rows = np.arange(len(artifacts.report_ids))
         configs = [MethodConfig.from_id(m) for m in (3, 4, 6, 7)]
         refs, alive = {}, {}
         gc.disable()
@@ -877,22 +865,26 @@ class TestSharedBatchScores:
 
     def test_another_batch_is_scored_anew(self, setting):
         shared = self.fresh(setting)
-        project = shared.project
         config = MethodConfig.from_id(6)
-        rows = np.arange(len(project.bug_reports))
+        rows = np.arange(len(shared.report_ids))
         for policy, batch in (("earlier", rows), ("all", rows), ("all", rows[::-1]),
                               ("earlier", rows)):
-            history = project_histories(project, policy, batch)
+            history = project_histories(shared, policy, batch)
             got = localize(shared, batch, config, history=history)
             want = localize(self.fresh(setting), batch, config, history=history)
             assert np.array_equal(got.final, want.final)
             assert np.array_equal(got.indirect, want.indirect)
-        single = localize(shared, 3, config, history=history_at(project, 3, "all"))
+        single = localize(shared, 3, config, history=history_at(shared, 3, "all"))
         assert np.array_equal(single.final, localize(self.fresh(setting), rows, config,
                                                      history=project_histories(
-                                                         project, "all")).final[3])
+                                                         shared, "all")).final[3])
 
 
 def global_vocab(project):
     return tfidf.build_vocabulary([f.token_stream for f in project.source_files],
                                   scope="global")
+
+
+def local_vocab(project):
+    return tfidf.build_vocabulary([f.token_stream for f in project.source_files],
+                                  scope="local")
