@@ -370,14 +370,14 @@ class Artifacts:
         """The project's ids and fixed files with the given arrays. A fixed
         file missing from the project has no column but counts in
         ``fixed_counts``."""
+        reports = project.bug_reports
         file_ids = [f.id for f in _path_order(project)]
         column = {fid: j for j, fid in enumerate(file_ids)}
         counts, columns = [], []
-        for report in project.bug_reports:
+        for report in reports:
             fixed = sorted(column[fid] for fid in report.fixed_files if fid in column)
             counts.append(len(fixed))
             columns += fixed
-        reports = project.bug_reports
         return cls(project.name, file_ids, [r.id for r in reports],
                    (np.concatenate(([0], np.cumsum(counts, dtype=np.intp))),
                     np.array(columns, dtype=np.intp)), scopes, doc_vectors,

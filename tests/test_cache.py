@@ -586,6 +586,18 @@ class TestRankingIndex:
         localize(bench, tmp_path / "c", *fast, method=6)  # the rebuilt index is paired
         assert index.stat().st_mtime_ns == stamp
         assert ranking(tmp_path / "c", 6) == built
+        # a fresh global index of other reports beside a fresh doc-vector
+        # index of these: the two disagree, and only the global one is rebuilt
+        index.unlink()
+        cache.artifacts("proj1", {"global"}, lambda: corpus.Benchmark([fewer]))
+        docvec = tmp_path / "c" / "index_docvec_proj1.bin"
+        inodes = docvec.stat().st_ino, index.stat().st_ino
+        caplog.clear()
+        with caplog.at_level(logging.INFO):
+            localize(bench, tmp_path / "c", *fast, method=6)
+        assert any("disagree on ids or fixed files" in r.getMessage() for r in caplog.records)
+        assert docvec.stat().st_ino == inodes[0] and index.stat().st_ino != inodes[1]
+        assert ranking(tmp_path / "c", 6) == built
 
     def test_arrays_round_trip(self, bench, tmp_path):
         benchmark = load_benchmark(bench, strict=False)

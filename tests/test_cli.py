@@ -217,11 +217,16 @@ class TestLocalizeCommand:
 
     def test_unknown_bug_reports_json_error(self, synth_benchmark, tmp_path, runner):
         root, _, _ = synth_benchmark
-        result = runner.invoke(main, ["localize", "--benchmark", str(root),
-                                      "--project", "proj1", "--bug", "NOPE",
-                                      "--method", "1", "--out", str(tmp_path / "o")])
-        assert result.exit_code == 1
-        assert json.loads(result.output.strip().splitlines()[-1])["error"]
+        cache = ["--cache", str(tmp_path / "c")]
+        for extra in ([], cache, cache):  # without a cache, on an index miss, on a hit
+            result = runner.invoke(main, ["localize", "--benchmark", str(root),
+                                          "--project", "proj1", "--bug", "NOPE",
+                                          "--method", "1", "--out", str(tmp_path / "o"),
+                                          *extra])
+            assert result.exit_code == 1
+            assert json.loads(result.output.strip().splitlines()[-1])["error"] == \
+                "unknown bug id 'NOPE' in project proj1"
+        assert (tmp_path / "c" / "index_local_proj1.bin").is_file()
 
 
 @pytest.mark.parametrize("flag", [["--infer-epochs", "0"], ["--infer-epochs", "-1"],

@@ -845,23 +845,29 @@ class TestSharedBatchScores:
         artifacts = self.fresh(setting)
         rows = np.arange(len(artifacts.report_ids))
         configs = [MethodConfig.from_id(m) for m in (3, 4, 6, 7)]
-        refs, alive = {}, {}
+        refs, ranked_alone, alive = {}, {}, {}
+
+        def states():
+            return {m: (direct() is not None, indirect() is not None)
+                    for m, (direct, indirect) in refs.items()}
+
         gc.disable()
         try:
             for i, config in enumerate(configs):
                 ranked = localize(artifacts, rows, config)
                 refs[config.method_id] = weakref.ref(ranked.direct), weakref.ref(ranked.indirect)
                 del ranked
+                ranked_alone[config.method_id] = states()
                 artifacts.keep_scores(configs[i + 1:])
-                alive[config.method_id] = {m: (direct() is not None, indirect() is not None)
-                                           for m, (direct, indirect) in refs.items()}
+                alive[config.method_id] = states()
         finally:
             gc.enable()
         assert alive[3] == {3: (False, False)}  # no later method ranks with local TF.IDF
         assert alive[4] == {3: (False, False), 4: (True, True)}
         assert alive[6] == {3: (False, False), 4: (True, True), 6: (True, True)}
-        # method 7's combined maps are its own, freed with its result
-        assert alive[7] == dict.fromkeys((3, 4, 6, 7), (False, False))
+        # method 7's combined maps are its own, freed with its result, and it
+        # drops the TF.IDF-global and doc-vector arrays once it has combined them
+        assert ranked_alone[7] == alive[7] == dict.fromkeys((3, 4, 6, 7), (False, False))
 
     def test_another_batch_is_scored_anew(self, setting):
         shared = self.fresh(setting)
