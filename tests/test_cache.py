@@ -602,7 +602,6 @@ class TestRankingIndex:
     def test_arrays_round_trip(self, bench, tmp_path):
         benchmark = load_benchmark(bench, strict=False)
         preprocess_benchmark(benchmark, PreprocessConfig())
-        project = benchmark.project("proj1")
         cache = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig())
         built = cache.artifacts("proj1", {"local"}, lambda: benchmark).scopes["local"]
         reloaded = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig())
