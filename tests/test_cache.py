@@ -1130,6 +1130,49 @@ def test_localize_on_an_index_hit_matches_golden_digests(synth_benchmark, tmp_pa
     assert written == GOLDEN_LOCALIZE_TFIDF
 
 
+# sha256 of the raw bytes of `final`, `direct`, `indirect` and `entries`, in
+# that order, of the `rank.localize` batch of every report of proj1, per
+# TF.IDF method with history and per history: the printed CSV goldens round
+# their floats and cannot see a change in the last bit
+GOLDEN_RAW = {
+    (3, "earlier"): "4ea9c5cbb8c06481f230df2164f51404cf287e9b85fd521acb4f9374a852bf31",
+    (3, "all"): "bf72c2e029c1aa6babb19e2c3a1692c6446c981f36c17d0a00965b6ce4b91ad8",
+    (3, "custom"): "e05a37832cfda8edc4ee99bf4a422af1c5644151828b9c4dc35606c498f60bbe",
+    (4, "earlier"): "1edc197c34ac35686ce30cd0fe890cf08ae20b09c43ccd4a13141ffa0e3cb19a",
+    (4, "all"): "ee716da4d8ab98570e213db5cb8b5a8343ce2a1812d9ce59b5adb3f21d398ef1",
+    (4, "custom"): "67245ef79984caea284a465cb91592561b1c28549ebb295fa19c74a028e24f54",
+}
+
+
+def custom_histories(n):
+    """Per query row of ``n`` reports, a history of the query's own row,
+    every other later row and every third earlier row, in that order."""
+    return [np.concatenate(([row], np.arange(row + 1, n, 2), np.arange(0, row, 3)))
+            for row in range(n)]
+
+
+def test_raw_batch_scores_match_golden_digests(synth_benchmark, tmp_path):
+    root, benchmark, _ = synth_benchmark
+    scopes = {"local", "global"}
+    cold = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig()).artifacts(
+        "proj1", scopes, lambda: benchmark)
+    hit = indexed(ArtifactCache(tmp_path / "c", root, PreprocessConfig()), *scopes)
+    for artifacts in (cold, hit):
+        n = len(artifacts.report_ids)
+        histories = {"earlier": rank.project_histories(artifacts, "earlier"),
+                     "all": rank.project_histories(artifacts, "all"),
+                     "custom": custom_histories(n)}
+        written = {}
+        for method, policy in GOLDEN_RAW:
+            ranked = rank.localize(artifacts, np.arange(n), rank.MethodConfig.from_id(method),
+                                   histories[policy])
+            digest = hashlib.sha256()
+            for array in (ranked.final, ranked.direct, ranked.indirect, ranked.entries):
+                digest.update(np.ascontiguousarray(array).tobytes())
+            written[method, policy] = digest.hexdigest()
+        assert written == GOLDEN_RAW
+
+
 # sha256 of what `localize --method 3` (the fifth report of proj1) and
 # `evaluate --methods 1,3` write without a cache
 GOLDEN_UNCACHED = {
