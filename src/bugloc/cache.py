@@ -9,8 +9,9 @@ Artifacts, one file ``<kind>[_<project>].bin`` each in the cache directory:
 - ``tokens.bin``: the token streams of every document of the benchmark;
 - ``index_local_<project>.bin``, ``index_global_<project>.bin``: the
   project's TF.IDF ranking arrays under that scope
-  (:class:`~bugloc.rank.TfidfScope`: file postings, length factors and
-  each report's vector, stored once), its file and report ids and each
+  (:class:`~bugloc.rank.TfidfScope`: file postings, length factors, each
+  report's vector, stored once, and the cosine of each pair of reports, the
+  R(R+1)/2 float64 values of a triangle), its file and report ids and each
   report's fixed-file columns;
 - ``index_docvec_<project>.bin``: the project's doc-vector index, the
   combined DM+DBOW vectors of its files and of its reports with their norms
@@ -191,11 +192,11 @@ _TOKENS = container.Layout(b"bugloc-tokens v2\n",
 _PROJECT = [("fixed_offsets", "i8"), ("fixed_columns", "i8"),
             ("file_ids", container.STR), ("report_ids", container.STR)]
 # A TF.IDF ranking index: a scope's arrays, then the project's.
-_INDEX = container.Layout(b"bugloc-index v4\n", [
+_INDEX = container.Layout(b"bugloc-index v5\n", [
     ("file_rows", "i8"), ("file_weights", "f8"), ("file_offsets", "i8"), ("file_norms", "f8"),
     ("length_weights", "f8"),
     ("query_offsets", "i8"), ("query_terms", "i8"), ("query_weights", "f8"),
-    ("query_norms", "f8"), *_PROJECT])
+    ("query_norms", "f8"), ("report_sims", "f8"), *_PROJECT])
 # A doc-vector index: the file and report vectors (rows of 2d values, stored
 # flat) with their norms, then the project's arrays.
 _DOCVEC = container.Layout(b"bugloc-docvec v1\n", [
@@ -244,6 +245,7 @@ def _encode_index(scope: rank.TfidfScope, file_ids: list[str], report_ids: list[
         "file_norms": files.norms, "length_weights": scope.length_weights,
         "query_offsets": queries.offsets, "query_terms": queries.terms,
         "query_weights": queries.weights, "query_norms": queries.norms,
+        "report_sims": scope.report_sims,
         "fixed_offsets": fixed_offsets, "fixed_columns": fixed_columns,
         "file_ids": file_ids, "report_ids": report_ids,
     })
@@ -270,12 +272,14 @@ def _decode_index(data: bytes) -> _Index:
     check(a["file_offsets"], a["file_rows"], n_terms, n_files, a["file_weights"])
     check(a["query_offsets"], a["query_terms"], n_reports, n_terms, a["query_weights"])
     if (len(a["file_norms"]) != n_files or len(a["length_weights"]) != n_files
-            or len(a["query_norms"]) != n_reports):
+            or len(a["query_norms"]) != n_reports
+            or len(a["report_sims"]) != rank.TfidfScope.n_pairs(n_reports)):
         raise ValueError("ranking index lengths disagree with its file and report counts")
     scope = rank.TfidfScope(
         tfidf.Postings(a["file_rows"], a["file_weights"], a["file_offsets"], a["file_norms"]),
         a["length_weights"],
-        tfidf.Rows(a["query_offsets"], a["query_terms"], a["query_weights"], a["query_norms"]))
+        tfidf.Rows(a["query_offsets"], a["query_terms"], a["query_weights"], a["query_norms"]),
+        a["report_sims"])
     return _Index(scope, a["file_ids"], a["report_ids"], (a["fixed_offsets"], a["fixed_columns"]))
 
 

@@ -37,13 +37,15 @@ every method that ranks the same rows with the same histories fuses,
 sorts and ranks from them; its :class:`RankedList` refers to them.
 
 - TF.IDF: per scope, a :class:`TfidfScope` holds the files'
-  :class:`~bugloc.tfidf.Postings`, their length factors and the reports'
-  :class:`~bugloc.tfidf.Rows`, the queries: :func:`build_scope` weighs
-  them from the token streams, or the cache's ranking index holds them
-  (the same float64 arrays). Direct scores are the length factors times
-  ``Postings.cosines``, and the similarities to history reports are
-  ``Postings.cosines`` against the report postings: each one ``bincount``
-  over the bins ``query * n + row`` of the chunk's query spans.
+  :class:`~bugloc.tfidf.Postings`, their length factors, the reports'
+  :class:`~bugloc.tfidf.Rows`, the queries, and the cosine of each pair
+  of reports: :func:`build_scope` weighs them from the token streams, or
+  the cache's ranking index holds them (the same float64 arrays). Direct
+  scores are the length factors times ``Postings.cosines``: one
+  ``bincount`` over the bins ``query * n + row`` of the chunk's query
+  spans. The similarities to history reports are looked up in the pair
+  cosines, which ``Postings.cosines`` computed once, against the reports'
+  postings, the same bits in either order of the pair.
 - Doc vectors (:class:`DocVectors`) are inferred in two batches
   (:func:`~bugloc.embedding.combined_matrix`): all of the project's files
   and all of its reports, each once, kept as matrix rows with their norms;
@@ -255,19 +257,56 @@ class TfidfScope:
 
     ``files`` holds the file postings (rows in path order),
     ``length_weights`` the rVSM logistic factor of each file and
-    ``queries`` the reports' rows; ``reports``, their postings, is derived
-    from ``queries`` when history is first ranked.
+    ``queries`` the reports' rows. ``report_sims`` holds the cosine of each
+    pair of reports once: the lower triangle of the reports × reports
+    matrix, diagonal included, row by row in one flat array, so the pair
+    (i, j) sits at ``hi * (hi + 1) // 2 + lo``; :meth:`report_cosines`
+    reads it. It is given (the cache's ranking index holds it) or computed
+    when history is first ranked or the scope is stored, so a direct-only
+    method without a cache never computes it.
     """
 
     def __init__(self, files: tfidf.Postings, length_weights: np.ndarray,
-                 queries: tfidf.Rows):
+                 queries: tfidf.Rows, report_sims: np.ndarray | None = None):
         self.files = files
         self.length_weights = length_weights
         self.queries = queries
+        if report_sims is not None:  # else computed on first use
+            self.report_sims = report_sims
+
+    @staticmethod
+    def n_pairs(n_reports: int) -> int:
+        """The length of the ``report_sims`` of ``n_reports`` reports."""
+        return n_reports * (n_reports + 1) // 2
 
     @cached_property
-    def reports(self) -> tfidf.Postings:
-        return tfidf.Postings.from_rows(self.queries, self.files.n_terms)
+    def report_sims(self) -> np.ndarray:
+        """``Postings.cosines`` of each report against the reports' postings,
+        the columns up to the report kept, into one array. Each bin adds its
+        products as ``cosine`` does, whichever other pairs are computed, and
+        ``cosine`` is the same bit for bit under argument swap, so one entry
+        serves both orders. The rows go in chunks of as many rows as a
+        batch's (about ``_CHUNK_SCORES`` pairs, counting files and reports),
+        so the working arrays stay the size of a chunk's."""
+        queries = self.queries
+        n = len(queries.norms)
+        reports = tfidf.Postings.from_rows(queries, self.files.n_terms)
+        sims = np.empty(self.n_pairs(n))
+        columns = np.arange(n)
+        step = max(1, _CHUNK_SCORES // max(len(self.files) + n, 1))
+        for start in range(0, n, step):
+            rows = columns[start:start + step]
+            # row by row, the columns up to the row: the triangle's order
+            sims[self.n_pairs(start):self.n_pairs(rows[-1] + 1)] = \
+                reports.cosines(queries, rows)[columns <= rows[:, None]]
+        sims.flags.writeable = False
+        return sims
+
+    def report_cosines(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``cosine`` of the reports at rows ``a[k]`` and ``b[k]``, for each
+        ``k``, read from ``report_sims``."""
+        hi, lo = np.maximum(a, b), np.minimum(a, b)
+        return self.report_sims[self.n_pairs(hi) + lo]
 
     @classmethod
     def unranked(cls, n_files: int) -> TfidfScope:
@@ -448,7 +487,8 @@ def fuse(direct: np.ndarray, indirect: np.ndarray, w1: float, w2: float) -> np.n
 # localize scores a batch in chunks of about this many (query, document)
 # pairs, documents being the project's files and reports (the direct scores
 # and the history similarities), so that a chunk's working arrays stay
-# cache-sized and memory does not grow with the number of queries
+# cache-sized and memory does not grow with the number of queries; a TF.IDF
+# scope computes its report cosines in chunks of as many rows
 _CHUNK_SCORES = 1 << 14
 
 
@@ -532,8 +572,7 @@ def _history_sims(rows: np.ndarray, history: Histories, kind: str,
         return sims
     if kind not in _TFIDF_SCOPES:
         raise ValueError(f"unknown indirect model {kind!r}")
-    data = _arrays(artifacts, kind)
-    return data.reports.cosines(data.queries, rows)[history.owner, history.rows]
+    return _arrays(artifacts, kind).report_cosines(rows[history.owner], history.rows)
 
 
 class BatchScores:

@@ -453,7 +453,8 @@ class TestRankingIndex:
     @pytest.mark.parametrize("flaw", ["query_term_out_of_range", "offsets_decrease",
                                       "row_out_of_range", "short_length_weights",
                                       "fixed_column_out_of_range",
-                                      "fixed_offsets_wrong_length"])
+                                      "fixed_offsets_wrong_length",
+                                      "report_sims_wrong_length"])
     def test_resealed_index_of_bad_structure_rebuilt_with_warning(self, bench, tmp_path,
                                                                   caplog, flaw):
         train(bench, tmp_path / "c")
@@ -467,7 +468,7 @@ class TestRankingIndex:
         files = scope.files
         terms, rows, offsets = (scope.queries.terms.copy(), files.rows.copy(),
                                 files.offsets.copy())
-        length_weights = scope.length_weights
+        length_weights, report_sims = scope.length_weights, scope.report_sims
         if flaw == "query_term_out_of_range":
             terms[0] = files.n_terms
         elif flaw == "offsets_decrease":
@@ -480,17 +481,20 @@ class TestRankingIndex:
             fixed_columns[0] = len(files)
         elif flaw == "fixed_offsets_wrong_length":
             fixed_offsets = fixed_offsets[:-1]
+        elif flaw == "report_sims_wrong_length":  # one pair short of the triangle
+            report_sims = report_sims[:-1]
         else:
             length_weights = length_weights[:-1]
         bad = rank.TfidfScope(
             tfidf.Postings(rows, files.weights, offsets, files.norms), length_weights,
-            scope.queries._replace(terms=terms))
+            scope.queries._replace(terms=terms), report_sims)
         artifact.write_bytes(b"".join(cache_module._encode_index(
             bad, artifacts.file_ids, artifacts.report_ids, fixed_offsets, fixed_columns)))
         reseal(artifact)
         with caplog.at_level(logging.WARNING):
             localize(bench, tmp_path / "c")
-        assert any("corrupt ranking index" in r.getMessage() for r in caplog.records)
+        (warning,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert "corrupt ranking index index_global_proj1.bin" in warning
         assert ranking(tmp_path / "c") == built
 
     @pytest.mark.parametrize("edit", ["other_project_file", "new_java_file", "manifest",
@@ -607,12 +611,42 @@ class TestRankingIndex:
         reloaded = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig())
         loaded = indexed(reloaded, "local").scopes["local"]
         for name in ("rows", "weights", "offsets", "norms"):
-            for part in ("files", "reports"):
-                want, got = getattr(getattr(built, part), name), getattr(getattr(loaded, part), name)
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+            want, got = getattr(built.files, name), getattr(loaded.files, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         assert np.array_equal(loaded.length_weights, built.length_weights)
         for want, got in zip(built.queries, loaded.queries):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+        want, got = built.report_sims, loaded.report_sims
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_stored_report_sims_are_the_cosines_in_either_order(self, synth_benchmark,
+                                                                 tmp_path):
+        """Each stored entry is the cosine of its two reports, bit for bit,
+        in either argument order: the property that lets one entry serve
+        the pair both ways."""
+        root, benchmark, _ = synth_benchmark
+        project = benchmark.project("proj1")
+        cache = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig())
+        cache.artifacts("proj1", {"local", "global"}, lambda: benchmark)
+        stored = indexed(ArtifactCache(tmp_path / "c", root, PreprocessConfig()),
+                         "local", "global")
+        vocabs = {"local": tfidf.build_vocabulary(f.token_stream for f in project.source_files),
+                  "global": cache.global_vocabulary("proj1")}
+        for scope, vocab in vocabs.items():
+            data = stored.scopes[scope]
+            vectors = [tfidf.vectorize(r.token_stream, vocab) for r in project.bug_reports]
+            n = len(vectors)
+            assert len(data.report_sims) == n * (n + 1) // 2
+            cosines = np.empty((n, n))
+            for i in range(n):
+                for j in range(i + 1):
+                    entry = data.report_sims[i * (i + 1) // 2 + j]
+                    assert entry == tfidf.cosine(vectors[i], vectors[j]) == \
+                        tfidf.cosine(vectors[j], vectors[i])
+                    cosines[i, j] = cosines[j, i] = entry
+            assert np.count_nonzero(np.tril(cosines, -1))
+            a, b = np.indices((n, n)).reshape(2, -1)
+            assert np.array_equal(data.report_cosines(a, b), cosines.ravel())
 
 
 class TestCorpusRecord:
@@ -947,10 +981,10 @@ class TestHitsReadNoBenchmarkFile:
                 data = artifacts.scopes[scope]
                 files = data.files
                 found += [files.rows, files.weights, files.offsets, files.norms,
-                          data.length_weights, *data.queries]
+                          data.length_weights, *data.queries, data.report_sims]
             return found
 
-        assert len(arrays(hit)) == len(arrays(cold)) == 25
+        assert len(arrays(hit)) == len(arrays(cold)) == 27
         for got, want in zip(arrays(hit), arrays(cold)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         offsets, columns = hit.fixed
@@ -1008,8 +1042,8 @@ def test_train_global_artifacts_match_golden_digests(synth_benchmark, tmp_path):
 # Every float is added in a fixed order, without sum(), so these hold on every
 # Python version.
 GOLDEN_EVALUATE = {
-    "c/index_local_proj1.bin": "cdb2d37c333c7cf9ccf926b9dd563214c6c37dcea95d22bfd787dbbc529e0629",
-    "c/index_global_proj1.bin": "d43910f4ff679d6c28070f23d3bb92687c8202c25b4a98c4ca3d5c3e7d5fd611",
+    "c/index_local_proj1.bin": "4b7834121a158e2126d9baae09283cf369716b23995d87264bac96c8cfd3c741",
+    "c/index_global_proj1.bin": "f497eca0e4386bbb32d501e4cfb418ad9421752eaae4481b95d17af4375fb361",
     "out/metrics.csv": "3e9f404e3f6ed7b313e46fc1f176ef5b927f45f1e775c9d6a1cbc81eb2a3fc18",
     "out/per_query.csv": "42a5494c9be21ee50e0c77ac91c3dde528d2bea9a0d49220240703e21daf04cf",
 }

@@ -146,6 +146,14 @@ def test_reports_must_be_preprocessed(toy_project):
 
 
 class TestIndirectRelevancy:
+    def test_report_sims_computed_only_when_history_is_ranked(self, toy_project):
+        artifacts = artifacts_of(toy_project)
+        scope = artifacts.scopes["local"]
+        localize(artifacts, np.arange(3), MethodConfig.from_id(1))
+        assert "report_sims" not in vars(scope)  # a direct-only method needs no pair
+        localize(artifacts, np.arange(3), MethodConfig.from_id(3))
+        assert len(vars(scope)["report_sims"]) == 6  # 3 reports: 3 pairs and 3 diagonal
+
     def test_empty_history_is_zero_map(self, toy_project):
         ranked = localize(artifacts_of(toy_project), 2, MethodConfig.from_id(3), history=[])
         indirect = scores(ranked, "indirect")
