@@ -1864,6 +1864,19 @@ class TestArtifactIntegrity:
         assert not caplog.records
         assert artifact.stat().st_ino == stamp
 
+    def test_cache_bytes_tool_counts_every_kind(self, sealed):
+        _, cache = sealed
+        tool = Path(__file__).resolve().parent.parent / "tools" / "cache_bytes.py"
+        done = subprocess.run([sys.executable, tool, cache], capture_output=True, text=True,
+                              check=True)
+        printed = {name: int(size.replace(",", ""))
+                   for name, size in map(str.split, done.stdout.splitlines())}
+        on_disk = {kind: sum(p.stat().st_size for p in cache.glob(f"{kind}*.bin")
+                             if p.name == f"{kind}.bin" or p.name.startswith(f"{kind}_"))
+                   for kind in cache_module._KINDS}
+        assert printed == {**on_disk, "total": sum(on_disk.values())}
+        assert all(on_disk.values())  # the sealed cache holds every kind
+
     def test_model_round_trip_without_pickle(self, bench, tmp_path):
         model = self._cache(bench, tmp_path).embedding_model("proj1", PV_DM)
         data = (tmp_path / "c" / "dm_proj1.bin").read_bytes()
