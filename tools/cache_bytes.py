@@ -18,7 +18,7 @@ def kind_of(name: str) -> str | None:
     if not name.endswith(".bin"):
         return None
     stem = name[:-len(".bin")]
-    for kind in KINDS:  # no kind and "_" begin another kind
+    for kind in KINDS:  # no kind's name followed by "_" begins another's
         if stem == kind or stem.startswith(kind + "_"):
             return kind
     return None
