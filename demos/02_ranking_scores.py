@@ -44,7 +44,6 @@ def main():
         # counted over 200 other-project files: 'handler' is everywhere
         doc_freq=[_df(t, {"handler": 200, "cach": 4, "evict": 3}) for t in sorted(local.term_ids)],
         total_documents=200,
-        scope="global",
     )
     print("global IDF weights for the same query:")
     print("  ", {t: round(w, 3) for t, w in _named(vectorize(query, global_vocab), global_vocab).items()})

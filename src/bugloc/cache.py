@@ -3,9 +3,13 @@ the benchmark, and per-project ranking indexes.
 
 Artifacts, one file ``<kind>[_<project>].bin`` each in the cache directory:
 
-- ``idf_<project>.bin``: the global IDF model with ``<project>`` held out;
-- ``dm_<project>.bin``, ``dbow_<project>.bin``: its paragraph-vector
-  models, holding what inference reads: terms, counts, ``W``, ``U``, ``b``;
+- ``idf.bin``: the benchmark's global IDF model, the document frequencies
+  of every project's source files with nothing held out; the model of a
+  held-out project is derived from it where it is used
+  (:func:`~bugloc.tfidf.hold_out`);
+- ``dm_<project>.bin``, ``dbow_<project>.bin``: the paragraph-vector models
+  with ``<project>`` held out, holding what inference reads: terms, counts,
+  ``W``, ``U``, ``b``;
 - ``tokens.bin``: the token streams of every document of the benchmark;
 - ``index_local_<project>.bin``, ``index_global_<project>.bin``: the
   project's TF.IDF ranking arrays under that scope
@@ -23,7 +27,7 @@ The first ``localize`` or ``evaluate`` that ranks with a scope (``local``,
 ``global`` or ``docvec``) builds its index; ``train-global`` builds none.
 
 Paragraph-vector models are trained where they miss: by ``train-global``,
-after every IDF model, or by the first doc-vector call that needs them, on
+after the IDF model, or by the first doc-vector call that needs them, on
 the fork pool of :mod:`bugloc.pool`. A child reads the token streams from
 the memory it shares with the caller and stores each model it trains as the
 caller would. Each model's rng is seeded from the configuration alone and no
@@ -47,9 +51,9 @@ never seen half written. :meth:`ArtifactCache._read` reads an artifact's
 bytes once and decodes them only when fingerprint and sha256 match. A
 fingerprint mismatch, as for an artifact of an older layout, is a quiet
 rebuild: a cache written before this layout rebuilds every artifact once,
-and its ``idf_*.txt`` and ``*.npz`` files are no longer read and may be
-deleted with their ``.meta.json``. An artifact that fails its sha256 or
-does not decode is rebuilt with a warning.
+and its ``idf_*.txt``, ``idf_<project>.bin`` and ``*.npz`` files are no
+longer read and may be deleted with their ``.meta.json``. An artifact that
+fails its sha256 or does not decode is rebuilt with a warning.
 
 The digest is looked up by stat, as git trusts its index and its untracked
 cache: the record ``corpus.json`` holds the digest with the benchmark's
@@ -343,8 +347,9 @@ _CORPUS_RECORD = "corpus.json"
 
 
 class ArtifactCache:
-    """Directory of per-held-out-project global models, the token streams
-    of the whole benchmark and per-project ranking indexes.
+    """Directory of the benchmark's global IDF model, per-held-out-project
+    paragraph-vector models, the token streams of the whole benchmark and
+    per-project ranking indexes.
 
     ``benchmark`` is a loaded :class:`~bugloc.corpus.Benchmark`, or the
     root directory of one. A cache over a root serves ranking indexes
@@ -559,20 +564,21 @@ class ArtifactCache:
         return vectors
 
     def global_vocabulary(self, held_out: str) -> tfidf.Vocabulary:
-        """Load or build the leakage-safe global IDF model for a project."""
-        vocab = self._read("idf", held_out, tfidf.load_vocabulary)
-        if vocab is None:
-            logger.info("building global IDF model, held-out project %s", held_out)
-            vocab = tfidf.build_global_idf(self.benchmark, held_out,
-                                           self._document_frequencies)
-            self._store("idf", held_out, tfidf.save_vocabulary(vocab))
-        return vocab
+        """The leakage-safe global IDF model of a project: the benchmark's
+        model with the project held out (:func:`~bugloc.tfidf.hold_out`)."""
+        project = self.benchmark.project(held_out)  # raises on unknown name
+        return tfidf.hold_out(self._global_idf, project)
 
     @functools.cached_property
-    def _document_frequencies(self) -> tfidf.DocumentFrequencies:
-        """The benchmark's source-file document frequencies, counted on the
-        first global IDF model built, once for every held-out project."""
-        return tfidf.DocumentFrequencies.count(self.benchmark)
+    def _global_idf(self) -> tfidf.Vocabulary:
+        """The benchmark's IDF model, nothing held out: read once per cache,
+        or else built from every project's source files and stored."""
+        vocab = self._read("idf", "", tfidf.load_vocabulary)
+        if vocab is None:
+            logger.info("building global IDF model")
+            vocab = tfidf.build_vocabulary(tfidf.source_streams(self.benchmark.projects))
+            self._store("idf", "", tfidf.save_vocabulary(vocab))
+        return vocab
 
     def _training_corpus(self, held_out: str):
         """Source files of every project plus the other projects' reports,
@@ -638,9 +644,11 @@ class ArtifactCache:
             path.unlink(missing_ok=True)
 
     def train_all(self, held_out_projects, with_embeddings: bool = True) -> dict:
-        """Materialize artifacts for each held-out project; returns paths.
-        The global IDF models are built first, then every paragraph-vector
-        model that misses is trained, several at once where CPUs allow."""
+        """Materialize artifacts for each held-out project; returns paths,
+        the one IDF model's for every project. The global IDF model is
+        built first and every hold-out of it derived, then every
+        paragraph-vector model that misses is trained, several at once
+        where CPUs allow."""
         names = list(dict.fromkeys(held_out_projects))
         for name in names:
             self.global_vocabulary(name)
@@ -649,5 +657,6 @@ class ArtifactCache:
                      for mode in (embedding.PV_DM, embedding.PV_DBOW)]
             self._train_jobs([pair for pair in pairs if self._load_model(*pair) is None])
         kinds = ["idf", "dm", "dbow"] if with_embeddings else ["idf"]
-        return {name: {kind: str(self._paths(kind, name)[0]) for kind in kinds}
+        return {name: {kind: str(self._paths(kind, "" if kind == "idf" else name)[0])
+                       for kind in kinds}
                 for name in names}

@@ -270,7 +270,11 @@ def main():
 @common_options
 @fail_cleanly
 def cmd_train_global(benchmark_path, cache_dir, held_out, embeddings, **kwargs):
-    """Build global IDF and paragraph-vector models per held-out project."""
+    """Build the global IDF model and the paragraph-vector models per held-out project.
+
+    The one IDF model counts every project; each held-out project's model is
+    derived from it, here and where it is used, so every project's line
+    names the same IDF file."""
     settings = _settings(kwargs)
     cache = _cache(settings, benchmark_path, cache_dir)
     benchmark = _loader(settings, benchmark_path, cache)()

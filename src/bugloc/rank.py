@@ -330,7 +330,7 @@ def build_scope(project: Project, vocab: tfidf.Vocabulary | None = None) -> Tfid
         return TfidfScope.unranked(len(project.source_files))
     streams = _streams(project.source_files)
     if vocab is None:
-        vocab = tfidf.build_vocabulary(streams, scope="local")
+        vocab = tfidf.build_vocabulary(streams)
     normalizer = tfidf.LengthNormalizer.from_counts(map(len, streams))
     ordered = _streams(_path_order(project))
     return TfidfScope(tfidf.Postings.from_rows(tfidf.weigh(ordered, vocab), len(vocab)),

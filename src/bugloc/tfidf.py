@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import container
-from .corpus import Benchmark
+from .corpus import Benchmark, Project
 from .preprocess import TokenStream
 
 
@@ -42,8 +42,6 @@ class Vocabulary:
     term_ids: dict[str, int]
     doc_freq: list[int]
     total_documents: int
-    scope: str = "local"
-    held_out: str | None = None
 
     def __post_init__(self):
         if self.total_documents < 1:
@@ -105,7 +103,7 @@ class LengthNormalizer:
         return min(1.0, max(0.0, x))
 
 
-def build_vocabulary(documents: Iterable[TokenStream], scope: str = "local") -> Vocabulary:
+def build_vocabulary(documents: Iterable[TokenStream]) -> Vocabulary:
     """Vocabulary and document frequencies over source-file streams.
 
     Every document counts toward ``total_documents`` even when empty.
@@ -122,66 +120,52 @@ def build_vocabulary(documents: Iterable[TokenStream], scope: str = "local") -> 
         term_ids={t: i for i, t in enumerate(terms)},
         doc_freq=[df[t] for t in terms],
         total_documents=len(documents),
-        scope=scope,
     )
 
 
-class DocumentFrequencies(NamedTuple):
-    """Source-file document frequencies of a whole benchmark, counted once:
-    the sorted union vocabulary and its term ids, each term's frequency over
-    every project, in term id order, and per project its file count and its
-    own frequencies."""
-
-    term_ids: dict[str, int]
-    total: list[int]
-    projects: dict[str, tuple[int, Counter]]
-
-    @classmethod
-    def count(cls, benchmark: Benchmark) -> "DocumentFrequencies":
-        total: Counter = Counter()
-        projects = {}
-        for project in benchmark.projects:
-            own: Counter = Counter()
-            for src in project.source_files:
-                if src.token_stream is None:
-                    raise ValueError(
-                        f"{project.name}/{src.id}: token stream missing; preprocess first")
-                own.update(set(src.token_stream.tokens))
-            total.update(own)
-            projects[project.name] = (len(project.source_files), own)
-        terms = sorted(total)
-        return cls({t: i for i, t in enumerate(terms)}, [total[t] for t in terms], projects)
+def source_streams(projects: Iterable[Project]) -> list[TokenStream]:
+    """The token streams of the projects' source files, in order."""
+    streams = []
+    for project in projects:
+        for src in project.source_files:
+            if src.token_stream is None:
+                raise ValueError(f"{project.name}/{src.id}: token stream missing; preprocess first")
+            streams.append(src.token_stream)
+    return streams
 
 
-def build_global_idf(benchmark: Benchmark, held_out: str,
-                     counts: DocumentFrequencies | None = None) -> Vocabulary:
-    """Global vocabulary with leakage-safe document frequencies.
+def hold_out(whole: Vocabulary, project: Project) -> Vocabulary:
+    """The global IDF model of ``whole``, the :func:`build_vocabulary` of
+    every project's source files, with ``project`` held out.
 
-    Terms come from the source files of *every* project, the held-out one
-    included; frequency counts and the document total exclude the held-out
-    project's files: each is the benchmark's less the held-out project's
-    own. Terms seen only there keep a frequency floor of 1 so their weight
-    stays defined. ``counts`` are the benchmark's
-    :class:`DocumentFrequencies`, counted here when not given; every
-    vocabulary built from them shares their ``term_ids``.
+    Terms stay those of every project, the held-out one included, and the
+    model shares ``whole``'s ``term_ids``; frequency counts and the document
+    total exclude the held-out project's files: each is the benchmark's less
+    the project's own. Terms seen only there keep a frequency floor of 1 so
+    their weight stays defined. A term of the project that ``whole`` lacks,
+    as when ``whole`` was stored before an edit, is skipped.
     """
-    benchmark.project(held_out)  # raises on unknown name
-    counts = counts or DocumentFrequencies.count(benchmark)
-    own_docs, own = counts.projects[held_out]
-    counted_docs = sum(n for n, _ in counts.projects.values()) - own_docs
-    if counted_docs == 0:
-        raise ValueError("no documents left to count after holding out " + held_out)
-    term_ids, doc_freq = counts.term_ids, counts.total.copy()
+    counted = whole.total_documents - len(project.source_files)
+    if counted < 1:
+        raise ValueError("no documents left to count after holding out " + project.name)
+    own: Counter = Counter()
+    for stream in source_streams([project]):
+        own.update(set(stream.tokens))
+    get, doc_freq = whole.term_ids.get, whole.doc_freq.copy()
     for term, n in own.items():  # only the held-out project's terms can reach the floor
-        tid = term_ids[term]
-        doc_freq[tid] = max(1, doc_freq[tid] - n)
-    return Vocabulary(
-        term_ids=term_ids,
-        doc_freq=doc_freq,
-        total_documents=counted_docs,
-        scope="global",
-        held_out=held_out,
-    )
+        tid = get(term)
+        if tid is not None:
+            doc_freq[tid] = max(1, doc_freq[tid] - n)
+    return Vocabulary(term_ids=whole.term_ids, doc_freq=doc_freq, total_documents=counted)
+
+
+def build_global_idf(benchmark: Benchmark, held_out: str) -> Vocabulary:
+    """Global vocabulary with leakage-safe document frequencies: the
+    :func:`hold_out` of ``held_out`` from the vocabulary of every
+    project's source files, counted anew. The artifact cache stores that
+    vocabulary once and holds each project out of the stored one."""
+    project = benchmark.project(held_out)  # raises on unknown name
+    return hold_out(build_vocabulary(source_streams(benchmark.projects)), project)
 
 
 def vectorize(stream: TokenStream, vocab: Vocabulary) -> TfIdfVector:
@@ -339,10 +323,9 @@ class Postings:
 
 
 # The IDF model's artifact (see bugloc.container): terms in id order, their
-# document frequencies, the documents counted, scope and held-out project if any.
-LAYOUT = container.Layout(b"bugloc-idf v2\n", [
-    ("terms", container.STR), ("doc_freq", "i4"), ("documents", "i8"),
-    ("scope", container.STR), ("held_out", container.STR)])
+# document frequencies and the documents counted.
+LAYOUT = container.Layout(b"bugloc-idf v3\n", [
+    ("terms", container.STR), ("doc_freq", "i4"), ("documents", "i8")])
 
 
 def save_vocabulary(vocab: Vocabulary) -> list:
@@ -350,7 +333,6 @@ def save_vocabulary(vocab: Vocabulary) -> list:
     return LAYOUT.encode({
         "terms": sorted(vocab.term_ids, key=vocab.term_ids.__getitem__),
         "doc_freq": vocab.doc_freq, "documents": [vocab.total_documents],
-        "scope": [vocab.scope], "held_out": [vocab.held_out] if vocab.held_out else [],
     })
 
 
@@ -360,9 +342,7 @@ def load_vocabulary(data: bytes) -> Vocabulary:
     a = LAYOUT.decode(data)
     terms, doc_freq = a["terms"], a["doc_freq"]
     term_ids = {t: i for i, t in enumerate(terms)}
-    if (len(term_ids) != len(terms) or len(doc_freq) != len(terms) or len(a["documents"]) != 1
-            or len(a["scope"]) != 1 or len(a["held_out"]) > 1):
+    if len(term_ids) != len(terms) or len(doc_freq) != len(terms) or len(a["documents"]) != 1:
         raise ValueError("IDF model arrays disagree in length or repeat a term")
     return Vocabulary(term_ids=term_ids, doc_freq=doc_freq.tolist(),
-                      total_documents=int(a["documents"][0]), scope=a["scope"][0],
-                      held_out=a["held_out"][0] if a["held_out"] else None)
+                      total_documents=int(a["documents"][0]))

@@ -35,7 +35,7 @@ FAST = ["--epochs", "2", "--vector-size", "8", "--min-count", "1", "--infer-epoc
 OUTPUTS = ("metrics.csv", "metrics.json", "per_query.csv", "wilcoxon.csv")
 
 # every kind of artifact, and its file for the benchmark or for proj1
-KINDS = {"tokens": "tokens.bin", "idf": "idf_proj1.bin", "dm": "dm_proj1.bin",
+KINDS = {"tokens": "tokens.bin", "idf": "idf.bin", "dm": "dm_proj1.bin",
          "dbow": "dbow_proj1.bin", "index_local": "index_local_proj1.bin",
          "index_global": "index_global_proj1.bin", "index_docvec": "index_docvec_proj1.bin"}
 
@@ -384,7 +384,7 @@ class TestTokenStreamIndex:
     def test_pipeline_version_change_rebuilds_index_and_models(
             self, bench, tmp_path, preprocess_calls, monkeypatch):
         train(bench, tmp_path / "c")
-        idf = tmp_path / "c" / "idf_proj1.bin"
+        idf = tmp_path / "c" / "idf.bin"
         stamp = idf.stat().st_mtime_ns
         monkeypatch.setattr(preprocess, "PIPELINE_VERSION", preprocess.PIPELINE_VERSION + 1)
         localize(bench, tmp_path / "c")
@@ -929,7 +929,7 @@ class TestHitsReadNoBenchmarkFile:
         assert evaluate(2) == cold
         assert len(load_calls) == 1
         # nothing ranks proj4, so it got no model of its own
-        assert not [kind for kind in ("idf", "dm", "dbow")
+        assert not [kind for kind in ("dm", "dbow")
                     if (tmp_path / "c" / f"{kind}_proj4.bin").exists()]
 
     @pytest.mark.parametrize("command", ["localize", "evaluate"])
@@ -1022,9 +1022,7 @@ class TestHitsReadNoBenchmarkFile:
 # with a bump of preprocess.PIPELINE_VERSION (or of the artifact's layout).
 GOLDEN = {
     "tokens.bin": "7731e3b3816caa4966aa31b341eeb044b55fd9879370624bc257e0c7f8ec4ae6",
-    "idf_proj1.bin": "e7a535e84a605f6513c48411dae90291be538db44c4727f2318e4e2649fd9f27",
-    "idf_proj2.bin": "d1a5519e96f8cf57ee8292e3726856e32c51003e10c5dbe17dd9f96486b0d4bf",
-    "idf_proj3.bin": "0892f3812e8850039513800d3a08805b353b8d716ea224e9b1191f93ab8d3143",
+    "idf.bin": "2fb42db892d013d0459302169abde39c4eaa24ff200b028a0f35577aeb5252cf",
 }
 
 
@@ -1384,18 +1382,45 @@ class TestDocVectorIndex:
 
 
 def test_global_df_counted_once_per_cache(synth_benchmark, tmp_path, monkeypatch):
+    """A cold cache builds the whole model once for every held-out project;
+    a warm one reads it once and builds nothing."""
     _, benchmark, _ = synth_benchmark
-    counted, built = [], []
-    count, build = tfidf.DocumentFrequencies.count, tfidf.build_global_idf
-    monkeypatch.setattr(tfidf.DocumentFrequencies, "count",
-                        classmethod(lambda cls, b: counted.append(b) or count(b)))
-    monkeypatch.setattr(tfidf, "build_global_idf",
-                        lambda *args: built.append(args[1]) or build(*args))
+    built, read = [], []
+    build, load = tfidf.build_vocabulary, tfidf.load_vocabulary
+    monkeypatch.setattr(tfidf, "build_vocabulary", lambda docs: built.append(1) or build(docs))
+    monkeypatch.setattr(tfidf, "load_vocabulary", lambda data: read.append(1) or load(data))
     names = benchmark.project_names
     ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig()).train_all(names, False)
-    assert counted == [benchmark] and built == names
+    assert (len(built), len(read)) == (1, 0)
     ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig()).train_all(names, False)
-    assert counted == [benchmark] and built == names  # every model a hit: nothing counted
+    assert (len(built), len(read)) == (1, 1)
+    assert sorted(path.name for path in (tmp_path / "c").glob("idf*")) == [
+        "idf.bin", "idf.bin.meta.json"]
+
+
+def test_warm_hold_out_equals_a_count_over_the_other_projects(bench, tmp_path):
+    """Every project's model, derived on a warm cache from the stored one,
+    equals build_global_idf's, also for the terms only that project has."""
+    for name, word in (("proj1", "Wombat"), ("proj2", "Quokka"), ("proj3", "Numbat")):
+        source = sorted((bench / name / "sources").rglob("*.java"))[0]
+        source.write_text(source.read_text() + f"\nclass {word} {{}}\n")
+    benchmark = load_benchmark(bench)
+    preprocess_benchmark(benchmark)
+    names = benchmark.project_names
+    ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig()).train_all(names, False)
+    stored = (tmp_path / "c" / "idf.bin").stat().st_ino
+    warm = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig())
+    for name in names:
+        own = set(tfidf.build_vocabulary(tfidf.source_streams([benchmark.project(name)])).term_ids)
+        others = tfidf.build_vocabulary(tfidf.source_streams(
+            p for p in benchmark.projects if p.name != name)).term_ids
+        only = own - set(others)
+        assert only  # at least the class name added above
+        got, want = warm.global_vocabulary(name), tfidf.build_global_idf(benchmark, name)
+        assert ((got.term_ids, got.doc_freq, got.total_documents)
+                == (want.term_ids, want.doc_freq, want.total_documents))
+        assert {got.doc_freq[got.term_ids[term]] for term in only} == {1}
+    assert (tmp_path / "c" / "idf.bin").stat().st_ino == stored  # read, not rebuilt
 
 
 def generated_corpus(seed, root, workload="docvec"):
@@ -1799,7 +1824,7 @@ class TestParallelPreprocessing:
                         for path in sorted(directory.iterdir())}
         assert multiprocessing.active_children() == []
         assert built[1] == built[2]
-        assert {"tokens.bin", "idf_proj1.bin", "index_local_proj3.bin",
+        assert {"tokens.bin", "idf.bin", "index_local_proj3.bin",
                 "index_global_proj3.bin", *OUTPUTS} <= set(built[2])
 
     def test_error_in_a_child_chunk_fails_the_call_cleanly(self, synth_benchmark, tmp_path,

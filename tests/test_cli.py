@@ -69,7 +69,7 @@ class TestArtifactCache:
     def test_cache_hit_skips_rebuild(self, synth_benchmark, tmp_path):
         cache = self._cache(synth_benchmark, tmp_path)
         cache.global_vocabulary("proj1")
-        artifact = tmp_path / "cache" / "idf_proj1.bin"
+        artifact = tmp_path / "cache" / "idf.bin"
         stamp = artifact.stat().st_mtime_ns
         cache2 = self._cache(synth_benchmark, tmp_path)
         cache2.global_vocabulary("proj1")
@@ -88,7 +88,7 @@ class TestArtifactCache:
                                                      tmp_path, caplog):
         cache = self._cache(synth_benchmark, tmp_path)
         cache.global_vocabulary("proj1")
-        artifact = tmp_path / "cache" / "idf_proj1.bin"
+        artifact = tmp_path / "cache" / "idf.bin"
         artifact.write_text("scrambled\n")
         vocab = self._cache(synth_benchmark, tmp_path).global_vocabulary("proj1")
         assert len(vocab) > 0
@@ -119,13 +119,31 @@ class TestArtifactCache:
 
 class TestTrainGlobalCommand:
     def test_builds_idf_per_held_out(self, synth_benchmark, tmp_path, runner):
+        """One IDF model serves every held-out project, and each project's
+        line names it."""
         root, _, _ = synth_benchmark
         result = runner.invoke(main, ["train-global", "--benchmark", str(root),
                                       "--cache", str(tmp_path / "c"),
                                       "--no-embeddings"])
         assert result.exit_code == 0, result.output
-        for name in ("proj1", "proj2", "proj3"):
-            assert (tmp_path / "c" / f"idf_{name}.bin").is_file()
+        idf = str(tmp_path / "c" / "idf.bin")
+        assert result.stdout.splitlines() == [f"{name}\tidf\t{idf}"
+                                              for name in ("proj1", "proj2", "proj3")]
+        assert [path.name for path in (tmp_path / "c").glob("idf*.bin")] == ["idf.bin"]
+
+    def test_held_out_leaving_no_document_fails_at_train_time(self, synth_benchmark, tmp_path,
+                                                              runner):
+        """proj1 is the only project with source files: holding it out
+        leaves nothing to count."""
+        bench = tmp_path / "bench"
+        shutil.copytree(synth_benchmark[0] / "proj1", bench / "proj1")
+        (bench / "proj2" / "sources").mkdir(parents=True)
+        (bench / "proj2" / "bugs").mkdir()
+        result = runner.invoke(main, ["train-global", "--benchmark", str(bench),
+                                      "--cache", str(tmp_path / "c"), "--no-embeddings"])
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [json.dumps(
+            {"error": "no documents left to count after holding out proj1"})]
 
     @pytest.mark.parametrize("sample", ["-1", "nan"])
     def test_invalid_sample_is_one_json_error(self, synth_benchmark, tmp_path, runner, sample):

@@ -8,9 +8,9 @@ from hypothesis import example, given, strategies as st
 
 from bugloc.corpus import Benchmark, Project, SourceFile
 from bugloc.preprocess import SOURCE_FILE, TokenStream
-from bugloc.tfidf import (LAYOUT, DocumentFrequencies, LengthNormalizer, Postings,
-                          TfIdfVector, Vocabulary, build_global_idf, build_vocabulary, cosine,
-                          load_vocabulary, rvsm, save_vocabulary, vectorize, weigh)
+from bugloc.tfidf import (LAYOUT, LengthNormalizer, Postings, TfIdfVector, Vocabulary,
+                          build_global_idf, build_vocabulary, cosine, hold_out, load_vocabulary,
+                          rvsm, save_vocabulary, source_streams, vectorize, weigh)
 
 
 def stream(*tokens, origin=SOURCE_FILE):
@@ -264,8 +264,6 @@ class TestGlobalIdf:
     def test_docs_exclude_held_out(self):
         vocab = build_global_idf(self._benchmark(), "p1")
         assert vocab.total_documents == 5  # p2 and p3 files only
-        assert vocab.scope == "global"
-        assert vocab.held_out == "p1"
 
     def test_held_out_only_term_gets_floor(self):
         vocab = build_global_idf(self._benchmark(), "p1")
@@ -302,6 +300,18 @@ class TestGlobalIdf:
         with pytest.raises(ValueError, match="p3/F1.java: token stream missing"):
             build_global_idf(bench, "p1")
 
+    def test_hold_out_skips_a_term_the_stored_model_lacks(self):
+        """A model stored before an edit can lack a term of the project as
+        loaded now: the term is skipped, not looked up."""
+        bench = self._benchmark()
+        stored = build_vocabulary(source_streams(bench.projects))
+        edited = _project("p1", [["a", "only1", "new"], ["a", "b"]])
+        vocab = hold_out(stored, edited)
+        assert "new" not in vocab.term_ids
+        assert vocab.term_ids is stored.term_ids
+        assert (vocab.doc_freq, vocab.total_documents) == (
+            build_global_idf(bench, "p1").doc_freq, 5)
+
 
 def recounted_idf(benchmark, held_out):
     """Global DF counted over every project but the held-out one, with the
@@ -324,21 +334,23 @@ _project_tokens = st.lists(st.lists(st.sampled_from("abcdefg"), max_size=5), max
 @given(st.lists(_project_tokens, min_size=2, max_size=4))
 def test_counted_once_equals_recount_per_held_out_project(token_lists):
     bench = Benchmark(projects=[_project(f"p{i}", files) for i, files in enumerate(token_lists)])
-    counts = DocumentFrequencies.count(bench)
+    if not any(project.source_files for project in bench.projects):
+        with pytest.raises(ValueError, match="empty document collection"):
+            build_global_idf(bench, "p0")  # no file anywhere: no model to hold out of
+        return
+    whole = build_vocabulary(source_streams(bench.projects))
     for project in bench.projects:
         expected = recounted_idf(bench, project.name)
         if expected[2] == 0:
             with pytest.raises(ValueError, match="no documents left"):
-                build_global_idf(bench, project.name, counts)
+                hold_out(whole, project)
             continue
-        vocab = build_global_idf(bench, project.name, counts)
-        assert vocab.term_ids is counts.term_ids
+        vocab = hold_out(whole, project)
+        assert vocab.term_ids is whole.term_ids
         assert (sorted(vocab.term_ids, key=vocab.term_ids.get), vocab.doc_freq,
                 vocab.total_documents) == expected
         assert (b"".join(save_vocabulary(vocab))
                 == b"".join(save_vocabulary(build_global_idf(bench, project.name))))
-    assert counts.total == [sum(project_counts[t] for _, project_counts in
-                                counts.projects.values()) for t in counts.term_ids]
 
 
 def test_vocabulary_roundtrip():
@@ -351,10 +363,8 @@ def test_vocabulary_roundtrip():
     assert loaded.term_ids == vocab.term_ids
     assert loaded.doc_freq == vocab.doc_freq
     assert loaded.total_documents == vocab.total_documents
-    assert loaded.scope == "global"
-    assert loaded.held_out == "p1"
     local = load_vocabulary(b"".join(save_vocabulary(build_vocabulary([stream("a\nb", "\ud800")]))))
-    assert local.term_ids == {"\ud800": 1, "a\nb": 0} and local.held_out is None
+    assert local.term_ids == {"\ud800": 1, "a\nb": 0}
 
 
 def test_load_rejects_other_files():
@@ -363,12 +373,11 @@ def test_load_rejects_other_files():
 
 
 @pytest.mark.parametrize("change", [
-    {"doc_freq": [1]}, {"terms": ["a", "a"]}, {"scope": ["global", "local"]}, {"documents": []},
-    {"doc_freq": [1, 3]}], ids=["short_doc_freq", "repeated_term", "two_scopes", "no_documents",
-                                "df_above_documents"])
+    {"doc_freq": [1]}, {"terms": ["a", "a"]}, {"documents": [2, 2]}, {"documents": []},
+    {"doc_freq": [1, 3]}], ids=["short_doc_freq", "repeated_term", "two_documents",
+                                "no_documents", "df_above_documents"])
 def test_load_rejects_inconsistent_arrays(change):
-    values = {"terms": ["a", "b"], "doc_freq": [1, 2], "documents": [2], "scope": ["global"],
-              "held_out": ["p1"]}
-    assert load_vocabulary(b"".join(LAYOUT.encode(values))).held_out == "p1"
+    values = {"terms": ["a", "b"], "doc_freq": [1, 2], "documents": [2]}
+    assert load_vocabulary(b"".join(LAYOUT.encode(values))).total_documents == 2
     with pytest.raises(ValueError):
         load_vocabulary(b"".join(LAYOUT.encode({**values, **change})))
