@@ -565,19 +565,42 @@ class ArtifactCache:
 
     def global_vocabulary(self, held_out: str) -> tfidf.Vocabulary:
         """The leakage-safe global IDF model of a project: the benchmark's
-        model with the project held out (:func:`~bugloc.tfidf.hold_out`)."""
+        model with the project held out (:func:`~bugloc.tfidf.hold_out`).
+
+        A stored model the project cannot be held out of was counted from
+        other bytes than the loaded benchmark's, as when an edit is made
+        while this call runs (see the module docstring). It is counted
+        again from the loaded benchmark, and the error of that model, if
+        any, is raised."""
         project = self.benchmark.project(held_out)  # raises on unknown name
-        return tfidf.hold_out(self._global_idf, project)
+        whole, counted = self._global_idf
+        try:
+            return tfidf.hold_out(whole, project)
+        except ValueError:
+            if counted:
+                raise
+        logger.info("stored global IDF model does not fit the loaded benchmark; rebuilding")
+        self._global_idf = self._count_global_idf(), True
+        return tfidf.hold_out(self._global_idf[0], project)
 
     @functools.cached_property
-    def _global_idf(self) -> tfidf.Vocabulary:
-        """The benchmark's IDF model, nothing held out: read once per cache,
-        or else built from every project's source files and stored."""
+    def _global_idf(self) -> tuple[tfidf.Vocabulary, bool]:
+        """The benchmark's IDF model, nothing held out, and whether this
+        cache counted it: read once per cache, or else counted from every
+        project's source files and stored. A stored model that counts
+        another number of files than the loaded benchmark holds is counted
+        again."""
         vocab = self._read("idf", "", tfidf.load_vocabulary)
-        if vocab is None:
-            logger.info("building global IDF model")
-            vocab = tfidf.build_vocabulary(tfidf.source_streams(self.benchmark.projects))
-            self._store("idf", "", tfidf.save_vocabulary(vocab))
+        if vocab is None or vocab.total_documents != sum(
+                len(project.source_files) for project in self.benchmark.projects):
+            return self._count_global_idf(), True
+        return vocab, False
+
+    def _count_global_idf(self) -> tfidf.Vocabulary:
+        """The IDF model of every project's source files, stored."""
+        logger.info("building global IDF model")
+        vocab = tfidf.build_vocabulary(tfidf.source_streams(self.benchmark.projects))
+        self._store("idf", "", tfidf.save_vocabulary(vocab))
         return vocab
 
     def _training_corpus(self, held_out: str):

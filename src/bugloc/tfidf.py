@@ -143,7 +143,10 @@ def hold_out(whole: Vocabulary, project: Project) -> Vocabulary:
     total exclude the held-out project's files: each is the benchmark's less
     the project's own. Terms seen only there keep a frequency floor of 1 so
     their weight stays defined. A term of the project that ``whole`` lacks,
-    as when ``whole`` was stored before an edit, is skipped.
+    as when ``whole`` was stored before an edit, is skipped. Raises
+    ``ValueError`` when no document is left to count, or when a frequency
+    falls outside the documents left, which a ``whole`` counted from other
+    files than ``project``'s can give.
     """
     counted = whole.total_documents - len(project.source_files)
     if counted < 1:

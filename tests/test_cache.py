@@ -1423,6 +1423,52 @@ def test_warm_hold_out_equals_a_count_over_the_other_projects(bench, tmp_path):
     assert (tmp_path / "c" / "idf.bin").stat().st_ino == stored  # read, not rebuilt
 
 
+@pytest.mark.parametrize("edited, added", [
+    ("proj1", ("added",)),  # holding it out would raise: "zzshared" counts too many files
+    ("proj2", ("added", "zzshared")),  # raises nowhere, but counts one file less
+    ("proj1", None),  # the same files, none with "zzshared" any more: raises
+], ids=["proj1 gains a file", "proj2 gains a file", "proj1 drops a term"])
+def test_stored_idf_of_the_bytes_before_an_edit_is_counted_again(bench, tmp_path, edited, added,
+                                                                 caplog):
+    """An edit made while a call runs leaves the call with the digest of the
+    bytes before it, under which idf.bin may hold the model of those bytes,
+    and with the benchmark loaded after it. A stored model of another file
+    count, or one a project cannot be held out of, is counted again from the
+    loaded benchmark, once, so every derived model equals build_global_idf's
+    of what was loaded."""
+    caplog.set_level(logging.INFO, logger="bugloc.cache")
+
+    def loaded():  # every source file holds "zzshared"
+        benchmark = load_benchmark(bench)
+        preprocess_benchmark(benchmark)
+        for src in (src for project in benchmark.projects for src in project.source_files):
+            src.token_stream = preprocess.TokenStream(src.token_stream.tokens + ("zzshared",),
+                                                      src.token_stream.origin)
+        return benchmark
+
+    before = loaded()
+    names = before.project_names
+    ArtifactCache(tmp_path / "c", before, PreprocessConfig()).train_all(names, False)
+    stored = (tmp_path / "c" / "idf.bin").stat().st_ino
+    after = loaded()
+    files = after.project(edited).source_files
+    if added:
+        files.append(corpus.SourceFile(id="Added.java", path="Added.java", raw_text="x"))
+        files[-1].token_stream = preprocess.TokenStream(added, files[0].token_stream.origin)
+    else:
+        for src in files:
+            src.token_stream = preprocess.TokenStream(src.token_stream.tokens[:-1],
+                                                      src.token_stream.origin)
+    cache = ArtifactCache(tmp_path / "c", before, PreprocessConfig())  # the digest before
+    cache.benchmark = after
+    for name in names:
+        got, want = cache.global_vocabulary(name), tfidf.build_global_idf(after, name)
+        assert ((got.term_ids, got.doc_freq, got.total_documents)
+                == (want.term_ids, want.doc_freq, want.total_documents))
+    assert (tmp_path / "c" / "idf.bin").stat().st_ino != stored
+    assert caplog.text.count("building global IDF model") == 2  # the first call's and one more
+
+
 def generated_corpus(seed, root, workload="docvec"):
     """perfbench's corpus of that workload and seed, written under ``root``,
     and the docvec workload's embedding flags."""

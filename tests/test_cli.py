@@ -94,13 +94,16 @@ class TestArtifactCache:
         assert len(vocab) > 0
         assert "retraining" in " ".join(r.message for r in caplog.records)
 
-    def test_corrupt_metadata_retrains(self, synth_benchmark, tmp_path):
+    def test_corrupt_metadata_retrains(self, synth_benchmark, tmp_path, caplog):
         cache = self._cache(synth_benchmark, tmp_path)
         cache.global_vocabulary("proj1")
-        meta = tmp_path / "cache" / "idf_proj1.bin.meta.json"
-        meta.write_text("{broken")
+        artifact = tmp_path / "cache" / "idf.bin"
+        inode = artifact.stat().st_ino
+        artifact.with_name("idf.bin.meta.json").write_text("{broken")
         vocab = self._cache(synth_benchmark, tmp_path).global_vocabulary("proj1")
         assert len(vocab) > 0
+        assert "unreadable cache metadata for idf.bin" in caplog.text
+        assert artifact.stat().st_ino != inode  # rewritten
 
     def test_training_corpus_excludes_held_out_reports(self, synth_benchmark, tmp_path):
         _, benchmark, _ = synth_benchmark
