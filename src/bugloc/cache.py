@@ -12,11 +12,13 @@ Artifacts, one file ``<kind>[_<project>].bin`` each in the cache directory:
   ``W``, ``U``, ``b``;
 - ``tokens.bin``: the token streams of every document of the benchmark;
 - ``index_local_<project>.bin``, ``index_global_<project>.bin``: the
-  project's TF.IDF ranking arrays under that scope
-  (:class:`~bugloc.rank.TfidfScope`: file postings, length factors, each
-  report's vector, stored once, and the cosine of each pair of reports, the
-  R(R+1)/2 float64 values of a triangle), its file and report ids and each
-  report's fixed-file columns;
+  project's TF.IDF scores under that scope
+  (:class:`~bugloc.rank.TfidfScope`: the direct score of each report
+  against each file, R×F float64 values, and the cosine of each pair of
+  reports, the R(R+1)/2 float64 values of a triangle), its file and report
+  ids and each report's fixed-file columns. Ranking reads nothing else, so
+  an index costs (R×F + R(R+1)/2) × 8 bytes plus its ids, whatever the
+  vocabulary, and the two scopes' indexes are of one size;
 - ``index_docvec_<project>.bin``: the project's doc-vector index, the
   combined DM+DBOW vectors of its files and of its reports with their norms
   (:class:`~bugloc.rank.DocVectors`), and the same ids and fixed-file
@@ -116,7 +118,7 @@ import numpy as np
 
 from . import container, corpus, embedding, pool, rank, tfidf
 from .corpus import Benchmark, Project
-from .preprocess import PreprocessConfig, TokenStream, decode_streams, documents, encode_streams
+from .preprocess import PreprocessConfig, TokenStream, decode_streams, documents
 
 logger = logging.getLogger(__name__)
 
@@ -195,23 +197,16 @@ _TOKENS = container.Layout(b"bugloc-tokens v2\n",
 # of ascending file columns, file ids in path order and report ids in row order.
 _PROJECT = [("fixed_offsets", "i8"), ("fixed_columns", "i8"),
             ("file_ids", container.STR), ("report_ids", container.STR)]
-# A TF.IDF ranking index: a scope's arrays, then the project's.
-_INDEX = container.Layout(b"bugloc-index v5\n", [
-    ("file_rows", "i8"), ("file_weights", "f8"), ("file_offsets", "i8"), ("file_norms", "f8"),
-    ("length_weights", "f8"),
-    ("query_offsets", "i8"), ("query_terms", "i8"), ("query_weights", "f8"),
-    ("query_norms", "f8"), ("report_sims", "f8"), *_PROJECT])
+# A TF.IDF ranking index: a scope's two score arrays (the reports × files
+# direct scores, stored flat row by row, and the triangle of report
+# cosines), then the project's.
+_INDEX = container.Layout(b"bugloc-index v6\n",
+                          [("direct", "f8"), ("report_sims", "f8"), *_PROJECT])
 # A doc-vector index: the file and report vectors (rows of 2d values, stored
 # flat) with their norms, then the project's arrays.
 _DOCVEC = container.Layout(b"bugloc-docvec v1\n", [
     ("file_vectors", "f8"), ("file_norms", "f8"), ("report_vectors", "f8"),
     ("report_norms", "f8"), *_PROJECT])
-
-
-def _encode_streams(streams) -> list:
-    """The index of the streams, as the buffers to write in order."""
-    terms, offsets, ids = encode_streams(streams)
-    return _TOKENS.encode({"terms": terms, "offsets": offsets, "ids": ids})
 
 
 def _decode_streams(data: bytes, origins: list[str]) -> list[TokenStream]:
@@ -243,13 +238,8 @@ class _Index(NamedTuple):
 def _encode_index(scope: rank.TfidfScope, file_ids: list[str], report_ids: list[str],
                   fixed_offsets: np.ndarray, fixed_columns: np.ndarray) -> list:
     """The index of a scope, as the buffers to write in order."""
-    files, queries = scope.files, scope.queries
     return _INDEX.encode({
-        "file_rows": files.rows, "file_weights": files.weights, "file_offsets": files.offsets,
-        "file_norms": files.norms, "length_weights": scope.length_weights,
-        "query_offsets": queries.offsets, "query_terms": queries.terms,
-        "query_weights": queries.weights, "query_norms": queries.norms,
-        "report_sims": scope.report_sims,
+        "direct": scope.direct, "report_sims": scope.report_sims,
         "fixed_offsets": fixed_offsets, "fixed_columns": fixed_columns,
         "file_ids": file_ids, "report_ids": report_ids,
     })
@@ -268,23 +258,18 @@ def _project_arrays(a: dict) -> tuple[int, int]:
 
 def _decode_index(data: bytes) -> _Index:
     """What a verified index holds. The arrays are read-only views of
-    ``data``."""
+    ``data``. Every score is finite and not negative, as rVSM weights and
+    cosines are."""
     a = _INDEX.decode(data)
     n_files, n_reports = _project_arrays(a)
-    n_terms = len(a["file_offsets"]) - 1
-    check = container.check_spans
-    check(a["file_offsets"], a["file_rows"], n_terms, n_files, a["file_weights"])
-    check(a["query_offsets"], a["query_terms"], n_reports, n_terms, a["query_weights"])
-    if (len(a["file_norms"]) != n_files or len(a["length_weights"]) != n_files
-            or len(a["query_norms"]) != n_reports
-            or len(a["report_sims"]) != rank.TfidfScope.n_pairs(n_reports)):
+    direct, sims = a["direct"], a["report_sims"]
+    if len(direct) != n_reports * n_files or len(sims) != rank.TfidfScope.n_pairs(n_reports):
         raise ValueError("ranking index lengths disagree with its file and report counts")
-    scope = rank.TfidfScope(
-        tfidf.Postings(a["file_rows"], a["file_weights"], a["file_offsets"], a["file_norms"]),
-        a["length_weights"],
-        tfidf.Rows(a["query_offsets"], a["query_terms"], a["query_weights"], a["query_norms"]),
-        a["report_sims"])
-    return _Index(scope, a["file_ids"], a["report_ids"], (a["fixed_offsets"], a["fixed_columns"]))
+    for scores in (direct, sims):  # min() and max() are NaN when an entry is
+        if len(scores) and not 0.0 <= scores.min() <= scores.max() < np.inf:
+            raise ValueError("ranking index holds a negative, NaN or infinite score")
+    return _Index(rank.TfidfScope(direct.reshape(n_reports, n_files), sims),
+                  a["file_ids"], a["report_ids"], (a["fixed_offsets"], a["fixed_columns"]))
 
 
 def _encode_docvec(vectors: rank.DocVectors, file_ids: list[str], report_ids: list[str],
@@ -488,10 +473,14 @@ class ArtifactCache:
             doc.token_stream = stream
         return True
 
-    def save_token_streams(self) -> None:
-        """Write the index of every document's current ``token_stream``."""
-        self._store("tokens", "",
-                    _encode_streams(doc.token_stream for doc, _ in documents(self.benchmark)))
+    def save_token_streams(self, encoded) -> None:
+        """Write the index of every document's stream from ``encoded``, the
+        :func:`~bugloc.preprocess.encode_streams` arrays of the streams in
+        :func:`~bugloc.preprocess.documents` order, as
+        ``preprocess_benchmark(..., encode=True)`` returns them."""
+        terms, offsets, ids = encoded
+        self._store("tokens", "", _TOKENS.encode({"terms": terms, "offsets": offsets,
+                                                  "ids": ids}))
 
     def artifacts(self, name: str, scopes, loaded) -> rank.Artifacts:
         """The ranking arrays of project ``name`` under each of ``scopes``

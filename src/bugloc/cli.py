@@ -187,9 +187,10 @@ def _loader(settings, benchmark_path, cache=None, project_name=None):
         if cache is not None:
             cache.benchmark = benchmark
         if cache is None or not cache.load_token_streams():
-            preprocess_benchmark(benchmark, settings.preprocess_config())
+            encoded = preprocess_benchmark(benchmark, settings.preprocess_config(),
+                                           encode=cache is not None)
             if cache is not None:
-                cache.save_token_streams()
+                cache.save_token_streams(encoded)
         return benchmark
 
     return loaded

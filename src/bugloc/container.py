@@ -10,7 +10,7 @@ round-trips. A :class:`Layout` is an artifact kind: its header line and the
 
 :mod:`bugloc.cache` keeps every artifact in this layout as
 ``<kind>[_<project>].bin``: ``tokens``, ``index_local`` and ``index_global``
-(file postings, length factors and report vectors), ``index_docvec`` (the
+(a project's direct scores and report cosines), ``index_docvec`` (the
 doc vectors of files and reports, with their norms), ``idf``, and ``dm``
 and ``dbow`` models, which hold only what inference reads (terms, counts,
 ``W``, ``U``, ``b``). The header line is part of each artifact's fingerprint, so a

@@ -278,13 +278,41 @@ def decode_streams(terms, offsets, ids, origins) -> list[TokenStream]:
             for origin, start, end in zip(origins, bounds, bounds[1:])]
 
 
+def merge_encodings(parts) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """:func:`encode_streams` of the streams of every part in order, from
+    each part's own :func:`encode_streams` arrays: the parts' term tables
+    concatenate, each term kept at its first occurrence, and each part's
+    ids map into that table."""
+    table: dict[str, int] = {}
+    offsets, ids, end = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int32)], 0
+    for terms, part_offsets, part_ids in parts:
+        remap = np.fromiter((table.setdefault(term, len(table)) for term in terms), np.int32,
+                            len(terms))
+        ids.append(remap[part_ids])
+        offsets.append(part_offsets[1:] + end)
+        end += int(part_offsets[-1])
+    return list(table), np.concatenate(offsets), np.concatenate(ids)
+
+
 class _Streams(list):
     """A list of token streams that pickles as :func:`encode_streams` of
     them and unpickles through :func:`decode_streams`: a worker sends its
-    streams back as one str per distinct term and an int32 id per token."""
+    streams back as one str per distinct term and an int32 id per token.
+    ``encoded`` holds those arrays, computed on first use, or those it was
+    unpickled from."""
+
+    @cached_property
+    def encoded(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        return encode_streams(self)
+
+    @classmethod
+    def _decoded(cls, terms, offsets, ids, origins) -> _Streams:
+        streams = cls(decode_streams(terms, offsets, ids, origins))
+        streams.encoded = terms, offsets, ids
+        return streams
 
     def __reduce__(self):
-        return decode_streams, (*encode_streams(self), [stream.origin for stream in self])
+        return _Streams._decoded, (*self.encoded, [stream.origin for stream in self])
 
 
 def _chunks(lengths: list[int], workers: int) -> list[tuple[int, int]]:
@@ -298,9 +326,12 @@ def _chunks(lengths: list[int], workers: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def preprocess_benchmark(benchmark, config: PreprocessConfig | None = None) -> None:
+def preprocess_benchmark(benchmark, config: PreprocessConfig | None = None,
+                         encode: bool = False):
     """Fill ``token_stream`` on every document of every project in place,
-    with one :class:`Memo` per worker.
+    with one :class:`Memo` per worker. With ``encode``, return the
+    :func:`encode_streams` arrays of every stream in :func:`documents`
+    order, else None.
 
     A benchmark of at least twice ``_CHARS_PER_WORKER`` characters of text
     is preprocessed on one worker per that many characters, up to one per
@@ -312,7 +343,9 @@ def preprocess_benchmark(benchmark, config: PreprocessConfig | None = None) -> N
     arrays (see :class:`_Streams`) with what it logged, which the caller
     logs in document order. A memo never changes a term, so the streams are
     those of one memo over the whole benchmark. A smaller benchmark, or one
-    on one CPU, is preprocessed in process, and nothing is forked.
+    on one CPU, is preprocessed in process, and nothing is forked. The
+    arrays ``encode`` asks for are merged from the chunks' own, so no
+    child's streams are encoded again.
     """
     config = config or PreprocessConfig()
     docs = list(documents(benchmark))
@@ -332,3 +365,7 @@ def preprocess_benchmark(benchmark, config: PreprocessConfig | None = None) -> N
     for span, streams in zip(spans, chunks):
         for (doc, _), stream in zip(docs[slice(*span)], streams):
             doc.token_stream = stream
+    if not encode:
+        return None
+    return chunks[0].encoded if len(chunks) == 1 else merge_encodings(
+        streams.encoded for streams in chunks)

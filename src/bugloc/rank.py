@@ -36,16 +36,16 @@ vectors) are kept in :class:`BatchScores` by the :class:`Artifacts`, and
 every method that ranks the same rows with the same histories fuses,
 sorts and ranks from them; its :class:`RankedList` refers to them.
 
-- TF.IDF: per scope, a :class:`TfidfScope` holds the files'
-  :class:`~bugloc.tfidf.Postings`, their length factors, the reports'
-  :class:`~bugloc.tfidf.Rows`, the queries, and the cosine of each pair
-  of reports: :func:`build_scope` weighs them from the token streams, or
-  the cache's ranking index holds them (the same float64 arrays). Direct
-  scores are the length factors times ``Postings.cosines``: one
-  ``bincount`` over the bins ``query * n + row`` of the chunk's query
-  spans. The similarities to history reports are looked up in the pair
-  cosines, which ``Postings.cosines`` computed once, against the reports'
-  postings, the same bits in either order of the pair.
+- TF.IDF: per scope, a :class:`TfidfScope` holds the direct score of each
+  (report, file) pair and the cosine of each pair of reports:
+  :func:`build_scope` computes them from the files'
+  :class:`~bugloc.tfidf.Postings` and the reports'
+  :class:`~bugloc.tfidf.Rows` (the length factor times one ``bincount``
+  over the bins ``query * n + row`` of a chunk's query spans), or the
+  cache's ranking index holds them (the same float64 arrays). A batch's
+  direct scores are the stored matrix itself when the batch is every
+  report in row order, as for ``evaluate``, else its rows; the
+  similarities to history reports are looked up in the pair cosines.
 - Doc vectors (:class:`DocVectors`) are inferred in two batches
   (:func:`~bugloc.embedding.combined_matrix`): all of the project's files
   and all of its reports, each once, kept as matrix rows with their norms;
@@ -96,7 +96,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -185,9 +185,10 @@ class RankedList:
     by :meth:`rows`, for output.
 
     ``direct`` and ``indirect`` may be read-only arrays shared with the
-    results of other methods of the same batch (:class:`BatchScores`), or
-    views into them; one query's are a row of the batch's, which stays in
-    memory while the row does. Copy them before editing them.
+    results of other methods of the same batch (:class:`BatchScores`) or
+    with a TF.IDF scope's stored scores, or views into them; one query's
+    are a row of the batch's, which stays in memory while the row does.
+    Copy them before editing them.
     """
 
     query_bug_id: str | list[str]
@@ -253,25 +254,23 @@ def _streams(docs) -> list:
 
 
 class TfidfScope:
-    """A project's TF.IDF arrays under one vocabulary: what ranking reads.
+    """A project's TF.IDF scores under one vocabulary: what ranking reads.
 
-    ``files`` holds the file postings (rows in path order),
-    ``length_weights`` the rVSM logistic factor of each file and
-    ``queries`` the reports' rows. ``report_sims`` holds the cosine of each
-    pair of reports once: the lower triangle of the reports × reports
-    matrix, diagonal included, row by row in one flat array, so the pair
-    (i, j) sits at ``hi * (hi + 1) // 2 + lo``; :meth:`report_cosines`
-    reads it. It is given (the cache's ranking index holds it) or computed
-    when history is first ranked or the scope is stored, so a direct-only
-    method without a cache never computes it.
+    ``direct`` holds the rVSM score of each report (a row) against each file
+    (a column, in path order). ``report_sims`` holds the cosine of each pair
+    of reports once: the lower triangle of the reports × reports matrix,
+    diagonal included, row by row in one flat array, so the pair (i, j) sits
+    at ``hi * (hi + 1) // 2 + lo``; :meth:`report_cosines` reads it. It is
+    given (the cache's ranking index holds it) or computed by a function of
+    no argument when history is first ranked or the scope is stored, so a
+    direct-only method without a cache never computes it.
     """
 
-    def __init__(self, files: tfidf.Postings, length_weights: np.ndarray,
-                 queries: tfidf.Rows, report_sims: np.ndarray | None = None):
-        self.files = files
-        self.length_weights = length_weights
-        self.queries = queries
-        if report_sims is not None:  # else computed on first use
+    def __init__(self, direct: np.ndarray, report_sims):
+        self.direct = direct
+        if callable(report_sims):  # computed on first use
+            self._pairs = report_sims
+        else:
             self.report_sims = report_sims
 
     @staticmethod
@@ -281,25 +280,8 @@ class TfidfScope:
 
     @cached_property
     def report_sims(self) -> np.ndarray:
-        """``Postings.cosines`` of each report against the reports' postings,
-        the columns up to the report kept, into one array. Each bin adds its
-        products as ``cosine`` does, whichever other pairs are computed, and
-        ``cosine`` is the same bit for bit under argument swap, so one entry
-        serves both orders. The rows go in chunks of as many rows as a
-        batch's (about ``_CHUNK_SCORES`` pairs, counting files and reports),
-        so the working arrays stay the size of a chunk's."""
-        queries = self.queries
-        n = len(queries.norms)
-        reports = tfidf.Postings.from_rows(queries, self.files.n_terms)
-        sims = np.empty(self.n_pairs(n))
-        columns = np.arange(n)
-        step = max(1, _CHUNK_SCORES // max(len(self.files) + n, 1))
-        for start in range(0, n, step):
-            rows = columns[start:start + step]
-            # row by row, the columns up to the row: the triangle's order
-            sims[self.n_pairs(start):self.n_pairs(rows[-1] + 1)] = \
-                reports.cosines(queries, rows)[columns <= rows[:, None]]
-        sims.flags.writeable = False
+        sims = self._pairs()
+        del self._pairs  # and the report vectors it holds
         return sims
 
     def report_cosines(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -310,11 +292,27 @@ class TfidfScope:
 
     @classmethod
     def unranked(cls, n_files: int) -> TfidfScope:
-        """The scope of a project with no reports, which nothing ranks: no
-        term, and ``n_files`` files of norm 0."""
-        none, zeros = np.zeros(0, dtype=np.intp), np.zeros(n_files)
-        return cls(tfidf.Postings(none, np.zeros(0), np.zeros(1, dtype=np.intp), zeros), zeros,
-                   tfidf.Rows(np.zeros(1, dtype=np.intp), none, np.zeros(0), np.zeros(0)))
+        """The scope of a project with no reports, which nothing ranks."""
+        return cls(np.zeros((0, n_files)), np.zeros(0))
+
+
+def _report_sims(queries: tfidf.Rows, n_terms: int, step: int) -> np.ndarray:
+    """``Postings.cosines`` of each report against the reports' postings,
+    ``step`` rows at a time, the columns up to the row kept. Each bin adds
+    its products as ``cosine`` does, whichever other pairs are computed, and
+    ``cosine`` is the same bit for bit under argument swap, so one entry
+    serves both orders."""
+    n = len(queries.norms)
+    reports = tfidf.Postings.from_rows(queries, n_terms)
+    sims = np.empty(TfidfScope.n_pairs(n))
+    columns = np.arange(n)
+    for start in range(0, n, step):
+        rows = columns[start:start + step]
+        # row by row, the columns up to the row: the triangle's order
+        sims[TfidfScope.n_pairs(start):TfidfScope.n_pairs(rows[-1] + 1)] = \
+            reports.cosines(queries, rows)[columns <= rows[:, None]]
+    sims.flags.writeable = False
+    return sims
 
 
 def _path_order(project: Project) -> list:
@@ -323,9 +321,12 @@ def _path_order(project: Project) -> list:
 
 
 def build_scope(project: Project, vocab: tfidf.Vocabulary | None = None) -> TfidfScope:
-    """The project's TF.IDF arrays under ``vocab``, by default the local
+    """The project's TF.IDF scores under ``vocab``, by default the local
     vocabulary of its source files, weighed from its token streams; for a
-    project without reports, which nothing ranks, the unranked scope."""
+    project without reports, which nothing ranks, the unranked scope. The
+    direct scores are the length factors times ``Postings.cosines``, in
+    chunks of rows as a batch is scored; a row of ``Postings.cosines`` is
+    the same whichever rows are asked with it."""
     if not project.has_queries:
         return TfidfScope.unranked(len(project.source_files))
     streams = _streams(project.source_files)
@@ -333,9 +334,17 @@ def build_scope(project: Project, vocab: tfidf.Vocabulary | None = None) -> Tfid
         vocab = tfidf.build_vocabulary(streams)
     normalizer = tfidf.LengthNormalizer.from_counts(map(len, streams))
     ordered = _streams(_path_order(project))
-    return TfidfScope(tfidf.Postings.from_rows(tfidf.weigh(ordered, vocab), len(vocab)),
-                      np.array([tfidf.length_weight(len(s), normalizer) for s in ordered]),
-                      tfidf.weigh(_streams(project.bug_reports), vocab))
+    files = tfidf.Postings.from_rows(tfidf.weigh(ordered, vocab), len(vocab))
+    length_weights = np.array([tfidf.length_weight(len(s), normalizer) for s in ordered])
+    queries = tfidf.weigh(_streams(project.bug_reports), vocab)
+    rows = np.arange(len(queries.norms))
+    step = max(1, _CHUNK_SCORES // (len(files) + len(rows)))
+    direct = np.empty((len(rows), len(files)))
+    for start in range(0, len(rows), step):
+        direct[start:start + step] = length_weights * files.cosines(queries,
+                                                                    rows[start:start + step])
+    direct.flags.writeable = False
+    return TfidfScope(direct, partial(_report_sims, queries, len(vocab), step))
 
 
 class DocVectors(NamedTuple):
@@ -487,8 +496,8 @@ def fuse(direct: np.ndarray, indirect: np.ndarray, w1: float, w2: float) -> np.n
 # localize scores a batch in chunks of about this many (query, document)
 # pairs, documents being the project's files and reports (the direct scores
 # and the history similarities), so that a chunk's working arrays stay
-# cache-sized and memory does not grow with the number of queries; a TF.IDF
-# scope computes its report cosines in chunks of as many rows
+# cache-sized and memory does not grow with the number of queries;
+# build_scope computes a TF.IDF scope's scores in chunks of as many rows
 _CHUNK_SCORES = 1 << 14
 
 
@@ -535,11 +544,8 @@ def _arrays(artifacts: Artifacts, kind: str):
 
 
 def _direct_scores(rows: np.ndarray, kind: str, artifacts: Artifacts) -> np.ndarray:
-    """Direct scores of the project's reports ``rows`` (one score row each)
-    against every file, under one model: a TF.IDF scope or the doc vectors."""
-    if kind in _TFIDF_SCOPES:
-        data = _arrays(artifacts, kind)
-        return data.length_weights * data.files.cosines(data.queries, rows)
+    """Doc-vector direct scores of the project's reports ``rows`` (one score
+    row each) against every file; a TF.IDF scope stores its own."""
     if kind != DOC2VEC_GLOBAL:
         raise ValueError(f"unknown direct model {kind!r}")
     vectors = _arrays(artifacts, kind)
@@ -578,7 +584,8 @@ def _history_sims(rows: np.ndarray, history: Histories, kind: str,
 class BatchScores:
     """The direct and history-bridged scores of one batch of queries (report
     ``rows``, each with its span of ``history``), one array per model kind,
-    each computed on first use, in chunks, and kept for the methods that
+    each computed on first use, in chunks (or, for a TF.IDF scope's direct
+    scores, read from its stored matrix), and kept for the methods that
     rank the same batch until :meth:`keep` drops it. Every method's
     :class:`RankedList` of the batch refers to these arrays, so they are
     read-only. Method 7's combined maps are derived from the TF.IDF-global
@@ -636,12 +643,21 @@ class BatchScores:
         return self._chunked(lambda c: _combined(lexical[c], semantic[c]))
 
     def direct(self, kind: str, artifacts: Artifacts) -> np.ndarray:
+        """Direct scores: a TF.IDF scope's stored matrix itself for the batch
+        of every report in row order, else that matrix's rows."""
         if kind == COMBINED_GLOBAL:
             return self._combine(self.direct, self._direct, artifacts)
-        if kind not in self._direct:
-            self._direct[kind] = self._chunked(
-                lambda c: _direct_scores(self.rows[c], kind, artifacts))
-        return self._direct[kind]
+        if kind in self._direct:
+            return self._direct[kind]
+        if kind not in _TFIDF_SCOPES:
+            scores = self._chunked(lambda c: _direct_scores(self.rows[c], kind, artifacts))
+        else:
+            scores = _arrays(artifacts, kind).direct
+            if not np.array_equal(self.rows, np.arange(len(scores))):
+                scores = scores[self.rows]
+                scores.flags.writeable = False
+        self._direct[kind] = scores
+        return scores
 
     def indirect(self, kind: str, artifacts: Artifacts) -> np.ndarray:
         """History-bridged scores; an empty history yields a row of zeros."""

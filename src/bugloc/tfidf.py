@@ -14,8 +14,8 @@ a bounded boost:
 ``N`` is min-max normalization of raw term counts over the file corpus
 being ranked.
 
-Ranking reads token streams as :class:`Rows` (:func:`weigh`) and scores
-them with :class:`Postings`. :func:`vectorize`, :func:`cosine` and
+A project's ranking scores are built from its token streams, read as
+:class:`Rows` (:func:`weigh`) and scored with :class:`Postings`. :func:`vectorize`, :func:`cosine` and
 :func:`rvsm` are the per-document reference API that both reproduce bit for
 bit.
 """
@@ -298,10 +298,6 @@ class Postings:
         return cls(owner[order], rows.weights[order],
                    np.concatenate(([0], np.cumsum(np.bincount(rows.terms, minlength=n_terms)))),
                    rows.norms)
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.offsets) - 1
 
     def __len__(self) -> int:
         return len(self.norms)

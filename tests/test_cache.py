@@ -52,9 +52,9 @@ def preprocess_calls(monkeypatch):
     """Records every call the CLI makes to preprocess_benchmark."""
     calls = []
 
-    def counted(benchmark, config=None):
+    def counted(benchmark, config=None, **kwargs):
         calls.append(config)
-        return preprocess_benchmark(benchmark, config)
+        return preprocess_benchmark(benchmark, config, **kwargs)
 
     monkeypatch.setattr(cli, "preprocess_benchmark", counted)
     return calls
@@ -450,11 +450,10 @@ class TestRankingIndex:
         localize(bench, tmp_path / "c")  # the rebuilt index is used again
         assert len(load_calls) == 3
 
-    @pytest.mark.parametrize("flaw", ["query_term_out_of_range", "offsets_decrease",
-                                      "row_out_of_range", "short_length_weights",
-                                      "fixed_column_out_of_range",
+    @pytest.mark.parametrize("flaw", ["fixed_column_out_of_range",
                                       "fixed_offsets_wrong_length",
-                                      "report_sims_wrong_length"])
+                                      "report_sims_wrong_length", "direct_wrong_length",
+                                      "direct_nan", "report_sim_negative"])
     def test_resealed_index_of_bad_structure_rebuilt_with_warning(self, bench, tmp_path,
                                                                   caplog, flaw):
         train(bench, tmp_path / "c")
@@ -465,29 +464,21 @@ class TestRankingIndex:
         artifacts = indexed(cache, "global")
         scope = artifacts.scopes["global"]
         fixed_offsets, fixed_columns = artifacts.fixed
-        files = scope.files
-        terms, rows, offsets = (scope.queries.terms.copy(), files.rows.copy(),
-                                files.offsets.copy())
-        length_weights, report_sims = scope.length_weights, scope.report_sims
-        if flaw == "query_term_out_of_range":
-            terms[0] = files.n_terms
-        elif flaw == "offsets_decrease":
-            step = np.flatnonzero(np.diff(offsets))[0]
-            offsets[step + 1] = offsets[step] - 1
-        elif flaw == "row_out_of_range":
-            rows[0] = len(files)
-        elif flaw == "fixed_column_out_of_range":
+        direct, report_sims = scope.direct.copy(), scope.report_sims.copy()
+        if flaw == "fixed_column_out_of_range":
             fixed_columns = fixed_columns.copy()
-            fixed_columns[0] = len(files)
+            fixed_columns[0] = len(artifacts.file_ids)
         elif flaw == "fixed_offsets_wrong_length":
             fixed_offsets = fixed_offsets[:-1]
         elif flaw == "report_sims_wrong_length":  # one pair short of the triangle
             report_sims = report_sims[:-1]
+        elif flaw == "direct_wrong_length":  # one file short of the last report's row
+            direct = direct.ravel()[:-1]
+        elif flaw == "direct_nan":
+            direct[1, 2] = np.nan
         else:
-            length_weights = length_weights[:-1]
-        bad = rank.TfidfScope(
-            tfidf.Postings(rows, files.weights, offsets, files.norms), length_weights,
-            scope.queries._replace(terms=terms), report_sims)
+            report_sims[3] = -report_sims[3] or -1e-300
+        bad = rank.TfidfScope(direct, report_sims)
         artifact.write_bytes(b"".join(cache_module._encode_index(
             bad, artifacts.file_ids, artifacts.report_ids, fixed_offsets, fixed_columns)))
         reseal(artifact)
@@ -610,14 +601,10 @@ class TestRankingIndex:
         built = cache.artifacts("proj1", {"local"}, lambda: benchmark).scopes["local"]
         reloaded = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig())
         loaded = indexed(reloaded, "local").scopes["local"]
-        for name in ("rows", "weights", "offsets", "norms"):
-            want, got = getattr(built.files, name), getattr(loaded.files, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert np.array_equal(loaded.length_weights, built.length_weights)
-        for want, got in zip(built.queries, loaded.queries):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        want, got = built.report_sims, loaded.report_sims
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        for name in ("direct", "report_sims"):
+            want, got = getattr(built, name), getattr(loaded, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want) and not got.flags.writeable
 
     def test_stored_report_sims_are_the_cosines_in_either_order(self, synth_benchmark,
                                                                  tmp_path):
@@ -647,6 +634,41 @@ class TestRankingIndex:
             assert np.count_nonzero(np.tril(cosines, -1))
             a, b = np.indices((n, n)).reshape(2, -1)
             assert np.array_equal(data.report_cosines(a, b), cosines.ravel())
+
+    def test_stored_direct_scores_are_the_reference_rvsm(self, synth_benchmark, tmp_path):
+        """Each stored direct score is ``tfidf.rvsm`` of its report and file,
+        bit for bit, under either scope."""
+        root, benchmark, _ = synth_benchmark
+        project = benchmark.project("proj1")
+        cache = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig())
+        cache.artifacts("proj1", {"local", "global"}, lambda: benchmark)
+        stored = indexed(ArtifactCache(tmp_path / "c", root, PreprocessConfig()),
+                         "local", "global")
+        files = sorted(project.source_files, key=lambda f: f.id)
+        assert stored.file_ids == [f.id for f in files]
+        normalizer = tfidf.LengthNormalizer.from_counts(len(f.token_stream) for f in files)
+        vocabs = {"local": tfidf.build_vocabulary(f.token_stream for f in project.source_files),
+                  "global": cache.global_vocabulary("proj1")}
+        for scope, vocab in vocabs.items():
+            direct = stored.scopes[scope].direct
+            reports = [tfidf.vectorize(r.token_stream, vocab) for r in project.bug_reports]
+            vectors = [tfidf.vectorize(f.token_stream, vocab) for f in files]
+            assert direct.shape == (len(reports), len(vectors))
+            for i, report in enumerate(reports):
+                for j, vector in enumerate(vectors):
+                    assert direct[i, j] == tfidf.rvsm(report, vector, normalizer)
+            assert np.count_nonzero(direct)
+
+    def test_local_and_global_indexes_are_of_one_size(self, synth_benchmark, tmp_path):
+        """An index holds scores only, whatever its vocabulary."""
+        root, _, _ = synth_benchmark
+        train(root, tmp_path / "c")
+        run("evaluate", "--benchmark", root, "--methods", "1,2", "--cache", tmp_path / "c",
+            "--out", tmp_path / "out")
+        for name in ("proj1", "proj2", "proj3"):
+            local, global_ = (tmp_path / "c" / f"index_{scope}_{name}.bin"
+                              for scope in ("local", "global"))
+            assert local.stat().st_size == global_.stat().st_size
 
 
 class TestCorpusRecord:
@@ -979,14 +1001,13 @@ class TestHitsReadNoBenchmarkFile:
             found = [*artifacts.fixed, artifacts.fixed_counts, *artifacts.doc_vectors]
             for scope in ("local", "global"):
                 data = artifacts.scopes[scope]
-                files = data.files
-                found += [files.rows, files.weights, files.offsets, files.norms,
-                          data.length_weights, *data.queries, data.report_sims]
+                found += [data.direct, data.report_sims]
             return found
 
-        assert len(arrays(hit)) == len(arrays(cold)) == 27
+        assert len(arrays(hit)) == len(arrays(cold)) == 11
         for got, want in zip(arrays(hit), arrays(cold)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
         offsets, columns = hit.fixed
         assert [(rid, {hit.file_ids[c] for c in columns[a:b]})
                 for rid, a, b in zip(hit.report_ids, offsets, offsets[1:])] == \
@@ -1035,13 +1056,28 @@ def test_train_global_artifacts_match_golden_digests(synth_benchmark, tmp_path):
     assert preprocess.PIPELINE_VERSION == 1
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_token_index_merged_from_worker_chunks_matches_golden_digest(synth_benchmark, tmp_path,
+                                                                     monkeypatch, workers):
+    """Preprocessed in chunks on forked workers, the token-stream index is
+    merged from the chunks' own encodings to the bytes of one pass."""
+    root, _, _ = synth_benchmark
+    monkeypatch.setattr(pool, "cpu_count", lambda: workers)
+    monkeypatch.setattr(preprocess, "_CHARS_PER_WORKER", 1)
+    train(root, tmp_path / "c")
+    assert hashlib.sha256((tmp_path / "c" / "tokens.bin").read_bytes()).hexdigest() == \
+        GOLDEN["tokens.bin"]
+
+
 # sha256 of the ranking indexes and metrics that `evaluate --methods 1,2,3,4`
 # writes for the default synthetic benchmark on a cache trained as above.
 # Every float is added in a fixed order, without sum(), so these hold on every
-# Python version.
+# Python version. The two index digests are of layout bugloc-index v6, which
+# stores each report's direct scores instead of postings and report vectors;
+# the outputs' digests are those of v5.
 GOLDEN_EVALUATE = {
-    "c/index_local_proj1.bin": "4b7834121a158e2126d9baae09283cf369716b23995d87264bac96c8cfd3c741",
-    "c/index_global_proj1.bin": "f497eca0e4386bbb32d501e4cfb418ad9421752eaae4481b95d17af4375fb361",
+    "c/index_local_proj1.bin": "d2b6322753a0f49781206721e29f622a64f18c7c598e787165b8bfd14ea6b010",
+    "c/index_global_proj1.bin": "8462c1e98b69e399bc5af8fac540cfaea85082716b73608009a20061300b448f",
     "out/metrics.csv": "3e9f404e3f6ed7b313e46fc1f176ef5b927f45f1e775c9d6a1cbc81eb2a3fc18",
     "out/per_query.csv": "42a5494c9be21ee50e0c77ac91c3dde528d2bea9a0d49220240703e21daf04cf",
 }
@@ -1254,7 +1290,9 @@ def test_evaluate_frees_the_scores_no_later_method_ranks_with(synth_benchmark, t
     localize = rank.localize
 
     def recording(*args, **kwargs):
-        alive.append([ref() is not None for ref in refs])
+        stored = [scope.direct for scope in args[0].scopes.values()]
+        alive.append(["stored" if any(ref() is s for s in stored) else ref() is not None
+                      for ref in refs])
         ranked = localize(*args, **kwargs)
         refs.extend((weakref.ref(ranked.direct), weakref.ref(ranked.indirect)))
         return ranked
@@ -1266,8 +1304,10 @@ def test_evaluate_frees_the_scores_no_later_method_ranks_with(synth_benchmark, t
             "--cache", tmp_path / "c", "--out", tmp_path / "out")
     finally:
         gc.enable()
-    # method 3 ranks with method 1's direct scores, method 4 with neither's
-    assert alive == [[], [True, False], [False] * 4]
+    # method 3 ranks with method 1's direct scores, method 4 with neither's:
+    # those are the local index's stored scores, which live as long as the
+    # project's arrays, and method 3's history-bridged scores are freed
+    assert alive == [[], ["stored", False], ["stored", False, "stored", False]]
 
 
 class TestDocVectorIndex:

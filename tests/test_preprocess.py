@@ -5,6 +5,7 @@ import os
 import pickle
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -292,15 +293,32 @@ def streams_of(benchmark):
                        st.lists(st.one_of(_texts, st.text(max_size=60)), max_size=6),
                        min_size=1))
 def test_chunks_on_two_workers_give_the_streams_of_one(texts_by_project):
-    streams = {}
-    for n in (1, 2):
+    streams, encoded = {}, {}
+    for n in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
             workers(mp, n)
             benchmark = benchmark_of(texts_by_project)
-            preprocess_benchmark(benchmark, CONFIG)
+            encoded[n] = preprocess_benchmark(benchmark, CONFIG, encode=True)
         streams[n] = streams_of(benchmark)
-    assert streams[1] == streams[2]
+    assert streams[1] == streams[2] == streams[3]
+    terms, offsets, ids = preprocess_module.encode_streams(streams[1])
+    for n, (got_terms, got_offsets, got_ids) in encoded.items():
+        # merged from the chunks' own arrays, the index of one pass
+        assert got_terms == terms, n
+        assert got_offsets.tolist() == offsets.tolist() and got_ids.tolist() == ids.tolist(), n
     assert multiprocessing.active_children() == []
+
+
+def test_merged_encodings_are_the_encoding_of_every_part():
+    parts = [[TokenStream(("get", "user"), SOURCE_FILE), TokenStream((), BUG_REPORT)],
+             [], [TokenStream(("run", "user", "x1"), SOURCE_FILE)],
+             [TokenStream(("get",), BUG_REPORT), TokenStream(("x1", "é"), SOURCE_FILE)]]
+    terms, offsets, ids = preprocess_module.merge_encodings(
+        preprocess_module.encode_streams(part) for part in parts)
+    want = preprocess_module.encode_streams([s for part in parts for s in part])
+    assert terms == want[0] == ["get", "user", "run", "x1", "é"]
+    assert offsets.dtype == np.int64 and offsets.tolist() == want[1].tolist()
+    assert ids.dtype == np.int32 and ids.tolist() == want[2].tolist()
 
 
 def test_worker_warnings_reach_the_caller_once_in_document_order(monkeypatch, caplog,

@@ -811,9 +811,10 @@ class TestSharedBatchScores:
                          history=project_histories(artifacts, policy))
             chunks = -(-len(rows) // 3)
             kinds = (rank.TFIDF_LOCAL, rank.TFIDF_GLOBAL, rank.DOC2VEC_GLOBAL)
-            assert sorted(calls) == sorted((name, kind) for name in ("_direct_scores",
-                                                                     "_history_sims")
-                                           for kind in kinds for _ in range(chunks))
+            # a TF.IDF scope's direct scores are stored, not computed per chunk
+            assert sorted(calls) == sorted(
+                [("_direct_scores", rank.DOC2VEC_GLOBAL)] * chunks
+                + [("_history_sims", kind) for kind in kinds for _ in range(chunks)])
 
     @pytest.mark.parametrize("policy", ["earlier", "all"])
     def test_methods_rank_alongside_others_as_alone(self, setting, policy):
@@ -854,10 +855,16 @@ class TestSharedBatchScores:
         rows = np.arange(len(artifacts.report_ids))
         configs = [MethodConfig.from_id(m) for m in (3, 4, 6, 7)]
         refs, ranked_alone, alive = {}, {}, {}
+        stored = [scope.direct for scope in artifacts.scopes.values()]
+
+        def state(ref):
+            """Whether the array is alive, or "stored" for a TF.IDF scope's
+            direct scores, which live as long as the artifacts."""
+            array = ref()
+            return "stored" if any(array is s for s in stored) else array is not None
 
         def states():
-            return {m: (direct() is not None, indirect() is not None)
-                    for m, (direct, indirect) in refs.items()}
+            return {m: (state(direct), state(indirect)) for m, (direct, indirect) in refs.items()}
 
         gc.disable()
         try:
@@ -870,12 +877,14 @@ class TestSharedBatchScores:
                 alive[config.method_id] = states()
         finally:
             gc.enable()
-        assert alive[3] == {3: (False, False)}  # no later method ranks with local TF.IDF
-        assert alive[4] == {3: (False, False), 4: (True, True)}
-        assert alive[6] == {3: (False, False), 4: (True, True), 6: (True, True)}
+        # no later method ranks with local TF.IDF: what the batch computed is freed
+        assert alive[3] == {3: ("stored", False)}
+        assert alive[4] == {3: ("stored", False), 4: ("stored", True)}
+        assert alive[6] == {3: ("stored", False), 4: ("stored", True), 6: ("stored", True)}
         # method 7's combined maps are its own, freed with its result, and it
         # drops the TF.IDF-global and doc-vector arrays once it has combined them
-        assert ranked_alone[7] == alive[7] == dict.fromkeys((3, 4, 6, 7), (False, False))
+        assert ranked_alone[7] == alive[7] == {**dict.fromkeys((3, 4, 6), ("stored", False)),
+                                               7: (False, False)}
 
     def test_another_batch_is_scored_anew(self, setting):
         shared = self.fresh(setting)
