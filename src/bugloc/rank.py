@@ -297,9 +297,10 @@ class TfidfScope:
 
 
 def _report_sims(queries: tfidf.Rows, n_terms: int, step: int) -> np.ndarray:
-    """``Postings.cosines`` of each report against the reports' postings,
-    ``step`` rows at a time, the columns up to the row kept. Each bin adds
-    its products as ``cosine`` does, whichever other pairs are computed, and
+    """``Postings.cosines`` of each report against the postings of the
+    reports up to it, ``step`` rows at a time: each chunk against the reports
+    up to its last row, the columns up to the row kept. Each bin adds its
+    products as ``cosine`` does, whichever other pairs are computed, and
     ``cosine`` is the same bit for bit under argument swap, so one entry
     serves both orders."""
     n = len(queries.norms)
@@ -308,9 +309,10 @@ def _report_sims(queries: tfidf.Rows, n_terms: int, step: int) -> np.ndarray:
     columns = np.arange(n)
     for start in range(0, n, step):
         rows = columns[start:start + step]
+        stop = rows[-1] + 1
         # row by row, the columns up to the row: the triangle's order
-        sims[TfidfScope.n_pairs(start):TfidfScope.n_pairs(rows[-1] + 1)] = \
-            reports.cosines(queries, rows)[columns <= rows[:, None]]
+        sims[TfidfScope.n_pairs(start):TfidfScope.n_pairs(stop)] = \
+            reports.cosines(queries, rows, stop)[columns[:stop] <= rows[:, None]]
     sims.flags.writeable = False
     return sims
 

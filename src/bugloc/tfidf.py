@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -215,12 +216,14 @@ def rvsm(bug: TfIdfVector, file: TfIdfVector, norm: LengthNormalizer) -> float:
     return length_weight(file.term_count, norm) * cosine(bug, file)
 
 
-def span_indices(offsets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def span_indices(offsets: np.ndarray, ids: np.ndarray,
+                 ends: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the spans ``offsets[i]:offsets[i + 1]`` for each ``i`` in
-    ``ids``, concatenated in the order of ``ids``, and for each position the
-    index into ``ids`` of the span it came from."""
+    ``ids`` (or ``offsets[i]:ends[k]`` for ``ids[k]``, given ``ends``),
+    concatenated in the order of ``ids``, and for each position the index
+    into ``ids`` of the span it came from."""
     starts = offsets[ids]
-    counts = offsets[ids + 1] - starts
+    counts = (offsets[ids + 1] if ends is None else ends) - starts
     owner = np.repeat(np.arange(len(ids)), counts)
     shift = starts - (np.cumsum(counts) - counts)
     return np.arange(len(owner)) + shift[owner], owner
@@ -302,22 +305,36 @@ class Postings:
     def __len__(self) -> int:
         return len(self.norms)
 
-    def cosines(self, queries: Rows, asked: np.ndarray) -> np.ndarray:
-        """``cosine(query, row)`` for every row, in row order, of each query
-        ``asked`` holds: one result row per entry of ``asked``, an index into
-        ``queries``."""
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """``term * len(self) + row`` of each posting: ascending, as the terms
+        ascend and each term's rows do."""
+        return np.repeat(np.arange(len(self.offsets) - 1) * len(self),
+                         np.diff(self.offsets)) + self.rows
+
+    def cosines(self, queries: Rows, asked: np.ndarray, below: int | None = None) -> np.ndarray:
+        """``cosine(query, row)`` for every row below ``below`` (every row by
+        default), in row order, of each query ``asked`` holds: one result
+        row per entry of ``asked``, an index into ``queries``. The rows below
+        ``below`` are a prefix of each term's postings, and leaving the others
+        out moves no product within a bin, so each score is the same."""
         offsets, terms, weights, norms = queries
-        n = len(self)
+        n = len(self) if below is None else below
         spans, query_of = span_indices(offsets, asked)
-        idx, owner = span_indices(self.offsets, terms[spans])
+        asked_terms = terms[spans]
+        ends = (None if below is None
+                else np.searchsorted(self._keys, asked_terms * len(self) + below))
+        idx, owner = span_indices(self.offsets, asked_terms, ends)
         dots = np.bincount(query_of[owner] * n + self.rows[idx],
                            weights=weights[spans][owner] * self.weights[idx],
                            minlength=len(asked) * n).reshape(len(asked), n)
         norms = norms[asked]
+        kept = np.searchsorted(self._scored, n)
+        scored, scored_norms = self._scored[:kept], self._scored_norms[:kept]
         out = np.zeros((len(asked), n))
-        out[:, self._scored] = np.divide(
-            dots[:, self._scored], np.outer(norms, self._scored_norms),
-            out=np.zeros((len(asked), len(self._scored))), where=(norms != 0.0)[:, None])
+        out[:, scored] = np.divide(
+            dots[:, scored], np.outer(norms, scored_norms),
+            out=np.zeros((len(asked), len(scored))), where=(norms != 0.0)[:, None])
         return out
 
 

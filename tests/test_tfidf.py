@@ -201,15 +201,19 @@ _query_tokens = st.lists(st.sampled_from("abcdexy"), max_size=12)
 def test_weigh_and_postings_match_the_reference(files, queries):
     """``weigh`` gives each stream's ``vectorize`` terms, ascending, their
     weights and ``norm()``, and the postings of its rows score every
-    (query, row) pair as ``cosine`` does, all bit for bit."""
+    (query, row) pair as ``cosine`` does, all bit for bit, also when asked
+    only for the rows below a bound."""
     vocab = build_vocabulary([stream(*tokens) for tokens in files])
     docs = [stream(*tokens) for tokens in files]
     asked = [stream(*tokens, origin="bug_report") for tokens in queries]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows, query_rows = weigh(docs, vocab), weigh(asked, vocab)
-        scores = Postings.from_rows(rows, len(vocab)).cosines(query_rows,
-                                                              np.arange(len(asked)))
+        postings = Postings.from_rows(rows, len(vocab))
+        scores = postings.cosines(query_rows, np.arange(len(asked)))
+        for below in range(len(docs) + 1):
+            assert postings.cosines(query_rows, np.arange(len(asked)), below).tolist() == \
+                scores[:, :below].tolist()
     vectors = [vectorize(doc, vocab) for doc in docs]
     query_vectors = [vectorize(doc, vocab) for doc in asked]
     for got, want in ((rows, vectors), (query_rows, query_vectors)):
