@@ -14,16 +14,23 @@ Artifacts, one file ``<kind>[_<project>].bin`` each in the cache directory:
 - ``index_local_<project>.bin``, ``index_global_<project>.bin``: the
   project's TF.IDF scores under that scope
   (:class:`~bugloc.rank.TfidfScope`: the direct score of each report
-  against each file, R×F float64 values, and the cosine of each pair of
-  reports, the R(R+1)/2 float64 values of a triangle), its file and report
-  ids and each report's fixed-file columns. Ranking reads nothing else, so
-  an index costs (R×F + R(R+1)/2) × 8 bytes plus its ids, whatever the
-  vocabulary, and the two scopes' indexes are of one size;
+  against each file, R×F float64 values, the cosine of each pair of
+  reports, the R(R+1)/2 float64 values of a triangle, and each report's
+  history-bridged scores under the default policy, R×F float64 values),
+  its file and report ids and each report's fixed-file columns. Ranking
+  reads nothing else, so an index costs (2·R×F + R(R+1)/2) × 8 bytes plus
+  its ids, whatever the vocabulary, and the two scopes' indexes are of one
+  size;
 - ``index_docvec_<project>.bin``: the project's doc-vector index, the
   combined DM+DBOW vectors of its files and of its reports with their norms
-  (:class:`~bugloc.rank.DocVectors`), and the same ids and fixed-file
-  columns. Its fingerprint also holds the inference epochs, ``None``
-  resolved to the configured training epochs.
+  and the reports' history-bridged scores under the default policy, R×F
+  float64 values (:class:`~bugloc.rank.DocVectors`), and the same ids and
+  fixed-file columns. Its fingerprint also holds the inference epochs,
+  ``None`` resolved to the configured training epochs.
+
+The bridged scores of both kinds are :func:`~bugloc.rank.earlier_scores`,
+computed when the index is built by the kernel every call bridges with, so
+a call under the default policy reads them and bridges nothing.
 
 The first ``localize`` or ``evaluate`` that ranks with a scope (``local``,
 ``global`` or ``docvec``) builds its index; ``train-global`` builds none.
@@ -197,16 +204,18 @@ _TOKENS = container.Layout(b"bugloc-tokens v2\n",
 # of ascending file columns, file ids in path order and report ids in row order.
 _PROJECT = [("fixed_offsets", "i8"), ("fixed_columns", "i8"),
             ("file_ids", container.STR), ("report_ids", container.STR)]
-# A TF.IDF ranking index: a scope's two score arrays (the reports × files
-# direct scores, stored flat row by row, and the triangle of report
-# cosines), then the project's.
-_INDEX = container.Layout(b"bugloc-index v6\n",
-                          [("direct", "f8"), ("report_sims", "f8"), *_PROJECT])
+# A TF.IDF ranking index: a scope's three score arrays (the reports × files
+# direct scores, stored flat row by row, the triangle of report cosines and
+# the reports × files history-bridged scores of the default policy), then
+# the project's.
+_INDEX = container.Layout(b"bugloc-index v7\n", [
+    ("direct", "f8"), ("report_sims", "f8"), ("earlier", "f8"), *_PROJECT])
 # A doc-vector index: the file and report vectors (rows of 2d values, stored
-# flat) with their norms, then the project's arrays.
-_DOCVEC = container.Layout(b"bugloc-docvec v1\n", [
+# flat) with their norms, the reports × files history-bridged scores of the
+# default policy, then the project's arrays.
+_DOCVEC = container.Layout(b"bugloc-docvec v2\n", [
     ("file_vectors", "f8"), ("file_norms", "f8"), ("report_vectors", "f8"),
-    ("report_norms", "f8"), *_PROJECT])
+    ("report_norms", "f8"), ("earlier", "f8"), *_PROJECT])
 
 
 def _decode_streams(data: bytes, origins: list[str]) -> list[TokenStream]:
@@ -239,7 +248,7 @@ def _encode_index(scope: rank.TfidfScope, file_ids: list[str], report_ids: list[
                   fixed_offsets: np.ndarray, fixed_columns: np.ndarray) -> list:
     """The index of a scope, as the buffers to write in order."""
     return _INDEX.encode({
-        "direct": scope.direct, "report_sims": scope.report_sims,
+        "direct": scope.direct, "report_sims": scope.report_sims, "earlier": scope.earlier,
         "fixed_offsets": fixed_offsets, "fixed_columns": fixed_columns,
         "file_ids": file_ids, "report_ids": report_ids,
     })
@@ -259,16 +268,18 @@ def _project_arrays(a: dict) -> tuple[int, int]:
 def _decode_index(data: bytes) -> _Index:
     """What a verified index holds. The arrays are read-only views of
     ``data``. Every score is finite and not negative, as rVSM weights and
-    cosines are."""
+    cosines, and so the sums of cosines that bridge history, are."""
     a = _INDEX.decode(data)
     n_files, n_reports = _project_arrays(a)
-    direct, sims = a["direct"], a["report_sims"]
-    if len(direct) != n_reports * n_files or len(sims) != rank.TfidfScope.n_pairs(n_reports):
+    direct, sims, earlier = a["direct"], a["report_sims"], a["earlier"]
+    if (len(direct) != n_reports * n_files or len(earlier) != n_reports * n_files
+            or len(sims) != rank.TfidfScope.n_pairs(n_reports)):
         raise ValueError("ranking index lengths disagree with its file and report counts")
-    for scores in (direct, sims):  # min() and max() are NaN when an entry is
+    for scores in (direct, sims, earlier):  # min() and max() are NaN when an entry is
         if len(scores) and not 0.0 <= scores.min() <= scores.max() < np.inf:
             raise ValueError("ranking index holds a negative, NaN or infinite score")
-    return _Index(rank.TfidfScope(direct.reshape(n_reports, n_files), sims),
+    return _Index(rank.TfidfScope(direct.reshape(n_reports, n_files), sims,
+                                  earlier.reshape(n_reports, n_files)),
                   a["file_ids"], a["report_ids"], (a["fixed_offsets"], a["fixed_columns"]))
 
 
@@ -278,24 +289,28 @@ def _encode_docvec(vectors: rank.DocVectors, file_ids: list[str], report_ids: li
     return _DOCVEC.encode({
         "file_vectors": vectors.files, "file_norms": vectors.file_norms,
         "report_vectors": vectors.reports, "report_norms": vectors.report_norms,
-        "fixed_offsets": fixed_offsets, "fixed_columns": fixed_columns,
+        "earlier": vectors.earlier, "fixed_offsets": fixed_offsets, "fixed_columns": fixed_columns,
         "file_ids": file_ids, "report_ids": report_ids,
     })
 
 
 def _decode_docvec(data: bytes, dimension: int) -> _Index:
     """What a verified doc-vector index of vectors of ``dimension`` values
-    holds. The arrays are read-only views of ``data``."""
+    holds. The arrays are read-only views of ``data``. Every bridged score
+    is finite; doc-vector cosines, and so their sums, may be negative."""
     a = _DOCVEC.decode(data)
     n_files, n_reports = _project_arrays(a)
+    earlier = a["earlier"]
     if (len(a["file_vectors"]) != n_files * dimension or len(a["file_norms"]) != n_files
             or len(a["report_vectors"]) != n_reports * dimension
-            or len(a["report_norms"]) != n_reports):
+            or len(a["report_norms"]) != n_reports or len(earlier) != n_reports * n_files):
         raise ValueError("doc-vector index lengths disagree with its file and report counts "
                          "and vector size")
+    if not np.isfinite(earlier).all():
+        raise ValueError("doc-vector index holds a NaN or infinite score")
     vectors = rank.DocVectors(a["file_vectors"].reshape(n_files, dimension), a["file_norms"],
                               a["report_vectors"].reshape(n_reports, dimension),
-                              a["report_norms"])
+                              a["report_norms"], earlier.reshape(n_reports, n_files))
     return _Index(vectors, a["file_ids"], a["report_ids"],
                   (a["fixed_offsets"], a["fixed_columns"]))
 
@@ -322,6 +337,9 @@ _KINDS = {"tokens": (_TOKENS, "token-stream index", "re-preprocessing"),
           **dict.fromkeys(("dm", "dbow"), (embedding.LAYOUT, "cached model", "retraining")),
           **dict.fromkeys(("index_local", "index_global"), (_INDEX, "ranking index", "rebuilding")),
           "index_docvec": (_DOCVEC, "doc-vector index", "rebuilding")}
+# the ranking model of each scope an index is kept for
+_KIND_OF_SCOPE = {"local": rank.TFIDF_LOCAL, "global": rank.TFIDF_GLOBAL,
+                  "docvec": rank.DOC2VEC_GLOBAL}
 # the kinds whose bytes depend on the embedding configuration
 _EMBEDDED = {"dm", "dbow", "index_docvec"}
 # the kind of each paragraph-vector mode's model
@@ -528,14 +546,17 @@ class ArtifactCache:
 
     def _build(self, project: Project, scope: str, artifacts: rank.Artifacts):
         """The arrays of the project's index under ``scope``, built from its
-        token streams and stored as that index of the ids and fixed files
-        of ``artifacts``. A project without queries, which nothing ranks,
-        gets empty arrays, and no vocabulary or model is built for it."""
+        token streams, with their :func:`~bugloc.rank.earlier_scores`
+        bridged over the ids and fixed files of ``artifacts``, and stored as
+        that index of those. A project without queries, which nothing
+        ranks, gets empty arrays, and no vocabulary or model is built for
+        it."""
         held = (artifacts.file_ids, artifacts.report_ids, *artifacts.fixed)
         if scope != "docvec":
             vocab = (self.global_vocabulary(project.name)
                      if scope == "global" and project.has_queries else None)
-            built = rank.build_scope(project, vocab)
+            built = artifacts.scopes[scope] = rank.build_scope(project, vocab)
+            built.earlier = rank.earlier_scores(artifacts, _KIND_OF_SCOPE[scope])
             self._store(f"index_{scope}", project.name, _encode_index(built, *held))
             return built
         if not project.has_queries:
@@ -549,6 +570,8 @@ class ArtifactCache:
             logger.info("built doc-vector index of %s: %d files, %d reports, %.3f s "
                         "inferring", project.name, len(project.source_files),
                         len(project.bug_reports), time.perf_counter() - start)
+        artifacts.doc_vectors = vectors
+        vectors = vectors._replace(earlier=rank.earlier_scores(artifacts, _KIND_OF_SCOPE[scope]))
         self._store("index_docvec", project.name, _encode_docvec(vectors, *held))
         return vectors
 

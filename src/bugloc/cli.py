@@ -320,7 +320,8 @@ def cmd_localize(benchmark_path, project_name, bug_id, method_id, cache_dir,
     artifacts = _artifacts(project_name, [method_id], cache,
                            _loader(settings, benchmark_path, cache, project_name))
     row = artifacts.row(bug_id)
-    history = rank.history_at(artifacts, row, settings.get("history_policy"))
+    # tagged with its policy, so the default one reads the row's stored scores
+    history = rank.project_histories(artifacts, settings.get("history_policy"), [row])
     ranked = rank.localize(artifacts, row, rank.MethodConfig.from_id(method_id),
                            history=history)
     out = Path(out_dir)

@@ -62,6 +62,13 @@ sorts and ranks from them; its :class:`RankedList` refers to them.
   ``query * F + column`` of the (report, fixed file) pairs of the
   concatenated histories, in history order. Min-max, fusion and the stable
   sort work row by row.
+- Under the default policy a report's history is the rows before it,
+  whatever the batch, so the cache's ranking indexes also hold each
+  model's :func:`earlier_scores`, every report's bridged scores under that
+  policy (``TfidfScope.earlier``, ``DocVectors.earlier``): histories that
+  :func:`project_histories` tagged ``"earlier"`` read them, the matrix
+  itself for the batch of every report in row order, else its rows.
+  Other histories, and arrays built without a cache, are bridged per call.
 
 Each bin sums the products of the per-pair formulas
 (:func:`~bugloc.tfidf.rvsm`, :func:`~bugloc.tfidf.cosine`, a dict summed in
@@ -71,8 +78,9 @@ bit.
 
 A batch's histories are one :class:`Histories`, CSR arrays of history
 rows: :func:`project_histories` builds those of a project's reports under
-a policy with numpy alone, and a list of per-query row arrays is converted
-once, on entry to :func:`localize`; each chunk slices it.
+a policy with numpy alone, tagged with it, and a list of per-query row
+arrays is converted once, untagged, on entry to :func:`localize`; each
+chunk slices it.
 
 Every method reads one :class:`Artifacts` per project: its file and
 report ids, its fixed files as CSR arrays, a :class:`TfidfScope` per
@@ -186,9 +194,9 @@ class RankedList:
 
     ``direct`` and ``indirect`` may be read-only arrays shared with the
     results of other methods of the same batch (:class:`BatchScores`) or
-    with a TF.IDF scope's stored scores, or views into them; one query's
-    are a row of the batch's, which stays in memory while the row does.
-    Copy them before editing them.
+    with the stored scores of a TF.IDF scope or the doc vectors, or views
+    into them; one query's are a row of the batch's, which stays in memory
+    while the row does. Copy them before editing them.
     """
 
     query_bug_id: str | list[str]
@@ -263,11 +271,15 @@ class TfidfScope:
     at ``hi * (hi + 1) // 2 + lo``; :meth:`report_cosines` reads it. It is
     given (the cache's ranking index holds it) or computed by a function of
     no argument when history is first ranked or the scope is stored, so a
-    direct-only method without a cache never computes it.
+    direct-only method without a cache never computes it. ``earlier``, when
+    given (the cache's ranking index holds it), is :func:`earlier_scores`:
+    each report's history-bridged scores under the default policy, reports
+    × files; None for a scope built without a cache.
     """
 
-    def __init__(self, direct: np.ndarray, report_sims):
+    def __init__(self, direct: np.ndarray, report_sims, earlier: np.ndarray | None = None):
         self.direct = direct
+        self.earlier = earlier
         if callable(report_sims):  # computed on first use
             self._pairs = report_sims
         else:
@@ -351,12 +363,15 @@ def build_scope(project: Project, vocab: tfidf.Vocabulary | None = None) -> Tfid
 
 class DocVectors(NamedTuple):
     """A project's combined DM+DBOW doc vectors as matrix rows: its files'
-    in path order and its reports' in row order, each row with its norm."""
+    in path order and its reports' in row order, each row with its norm;
+    and, when given (the cache's doc-vector index holds them), the
+    :func:`earlier_scores` of the reports, reports × files."""
 
     files: np.ndarray
     file_norms: np.ndarray
     reports: np.ndarray
     report_norms: np.ndarray
+    earlier: np.ndarray | None = None
 
     @classmethod
     def infer(cls, project: Project, dm_model: embedding.EmbeddingModel,
@@ -508,14 +523,22 @@ class Histories:
     the batch may draw on ``rows[offsets[i]:offsets[i + 1]]``, and ``owner``
     holds the batch index of the query each of ``rows`` belongs to.
     ``len()`` is the number of queries, and a slice of the batch
-    (``histories[start:stop]``) is the histories of those queries."""
+    (``histories[start:stop]``) is the histories of those queries.
 
-    __slots__ = ("rows", "owner", "offsets")
+    ``policy`` is the policy (``"earlier"``, ``"all"``) that
+    :func:`project_histories` built the histories under, kept by slicing,
+    and None for any others, such as those :meth:`of` converts. Histories
+    tagged ``"earlier"`` are bridged by reading a model's stored
+    ``earlier`` scores where it has them."""
 
-    def __init__(self, rows: np.ndarray, owner: np.ndarray, offsets: np.ndarray):
+    __slots__ = ("rows", "owner", "offsets", "policy")
+
+    def __init__(self, rows: np.ndarray, owner: np.ndarray, offsets: np.ndarray,
+                 policy: str | None = None):
         self.rows = rows
         self.owner = owner
         self.offsets = offsets
+        self.policy = policy
 
     @classmethod
     def of(cls, history) -> Histories:
@@ -533,11 +556,13 @@ class Histories:
         start, stop, _ = chunk.indices(len(self))
         lo, hi = self.offsets[start], self.offsets[stop]
         return Histories(self.rows[lo:hi], self.owner[lo:hi] - start,
-                         self.offsets[start:stop + 1] - lo)
+                         self.offsets[start:stop + 1] - lo, self.policy)
 
 
 def _arrays(artifacts: Artifacts, kind: str):
     """The arrays a model ranks with: its TF.IDF scope or the doc vectors."""
+    if kind != DOC2VEC_GLOBAL and kind not in _TFIDF_SCOPES:
+        raise ValueError(f"unknown model {kind!r}")
     arrays = (artifacts.doc_vectors if kind == DOC2VEC_GLOBAL
               else artifacts.scopes.get(_TFIDF_SCOPES[kind]))
     if arrays is None:
@@ -578,17 +603,16 @@ def _history_sims(rows: np.ndarray, history: Histories, kind: str,
             sims[offsets[i]:offsets[i + 1]] = embedding.doc_cosines(
                 vectors[past], norms[past], vectors[row], norms[row])
         return sims
-    if kind not in _TFIDF_SCOPES:
-        raise ValueError(f"unknown indirect model {kind!r}")
     return _arrays(artifacts, kind).report_cosines(rows[history.owner], history.rows)
 
 
 class BatchScores:
     """The direct and history-bridged scores of one batch of queries (report
     ``rows``, each with its span of ``history``), one array per model kind,
-    each computed on first use, in chunks (or, for a TF.IDF scope's direct
-    scores, read from its stored matrix), and kept for the methods that
-    rank the same batch until :meth:`keep` drops it. Every method's
+    each computed on first use, in chunks, or read from a stored matrix (a
+    TF.IDF scope's direct scores; a model's ``earlier`` scores for
+    histories tagged ``"earlier"``), and kept for the methods that rank the
+    same batch until :meth:`keep` drops it. Every method's
     :class:`RankedList` of the batch refers to these arrays, so they are
     read-only. Method 7's combined maps are derived from the TF.IDF-global
     and doc-vector arrays on each use, and those are dropped once combined:
@@ -604,8 +628,8 @@ class BatchScores:
         self.history = history
         self.shape = (len(rows), n_files)
         # chunks of about _CHUNK_SCORES (query, document) pairs, documents
-        # being the project's files and reports
-        step = max(1, _CHUNK_SCORES // (n_files + n_reports))
+        # being the project's files and reports, of which there may be none
+        step = max(1, _CHUNK_SCORES // max(1, n_files + n_reports))
         self.chunks = [slice(start, start + step) for start in range(0, len(rows), step)]
         self._direct: dict[str, np.ndarray] = {}
         self._indirect: dict[str, np.ndarray] = {}
@@ -644,33 +668,44 @@ class BatchScores:
         kept.pop(DOC2VEC_GLOBAL)
         return self._chunked(lambda c: _combined(lexical[c], semantic[c]))
 
+    def _stored_rows(self, stored: np.ndarray) -> np.ndarray:
+        """The batch's rows of a stored reports × files matrix: the matrix
+        itself for the batch of every report in row order, else its rows,
+        read-only."""
+        if np.array_equal(self.rows, np.arange(len(stored))):
+            return stored
+        rows = stored[self.rows]
+        rows.flags.writeable = False
+        return rows
+
     def direct(self, kind: str, artifacts: Artifacts) -> np.ndarray:
-        """Direct scores: a TF.IDF scope's stored matrix itself for the batch
-        of every report in row order, else that matrix's rows."""
+        """Direct scores: for a TF.IDF scope, the batch's rows of its stored
+        matrix."""
         if kind == COMBINED_GLOBAL:
             return self._combine(self.direct, self._direct, artifacts)
-        if kind in self._direct:
-            return self._direct[kind]
-        if kind not in _TFIDF_SCOPES:
-            scores = self._chunked(lambda c: _direct_scores(self.rows[c], kind, artifacts))
-        else:
-            scores = _arrays(artifacts, kind).direct
-            if not np.array_equal(self.rows, np.arange(len(scores))):
-                scores = scores[self.rows]
-                scores.flags.writeable = False
-        self._direct[kind] = scores
-        return scores
+        if kind not in self._direct:
+            self._direct[kind] = (
+                self._stored_rows(_arrays(artifacts, kind).direct) if kind in _TFIDF_SCOPES
+                else self._chunked(lambda c: _direct_scores(self.rows[c], kind, artifacts)))
+        return self._direct[kind]
 
     def indirect(self, kind: str, artifacts: Artifacts) -> np.ndarray:
-        """History-bridged scores; an empty history yields a row of zeros."""
+        """History-bridged scores; an empty history yields a row of zeros.
+        For histories tagged ``"earlier"``, the batch's rows of the model's
+        stored ``earlier`` scores where it has them: each query's history is
+        then the rows before it, which those scores bridge."""
         if kind == COMBINED_GLOBAL:
             return self._combine(self.indirect, self._indirect, artifacts)
         if kind == NONE:  # a read-only view of one zero, in no memory of its own
             return np.broadcast_to(0.0, self.shape)
         if kind not in self._indirect:
-            self._indirect[kind] = self._chunked(lambda c: artifacts._bridge(
-                self.history[c], _history_sims(self.rows[c], self.history[c], kind,
-                                               artifacts)))
+            stored = _arrays(artifacts, kind).earlier if self.history.policy == "earlier" else None
+            if stored is not None:
+                self._indirect[kind] = self._stored_rows(stored)
+            else:
+                self._indirect[kind] = self._chunked(lambda c: artifacts._bridge(
+                    self.history[c], _history_sims(self.rows[c], self.history[c], kind,
+                                                   artifacts)))
         return self._indirect[kind]
 
 
@@ -694,7 +729,20 @@ def project_histories(artifacts: Artifacts, policy: str = "earlier",
     past = np.arange(offsets[-1]) - offsets[owner]
     if policy == "all":
         past += past >= rows[owner]
-    return Histories(past, owner, offsets)
+    return Histories(past, owner, offsets, policy)
+
+
+def earlier_scores(artifacts: Artifacts, kind: str) -> np.ndarray:
+    """The history-bridged scores of every report of the project, in row
+    order, under the default policy, for the model ``kind``: what a ranking
+    index stores as ``earlier``. They are bridged as for any untagged
+    histories, so they equal, bit for bit, those of any batch of the same
+    rows and histories, and of its one-row calls."""
+    n = len(artifacts.report_ids)
+    earlier = project_histories(artifacts, "earlier")
+    untagged = Histories(earlier.rows, earlier.owner, earlier.offsets)
+    return BatchScores(np.arange(n), untagged, len(artifacts.file_ids), n).indirect(kind,
+                                                                                    artifacts)
 
 
 def history_at(artifacts: Artifacts, row: int, policy: str = "earlier") -> np.ndarray:

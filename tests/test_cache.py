@@ -453,7 +453,9 @@ class TestRankingIndex:
     @pytest.mark.parametrize("flaw", ["fixed_column_out_of_range",
                                       "fixed_offsets_wrong_length",
                                       "report_sims_wrong_length", "direct_wrong_length",
-                                      "direct_nan", "report_sim_negative"])
+                                      "direct_nan", "report_sim_negative",
+                                      "earlier_wrong_length", "earlier_nan",
+                                      "earlier_negative"])
     def test_resealed_index_of_bad_structure_rebuilt_with_warning(self, bench, tmp_path,
                                                                   caplog, flaw):
         train(bench, tmp_path / "c")
@@ -465,6 +467,7 @@ class TestRankingIndex:
         scope = artifacts.scopes["global"]
         fixed_offsets, fixed_columns = artifacts.fixed
         direct, report_sims = scope.direct.copy(), scope.report_sims.copy()
+        earlier = scope.earlier.copy()
         if flaw == "fixed_column_out_of_range":
             fixed_columns = fixed_columns.copy()
             fixed_columns[0] = len(artifacts.file_ids)
@@ -476,9 +479,15 @@ class TestRankingIndex:
             direct = direct.ravel()[:-1]
         elif flaw == "direct_nan":
             direct[1, 2] = np.nan
+        elif flaw == "earlier_wrong_length":  # one file short of the last report's row
+            earlier = earlier.ravel()[:-1]
+        elif flaw == "earlier_nan":
+            earlier[2, 1] = np.nan
+        elif flaw == "earlier_negative":
+            earlier[3, 0] = -earlier[3, 0] or -1e-300
         else:
             report_sims[3] = -report_sims[3] or -1e-300
-        bad = rank.TfidfScope(direct, report_sims)
+        bad = rank.TfidfScope(direct, report_sims, earlier)
         artifact.write_bytes(b"".join(cache_module._encode_index(
             bad, artifacts.file_ids, artifacts.report_ids, fixed_offsets, fixed_columns)))
         reseal(artifact)
@@ -601,7 +610,7 @@ class TestRankingIndex:
         built = cache.artifacts("proj1", {"local"}, lambda: benchmark).scopes["local"]
         reloaded = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig())
         loaded = indexed(reloaded, "local").scopes["local"]
-        for name in ("direct", "report_sims"):
+        for name in ("direct", "report_sims", "earlier"):
             want, got = getattr(built, name), getattr(loaded, name)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want) and not got.flags.writeable
@@ -1001,10 +1010,10 @@ class TestHitsReadNoBenchmarkFile:
             found = [*artifacts.fixed, artifacts.fixed_counts, *artifacts.doc_vectors]
             for scope in ("local", "global"):
                 data = artifacts.scopes[scope]
-                found += [data.direct, data.report_sims]
+                found += [data.direct, data.report_sims, data.earlier]
             return found
 
-        assert len(arrays(hit)) == len(arrays(cold)) == 11
+        assert len(arrays(hit)) == len(arrays(cold)) == 14
         for got, want in zip(arrays(hit), arrays(cold)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
@@ -1072,12 +1081,13 @@ def test_token_index_merged_from_worker_chunks_matches_golden_digest(synth_bench
 # sha256 of the ranking indexes and metrics that `evaluate --methods 1,2,3,4`
 # writes for the default synthetic benchmark on a cache trained as above.
 # Every float is added in a fixed order, without sum(), so these hold on every
-# Python version. The two index digests are of layout bugloc-index v6, which
-# stores each report's direct scores instead of postings and report vectors;
-# the outputs' digests are those of v5.
+# Python version. The two index digests are of layout bugloc-index v7, which
+# adds each report's history-bridged scores under the default policy to the
+# direct scores and report cosines of v6; the outputs' digests are those of
+# v5 and v6.
 GOLDEN_EVALUATE = {
-    "c/index_local_proj1.bin": "d2b6322753a0f49781206721e29f622a64f18c7c598e787165b8bfd14ea6b010",
-    "c/index_global_proj1.bin": "8462c1e98b69e399bc5af8fac540cfaea85082716b73608009a20061300b448f",
+    "c/index_local_proj1.bin": "8e81d9b150694cd555942424b3cb91206f106fe1d7bff735e04afab967311d81",
+    "c/index_global_proj1.bin": "56e736c16e43860d1cb77c6ac5e55482824a275eff736e19e08c4315acb8e05e",
     "out/metrics.csv": "3e9f404e3f6ed7b313e46fc1f176ef5b927f45f1e775c9d6a1cbc81eb2a3fc18",
     "out/per_query.csv": "42a5494c9be21ee50e0c77ac91c3dde528d2bea9a0d49220240703e21daf04cf",
 }
@@ -1160,8 +1170,10 @@ def test_doc_vector_all_history_and_localize_match_golden_digests(synth_benchmar
 
 
 # sha256 of the doc-vector index of proj1 that `evaluate --methods 5,6,7`
-# writes with the FAST settings
-GOLDEN_INDEX_DOCVEC = "99ba771e53f3e520f3deacaa158e04c9884002521766857ca3e3ab3e0372838e"
+# writes with the FAST settings; of layout bugloc-docvec v2, which adds each
+# report's history-bridged scores under the default policy to the vectors
+# and norms of v1
+GOLDEN_INDEX_DOCVEC = "32dd4848253f2e1fe6960e02d38b53e80862b151c7aaa678d345167f4e7ca073"
 
 
 def test_doc_vector_index_matches_golden_digest(synth_benchmark, tmp_path):
@@ -1283,14 +1295,16 @@ def test_a_method_scores_the_same_alone_as_alongside_others(synth_benchmark, tmp
             assert method_rows(methods, method) == want
 
 
+@pytest.mark.parametrize("policy", ["earlier", "all"])
 def test_evaluate_frees_the_scores_no_later_method_ranks_with(synth_benchmark, tmp_path,
-                                                              monkeypatch):
+                                                              monkeypatch, policy):
     root, _, _ = synth_benchmark
     refs, alive = [], []
     localize = rank.localize
 
     def recording(*args, **kwargs):
-        stored = [scope.direct for scope in args[0].scopes.values()]
+        stored = [array for scope in args[0].scopes.values()
+                  for array in (scope.direct, scope.earlier)]
         alive.append(["stored" if any(ref() is s for s in stored) else ref() is not None
                       for ref in refs])
         ranked = localize(*args, **kwargs)
@@ -1301,13 +1315,73 @@ def test_evaluate_frees_the_scores_no_later_method_ranks_with(synth_benchmark, t
     gc.disable()
     try:
         run("evaluate", "--benchmark", root, "--methods", "1,3,4", "--projects", "proj1",
-            "--cache", tmp_path / "c", "--out", tmp_path / "out")
+            "--cache", tmp_path / "c", "--out", tmp_path / "out", "--history", policy)
     finally:
         gc.enable()
     # method 3 ranks with method 1's direct scores, method 4 with neither's:
-    # those are the local index's stored scores, which live as long as the
-    # project's arrays, and method 3's history-bridged scores are freed
-    assert alive == [[], ["stored", False], ["stored", False, "stored", False]]
+    # those, and method 3's history-bridged scores under the default policy,
+    # are the local index's stored scores, which live as long as the
+    # project's arrays; what the batch computed is freed
+    bridged = "stored" if policy == "earlier" else False
+    assert alive == [[], ["stored", False], ["stored", False, "stored", bridged]]
+
+
+@pytest.mark.parametrize("scope", ["local", "global", "docvec"])
+def test_stored_earlier_scores_are_the_bridge_of_untagged_histories(synth_benchmark, tmp_path,
+                                                                    scope):
+    """A loaded index's ``earlier`` scores are, byte for byte, what the batch
+    kernel bridges for histories of the rows before each report that carry
+    no policy tag: for the batch of every report and for one-row batches."""
+    root, benchmark, _ = synth_benchmark
+    ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig(), EMBED, 2).artifacts(
+        "proj1", {scope}, lambda: benchmark)
+    hit = indexed(ArtifactCache(tmp_path / "c", root, PreprocessConfig(), EMBED, 2), scope)
+    kind = cache_module._KIND_OF_SCOPE[scope]
+    stored = (hit.doc_vectors if scope == "docvec" else hit.scopes[scope]).earlier
+    n = len(hit.report_ids)
+
+    def bridged(rows):
+        tagged = rank.project_histories(hit, "earlier", rows)
+        untagged = rank.Histories(tagged.rows, tagged.owner, tagged.offsets)
+        return rank.BatchScores(rows, untagged, len(hit.file_ids), n).indirect(kind, hit)
+
+    assert stored.shape == (n, len(hit.file_ids)) and np.count_nonzero(stored)
+    assert stored.tobytes() == bridged(np.arange(n)).tobytes()
+    for row in (0, n // 2, n - 1):
+        assert stored[row].tobytes() == bridged(np.array([row])).tobytes()
+
+
+def test_default_history_hits_bridge_nothing(synth_benchmark, tmp_path, monkeypatch,
+                                             load_calls):
+    """Calls served by the ranking indexes read every history-bridged score
+    under the default policy from them: they neither bridge nor compute a
+    history similarity. Under ``--history all`` they do both."""
+    root, _, _ = synth_benchmark
+    calls = []
+    for owner, name in ((rank.Artifacts, "_bridge"), (rank, "_history_sims")):
+        def counted(*args, _real=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def evaluate(*extra):
+        run("evaluate", "--benchmark", root, "--methods", "1,2,3,4,5,6,7", "--cache",
+            tmp_path / "c", "--out", tmp_path / "out", *FAST, *extra)
+
+    evaluate()  # builds every index, bridging each model's scores once
+    assert set(calls) == {"_bridge", "_history_sims"}
+    calls.clear()
+    evaluate()
+    assert calls == []
+    evaluate("--history", "all")
+    assert set(calls) == {"_bridge", "_history_sims"}
+    for method in (4, 6):
+        calls.clear()
+        run("localize", "--benchmark", root, "--project", "proj1", "--bug", "BUG-proj1-005",
+            "--method", method, "--cache", tmp_path / "c", "--out", tmp_path / "loc", *FAST)
+        assert calls == []
+    assert len(load_calls) == 1  # only the first evaluate missed
 
 
 class TestDocVectorIndex:
@@ -1368,20 +1442,28 @@ class TestDocVectorIndex:
         assert artifact_stamps(tmp_path / "c")["index_docvec_proj1.bin"] == stamp
         assert ranking(tmp_path / "c", 5) == built
 
-    @pytest.mark.parametrize("how", ["truncate", "flip", "wrong_shape"])
+    @pytest.mark.parametrize("how", ["truncate", "flip", "wrong_shape", "earlier_wrong_length",
+                                     "earlier_infinite"])
     def test_damaged_index_rebuilt_with_one_warning(self, bench, tmp_path, caplog, how):
         localize(bench, tmp_path / "c", *FAST, method=7)
         built = ranking(tmp_path / "c", 7)
         artifact = tmp_path / "c" / "index_docvec_proj1.bin"
-        if how == "wrong_shape":  # resealed vectors one value short per row
+        if how not in ("truncate", "flip"):  # resealed arrays of a bad structure
             cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig(),
                                   EmbeddingConfig(vector_size=8, epochs=2, min_count=1), 2)
             artifacts = indexed(cache, "docvec")
             vectors = artifacts.doc_vectors
-            short = rank.DocVectors(vectors.files[:, 1:], vectors.file_norms,
-                                    vectors.reports[:, 1:], vectors.report_norms)
+            earlier = vectors.earlier.copy()
+            if how == "wrong_shape":  # vectors one value short per row
+                vectors = rank.DocVectors(vectors.files[:, 1:], vectors.file_norms,
+                                          vectors.reports[:, 1:], vectors.report_norms, earlier)
+            elif how == "earlier_wrong_length":  # one file short of the last report's row
+                vectors = vectors._replace(earlier=earlier.ravel()[:-1])
+            else:
+                earlier[2, 1] = -np.inf
+                vectors = vectors._replace(earlier=earlier)
             artifact.write_bytes(b"".join(cache_module._encode_docvec(
-                short, artifacts.file_ids, artifacts.report_ids, *artifacts.fixed)))
+                vectors, artifacts.file_ids, artifacts.report_ids, *artifacts.fixed)))
             reseal(artifact)
         else:
             damage(artifact, how)

@@ -788,9 +788,17 @@ class TestSharedBatchScores:
         return docvec_project(EDGE_REPORTS)
 
     @staticmethod
-    def fresh(setting):
+    def fresh(setting, earlier=False):
+        """The project's artifacts; with ``earlier``, every model's stored
+        ``earlier`` scores too, as the cache's indexes hold them."""
         project, dm, dbow = setting
-        return artifacts_of(project, global_vocab(project), dm, dbow)
+        artifacts = artifacts_of(project, global_vocab(project), dm, dbow)
+        if earlier:
+            for scope, kind in (("local", rank.TFIDF_LOCAL), ("global", rank.TFIDF_GLOBAL)):
+                artifacts.scopes[scope].earlier = rank.earlier_scores(artifacts, kind)
+            artifacts.doc_vectors = artifacts.doc_vectors._replace(
+                earlier=rank.earlier_scores(artifacts, rank.DOC2VEC_GLOBAL))
+        return artifacts
 
     def test_each_model_scored_once_per_chunk_of_the_batch(self, setting, monkeypatch):
         artifacts = self.fresh(setting)
@@ -850,16 +858,20 @@ class TestSharedBatchScores:
             gc.enable()
         assert ranked.final.shape == (len(rows), len(ranked.files))
 
-    def test_scores_no_method_left_ranks_with_are_freed(self, setting):
-        artifacts = self.fresh(setting)
+    @pytest.mark.parametrize("earlier", [False, True])
+    def test_scores_no_method_left_ranks_with_are_freed(self, setting, earlier):
+        artifacts = self.fresh(setting, earlier)
         rows = np.arange(len(artifacts.report_ids))
         configs = [MethodConfig.from_id(m) for m in (3, 4, 6, 7)]
         refs, ranked_alone, alive = {}, {}, {}
-        stored = [scope.direct for scope in artifacts.scopes.values()]
+        stored = [array for array in (*(scope.direct for scope in artifacts.scopes.values()),
+                                      *(scope.earlier for scope in artifacts.scopes.values()),
+                                      artifacts.doc_vectors.earlier) if array is not None]
 
         def state(ref):
             """Whether the array is alive, or "stored" for a TF.IDF scope's
-            direct scores, which live as long as the artifacts."""
+            direct scores or a model's ``earlier`` scores, which live as long
+            as the artifacts."""
             array = ref()
             return "stored" if any(array is s for s in stored) else array is not None
 
@@ -877,13 +889,16 @@ class TestSharedBatchScores:
                 alive[config.method_id] = states()
         finally:
             gc.enable()
+        # the history-bridged scores are the stored ones, or computed: kept
+        # while a later method ranks with them, and then freed
+        kept, freed = ("stored", "stored") if earlier else (True, False)
         # no later method ranks with local TF.IDF: what the batch computed is freed
-        assert alive[3] == {3: ("stored", False)}
-        assert alive[4] == {3: ("stored", False), 4: ("stored", True)}
-        assert alive[6] == {3: ("stored", False), 4: ("stored", True), 6: ("stored", True)}
+        assert alive[3] == {3: ("stored", freed)}
+        assert alive[4] == {3: ("stored", freed), 4: ("stored", kept)}
+        assert alive[6] == {3: ("stored", freed), 4: ("stored", kept), 6: ("stored", kept)}
         # method 7's combined maps are its own, freed with its result, and it
         # drops the TF.IDF-global and doc-vector arrays once it has combined them
-        assert ranked_alone[7] == alive[7] == {**dict.fromkeys((3, 4, 6), ("stored", False)),
+        assert ranked_alone[7] == alive[7] == {**dict.fromkeys((3, 4, 6), ("stored", freed)),
                                                7: (False, False)}
 
     def test_another_batch_is_scored_anew(self, setting):
@@ -901,6 +916,30 @@ class TestSharedBatchScores:
         assert np.array_equal(single.final, localize(self.fresh(setting), rows, config,
                                                      history=project_histories(
                                                          shared, "all")).final[3])
+
+    @pytest.mark.parametrize("method_id", [3, 4, 6, 7])
+    def test_stored_earlier_scores_rank_as_the_bridge(self, setting, method_id):
+        """With the stored ``earlier`` scores, histories tagged "earlier"
+        rank from them, bit for bit as bridging does, for the batch of every
+        report, another batch and one row; histories of another policy are
+        bridged."""
+        stored, bridged = self.fresh(setting, earlier=True), self.fresh(setting)
+        config = MethodConfig.from_id(method_id)
+        rows = np.arange(len(stored.report_ids))
+        for batch, policy in ((rows, "earlier"), (np.array([4, 0, 9]), "earlier"),
+                              (rows, "all"), (np.array([5]), "earlier")):
+            history = project_histories(stored, policy, batch)
+            assert history.policy == history[1:].policy == policy
+            got = localize(stored, batch, config, history=history)
+            want = localize(bridged, batch, config, history=history)
+            for name in ("final", "direct", "indirect", "entries"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert not got.indirect.flags.writeable
+        assert Histories.of([history_at(stored, 5)]).policy is None
+        if method_id != 7:  # method 7 combines the stored arrays into its own
+            whole = localize(stored, rows, config)
+            assert whole.indirect is (stored.doc_vectors if method_id == 6 else stored.scopes[
+                "local" if method_id == 3 else "global"]).earlier
 
 
 def local_vocab(project):
