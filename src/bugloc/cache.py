@@ -11,26 +11,20 @@ Artifacts, one file ``<kind>[_<project>].bin`` each in the cache directory:
   with ``<project>`` held out, holding what inference reads: terms, counts,
   ``W``, ``U``, ``b``;
 - ``tokens.bin``: the token streams of every document of the benchmark;
-- ``index_local_<project>.bin``, ``index_global_<project>.bin``: the
-  project's TF.IDF scores under that scope
-  (:class:`~bugloc.rank.TfidfScope`: the direct score of each report
-  against each file, R×F float64 values, the cosine of each pair of
-  reports, the R(R+1)/2 float64 values of a triangle, and each report's
-  history-bridged scores under the default policy, R×F float64 values),
-  its file and report ids and each report's fixed-file columns. Ranking
-  reads nothing else, so an index costs (2·R×F + R(R+1)/2) × 8 bytes plus
-  its ids, whatever the vocabulary, and the two scopes' indexes are of one
-  size;
-- ``index_docvec_<project>.bin``: the project's doc-vector index, the
-  combined DM+DBOW vectors of its files and of its reports with their norms
-  and the reports' history-bridged scores under the default policy, R×F
-  float64 values (:class:`~bugloc.rank.DocVectors`), and the same ids and
-  fixed-file columns. Its fingerprint also holds the inference epochs,
-  ``None`` resolved to the configured training epochs.
+- ``index_local_<project>.bin``, ``index_global_<project>.bin``,
+  ``index_docvec_<project>.bin``: the project's ranking index under that
+  scope, its :class:`~bugloc.rank.Scores` (the direct score of each report
+  against each file and each report's history-bridged scores under each
+  policy, three times R×F float64 values), its file and report ids and
+  each report's fixed-file columns. Ranking reads nothing else, so an index
+  of any scope costs 3·R×F × 8 bytes plus its ids, whatever the vocabulary
+  or the vector size. A doc-vector index's fingerprint also holds the
+  embedding configuration and the inference epochs, ``None`` resolved to
+  the configured training epochs.
 
-The bridged scores of both kinds are :func:`~bugloc.rank.earlier_scores`,
-computed when the index is built by the kernel every call bridges with, so
-a call under the default policy reads them and bridges nothing.
+Every score is computed when the index is built
+(:func:`~bugloc.rank.tfidf_scores`, :func:`~bugloc.rank.docvec_scores`),
+so a call under either history policy reads them and computes none.
 
 The first ``localize`` or ``evaluate`` that ranks with a scope (``local``,
 ``global`` or ``docvec``) builds its index; ``train-global`` builds none.
@@ -200,22 +194,15 @@ def _seal_at(root: str, names) -> tuple[str, int]:
 # document's offset into ``ids`` and the end, and the term ids in order.
 _TOKENS = container.Layout(b"bugloc-tokens v2\n",
                            [("terms", container.STR), ("offsets", "i8"), ("ids", "i4")])
-# What every ranking index ends with: each report's fixed files as CSR arrays
-# of ascending file columns, file ids in path order and report ids in row order.
-_PROJECT = [("fixed_offsets", "i8"), ("fixed_columns", "i8"),
-            ("file_ids", container.STR), ("report_ids", container.STR)]
-# A TF.IDF ranking index: a scope's three score arrays (the reports × files
-# direct scores, stored flat row by row, the triangle of report cosines and
-# the reports × files history-bridged scores of the default policy), then
-# the project's.
-_INDEX = container.Layout(b"bugloc-index v7\n", [
-    ("direct", "f8"), ("report_sims", "f8"), ("earlier", "f8"), *_PROJECT])
-# A doc-vector index: the file and report vectors (rows of 2d values, stored
-# flat) with their norms, the reports × files history-bridged scores of the
-# default policy, then the project's arrays.
-_DOCVEC = container.Layout(b"bugloc-docvec v2\n", [
-    ("file_vectors", "f8"), ("file_norms", "f8"), ("report_vectors", "f8"),
-    ("report_norms", "f8"), ("earlier", "f8"), *_PROJECT])
+# A ranking index, of every scope: a model's three reports × files score
+# arrays (rank.Scores: the direct scores and the history-bridged scores under
+# each policy), each stored flat row by row; then each report's fixed files as
+# CSR arrays of ascending file columns, file ids in path order and report ids
+# in row order.
+_INDEX = container.Layout(b"bugloc-index v8\n", [
+    ("direct", "f8"), ("earlier", "f8"), ("all", "f8"),
+    ("fixed_offsets", "i8"), ("fixed_columns", "i8"),
+    ("file_ids", container.STR), ("report_ids", container.STR)])
 
 
 def _decode_streams(data: bytes, origins: list[str]) -> list[TokenStream]:
@@ -227,12 +214,11 @@ def _decode_streams(data: bytes, origins: list[str]) -> list[TokenStream]:
 
 
 class _Index(NamedTuple):
-    """What a ranking index holds: the arrays ranking reads (a
-    :class:`~bugloc.rank.TfidfScope` or :class:`~bugloc.rank.DocVectors`),
-    the project's file ids in path order, its report ids in row order, and
-    the CSR arrays of each report's fixed-file columns."""
+    """What a ranking index holds: the :class:`~bugloc.rank.Scores` ranking
+    reads, the project's file ids in path order, its report ids in row order,
+    and the CSR arrays of each report's fixed-file columns."""
 
-    arrays: rank.TfidfScope | rank.DocVectors
+    scores: rank.Scores
     file_ids: list[str]
     report_ids: list[str]
     fixed: tuple[np.ndarray, np.ndarray]
@@ -244,75 +230,35 @@ class _Index(NamedTuple):
                 and all(map(np.array_equal, self.fixed, other.fixed)))
 
 
-def _encode_index(scope: rank.TfidfScope, file_ids: list[str], report_ids: list[str],
+def _encode_index(scores: rank.Scores, file_ids: list[str], report_ids: list[str],
                   fixed_offsets: np.ndarray, fixed_columns: np.ndarray) -> list:
-    """The index of a scope, as the buffers to write in order."""
-    return _INDEX.encode({
-        "direct": scope.direct, "report_sims": scope.report_sims, "earlier": scope.earlier,
-        "fixed_offsets": fixed_offsets, "fixed_columns": fixed_columns,
-        "file_ids": file_ids, "report_ids": report_ids,
-    })
+    """The index of a scope's scores, as the buffers to write in order."""
+    return _INDEX.encode({**scores._asdict(), "fixed_offsets": fixed_offsets,
+                          "fixed_columns": fixed_columns, "file_ids": file_ids,
+                          "report_ids": report_ids})
 
 
-def _project_arrays(a: dict) -> tuple[int, int]:
-    """The file and report counts of a decoded index, once its ids and
-    fixed-file columns are checked."""
+def _decode_index(data: bytes, signed: bool = False) -> _Index:
+    """What a verified index holds. The arrays are read-only views of
+    ``data``. Every score is finite and, unless ``signed``, not negative, as
+    rVSM weights, cosines and their bridged sums are; doc-vector cosines,
+    and so their sums, may be negative."""
+    a = _INDEX.decode(data)
     file_ids, report_ids = a["file_ids"], a["report_ids"]
     if sorted(set(file_ids)) != file_ids or len(set(report_ids)) != len(report_ids):
         raise ValueError("ranking index file ids out of path order or report ids repeated")
     container.check_spans(a["fixed_offsets"], a["fixed_columns"], len(report_ids),
                           len(file_ids))
-    return len(file_ids), len(report_ids)
-
-
-def _decode_index(data: bytes) -> _Index:
-    """What a verified index holds. The arrays are read-only views of
-    ``data``. Every score is finite and not negative, as rVSM weights and
-    cosines, and so the sums of cosines that bridge history, are."""
-    a = _INDEX.decode(data)
-    n_files, n_reports = _project_arrays(a)
-    direct, sims, earlier = a["direct"], a["report_sims"], a["earlier"]
-    if (len(direct) != n_reports * n_files or len(earlier) != n_reports * n_files
-            or len(sims) != rank.TfidfScope.n_pairs(n_reports)):
+    shape = (len(report_ids), len(file_ids))
+    scores = [a[name] for name in rank.Scores._fields]
+    if any(len(array) != shape[0] * shape[1] for array in scores):
         raise ValueError("ranking index lengths disagree with its file and report counts")
-    for scores in (direct, sims, earlier):  # min() and max() are NaN when an entry is
-        if len(scores) and not 0.0 <= scores.min() <= scores.max() < np.inf:
-            raise ValueError("ranking index holds a negative, NaN or infinite score")
-    return _Index(rank.TfidfScope(direct.reshape(n_reports, n_files), sims,
-                                  earlier.reshape(n_reports, n_files)),
-                  a["file_ids"], a["report_ids"], (a["fixed_offsets"], a["fixed_columns"]))
-
-
-def _encode_docvec(vectors: rank.DocVectors, file_ids: list[str], report_ids: list[str],
-                   fixed_offsets: np.ndarray, fixed_columns: np.ndarray) -> list:
-    """The doc-vector index of a project, as the buffers to write in order."""
-    return _DOCVEC.encode({
-        "file_vectors": vectors.files, "file_norms": vectors.file_norms,
-        "report_vectors": vectors.reports, "report_norms": vectors.report_norms,
-        "earlier": vectors.earlier, "fixed_offsets": fixed_offsets, "fixed_columns": fixed_columns,
-        "file_ids": file_ids, "report_ids": report_ids,
-    })
-
-
-def _decode_docvec(data: bytes, dimension: int) -> _Index:
-    """What a verified doc-vector index of vectors of ``dimension`` values
-    holds. The arrays are read-only views of ``data``. Every bridged score
-    is finite; doc-vector cosines, and so their sums, may be negative."""
-    a = _DOCVEC.decode(data)
-    n_files, n_reports = _project_arrays(a)
-    earlier = a["earlier"]
-    if (len(a["file_vectors"]) != n_files * dimension or len(a["file_norms"]) != n_files
-            or len(a["report_vectors"]) != n_reports * dimension
-            or len(a["report_norms"]) != n_reports or len(earlier) != n_reports * n_files):
-        raise ValueError("doc-vector index lengths disagree with its file and report counts "
-                         "and vector size")
-    if not np.isfinite(earlier).all():
-        raise ValueError("doc-vector index holds a NaN or infinite score")
-    vectors = rank.DocVectors(a["file_vectors"].reshape(n_files, dimension), a["file_norms"],
-                              a["report_vectors"].reshape(n_reports, dimension),
-                              a["report_norms"], earlier.reshape(n_reports, n_files))
-    return _Index(vectors, a["file_ids"], a["report_ids"],
-                  (a["fixed_offsets"], a["fixed_columns"]))
+    low = -np.finfo(float).max if signed else 0.0  # the lowest finite score allowed
+    for array in scores:  # min() and max() are NaN when an entry is
+        if len(array) and not low <= array.min() <= array.max() < np.inf:
+            raise ValueError("ranking index holds a NaN, infinite or negative score")
+    return _Index(rank.Scores(*(array.reshape(shape) for array in scores)), file_ids,
+                  report_ids, (a["fixed_offsets"], a["fixed_columns"]))
 
 
 def _replace(path: Path, chunks) -> str:
@@ -335,11 +281,8 @@ def _replace(path: Path, chunks) -> str:
 _KINDS = {"tokens": (_TOKENS, "token-stream index", "re-preprocessing"),
           "idf": (tfidf.LAYOUT, "cached IDF model", "retraining"),
           **dict.fromkeys(("dm", "dbow"), (embedding.LAYOUT, "cached model", "retraining")),
-          **dict.fromkeys(("index_local", "index_global"), (_INDEX, "ranking index", "rebuilding")),
-          "index_docvec": (_DOCVEC, "doc-vector index", "rebuilding")}
-# the ranking model of each scope an index is kept for
-_KIND_OF_SCOPE = {"local": rank.TFIDF_LOCAL, "global": rank.TFIDF_GLOBAL,
-                  "docvec": rank.DOC2VEC_GLOBAL}
+          **dict.fromkeys(("index_local", "index_global", "index_docvec"),
+                          (_INDEX, "ranking index", "rebuilding"))}
 # the kinds whose bytes depend on the embedding configuration
 _EMBEDDED = {"dm", "dbow", "index_docvec"}
 # the kind of each paragraph-vector mode's model
@@ -501,10 +444,9 @@ class ArtifactCache:
                                                   "ids": ids}))
 
     def artifacts(self, name: str, scopes, loaded) -> rank.Artifacts:
-        """The ranking arrays of project ``name`` under each of ``scopes``
-        ("local", "global", "docvec"): a :class:`~bugloc.rank.TfidfScope`
-        per TF.IDF scope and, under "docvec", the
-        :class:`~bugloc.rank.DocVectors`. Each index is read once.
+        """The ranking arrays of project ``name``: the
+        :class:`~bugloc.rank.Scores` of each of ``scopes`` ("local",
+        "global", "docvec"). Each index is read once.
 
         When every index is fresh and whole and all hold the same ids and
         fixed files, the arrays are theirs: no benchmark file, token stream
@@ -514,66 +456,52 @@ class ArtifactCache:
         with its token streams; each index that holds the project's ids and
         fixed files is used as it is, and the others are built and stored.
         """
-        found = {}
-        for scope in sorted(scopes):
-            if scope == "docvec":  # a fresh fingerprint means an embedding config
-                found[scope] = self._read("index_docvec", name, lambda data: _decode_docvec(
-                    data, 2 * self.embed_config.vector_size))
-            else:
-                found[scope] = self._read(f"index_{scope}", name, _decode_index)
+        found = {scope: self._read(f"index_{scope}", name, functools.partial(
+            _decode_index, signed=scope == "docvec")) for scope in sorted(scopes)}
         indexes = list(found.values())
         if None not in indexes and all(indexes[0].holds(index) for index in indexes[1:]):
             if "docvec" in found:
                 logger.info("doc-vector index of %s hit", name)
             first, project = indexes[0], None
-            artifacts = rank.Artifacts(name, first.file_ids, first.report_ids, first.fixed, {})
+            artifacts = rank.Artifacts(name, first.file_ids, first.report_ids, first.fixed)
         else:
             if None not in indexes:
                 logger.info("ranking indexes of %s disagree on ids or fixed files", name)
             project = loaded().project(name)
-            artifacts = rank.Artifacts.of(project, {})
+            artifacts = rank.Artifacts.of(project)
         for scope, index in found.items():
             if index is not None and not index.holds(artifacts):
                 logger.info("%s index of %s is of other files or reports; rebuilding", scope,
                             name)
                 index = None
-            arrays = self._build(project, scope, artifacts) if index is None else index.arrays
-            if scope == "docvec":
-                artifacts.doc_vectors = arrays
-            else:
-                artifacts.scopes[scope] = arrays
+            artifacts.scopes[scope] = (self._build(project, scope, artifacts) if index is None
+                                       else index.scores)
         return artifacts
 
-    def _build(self, project: Project, scope: str, artifacts: rank.Artifacts):
-        """The arrays of the project's index under ``scope``, built from its
-        token streams, with their :func:`~bugloc.rank.earlier_scores`
-        bridged over the ids and fixed files of ``artifacts``, and stored as
+    def _build(self, project: Project, scope: str, artifacts: rank.Artifacts) -> rank.Scores:
+        """The scores of the project under ``scope``, built from its token
+        streams over the ids and fixed files of ``artifacts``, and stored as
         that index of those. A project without queries, which nothing
         ranks, gets empty arrays, and no vocabulary or model is built for
         it."""
-        held = (artifacts.file_ids, artifacts.report_ids, *artifacts.fixed)
         if scope != "docvec":
             vocab = (self.global_vocabulary(project.name)
                      if scope == "global" and project.has_queries else None)
-            built = artifacts.scopes[scope] = rank.build_scope(project, vocab)
-            built.earlier = rank.earlier_scores(artifacts, _KIND_OF_SCOPE[scope])
-            self._store(f"index_{scope}", project.name, _encode_index(built, *held))
-            return built
-        if not project.has_queries:
-            vectors = rank.DocVectors.unranked(len(project.source_files),
-                                               2 * self.embed_config.vector_size)
+            scores = rank.tfidf_scores(project, artifacts, vocab)
+        elif not project.has_queries:
+            scores = rank.Scores.unranked(len(project.source_files))
         else:
             pairs = [(project.name, embedding.PV_DM), (project.name, embedding.PV_DBOW)]
             dm, dbow = self._models(pairs)
             start = time.perf_counter()
-            vectors = rank.DocVectors.infer(project, dm, dbow, self.infer_epochs)
+            vectors = rank.doc_vectors(project, dm, dbow, self.infer_epochs)
             logger.info("built doc-vector index of %s: %d files, %d reports, %.3f s "
                         "inferring", project.name, len(project.source_files),
                         len(project.bug_reports), time.perf_counter() - start)
-        artifacts.doc_vectors = vectors
-        vectors = vectors._replace(earlier=rank.earlier_scores(artifacts, _KIND_OF_SCOPE[scope]))
-        self._store("index_docvec", project.name, _encode_docvec(vectors, *held))
-        return vectors
+            scores = rank.docvec_scores(artifacts, *vectors)
+        self._store(f"index_{scope}", project.name, _encode_index(
+            scores, artifacts.file_ids, artifacts.report_ids, *artifacts.fixed))
+        return scores
 
     def global_vocabulary(self, held_out: str) -> tfidf.Vocabulary:
         """The leakage-safe global IDF model of a project: the benchmark's

@@ -197,24 +197,20 @@ def _loader(settings, benchmark_path, cache=None, project_name=None):
 
 
 def _artifacts(name, method_ids, cache, loaded) -> rank.Artifacts:
-    """Artifacts of project ``name`` covering the union of the given
-    methods' model needs: with a cache, a TF.IDF scope per scope the
-    methods rank with and the doc vectors for methods 5-7, from the
-    project's ranking indexes or built and stored
+    """Artifacts of project ``name`` holding the scores of every scope the
+    given methods rank with: with a cache, from the project's ranking
+    indexes or built and stored
     (:meth:`~bugloc.cache.ArtifactCache.artifacts`); without one, the local
     scope of the project that ``loaded()`` holds."""
-    configs = [rank.MethodConfig.from_id(m) for m in method_ids]
-    if cache is None:
-        if any(c.needs_global_tfidf or c.needs_embeddings for c in configs):
-            raise BugLocError(
-                f"methods {sorted(c.method_id for c in configs)} need global "
-                "models: pass --cache")
-        project = loaded().project(name)
-        return rank.Artifacts.of(project, {"local": rank.build_scope(project)})
-    scopes = set().union(*(c.tfidf_scopes for c in configs))
-    if any(c.needs_embeddings for c in configs):
-        scopes.add("docvec")
-    return cache.artifacts(name, scopes, loaded)
+    scopes = set().union(*(rank.MethodConfig.from_id(m).scopes for m in method_ids))
+    if cache is not None:
+        return cache.artifacts(name, scopes, loaded)
+    if scopes != {"local"}:
+        raise BugLocError(f"methods {sorted(method_ids)} need global models: pass --cache")
+    project = loaded().project(name)
+    artifacts = rank.Artifacts.of(project)
+    artifacts.scopes["local"] = rank.tfidf_scores(project, artifacts)
+    return artifacts
 
 
 _common_options = [
@@ -319,11 +315,8 @@ def cmd_localize(benchmark_path, project_name, bug_id, method_id, cache_dir,
     # without a cache only the query project is read, so only it is loaded
     artifacts = _artifacts(project_name, [method_id], cache,
                            _loader(settings, benchmark_path, cache, project_name))
-    row = artifacts.row(bug_id)
-    # tagged with its policy, so the default one reads the row's stored scores
-    history = rank.project_histories(artifacts, settings.get("history_policy"), [row])
-    ranked = rank.localize(artifacts, row, rank.MethodConfig.from_id(method_id),
-                           history=history)
+    ranked = rank.localize(artifacts, artifacts.row(bug_id), rank.MethodConfig.from_id(method_id),
+                           policy=settings.get("history_policy"))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"ranking_{project_name}_m{method_id}_{bug_id}.csv"
@@ -338,27 +331,21 @@ def _evaluate_project(name, method_ids, settings, cache,
     method, and score each batch from the ranks of the reports' fixed files;
     None for a project without queries.
 
-    One :class:`~bugloc.rank.Artifacts` covers every method, so
-    vectorization and doc-vector inference are shared, and every method
-    ranks the same rows and histories, so each model's direct and
-    history-bridged scores are computed once, kept by the artifacts for the
-    batch, and shared too. A model's scores are freed once no method left
-    to run ranks with them, and the rest with the artifacts on return.
+    One :class:`~bugloc.rank.Artifacts` holds the scores of every scope the
+    methods rank with, so each method reads, fuses and sorts them.
     """
     artifacts = _artifacts(name, method_ids, cache, loaded)
     if not artifacts.report_ids:
         return None
     rows = np.arange(len(artifacts.report_ids))
-    history = rank.project_histories(artifacts, settings.get("history_policy"))
-    configs = [rank.MethodConfig.from_id(method_id) for method_id in method_ids]
     reports = {}
-    for i, config in enumerate(configs):
-        ranked = rank.localize(artifacts, rows, config, history=history)
+    for method_id in method_ids:
+        ranked = rank.localize(artifacts, rows, rank.MethodConfig.from_id(method_id),
+                               policy=settings.get("history_policy"))
         offsets, ranks = ranked.ranks_of(*artifacts.fixed)
-        reports[config.method_id] = metrics.compute_metrics(metrics.RankBatch(
+        reports[method_id] = metrics.compute_metrics(metrics.RankBatch(
             ranked.query_bug_id, offsets, ranks, artifacts.fixed_counts))
         del ranked  # its final scores and order are not kept through the next method
-        artifacts.keep_scores(configs[i + 1:])
     return reports
 
 

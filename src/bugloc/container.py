@@ -9,12 +9,11 @@ round-trips. A :class:`Layout` is an artifact kind: its header line and the
 (name, dtype code) of its arrays.
 
 :mod:`bugloc.cache` keeps every artifact in this layout as
-``<kind>[_<project>].bin``: ``tokens``, ``index_local`` and ``index_global``
-(a project's direct scores, report cosines and default-history bridged
-scores), ``index_docvec`` (the doc vectors of files and reports, with their
-norms, and the default-history bridged scores), ``idf``, and ``dm``
-and ``dbow`` models, which hold only what inference reads (terms, counts,
-``W``, ``U``, ``b``). The header line is part of each artifact's fingerprint, so a
+``<kind>[_<project>].bin``: ``tokens``, ``index_local``, ``index_global``
+and ``index_docvec``, of one layout (a project's direct scores and its
+history-bridged scores under each policy), ``idf``, and ``dm`` and ``dbow``
+models, which hold only what inference reads (terms, counts, ``W``, ``U``,
+``b``). The header line is part of each artifact's fingerprint, so a
 cache of an older layout rebuilds every artifact once, quietly."""
 
 from __future__ import annotations

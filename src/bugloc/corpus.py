@@ -100,13 +100,6 @@ class Project:
     def has_queries(self) -> bool:
         return bool(self.bug_reports)
 
-    def row(self, bug_id: str) -> int:
-        """Row of the report with id ``bug_id`` in ``bug_reports``."""
-        for row, report in enumerate(self.bug_reports):
-            if report.id == bug_id:
-                return row
-        raise CorpusError(f"unknown bug id {bug_id!r} in project {self.name}")
-
 
 @dataclass
 class Benchmark:

@@ -19,84 +19,60 @@ Combined scoring (method 7) normalizes the TF.IDF and doc-vector maps to
 
 Scores are numpy arrays over the project's files in path order, and
 reports are addressed only as rows of the project's reports (in
-``Artifacts.report_ids`` order): a query is a row and its history an int
-array of rows, so neither can name a report of another project.
+``Artifacts.report_ids`` order), so a query cannot name a report of another
+project. A report's history under the default policy (``"earlier"``) is the
+rows before it, and under ``"all"`` every other row.
 
-:func:`localize` ranks a batch of queries in one pass: an int array of
-rows, each with its own history, gives one :class:`RankedList` whose
-score arrays and ``entries`` (the file columns in ranked order) have one
-row per query. An int row is the batch of one, returned as that query's
-1-D :class:`RankedList`. Every path runs the same kernel, in chunks of a
-bounded number of (query, document) pairs, counting the project's files
-and reports, so a one-row call builds 1×F and 1×R arrays and a batch's
-working arrays stay the size of a chunk's; only the result arrays grow
-with the batch. Those are scored once per model: the batch's direct and
-history-bridged score arrays of each model kind (a TF.IDF scope, the doc
-vectors) are kept in :class:`BatchScores` by the :class:`Artifacts`, and
-every method that ranks the same rows with the same histories fuses,
-sorts and ranks from them; its :class:`RankedList` refers to them.
+Each model kind ranks with the scores of its scope (:data:`SCOPES`:
+``"local"``, ``"global"``, ``"docvec"``), one :class:`Scores` per scope:
+three reports × files arrays, the direct scores and the history-bridged
+scores under each policy. They are computed once per project, when the
+scope is built, and the cache keeps them as that scope's ranking index:
 
-- TF.IDF: per scope, a :class:`TfidfScope` holds the direct score of each
-  (report, file) pair and the cosine of each pair of reports:
-  :func:`build_scope` computes them from the files'
-  :class:`~bugloc.tfidf.Postings` and the reports'
-  :class:`~bugloc.tfidf.Rows` (the length factor times one ``bincount``
-  over the bins ``query * n + row`` of a chunk's query spans), or the
-  cache's ranking index holds them (the same float64 arrays). A batch's
-  direct scores are the stored matrix itself when the batch is every
-  report in row order, as for ``evaluate``, else its rows; the
-  similarities to history reports are looked up in the pair cosines.
-- Doc vectors (:class:`DocVectors`) are inferred in two batches
-  (:func:`~bugloc.embedding.combined_matrix`): all of the project's files
-  and all of its reports, each once, kept as matrix rows with their norms;
-  or the cache's doc-vector index holds them (the same float64 arrays).
-  Similarities are one matrix-vector product per query, over the file
-  rows or that query's history rows, equal to the per-pair
-  :func:`~bugloc.embedding.doc_cosine` within rounding. The direct scores
-  of a chunk are one stacked ``np.matmul`` (numpy runs it as those
-  matrix-vector products), the history similarities one
-  :func:`~bugloc.embedding.doc_cosines` per query, over that query's
-  gathered history rows. A matrix-matrix product, or one over more rows
-  than the query's history, would round differently and can flip ties.
-- The bridge is one ``bincount`` of ``sim / |fixed(B)|`` over the bins
-  ``query * F + column`` of the (report, fixed file) pairs of the
-  concatenated histories, in history order. Min-max, fusion and the stable
-  sort work row by row.
-- Under the default policy a report's history is the rows before it,
-  whatever the batch, so the cache's ranking indexes also hold each
-  model's :func:`earlier_scores`, every report's bridged scores under that
-  policy (``TfidfScope.earlier``, ``DocVectors.earlier``): histories that
-  :func:`project_histories` tagged ``"earlier"`` read them, the matrix
-  itself for the batch of every report in row order, else its rows.
-  Other histories, and arrays built without a cache, are bridged per call.
+- :func:`tfidf_scores`, from the files' :class:`~bugloc.tfidf.Postings` and
+  the reports' :class:`~bugloc.tfidf.Rows`: the direct scores are the
+  length factors times ``Postings.cosines``, and the history similarities
+  are gathered from the cosine of each pair of reports, computed once as a
+  triangle (:func:`_report_sims`);
+- :func:`docvec_scores`, from the combined DM+DBOW vectors of the files and
+  the reports (:func:`doc_vectors`, inferred in one batch each): the direct
+  scores of a chunk are one stacked ``np.matmul`` (numpy runs it as one
+  matrix-vector product per query), the history similarities one
+  :func:`~bugloc.embedding.doc_cosines` per query over exactly that query's
+  gathered history rows, each equal to the per-pair
+  :func:`~bugloc.embedding.doc_cosine` within rounding. A matrix-matrix
+  product, or one over more rows than the query's history, would round
+  differently and can flip ties.
 
-Each bin sums the products of the per-pair formulas
+The bridge is one ``bincount`` of ``sim / |fixed(B)|`` over the bins
+``query * F + column`` of the (report, fixed file) pairs of a chunk's
+concatenated histories (:class:`Histories`, from :func:`project_histories`),
+in history order. Each bin sums the products of the per-pair formulas
 (:func:`~bugloc.tfidf.rvsm`, :func:`~bugloc.tfidf.cosine`, a dict summed in
-history order) in the same order, so the TF.IDF scores are bit-identical
-to them, and a batch's arrays equal those of its one-row calls bit for
-bit.
+history order) in the same order, so the TF.IDF scores are bit-identical to
+them. A build works in chunks of a bounded number of (query, document)
+pairs, counting the project's files and reports, and a row is the same
+whichever rows are computed with it.
 
-A batch's histories are one :class:`Histories`, CSR arrays of history
-rows: :func:`project_histories` builds those of a project's reports under
-a policy with numpy alone, tagged with it, and a list of per-query row
-arrays is converted once, untagged, on entry to :func:`localize`; each
-chunk slices it.
+:func:`localize` only reads, fuses and sorts. It ranks a batch of report
+rows in one pass: it reads those rows of the stored arrays (the arrays
+themselves for every report in row order, as ``evaluate`` asks), combines
+method 7's maps from them, then min-max normalizes, fuses and stable-sorts
+row by row, in chunks. Its :class:`RankedList` has one row per query; an
+int row is the batch of one, returned as that query's 1-D list.
 
-Every method reads one :class:`Artifacts` per project: its file and
-report ids, its fixed files as CSR arrays, a :class:`TfidfScope` per
-scope and the :class:`DocVectors`. :meth:`Artifacts.of` takes the ids and
-fixed files from a loaded project;
+Every method reads one :class:`Artifacts` per project: its file and report
+ids, its fixed files as CSR arrays and the :class:`Scores` of each scope.
+:meth:`Artifacts.of` takes the ids and fixed files from a loaded project;
 :meth:`~bugloc.cache.ArtifactCache.artifacts` gives all of them, from the
 project's ranking indexes or built and stored.
 
-``evaluate`` ranks all of a project's reports with one call per method,
-with the whole project's :class:`Histories`, built once for every method,
-so the methods share the models' scores, and scores each batch from the
-ranks of the reports' fixed files: :meth:`RankedList.ranks_of` reads them
-off ``entries`` for the fixed-file CSR arrays (:attr:`Artifacts.fixed`)
-and returns them as CSR arrays too, which
-:func:`~bugloc.metrics.compute_metrics` scores without a per-query object.
-:class:`RankEntry` rows exist only for a ranking that is written or
+``evaluate`` ranks all of a project's reports with one call per method and
+scores each batch from the ranks of the reports' fixed files:
+:meth:`RankedList.ranks_of` reads them off ``entries`` for the fixed-file
+CSR arrays (:attr:`Artifacts.fixed`) and returns them as CSR arrays too,
+which :func:`~bugloc.metrics.compute_metrics` scores without a per-query
+object. :class:`RankEntry` rows exist only for a ranking that is written or
 printed.
 """
 
@@ -104,7 +80,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -129,6 +104,11 @@ _METHOD_TABLE = {
     7: (COMBINED_GLOBAL, COMBINED_GLOBAL, 0.8, 0.2),
 }
 
+# the scope of each model kind: the scores it ranks with, and their index
+SCOPES = {TFIDF_LOCAL: "local", TFIDF_GLOBAL: "global", DOC2VEC_GLOBAL: "docvec"}
+# the history policies, each with its bridged scores in every Scores
+POLICIES = ("earlier", "all")
+
 
 @dataclass(frozen=True)
 class MethodConfig:
@@ -152,21 +132,12 @@ class MethodConfig:
         return cls(method_id, direct, indirect, default_w1, default_w2)
 
     @property
-    def tfidf_scopes(self) -> set[str]:
-        """The TF.IDF scopes ("local", "global") the method ranks with."""
+    def scopes(self) -> set[str]:
+        """The scopes (:data:`SCOPES`) of the models the method ranks with."""
         kinds = {self.direct_model, self.indirect_model}
         if COMBINED_GLOBAL in kinds:
-            kinds.add(TFIDF_GLOBAL)
-        return {_TFIDF_SCOPES[k] for k in kinds if k in _TFIDF_SCOPES}
-
-    @property
-    def needs_global_tfidf(self) -> bool:
-        return "global" in self.tfidf_scopes
-
-    @property
-    def needs_embeddings(self) -> bool:
-        return any(m in (DOC2VEC_GLOBAL, COMBINED_GLOBAL)
-                   for m in (self.direct_model, self.indirect_model))
+            kinds |= {TFIDF_GLOBAL, DOC2VEC_GLOBAL}
+        return {SCOPES[k] for k in kinds if k in SCOPES}
 
 
 class RankEntry(NamedTuple):
@@ -192,11 +163,10 @@ class RankedList:
     other methods read one query's. :class:`RankEntry` rows are built only
     by :meth:`rows`, for output.
 
-    ``direct`` and ``indirect`` may be read-only arrays shared with the
-    results of other methods of the same batch (:class:`BatchScores`) or
-    with the stored scores of a TF.IDF scope or the doc vectors, or views
-    into them; one query's are a row of the batch's, which stays in memory
-    while the row does. Copy them before editing them.
+    ``direct`` and ``indirect`` may be the read-only stored arrays of the
+    artifacts' :class:`Scores`, which other results share, or views into
+    them; one query's are a row of the batch's, which stays in memory while
+    the row does. Copy them before editing them.
     """
 
     query_bug_id: str | list[str]
@@ -249,7 +219,20 @@ class RankedList:
                              f"{e.indirect_score:.10g}"])
 
 
-_TFIDF_SCOPES = {TFIDF_LOCAL: "local", TFIDF_GLOBAL: "global"}
+class Scores(NamedTuple):
+    """A model's scores over one project, what ranking reads: ``direct``, the
+    score of each report (a row) against each file (a column, in path
+    order), and the history-bridged scores of each report under each policy
+    (``earlier``, ``all``); three read-only reports × files float64 arrays."""
+
+    direct: np.ndarray
+    earlier: np.ndarray
+    all: np.ndarray
+
+    @classmethod
+    def unranked(cls, n_files: int) -> Scores:
+        """The scores of a project with no reports, which nothing ranks."""
+        return cls(*(np.zeros((0, n_files)) for _ in range(3)))
 
 
 def _streams(docs) -> list:
@@ -261,137 +244,9 @@ def _streams(docs) -> list:
     return streams
 
 
-class TfidfScope:
-    """A project's TF.IDF scores under one vocabulary: what ranking reads.
-
-    ``direct`` holds the rVSM score of each report (a row) against each file
-    (a column, in path order). ``report_sims`` holds the cosine of each pair
-    of reports once: the lower triangle of the reports × reports matrix,
-    diagonal included, row by row in one flat array, so the pair (i, j) sits
-    at ``hi * (hi + 1) // 2 + lo``; :meth:`report_cosines` reads it. It is
-    given (the cache's ranking index holds it) or computed by a function of
-    no argument when history is first ranked or the scope is stored, so a
-    direct-only method without a cache never computes it. ``earlier``, when
-    given (the cache's ranking index holds it), is :func:`earlier_scores`:
-    each report's history-bridged scores under the default policy, reports
-    × files; None for a scope built without a cache.
-    """
-
-    def __init__(self, direct: np.ndarray, report_sims, earlier: np.ndarray | None = None):
-        self.direct = direct
-        self.earlier = earlier
-        if callable(report_sims):  # computed on first use
-            self._pairs = report_sims
-        else:
-            self.report_sims = report_sims
-
-    @staticmethod
-    def n_pairs(n_reports: int) -> int:
-        """The length of the ``report_sims`` of ``n_reports`` reports."""
-        return n_reports * (n_reports + 1) // 2
-
-    @cached_property
-    def report_sims(self) -> np.ndarray:
-        sims = self._pairs()
-        del self._pairs  # and the report vectors it holds
-        return sims
-
-    def report_cosines(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``cosine`` of the reports at rows ``a[k]`` and ``b[k]``, for each
-        ``k``, read from ``report_sims``."""
-        hi, lo = np.maximum(a, b), np.minimum(a, b)
-        return self.report_sims[self.n_pairs(hi) + lo]
-
-    @classmethod
-    def unranked(cls, n_files: int) -> TfidfScope:
-        """The scope of a project with no reports, which nothing ranks."""
-        return cls(np.zeros((0, n_files)), np.zeros(0))
-
-
-def _report_sims(queries: tfidf.Rows, n_terms: int, step: int) -> np.ndarray:
-    """``Postings.cosines`` of each report against the postings of the
-    reports up to it, ``step`` rows at a time: each chunk against the reports
-    up to its last row, the columns up to the row kept. Each bin adds its
-    products as ``cosine`` does, whichever other pairs are computed, and
-    ``cosine`` is the same bit for bit under argument swap, so one entry
-    serves both orders."""
-    n = len(queries.norms)
-    reports = tfidf.Postings.from_rows(queries, n_terms)
-    sims = np.empty(TfidfScope.n_pairs(n))
-    columns = np.arange(n)
-    for start in range(0, n, step):
-        rows = columns[start:start + step]
-        stop = rows[-1] + 1
-        # row by row, the columns up to the row: the triangle's order
-        sims[TfidfScope.n_pairs(start):TfidfScope.n_pairs(stop)] = \
-            reports.cosines(queries, rows, stop)[columns[:stop] <= rows[:, None]]
-    sims.flags.writeable = False
-    return sims
-
-
 def _path_order(project: Project) -> list:
     """The project's source files in path order, the order of score arrays."""
     return sorted(project.source_files, key=lambda f: f.id)
-
-
-def build_scope(project: Project, vocab: tfidf.Vocabulary | None = None) -> TfidfScope:
-    """The project's TF.IDF scores under ``vocab``, by default the local
-    vocabulary of its source files, weighed from its token streams; for a
-    project without reports, which nothing ranks, the unranked scope. The
-    direct scores are the length factors times ``Postings.cosines``, in
-    chunks of rows as a batch is scored; a row of ``Postings.cosines`` is
-    the same whichever rows are asked with it."""
-    if not project.has_queries:
-        return TfidfScope.unranked(len(project.source_files))
-    streams = _streams(project.source_files)
-    if vocab is None:
-        vocab = tfidf.build_vocabulary(streams)
-    normalizer = tfidf.LengthNormalizer.from_counts(map(len, streams))
-    ordered = _streams(_path_order(project))
-    files = tfidf.Postings.from_rows(tfidf.weigh(ordered, vocab), len(vocab))
-    length_weights = np.array([tfidf.length_weight(len(s), normalizer) for s in ordered])
-    queries = tfidf.weigh(_streams(project.bug_reports), vocab)
-    rows = np.arange(len(queries.norms))
-    step = max(1, _CHUNK_SCORES // (len(files) + len(rows)))
-    direct = np.empty((len(rows), len(files)))
-    for start in range(0, len(rows), step):
-        direct[start:start + step] = length_weights * files.cosines(queries,
-                                                                    rows[start:start + step])
-    direct.flags.writeable = False
-    return TfidfScope(direct, partial(_report_sims, queries, len(vocab), step))
-
-
-class DocVectors(NamedTuple):
-    """A project's combined DM+DBOW doc vectors as matrix rows: its files'
-    in path order and its reports' in row order, each row with its norm;
-    and, when given (the cache's doc-vector index holds them), the
-    :func:`earlier_scores` of the reports, reports × files."""
-
-    files: np.ndarray
-    file_norms: np.ndarray
-    reports: np.ndarray
-    report_norms: np.ndarray
-    earlier: np.ndarray | None = None
-
-    @classmethod
-    def infer(cls, project: Project, dm_model: embedding.EmbeddingModel,
-              dbow_model: embedding.EmbeddingModel, epochs: int | None = None) -> DocVectors:
-        """The vectors of the project's files and of its reports, inferred
-        from their token streams in one batch each."""
-        def rows(docs):
-            vectors, _ = embedding.combined_matrix(_streams(docs), dm_model, dbow_model,
-                                                   epochs=epochs)
-            # one norm per row, computed as doc_cosine computes it
-            return vectors, np.array([np.linalg.norm(v) for v in vectors])
-
-        return cls(*rows(_path_order(project)), *rows(project.bug_reports))
-
-    @classmethod
-    def unranked(cls, n_files: int, size: int) -> DocVectors:
-        """The vectors of a project with no reports, which nothing ranks:
-        ``n_files`` zero vectors of ``size`` values."""
-        return cls(np.zeros((n_files, size)), np.zeros(n_files), np.zeros((0, size)),
-                   np.zeros(0))
 
 
 class Artifacts:
@@ -404,35 +259,27 @@ class Artifacts:
     ascending columns ``columns[offsets[i]:offsets[i + 1]]``.
     ``fixed_counts`` holds each report's ``|fixed files|``, by default its
     number of columns, as for a loaded project, whose fixed files all
-    resolve to its files. ``scopes`` holds a :class:`TfidfScope` per
-    TF.IDF scope ("local", "global") and ``doc_vectors`` the
-    :class:`DocVectors`, or None; a method ranks only with the arrays
-    supplied, and reads no token stream and no model.
+    resolve to its files. ``scopes`` holds the :class:`Scores` of each scope
+    (:data:`SCOPES`) supplied; a method ranks only with those, and reads no
+    token stream and no model.
 
     :meth:`of` takes the ids and fixed files from a project;
     :meth:`~bugloc.cache.ArtifactCache.artifacts` gives all of the arrays.
-
-    The scores of the last batch ranked are kept (:meth:`batch_scores`)
-    until a different batch is ranked, :meth:`keep_scores` frees them or
-    the artifacts are freed.
     """
 
     def __init__(self, name: str, file_ids: list[str], report_ids: list[str],
-                 fixed: tuple[np.ndarray, np.ndarray], scopes: dict[str, TfidfScope],
-                 doc_vectors: DocVectors | None = None, fixed_counts: np.ndarray | None = None):
+                 fixed: tuple[np.ndarray, np.ndarray], scopes: dict[str, Scores] | None = None,
+                 fixed_counts: np.ndarray | None = None):
         self.name = name
         self.file_ids = file_ids
         self.report_ids = report_ids
         self.fixed = fixed
         self.fixed_counts = np.diff(fixed[0]) if fixed_counts is None else fixed_counts
-        self.scopes = scopes
-        self.doc_vectors = doc_vectors
-        self._batch: BatchScores | None = None
+        self.scopes = {} if scopes is None else scopes
 
     @classmethod
-    def of(cls, project: Project, scopes: dict[str, TfidfScope],
-           doc_vectors: DocVectors | None = None) -> Artifacts:
-        """The project's ids and fixed files with the given arrays. A fixed
+    def of(cls, project: Project, scopes: dict[str, Scores] | None = None) -> Artifacts:
+        """The project's ids and fixed files with the given scores. A fixed
         file missing from the project has no column but counts in
         ``fixed_counts``."""
         reports = project.bug_reports
@@ -445,7 +292,7 @@ class Artifacts:
             columns += fixed
         return cls(project.name, file_ids, [r.id for r in reports],
                    (np.concatenate(([0], np.cumsum(counts, dtype=np.intp))),
-                    np.array(columns, dtype=np.intp)), scopes, doc_vectors,
+                    np.array(columns, dtype=np.intp)), scopes,
                    np.array([len(r.fixed_files) for r in reports], dtype=np.intp))
 
     def row(self, bug_id: str) -> int:
@@ -455,40 +302,202 @@ class Artifacts:
         except ValueError:
             raise CorpusError(f"unknown bug id {bug_id!r} in project {self.name}") from None
 
-    @cached_property
-    def _pair_sizes(self) -> np.ndarray:
-        """The ``|fixed files|`` of the report of each pair of :attr:`fixed`,
-        as floats."""
-        return np.repeat(self.fixed_counts, np.diff(self.fixed[0])).astype(float)
 
-    def batch_scores(self, rows: np.ndarray, history: Histories) -> BatchScores:
-        """The scores of the batch ``rows`` with ``history``: those kept for
-        the last batch ranked if it is the same batch, else a new, empty
-        :class:`BatchScores` that replaces them."""
-        if self._batch is None or not self._batch.holds(rows, history):
-            self._batch = BatchScores(rows, history, len(self.file_ids), len(self.report_ids))
-        return self._batch
+# scores are built, fused and sorted in chunks of about this many (query,
+# document) pairs, documents being the project's files and reports, so that
+# a chunk's working arrays stay cache-sized and memory does not grow with
+# the number of queries
+_CHUNK_SCORES = 1 << 14
 
-    def keep_scores(self, configs) -> None:
-        """Free the kept batch scores that none of the methods ``configs``
-        ranks with; ``evaluate`` passes the methods it has yet to run."""
-        if self._batch is not None:
-            self._batch.keep(configs)
 
-    def _bridge(self, history: Histories, sims: np.ndarray) -> np.ndarray:
-        """Per query of the batch and file, the sum over the query's history
-        reports B that fixed the file of ``sims[B] / |fixed(B)|`` (``sims``
-        follows ``history.rows``), added up in history order as a dict
-        accumulation would: one ``bincount`` over the bins ``query * F +
-        column``."""
-        offsets, columns = self.fixed
-        idx, positions = tfidf.span_indices(offsets, history.rows)
-        n_queries, n_files = len(history.offsets) - 1, len(self.file_ids)
-        # float even when no pair is drawn on: bincount gives ints for no input
-        scores = np.bincount(history.owner[positions] * n_files + columns[idx],
-                             weights=sims[positions] / self._pair_sizes[idx],
-                             minlength=n_queries * n_files).astype(float, copy=False)
-        return scores.reshape(n_queries, n_files)
+def _chunks(artifacts: Artifacts, n_rows: int) -> list[slice]:
+    """Slices of ``n_rows`` rows, each of about ``_CHUNK_SCORES`` (query,
+    document) pairs; the project may have no files and no reports."""
+    step = max(1, _CHUNK_SCORES // max(1, len(artifacts.file_ids) + len(artifacts.report_ids)))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
+class Histories:
+    """The history rows of a batch of queries, as CSR arrays: query ``i`` of
+    the batch may draw on ``rows[offsets[i]:offsets[i + 1]]``, and ``owner``
+    holds the batch index of the query each of ``rows`` belongs to.
+    ``len()`` is the number of queries, and a slice of the batch
+    (``histories[start:stop]``) is the histories of those queries."""
+
+    __slots__ = ("rows", "owner", "offsets")
+
+    def __init__(self, rows: np.ndarray, owner: np.ndarray, offsets: np.ndarray):
+        self.rows = rows
+        self.owner = owner
+        self.offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, chunk: slice) -> Histories:
+        start, stop, _ = chunk.indices(len(self))
+        lo, hi = self.offsets[start], self.offsets[stop]
+        return Histories(self.rows[lo:hi], self.owner[lo:hi] - start,
+                         self.offsets[start:stop + 1] - lo)
+
+
+def project_histories(artifacts: Artifacts, policy: str = "earlier") -> Histories:
+    """The histories of every report of the project, in row order, as one
+    :class:`Histories`: each row's span holds the rows before it in the
+    project ordering, or every other row under ``policy="all"``."""
+    n = len(artifacts.report_ids)
+    rows = np.arange(n)
+    if policy == "earlier":
+        lengths = rows
+    elif policy == "all":
+        lengths = np.full(n, max(n - 1, 0), dtype=np.intp)
+    else:
+        raise ValueError(f"unknown history policy {policy!r}")
+    offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))
+    owner = np.repeat(rows, lengths)
+    # each span counts 0, 1, ... up; under "all" it steps over the query's own row
+    past = np.arange(offsets[-1]) - offsets[owner]
+    if policy == "all":
+        past += past >= owner
+    return Histories(past, owner, offsets)
+
+
+def _bridge(artifacts: Artifacts, history: Histories, sims: np.ndarray) -> np.ndarray:
+    """Per query of the batch and file, the sum over the query's history
+    reports B that fixed the file of ``sims[B] / |fixed(B)|`` (``sims``
+    follows ``history.rows``), added up in history order as a dict
+    accumulation would: one ``bincount`` over the bins ``query * F +
+    column``."""
+    offsets, columns = artifacts.fixed
+    idx, positions = tfidf.span_indices(offsets, history.rows)
+    n_queries, n_files = len(history), len(artifacts.file_ids)
+    sizes = artifacts.fixed_counts[history.rows[positions]].astype(float)
+    # float even when no pair is drawn on: bincount gives ints for no input
+    scores = np.bincount(history.owner[positions] * n_files + columns[idx],
+                         weights=sims[positions] / sizes,
+                         minlength=n_queries * n_files).astype(float, copy=False)
+    return scores.reshape(n_queries, n_files)
+
+
+def _scores(artifacts: Artifacts, direct: np.ndarray, similarities) -> Scores:
+    """The :class:`Scores` of the direct scores and, under each policy, the
+    bridge of ``similarities(rows, history)``: the similarity of each query
+    of ``rows`` to each of its history reports, aligned with
+    ``history.rows``; computed chunk by chunk."""
+    rows = np.arange(len(artifacts.report_ids))
+    bridged = []
+    for policy in POLICIES:
+        histories = project_histories(artifacts, policy)
+        scores = np.empty(direct.shape)
+        for chunk in _chunks(artifacts, len(rows)):
+            history = histories[chunk]
+            scores[chunk] = _bridge(artifacts, history, similarities(rows[chunk], history))
+        bridged.append(scores)
+    for scores in (direct, *bridged):
+        scores.flags.writeable = False
+    return Scores(direct, *bridged)
+
+
+def _report_sims(queries: tfidf.Rows, n_terms: int, step: int) -> np.ndarray:
+    """``Postings.cosines`` of each report against the postings of the
+    reports up to it, ``step`` rows at a time: the lower triangle of the
+    reports × reports matrix, diagonal included, row by row in one flat
+    array, so the pair (i, j) sits at ``hi * (hi + 1) // 2 + lo``. Each chunk
+    is computed against the reports up to its last row, the columns up to
+    the row kept. Each bin adds its products as ``cosine`` does, whichever
+    other pairs are computed, and ``cosine`` is the same bit for bit under
+    argument swap, so one entry serves both orders."""
+    n = len(queries.norms)
+    reports = tfidf.Postings.from_rows(queries, n_terms)
+    sims = np.empty(n * (n + 1) // 2)
+    columns = np.arange(n)
+    for start in range(0, n, step):
+        rows = columns[start:start + step]
+        stop = rows[-1] + 1
+        # row by row, the columns up to the row: the triangle's order
+        sims[start * (start + 1) // 2:stop * (stop + 1) // 2] = \
+            reports.cosines(queries, rows, stop)[columns[:stop] <= rows[:, None]]
+    return sims
+
+
+def tfidf_scores(project: Project, artifacts: Artifacts,
+                 vocab: tfidf.Vocabulary | None = None) -> Scores:
+    """The project's TF.IDF scores under ``vocab``, by default the local
+    vocabulary of its source files, weighed from its token streams, with
+    the ids and fixed files of ``artifacts``; for a project without
+    reports, which nothing ranks, the unranked scores. The direct scores
+    are the length factors times ``Postings.cosines`` and the history
+    similarities are read from the cosines of the report pairs
+    (:func:`_report_sims`), in chunks of rows; a row of ``Postings.cosines``
+    is the same whichever rows are asked with it."""
+    if not project.has_queries:
+        return Scores.unranked(len(project.source_files))
+    streams = _streams(project.source_files)
+    if vocab is None:
+        vocab = tfidf.build_vocabulary(streams)
+    normalizer = tfidf.LengthNormalizer.from_counts(map(len, streams))
+    ordered = _streams(_path_order(project))
+    files = tfidf.Postings.from_rows(tfidf.weigh(ordered, vocab), len(vocab))
+    length_weights = np.array([tfidf.length_weight(len(s), normalizer) for s in ordered])
+    queries = tfidf.weigh(_streams(project.bug_reports), vocab)
+    rows = np.arange(len(queries.norms))
+    chunks = _chunks(artifacts, len(rows))
+    direct = np.empty((len(rows), len(files)))
+    for chunk in chunks:
+        direct[chunk] = length_weights * files.cosines(queries, rows[chunk])
+    sims = _report_sims(queries, len(vocab), chunks[0].stop)  # a chunk's rows at a time
+
+    def similarities(asked: np.ndarray, history: Histories) -> np.ndarray:
+        hi = np.maximum(asked[history.owner], history.rows)
+        lo = np.minimum(asked[history.owner], history.rows)
+        return sims[hi * (hi + 1) // 2 + lo]
+
+    return _scores(artifacts, direct, similarities)
+
+
+def doc_vectors(project: Project, dm_model: embedding.EmbeddingModel,
+                dbow_model: embedding.EmbeddingModel, epochs: int | None = None) -> tuple:
+    """The combined DM+DBOW vectors of the project's files, in path order,
+    and of its reports, in row order, inferred from their token streams in
+    one batch each, as matrix rows each with its norm: ``(files,
+    file_norms, reports, report_norms)``."""
+    def rows(docs):
+        vectors, _ = embedding.combined_matrix(_streams(docs), dm_model, dbow_model,
+                                               epochs=epochs)
+        # one norm per row, computed as doc_cosine computes it
+        return vectors, np.array([np.linalg.norm(v) for v in vectors])
+
+    return (*rows(_path_order(project)), *rows(project.bug_reports))
+
+
+def docvec_scores(artifacts: Artifacts, files: np.ndarray, file_norms: np.ndarray,
+                  reports: np.ndarray, report_norms: np.ndarray) -> Scores:
+    """The doc-vector scores of the project of ``artifacts`` from its
+    :func:`doc_vectors`: each a cosine, equal to the per-pair
+    :func:`~bugloc.embedding.doc_cosine` within rounding. The direct scores
+    of a chunk are one stacked ``np.matmul``, which numpy runs as one
+    matrix-vector product per query, and the history similarities one
+    :func:`~bugloc.embedding.doc_cosines` per query over exactly its own
+    history rows; a matrix-matrix product, or one over more rows, would
+    round differently and can flip ties."""
+    direct = np.empty((len(reports), len(files)))
+    for chunk in _chunks(artifacts, len(reports)):
+        products = np.matmul(files, reports[chunk][:, :, None])[:, :, 0]
+        norms = report_norms[chunk]
+        direct[chunk] = np.divide(products, np.outer(norms, file_norms),
+                                  out=np.zeros(products.shape),
+                                  where=(norms != 0.0)[:, None] & (file_norms != 0.0))
+
+    def similarities(asked: np.ndarray, history: Histories) -> np.ndarray:
+        offsets = history.offsets.tolist()
+        sims = np.empty(len(history.rows))
+        for i, row in enumerate(asked.tolist()):
+            past = history.rows[offsets[i]:offsets[i + 1]]
+            sims[offsets[i]:offsets[i + 1]] = embedding.doc_cosines(
+                reports[past], report_norms[past], reports[row], report_norms[row])
+        return sims
+
+    return _scores(artifacts, direct, similarities)
 
 
 def _minmax(scores: np.ndarray) -> np.ndarray:
@@ -500,299 +509,70 @@ def _minmax(scores: np.ndarray) -> np.ndarray:
     return np.divide(scores - lo, hi - lo, out=np.zeros_like(scores), where=hi != lo)
 
 
-def _combined(lexical: np.ndarray, semantic: np.ndarray) -> np.ndarray:
-    return (_minmax(lexical) + _minmax(semantic)) / 2
-
-
 def fuse(direct: np.ndarray, indirect: np.ndarray, w1: float, w2: float) -> np.ndarray:
     """Min-max normalize both score arrays and combine them as w1*d + w2*i;
     2-D arrays are normalized row by row."""
     return w1 * _minmax(direct) + w2 * _minmax(indirect)
 
 
-# localize scores a batch in chunks of about this many (query, document)
-# pairs, documents being the project's files and reports (the direct scores
-# and the history similarities), so that a chunk's working arrays stay
-# cache-sized and memory does not grow with the number of queries;
-# build_scope computes a TF.IDF scope's scores in chunks of as many rows
-_CHUNK_SCORES = 1 << 14
-
-
-class Histories:
-    """The history rows of a batch of queries, as CSR arrays: query ``i`` of
-    the batch may draw on ``rows[offsets[i]:offsets[i + 1]]``, and ``owner``
-    holds the batch index of the query each of ``rows`` belongs to.
-    ``len()`` is the number of queries, and a slice of the batch
-    (``histories[start:stop]``) is the histories of those queries.
-
-    ``policy`` is the policy (``"earlier"``, ``"all"``) that
-    :func:`project_histories` built the histories under, kept by slicing,
-    and None for any others, such as those :meth:`of` converts. Histories
-    tagged ``"earlier"`` are bridged by reading a model's stored
-    ``earlier`` scores where it has them."""
-
-    __slots__ = ("rows", "owner", "offsets", "policy")
-
-    def __init__(self, rows: np.ndarray, owner: np.ndarray, offsets: np.ndarray,
-                 policy: str | None = None):
-        self.rows = rows
-        self.owner = owner
-        self.offsets = offsets
-        self.policy = policy
-
-    @classmethod
-    def of(cls, history) -> Histories:
-        """The histories of a batch, one int array of rows per query."""
-        lengths = [len(past) for past in history]
-        return cls(np.concatenate([np.zeros(0, dtype=np.intp),
-                                   *(np.asarray(past, dtype=np.intp) for past in history)]),
-                   np.repeat(np.arange(len(history)), lengths),
-                   np.concatenate(([0], np.cumsum(lengths, dtype=np.intp))))
-
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
-
-    def __getitem__(self, chunk: slice) -> Histories:
-        start, stop, _ = chunk.indices(len(self))
-        lo, hi = self.offsets[start], self.offsets[stop]
-        return Histories(self.rows[lo:hi], self.owner[lo:hi] - start,
-                         self.offsets[start:stop + 1] - lo, self.policy)
-
-
-def _arrays(artifacts: Artifacts, kind: str):
-    """The arrays a model ranks with: its TF.IDF scope or the doc vectors."""
-    if kind != DOC2VEC_GLOBAL and kind not in _TFIDF_SCOPES:
-        raise ValueError(f"unknown model {kind!r}")
-    arrays = (artifacts.doc_vectors if kind == DOC2VEC_GLOBAL
-              else artifacts.scopes.get(_TFIDF_SCOPES[kind]))
-    if arrays is None:
-        raise ValueError(f"{kind} arrays required but not supplied")
-    return arrays
-
-
-def _direct_scores(rows: np.ndarray, kind: str, artifacts: Artifacts) -> np.ndarray:
-    """Doc-vector direct scores of the project's reports ``rows`` (one score
-    row each) against every file; a TF.IDF scope stores its own."""
-    if kind != DOC2VEC_GLOBAL:
-        raise ValueError(f"unknown direct model {kind!r}")
-    vectors = _arrays(artifacts, kind)
-    # one stacked product: numpy runs it as one matrix-vector product per
-    # query, bit for bit as embedding.doc_cosines computes each row; the
-    # matrix-matrix product reports @ files.T rounds differently
-    products = np.matmul(vectors.files, vectors.reports[rows][:, :, None])[:, :, 0]
-    norms = vectors.report_norms[rows]
-    return np.divide(products, np.outer(norms, vectors.file_norms),
-                     out=np.zeros(products.shape),
-                     where=(norms != 0.0)[:, None] & (vectors.file_norms != 0.0))
-
-
-def _history_sims(rows: np.ndarray, history: Histories, kind: str,
-                  artifacts: Artifacts) -> np.ndarray:
-    """Similarity of each query to each of its history reports, aligned
-    with ``history.rows``."""
-    if kind == DOC2VEC_GLOBAL:
-        # one matrix-vector product per query over exactly its own history
-        # rows: a product over more rows, or a matrix-matrix product, rounds
-        # differently and can flip ties
-        doc_vectors = _arrays(artifacts, kind)
-        vectors, norms = doc_vectors.reports, doc_vectors.report_norms
-        offsets = history.offsets.tolist()
-        sims = np.empty(len(history.rows))
-        for i, row in enumerate(rows.tolist()):
-            past = history.rows[offsets[i]:offsets[i + 1]]
-            sims[offsets[i]:offsets[i + 1]] = embedding.doc_cosines(
-                vectors[past], norms[past], vectors[row], norms[row])
-        return sims
-    return _arrays(artifacts, kind).report_cosines(rows[history.owner], history.rows)
-
-
-class BatchScores:
-    """The direct and history-bridged scores of one batch of queries (report
-    ``rows``, each with its span of ``history``), one array per model kind,
-    each computed on first use, in chunks, or read from a stored matrix (a
-    TF.IDF scope's direct scores; a model's ``earlier`` scores for
-    histories tagged ``"earlier"``), and kept for the methods that rank the
-    same batch until :meth:`keep` drops it. Every method's
-    :class:`RankedList` of the batch refers to these arrays, so they are
-    read-only. Method 7's combined maps are derived from the TF.IDF-global
-    and doc-vector arrays on each use, and those are dropped once combined:
-    ``evaluate`` runs the methods in ascending order, so none ranks with
-    them after method 7, and another caller's later method scores them
-    anew. The scores come from the :class:`Artifacts` passed in, which keep
-    this object; it keeps no reference back, so the project's arrays are
-    freed with the artifacts, not at the next garbage collection.
-    """
-
-    def __init__(self, rows: np.ndarray, history: Histories, n_files: int, n_reports: int):
-        self.rows = rows
-        self.history = history
-        self.shape = (len(rows), n_files)
-        # chunks of about _CHUNK_SCORES (query, document) pairs, documents
-        # being the project's files and reports, of which there may be none
-        step = max(1, _CHUNK_SCORES // max(1, n_files + n_reports))
-        self.chunks = [slice(start, start + step) for start in range(0, len(rows), step)]
-        self._direct: dict[str, np.ndarray] = {}
-        self._indirect: dict[str, np.ndarray] = {}
-
-    def holds(self, rows: np.ndarray, history: Histories) -> bool:
-        """Whether these are the scores of the batch ``rows`` with ``history``."""
-        return (np.array_equal(self.rows, rows)
-                and np.array_equal(self.history.offsets, history.offsets)
-                and np.array_equal(self.history.rows, history.rows))
-
-    def keep(self, configs) -> None:
-        """Drop the arrays that none of the methods ``configs`` ranks with."""
-        def kinds(models):
-            return {kind for model in models
-                    for kind in ((TFIDF_GLOBAL, DOC2VEC_GLOBAL) if model == COMBINED_GLOBAL
-                                 else (model,))}
-        direct = kinds(config.direct_model for config in configs)
-        indirect = kinds(config.indirect_model for config in configs)
-        self._direct = {k: v for k, v in self._direct.items() if k in direct}
-        self._indirect = {k: v for k, v in self._indirect.items() if k in indirect}
-
-    def _chunked(self, score) -> np.ndarray:
-        """The batch's array of ``score(chunk)`` for each chunk, read-only."""
-        out = np.empty(self.shape)
-        for chunk in self.chunks:
-            out[chunk] = score(chunk)
-        out.flags.writeable = False
-        return out
-
-    def _combine(self, score, kept: dict, artifacts: Artifacts) -> np.ndarray:
-        """Method 7's map of the TF.IDF-global and doc-vector arrays that
-        ``score`` gives, which are dropped from ``kept``."""
-        lexical = score(TFIDF_GLOBAL, artifacts)
-        semantic = score(DOC2VEC_GLOBAL, artifacts)
-        kept.pop(TFIDF_GLOBAL)
-        kept.pop(DOC2VEC_GLOBAL)
-        return self._chunked(lambda c: _combined(lexical[c], semantic[c]))
-
-    def _stored_rows(self, stored: np.ndarray) -> np.ndarray:
-        """The batch's rows of a stored reports × files matrix: the matrix
-        itself for the batch of every report in row order, else its rows,
-        read-only."""
-        if np.array_equal(self.rows, np.arange(len(stored))):
-            return stored
-        rows = stored[self.rows]
-        rows.flags.writeable = False
-        return rows
-
-    def direct(self, kind: str, artifacts: Artifacts) -> np.ndarray:
-        """Direct scores: for a TF.IDF scope, the batch's rows of its stored
-        matrix."""
-        if kind == COMBINED_GLOBAL:
-            return self._combine(self.direct, self._direct, artifacts)
-        if kind not in self._direct:
-            self._direct[kind] = (
-                self._stored_rows(_arrays(artifacts, kind).direct) if kind in _TFIDF_SCOPES
-                else self._chunked(lambda c: _direct_scores(self.rows[c], kind, artifacts)))
-        return self._direct[kind]
-
-    def indirect(self, kind: str, artifacts: Artifacts) -> np.ndarray:
-        """History-bridged scores; an empty history yields a row of zeros.
-        For histories tagged ``"earlier"``, the batch's rows of the model's
-        stored ``earlier`` scores where it has them: each query's history is
-        then the rows before it, which those scores bridge."""
-        if kind == COMBINED_GLOBAL:
-            return self._combine(self.indirect, self._indirect, artifacts)
-        if kind == NONE:  # a read-only view of one zero, in no memory of its own
-            return np.broadcast_to(0.0, self.shape)
-        if kind not in self._indirect:
-            stored = _arrays(artifacts, kind).earlier if self.history.policy == "earlier" else None
-            if stored is not None:
-                self._indirect[kind] = self._stored_rows(stored)
-            else:
-                self._indirect[kind] = self._chunked(lambda c: artifacts._bridge(
-                    self.history[c], _history_sims(self.rows[c], self.history[c], kind,
-                                                   artifacts)))
-        return self._indirect[kind]
-
-
-def project_histories(artifacts: Artifacts, policy: str = "earlier",
-                      rows=None) -> Histories:
-    """The histories of the project's reports at ``rows`` (every row by
-    default) as one :class:`Histories`: each query row's span holds the rows
-    before it in the project ordering, or every other row under
-    ``policy="all"``."""
-    n = len(artifacts.report_ids)
-    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
-    if policy == "earlier":
-        lengths = rows
-    elif policy == "all":
-        lengths = np.full(len(rows), max(n - 1, 0), dtype=np.intp)
-    else:
-        raise ValueError(f"unknown history policy {policy!r}")
-    offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))
-    owner = np.repeat(np.arange(len(rows)), lengths)
-    # each span counts 0, 1, ... up; under "all" it steps over the query's own row
-    past = np.arange(offsets[-1]) - offsets[owner]
-    if policy == "all":
-        past += past >= rows[owner]
-    return Histories(past, owner, offsets, policy)
-
-
-def earlier_scores(artifacts: Artifacts, kind: str) -> np.ndarray:
-    """The history-bridged scores of every report of the project, in row
-    order, under the default policy, for the model ``kind``: what a ranking
-    index stores as ``earlier``. They are bridged as for any untagged
-    histories, so they equal, bit for bit, those of any batch of the same
-    rows and histories, and of its one-row calls."""
-    n = len(artifacts.report_ids)
-    earlier = project_histories(artifacts, "earlier")
-    untagged = Histories(earlier.rows, earlier.owner, earlier.offsets)
-    return BatchScores(np.arange(n), untagged, len(artifacts.file_ids), n).indirect(kind,
-                                                                                    artifacts)
-
-
-def history_at(artifacts: Artifacts, row: int, policy: str = "earlier") -> np.ndarray:
-    """Rows usable as history for the project's report ``row``: its span of
-    :func:`project_histories`."""
-    return project_histories(artifacts, policy, [row]).rows
-
-
-def _check_rows(rows: np.ndarray, artifacts: Artifacts) -> None:
-    """``ValueError`` unless every one of ``rows`` is a row of the project's
-    reports: numpy would silently read a negative row from the end."""
-    n_reports = len(artifacts.report_ids)
-    if len(rows) and (rows.min() < 0 or rows.max() >= n_reports):
-        raise ValueError(f"report rows must lie in [0, {n_reports}) for project "
-                         f"{artifacts.name}")
+def _stored(artifacts: Artifacts, model: str, field: str, rows: np.ndarray,
+            chunks: list[slice]) -> np.ndarray:
+    """The rows ``rows`` of the model's stored ``field`` scores (``"direct"``
+    or a policy): the stored array itself for every report in row order,
+    else its rows, read-only; for method 7's combined model, the average of
+    the min-max normalized TF.IDF-global and doc-vector rows, chunk by chunk;
+    for no model, a read-only view of one zero."""
+    shape = (len(rows), len(artifacts.file_ids))
+    if model == NONE:  # in no memory of its own
+        return np.broadcast_to(0.0, shape)
+    if model == COMBINED_GLOBAL:
+        lexical, semantic = (_stored(artifacts, kind, field, rows, chunks)
+                             for kind in (TFIDF_GLOBAL, DOC2VEC_GLOBAL))
+        combined = np.empty(shape)
+        for chunk in chunks:
+            combined[chunk] = (_minmax(lexical[chunk]) + _minmax(semantic[chunk])) / 2
+        return combined
+    if model not in SCOPES:
+        raise ValueError(f"unknown model {model!r}")
+    scores = artifacts.scopes.get(SCOPES[model])
+    if scores is None:
+        raise ValueError(f"{model} scores required but not supplied")
+    stored = getattr(scores, field)
+    if np.array_equal(rows, np.arange(len(stored))):
+        return stored
+    selected = stored[rows]
+    selected.flags.writeable = False
+    return selected
 
 
 def localize(artifacts: Artifacts, rows, config: MethodConfig,
-             history=None) -> RankedList:
+             policy: str = "earlier") -> RankedList:
     """Rank every source file of the project for its reports at ``rows``,
-    an int array of report rows, in one pass.
-
-    ``history`` holds, per query row, the int array of report rows that
-    query may draw on, or is one :class:`Histories` of the batch (a list is
-    converted to one on entry); each defaults to the rows before it. The
-    caller is responsible for excluding the query itself (and, during
-    evaluation, anything not strictly earlier). The result's score arrays and
-    ``entries`` have one row per query row. An int ``rows`` is a batch of
-    one whose ``history`` is one int array, and its result is that one
+    an int array of report rows, in one pass, each with its history under
+    ``policy`` (``"earlier"``, the rows before it; ``"all"``, every other
+    row). The result's score arrays and ``entries`` have one row per query
+    row. An int ``rows`` is a batch of one, and its result is that one
     query's 1-D :class:`RankedList`.
 
-    A query row or history row outside the project's reports raises
-    ``ValueError``. Ties in the fused score break by file path so output
-    order is total.
+    A query row outside the project's reports raises ``ValueError``, as
+    does an unknown policy. Ties in the fused score break by file path so
+    output order is total.
     """
     single = np.ndim(rows) == 0
     rows = np.atleast_1d(np.asarray(rows, dtype=np.intp))
-    _check_rows(rows, artifacts)
-    if history is None:
-        history = project_histories(artifacts, "earlier", rows)
-    elif not isinstance(history, Histories):
-        history = Histories.of([history] if single else history)
-    if len(history) != len(rows):
-        raise ValueError(f"{len(history)} histories for {len(rows)} query rows")
-    _check_rows(history.rows, artifacts)
-    scores = artifacts.batch_scores(rows, history)
-    direct = scores.direct(config.direct_model, artifacts)
-    indirect = scores.indirect(config.indirect_model, artifacts)
-    final, entries = np.empty(scores.shape), np.empty(scores.shape, dtype=np.intp)
-    for chunk in scores.chunks:
+    n_reports = len(artifacts.report_ids)
+    # numpy would silently read a negative row from the end
+    if len(rows) and (rows.min() < 0 or rows.max() >= n_reports):
+        raise ValueError(f"report rows must lie in [0, {n_reports}) for project "
+                         f"{artifacts.name}")
+    if policy not in POLICIES:
+        raise ValueError(f"unknown history policy {policy!r}")
+    chunks = _chunks(artifacts, len(rows))
+    direct = _stored(artifacts, config.direct_model, "direct", rows, chunks)
+    indirect = _stored(artifacts, config.indirect_model, policy, rows, chunks)
+    shape = (len(rows), len(artifacts.file_ids))
+    final, entries = np.empty(shape), np.empty(shape, dtype=np.intp)
+    for chunk in chunks:
         final[chunk] = fuse(direct[chunk], indirect[chunk], config.w1, config.w2)
         entries[chunk] = np.argsort(-final[chunk], axis=-1, kind="stable")
     ids = [artifacts.report_ids[row] for row in rows.tolist()]

@@ -30,15 +30,18 @@ def java_stub(*identifiers, filler=""):
 
 
 def artifacts_of(project, global_vocab=None, dm=None, dbow=None, infer_epochs=None):
-    """The project's ``rank.Artifacts``, built from its token streams: its
-    local TF.IDF scope, plus its global scope under ``global_vocab`` and
-    its doc vectors inferred with the ``dm`` and ``dbow`` models, each when
-    given."""
-    scopes = {"local": rank.build_scope(project)}
+    """The project's ``rank.Artifacts``, built from its token streams: the
+    scores of its local TF.IDF scope, plus those of its global scope under
+    ``global_vocab`` and of its doc vectors inferred with the ``dm`` and
+    ``dbow`` models, each when given."""
+    artifacts = rank.Artifacts.of(project)
+    artifacts.scopes["local"] = rank.tfidf_scores(project, artifacts)
     if global_vocab is not None:
-        scopes["global"] = rank.build_scope(project, global_vocab)
-    vectors = None if dm is None else rank.DocVectors.infer(project, dm, dbow, infer_epochs)
-    return rank.Artifacts.of(project, scopes, vectors)
+        artifacts.scopes["global"] = rank.tfidf_scores(project, artifacts, global_vocab)
+    if dm is not None:
+        artifacts.scopes["docvec"] = rank.docvec_scores(
+            artifacts, *rank.doc_vectors(project, dm, dbow, infer_epochs))
+    return artifacts
 
 
 @pytest.fixture(scope="session")

@@ -186,7 +186,7 @@ def sealed_bytes(sealed):
                 "dbow": lambda data: embedding.load_model(data, PV_DBOW, config),
                 "index_local": cache_module._decode_index,
                 "index_global": cache_module._decode_index,
-                "index_docvec": lambda data: cache_module._decode_docvec(data, 16)}
+                "index_docvec": lambda data: cache_module._decode_index(data, signed=True)}
     return {kind: ((cache / name).read_bytes(), decoders[kind]) for kind, name in KINDS.items()}
 
 
@@ -452,10 +452,9 @@ class TestRankingIndex:
 
     @pytest.mark.parametrize("flaw", ["fixed_column_out_of_range",
                                       "fixed_offsets_wrong_length",
-                                      "report_sims_wrong_length", "direct_wrong_length",
-                                      "direct_nan", "report_sim_negative",
-                                      "earlier_wrong_length", "earlier_nan",
-                                      "earlier_negative"])
+                                      *(f"{name}_{what}" for name in ("direct", "earlier", "all")
+                                        for what in ("wrong_length", "nan", "infinite",
+                                                     "negative"))])
     def test_resealed_index_of_bad_structure_rebuilt_with_warning(self, bench, tmp_path,
                                                                   caplog, flaw):
         train(bench, tmp_path / "c")
@@ -464,30 +463,22 @@ class TestRankingIndex:
         artifact = tmp_path / "c" / "index_global_proj1.bin"
         cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig(), EmbeddingConfig())
         artifacts = indexed(cache, "global")
-        scope = artifacts.scopes["global"]
         fixed_offsets, fixed_columns = artifacts.fixed
-        direct, report_sims = scope.direct.copy(), scope.report_sims.copy()
-        earlier = scope.earlier.copy()
+        scores = {name: array.copy() for name, array in
+                  artifacts.scopes["global"]._asdict().items()}
+        name, _, what = flaw.partition("_")  # a score array and what is wrong with it
         if flaw == "fixed_column_out_of_range":
             fixed_columns = fixed_columns.copy()
             fixed_columns[0] = len(artifacts.file_ids)
         elif flaw == "fixed_offsets_wrong_length":
             fixed_offsets = fixed_offsets[:-1]
-        elif flaw == "report_sims_wrong_length":  # one pair short of the triangle
-            report_sims = report_sims[:-1]
-        elif flaw == "direct_wrong_length":  # one file short of the last report's row
-            direct = direct.ravel()[:-1]
-        elif flaw == "direct_nan":
-            direct[1, 2] = np.nan
-        elif flaw == "earlier_wrong_length":  # one file short of the last report's row
-            earlier = earlier.ravel()[:-1]
-        elif flaw == "earlier_nan":
-            earlier[2, 1] = np.nan
-        elif flaw == "earlier_negative":
-            earlier[3, 0] = -earlier[3, 0] or -1e-300
+        elif what == "wrong_length":  # one file short of the last report's row
+            scores[name] = scores[name].ravel()[:-1]
+        elif what == "negative":
+            scores[name][3, 0] = -scores[name][3, 0] or -1e-300
         else:
-            report_sims[3] = -report_sims[3] or -1e-300
-        bad = rank.TfidfScope(direct, report_sims, earlier)
+            scores[name][2, 1] = np.nan if what == "nan" else np.inf
+        bad = rank.Scores(**scores)
         artifact.write_bytes(b"".join(cache_module._encode_index(
             bad, artifacts.file_ids, artifacts.report_ids, fixed_offsets, fixed_columns)))
         reseal(artifact)
@@ -610,39 +601,33 @@ class TestRankingIndex:
         built = cache.artifacts("proj1", {"local"}, lambda: benchmark).scopes["local"]
         reloaded = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig())
         loaded = indexed(reloaded, "local").scopes["local"]
-        for name in ("direct", "report_sims", "earlier"):
+        for name in rank.Scores._fields:
             want, got = getattr(built, name), getattr(loaded, name)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want) and not got.flags.writeable
 
-    def test_stored_report_sims_are_the_cosines_in_either_order(self, synth_benchmark,
-                                                                 tmp_path):
-        """Each stored entry is the cosine of its two reports, bit for bit,
-        in either argument order: the property that lets one entry serve
-        the pair both ways."""
-        root, benchmark, _ = synth_benchmark
+    def test_report_sims_are_the_cosines_in_either_order(self, synth_benchmark):
+        """Each entry of the triangle the history similarities are read from
+        is the cosine of its two reports, bit for bit, in either argument
+        order: the property that lets one entry serve the pair both ways."""
+        _, benchmark, _ = synth_benchmark
         project = benchmark.project("proj1")
-        cache = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig())
-        cache.artifacts("proj1", {"local", "global"}, lambda: benchmark)
-        stored = indexed(ArtifactCache(tmp_path / "c", root, PreprocessConfig()),
-                         "local", "global")
         vocabs = {"local": tfidf.build_vocabulary(f.token_stream for f in project.source_files),
-                  "global": cache.global_vocabulary("proj1")}
+                  "global": tfidf.build_global_idf(benchmark, "proj1")}
         for scope, vocab in vocabs.items():
-            data = stored.scopes[scope]
+            n = len(project.bug_reports)
+            sims = rank._report_sims(tfidf.weigh([r.token_stream for r in project.bug_reports],
+                                                 vocab), len(vocab), 4)
             vectors = [tfidf.vectorize(r.token_stream, vocab) for r in project.bug_reports]
-            n = len(vectors)
-            assert len(data.report_sims) == n * (n + 1) // 2
+            assert len(sims) == n * (n + 1) // 2
             cosines = np.empty((n, n))
             for i in range(n):
                 for j in range(i + 1):
-                    entry = data.report_sims[i * (i + 1) // 2 + j]
+                    entry = sims[i * (i + 1) // 2 + j]
                     assert entry == tfidf.cosine(vectors[i], vectors[j]) == \
                         tfidf.cosine(vectors[j], vectors[i])
                     cosines[i, j] = cosines[j, i] = entry
             assert np.count_nonzero(np.tril(cosines, -1))
-            a, b = np.indices((n, n)).reshape(2, -1)
-            assert np.array_equal(data.report_cosines(a, b), cosines.ravel())
 
     def test_stored_direct_scores_are_the_reference_rvsm(self, synth_benchmark, tmp_path):
         """Each stored direct score is ``tfidf.rvsm`` of its report and file,
@@ -667,6 +652,48 @@ class TestRankingIndex:
                 for j, vector in enumerate(vectors):
                     assert direct[i, j] == tfidf.rvsm(report, vector, normalizer)
             assert np.count_nonzero(direct)
+
+    @pytest.mark.parametrize("policy", ["earlier", "all"])
+    @pytest.mark.parametrize("scope", ["local", "global", "docvec"])
+    def test_stored_bridged_scores_are_the_reference_bridge(self, synth_benchmark, tmp_path,
+                                                            scope, policy):
+        """Each stored history-bridged score is, bit for bit, a dict bridge
+        summed in history order over the per-pair ``tfidf.cosine`` of the
+        report and each of its history reports under the policy, or, for
+        the doc vectors, over one ``embedding.doc_cosines`` of the report
+        and exactly its history rows."""
+        root, benchmark, _ = synth_benchmark
+        project = benchmark.project("proj1")
+        cache = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig(), EMBED, 2)
+        cache.artifacts("proj1", {scope}, lambda: benchmark)
+        stored = indexed(ArtifactCache(tmp_path / "c", root, PreprocessConfig(), EMBED, 2),
+                         scope)
+        reports = project.bug_reports
+        if scope == "docvec":
+            models = [cache.embedding_model("proj1", mode) for mode in (PV_DM, PV_DBOW)]
+            _, _, vectors, norms = rank.doc_vectors(project, *models, 2)
+
+            def similarities(row, past):
+                return embedding.doc_cosines(vectors[past], norms[past], vectors[row],
+                                             norms[row]).tolist()
+        else:
+            vocab = (tfidf.build_vocabulary(f.token_stream for f in project.source_files)
+                     if scope == "local" else cache.global_vocabulary("proj1"))
+            weighed = [tfidf.vectorize(r.token_stream, vocab) for r in reports]
+
+            def similarities(row, past):
+                return [tfidf.cosine(weighed[row], weighed[b]) for b in past]
+
+        bridged = getattr(stored.scopes[scope], policy)
+        n = len(reports)
+        for row in range(n):
+            past = list(range(row)) if policy == "earlier" else [b for b in range(n) if b != row]
+            want = dict.fromkeys(stored.file_ids, 0.0)
+            for b, sim in zip(past, similarities(row, past)):
+                for fid in reports[b].fixed_files & want.keys():
+                    want[fid] += sim / len(reports[b].fixed_files)
+            assert bridged[row].tolist() == list(want.values())
+        assert np.count_nonzero(bridged)
 
     def test_local_and_global_indexes_are_of_one_size(self, synth_benchmark, tmp_path):
         """An index holds scores only, whatever its vocabulary."""
@@ -1007,13 +1034,10 @@ class TestHitsReadNoBenchmarkFile:
             (cold.name, cold.file_ids, cold.report_ids)
 
         def arrays(artifacts):
-            found = [*artifacts.fixed, artifacts.fixed_counts, *artifacts.doc_vectors]
-            for scope in ("local", "global"):
-                data = artifacts.scopes[scope]
-                found += [data.direct, data.report_sims, data.earlier]
-            return found
+            return [*artifacts.fixed, artifacts.fixed_counts,
+                    *(array for scope in scopes for array in artifacts.scopes[scope])]
 
-        assert len(arrays(hit)) == len(arrays(cold)) == 14
+        assert len(arrays(hit)) == len(arrays(cold)) == 12
         for got, want in zip(arrays(hit), arrays(cold)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
@@ -1086,8 +1110,8 @@ def test_token_index_merged_from_worker_chunks_matches_golden_digest(synth_bench
 # direct scores and report cosines of v6; the outputs' digests are those of
 # v5 and v6.
 GOLDEN_EVALUATE = {
-    "c/index_local_proj1.bin": "8e81d9b150694cd555942424b3cb91206f106fe1d7bff735e04afab967311d81",
-    "c/index_global_proj1.bin": "56e736c16e43860d1cb77c6ac5e55482824a275eff736e19e08c4315acb8e05e",
+    "c/index_local_proj1.bin": "6ff07518920f27477c30262f0c892321e50d4dc1971cf80cb479b55f1d2aa902",
+    "c/index_global_proj1.bin": "1835c51d8fb8cf160f4d899384d205811ff6be76099aeb079a37f3a1ace413de",
     "out/metrics.csv": "3e9f404e3f6ed7b313e46fc1f176ef5b927f45f1e775c9d6a1cbc81eb2a3fc18",
     "out/per_query.csv": "42a5494c9be21ee50e0c77ac91c3dde528d2bea9a0d49220240703e21daf04cf",
 }
@@ -1173,7 +1197,7 @@ def test_doc_vector_all_history_and_localize_match_golden_digests(synth_benchmar
 # writes with the FAST settings; of layout bugloc-docvec v2, which adds each
 # report's history-bridged scores under the default policy to the vectors
 # and norms of v1
-GOLDEN_INDEX_DOCVEC = "32dd4848253f2e1fe6960e02d38b53e80862b151c7aaa678d345167f4e7ca073"
+GOLDEN_INDEX_DOCVEC = "df74971b5698395cda2998942af24f4d50646467dc4a7bc5ba45c33d86c3e33e"
 
 
 def test_doc_vector_index_matches_golden_digest(synth_benchmark, tmp_path):
@@ -1213,7 +1237,10 @@ def test_localize_on_an_index_hit_matches_golden_digests(synth_benchmark, tmp_pa
 # sha256 of the raw bytes of `final`, `direct`, `indirect` and `entries`, in
 # that order, of the `rank.localize` batch of every report of proj1, per
 # TF.IDF method with history and per history: the printed CSV goldens round
-# their floats and cannot see a change in the last bit
+# their floats and cannot see a change in the last bit. The custom histories
+# are ranked as `localize` ranked them before it read only stored scores: the
+# index builder's bridge over the report-pair cosines, `rank.fuse` and the
+# stable sort.
 GOLDEN_RAW = {
     (3, "earlier"): "4ea9c5cbb8c06481f230df2164f51404cf287e9b85fd521acb4f9374a852bf31",
     (3, "all"): "bf72c2e029c1aa6babb19e2c3a1692c6446c981f36c17d0a00965b6ce4b91ad8",
@@ -1226,28 +1253,51 @@ GOLDEN_RAW = {
 
 def custom_histories(n):
     """Per query row of ``n`` reports, a history of the query's own row,
-    every other later row and every third earlier row, in that order."""
-    return [np.concatenate(([row], np.arange(row + 1, n, 2), np.arange(0, row, 3)))
-            for row in range(n)]
+    every other later row and every third earlier row, in that order, as
+    one ``rank.Histories``."""
+    spans = [np.concatenate(([row], np.arange(row + 1, n, 2), np.arange(0, row, 3)))
+             for row in range(n)]
+    lengths = [len(rows) for rows in spans]
+    return rank.Histories(np.concatenate(spans).astype(np.intp),
+                          np.repeat(np.arange(n), lengths),
+                          np.concatenate(([0], np.cumsum(lengths))))
+
+
+def ranked_with_custom_histories(artifacts, config, project, vocab):
+    """``(final, direct, indirect, entries)`` of the method over every report
+    of the project, each with its :func:`custom_histories`."""
+    history = custom_histories(len(artifacts.report_ids))
+    queries = tfidf.weigh([r.token_stream for r in project.bug_reports], vocab)
+    pairs = rank._report_sims(queries, len(vocab), 4)
+    hi, lo = np.maximum(history.owner, history.rows), np.minimum(history.owner, history.rows)
+    indirect = rank._bridge(artifacts, history, pairs[hi * (hi + 1) // 2 + lo])
+    direct = artifacts.scopes[rank.SCOPES[config.direct_model]].direct
+    final = rank.fuse(direct, indirect, config.w1, config.w2)
+    return final, direct, indirect, np.argsort(-final, axis=-1, kind="stable")
 
 
 def test_raw_batch_scores_match_golden_digests(synth_benchmark, tmp_path):
     root, benchmark, _ = synth_benchmark
+    project = benchmark.project("proj1")
+    vocabs = {3: tfidf.build_vocabulary(f.token_stream for f in project.source_files),
+              4: tfidf.build_global_idf(benchmark, "proj1")}
     scopes = {"local", "global"}
     cold = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig()).artifacts(
         "proj1", scopes, lambda: benchmark)
     hit = indexed(ArtifactCache(tmp_path / "c", root, PreprocessConfig()), *scopes)
     for artifacts in (cold, hit):
         n = len(artifacts.report_ids)
-        histories = {"earlier": rank.project_histories(artifacts, "earlier"),
-                     "all": rank.project_histories(artifacts, "all"),
-                     "custom": custom_histories(n)}
         written = {}
         for method, policy in GOLDEN_RAW:
-            ranked = rank.localize(artifacts, np.arange(n), rank.MethodConfig.from_id(method),
-                                   histories[policy])
+            config = rank.MethodConfig.from_id(method)
+            if policy == "custom":
+                arrays = ranked_with_custom_histories(artifacts, config, project,
+                                                      vocabs[method])
+            else:
+                ranked = rank.localize(artifacts, np.arange(n), config, policy)
+                arrays = ranked.final, ranked.direct, ranked.indirect, ranked.entries
             digest = hashlib.sha256()
-            for array in (ranked.final, ranked.direct, ranked.indirect, ranked.entries):
+            for array in arrays:
                 digest.update(np.ascontiguousarray(array).tobytes())
             written[method, policy] = digest.hexdigest()
         assert written == GOLDEN_RAW
@@ -1296,91 +1346,59 @@ def test_a_method_scores_the_same_alone_as_alongside_others(synth_benchmark, tmp
 
 
 @pytest.mark.parametrize("policy", ["earlier", "all"])
-def test_evaluate_frees_the_scores_no_later_method_ranks_with(synth_benchmark, tmp_path,
-                                                              monkeypatch, policy):
+@pytest.mark.parametrize("command", ["evaluate", "localize"])
+def test_index_hits_only_read_fuse_and_sort(synth_benchmark, tmp_path, monkeypatch,
+                                            load_calls, command, policy):
+    """Calls served by the ranking indexes read every score from them, under
+    either history policy: they neither bridge nor compute a similarity, and
+    each method ranks with the stored arrays, or their rows for one report,
+    and method 7 with maps combined from them."""
     root, _, _ = synth_benchmark
-    refs, alive = [], []
-    localize = rank.localize
-
-    def recording(*args, **kwargs):
-        stored = [array for scope in args[0].scopes.values()
-                  for array in (scope.direct, scope.earlier)]
-        alive.append(["stored" if any(ref() is s for s in stored) else ref() is not None
-                      for ref in refs])
-        ranked = localize(*args, **kwargs)
-        refs.extend((weakref.ref(ranked.direct), weakref.ref(ranked.indirect)))
-        return ranked
-
-    monkeypatch.setattr(rank, "localize", recording)
-    gc.disable()
-    try:
-        run("evaluate", "--benchmark", root, "--methods", "1,3,4", "--projects", "proj1",
-            "--cache", tmp_path / "c", "--out", tmp_path / "out", "--history", policy)
-    finally:
-        gc.enable()
-    # method 3 ranks with method 1's direct scores, method 4 with neither's:
-    # those, and method 3's history-bridged scores under the default policy,
-    # are the local index's stored scores, which live as long as the
-    # project's arrays; what the batch computed is freed
-    bridged = "stored" if policy == "earlier" else False
-    assert alive == [[], ["stored", False], ["stored", False, "stored", bridged]]
-
-
-@pytest.mark.parametrize("scope", ["local", "global", "docvec"])
-def test_stored_earlier_scores_are_the_bridge_of_untagged_histories(synth_benchmark, tmp_path,
-                                                                    scope):
-    """A loaded index's ``earlier`` scores are, byte for byte, what the batch
-    kernel bridges for histories of the rows before each report that carry
-    no policy tag: for the batch of every report and for one-row batches."""
-    root, benchmark, _ = synth_benchmark
-    ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig(), EMBED, 2).artifacts(
-        "proj1", {scope}, lambda: benchmark)
-    hit = indexed(ArtifactCache(tmp_path / "c", root, PreprocessConfig(), EMBED, 2), scope)
-    kind = cache_module._KIND_OF_SCOPE[scope]
-    stored = (hit.doc_vectors if scope == "docvec" else hit.scopes[scope]).earlier
-    n = len(hit.report_ids)
-
-    def bridged(rows):
-        tagged = rank.project_histories(hit, "earlier", rows)
-        untagged = rank.Histories(tagged.rows, tagged.owner, tagged.offsets)
-        return rank.BatchScores(rows, untagged, len(hit.file_ids), n).indirect(kind, hit)
-
-    assert stored.shape == (n, len(hit.file_ids)) and np.count_nonzero(stored)
-    assert stored.tobytes() == bridged(np.arange(n)).tobytes()
-    for row in (0, n // 2, n - 1):
-        assert stored[row].tobytes() == bridged(np.array([row])).tobytes()
-
-
-def test_default_history_hits_bridge_nothing(synth_benchmark, tmp_path, monkeypatch,
-                                             load_calls):
-    """Calls served by the ranking indexes read every history-bridged score
-    under the default policy from them: they neither bridge nor compute a
-    history similarity. Under ``--history all`` they do both."""
-    root, _, _ = synth_benchmark
-    calls = []
-    for owner, name in ((rank.Artifacts, "_bridge"), (rank, "_history_sims")):
-        def counted(*args, _real=getattr(owner, name), _name=name):
+    calls, ranked = [], []
+    for owner, name in ((rank, "_bridge"), (rank, "_report_sims"), (tfidf.Postings, "cosines"),
+                        (embedding, "doc_cosines"), (embedding, "infer_matrix")):
+        def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
             calls.append(_name)
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
+    localize = rank.localize
 
-    def evaluate(*extra):
+    def recording(artifacts, rows, config, policy="earlier"):
+        result = localize(artifacts, rows, config, policy)
+        ranked.append((artifacts, rows, config, policy, result))
+        return result
+
+    monkeypatch.setattr(rank, "localize", recording)
+    run("evaluate", "--benchmark", root, "--methods", "1,2,3,4,5,6,7", "--cache",
+        tmp_path / "c", "--out", tmp_path / "cold", *FAST)  # builds every index
+    assert set(calls) == {"_bridge", "_report_sims", "cosines", "doc_cosines", "infer_matrix"}
+    calls.clear(), ranked.clear()
+    if command == "evaluate":
         run("evaluate", "--benchmark", root, "--methods", "1,2,3,4,5,6,7", "--cache",
-            tmp_path / "c", "--out", tmp_path / "out", *FAST, *extra)
-
-    evaluate()  # builds every index, bridging each model's scores once
-    assert set(calls) == {"_bridge", "_history_sims"}
-    calls.clear()
-    evaluate()
+            tmp_path / "c", "--out", tmp_path / "hit", "--history", policy, *FAST)
+    else:
+        for method in range(1, 8):
+            run("localize", "--benchmark", root, "--project", "proj1", "--bug",
+                "BUG-proj1-005", "--method", method, "--cache", tmp_path / "c", "--out",
+                tmp_path / "hit", "--history", policy, *FAST)
     assert calls == []
-    evaluate("--history", "all")
-    assert set(calls) == {"_bridge", "_history_sims"}
-    for method in (4, 6):
-        calls.clear()
-        run("localize", "--benchmark", root, "--project", "proj1", "--bug", "BUG-proj1-005",
-            "--method", method, "--cache", tmp_path / "c", "--out", tmp_path / "loc", *FAST)
-        assert calls == []
+    assert sorted({config.method_id for *_, config, _, _ in ranked}) == list(range(1, 8))
+    for artifacts, rows, config, used, result in ranked:
+        assert used == policy
+        scopes = artifacts.scopes
+        for model, field, got in ((config.direct_model, "direct", result.direct),
+                                  (config.indirect_model, policy, result.indirect)):
+            if model == rank.NONE:
+                assert got.strides[-1] == 0 and not got.any()
+            elif model == rank.COMBINED_GLOBAL:
+                lexical, semantic = (getattr(scopes[scope], field)[rows]
+                                     for scope in ("global", "docvec"))
+                assert np.array_equal(got, (rank._minmax(lexical) + rank._minmax(semantic)) / 2)
+            else:
+                stored = getattr(scopes[rank.SCOPES[model]], field)
+                assert got is stored if command == "evaluate" else \
+                    np.array_equal(got, stored[rows])
     assert len(load_calls) == 1  # only the first evaluate missed
 
 
@@ -1429,9 +1447,8 @@ class TestDocVectorIndex:
         localize(bench, tmp_path / "c", *self.fast(**change), method=5)
         assert artifact_stamps(tmp_path / "c")["index_docvec_proj1.bin"] != stamp
         assert index.read_bytes() != data
-        vectors = cache_module._decode_docvec(index.read_bytes(),
-                                              2 * change.get("vector_size", 8)).arrays
-        assert vectors.files.shape[0] == 12 and vectors.reports.shape[0] == 13
+        scores = cache_module._decode_index(index.read_bytes(), signed=True).scores
+        assert scores.direct.shape == (13, 12)
 
     def test_unset_infer_epochs_means_the_training_epochs(self, bench, tmp_path):
         localize(bench, tmp_path / "c", *FAST, method=5)  # --epochs 2 --infer-epochs 2
@@ -1442,8 +1459,9 @@ class TestDocVectorIndex:
         assert artifact_stamps(tmp_path / "c")["index_docvec_proj1.bin"] == stamp
         assert ranking(tmp_path / "c", 5) == built
 
-    @pytest.mark.parametrize("how", ["truncate", "flip", "wrong_shape", "earlier_wrong_length",
-                                     "earlier_infinite"])
+    @pytest.mark.parametrize("how", ["truncate", "flip", "direct_wrong_length", "direct_nan",
+                                     "earlier_wrong_length", "earlier_infinite",
+                                     "all_wrong_length", "all_nan"])
     def test_damaged_index_rebuilt_with_one_warning(self, bench, tmp_path, caplog, how):
         localize(bench, tmp_path / "c", *FAST, method=7)
         built = ranking(tmp_path / "c", 7)
@@ -1452,18 +1470,16 @@ class TestDocVectorIndex:
             cache = ArtifactCache(tmp_path / "c", bench, PreprocessConfig(),
                                   EmbeddingConfig(vector_size=8, epochs=2, min_count=1), 2)
             artifacts = indexed(cache, "docvec")
-            vectors = artifacts.doc_vectors
-            earlier = vectors.earlier.copy()
-            if how == "wrong_shape":  # vectors one value short per row
-                vectors = rank.DocVectors(vectors.files[:, 1:], vectors.file_norms,
-                                          vectors.reports[:, 1:], vectors.report_norms, earlier)
-            elif how == "earlier_wrong_length":  # one file short of the last report's row
-                vectors = vectors._replace(earlier=earlier.ravel()[:-1])
+            scores = {name: array.copy() for name, array in
+                      artifacts.scopes["docvec"]._asdict().items()}
+            name, _, what = how.partition("_")
+            if what == "wrong_length":  # one file short of the last report's row
+                scores[name] = scores[name].ravel()[:-1]
             else:
-                earlier[2, 1] = -np.inf
-                vectors = vectors._replace(earlier=earlier)
-            artifact.write_bytes(b"".join(cache_module._encode_docvec(
-                vectors, artifacts.file_ids, artifacts.report_ids, *artifacts.fixed)))
+                scores[name][2, 1] = -np.inf if what == "infinite" else np.nan
+            artifact.write_bytes(b"".join(cache_module._encode_index(
+                rank.Scores(**scores), artifacts.file_ids, artifacts.report_ids,
+                *artifacts.fixed)))
             reseal(artifact)
         else:
             damage(artifact, how)
@@ -1476,6 +1492,17 @@ class TestDocVectorIndex:
         stamp = artifact_stamps(tmp_path / "c")
         localize(bench, tmp_path / "c", *FAST, method=7)  # the rebuilt index hits
         assert artifact_stamps(tmp_path / "c") == stamp
+
+    def test_negative_scores_decode_only_as_doc_vector_scores(self):
+        """Doc-vector cosines, and so their bridged sums, may be negative;
+        TF.IDF scores may not."""
+        scores = rank.Scores(*(np.array([[0.5, -0.25]]) for _ in rank.Scores._fields))
+        data = b"".join(cache_module._encode_index(scores, ["A.java", "B.java"], ["B-1"],
+                                                   np.array([0, 1]), np.array([1])))
+        decoded = cache_module._decode_index(data, signed=True).scores
+        assert all(np.array_equal(got, want) for got, want in zip(decoded, scores))
+        with pytest.raises(ValueError, match="negative score"):
+            cache_module._decode_index(data)
 
     def test_cache_without_doc_vector_indexes_gains_them_quietly(self, bench, tmp_path,
                                                                  caplog):

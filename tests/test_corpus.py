@@ -5,7 +5,13 @@ import pytest
 
 from bugloc.corpus import (CorpusError, load_benchmark, load_benchmark_project, load_project,
                            project_dirs, project_files, validate_and_filter)
+from bugloc.rank import Artifacts
 from conftest import java_stub, write_project
+
+
+def report_of(project, bug_id):
+    """The project's report with id ``bug_id``, found by its ranking row."""
+    return project.bug_reports[Artifacts.of(project).row(bug_id)]
 
 
 def _bug(bug_id, fixed, stamp=None, summary="a crash", description="it crashes"):
@@ -50,7 +56,7 @@ def test_reports_ordered_by_timestamp(small_project):
 
 def test_fix_links_resolved(small_project):
     project = load_project(small_project)
-    assert project.bug_reports[project.row("B-1")].fixed_files == {"Gamma.java", "a/Beta.java"}
+    assert report_of(project, "B-1").fixed_files == {"Gamma.java", "a/Beta.java"}
 
 
 def test_sources_listed_in_path_order(tmp_path):
@@ -122,14 +128,14 @@ def test_nonstrict_drops_bad_link(tmp_path, caplog):
     project_dir = write_project(tmp_path, "p", {"A.java": java_stub("a")},
                                 [_bug("B-77", ["Missing.java", "A.java"])])
     project = load_project(project_dir, strict=False)
-    assert project.bug_reports[project.row("B-77")].fixed_files == {"A.java"}
+    assert report_of(project, "B-77").fixed_files == {"A.java"}
 
 
 def test_basename_fallback_when_unambiguous(tmp_path):
     project_dir = write_project(tmp_path, "p", {"x/deep/A.java": java_stub("a")},
                                 [_bug("B-1", ["A.java"])])
     project = load_project(project_dir)
-    assert project.bug_reports[project.row("B-1")].fixed_files == {"x/deep/A.java"}
+    assert report_of(project, "B-1").fixed_files == {"x/deep/A.java"}
 
 
 def test_basename_fallback_rejects_ambiguity(tmp_path):
@@ -192,13 +198,6 @@ class TestJsonFieldTypes:
                                                          "open_date": 20210201}])
         with pytest.raises(CorpusError, match="B-2.json: 'open_date' must be a string"):
             load_project(project_dir)
-
-
-def test_row_of_bug_id(small_project):
-    project = load_project(small_project)
-    assert [project.row(bug_id) for bug_id in ("B-1", "B-2")] == [0, 1]
-    with pytest.raises(CorpusError, match="unknown bug id 'B-3' in project demo"):
-        project.row("B-3")
 
 
 def test_empty_file_flagged_degenerate(tmp_path):

@@ -9,8 +9,8 @@ import pytest
 from bugloc import embedding, rank, tfidf
 from bugloc.corpus import Benchmark, BugReport, Project, SourceFile
 from bugloc.preprocess import PreprocessConfig, preprocess_project
-from bugloc.rank import (Artifacts, Histories, MethodConfig, RankedList, fuse, history_at,
-                         localize, project_histories)
+from bugloc.rank import (Artifacts, Histories, MethodConfig, RankedList, fuse, localize,
+                         project_histories)
 from conftest import artifacts_of
 
 CONFIG = PreprocessConfig()
@@ -96,20 +96,18 @@ class TestMethodTable:
         config = MethodConfig.from_id(3, w1=0.6)
         assert (config.w1, config.w2) == (0.6, pytest.approx(0.4))
 
-    def test_needs_flags(self):
-        assert not MethodConfig.from_id(1).needs_global_tfidf
-        assert MethodConfig.from_id(2).needs_global_tfidf
-        assert MethodConfig.from_id(5).needs_embeddings
-        assert not MethodConfig.from_id(5).needs_global_tfidf
-        assert MethodConfig.from_id(7).needs_embeddings
-        assert MethodConfig.from_id(7).needs_global_tfidf
+    def test_scopes(self):
+        assert [MethodConfig.from_id(m).scopes for m in range(1, 8)] == [
+            {"local"}, {"global"}, {"local"}, {"global"}, {"docvec"}, {"global", "docvec"},
+            {"global", "docvec"}]
 
 
 class TestDirectRelevancy:
     def test_identical_file_gets_strict_max(self):
         project, (query,) = toy_with(report("q", "obelisk obelisk2"))
-        direct = scores(localize(artifacts_of(project), project.row(query.id),
-                                 MethodConfig.from_id(1)), "direct")
+        artifacts = artifacts_of(project)
+        direct = scores(localize(artifacts, artifacts.row(query.id), MethodConfig.from_id(1)),
+                        "direct")
         best = max(direct, key=direct.get)
         assert best == "Obelisk.java"
         assert direct["Obelisk.java"] > max(v for k, v in direct.items()
@@ -117,7 +115,8 @@ class TestDirectRelevancy:
 
     def test_empty_query_all_zero(self):
         project, (query,) = toy_with(report("q", ""))
-        ranked = localize(artifacts_of(project), project.row(query.id), MethodConfig.from_id(1))
+        artifacts = artifacts_of(project)
+        ranked = localize(artifacts, artifacts.row(query.id), MethodConfig.from_id(1))
         assert set(scores(ranked, "direct").values()) == {0.0}
 
     def test_matches_module_oracle(self, toy_project):
@@ -142,34 +141,29 @@ class TestDirectRelevancy:
 def test_reports_must_be_preprocessed(toy_project):
     toy_project.bug_reports[1].token_stream = None
     with pytest.raises(ValueError, match="B-2: token stream missing; preprocess first"):
-        rank.build_scope(toy_project)
+        rank.tfidf_scores(toy_project, Artifacts.of(toy_project))
 
 
 class TestIndirectRelevancy:
-    def test_report_sims_computed_only_when_history_is_ranked(self, toy_project):
-        artifacts = artifacts_of(toy_project)
-        scope = artifacts.scopes["local"]
-        localize(artifacts, np.arange(3), MethodConfig.from_id(1))
-        assert "report_sims" not in vars(scope)  # a direct-only method needs no pair
-        localize(artifacts, np.arange(3), MethodConfig.from_id(3))
-        assert len(vars(scope)["report_sims"]) == 6  # 3 reports: 3 pairs and 3 diagonal
-
     def test_empty_history_is_zero_map(self, toy_project):
-        ranked = localize(artifacts_of(toy_project), 2, MethodConfig.from_id(3), history=[])
+        # row 0 is the earliest report: its history is empty
+        ranked = localize(artifacts_of(toy_project), 0, MethodConfig.from_id(3))
         indirect = scores(ranked, "indirect")
         assert set(indirect) == toy_project.file_ids
         assert set(indirect.values()) == {0.0}
 
     def test_contribution_split_across_fixed_files(self):
-        project, (past, query) = toy_with(
+        project = make_project("toy", TOY_FILES, [
             report("h", "zeppelin drifts away", {"Zeppelin.java", "Obelisk.java"}),
-            report("q", "zeppelin drifts away"))
+            report("q", "zeppelin drifts away")])
+        past, query = project.bug_reports
         artifacts = artifacts_of(project)
         vocab = local_vocab(project)
         similarity = tfidf.cosine(tfidf.vectorize(query.token_stream, vocab),
                                   tfidf.vectorize(past.token_stream, vocab))
-        indirect = scores(localize(artifacts, project.row(query.id), MethodConfig.from_id(3),
-                                   history=[project.row(past.id)]), "indirect")
+        # the query's history is the one report before it
+        indirect = scores(localize(artifacts, artifacts.row(query.id), MethodConfig.from_id(3)),
+                          "indirect")
         assert similarity > 0
         assert indirect["Zeppelin.java"] == pytest.approx(similarity / 2)
         assert indirect["Obelisk.java"] == pytest.approx(similarity / 2)
@@ -184,8 +178,9 @@ class TestIndirectRelevancy:
         query_vec = tfidf.vectorize(query.token_stream, vocab)
         sim1, sim2 = (tfidf.cosine(query_vec, tfidf.vectorize(h.token_stream, vocab))
                       for h in (h1, h2))
-        indirect = scores(localize(artifacts, 1, MethodConfig.from_id(3),
-                                   history=[0, project.row(h2.id)]), "indirect")
+        # every other report; B-3 shares no term with the query and fixed
+        # only Obelisk.java
+        indirect = scores(localize(artifacts, 1, MethodConfig.from_id(3), "all"), "indirect")
         assert indirect["Zeppelin.java"] == pytest.approx(sim1 / 1 + sim2 / 1)
 
 
@@ -234,34 +229,22 @@ class TestFuse:
         assert fused[1] == pytest.approx(0.0)
 
 
-class TestHistory:
-    def test_strictly_earlier(self, toy_project):
-        assert [r.id for r in reports_at(toy_project, history_at(artifacts_of(toy_project), 1))] == ["B-1"]
-
-    def test_first_report_has_no_history(self, toy_project):
-        assert len(history_at(artifacts_of(toy_project), 0)) == 0
-
-    def test_all_others_policy(self, toy_project):
-        history = history_at(artifacts_of(toy_project), 0, policy="all")
-        assert [r.id for r in reports_at(toy_project, history)] == ["B-2", "B-3"]
-
-    def test_unknown_policy(self, toy_project):
-        with pytest.raises(ValueError):
-            history_at(artifacts_of(toy_project), 0, policy="future")
-
-    @pytest.mark.parametrize("policy", ["earlier", "all"])
-    def test_rows_are_list_positions(self, toy_project, policy):
-        reports = toy_project.bug_reports
-        for row in range(len(reports)):
-            expected = reports[:row] if policy == "earlier" else reports[:row] + reports[row + 1:]
-            history = history_at(artifacts_of(toy_project), row, policy)
-            assert history.dtype.kind == "i"
-            assert reports_at(toy_project, history) == expected
-
-
 def reference_history(n, row, policy):
     """The rows before ``row`` of n reports, or every other row under "all"."""
     return list(range(row)) if policy == "earlier" else [r for r in range(n) if r != row]
+
+
+def histories_of(histories):
+    """The :class:`Histories` of a batch, from one list of rows per query."""
+    lengths = [len(past) for past in histories]
+    return Histories(np.array([row for past in histories for row in past], dtype=np.intp),
+                     np.repeat(np.arange(len(histories)), lengths),
+                     np.concatenate(([0], np.cumsum(lengths, dtype=np.intp))))
+
+
+def span(histories, row):
+    """The history rows of the query ``row`` of the batch."""
+    return histories.rows[histories.offsets[row]:histories.offsets[row + 1]]
 
 
 def assert_same_histories(got, want):
@@ -272,41 +255,45 @@ def assert_same_histories(got, want):
 
 
 class TestProjectHistories:
+    def test_strictly_earlier(self, toy_project):
+        history = span(project_histories(artifacts_of(toy_project)), 1)
+        assert [r.id for r in reports_at(toy_project, history)] == ["B-1"]
+
+    def test_first_report_has_no_history(self, toy_project):
+        assert len(span(project_histories(artifacts_of(toy_project)), 0)) == 0
+
+    def test_all_others_policy(self, toy_project):
+        history = span(project_histories(artifacts_of(toy_project), "all"), 0)
+        assert [r.id for r in reports_at(toy_project, history)] == ["B-2", "B-3"]
+
+    @pytest.mark.parametrize("policy", ["earlier", "all"])
+    def test_rows_are_list_positions(self, toy_project, policy):
+        reports = toy_project.bug_reports
+        histories = project_histories(artifacts_of(toy_project), policy)
+        for row in range(len(reports)):
+            expected = reports[:row] if policy == "earlier" else reports[:row] + reports[row + 1:]
+            assert reports_at(toy_project, span(histories, row)) == expected
+
     @pytest.mark.parametrize("policy", ["earlier", "all"])
     @pytest.mark.parametrize("n", [0, 1, 2, 7])
     def test_equals_the_per_query_histories(self, policy, n):
         project = make_project("h", TOY_FILES, [report(f"B-{i}", "shared", {"Empty.java"})
                                                 for i in range(n)])
-        artifacts = artifacts_of(project)
-        whole = project_histories(artifacts, policy)
-        assert_same_histories(whole, Histories.of(
+        assert_same_histories(project_histories(artifacts_of(project), policy), histories_of(
             [reference_history(n, row, policy) for row in range(n)]))
-        assert_same_histories(whole, Histories.of(
-            [history_at(artifacts, row, policy) for row in range(n)]))
-        rows = [r for r in (n - 1, 0, n // 2) if r >= 0]  # unordered, and repeated
-        assert_same_histories(project_histories(artifacts, policy, rows), Histories.of(
-            [reference_history(n, row, policy) for row in rows]))
 
-    def test_slices_are_the_histories_of_those_queries(self, toy_project):
+    def test_slices_are_the_histories_of_those_queries(self):
         histories = [[2, 0], [], [1], [0, 1, 2]]
-        whole = Histories.of(histories)
+        whole = histories_of(histories)
         for start, stop in ((0, 4), (1, 3), (2, 2), (3, 4), (2, 9)):
-            assert_same_histories(whole[start:stop], Histories.of(histories[start:stop]))
-
-    def test_localize_takes_either_form(self, toy_project):
-        artifacts = artifacts_of(toy_project)
-        rows = np.arange(len(toy_project.bug_reports))
-        for policy in ("earlier", "all"):
-            whole = localize(artifacts, rows, MethodConfig.from_id(3),
-                             history=project_histories(artifacts, policy))
-            lists = localize(artifacts, rows, MethodConfig.from_id(3),
-                             history=[history_at(artifacts, r, policy) for r in rows])
-            assert np.array_equal(whole.final, lists.final)
-            assert np.array_equal(whole.entries, lists.entries)
+            assert_same_histories(whole[start:stop], histories_of(histories[start:stop]))
 
     def test_unknown_policy(self, toy_project):
+        artifacts = artifacts_of(toy_project)
         with pytest.raises(ValueError, match="unknown history policy 'future'"):
-            project_histories(artifacts_of(toy_project), "future")
+            project_histories(artifacts, "future")
+        with pytest.raises(ValueError, match="unknown history policy 'future'"):
+            localize(artifacts, 0, MethodConfig.from_id(3), "future")
 
 
 class TestLocalize:
@@ -458,15 +445,16 @@ def docvec_project(extra=()):
     return project, dm, dbow
 
 
-def rankings(project, artifacts, config, histories, batch):
+def rankings(project, artifacts, config, policy, batch):
     """``(row, query, ranked)`` for every report of the project, each ranked
-    with its history: in one-row calls, or cut from one batched call."""
+    with its history under ``policy``: in one-row calls, or cut from one
+    batched call."""
     reports = project.bug_reports
     if not batch:
         for row, query in enumerate(reports):
-            yield row, query, localize(artifacts, row, config, history=histories[row])
+            yield row, query, localize(artifacts, row, config, policy)
         return
-    both = localize(artifacts, np.arange(len(reports)), config, history=histories)
+    both = localize(artifacts, np.arange(len(reports)), config, policy)
     assert both.query_bug_id == [r.id for r in reports]
     for row, query in enumerate(reports):
         yield row, query, RankedList(query.id, both.method_id, both.files, both.final[row],
@@ -495,11 +483,11 @@ class TestMatchesPerPairReference:
             artifacts = artifacts_of(project, vocab)
             if method_id in (1, 3):
                 vocab = local_vocab(project)
-            histories = [history_at(artifacts, row, policy)
-                         for row in range(len(project.bug_reports))]
+            n = len(project.bug_reports)
             for batch in (False, True):
-                for row, query, ranked in rankings(project, artifacts, config, histories, batch):
-                    assert_matches_reference(ranked, query, reports_at(project, histories[row]),
+                for row, query, ranked in rankings(project, artifacts, config, policy, batch):
+                    history = reference_history(n, row, policy)
+                    assert_matches_reference(ranked, query, reports_at(project, history),
                                              config, project, vocab)
 
     @pytest.mark.parametrize("policy", ["earlier", "all"])
@@ -513,11 +501,11 @@ class TestMatchesPerPairReference:
             artifacts = artifacts_of(project, vocab)
             if method_id in (1, 3):
                 vocab = local_vocab(project)
-            histories = [history_at(artifacts, row, policy)
-                         for row in range(len(project.bug_reports))]
+            n = len(project.bug_reports)
             for batch in (False, True):
-                for row, query, ranked in rankings(project, artifacts, config, histories, batch):
-                    assert_matches_reference(ranked, query, reports_at(project, histories[row]),
+                for row, query, ranked in rankings(project, artifacts, config, policy, batch):
+                    history = reference_history(n, row, policy)
+                    assert_matches_reference(ranked, query, reports_at(project, history),
                                              config, project, vocab)
 
     def test_multi_file_fixes_count_files_missing_from_project(self):
@@ -533,10 +521,9 @@ class TestMatchesPerPairReference:
         artifacts = artifacts_of(project)
         config = MethodConfig.from_id(3)
         for policy, batch in itertools.product(("earlier", "all"), (False, True)):
-            histories = [history_at(artifacts, row, policy)
-                         for row in range(len(project.bug_reports))]
-            for row, query, ranked in rankings(project, artifacts, config, histories, batch):
-                assert_matches_reference(ranked, query, reports_at(project, histories[row]),
+            for row, query, ranked in rankings(project, artifacts, config, policy, batch):
+                history = reference_history(len(project.bug_reports), row, policy)
+                assert_matches_reference(ranked, query, reports_at(project, history),
                                          config, project, local_vocab(project))
         ranked = localize(artifacts, 2, config)
         scores = {e.file_id: e.indirect_score for e in ranked.rows()}
@@ -546,16 +533,16 @@ class TestMatchesPerPairReference:
                       for r in project.bug_reports[:2])
         assert scores["Zeppelin.java"] == sim1 / 2 + sim2 / 3
 
-    def test_query_or_history_row_out_of_range_rejected(self, toy_project):
+    def test_query_row_out_of_range_rejected(self, toy_project):
         artifacts = artifacts_of(toy_project)
         n = len(toy_project.bug_reports)
         for method_id in (1, 3):  # with and without history
             config = MethodConfig.from_id(method_id)
             # numpy would read row -1 as the last report
-            for row, history in ((-1, []), (n, []), (2, [1, -1]), (2, [n, 0])):
+            for row in (-1, n):
                 with pytest.raises(ValueError, match=r"report rows must lie in \[0, 3\) "
                                                      "for project toy"):
-                    localize(artifacts, row, config, history=history)
+                    localize(artifacts, row, config)
 
     @pytest.mark.parametrize("method_id", [1, 3])
     def test_identical_files_stay_exactly_tied_in_path_order(self, method_id):
@@ -592,12 +579,12 @@ class TestDocVectorMethods:
         artifacts = artifacts_of(project, global_vocab(project), dm, dbow)
         files = sorted(project.source_files, key=lambda f: f.id)
         assert not self._vector(project.file("Lone.java"), dm, dbow).values.any()
+        n = len(project.bug_reports)
         for row, query in enumerate(project.bug_reports):
-            history = history_at(artifacts, row, policy)
-            direct = scores(localize(artifacts, row, MethodConfig.from_id(5),
-                                     history=history), "direct")
-            indirect = scores(localize(artifacts, row, MethodConfig.from_id(6),
-                                       history=history), "indirect")
+            history = reference_history(n, row, policy)
+            direct = scores(localize(artifacts, row, MethodConfig.from_id(5), policy), "direct")
+            indirect = scores(localize(artifacts, row, MethodConfig.from_id(6), policy),
+                              "indirect")
             q = self._vector(query, dm, dbow)
             want_direct = {f.id: embedding.doc_cosine(q, self._vector(f, dm, dbow))
                            for f in files}
@@ -630,13 +617,15 @@ class TestDocVectorMethods:
 
     @staticmethod
     def vectors_project(rng, n_files, n_reports, size):
-        """A project of ``n_files`` files and ``n_reports`` reports whose doc
-        vectors are random, with a zero vector among the files and among
-        the reports when there are two or more, and its Artifacts."""
+        """A project of ``n_files`` files and ``n_reports`` reports, each
+        fixing up to three files, whose doc vectors are random, with a zero
+        vector among the files and among the reports when there are two or
+        more: its Artifacts and its ``rank.doc_vectors``."""
         files = [SourceFile(id=f"F{i:03d}.java", path=f"F{i:03d}.java", raw_text="")
                  for i in range(n_files)]
         reports = [BugReport(id=f"B-{k:03d}", summary="", description="",
-                             fixed_files=set()) for k in range(n_reports)]
+                             fixed_files={files[j].id for j in rng.integers(n_files, size=k % 4)})
+                   for k in range(n_reports)]
         project = Project(name="vec", source_files=files, bug_reports=reports)
         matrices = [rng.standard_normal((n, size)) * rng.uniform(0.01, 10.0)
                     for n in (n_files, n_reports)]
@@ -644,8 +633,7 @@ class TestDocVectorMethods:
             if len(matrix) > 1:
                 matrix[rng.integers(len(matrix))] = 0.0
         norms = [np.array([np.linalg.norm(v) for v in matrix]) for matrix in matrices]
-        vectors = rank.DocVectors(matrices[0], norms[0], matrices[1], norms[1])
-        return Artifacts.of(project, {}, vectors), vectors
+        return Artifacts.of(project), (matrices[0], norms[0], matrices[1], norms[1])
 
     @pytest.mark.parametrize("n_files,size", [(1, 16), (2, 1), (7, 1), (1, 1), (33, 8),
                                               (50, 16), (120, 32), (200, 64), (97, 100),
@@ -654,38 +642,40 @@ class TestDocVectorMethods:
         rng = np.random.default_rng(n_files * 1000 + size)
         n_reports = 9
         artifacts, vectors = self.vectors_project(rng, n_files, n_reports, size)
-
-        def want(matrix, norms, row):
-            return embedding.doc_cosines(matrix, norms, vectors.reports[row],
-                                         vectors.report_norms[row])
-
-        rows = np.arange(n_reports)
-        direct = rank._direct_scores(rows, rank.DOC2VEC_GLOBAL, artifacts)
-        assert direct.shape == (n_reports, n_files)
-        for row in rows.tolist():
-            assert np.array_equal(direct[row], want(vectors.files, vectors.file_norms, row))
-        zero_reports = np.flatnonzero(vectors.report_norms == 0.0)
-        assert len(zero_reports) == 1 and not direct[zero_reports].any()
+        files, file_norms, reports, report_norms = vectors
+        built = rank.docvec_scores(artifacts, *vectors)
+        assert built.direct.shape == built.earlier.shape == built.all.shape == (n_reports, n_files)
+        offsets, columns = artifacts.fixed
+        for row in range(n_reports):
+            assert np.array_equal(built.direct[row], embedding.doc_cosines(
+                files, file_norms, reports[row], report_norms[row]))
+            for policy in ("earlier", "all"):
+                # one product over exactly the history rows, bridged in their order
+                past = reference_history(n_reports, row, policy)
+                sims = embedding.doc_cosines(reports[past], report_norms[past], reports[row],
+                                             report_norms[row])
+                want = np.zeros(n_files)
+                for sim, b in zip(sims.tolist(), past):
+                    for column in columns[offsets[b]:offsets[b + 1]].tolist():
+                        want[column] += sim / artifacts.fixed_counts[b]
+                assert np.array_equal(getattr(built, policy)[row], want), policy
+        zero_reports = np.flatnonzero(report_norms == 0.0)
+        assert len(zero_reports) == 1 and not built.direct[zero_reports].any()
         if n_files > 1:
-            assert not direct[:, vectors.file_norms == 0.0].any()
-        explicit = [[], [0], [0, 2], [3, 4, 5], [1, 0], [0, 2, 1, 3], [5, 5], [0, 1, 3],
-                    [8, 7, 6, 5, 4]]  # gaps, reversals and repeats
-        for history in (project_histories(artifacts, "earlier"),
-                        project_histories(artifacts, "all"), Histories.of(explicit)):
-            sims = rank._history_sims(rows, history, rank.DOC2VEC_GLOBAL, artifacts)
-            for row in rows.tolist():
-                lo, hi = history.offsets[row], history.offsets[row + 1]
-                past = history.rows[lo:hi]
-                assert np.array_equal(sims[lo:hi], want(vectors.reports[past],
-                                                        vectors.report_norms[past], row))
+            assert not built.direct[:, file_norms == 0.0].any()
+        assert built.all.any()
 
-    def test_zero_rows_and_one_row(self):
-        artifacts, vectors = self.vectors_project(np.random.default_rng(1), 4, 3, 5)
-        none = np.zeros(0, dtype=np.intp)
-        assert rank._direct_scores(none, rank.DOC2VEC_GLOBAL, artifacts).shape == (0, 4)
-        one = rank._direct_scores(np.array([2]), rank.DOC2VEC_GLOBAL, artifacts)
-        assert np.array_equal(one[0], embedding.doc_cosines(
-            vectors.files, vectors.file_norms, vectors.reports[2], vectors.report_norms[2]))
+    @pytest.mark.parametrize("n_reports", [0, 1])
+    def test_zero_reports_and_one(self, n_reports):
+        artifacts, vectors = self.vectors_project(np.random.default_rng(1), 4, n_reports, 5)
+        files, file_norms, reports, report_norms = vectors
+        built = rank.docvec_scores(artifacts, *vectors)
+        for array in built:
+            assert array.shape == (n_reports, 4) and not array.flags.writeable
+        if n_reports:
+            assert np.array_equal(built.direct[0], embedding.doc_cosines(
+                files, file_norms, reports[0], report_norms[0]))
+            assert not built.earlier.any() and not built.all.any()  # no other report
 
 
 # reports the batch must rank as the one-row calls do: one whose terms are
@@ -697,7 +687,8 @@ EDGE_REPORTS = [report("B-oov", "xylophonic quixotry", {"F00.java"}, "2021-12-01
 
 class TestBatchEqualsOneRowCalls:
     """One ``localize`` over all of a project's rows returns, bit for bit,
-    the arrays of the one-row calls."""
+    the arrays of the one-row calls, and the scores are the same whatever
+    chunks they are built in."""
 
     @pytest.fixture(scope="class")
     def corpora(self):
@@ -708,19 +699,8 @@ class TestBatchEqualsOneRowCalls:
         project, dm, dbow = docvec_project(EDGE_REPORTS)
         return tfidf_only, (project, artifacts_of(project, global_vocab(project), dm, dbow))
 
-    @staticmethod
-    def histories(project, artifacts, policy):
-        n = len(project.bug_reports)
-        if policy != "explicit":
-            return [history_at(artifacts, row, policy) for row in range(n)]
-        rng = random.Random(3)
-        histories = [rng.choices(range(n), k=rng.randint(0, 6)) for _ in range(n)]
-        histories[1] = []
-        histories[2] = [5, 0, 5, 3]  # unordered, with a repeated row
-        return histories
-
     @pytest.mark.parametrize("chunked", [False, True])
-    @pytest.mark.parametrize("policy", ["earlier", "all", "explicit"])
+    @pytest.mark.parametrize("policy", ["earlier", "all"])
     @pytest.mark.parametrize("method_id", range(1, 8))
     def test_arrays_equal(self, corpora, monkeypatch, method_id, policy, chunked):
         tfidf_only, with_vectors = corpora
@@ -730,20 +710,39 @@ class TestBatchEqualsOneRowCalls:
             if chunked:  # three queries a chunk, so the batch spans several
                 monkeypatch.setattr(rank, "_CHUNK_SCORES",
                                     3 * (len(artifacts.file_ids) + len(project.bug_reports)))
-            histories = self.histories(project, artifacts, policy)
             rows = np.arange(len(project.bug_reports))
-            both = localize(artifacts, rows, config, history=histories)
+            both = localize(artifacts, rows, config, policy)
             assert both.query_bug_id == [r.id for r in project.bug_reports]
             for row in rows:
-                one = localize(artifacts, int(row), config, history=histories[row])
+                one = localize(artifacts, int(row), config, policy)
                 assert one.query_bug_id == project.bug_reports[row].id
                 for name in ("final", "direct", "indirect", "entries"):
                     assert np.array_equal(getattr(both, name)[row], getattr(one, name)), name
             assert both.final.shape == both.entries.shape == (len(rows), len(artifacts.file_ids))
             # the edge reports are what they claim to be
-            assert not both.direct[project.row("B-oov")].any()
+            assert not both.direct[artifacts.row("B-oov")].any()
             offsets, _ = artifacts.fixed
-            assert offsets[project.row("B-gone")] == offsets[project.row("B-gone") + 1]
+            assert offsets[artifacts.row("B-gone")] == offsets[artifacts.row("B-gone") + 1]
+
+    @pytest.mark.parametrize("corpus", ["p1", "p2", "dv"])
+    def test_scores_built_in_chunks_equal_those_built_whole(self, corpora, monkeypatch,
+                                                            corpus):
+        """Built three reports a chunk, every stored array is, bit for bit,
+        the one built in a single chunk."""
+        tfidf_only, with_vectors = corpora
+        project, whole = {p.name: (p, a) for p, a in [*tfidf_only, with_vectors]}[corpus]
+        monkeypatch.setattr(rank, "_CHUNK_SCORES", 3 * (len(whole.file_ids)
+                                                        + len(whole.report_ids)))
+        if corpus == "dv":
+            _, dm, dbow = docvec_project(EDGE_REPORTS)
+            chunked = artifacts_of(project, global_vocab(project), dm, dbow)
+        else:
+            benchmark = Benchmark([p for p, _ in tfidf_only])
+            chunked = artifacts_of(project, tfidf.build_global_idf(benchmark, corpus))
+        assert set(chunked.scopes) == set(whole.scopes)
+        for scope, scores in whole.scopes.items():
+            for name, array in scores._asdict().items():
+                assert np.array_equal(getattr(chunked.scopes[scope], name), array), (scope, name)
 
     @pytest.mark.parametrize("method_id", [1, 3, 6])
     def test_csr_ranks_are_the_positions_of_the_fixed_columns(self, corpora, method_id):
@@ -757,96 +756,73 @@ class TestBatchEqualsOneRowCalls:
         for i, entries in enumerate(ranked.entries):
             want = np.flatnonzero(np.isin(entries, columns[offsets[i]:offsets[i + 1]])) + 1
             assert ranks[rank_offsets[i]:rank_offsets[i + 1]].tolist() == want.tolist()
-        assert rank_offsets[project.row("B-gone")] == rank_offsets[project.row("B-gone") + 1]
-
-    def test_default_history_is_the_earlier_rows(self, corpora):
-        _, artifacts = corpora[0][0]
-        config = MethodConfig.from_id(3)
-        rows = np.array([4, 0, 9])
-        both = localize(artifacts, rows, config)
-        for i, row in enumerate(rows.tolist()):
-            assert np.array_equal(both.final[i], localize(artifacts, row, config).final)
-
-    def test_one_out_of_range_history_row_fails_the_batch(self, corpora):
-        project, artifacts = corpora[0][0]
-        n = len(project.bug_reports)
-        histories = [history_at(artifacts, row) for row in range(n)]
-        histories[7] = np.array([2, n, 1])
-        with pytest.raises(ValueError, match=rf"report rows must lie in \[0, {n}\) "
-                                             "for project p1"):
-            localize(artifacts, np.arange(n), MethodConfig.from_id(3), history=histories)
-        with pytest.raises(ValueError, match="2 histories for 3 query rows"):
-            localize(artifacts, np.arange(3), MethodConfig.from_id(3), history=histories[:2])
-
-
-class TestSharedBatchScores:
-    """Methods that rank the same batch share each model's scores: each is
-    computed once, and every method ranks as it does alone."""
-
-    @pytest.fixture(scope="class")
-    def setting(self):
-        return docvec_project(EDGE_REPORTS)
-
-    @staticmethod
-    def fresh(setting, earlier=False):
-        """The project's artifacts; with ``earlier``, every model's stored
-        ``earlier`` scores too, as the cache's indexes hold them."""
-        project, dm, dbow = setting
-        artifacts = artifacts_of(project, global_vocab(project), dm, dbow)
-        if earlier:
-            for scope, kind in (("local", rank.TFIDF_LOCAL), ("global", rank.TFIDF_GLOBAL)):
-                artifacts.scopes[scope].earlier = rank.earlier_scores(artifacts, kind)
-            artifacts.doc_vectors = artifacts.doc_vectors._replace(
-                earlier=rank.earlier_scores(artifacts, rank.DOC2VEC_GLOBAL))
-        return artifacts
-
-    def test_each_model_scored_once_per_chunk_of_the_batch(self, setting, monkeypatch):
-        artifacts = self.fresh(setting)
-        project = setting[0]
-        monkeypatch.setattr(rank, "_CHUNK_SCORES",
-                            3 * (len(artifacts.file_ids) + len(project.bug_reports)))
-        calls = []
-        for name in ("_direct_scores", "_history_sims"):
-            def counted(*args, _name=name, _original=getattr(rank, name)):
-                calls.append((_name, args[-2]))
-                return _original(*args)
-            monkeypatch.setattr(rank, name, counted)
-        rows = np.arange(len(project.bug_reports))
-        for policy in ("earlier", "all"):
-            calls.clear()
-            for method_id in range(1, 8):  # each call builds its histories anew
-                localize(artifacts, rows, MethodConfig.from_id(method_id),
-                         history=project_histories(artifacts, policy))
-            chunks = -(-len(rows) // 3)
-            kinds = (rank.TFIDF_LOCAL, rank.TFIDF_GLOBAL, rank.DOC2VEC_GLOBAL)
-            # a TF.IDF scope's direct scores are stored, not computed per chunk
-            assert sorted(calls) == sorted(
-                [("_direct_scores", rank.DOC2VEC_GLOBAL)] * chunks
-                + [("_history_sims", kind) for kind in kinds for _ in range(chunks)])
+        gone = artifacts.row("B-gone")
+        assert rank_offsets[gone] == rank_offsets[gone + 1]
 
     @pytest.mark.parametrize("policy", ["earlier", "all"])
-    def test_methods_rank_alongside_others_as_alone(self, setting, policy):
-        shared = self.fresh(setting)
-        rows = np.arange(len(shared.report_ids))
-        history = project_histories(shared, policy)
-        together = {m: localize(shared, rows, MethodConfig.from_id(m), history=history)
-                    for m in (7, 5, 6, 1, 2, 3, 4)}
-        for method_id, ranked in together.items():
-            alone = localize(self.fresh(setting), rows, MethodConfig.from_id(method_id),
-                             history=history)
-            for name in ("final", "direct", "indirect", "entries"):
-                assert np.array_equal(getattr(ranked, name), getattr(alone, name)), name
-        assert together[4].direct is together[6].direct is together[2].direct
-        assert together[4].indirect is not together[6].indirect
-        for method_id in (1, 2, 5):  # no history: one zero, viewed
-            assert together[method_id].indirect.strides == (0, 0)
-            assert not together[method_id].indirect.any()
-        assert not together[4].direct.flags.writeable
-        with pytest.raises(ValueError):
-            together[4].direct[0, 0] = 1.0
+    def test_history_is_the_policy_of_each_row_in_any_batch(self, corpora, policy):
+        _, artifacts = corpora[0][0]
+        config = MethodConfig.from_id(3)
+        rows = np.array([4, 0, 9, 4])
+        both = localize(artifacts, rows, config, policy)
+        for i, row in enumerate(rows.tolist()):
+            assert np.array_equal(both.final[i], localize(artifacts, row, config, policy).final)
 
-    def test_scores_are_freed_with_the_artifacts_without_a_collection(self, setting):
-        artifacts = self.fresh(setting)
+    def test_one_out_of_range_row_fails_the_batch(self, corpora):
+        project, artifacts = corpora[0][0]
+        n = len(project.bug_reports)
+        with pytest.raises(ValueError, match=rf"report rows must lie in \[0, {n}\) "
+                                             "for project p1"):
+            localize(artifacts, np.array([2, n, 1]), MethodConfig.from_id(3))
+
+
+class TestStoredScores:
+    """``localize`` ranks with the stored :class:`rank.Scores` of each
+    scope: the arrays themselves for every report in row order, else their
+    rows, read-only either way."""
+
+    @pytest.fixture(scope="class")
+    def artifacts(self):
+        project, dm, dbow = docvec_project(EDGE_REPORTS)
+        return artifacts_of(project, global_vocab(project), dm, dbow)
+
+    @pytest.mark.parametrize("policy", ["earlier", "all"])
+    def test_every_report_in_row_order_ranks_with_the_stored_arrays(self, artifacts, policy):
+        rows = np.arange(len(artifacts.report_ids))
+        ranked = {m: localize(artifacts, rows, MethodConfig.from_id(m), policy)
+                  for m in range(1, 8)}
+        local, global_, docvec = (artifacts.scopes[s] for s in ("local", "global", "docvec"))
+        assert ranked[1].direct is ranked[3].direct is local.direct
+        assert ranked[2].direct is ranked[4].direct is ranked[6].direct is global_.direct
+        assert ranked[5].direct is docvec.direct
+        assert ranked[3].indirect is getattr(local, policy)
+        assert ranked[4].indirect is getattr(global_, policy)
+        assert ranked[6].indirect is getattr(docvec, policy)
+        for method_id in (1, 2, 5):  # no history: one zero, viewed
+            assert ranked[method_id].indirect.strides == (0, 0)
+            assert not ranked[method_id].indirect.any()
+        # method 7 combines the stored arrays into maps of its own
+        assert np.array_equal(ranked[7].direct, (rank._minmax(global_.direct)
+                                                 + rank._minmax(docvec.direct)) / 2)
+        assert not global_.direct.flags.writeable
+        with pytest.raises(ValueError):
+            ranked[4].direct[0, 0] = 1.0
+
+    @pytest.mark.parametrize("policy", ["earlier", "all"])
+    @pytest.mark.parametrize("method_id", [3, 4, 6, 7])
+    def test_other_rows_read_the_stored_rows(self, artifacts, method_id, policy):
+        rows = np.array([5, 0, 9])
+        config = MethodConfig.from_id(method_id)
+        ranked = localize(artifacts, rows, config, policy)
+        whole = localize(artifacts, np.arange(len(artifacts.report_ids)), config, policy)
+        for name in ("final", "direct", "indirect", "entries"):
+            assert np.array_equal(getattr(ranked, name), getattr(whole, name)[rows]), name
+        if method_id != 7:  # method 7 combines them into maps of its own
+            assert not ranked.direct.flags.writeable and not ranked.indirect.flags.writeable
+
+    def test_scores_are_freed_with_the_artifacts_without_a_collection(self):
+        project, dm, dbow = docvec_project(EDGE_REPORTS)
+        artifacts = artifacts_of(project, global_vocab(project), dm, dbow)
         rows = np.arange(len(artifacts.report_ids))
         ranked = localize(artifacts, rows, MethodConfig.from_id(7))
         kept = weakref.ref(artifacts)
@@ -857,89 +833,6 @@ class TestSharedBatchScores:
         finally:
             gc.enable()
         assert ranked.final.shape == (len(rows), len(ranked.files))
-
-    @pytest.mark.parametrize("earlier", [False, True])
-    def test_scores_no_method_left_ranks_with_are_freed(self, setting, earlier):
-        artifacts = self.fresh(setting, earlier)
-        rows = np.arange(len(artifacts.report_ids))
-        configs = [MethodConfig.from_id(m) for m in (3, 4, 6, 7)]
-        refs, ranked_alone, alive = {}, {}, {}
-        stored = [array for array in (*(scope.direct for scope in artifacts.scopes.values()),
-                                      *(scope.earlier for scope in artifacts.scopes.values()),
-                                      artifacts.doc_vectors.earlier) if array is not None]
-
-        def state(ref):
-            """Whether the array is alive, or "stored" for a TF.IDF scope's
-            direct scores or a model's ``earlier`` scores, which live as long
-            as the artifacts."""
-            array = ref()
-            return "stored" if any(array is s for s in stored) else array is not None
-
-        def states():
-            return {m: (state(direct), state(indirect)) for m, (direct, indirect) in refs.items()}
-
-        gc.disable()
-        try:
-            for i, config in enumerate(configs):
-                ranked = localize(artifacts, rows, config)
-                refs[config.method_id] = weakref.ref(ranked.direct), weakref.ref(ranked.indirect)
-                del ranked
-                ranked_alone[config.method_id] = states()
-                artifacts.keep_scores(configs[i + 1:])
-                alive[config.method_id] = states()
-        finally:
-            gc.enable()
-        # the history-bridged scores are the stored ones, or computed: kept
-        # while a later method ranks with them, and then freed
-        kept, freed = ("stored", "stored") if earlier else (True, False)
-        # no later method ranks with local TF.IDF: what the batch computed is freed
-        assert alive[3] == {3: ("stored", freed)}
-        assert alive[4] == {3: ("stored", freed), 4: ("stored", kept)}
-        assert alive[6] == {3: ("stored", freed), 4: ("stored", kept), 6: ("stored", kept)}
-        # method 7's combined maps are its own, freed with its result, and it
-        # drops the TF.IDF-global and doc-vector arrays once it has combined them
-        assert ranked_alone[7] == alive[7] == {**dict.fromkeys((3, 4, 6), ("stored", freed)),
-                                               7: (False, False)}
-
-    def test_another_batch_is_scored_anew(self, setting):
-        shared = self.fresh(setting)
-        config = MethodConfig.from_id(6)
-        rows = np.arange(len(shared.report_ids))
-        for policy, batch in (("earlier", rows), ("all", rows), ("all", rows[::-1]),
-                              ("earlier", rows)):
-            history = project_histories(shared, policy, batch)
-            got = localize(shared, batch, config, history=history)
-            want = localize(self.fresh(setting), batch, config, history=history)
-            assert np.array_equal(got.final, want.final)
-            assert np.array_equal(got.indirect, want.indirect)
-        single = localize(shared, 3, config, history=history_at(shared, 3, "all"))
-        assert np.array_equal(single.final, localize(self.fresh(setting), rows, config,
-                                                     history=project_histories(
-                                                         shared, "all")).final[3])
-
-    @pytest.mark.parametrize("method_id", [3, 4, 6, 7])
-    def test_stored_earlier_scores_rank_as_the_bridge(self, setting, method_id):
-        """With the stored ``earlier`` scores, histories tagged "earlier"
-        rank from them, bit for bit as bridging does, for the batch of every
-        report, another batch and one row; histories of another policy are
-        bridged."""
-        stored, bridged = self.fresh(setting, earlier=True), self.fresh(setting)
-        config = MethodConfig.from_id(method_id)
-        rows = np.arange(len(stored.report_ids))
-        for batch, policy in ((rows, "earlier"), (np.array([4, 0, 9]), "earlier"),
-                              (rows, "all"), (np.array([5]), "earlier")):
-            history = project_histories(stored, policy, batch)
-            assert history.policy == history[1:].policy == policy
-            got = localize(stored, batch, config, history=history)
-            want = localize(bridged, batch, config, history=history)
-            for name in ("final", "direct", "indirect", "entries"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
-            assert not got.indirect.flags.writeable
-        assert Histories.of([history_at(stored, 5)]).policy is None
-        if method_id != 7:  # method 7 combines the stored arrays into its own
-            whole = localize(stored, rows, config)
-            assert whole.indirect is (stored.doc_vectors if method_id == 6 else stored.scopes[
-                "local" if method_id == 3 else "global"]).earlier
 
 
 def local_vocab(project):
