@@ -13,21 +13,27 @@ Artifacts, one file ``<kind>[_<project>].bin`` each in the cache directory:
 - ``tokens.bin``: the token streams of every document of the benchmark;
 - ``index_local_<project>.bin``, ``index_global_<project>.bin``,
   ``index_docvec_<project>.bin``: the project's ranking index under that
-  scope, its :class:`~bugloc.rank.Scores` (the direct score of each report
-  against each file and each report's history-bridged scores under each
-  policy, three times R×F float64 values), its file and report ids and
-  each report's fixed-file columns. Ranking reads nothing else, so an index
-  of any scope costs 3·R×F × 8 bytes plus its ids, whatever the vocabulary
-  or the vector size. A doc-vector index's fingerprint also holds the
-  embedding configuration and the inference epochs, ``None`` resolved to
-  the configured training epochs.
+  scope and the default history policy, its :class:`~bugloc.rank.Scores`
+  (the direct score of each report against each file and each report's
+  history-bridged scores under the policy, two times R×F float64 values),
+  its file and report ids and each report's fixed-file columns. Ranking
+  reads nothing else, so an index of any scope costs 2·R×F × 8 bytes plus
+  its ids, whatever the vocabulary or the vector size. A doc-vector index's
+  fingerprint also holds the embedding configuration and the inference
+  epochs, ``None`` resolved to the configured training epochs;
+- ``index_all_local_<project>.bin``, ``index_all_global_<project>.bin``,
+  ``index_all_docvec_<project>.bin``: the same under ``--history all``, in
+  the same layout.
 
 Every score is computed when the index is built
 (:func:`~bugloc.rank.tfidf_scores`, :func:`~bugloc.rank.docvec_scores`),
-so a call under either history policy reads them and computes none.
+bridged under the call's policy only, so a call reads the indexes of its
+policy and computes nothing; a default-policy call never builds, reads or
+checks a score of ``--history all``.
 
 The first ``localize`` or ``evaluate`` that ranks with a scope (``local``,
-``global`` or ``docvec``) builds its index; ``train-global`` builds none.
+``global`` or ``docvec``) under a policy builds that index; ``train-global``
+builds none.
 
 Paragraph-vector models are trained where they miss: by ``train-global``,
 after the IDF model, or by the first doc-vector call that needs them, on
@@ -83,9 +89,10 @@ one without directory stamps, counts as missing: it costs one re-hash to
 the same digest, and no artifact is rebuilt.
 
 Ranking indexes are read only by :meth:`ArtifactCache.artifacts`, each
-once per call, and a hit is decided per project, by one rule for all seven
-methods. A ``localize`` or ``evaluate`` ranking a project whose every
-requested scope has a fresh index, all of the same ids and fixed files,
+once per call, those of the call's history policy only, and a hit is
+decided per project, by one rule for all seven methods. A ``localize`` or
+``evaluate`` ranking a project whose every requested scope has a fresh
+index of the call's policy, all of the same ids and fixed files,
 ranks with those indexes' arrays: it stats the benchmark, reads no
 benchmark file, no token stream and no paragraph-vector model,
 preprocesses nothing and infers nothing, also when ``evaluate --projects``
@@ -194,15 +201,24 @@ def _seal_at(root: str, names) -> tuple[str, int]:
 # document's offset into ``ids`` and the end, and the term ids in order.
 _TOKENS = container.Layout(b"bugloc-tokens v2\n",
                            [("terms", container.STR), ("offsets", "i8"), ("ids", "i4")])
-# A ranking index, of every scope: a model's three reports × files score
-# arrays (rank.Scores: the direct scores and the history-bridged scores under
-# each policy), each stored flat row by row; then each report's fixed files as
-# CSR arrays of ascending file columns, file ids in path order and report ids
-# in row order.
-_INDEX = container.Layout(b"bugloc-index v8\n", [
-    ("direct", "f8"), ("earlier", "f8"), ("all", "f8"),
+# A ranking index, of every scope and either history policy: a model's two
+# reports × files score arrays (rank.Scores: the direct scores and the
+# history-bridged scores under the index's policy), each stored flat row by
+# row; then each report's fixed files as CSR arrays of ascending file columns,
+# file ids in path order and report ids in row order.
+_INDEX = container.Layout(b"bugloc-index v9\n", [
+    ("direct", "f8"), ("bridged", "f8"),
     ("fixed_offsets", "i8"), ("fixed_columns", "i8"),
     ("file_ids", container.STR), ("report_ids", container.STR)])
+
+
+def _index_kind(scope: str, policy: str) -> str:
+    """The kind of the ranking index of ``scope`` bridged under the history
+    policy: ``index_<scope>`` for the default one, ``index_all_<scope>`` for
+    ``"all"``."""
+    if policy not in rank.POLICIES:
+        raise ValueError(f"unknown history policy {policy!r}")
+    return f"index_{scope}" if policy == "earlier" else f"index_all_{scope}"
 
 
 def _decode_streams(data: bytes, origins: list[str]) -> list[TokenStream]:
@@ -247,8 +263,12 @@ def _decode_index(data: bytes, signed: bool = False) -> _Index:
     file_ids, report_ids = a["file_ids"], a["report_ids"]
     if sorted(set(file_ids)) != file_ids or len(set(report_ids)) != len(report_ids):
         raise ValueError("ranking index file ids out of path order or report ids repeated")
-    container.check_spans(a["fixed_offsets"], a["fixed_columns"], len(report_ids),
-                          len(file_ids))
+    offsets, columns = a["fixed_offsets"], a["fixed_columns"]
+    container.check_spans(offsets, columns, len(report_ids), len(file_ids))
+    # each report's columns strictly ascend, so ranks_of finds each one once
+    owner = np.repeat(np.arange(len(report_ids)), np.diff(offsets))
+    if np.any(np.diff(owner * len(file_ids) + columns) <= 0):
+        raise ValueError("ranking index fixed files out of order or repeated")
     shape = (len(report_ids), len(file_ids))
     scores = [a[name] for name in rank.Scores._fields]
     if any(len(array) != shape[0] * shape[1] for array in scores):
@@ -258,7 +278,7 @@ def _decode_index(data: bytes, signed: bool = False) -> _Index:
         if len(array) and not low <= array.min() <= array.max() < np.inf:
             raise ValueError("ranking index holds a NaN, infinite or negative score")
     return _Index(rank.Scores(*(array.reshape(shape) for array in scores)), file_ids,
-                  report_ids, (a["fixed_offsets"], a["fixed_columns"]))
+                  report_ids, (offsets, columns))
 
 
 def _replace(path: Path, chunks) -> str:
@@ -281,10 +301,13 @@ def _replace(path: Path, chunks) -> str:
 _KINDS = {"tokens": (_TOKENS, "token-stream index", "re-preprocessing"),
           "idf": (tfidf.LAYOUT, "cached IDF model", "retraining"),
           **dict.fromkeys(("dm", "dbow"), (embedding.LAYOUT, "cached model", "retraining")),
-          **dict.fromkeys(("index_local", "index_global", "index_docvec"),
+          **dict.fromkeys((_index_kind(scope, policy) for scope in rank.SCOPES.values()
+                           for policy in rank.POLICIES),
                           (_INDEX, "ranking index", "rebuilding"))}
+# the kinds of doc-vector index, whose bytes also depend on the inference epochs
+_DOCVEC_INDEXES = {_index_kind("docvec", policy) for policy in rank.POLICIES}
 # the kinds whose bytes depend on the embedding configuration
-_EMBEDDED = {"dm", "dbow", "index_docvec"}
+_EMBEDDED = {"dm", "dbow", *_DOCVEC_INDEXES}
 # the kind of each paragraph-vector mode's model
 _MODEL_KINDS = {embedding.PV_DM: "dm", embedding.PV_DBOW: "dbow"}
 
@@ -379,7 +402,7 @@ class ArtifactCache:
                    "preprocess": self.preprocess_config.fingerprint(),
                    "embedding": self.embed_config.fingerprint() if embedded else None,
                    "layout": _KINDS[kind][0].header.decode("ascii").strip()}
-        if kind == "index_docvec":
+        if kind in _DOCVEC_INDEXES:
             payload["infer_epochs"] = (self.embed_config.epochs if self.infer_epochs is None
                                        else self.infer_epochs)
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
@@ -443,10 +466,12 @@ class ArtifactCache:
         self._store("tokens", "", _TOKENS.encode({"terms": terms, "offsets": offsets,
                                                   "ids": ids}))
 
-    def artifacts(self, name: str, scopes, loaded) -> rank.Artifacts:
+    def artifacts(self, name: str, scopes, loaded, policy: str = "earlier") -> rank.Artifacts:
         """The ranking arrays of project ``name``: the
         :class:`~bugloc.rank.Scores` of each of ``scopes`` ("local",
-        "global", "docvec"). Each index is read once.
+        "global", "docvec"), bridged under the history ``policy``, from the
+        indexes of that policy (:func:`_index_kind`); an unknown policy
+        raises ``ValueError`` before any is read. Each index is read once.
 
         When every index is fresh and whole and all hold the same ids and
         fixed files, the arrays are theirs: no benchmark file, token stream
@@ -456,19 +481,21 @@ class ArtifactCache:
         with its token streams; each index that holds the project's ids and
         fixed files is used as it is, and the others are built and stored.
         """
-        found = {scope: self._read(f"index_{scope}", name, functools.partial(
-            _decode_index, signed=scope == "docvec")) for scope in sorted(scopes)}
+        kinds = {scope: _index_kind(scope, policy) for scope in sorted(scopes)}
+        found = {scope: self._read(kind, name, functools.partial(
+            _decode_index, signed=scope == "docvec")) for scope, kind in kinds.items()}
         indexes = list(found.values())
         if None not in indexes and all(indexes[0].holds(index) for index in indexes[1:]):
             if "docvec" in found:
                 logger.info("doc-vector index of %s hit", name)
             first, project = indexes[0], None
-            artifacts = rank.Artifacts(name, first.file_ids, first.report_ids, first.fixed)
+            artifacts = rank.Artifacts(name, first.file_ids, first.report_ids, first.fixed,
+                                       policy=policy)
         else:
             if None not in indexes:
                 logger.info("ranking indexes of %s disagree on ids or fixed files", name)
             project = loaded().project(name)
-            artifacts = rank.Artifacts.of(project)
+            artifacts = rank.Artifacts.of(project, policy=policy)
         for scope, index in found.items():
             if index is not None and not index.holds(artifacts):
                 logger.info("%s index of %s is of other files or reports; rebuilding", scope,
@@ -480,10 +507,10 @@ class ArtifactCache:
 
     def _build(self, project: Project, scope: str, artifacts: rank.Artifacts) -> rank.Scores:
         """The scores of the project under ``scope``, built from its token
-        streams over the ids and fixed files of ``artifacts``, and stored as
-        that index of those. A project without queries, which nothing
-        ranks, gets empty arrays, and no vocabulary or model is built for
-        it."""
+        streams over the ids and fixed files of ``artifacts`` and bridged
+        under its policy, and stored as that index of those. A project
+        without queries, which nothing ranks, gets empty arrays, and no
+        vocabulary or model is built for it."""
         if scope != "docvec":
             vocab = (self.global_vocabulary(project.name)
                      if scope == "global" and project.has_queries else None)
@@ -499,7 +526,7 @@ class ArtifactCache:
                         "inferring", project.name, len(project.source_files),
                         len(project.bug_reports), time.perf_counter() - start)
             scores = rank.docvec_scores(artifacts, *vectors)
-        self._store(f"index_{scope}", project.name, _encode_index(
+        self._store(_index_kind(scope, artifacts.policy), project.name, _encode_index(
             scores, artifacts.file_ids, artifacts.report_ids, *artifacts.fixed))
         return scores
 

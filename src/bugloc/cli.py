@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import re
 import statistics
@@ -196,19 +197,19 @@ def _loader(settings, benchmark_path, cache=None, project_name=None):
     return loaded
 
 
-def _artifacts(name, method_ids, cache, loaded) -> rank.Artifacts:
+def _artifacts(name, method_ids, cache, loaded, policy) -> rank.Artifacts:
     """Artifacts of project ``name`` holding the scores of every scope the
-    given methods rank with: with a cache, from the project's ranking
-    indexes or built and stored
-    (:meth:`~bugloc.cache.ArtifactCache.artifacts`); without one, the local
-    scope of the project that ``loaded()`` holds."""
+    given methods rank with, bridged under the history ``policy``: with a
+    cache, from the project's ranking indexes of that policy or built and
+    stored (:meth:`~bugloc.cache.ArtifactCache.artifacts`); without one, the
+    local scope of the project that ``loaded()`` holds."""
     scopes = set().union(*(rank.MethodConfig.from_id(m).scopes for m in method_ids))
     if cache is not None:
-        return cache.artifacts(name, scopes, loaded)
+        return cache.artifacts(name, scopes, loaded, policy)
     if scopes != {"local"}:
         raise BugLocError(f"methods {sorted(method_ids)} need global models: pass --cache")
     project = loaded().project(name)
-    artifacts = rank.Artifacts.of(project)
+    artifacts = rank.Artifacts.of(project, policy=policy)
     artifacts.scopes["local"] = rank.tfidf_scores(project, artifacts)
     return artifacts
 
@@ -314,9 +315,9 @@ def cmd_localize(benchmark_path, project_name, bug_id, method_id, cache_dir,
     cache = _cache(settings, benchmark_path, cache_dir)
     # without a cache only the query project is read, so only it is loaded
     artifacts = _artifacts(project_name, [method_id], cache,
-                           _loader(settings, benchmark_path, cache, project_name))
-    ranked = rank.localize(artifacts, artifacts.row(bug_id), rank.MethodConfig.from_id(method_id),
-                           policy=settings.get("history_policy"))
+                           _loader(settings, benchmark_path, cache, project_name),
+                           settings.get("history_policy"))
+    ranked = rank.localize(artifacts, artifacts.row(bug_id), rank.MethodConfig.from_id(method_id))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"ranking_{project_name}_m{method_id}_{bug_id}.csv"
@@ -334,14 +335,13 @@ def _evaluate_project(name, method_ids, settings, cache,
     One :class:`~bugloc.rank.Artifacts` holds the scores of every scope the
     methods rank with, so each method reads, fuses and sorts them.
     """
-    artifacts = _artifacts(name, method_ids, cache, loaded)
+    artifacts = _artifacts(name, method_ids, cache, loaded, settings.get("history_policy"))
     if not artifacts.report_ids:
         return None
     rows = np.arange(len(artifacts.report_ids))
     reports = {}
     for method_id in method_ids:
-        ranked = rank.localize(artifacts, rows, rank.MethodConfig.from_id(method_id),
-                               policy=settings.get("history_policy"))
+        ranked = rank.localize(artifacts, rows, rank.MethodConfig.from_id(method_id))
         offsets, ranks = ranked.ranks_of(*artifacts.fixed)
         reports[method_id] = metrics.compute_metrics(metrics.RankBatch(
             ranked.query_bug_id, offsets, ranks, artifacts.fixed_counts))
@@ -350,18 +350,47 @@ def _evaluate_project(name, method_ids, settings, cache,
 
 
 _METRICS_HEADER = ["project", "method", "mrr", "map", "top1", "top5", "top10", "n_queries"]
+_PER_QUERY_HEADER = "project,method,bug_id,reciprocal_rank,average_precision\n"
 
 
-def _write_metrics_outputs(out, rows, per_query_rows, wilcoxon_rows):
+def _csv_fields(values: list[str]) -> list[str]:
+    """Each string as the ``csv.writer`` of the outputs writes it as a field
+    that others follow in its row; one writer writes them all."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    ends = []
+    for value in values:
+        writer.writerow((value, ""))  # a lone empty field would be quoted
+        ends.append(buffer.tell())
+    text = buffer.getvalue()
+    return [text[start:end - 2] for start, end in zip([0, *ends], ends)]  # drop ",\n"
+
+
+def _per_query_lines(name: str, reports: dict[int, metrics.MetricsReport]) -> list[str]:
+    """The lines of ``per_query.csv`` of the project's reports, method by
+    method, each query's reciprocal rank and average precision to six
+    places; the project name and each bug id are quoted once."""
+    keys = [name, *dict.fromkeys(bug_id for report in reports.values()
+                                 for bug_id in report.per_query)]
+    quoted = dict(zip(keys, _csv_fields(keys)))
+    lines = []
+    for method_id, report in reports.items():
+        prefix = f"{quoted[name]},{method_id},"
+        lines += [f"{prefix}{quoted[bug_id]},{rr:.6f},{ap:.6f}\n"
+                  for bug_id, (rr, ap) in report.per_query.items()]
+    return lines
+
+
+def _write_metrics_outputs(out, rows, per_query_lines, wilcoxon_rows):
     out.mkdir(parents=True, exist_ok=True)
     for name, header, table in [
             ("metrics.csv", _METRICS_HEADER, rows),
-            ("per_query.csv", ["project", "method", "bug_id", "reciprocal_rank",
-                               "average_precision"], per_query_rows),
             ("wilcoxon.csv", ["metric", "method_a", "method_b", "n", "statistic", "p_value",
                               "note"], wilcoxon_rows)]:
         with open(out / name, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows([header, *table])
+    with open(out / "per_query.csv", "w", newline="") as fh:
+        fh.write(_PER_QUERY_HEADER + "".join(per_query_lines))
     with open(out / "metrics.json", "w") as fh:
         json.dump([dict(zip(_METRICS_HEADER, row)) for row in rows], fh, indent=2)
         fh.write("\n")
@@ -405,7 +434,7 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
     # the benchmark is loaded once, and only if a project's indexes miss
     loaded = _loader(settings, benchmark_path, cache)
 
-    rows, per_query_rows = [], []
+    rows, per_query_lines = [], []
     per_project: dict[int, dict[str, metrics.MetricsReport]] = {m: {} for m in method_ids}
     for name in project_names:
         reports = _evaluate_project(name, method_ids, settings, cache, loaded)
@@ -417,8 +446,7 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
             rows.append([name, method_id, f"{report.mrr:.6f}", f"{report.map:.6f}",
                          report.top_n[1], report.top_n[5], report.top_n[10],
                          report.n_queries])
-            per_query_rows += [[name, method_id, bug_id, f"{rr:.6f}", f"{ap:.6f}"]
-                               for bug_id, (rr, ap) in report.per_query.items()]
+        per_query_lines += _per_query_lines(name, reports)
 
     for method_id in method_ids:
         reports = [per_project[method_id][n] for n in sorted(per_project[method_id])]
@@ -447,7 +475,7 @@ def cmd_evaluate(benchmark_path, methods_raw, projects_raw, cache_dir, out_dir,
                     wilcoxon_rows.append([metric_name, method_a, method_b, len(shared),
                                           "", "", str(exc)])
 
-    _write_metrics_outputs(Path(out_dir), rows, per_query_rows, wilcoxon_rows)
+    _write_metrics_outputs(Path(out_dir), rows, per_query_lines, wilcoxon_rows)
     _echo(f"wrote metrics for {len(per_project[method_ids[0]])} project(s), "
           f"methods {','.join(map(str, method_ids))} to {out_dir}")
 

@@ -25,9 +25,11 @@ rows before it, and under ``"all"`` every other row.
 
 Each model kind ranks with the scores of its scope (:data:`SCOPES`:
 ``"local"``, ``"global"``, ``"docvec"``), one :class:`Scores` per scope:
-three reports × files arrays, the direct scores and the history-bridged
-scores under each policy. They are computed once per project, when the
-scope is built, and the cache keeps them as that scope's ranking index:
+two reports × files arrays, the direct scores and the history-bridged
+scores under one history policy, the policy of the :class:`Artifacts` that
+hold them, fixed where they are built. They are computed once per project
+and policy, when the scope is built, and the cache keeps them as that
+scope's ranking index of that policy:
 
 - :func:`tfidf_scores`, from the files' :class:`~bugloc.tfidf.Postings` and
   the reports' :class:`~bugloc.tfidf.Rows`: the direct scores are the
@@ -46,20 +48,24 @@ scope is built, and the cache keeps them as that scope's ranking index:
 
 The bridge is one ``bincount`` of ``sim / |fixed(B)|`` over the bins
 ``query * F + column`` of the (report, fixed file) pairs of a chunk's
-concatenated histories (:class:`Histories`, from :func:`project_histories`),
-in history order. Each bin sums the products of the per-pair formulas
-(:func:`~bugloc.tfidf.rvsm`, :func:`~bugloc.tfidf.cosine`, a dict summed in
-history order) in the same order, so the TF.IDF scores are bit-identical to
-them. A build works in chunks of a bounded number of (query, document)
-pairs, counting the project's files and reports, and a row is the same
-whichever rows are computed with it.
+concatenated histories (:class:`Histories`, from :func:`project_histories`,
+built for the chunk's own rows only), in history order. Each bin sums the
+products of the per-pair formulas (:func:`~bugloc.tfidf.rvsm`,
+:func:`~bugloc.tfidf.cosine`, a dict summed in history order) in the same
+order, so the TF.IDF scores are bit-identical to them. A build works in
+chunks of a bounded number of (query, document) pairs, counting the
+project's files and reports, and a row is the same whichever rows are
+computed with it.
 
 :func:`localize` only reads, fuses and sorts. It ranks a batch of report
 rows in one pass: it reads those rows of the stored arrays (the arrays
 themselves for every report in row order, as ``evaluate`` asks), combines
 method 7's maps from them, then min-max normalizes, fuses and stable-sorts
-row by row, in chunks. Its :class:`RankedList` has one row per query; an
-int row is the batch of one, returned as that query's 1-D list.
+row by row, in chunks, normalizing and fusing in each chunk's own buffers.
+A method without a history model (1, 2, 5) normalizes no bridged map: it
+fuses as ``w1 * minmax(direct) + w2 * 0.0``, the bits of fusing the zero
+map. Its :class:`RankedList` has one row per query; an int row is the
+batch of one, returned as that query's 1-D list.
 
 Every method reads one :class:`Artifacts` per project: its file and report
 ids, its fixed files as CSR arrays and the :class:`Scores` of each scope.
@@ -70,8 +76,9 @@ project's ranking indexes or built and stored.
 ``evaluate`` ranks all of a project's reports with one call per method and
 scores each batch from the ranks of the reports' fixed files:
 :meth:`RankedList.ranks_of` reads them off ``entries`` for the fixed-file
-CSR arrays (:attr:`Artifacts.fixed`) and returns them as CSR arrays too,
-which :func:`~bugloc.metrics.compute_metrics` scores without a per-query
+CSR arrays (:attr:`Artifacts.fixed`), comparing each fixed column with its
+query's row of ``entries``, and returns them as CSR arrays too, which
+:func:`~bugloc.metrics.compute_metrics` scores without a per-query
 object. :class:`RankEntry` rows exist only for a ranking that is written or
 printed.
 """
@@ -106,7 +113,7 @@ _METHOD_TABLE = {
 
 # the scope of each model kind: the scores it ranks with, and their index
 SCOPES = {TFIDF_LOCAL: "local", TFIDF_GLOBAL: "global", DOC2VEC_GLOBAL: "docvec"}
-# the history policies, each with its bridged scores in every Scores
+# the history policies; the Scores of an Artifacts are bridged under its one
 POLICIES = ("earlier", "all")
 
 
@@ -199,12 +206,18 @@ class RankedList:
         holds them. Returns CSR arrays: query ``i``'s ascending 1-based ranks
         are ``ranks[rank_offsets[i]:rank_offsets[i + 1]]``."""
         entries = np.atleast_2d(self.entries)
-        wanted = np.zeros(entries.shape, dtype=bool)
-        wanted[np.repeat(np.arange(len(entries)), np.diff(offsets)), columns] = True
-        # row-major, so the ranks come out query by query, each ascending
-        queries, positions = np.nonzero(np.take_along_axis(wanted, entries, axis=1))
-        counts = np.bincount(queries, minlength=len(entries))
-        return np.concatenate(([0], np.cumsum(counts))), positions + 1
+        n_files = entries.shape[1]
+        owner = np.repeat(np.arange(len(entries)), np.diff(offsets))
+        positions = np.empty(len(columns), dtype=np.intp)
+        # each fixed column against its query's row of the order, a bounded
+        # block of (column, row) pairs at a time; every row is a permutation
+        step = max(1, _CHUNK_SCORES // max(1, n_files))
+        for start in range(0, len(columns), step):
+            block = slice(start, start + step)
+            positions[block] = np.argmax(entries[owner[block]] == columns[block, None], axis=1)
+        # query by query, each query's ranks ascending
+        keys = np.sort(owner * n_files + positions)
+        return offsets, keys - owner * n_files + 1
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -222,17 +235,17 @@ class RankedList:
 class Scores(NamedTuple):
     """A model's scores over one project, what ranking reads: ``direct``, the
     score of each report (a row) against each file (a column, in path
-    order), and the history-bridged scores of each report under each policy
-    (``earlier``, ``all``); three read-only reports × files float64 arrays."""
+    order), and ``bridged``, the history-bridged scores of each report under
+    the history policy of the :class:`Artifacts` that hold them; two
+    read-only reports × files float64 arrays."""
 
     direct: np.ndarray
-    earlier: np.ndarray
-    all: np.ndarray
+    bridged: np.ndarray
 
     @classmethod
     def unranked(cls, n_files: int) -> Scores:
         """The scores of a project with no reports, which nothing ranks."""
-        return cls(*(np.zeros((0, n_files)) for _ in range(3)))
+        return cls(*(np.zeros((0, n_files)) for _ in range(2)))
 
 
 def _streams(docs) -> list:
@@ -259,9 +272,12 @@ class Artifacts:
     ascending columns ``columns[offsets[i]:offsets[i + 1]]``.
     ``fixed_counts`` holds each report's ``|fixed files|``, by default its
     number of columns, as for a loaded project, whose fixed files all
-    resolve to its files. ``scopes`` holds the :class:`Scores` of each scope
-    (:data:`SCOPES`) supplied; a method ranks only with those, and reads no
-    token stream and no model.
+    resolve to its files. ``policy`` is the history policy of every
+    report's bridged scores (:data:`POLICIES`): ``"earlier"``, the rows
+    before it, or ``"all"``, every other row; an unknown one raises
+    ``ValueError``. ``scopes`` holds the :class:`Scores` of each scope
+    (:data:`SCOPES`) supplied, bridged under ``policy``; a method ranks only
+    with those, and reads no token stream and no model.
 
     :meth:`of` takes the ids and fixed files from a project;
     :meth:`~bugloc.cache.ArtifactCache.artifacts` gives all of the arrays.
@@ -269,8 +285,11 @@ class Artifacts:
 
     def __init__(self, name: str, file_ids: list[str], report_ids: list[str],
                  fixed: tuple[np.ndarray, np.ndarray], scopes: dict[str, Scores] | None = None,
-                 fixed_counts: np.ndarray | None = None):
+                 fixed_counts: np.ndarray | None = None, policy: str = "earlier"):
+        if policy not in POLICIES:
+            raise ValueError(f"unknown history policy {policy!r}")
         self.name = name
+        self.policy = policy
         self.file_ids = file_ids
         self.report_ids = report_ids
         self.fixed = fixed
@@ -278,10 +297,11 @@ class Artifacts:
         self.scopes = {} if scopes is None else scopes
 
     @classmethod
-    def of(cls, project: Project, scopes: dict[str, Scores] | None = None) -> Artifacts:
-        """The project's ids and fixed files with the given scores. A fixed
-        file missing from the project has no column but counts in
-        ``fixed_counts``."""
+    def of(cls, project: Project, scopes: dict[str, Scores] | None = None,
+           policy: str = "earlier") -> Artifacts:
+        """The project's ids and fixed files with the given scores, bridged
+        under ``policy``. A fixed file missing from the project has no column
+        but counts in ``fixed_counts``."""
         reports = project.bug_reports
         file_ids = [f.id for f in _path_order(project)]
         column = {fid: j for j, fid in enumerate(file_ids)}
@@ -293,7 +313,7 @@ class Artifacts:
         return cls(project.name, file_ids, [r.id for r in reports],
                    (np.concatenate(([0], np.cumsum(counts, dtype=np.intp))),
                     np.array(columns, dtype=np.intp)), scopes,
-                   np.array([len(r.fixed_files) for r in reports], dtype=np.intp))
+                   np.array([len(r.fixed_files) for r in reports], dtype=np.intp), policy)
 
     def row(self, bug_id: str) -> int:
         """Row of the report with id ``bug_id``."""
@@ -321,8 +341,7 @@ class Histories:
     """The history rows of a batch of queries, as CSR arrays: query ``i`` of
     the batch may draw on ``rows[offsets[i]:offsets[i + 1]]``, and ``owner``
     holds the batch index of the query each of ``rows`` belongs to.
-    ``len()`` is the number of queries, and a slice of the batch
-    (``histories[start:stop]``) is the histories of those queries."""
+    ``len()`` is the number of queries."""
 
     __slots__ = ("rows", "owner", "offsets")
 
@@ -334,31 +353,25 @@ class Histories:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def __getitem__(self, chunk: slice) -> Histories:
-        start, stop, _ = chunk.indices(len(self))
-        lo, hi = self.offsets[start], self.offsets[stop]
-        return Histories(self.rows[lo:hi], self.owner[lo:hi] - start,
-                         self.offsets[start:stop + 1] - lo)
 
-
-def project_histories(artifacts: Artifacts, policy: str = "earlier") -> Histories:
-    """The histories of every report of the project, in row order, as one
-    :class:`Histories`: each row's span holds the rows before it in the
-    project ordering, or every other row under ``policy="all"``."""
+def project_histories(artifacts: Artifacts, rows: slice = slice(None)) -> Histories:
+    """The histories of the project's reports at ``rows`` (every report by
+    default), in row order, as one :class:`Histories`: each row's span holds
+    the rows before it in the project ordering, or every other row under
+    the policy ``"all"`` of ``artifacts``."""
     n = len(artifacts.report_ids)
-    rows = np.arange(n)
+    queries = np.arange(n)[rows]
+    policy = artifacts.policy
     if policy == "earlier":
-        lengths = rows
-    elif policy == "all":
-        lengths = np.full(n, max(n - 1, 0), dtype=np.intp)
+        lengths = queries
     else:
-        raise ValueError(f"unknown history policy {policy!r}")
+        lengths = np.full(len(queries), max(n - 1, 0), dtype=np.intp)
     offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))
-    owner = np.repeat(rows, lengths)
+    owner = np.repeat(np.arange(len(queries)), lengths)
     # each span counts 0, 1, ... up; under "all" it steps over the query's own row
     past = np.arange(offsets[-1]) - offsets[owner]
     if policy == "all":
-        past += past >= owner
+        past += past >= queries[owner]
     return Histories(past, owner, offsets)
 
 
@@ -380,22 +393,18 @@ def _bridge(artifacts: Artifacts, history: Histories, sims: np.ndarray) -> np.nd
 
 
 def _scores(artifacts: Artifacts, direct: np.ndarray, similarities) -> Scores:
-    """The :class:`Scores` of the direct scores and, under each policy, the
-    bridge of ``similarities(rows, history)``: the similarity of each query
-    of ``rows`` to each of its history reports, aligned with
-    ``history.rows``; computed chunk by chunk."""
+    """The :class:`Scores` of the direct scores and, under the policy of
+    ``artifacts``, the bridge of ``similarities(rows, history)``: the
+    similarity of each query of ``rows`` to each of its history reports,
+    aligned with ``history.rows``; computed chunk by chunk, each chunk's
+    histories built for its own rows only."""
     rows = np.arange(len(artifacts.report_ids))
-    bridged = []
-    for policy in POLICIES:
-        histories = project_histories(artifacts, policy)
-        scores = np.empty(direct.shape)
-        for chunk in _chunks(artifacts, len(rows)):
-            history = histories[chunk]
-            scores[chunk] = _bridge(artifacts, history, similarities(rows[chunk], history))
-        bridged.append(scores)
-    for scores in (direct, *bridged):
-        scores.flags.writeable = False
-    return Scores(direct, *bridged)
+    bridged = np.empty(direct.shape)
+    for chunk in _chunks(artifacts, len(rows)):
+        history = project_histories(artifacts, chunk)
+        bridged[chunk] = _bridge(artifacts, history, similarities(rows[chunk], history))
+    direct.flags.writeable = bridged.flags.writeable = False
+    return Scores(direct, bridged)
 
 
 def _report_sims(queries: tfidf.Rows, n_terms: int, step: int) -> np.ndarray:
@@ -500,37 +509,53 @@ def docvec_scores(artifacts: Artifacts, files: np.ndarray, file_norms: np.ndarra
     return _scores(artifacts, direct, similarities)
 
 
-def _minmax(scores: np.ndarray) -> np.ndarray:
-    """Each row of ``scores`` (or the one score array) scaled to [0, 1]."""
+def _minmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each row of ``scores`` (or the one score array) scaled to [0, 1], in
+    ``out`` if given."""
     lo = scores.min(axis=-1, keepdims=True)
     hi = scores.max(axis=-1, keepdims=True)
+    flat = hi == lo
+    out = np.subtract(scores, lo, out=out)
+    np.divide(out, np.where(flat, 1.0, hi - lo), out=out)
     # Constant maps (including all-zero) normalize to zero so they cannot
-    # perturb the fused ranking.
-    return np.divide(scores - lo, hi - lo, out=np.zeros_like(scores), where=hi != lo)
+    # perturb the fused ranking; a row of 0.0 and -0.0 would keep a -0.0.
+    if flat.any():
+        np.copyto(out, 0.0, where=flat)
+    return out
 
 
-def fuse(direct: np.ndarray, indirect: np.ndarray, w1: float, w2: float) -> np.ndarray:
-    """Min-max normalize both score arrays and combine them as w1*d + w2*i;
-    2-D arrays are normalized row by row."""
-    return w1 * _minmax(direct) + w2 * _minmax(indirect)
+def fuse(direct: np.ndarray, indirect: np.ndarray | None, w1: float, w2: float,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """Min-max normalize both score arrays and combine them as w1*d + w2*i,
+    in ``out`` if given; 2-D arrays are normalized row by row. No
+    ``indirect`` is an all-zero map, which normalizes to zero: w1*d +
+    w2*0.0."""
+    final = _minmax(direct, out)
+    final *= w1
+    if indirect is None:
+        final += w2 * 0.0
+    else:
+        other = _minmax(indirect)
+        other *= w2
+        final += other
+    return final
 
 
 def _stored(artifacts: Artifacts, model: str, field: str, rows: np.ndarray,
             chunks: list[slice]) -> np.ndarray:
     """The rows ``rows`` of the model's stored ``field`` scores (``"direct"``
-    or a policy): the stored array itself for every report in row order,
-    else its rows, read-only; for method 7's combined model, the average of
-    the min-max normalized TF.IDF-global and doc-vector rows, chunk by chunk;
-    for no model, a read-only view of one zero."""
-    shape = (len(rows), len(artifacts.file_ids))
-    if model == NONE:  # in no memory of its own
-        return np.broadcast_to(0.0, shape)
+    or ``"bridged"``): the stored array itself for every report in row
+    order, else its rows, read-only; for method 7's combined model, the
+    average of the min-max normalized TF.IDF-global and doc-vector rows,
+    chunk by chunk."""
     if model == COMBINED_GLOBAL:
         lexical, semantic = (_stored(artifacts, kind, field, rows, chunks)
                              for kind in (TFIDF_GLOBAL, DOC2VEC_GLOBAL))
-        combined = np.empty(shape)
+        combined = np.empty((len(rows), len(artifacts.file_ids)))
         for chunk in chunks:
-            combined[chunk] = (_minmax(lexical[chunk]) + _minmax(semantic[chunk])) / 2
+            both = _minmax(lexical[chunk], combined[chunk])
+            both += _minmax(semantic[chunk])
+            both /= 2
         return combined
     if model not in SCOPES:
         raise ValueError(f"unknown model {model!r}")
@@ -545,18 +570,17 @@ def _stored(artifacts: Artifacts, model: str, field: str, rows: np.ndarray,
     return selected
 
 
-def localize(artifacts: Artifacts, rows, config: MethodConfig,
-             policy: str = "earlier") -> RankedList:
+def localize(artifacts: Artifacts, rows, config: MethodConfig) -> RankedList:
     """Rank every source file of the project for its reports at ``rows``,
     an int array of report rows, in one pass, each with its history under
-    ``policy`` (``"earlier"``, the rows before it; ``"all"``, every other
-    row). The result's score arrays and ``entries`` have one row per query
-    row. An int ``rows`` is a batch of one, and its result is that one
-    query's 1-D :class:`RankedList`.
+    the policy of ``artifacts``. The result's score arrays and ``entries``
+    have one row per query row. An int ``rows`` is a batch of one, and its
+    result is that one query's 1-D :class:`RankedList`. A method without a
+    history model fuses its direct scores with no bridged map, and its
+    ``indirect`` is a read-only view of one zero.
 
-    A query row outside the project's reports raises ``ValueError``, as
-    does an unknown policy. Ties in the fused score break by file path so
-    output order is total.
+    A query row outside the project's reports raises ``ValueError``. Ties
+    in the fused score break by file path so output order is total.
     """
     single = np.ndim(rows) == 0
     rows = np.atleast_1d(np.asarray(rows, dtype=np.intp))
@@ -565,16 +589,18 @@ def localize(artifacts: Artifacts, rows, config: MethodConfig,
     if len(rows) and (rows.min() < 0 or rows.max() >= n_reports):
         raise ValueError(f"report rows must lie in [0, {n_reports}) for project "
                          f"{artifacts.name}")
-    if policy not in POLICIES:
-        raise ValueError(f"unknown history policy {policy!r}")
     chunks = _chunks(artifacts, len(rows))
     direct = _stored(artifacts, config.direct_model, "direct", rows, chunks)
-    indirect = _stored(artifacts, config.indirect_model, policy, rows, chunks)
+    indirect = (None if config.indirect_model == NONE
+                else _stored(artifacts, config.indirect_model, "bridged", rows, chunks))
     shape = (len(rows), len(artifacts.file_ids))
     final, entries = np.empty(shape), np.empty(shape, dtype=np.intp)
     for chunk in chunks:
-        final[chunk] = fuse(direct[chunk], indirect[chunk], config.w1, config.w2)
+        fuse(direct[chunk], None if indirect is None else indirect[chunk], config.w1,
+             config.w2, final[chunk])
         entries[chunk] = np.argsort(-final[chunk], axis=-1, kind="stable")
+    if indirect is None:  # in no memory of its own
+        indirect = np.broadcast_to(0.0, shape)
     ids = [artifacts.report_ids[row] for row in rows.tolist()]
     if single:
         return RankedList(ids[0], config.method_id, artifacts.file_ids, final[0], direct[0],

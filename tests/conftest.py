@@ -29,12 +29,19 @@ def java_stub(*identifiers, filler=""):
     return f"public class Stub {{\n{body}\n{filler}\n}}\n"
 
 
-def artifacts_of(project, global_vocab=None, dm=None, dbow=None, infer_epochs=None):
-    """The project's ``rank.Artifacts``, built from its token streams: the
-    scores of its local TF.IDF scope, plus those of its global scope under
-    ``global_vocab`` and of its doc vectors inferred with the ``dm`` and
-    ``dbow`` models, each when given."""
-    artifacts = rank.Artifacts.of(project)
+def index_name(scope, project="proj1", policy="earlier"):
+    """The file of the project's ranking index of ``scope`` bridged under ``policy``."""
+    return f"index_{'all_' if policy == 'all' else ''}{scope}_{project}.bin"
+
+
+def artifacts_of(project, global_vocab=None, dm=None, dbow=None, infer_epochs=None,
+                 policy="earlier"):
+    """The project's ``rank.Artifacts``, built from its token streams and
+    bridged under the history ``policy``: the scores of its local TF.IDF
+    scope, plus those of its global scope under ``global_vocab`` and of its
+    doc vectors inferred with the ``dm`` and ``dbow`` models, each when
+    given."""
+    artifacts = rank.Artifacts.of(project, policy=policy)
     artifacts.scopes["local"] = rank.tfidf_scores(project, artifacts)
     if global_vocab is not None:
         artifacts.scopes["global"] = rank.tfidf_scores(project, artifacts, global_vocab)

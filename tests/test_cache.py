@@ -2,6 +2,7 @@
 artifacts."""
 
 import builtins
+import functools
 import gc
 import hashlib
 import io
@@ -23,21 +24,25 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from bugloc import cache as cache_module, cli, corpus, embedding, pool, preprocess, rank, tfidf
+from bugloc import (cache as cache_module, cli, container, corpus, embedding, pool, preprocess,
+                    rank, tfidf)
 from bugloc.cache import ArtifactCache
 from bugloc.cli import main
 from bugloc.corpus import load_benchmark
 from bugloc.embedding import EmbeddingConfig, PV_DBOW, PV_DM
 from bugloc.preprocess import PreprocessConfig, preprocess_benchmark
+from conftest import index_name
 
 EMBED = EmbeddingConfig(vector_size=8, epochs=2, min_count=1, seed=3)
 FAST = ["--epochs", "2", "--vector-size", "8", "--min-count", "1", "--infer-epochs", "2"]
 OUTPUTS = ("metrics.csv", "metrics.json", "per_query.csv", "wilcoxon.csv")
 
-# every kind of artifact, and its file for the benchmark or for proj1
+# every kind of artifact, and its file for the benchmark or for proj1; a
+# ranking index of each scope under each history policy
 KINDS = {"tokens": "tokens.bin", "idf": "idf.bin", "dm": "dm_proj1.bin",
-         "dbow": "dbow_proj1.bin", "index_local": "index_local_proj1.bin",
-         "index_global": "index_global_proj1.bin", "index_docvec": "index_docvec_proj1.bin"}
+         "dbow": "dbow_proj1.bin",
+         **{f"{prefix}{scope}": f"{prefix}{scope}_proj1.bin"
+            for prefix in ("index_", "index_all_") for scope in ("local", "global", "docvec")}}
 
 
 @pytest.fixture
@@ -147,20 +152,26 @@ def ranking(cache, method=4):
 
 
 def reads(kind, bench, cache, out):
-    """The call that reads the artifact of that kind: ``train-global`` of
-    proj1 for the token streams and proj1's models, and ``evaluate`` of
-    proj1 with all seven methods for its ranking indexes."""
+    """Run the call that reads the artifact of that kind: ``train-global``
+    of proj1 for the token streams and proj1's models, and ``evaluate`` of
+    proj1 with all seven methods for its ranking indexes, under the history
+    policy of the index. Returns the directory of the evaluate outputs:
+    ``out``, or ``out / "all"`` under ``--history all``."""
     if kind.startswith("index"):
-        return run("evaluate", "--benchmark", bench, "--methods", "1,2,3,4,5,6,7", "--projects",
-                   "proj1", "--cache", cache, "--out", out, *FAST)
-    return run("train-global", "--benchmark", bench, "--cache", cache, "--held-out", "proj1",
-               *FAST)
+        policy = "all" if kind.startswith("index_all_") else "earlier"
+        out = out / "all" if policy == "all" else out
+        run("evaluate", "--benchmark", bench, "--methods", "1,2,3,4,5,6,7", "--projects",
+            "proj1", "--cache", cache, "--out", out, "--history", policy, *FAST)
+        return out
+    run("train-global", "--benchmark", bench, "--cache", cache, "--held-out", "proj1", *FAST)
+    return out
 
 
 def seal(bench, cache, out):
     """Write an artifact of every kind of :data:`KINDS`."""
     reads("tokens", bench, cache, out)
     reads("index_local", bench, cache, out)
+    reads("index_all_local", bench, cache, out)
 
 
 @pytest.fixture(scope="module")
@@ -184,9 +195,9 @@ def sealed_bytes(sealed):
                 "idf": tfidf.load_vocabulary,
                 "dm": lambda data: embedding.load_model(data, PV_DM, config),
                 "dbow": lambda data: embedding.load_model(data, PV_DBOW, config),
-                "index_local": cache_module._decode_index,
-                "index_global": cache_module._decode_index,
-                "index_docvec": lambda data: cache_module._decode_index(data, signed=True)}
+                **{kind: functools.partial(cache_module._decode_index,
+                                           signed=kind.endswith("docvec"))
+                   for kind in KINDS if kind.startswith("index")}}
     return {kind: ((cache / name).read_bytes(), decoders[kind]) for kind, name in KINDS.items()}
 
 
@@ -316,13 +327,13 @@ def documents(benchmark):
         yield from project.bug_reports
 
 
-def indexed(cache, *scopes):
+def indexed(cache, *scopes, policy="earlier"):
     """The artifacts of proj1 from its ranking indexes under ``scopes``,
-    which must all hit."""
+    bridged under ``policy``, which must all hit."""
     def loaded():
         raise AssertionError("the ranking indexes of proj1 missed")
 
-    return cache.artifacts("proj1", set(scopes), loaded)
+    return cache.artifacts("proj1", set(scopes), loaded, policy)
 
 
 def reseal(artifact):
@@ -414,7 +425,7 @@ class TestRankingIndex:
         miss = localize(bench, tmp_path / "c", "--history", policy, method=method)
         built = ranking(tmp_path / "c", method)
         scope = "local" if method in (1, 3) else "global"
-        assert (tmp_path / "c" / f"index_{scope}_proj1.bin").is_file()
+        assert (tmp_path / "c" / index_name(scope, policy=policy)).is_file()
         hit = localize(bench, tmp_path / "c", "--history", policy, method=method)
         assert len(load_calls) == 2  # train-global and the miss; the hit loads no benchmark
         assert ranking(tmp_path / "c", method) == built
@@ -452,7 +463,8 @@ class TestRankingIndex:
 
     @pytest.mark.parametrize("flaw", ["fixed_column_out_of_range",
                                       "fixed_offsets_wrong_length",
-                                      *(f"{name}_{what}" for name in ("direct", "earlier", "all")
+                                      "fixed_column_repeated",
+                                      *(f"{name}_{what}" for name in ("direct", "bridged")
                                         for what in ("wrong_length", "nan", "infinite",
                                                      "negative"))])
     def test_resealed_index_of_bad_structure_rebuilt_with_warning(self, bench, tmp_path,
@@ -472,6 +484,9 @@ class TestRankingIndex:
             fixed_columns[0] = len(artifacts.file_ids)
         elif flaw == "fixed_offsets_wrong_length":
             fixed_offsets = fixed_offsets[:-1]
+        elif flaw == "fixed_column_repeated":  # the first fixed column, twice
+            fixed_columns = np.insert(fixed_columns, 0, fixed_columns[0])
+            fixed_offsets = fixed_offsets + (fixed_offsets > 0)
         elif what == "wrong_length":  # one file short of the last report's row
             scores[name] = scores[name].ravel()[:-1]
         elif what == "negative":
@@ -665,9 +680,9 @@ class TestRankingIndex:
         root, benchmark, _ = synth_benchmark
         project = benchmark.project("proj1")
         cache = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig(), EMBED, 2)
-        cache.artifacts("proj1", {scope}, lambda: benchmark)
+        cache.artifacts("proj1", {scope}, lambda: benchmark, policy)
         stored = indexed(ArtifactCache(tmp_path / "c", root, PreprocessConfig(), EMBED, 2),
-                         scope)
+                         scope, policy=policy)
         reports = project.bug_reports
         if scope == "docvec":
             models = [cache.embedding_model("proj1", mode) for mode in (PV_DM, PV_DBOW)]
@@ -684,7 +699,7 @@ class TestRankingIndex:
             def similarities(row, past):
                 return [tfidf.cosine(weighed[row], weighed[b]) for b in past]
 
-        bridged = getattr(stored.scopes[scope], policy)
+        bridged = stored.scopes[scope].bridged
         n = len(reports)
         for row in range(n):
             past = list(range(row)) if policy == "earlier" else [b for b in range(n) if b != row]
@@ -705,6 +720,124 @@ class TestRankingIndex:
             local, global_ = (tmp_path / "c" / f"index_{scope}_{name}.bin"
                               for scope in ("local", "global"))
             assert local.stat().st_size == global_.stat().st_size
+
+
+class TestOnePolicyPerIndex:
+    """A ranking index holds the bridged scores of one history policy: a
+    default call never builds, opens, reads or bridges a score of "all",
+    and the first ``--history all`` call builds the indexes of that policy."""
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("command", ["evaluate", "localize"])
+    def test_default_calls_never_touch_an_all_score(self, synth_benchmark, tmp_path,
+                                                    monkeypatch, opened, command, cached):
+        root, _, _ = synth_benchmark
+        policies, kinds = [], []
+        histories, read, store = (rank.project_histories, ArtifactCache._read,
+                                  ArtifactCache._store)
+        monkeypatch.setattr(rank, "project_histories", lambda artifacts, rows: (
+            policies.append(artifacts.policy) or histories(artifacts, rows)))
+        monkeypatch.setattr(ArtifactCache, "_read", lambda self, kind, *args: (
+            kinds.append(kind) or read(self, kind, *args)))
+        monkeypatch.setattr(ArtifactCache, "_store", lambda self, kind, *args: (
+            kinds.append(kind) or store(self, kind, *args)))
+        methods = "1,2,3,4,5,6,7" if cached else "1,3"
+        cache = ["--cache", tmp_path / "c"] if cached else []
+        for call in ("cold", "warm"):
+            if command == "evaluate":
+                run("evaluate", "--benchmark", root, "--methods", methods, *cache, "--out",
+                    tmp_path / call, *FAST)
+            else:
+                for method in methods.split(","):
+                    run("localize", "--benchmark", root, "--project", "proj1", "--bug",
+                        "BUG-proj1-005", "--method", method, *cache, "--out", tmp_path / call,
+                        *FAST)
+        assert set(policies) == {"earlier"}  # the cold call bridged, under that policy only
+        assert not [kind for kind in kinds if "all" in kind]
+        assert not [p for p in opened if isinstance(p, (str, os.PathLike))
+                    and "index_all" in os.fspath(p)]
+        if cached:
+            assert "index_local" in kinds and "index_docvec" in kinds
+            assert not list((tmp_path / "c").glob("index_all_*"))
+
+    def test_first_all_history_call_builds_its_indexes_once(self, synth_benchmark, tmp_path,
+                                                            monkeypatch):
+        root, _, _ = synth_benchmark
+        cache = tmp_path / "c"
+
+        def evaluate(out, *policy):
+            run("evaluate", "--benchmark", root, "--methods", "1,2,3,4,5,6,7", "--cache", cache,
+                "--out", tmp_path / out, *policy, *FAST)
+            return [(tmp_path / out / name).read_bytes() for name in OUTPUTS]
+
+        evaluate("default")  # the default indexes and the models
+        stored, store = [], ArtifactCache._store
+        monkeypatch.setattr(ArtifactCache, "_store", lambda self, kind, held_out, chunks: (
+            stored.append((kind, held_out)) or store(self, kind, held_out, chunks)))
+        before = artifact_stamps(cache)
+        first = evaluate("first", "--history", "all")
+        assert sorted(stored) == [(f"index_all_{scope}", project)
+                                  for scope in ("docvec", "global", "local")
+                                  for project in ("proj1", "proj2", "proj3")]
+        after = artifact_stamps(cache)
+        assert {name: after[name] for name in before} == before  # nothing else rewritten
+        stored.clear()
+        assert evaluate("second", "--history", "all") == first
+        assert stored == [] and artifact_stamps(cache) == after
+
+    @pytest.mark.parametrize("how", ["truncate", "flip", "wrong_sha", "resealed_garbage"])
+    def test_damaged_all_history_index_rebuilt_with_one_warning(self, bench, tmp_path, caplog,
+                                                                how):
+        cache = tmp_path / "c"
+        train(bench, cache)
+        localize(bench, cache)
+        localize(bench, cache, "--history", "all")
+        built = ranking(cache)
+        default = artifact_stamps(cache)["index_global_proj1.bin"]
+        damage(cache / "index_all_global_proj1.bin", how)
+        with caplog.at_level(logging.WARNING):
+            localize(bench, cache, "--history", "all")
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1 and "index_all_global_proj1.bin" in warnings[0], warnings
+        assert "rebuilding" in warnings[0]
+        assert ranking(cache) == built
+        assert artifact_stamps(cache)["index_global_proj1.bin"] == default
+
+    def test_cache_of_the_three_array_layout_rebuilds_once_quietly(self, bench, tmp_path,
+                                                                   caplog, monkeypatch):
+        """Indexes of ``bugloc-index v8``, which held the direct scores and the
+        bridged scores of both policies, rebuild once without a warning."""
+        cache = tmp_path / "c"
+        run("evaluate", "--benchmark", bench, "--methods", "1,2,3,4,5,6,7", "--cache", cache,
+            "--out", tmp_path / "old", *FAST)
+        v8 = container.Layout(b"bugloc-index v8\n", [
+            ("direct", "f8"), ("earlier", "f8"), ("all", "f8"),
+            ("fixed_offsets", "i8"), ("fixed_columns", "i8"),
+            ("file_ids", container.STR), ("report_ids", container.STR)])
+        writer = ArtifactCache(cache, bench, PreprocessConfig(), EmbeddingConfig(
+            vector_size=8, epochs=2, min_count=1), 2)
+        indexes = sorted(cache.glob("index_*.bin"))
+        assert len(indexes) == 9
+        arrays = [cache_module._INDEX.decode(path.read_bytes()) for path in indexes]
+        with monkeypatch.context() as patched:
+            patched.setattr(cache_module._INDEX, "header", v8.header)  # the v8 fingerprints
+            for path, a in zip(indexes, arrays):
+                kind, _, project = path.stem.rpartition("_")
+                writer._store(kind, project, v8.encode({
+                    **a, "earlier": a["bridged"], "all": a["bridged"]}))
+        old = artifact_stamps(cache)
+        with caplog.at_level(logging.INFO):
+            run("evaluate", "--benchmark", bench, "--methods", "1,2,3,4,5,6,7", "--cache",
+                cache, "--out", tmp_path / "new", *FAST)
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        new = artifact_stamps(cache)
+        assert {name for name in old if new[name] != old[name]} == {p.name for p in indexes}
+        assert all(p.read_bytes().startswith(b"bugloc-index v9\n") for p in indexes)
+        for name in OUTPUTS:
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+        run("evaluate", "--benchmark", bench, "--methods", "1,2,3,4,5,6,7", "--cache", cache,
+            "--out", tmp_path / "hit", *FAST)
+        assert artifact_stamps(cache) == new
 
 
 class TestCorpusRecord:
@@ -1037,7 +1170,7 @@ class TestHitsReadNoBenchmarkFile:
             return [*artifacts.fixed, artifacts.fixed_counts,
                     *(array for scope in scopes for array in artifacts.scopes[scope])]
 
-        assert len(arrays(hit)) == len(arrays(cold)) == 12
+        assert len(arrays(hit)) == len(arrays(cold)) == 9
         for got, want in zip(arrays(hit), arrays(cold)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
@@ -1063,12 +1196,12 @@ class TestHitsReadNoBenchmarkFile:
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert artifact.read_bytes().startswith(current)
         stamp = artifact.stat().st_ino  # a rewrite moves a new file into place
-        reads(kind, bench, tmp_path / "c", tmp_path / "hit")
+        hit = reads(kind, bench, tmp_path / "c", tmp_path / "hit")
         assert artifact.stat().st_ino == stamp
         if kind.startswith("index"):
+            old = tmp_path / "old" / hit.relative_to(tmp_path / "hit")
             for name in OUTPUTS:
-                assert (tmp_path / "hit" / name).read_bytes() == \
-                    (tmp_path / "old" / name).read_bytes()
+                assert (hit / name).read_bytes() == (old / name).read_bytes()
 
 
 # sha256 of what `train-global --no-embeddings` writes for the default
@@ -1105,13 +1238,12 @@ def test_token_index_merged_from_worker_chunks_matches_golden_digest(synth_bench
 # sha256 of the ranking indexes and metrics that `evaluate --methods 1,2,3,4`
 # writes for the default synthetic benchmark on a cache trained as above.
 # Every float is added in a fixed order, without sum(), so these hold on every
-# Python version. The two index digests are of layout bugloc-index v7, which
-# adds each report's history-bridged scores under the default policy to the
-# direct scores and report cosines of v6; the outputs' digests are those of
-# v5 and v6.
+# Python version. The two index digests are of layout bugloc-index v9, which
+# holds the direct scores and the default policy's history-bridged scores
+# only; the outputs' digests are those of every layout since v5.
 GOLDEN_EVALUATE = {
-    "c/index_local_proj1.bin": "6ff07518920f27477c30262f0c892321e50d4dc1971cf80cb479b55f1d2aa902",
-    "c/index_global_proj1.bin": "1835c51d8fb8cf160f4d899384d205811ff6be76099aeb079a37f3a1ace413de",
+    "c/index_local_proj1.bin": "c145f0eab20f0a9ae6987cc3649295924f64195e5745c7fe36fccaa5e48779a7",
+    "c/index_global_proj1.bin": "d9a53f8a244f4993ba91bc0d1c3592cf50c25ec2c76dcaab1c533a587b6bdda0",
     "out/metrics.csv": "3e9f404e3f6ed7b313e46fc1f176ef5b927f45f1e775c9d6a1cbc81eb2a3fc18",
     "out/per_query.csv": "42a5494c9be21ee50e0c77ac91c3dde528d2bea9a0d49220240703e21daf04cf",
 }
@@ -1194,10 +1326,9 @@ def test_doc_vector_all_history_and_localize_match_golden_digests(synth_benchmar
 
 
 # sha256 of the doc-vector index of proj1 that `evaluate --methods 5,6,7`
-# writes with the FAST settings; of layout bugloc-docvec v2, which adds each
-# report's history-bridged scores under the default policy to the vectors
-# and norms of v1
-GOLDEN_INDEX_DOCVEC = "df74971b5698395cda2998942af24f4d50646467dc4a7bc5ba45c33d86c3e33e"
+# writes with the FAST settings; of layout bugloc-index v9, which holds the
+# direct scores and the default policy's history-bridged scores only
+GOLDEN_INDEX_DOCVEC = "ffa94fdf92094f57764dc535db549a7356797c94650a9e2aa5d3a049f3f3d69d"
 
 
 def test_doc_vector_index_matches_golden_digest(synth_benchmark, tmp_path):
@@ -1282,19 +1413,22 @@ def test_raw_batch_scores_match_golden_digests(synth_benchmark, tmp_path):
     vocabs = {3: tfidf.build_vocabulary(f.token_stream for f in project.source_files),
               4: tfidf.build_global_idf(benchmark, "proj1")}
     scopes = {"local", "global"}
-    cold = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig()).artifacts(
-        "proj1", scopes, lambda: benchmark)
-    hit = indexed(ArtifactCache(tmp_path / "c", root, PreprocessConfig()), *scopes)
-    for artifacts in (cold, hit):
-        n = len(artifacts.report_ids)
+    built = {}  # per policy, the cold artifacts and those of the index hit
+    for policy in rank.POLICIES:
+        cold = ArtifactCache(tmp_path / "c", benchmark, PreprocessConfig()).artifacts(
+            "proj1", scopes, lambda: benchmark, policy)
+        built[policy] = cold, indexed(ArtifactCache(tmp_path / "c", root, PreprocessConfig()),
+                                      *scopes, policy=policy)
+    for i in range(2):
         written = {}
         for method, policy in GOLDEN_RAW:
             config = rank.MethodConfig.from_id(method)
+            artifacts = built["earlier" if policy == "custom" else policy][i]
             if policy == "custom":
                 arrays = ranked_with_custom_histories(artifacts, config, project,
                                                       vocabs[method])
             else:
-                ranked = rank.localize(artifacts, np.arange(n), config, policy)
+                ranked = rank.localize(artifacts, np.arange(len(artifacts.report_ids)), config)
                 arrays = ranked.final, ranked.direct, ranked.indirect, ranked.entries
             digest = hashlib.sha256()
             for array in arrays:
@@ -1364,14 +1498,15 @@ def test_index_hits_only_read_fuse_and_sort(synth_benchmark, tmp_path, monkeypat
         monkeypatch.setattr(owner, name, counted)
     localize = rank.localize
 
-    def recording(artifacts, rows, config, policy="earlier"):
-        result = localize(artifacts, rows, config, policy)
-        ranked.append((artifacts, rows, config, policy, result))
+    def recording(artifacts, rows, config):
+        result = localize(artifacts, rows, config)
+        ranked.append((artifacts, rows, config, result))
         return result
 
     monkeypatch.setattr(rank, "localize", recording)
     run("evaluate", "--benchmark", root, "--methods", "1,2,3,4,5,6,7", "--cache",
-        tmp_path / "c", "--out", tmp_path / "cold", *FAST)  # builds every index
+        tmp_path / "c", "--out", tmp_path / "cold", "--history", policy,
+        *FAST)  # builds every index of the policy
     assert set(calls) == {"_bridge", "_report_sims", "cosines", "doc_cosines", "infer_matrix"}
     calls.clear(), ranked.clear()
     if command == "evaluate":
@@ -1383,12 +1518,12 @@ def test_index_hits_only_read_fuse_and_sort(synth_benchmark, tmp_path, monkeypat
                 "BUG-proj1-005", "--method", method, "--cache", tmp_path / "c", "--out",
                 tmp_path / "hit", "--history", policy, *FAST)
     assert calls == []
-    assert sorted({config.method_id for *_, config, _, _ in ranked}) == list(range(1, 8))
-    for artifacts, rows, config, used, result in ranked:
-        assert used == policy
+    assert sorted({config.method_id for *_, config, _ in ranked}) == list(range(1, 8))
+    for artifacts, rows, config, result in ranked:
+        assert artifacts.policy == policy
         scopes = artifacts.scopes
         for model, field, got in ((config.direct_model, "direct", result.direct),
-                                  (config.indirect_model, policy, result.indirect)):
+                                  (config.indirect_model, "bridged", result.indirect)):
             if model == rank.NONE:
                 assert got.strides[-1] == 0 and not got.any()
             elif model == rank.COMBINED_GLOBAL:
@@ -1460,8 +1595,7 @@ class TestDocVectorIndex:
         assert ranking(tmp_path / "c", 5) == built
 
     @pytest.mark.parametrize("how", ["truncate", "flip", "direct_wrong_length", "direct_nan",
-                                     "earlier_wrong_length", "earlier_infinite",
-                                     "all_wrong_length", "all_nan"])
+                                     "bridged_wrong_length", "bridged_infinite"])
     def test_damaged_index_rebuilt_with_one_warning(self, bench, tmp_path, caplog, how):
         localize(bench, tmp_path / "c", *FAST, method=7)
         built = ranking(tmp_path / "c", 7)

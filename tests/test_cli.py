@@ -6,16 +6,17 @@ import json
 import shutil
 import weakref
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bugloc import rank
+from bugloc import cli, metrics, rank
 from bugloc.cache import ArtifactCache
 from bugloc.cli import Settings, main, read_config_file
 from bugloc.embedding import EmbeddingConfig, PV_DM
 from bugloc.errors import BugLocError
 from bugloc.preprocess import PreprocessConfig
-from conftest import java_stub, write_project
+from conftest import index_name, java_stub, write_project
 
 FAST = ["--epochs", "2", "--vector-size", "8", "--min-count", "1",
         "--infer-epochs", "2"]
@@ -592,14 +593,14 @@ class TestDocVectorIndex:
             return [(tmp_path / out / name).read_bytes() for name in self.OUTPUTS]
 
         cold = evaluate("cold")
-        assert sorted(p.name for p in cache.glob("index_docvec_*.bin")) == [
-            "index_docvec_proj1.bin", "index_docvec_proj2.bin", "index_docvec_proj3.bin"]
+        assert sorted(p.name for p in cache.glob("index_*docvec_*.bin")) == [
+            index_name("docvec", project, policy) for project in ("proj1", "proj2", "proj3")]
         assert evaluate("warm") == cold
-        (cache / "index_docvec_proj1.bin").unlink()
-        (cache / "index_global_proj2.bin").unlink()
+        (cache / index_name("docvec", "proj1", policy)).unlink()
+        (cache / index_name("global", "proj2", policy)).unlink()
         assert evaluate("partial") == cold
-        assert (cache / "index_docvec_proj1.bin").is_file()
-        assert (cache / "index_global_proj2.bin").is_file()
+        assert (cache / index_name("docvec", "proj1", policy)).is_file()
+        assert (cache / index_name("global", "proj2", policy)).is_file()
 
     @pytest.mark.parametrize("policy", ["earlier", "all"])
     @pytest.mark.parametrize("method", [5, 6, 7])
@@ -619,8 +620,36 @@ class TestDocVectorIndex:
 
         cold = localize()
         assert localize() == cold
-        indexes = ["index_docvec_proj2.bin"] + (["index_global_proj2.bin"] if method > 5 else [])
+        indexes = [index_name(scope, "proj2", policy)
+                   for scope in ["docvec"] + (["global"] if method > 5 else [])]
         for name in indexes:  # each missing on its own
             (cache / name).unlink()
             assert localize() == cold
             assert (cache / name).is_file()
+
+
+def test_per_query_lines_are_the_bytes_csv_writer_wrote(tmp_path):
+    """``per_query.csv``, written as lines with each project name and bug id
+    quoted once, holds the bytes that ``csv.writer`` wrote row by row, also
+    for names and ids that need quoting."""
+    odd = ["plain", "with,comma", 'with "quote"', "cr\rhere", "lf\nhere", "cr lf\r\n",
+           " spaced ", "ünïcödé ✓", '"', ",", ""]
+    rng = np.random.default_rng(2)
+    rows, lines = [], []
+    for k, name in enumerate(odd):
+        bug_ids = [f"{bug}{k}" if bug else bug for bug in odd[k:] + odd[:k]][:5]
+        reports = {}
+        for method_id in (1, 4, 7):
+            values = [(float(rr), float(ap)) for rr, ap in rng.random((len(bug_ids), 2))]
+            values[0] = (0.0, 1.0)
+            reports[method_id] = metrics.MetricsReport(0.5, 0.5, {1: 0, 5: 0, 10: 0},
+                                                       dict(zip(bug_ids, values)))
+            rows += [[name, method_id, bug_id, f"{rr:.6f}", f"{ap:.6f}"]
+                     for bug_id, (rr, ap) in reports[method_id].per_query.items()]
+        lines += cli._per_query_lines(name, reports)
+    cli._write_metrics_outputs(tmp_path / "lines", [], lines, [])
+    with open(tmp_path / "rows.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [["project", "method", "bug_id", "reciprocal_rank", "average_precision"], *rows])
+    assert (tmp_path / "lines" / "per_query.csv").read_bytes() == \
+        (tmp_path / "rows.csv").read_bytes()

@@ -171,7 +171,7 @@ class TestIndirectRelevancy:
 
     def test_contributions_sum_over_history(self):
         project, (h2,) = toy_with(report("h2", "zeppelin quagmire", {"Zeppelin.java"}))
-        artifacts = artifacts_of(project)
+        artifacts = artifacts_of(project, policy="all")
         query = project.bug_reports[1]  # mentions zeppelin too
         h1 = project.bug_reports[0]
         vocab = local_vocab(project)
@@ -180,7 +180,7 @@ class TestIndirectRelevancy:
                       for h in (h1, h2))
         # every other report; B-3 shares no term with the query and fixed
         # only Obelisk.java
-        indirect = scores(localize(artifacts, 1, MethodConfig.from_id(3), "all"), "indirect")
+        indirect = scores(localize(artifacts, 1, MethodConfig.from_id(3)), "indirect")
         assert indirect["Zeppelin.java"] == pytest.approx(sim1 / 1 + sim2 / 1)
 
 
@@ -229,6 +229,95 @@ class TestFuse:
         assert fused[1] == pytest.approx(0.0)
 
 
+def minmax_with_zeros_like(scores):
+    """Min-max normalization as it was written before it worked in its own
+    buffers: a constant row is the zeros it starts from."""
+    lo = scores.min(axis=-1, keepdims=True)
+    hi = scores.max(axis=-1, keepdims=True)
+    return np.divide(scores - lo, hi - lo, out=np.zeros_like(scores), where=hi != lo)
+
+
+class TestFuseInItsOwnBuffers:
+    """``fuse`` and ``_minmax`` give the bits of the expressions they replace."""
+
+    @staticmethod
+    def maps(rng):
+        """Rows of random scores, a constant row, an all-zero row and two
+        rows of 0.0 and -0.0 only, one of each sign first."""
+        scores = rng.standard_normal((6, 9))
+        scores[1] = 2.5
+        scores[2] = 0.0
+        scores[3] = np.where(np.arange(9) % 2, 0.0, -0.0)
+        scores[4] = np.where(np.arange(9) % 2, -0.0, 0.0)
+        return scores
+
+    @pytest.mark.parametrize("w1", [1.0, 0.8, -0.5, 0.0])
+    def test_fuse_equals_the_allocating_expression(self, w1):
+        rng = np.random.default_rng(3)
+        direct, indirect = self.maps(rng), self.maps(rng)[::-1].copy()
+        w2 = 1.0 - w1
+        want = w1 * minmax_with_zeros_like(direct) + w2 * minmax_with_zeros_like(indirect)
+        out = np.full(direct.shape, np.nan)
+        assert fuse(direct, indirect, w1, w2, out) is out
+        assert out.tobytes() == want.tobytes()
+        assert fuse(direct[0], indirect[0], w1, w2).tobytes() == want[0].tobytes()
+        assert rank._minmax(direct).tobytes() == minmax_with_zeros_like(direct).tobytes()
+
+    @pytest.mark.parametrize("w1", [1.0, 0.8, -0.5])
+    def test_direct_only_final_is_the_fuse_of_a_zero_map(self, w1):
+        """A method without a history model fuses as w1 * minmax(direct) +
+        w2 * 0.0: the bits of fusing a zero map, as before it skipped it."""
+        project = shared_terms_projects(EDGE_REPORTS)[0]
+        artifacts = artifacts_of(project)
+        direct = artifacts.scopes["local"].direct
+        config = MethodConfig(1, rank.TFIDF_LOCAL, rank.NONE, w1, 1.0 - w1)
+        ranked = localize(artifacts, np.arange(len(artifacts.report_ids)), config)
+        zeros = np.zeros_like(direct)
+        assert ranked.final.tobytes() == fuse(direct, zeros, config.w1, config.w2).tobytes()
+        assert ranked.final.tobytes() == (
+            config.w1 * minmax_with_zeros_like(direct)
+            + config.w2 * minmax_with_zeros_like(zeros)).tobytes()
+        assert ranked.indirect.strides == (0, 0) and not ranked.indirect.any()
+        assert np.array_equal(ranked.entries, np.argsort(-ranked.final, axis=-1, kind="stable"))
+
+
+def mask_and_gather_ranks(entries, offsets, columns):
+    """The ranks of the fixed columns as ``RankedList.ranks_of`` found them
+    before it compared each column with its query's row: a queries × files
+    mask of the fixed columns gathered in the order of ``entries``."""
+    entries = np.atleast_2d(entries)
+    wanted = np.zeros(entries.shape, dtype=bool)
+    wanted[np.repeat(np.arange(len(entries)), np.diff(offsets)), columns] = True
+    queries, positions = np.nonzero(np.take_along_axis(wanted, entries, axis=1))
+    counts = np.bincount(queries, minlength=len(entries))
+    return np.concatenate(([0], np.cumsum(counts))), positions + 1
+
+
+@pytest.mark.parametrize("chunk_scores", [1, 7, 40, 1 << 14])
+@pytest.mark.parametrize("n_files", [1, 3, 16])
+def test_ranks_of_equals_the_mask_and_gather_it_replaces(monkeypatch, chunk_scores, n_files):
+    """On random orders and fixed columns, with blocks of one pair to all of
+    them, and queries without fixed columns among them."""
+    monkeypatch.setattr(rank, "_CHUNK_SCORES", chunk_scores)
+    rng = np.random.default_rng(chunk_scores * 100 + n_files)
+    for n_queries in (1, 2, 9, 30):
+        entries = np.array([rng.permutation(n_files) for _ in range(n_queries)])
+        counts = rng.integers(0, min(n_files, 4) + 1, n_queries)
+        counts[rng.integers(n_queries)] = 0
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        columns = np.concatenate([np.sort(rng.choice(n_files, c, replace=False))
+                                  for c in counts]).astype(np.intp)
+        ranked = RankedList([f"B-{i}" for i in range(n_queries)], 1,
+                            [f"F{j}" for j in range(n_files)], None, None, None, entries)
+        got, want = (ranked.ranks_of(offsets, columns),
+                     mask_and_gather_ranks(entries, offsets, columns))
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        one = RankedList("B-0", 1, ranked.files, None, None, None, entries[0])
+        got, want = (one.ranks_of(offsets[:2], columns[:offsets[1]]),
+                     mask_and_gather_ranks(entries[0], offsets[:2], columns[:offsets[1]]))
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
 def reference_history(n, row, policy):
     """The rows before ``row`` of n reports, or every other row under "all"."""
     return list(range(row)) if policy == "earlier" else [r for r in range(n) if r != row]
@@ -263,13 +352,13 @@ class TestProjectHistories:
         assert len(span(project_histories(artifacts_of(toy_project)), 0)) == 0
 
     def test_all_others_policy(self, toy_project):
-        history = span(project_histories(artifacts_of(toy_project), "all"), 0)
+        history = span(project_histories(Artifacts.of(toy_project, policy="all")), 0)
         assert [r.id for r in reports_at(toy_project, history)] == ["B-2", "B-3"]
 
     @pytest.mark.parametrize("policy", ["earlier", "all"])
     def test_rows_are_list_positions(self, toy_project, policy):
         reports = toy_project.bug_reports
-        histories = project_histories(artifacts_of(toy_project), policy)
+        histories = project_histories(Artifacts.of(toy_project, policy=policy))
         for row in range(len(reports)):
             expected = reports[:row] if policy == "earlier" else reports[:row] + reports[row + 1:]
             assert reports_at(toy_project, span(histories, row)) == expected
@@ -279,21 +368,23 @@ class TestProjectHistories:
     def test_equals_the_per_query_histories(self, policy, n):
         project = make_project("h", TOY_FILES, [report(f"B-{i}", "shared", {"Empty.java"})
                                                 for i in range(n)])
-        assert_same_histories(project_histories(artifacts_of(project), policy), histories_of(
+        assert_same_histories(project_histories(Artifacts.of(project, policy=policy)), histories_of(
             [reference_history(n, row, policy) for row in range(n)]))
 
-    def test_slices_are_the_histories_of_those_queries(self):
-        histories = [[2, 0], [], [1], [0, 1, 2]]
-        whole = histories_of(histories)
-        for start, stop in ((0, 4), (1, 3), (2, 2), (3, 4), (2, 9)):
-            assert_same_histories(whole[start:stop], histories_of(histories[start:stop]))
+    @pytest.mark.parametrize("policy", ["earlier", "all"])
+    def test_rows_are_the_histories_of_those_queries(self, policy):
+        n = 7
+        project = make_project("h", TOY_FILES, [report(f"B-{i}", "shared", {"Empty.java"})
+                                                for i in range(n)])
+        histories = [reference_history(n, row, policy) for row in range(n)]
+        for start, stop in ((0, 7), (1, 3), (2, 2), (3, 4), (5, 9)):
+            assert_same_histories(
+                project_histories(Artifacts.of(project, policy=policy), slice(start, stop)),
+                histories_of(histories[start:stop]))
 
     def test_unknown_policy(self, toy_project):
-        artifacts = artifacts_of(toy_project)
         with pytest.raises(ValueError, match="unknown history policy 'future'"):
-            project_histories(artifacts, "future")
-        with pytest.raises(ValueError, match="unknown history policy 'future'"):
-            localize(artifacts, 0, MethodConfig.from_id(3), "future")
+            Artifacts.of(toy_project, policy="future")
 
 
 class TestLocalize:
@@ -445,16 +536,16 @@ def docvec_project(extra=()):
     return project, dm, dbow
 
 
-def rankings(project, artifacts, config, policy, batch):
+def rankings(project, artifacts, config, batch):
     """``(row, query, ranked)`` for every report of the project, each ranked
-    with its history under ``policy``: in one-row calls, or cut from one
-    batched call."""
+    with its history under the policy of ``artifacts``: in one-row calls, or
+    cut from one batched call."""
     reports = project.bug_reports
     if not batch:
         for row, query in enumerate(reports):
-            yield row, query, localize(artifacts, row, config, policy)
+            yield row, query, localize(artifacts, row, config)
         return
-    both = localize(artifacts, np.arange(len(reports)), config, policy)
+    both = localize(artifacts, np.arange(len(reports)), config)
     assert both.query_bug_id == [r.id for r in reports]
     for row, query in enumerate(reports):
         yield row, query, RankedList(query.id, both.method_id, both.files, both.final[row],
@@ -480,12 +571,12 @@ class TestMatchesPerPairReference:
         config = MethodConfig.from_id(method_id)
         for project in benchmark.projects:
             vocab = tfidf.build_global_idf(benchmark, project.name)
-            artifacts = artifacts_of(project, vocab)
+            artifacts = artifacts_of(project, vocab, policy=policy)
             if method_id in (1, 3):
                 vocab = local_vocab(project)
             n = len(project.bug_reports)
             for batch in (False, True):
-                for row, query, ranked in rankings(project, artifacts, config, policy, batch):
+                for row, query, ranked in rankings(project, artifacts, config, batch):
                     history = reference_history(n, row, policy)
                     assert_matches_reference(ranked, query, reports_at(project, history),
                                              config, project, vocab)
@@ -498,12 +589,12 @@ class TestMatchesPerPairReference:
         benchmark = Benchmark(projects)
         for project in projects:
             vocab = tfidf.build_global_idf(benchmark, project.name)
-            artifacts = artifacts_of(project, vocab)
+            artifacts = artifacts_of(project, vocab, policy=policy)
             if method_id in (1, 3):
                 vocab = local_vocab(project)
             n = len(project.bug_reports)
             for batch in (False, True):
-                for row, query, ranked in rankings(project, artifacts, config, policy, batch):
+                for row, query, ranked in rankings(project, artifacts, config, batch):
                     history = reference_history(n, row, policy)
                     assert_matches_reference(ranked, query, reports_at(project, history),
                                              config, project, vocab)
@@ -518,14 +609,14 @@ class TestMatchesPerPairReference:
                                               "Obelisk.java"}, "2021-02-01"),
             report("B-3", "drift zeppelin quagmire", {"Quagmire.java"}, "2021-03-01"),
         ])
-        artifacts = artifacts_of(project)
         config = MethodConfig.from_id(3)
         for policy, batch in itertools.product(("earlier", "all"), (False, True)):
-            for row, query, ranked in rankings(project, artifacts, config, policy, batch):
+            artifacts = artifacts_of(project, policy=policy)
+            for row, query, ranked in rankings(project, artifacts, config, batch):
                 history = reference_history(len(project.bug_reports), row, policy)
                 assert_matches_reference(ranked, query, reports_at(project, history),
                                          config, project, local_vocab(project))
-        ranked = localize(artifacts, 2, config)
+        ranked = localize(artifacts_of(project), 2, config)
         scores = {e.file_id: e.indirect_score for e in ranked.rows()}
         vocab = local_vocab(project)
         query_vec = tfidf.vectorize(project.bug_reports[2].token_stream, vocab)
@@ -576,15 +667,14 @@ class TestDocVectorMethods:
     @pytest.mark.parametrize("policy", ["earlier", "all"])
     def test_scores_match_per_pair_doc_cosine(self, setting, policy):
         project, dm, dbow = setting
-        artifacts = artifacts_of(project, global_vocab(project), dm, dbow)
+        artifacts = artifacts_of(project, global_vocab(project), dm, dbow, policy=policy)
         files = sorted(project.source_files, key=lambda f: f.id)
         assert not self._vector(project.file("Lone.java"), dm, dbow).values.any()
         n = len(project.bug_reports)
         for row, query in enumerate(project.bug_reports):
             history = reference_history(n, row, policy)
-            direct = scores(localize(artifacts, row, MethodConfig.from_id(5), policy), "direct")
-            indirect = scores(localize(artifacts, row, MethodConfig.from_id(6), policy),
-                              "indirect")
+            direct = scores(localize(artifacts, row, MethodConfig.from_id(5)), "direct")
+            indirect = scores(localize(artifacts, row, MethodConfig.from_id(6)), "indirect")
             q = self._vector(query, dm, dbow)
             want_direct = {f.id: embedding.doc_cosine(q, self._vector(f, dm, dbow))
                            for f in files}
@@ -643,11 +733,14 @@ class TestDocVectorMethods:
         n_reports = 9
         artifacts, vectors = self.vectors_project(rng, n_files, n_reports, size)
         files, file_norms, reports, report_norms = vectors
-        built = rank.docvec_scores(artifacts, *vectors)
-        assert built.direct.shape == built.earlier.shape == built.all.shape == (n_reports, n_files)
+        built = {policy: rank.docvec_scores(under(artifacts, policy), *vectors)
+                 for policy in rank.POLICIES}
+        for scores in built.values():
+            assert scores.direct.shape == scores.bridged.shape == (n_reports, n_files)
+        assert np.array_equal(built["earlier"].direct, built["all"].direct)
         offsets, columns = artifacts.fixed
         for row in range(n_reports):
-            assert np.array_equal(built.direct[row], embedding.doc_cosines(
+            assert np.array_equal(built["earlier"].direct[row], embedding.doc_cosines(
                 files, file_norms, reports[row], report_norms[row]))
             for policy in ("earlier", "all"):
                 # one product over exactly the history rows, bridged in their order
@@ -658,24 +751,26 @@ class TestDocVectorMethods:
                 for sim, b in zip(sims.tolist(), past):
                     for column in columns[offsets[b]:offsets[b + 1]].tolist():
                         want[column] += sim / artifacts.fixed_counts[b]
-                assert np.array_equal(getattr(built, policy)[row], want), policy
+                assert np.array_equal(built[policy].bridged[row], want), policy
+        direct = built["earlier"].direct
         zero_reports = np.flatnonzero(report_norms == 0.0)
-        assert len(zero_reports) == 1 and not built.direct[zero_reports].any()
+        assert len(zero_reports) == 1 and not direct[zero_reports].any()
         if n_files > 1:
-            assert not built.direct[:, file_norms == 0.0].any()
-        assert built.all.any()
+            assert not direct[:, file_norms == 0.0].any()
+        assert built["all"].bridged.any()
 
     @pytest.mark.parametrize("n_reports", [0, 1])
     def test_zero_reports_and_one(self, n_reports):
         artifacts, vectors = self.vectors_project(np.random.default_rng(1), 4, n_reports, 5)
         files, file_norms, reports, report_norms = vectors
-        built = rank.docvec_scores(artifacts, *vectors)
-        for array in built:
-            assert array.shape == (n_reports, 4) and not array.flags.writeable
-        if n_reports:
-            assert np.array_equal(built.direct[0], embedding.doc_cosines(
-                files, file_norms, reports[0], report_norms[0]))
-            assert not built.earlier.any() and not built.all.any()  # no other report
+        for policy in rank.POLICIES:
+            built = rank.docvec_scores(under(artifacts, policy), *vectors)
+            for array in built:
+                assert array.shape == (n_reports, 4) and not array.flags.writeable
+            if n_reports:
+                assert np.array_equal(built.direct[0], embedding.doc_cosines(
+                    files, file_norms, reports[0], report_norms[0]))
+                assert not built.bridged.any()  # no other report
 
 
 # reports the batch must rank as the one-row calls do: one whose terms are
@@ -692,18 +787,22 @@ class TestBatchEqualsOneRowCalls:
 
     @pytest.fixture(scope="class")
     def corpora(self):
+        """Per history policy, the TF.IDF-only projects and the doc-vector
+        project, each with its artifacts under that policy."""
         projects = shared_terms_projects(EDGE_REPORTS)
         benchmark = Benchmark(projects)
-        tfidf_only = [(p, artifacts_of(p, tfidf.build_global_idf(benchmark, p.name)))
-                      for p in projects]
         project, dm, dbow = docvec_project(EDGE_REPORTS)
-        return tfidf_only, (project, artifacts_of(project, global_vocab(project), dm, dbow))
+        return {policy: ([(p, artifacts_of(p, tfidf.build_global_idf(benchmark, p.name),
+                                            policy=policy)) for p in projects],
+                         (project, artifacts_of(project, global_vocab(project), dm, dbow,
+                                                policy=policy)))
+                for policy in rank.POLICIES}
 
     @pytest.mark.parametrize("chunked", [False, True])
     @pytest.mark.parametrize("policy", ["earlier", "all"])
     @pytest.mark.parametrize("method_id", range(1, 8))
     def test_arrays_equal(self, corpora, monkeypatch, method_id, policy, chunked):
-        tfidf_only, with_vectors = corpora
+        tfidf_only, with_vectors = corpora[policy]
         config = MethodConfig.from_id(method_id)
         for project, artifacts in ([with_vectors] if method_id > 4
                                    else [*tfidf_only, with_vectors]):
@@ -711,10 +810,10 @@ class TestBatchEqualsOneRowCalls:
                 monkeypatch.setattr(rank, "_CHUNK_SCORES",
                                     3 * (len(artifacts.file_ids) + len(project.bug_reports)))
             rows = np.arange(len(project.bug_reports))
-            both = localize(artifacts, rows, config, policy)
+            both = localize(artifacts, rows, config)
             assert both.query_bug_id == [r.id for r in project.bug_reports]
             for row in rows:
-                one = localize(artifacts, int(row), config, policy)
+                one = localize(artifacts, int(row), config)
                 assert one.query_bug_id == project.bug_reports[row].id
                 for name in ("final", "direct", "indirect", "entries"):
                     assert np.array_equal(getattr(both, name)[row], getattr(one, name)), name
@@ -724,21 +823,23 @@ class TestBatchEqualsOneRowCalls:
             offsets, _ = artifacts.fixed
             assert offsets[artifacts.row("B-gone")] == offsets[artifacts.row("B-gone") + 1]
 
+    @pytest.mark.parametrize("policy", ["earlier", "all"])
     @pytest.mark.parametrize("corpus", ["p1", "p2", "dv"])
     def test_scores_built_in_chunks_equal_those_built_whole(self, corpora, monkeypatch,
-                                                            corpus):
-        """Built three reports a chunk, every stored array is, bit for bit,
-        the one built in a single chunk."""
-        tfidf_only, with_vectors = corpora
+                                                            corpus, policy):
+        """Built three reports a chunk, each chunk with its own histories,
+        every stored array is, bit for bit, the one built in a single chunk."""
+        tfidf_only, with_vectors = corpora[policy]
         project, whole = {p.name: (p, a) for p, a in [*tfidf_only, with_vectors]}[corpus]
         monkeypatch.setattr(rank, "_CHUNK_SCORES", 3 * (len(whole.file_ids)
                                                         + len(whole.report_ids)))
         if corpus == "dv":
             _, dm, dbow = docvec_project(EDGE_REPORTS)
-            chunked = artifacts_of(project, global_vocab(project), dm, dbow)
+            chunked = artifacts_of(project, global_vocab(project), dm, dbow, policy=policy)
         else:
             benchmark = Benchmark([p for p, _ in tfidf_only])
-            chunked = artifacts_of(project, tfidf.build_global_idf(benchmark, corpus))
+            chunked = artifacts_of(project, tfidf.build_global_idf(benchmark, corpus),
+                                   policy=policy)
         assert set(chunked.scopes) == set(whole.scopes)
         for scope, scores in whole.scopes.items():
             for name, array in scores._asdict().items():
@@ -746,7 +847,7 @@ class TestBatchEqualsOneRowCalls:
 
     @pytest.mark.parametrize("method_id", [1, 3, 6])
     def test_csr_ranks_are_the_positions_of_the_fixed_columns(self, corpora, method_id):
-        project, artifacts = corpora[1]
+        project, artifacts = corpora["earlier"][1]
         ranked = localize(artifacts, np.arange(len(project.bug_reports)),
                           MethodConfig.from_id(method_id))
         ranked.entries[[0, 1]] = ranked.entries[[1, 0]]  # ranks follow entries, not scores
@@ -761,15 +862,15 @@ class TestBatchEqualsOneRowCalls:
 
     @pytest.mark.parametrize("policy", ["earlier", "all"])
     def test_history_is_the_policy_of_each_row_in_any_batch(self, corpora, policy):
-        _, artifacts = corpora[0][0]
+        _, artifacts = corpora[policy][0][0]
         config = MethodConfig.from_id(3)
         rows = np.array([4, 0, 9, 4])
-        both = localize(artifacts, rows, config, policy)
+        both = localize(artifacts, rows, config)
         for i, row in enumerate(rows.tolist()):
-            assert np.array_equal(both.final[i], localize(artifacts, row, config, policy).final)
+            assert np.array_equal(both.final[i], localize(artifacts, row, config).final)
 
     def test_one_out_of_range_row_fails_the_batch(self, corpora):
-        project, artifacts = corpora[0][0]
+        project, artifacts = corpora["earlier"][0][0]
         n = len(project.bug_reports)
         with pytest.raises(ValueError, match=rf"report rows must lie in \[0, {n}\) "
                                              "for project p1"):
@@ -782,22 +883,24 @@ class TestStoredScores:
     rows, read-only either way."""
 
     @pytest.fixture(scope="class")
-    def artifacts(self):
+    def built(self):
+        """Per history policy, the doc-vector project's artifacts."""
         project, dm, dbow = docvec_project(EDGE_REPORTS)
-        return artifacts_of(project, global_vocab(project), dm, dbow)
+        return {policy: artifacts_of(project, global_vocab(project), dm, dbow, policy=policy)
+                for policy in rank.POLICIES}
 
     @pytest.mark.parametrize("policy", ["earlier", "all"])
-    def test_every_report_in_row_order_ranks_with_the_stored_arrays(self, artifacts, policy):
+    def test_every_report_in_row_order_ranks_with_the_stored_arrays(self, built, policy):
+        artifacts = built[policy]
         rows = np.arange(len(artifacts.report_ids))
-        ranked = {m: localize(artifacts, rows, MethodConfig.from_id(m), policy)
-                  for m in range(1, 8)}
+        ranked = {m: localize(artifacts, rows, MethodConfig.from_id(m)) for m in range(1, 8)}
         local, global_, docvec = (artifacts.scopes[s] for s in ("local", "global", "docvec"))
         assert ranked[1].direct is ranked[3].direct is local.direct
         assert ranked[2].direct is ranked[4].direct is ranked[6].direct is global_.direct
         assert ranked[5].direct is docvec.direct
-        assert ranked[3].indirect is getattr(local, policy)
-        assert ranked[4].indirect is getattr(global_, policy)
-        assert ranked[6].indirect is getattr(docvec, policy)
+        assert ranked[3].indirect is local.bridged
+        assert ranked[4].indirect is global_.bridged
+        assert ranked[6].indirect is docvec.bridged
         for method_id in (1, 2, 5):  # no history: one zero, viewed
             assert ranked[method_id].indirect.strides == (0, 0)
             assert not ranked[method_id].indirect.any()
@@ -810,11 +913,12 @@ class TestStoredScores:
 
     @pytest.mark.parametrize("policy", ["earlier", "all"])
     @pytest.mark.parametrize("method_id", [3, 4, 6, 7])
-    def test_other_rows_read_the_stored_rows(self, artifacts, method_id, policy):
+    def test_other_rows_read_the_stored_rows(self, built, method_id, policy):
+        artifacts = built[policy]
         rows = np.array([5, 0, 9])
         config = MethodConfig.from_id(method_id)
-        ranked = localize(artifacts, rows, config, policy)
-        whole = localize(artifacts, np.arange(len(artifacts.report_ids)), config, policy)
+        ranked = localize(artifacts, rows, config)
+        whole = localize(artifacts, np.arange(len(artifacts.report_ids)), config)
         for name in ("final", "direct", "indirect", "entries"):
             assert np.array_equal(getattr(ranked, name), getattr(whole, name)[rows]), name
         if method_id != 7:  # method 7 combines them into maps of its own
@@ -833,6 +937,12 @@ class TestStoredScores:
         finally:
             gc.enable()
         assert ranked.final.shape == (len(rows), len(ranked.files))
+
+
+def under(artifacts, policy):
+    """Artifacts of the same ids and fixed files, without scores, under ``policy``."""
+    return Artifacts(artifacts.name, artifacts.file_ids, artifacts.report_ids, artifacts.fixed,
+                     fixed_counts=artifacts.fixed_counts, policy=policy)
 
 
 def local_vocab(project):

@@ -1,8 +1,10 @@
 """Print the bytes a bugloc cache directory holds, per kind of artifact.
 
 An artifact is a file ``<kind>[_<project>].bin`` (see ``bugloc.cache``);
-its ``.meta.json`` sidecar and the corpus record are not counted. Each kind
-prints one line, then the total of all of them.
+its ``.meta.json`` sidecar and the corpus record are not counted. The
+ranking indexes of ``--history all`` are kinds of their own,
+``index_all_<scope>``. Each kind prints one line, then the total of all of
+them.
 
 Run: python tools/cache_bytes.py DIR
 """
@@ -10,7 +12,8 @@ Run: python tools/cache_bytes.py DIR
 import sys
 from pathlib import Path
 
-KINDS = ("tokens", "idf", "index_local", "index_global", "index_docvec", "dm", "dbow")
+KINDS = ("tokens", "idf", "index_local", "index_global", "index_docvec", "index_all_local",
+         "index_all_global", "index_all_docvec", "dm", "dbow")
 
 
 def kind_of(name: str) -> str | None:
